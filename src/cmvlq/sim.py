@@ -8,6 +8,11 @@ Common-noise paths are shared across many idiosyncratic paths (default
 integrated from its own closed-loop dynamics under the same common
 increments, so conditional-expectation terms in the cost need no
 cross-path regression.
+
+Every closed loop here (the companion paths, the particles, and the
+centered runs of the value, Bellman, dominance and weak-order checks)
+is advanced by one Euler kernel, ``_euler``, from per-fine-step
+tables that ``_closed_loop`` builds before the batches run.
 """
 
 from __future__ import annotations
@@ -33,39 +38,66 @@ STORE_LIMIT = 2_000_000
 
 
 def thread_count() -> int:
-    """Worker cap from CMVLQ_THREADS; 0 or unset means automatic."""
+    """Worker cap from CMVLQ_THREADS; 0 means one per CPU, unset means one."""
     raw = os.environ.get("CMVLQ_THREADS", "").strip()
     if not raw:
         return 1
+    if not raw.isdecimal():
+        raise CmvlqError(f"CMVLQ_THREADS={raw!r}: need a non-negative integer")
     value = int(raw)
     if value == 0:
         return os.cpu_count() or 1
-    return max(1, value)
+    return value
 
 
 def substream(seed: int, index: int, noise: int) -> np.random.Generator:
     return np.random.default_rng(np.random.Philox(key=[int(seed), 4 * int(index) + noise]))
 
 
+def _substreams(seed: int, indices, noise: int):
+    """One generator positioned at substream(seed, i, noise) for each i in turn.
+
+    A Philox stream is its (key, counter) pair, so setting the key with a
+    zero counter and an empty buffer reproduces substream() draw for draw
+    without building (and seeding from OS entropy) a generator per path.
+    """
+    bits = np.random.Philox(0)  # state replaced before every use
+    gen = np.random.Generator(bits)
+    key = np.array([int(seed), 0], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
+             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for i in indices:
+        key[1] = 4 * int(i) + noise
+        bits.state = state
+        yield gen
+
+
 def idiosyncratic_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
-    out = np.empty((hi - lo, count))
-    for row, i in enumerate(range(lo, hi)):
-        out[row] = substream(seed, i, NOISE_IDIO).standard_normal(count)
+    # column-major, so the Euler kernel reads one fine step of every path
+    # contiguously; rows are drawn into a small block and copied over in
+    # bulk, which writes whole cache lines
+    out = np.empty((hi - lo, count), order="F")
+    block = np.empty((64, count))
+    gens = _substreams(seed, range(lo, hi), NOISE_IDIO)
+    for start in range(0, hi - lo, len(block)):
+        rows = block[: hi - lo - start]
+        for row in rows:
+            next(gens).standard_normal(out=row)
+        out[start : start + len(rows)] = rows
     return out
 
 
 def common_normals(seed: int, n_common: int, count: int) -> np.ndarray:
     out = np.empty((n_common, count))
-    for j in range(n_common):
-        out[j] = substream(seed, j, NOISE_COMMON).standard_normal(count)
+    for j, gen in enumerate(_substreams(seed, range(n_common), NOISE_COMMON)):
+        gen.standard_normal(out=out[j])
     return out
 
 
 def initial_atoms(seed: int, lo: int, hi: int, atom_probs: np.ndarray) -> np.ndarray:
     cum = np.cumsum(atom_probs)
-    u = np.empty(hi - lo)
-    for row, i in enumerate(range(lo, hi)):
-        u[row] = substream(seed, i, NOISE_INIT).random()
+    u = np.array([gen.random() for gen in _substreams(seed, range(lo, hi), NOISE_INIT)])
     return np.minimum(np.searchsorted(cum, u, side="right"), len(atom_probs) - 1)
 
 
@@ -145,33 +177,21 @@ def _fine_grid(grid: TimeGrid, dt_target: float):
     return n_sub, n_fine, dt, times
 
 
-def _coarse_index(j: int, n_sub: int, n_steps: int) -> int:
-    return min(j // n_sub, n_steps - 1)
+def _coeff_tables(c: CoefficientSet, n_fine: int):
+    """Per-fine-step coefficient arrays; deterministic coefficients only.
 
-
-def _coeff_tables(c: CoefficientSet, n_sub: int, n_fine: int):
-    """Per-fine-step coefficient arrays; deterministic coefficients only."""
+    Fine step j takes the coefficients of the coarse step holding its
+    left end j*T/n_fine, so any n_fine works, multiple of n_steps or not.
+    """
     if not c.deterministic:
         raise NotDeterministicError(
             "Monte Carlo closed-loop simulation needs deterministic coefficients"
         )
-    idx = [_coarse_index(j, n_sub, c.n_steps) for j in range(n_fine)]
-
-    def tab(coeff):
-        return np.stack([coeff.at_step(k) for k in idx])
-
+    idx = np.arange(n_fine) * c.n_steps // n_fine
+    names = ("A", "F", "B", "S", "b", "D", "D0", "zeta", "varpi", "Q", "R")
     return {
-        "A": tab(c.A),
-        "F": tab(c.F),
-        "B": tab(c.B),
-        "S": tab(c.S),
-        "b": tab(c.b),
-        "D": tab(c.D),
-        "D0": tab(c.D0),
-        "zeta": tab(c.zeta),
-        "varpi": tab(c.varpi),
-        "Q": tab(c.Q),
-        "R": tab(c.R),
+        name: np.stack([getattr(c, name).at_step(k) for k in range(c.n_steps)])[idx]
+        for name in names
     }
 
 
@@ -181,9 +201,13 @@ def _interp_table(src_times: np.ndarray, src_values: np.ndarray, at: np.ndarray)
     t0 = src_times[pos]
     t1 = src_times[pos + 1]
     w = np.where(t1 > t0, (at - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0)
-    shape = (len(at),) + (1,) * (src_values.ndim - 1)
-    w = w.reshape(shape)
+    w = w.reshape((len(at),) + (1,) * (src_values.ndim - 1))
     return (1.0 - w) * src_values[pos] + w * src_values[pos + 1]
+
+
+def _tr(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
 
 
 def _batches(n_paths: int):
@@ -201,13 +225,105 @@ def _map_batches(worker, ranges):
 
 
 def _guard_finite(x: np.ndarray, j: int, lo: int, what: str):
+    """x holds one row per path."""
     ok = np.isfinite(x)
     if not ok.all():
-        if x.ndim > 1:
-            bad = int(np.nonzero(~ok.reshape(len(x), -1).all(axis=1))[0][0])
-        else:
-            bad = 0
+        bad = int(np.nonzero(~ok.all(axis=1))[0][0])
         raise CmvlqError(f"non-finite {what} at fine step {j}, path {lo + bad}")
+
+
+@dataclass(frozen=True)
+class _Loop:
+    """Closed-loop tables of the Euler kernel; entry n_fine is the terminal cost.
+
+    With x a column state and g its path's group, step j maps x to
+    M_j x + m_{j,g} + D_j dW_j and costs x'P_j x + p_{j,g}'x + r_{j,g}.
+    """
+
+    W: np.ndarray          # (n_fine + 1, 2n, n): rows [M_j; P_j']
+    T: np.ndarray | None   # (n_fine + 1, 2n, groups): columns [m_{j,g}; p_{j,g}]
+    D: np.ndarray          # (n_fine, n, 1)
+    r_before: np.ndarray   # (n_fine + 2, groups): sum of r_{i,g} over i < j
+
+
+def _closed_loop(dt, tabs, A, gain, QT, *, v=None, h=None, m0=None) -> _Loop:
+    """Tables for the feedback u = gain_j x + v_{j,g} under drift A_j.
+
+    Per group g the state map adds dt B v + m0 (m0 carries every other
+    group term, common increment included) and the running cost is
+    0.5 dt (e'Q e + 2 e'S u + u'R u + 2 zeta'e + 2 varpi'u) with
+    e = x + h_{j,g}; the terminal cost is 0.5 e'QT e.  Without v the
+    loop has no group terms, and zeta, varpi and the offsets drop out.
+    """
+    n_fine, n = len(gain), A.shape[-1]
+    B, Q, S, R = tabs["B"], tabs["Q"], tabs["S"], tabs["R"]
+    W = np.zeros((n_fine + 1, 2 * n, n))
+    W[:-1, :n] = np.eye(n) + dt * (A + B @ gain)
+    w = 0.5 * dt
+    SG = S @ gain
+    W[:-1, n:] = _tr(w * (Q + 2.0 * SG + _tr(gain) @ R @ gain))
+    W[-1, n:] = 0.5 * QT.T
+    D = tabs["D"][:, :, None]
+    if v is None:
+        return _Loop(W=W, T=None, D=D, r_before=np.zeros((n_fine + 2, 0)))
+    # per-group vectors are rows here: (steps, groups, n)
+    groups = v.shape[1]
+    T = np.zeros((n_fine + 1, groups, 2 * n))
+    T[:-1, :, :n] = dt * (v @ _tr(B)) + m0
+    r = np.zeros((n_fine + 1, groups))
+    hr, hT = h[:-1], h[-1]
+    zeta, varpi = tabs["zeta"][:, None, :], tabs["varpi"][:, None, :]
+    T[:-1, :, n:] = w * (
+        hr @ (Q + _tr(Q)) + 2.0 * v @ _tr(S) + 2.0 * hr @ SG + v @ (R + _tr(R)) @ gain
+        + 2.0 * zeta + 2.0 * varpi @ gain
+    )
+    r[:-1] = w * (
+        np.einsum("jgi,jik,jgk->jg", hr, Q, hr) + 2.0 * np.einsum("jgi,jik,jgk->jg", hr, S, v)
+        + np.einsum("jgi,jik,jgk->jg", v, R, v) + 2.0 * (hr * zeta).sum(-1)
+        + 2.0 * (v * varpi).sum(-1)
+    )
+    T[-1, :, n:] = 0.5 * hT @ (QT + QT.T)
+    r[-1] = 0.5 * np.einsum("gi,ik,gk->g", hT, QT, hT)
+    r_before = np.concatenate([np.zeros((1, groups)), np.cumsum(r, axis=0)])
+    return _Loop(W=W, T=np.ascontiguousarray(_tr(T)), D=D, r_before=r_before)
+
+
+def _euler(loop: _Loop, x0, dw, lo: int, what: str, group=None, record=()):
+    """The Monte Carlo Euler kernel: one batch of paths through every fine step.
+
+    dw holds the scaled idiosyncratic increments (None when D is zero);
+    group gives each path's column of the group tables.  Returns the
+    per-path costs, the states at the distinct fine steps in record, and
+    the cost accrued before each of those steps.
+    """
+    n_paths, n = x0.shape
+    n_fine = len(loop.D)
+    slot = {int(j): i for i, j in enumerate(record)}
+    states = np.empty((n_paths, len(slot), n))
+    before = np.empty((n_paths, len(slot)))
+    # one row per state component: every operation below runs along
+    # contiguous rows of n_paths entries
+    x = np.array(np.transpose(x0), dtype=float, order="C")
+    run = np.zeros(n_paths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_fine + 1):
+            if j in slot:
+                states[:, slot[j]] = x.T
+                before[:, slot[j]] = run
+            z = loop.W[j] @ x
+            if loop.T is not None:
+                z += loop.T[j].take(group, axis=1)
+            run += np.einsum("ib,ib->b", x, z[n:])
+            if j == n_fine:
+                break
+            x = z[:n]
+            if dw is not None:
+                x += loop.D[j] * dw[:, j]
+            _guard_finite(x.T, j + 1, lo, what)
+    if loop.T is not None:
+        run += loop.r_before[-1][group]
+        before += loop.r_before[list(slot)][:, group].T
+    return run, states, before
 
 
 def _check_initial(xi, atom_probs, n):
@@ -249,7 +365,7 @@ def simulate_forward(
     if n_paths < 1 or n_common < 1:
         raise DimensionError("n_paths", "need at least one path and one common stream")
     n_sub, n_fine, dt, times = _fine_grid(grid, dt_target)
-    tabs = _coeff_tables(c, n_sub, n_fine)
+    tabs = _coeff_tables(c, n_fine)
     left = times[:n_fine]
     Kc = _interp_table(policy.times, policy.gain_centered, left)
     Km = _interp_table(policy.times, policy.gain_mean, left)
@@ -258,114 +374,81 @@ def simulate_forward(
 
     checkpoint_indices = np.arange(0, n_fine + 1, n_sub)
     n_cp = len(checkpoint_indices)
-    cp_of = {int(j): i for i, j in enumerate(checkpoint_indices)}
+    # controls are stored at the checkpoints, the terminal one holding
+    # the last control applied (at fine step n_fine - 1)
+    control_indices = np.minimum(checkpoint_indices, n_fine - 1)
+    record = np.union1d(checkpoint_indices, control_indices)
+    cp_slots = np.searchsorted(record, checkpoint_indices)
+    ctl_slots = np.searchsorted(record, control_indices)
 
-    dw0 = common_normals(seed, n_common, n_fine) * sq
+    dw0 = common_normals(seed, n_common, n_fine)
+    dw0 *= sq
+    common = dw0.T[:, :, None] * tabs["D0"][:, None, :]  # (n_fine, n_common, n)
 
-    # companion conditional-mean paths, all common streams at once
-    xbar_path = np.empty((n_fine + 1, n_common, c.n))
-    xbar_path[0] = (atom_probs @ xi)[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_fine):
-            xb = xbar_path[j]
-            ub = -xb @ Km[j].T - shift[j]
-            drift = xb @ (tabs["A"][j] + tabs["F"][j]).T + ub @ tabs["B"][j].T + tabs["b"][j]
-            xbar_path[j + 1] = xb + dt * drift + np.outer(dw0[:, j], tabs["D0"][j])
-            _guard_finite(xbar_path[j + 1], j + 1, 0, "conditional-mean state")
+    # companion conditional-mean paths, one per common stream; the cost
+    # the kernel tallies for them is not used
+    companion = _closed_loop(
+        dt, tabs, tabs["A"] + tabs["F"], -Km, c.QT,
+        v=np.broadcast_to(-shift[:, None, :], (n_fine, n_common, c.d)),
+        h=np.zeros((n_fine + 1, n_common, c.n)), m0=dt * tabs["b"][:, None, :] + common,
+    )
+    _, xbar_path, _ = _euler(
+        companion, np.tile(atom_probs @ xi, (n_common, 1)), None, 0,
+        "conditional-mean state", np.arange(n_common), range(n_fine + 1),
+    )  # (n_common, n_fine + 1, n)
 
-    store = store_paths
-    if store is None:
-        store = n_paths * n_fine <= STORE_LIMIT
+    xb = xbar_path.transpose(1, 0, 2)
+    particles = _closed_loop(
+        dt, tabs, tabs["A"], -Kc, c.QT,
+        v=xb[:-1] @ _tr(Kc - Km) - shift[:, None, :],
+        h=-xb @ c.H.T,
+        m0=dt * (xb[:-1] @ _tr(tabs["F"]) + tabs["b"][:, None, :]) + common,
+    )
+
+    store = n_paths * n_fine <= STORE_LIMIT if store_paths is None else store_paths
 
     def worker(lo, hi):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _particle_batch(lo, hi)
-
-    def _particle_batch(lo, hi):
-        B = hi - lo
         gidx = np.arange(lo, hi) % n_common
-        atoms = initial_atoms(seed, lo, hi, atom_probs)
-        dw = idiosyncratic_normals(seed, lo, hi, n_fine) * sq
-        x = xi[atoms]
-        run = np.zeros(B)
-        st = np.empty((B, n_cp, c.n)) if store else None
-        mst = np.empty((B, n_cp, c.n)) if store else None
-        ctl = np.empty((B, n_cp, c.d)) if store else None
-        dev_sum = np.zeros((n_common, n_cp, c.n))
-        dev_sq = np.zeros((n_common, n_cp, c.n))
-        dev_cnt = np.zeros(n_common)
-        np.add.at(dev_cnt, gidx, 1.0)
-        u = np.zeros((B, c.d))
-        for j in range(n_fine + 1):
-            xb = xbar_path[j][gidx]
-            if j in cp_of:
-                i = cp_of[j]
-                dev = x - xb
-                np.add.at(dev_sum, (gidx, i), dev)
-                np.add.at(dev_sq, (gidx, i), dev * dev)
-                if store:
-                    st[:, i] = x
-                    mst[:, i] = xb
-            if j == n_fine:
-                e = x - xb @ c.H.T
-                run += 0.5 * np.einsum("bi,ij,bj->b", e, c.QT, e)
-                if store:
-                    ctl[:, n_cp - 1] = u
-                break
-            u = -(x - xb) @ Kc[j].T - xb @ Km[j].T - shift[j]
-            if store and j in cp_of:
-                ctl[:, cp_of[j]] = u
-            e = x - xb @ c.H.T
-            run += dt * 0.5 * (
-                np.einsum("bi,ij,bj->b", e, tabs["Q"][j], e)
-                + 2.0 * np.einsum("bi,ij,bj->b", e, tabs["S"][j], u)
-                + np.einsum("bi,ij,bj->b", u, tabs["R"][j], u)
-                + 2.0 * e @ tabs["zeta"][j]
-                + 2.0 * u @ tabs["varpi"][j]
-            )
-            drift = x @ tabs["A"][j].T + u @ tabs["B"][j].T + xb @ tabs["F"][j].T + tabs["b"][j]
-            x = (
-                x
-                + dt * drift
-                + np.outer(dw[:, j], tabs["D"][j])
-                + np.outer(dw0[gidx, j], tabs["D0"][j])
-            )
-            _guard_finite(x, j + 1, lo, "state")
-        return dict(
-            costs=run, gidx=gidx, dw_sum=dw.sum(), states=st, mean_states=mst,
-            controls=ctl, dw=dw if store else None,
-            dev_sum=dev_sum, dev_sq=dev_sq, dev_cnt=dev_cnt,
+        dw = idiosyncratic_normals(seed, lo, hi, n_fine)
+        dw *= sq
+        x0 = xi[initial_atoms(seed, lo, hi, atom_probs)]
+        costs, rec, _ = _euler(particles, x0, dw, lo, "state", gidx, record)
+        dw_sum, dw = dw.sum(), (dw if store else None)  # free unstored increments early
+        x, xb_cp = rec[:, cp_slots], xbar_path[:, checkpoint_indices][gidx]
+        dev = x - xb_cp
+        dev_sums = np.zeros((2, n_common, n_cp, c.n))
+        np.add.at(dev_sums[0], gidx, dev)
+        np.add.at(dev_sums[1], gidx, dev * dev)
+        if not store:
+            return costs, dw_sum, dev_sums, None
+        xc, xbc = rec[:, ctl_slots], xbar_path[:, control_indices][gidx]
+        ctl = (
+            -np.einsum("bki,kdi->bkd", xc - xbc, Kc[control_indices])
+            - np.einsum("bki,kdi->bkd", xbc, Km[control_indices])
+            - shift[control_indices]
         )
+        return costs, dw_sum, dev_sums, (x, xb_cp, ctl, dw)
 
-    parts = _map_batches(worker, _batches(n_paths))
-
-    costs = np.concatenate([p["costs"] for p in parts])
-    common_index = np.concatenate([p["gidx"] for p in parts])
-    dev_sum = sum(p["dev_sum"] for p in parts)
-    dev_sq = sum(p["dev_sq"] for p in parts)
-    dev_cnt = sum(p["dev_cnt"] for p in parts)
+    costs, dw_sums, dev_sums, stored = zip(*_map_batches(worker, _batches(n_paths)))
+    common_index = np.arange(n_paths) % n_common
+    dev_sum, dev_sq = sum(dev_sums)
+    dev_cnt = np.bincount(common_index, minlength=n_common).astype(float)
     cnt = np.maximum(dev_cnt, 1.0)[:, None, None]
     dev_mean = dev_sum / cnt
     var = np.maximum(dev_sq / cnt - dev_mean**2, 0.0)
     denom = np.maximum(dev_cnt - 1.0, 1.0)[:, None, None]
     dev_se = np.sqrt(var * (dev_cnt[:, None, None] / denom)) / np.sqrt(cnt)
+    states = mean_states = controls = dw = None
+    if store:
+        states, mean_states, controls, dw = (np.concatenate(f) for f in zip(*stored))
 
     return PathEnsemble(
-        n_paths=n_paths,
-        seed=seed,
-        n_common=n_common,
-        times=times,
-        checkpoint_indices=checkpoint_indices,
-        common_index=common_index,
-        path_costs=costs,
-        group_dev_mean=dev_mean,
-        group_dev_se=dev_se,
-        increment_mean_w=float(sum(p["dw_sum"] for p in parts) / (n_paths * n_fine)),
+        n_paths=n_paths, seed=seed, n_common=n_common, times=times,
+        checkpoint_indices=checkpoint_indices, common_index=common_index,
+        path_costs=np.concatenate(costs), group_dev_mean=dev_mean, group_dev_se=dev_se,
+        increment_mean_w=float(sum(dw_sums) / (n_paths * n_fine)),
         increment_mean_w0=float(dw0.mean()),
-        states=np.concatenate([p["states"] for p in parts]) if store else None,
-        mean_states=np.concatenate([p["mean_states"] for p in parts]) if store else None,
-        controls=np.concatenate([p["controls"] for p in parts]) if store else None,
-        dw=np.concatenate([p["dw"] for p in parts]) if store else None,
+        states=states, mean_states=mean_states, controls=controls, dw=dw,
         dw0_common=dw0 if store else None,
         substream_w=4 * np.arange(n_paths) + NOISE_IDIO,
     )
@@ -429,45 +512,29 @@ def conditional_zero_worst(ensemble: PathEnsemble) -> float:
 # -- centered subproblem checks ---------------------------------------------
 
 
-def _centered_tables(c: CoefficientSet, pi: OdeBackwardQuadratic, left_times: np.ndarray):
-    piv = _interp_table(pi.times, pi.values, left_times)
-    n_fine = len(left_times)
-    K = np.empty((n_fine, c.d, c.n))
-    for j in range(n_fine):
-        k = _coarse_index(j, max(1, n_fine // c.n_steps), c.n_steps)
-        K[j] = np.linalg.solve(
-            c.R.at_step(k), c.S.at_step(k).T + c.B.at_step(k).T @ piv[j]
-        )
-    return K, piv
+def _centered_loop(c, pi: OdeBackwardQuadratic, grid: TimeGrid, n_fine: int, sign=-1.0):
+    """Centered closed loop, u = sign R^-1 (S' + B' Pi) z, on n_fine Euler steps."""
+    tabs = _coeff_tables(c, n_fine)
+    piv = _interp_table(pi.times, pi.values, np.linspace(0.0, grid.horizon, n_fine + 1)[:-1])
+    gain = sign * np.linalg.solve(tabs["R"], _tr(tabs["S"]) + _tr(tabs["B"]) @ piv)
+    return _closed_loop(grid.horizon / n_fine, tabs, tabs["A"], gain, c.QT)
 
 
 def _noise_value_curve(c: CoefficientSet, pi: OdeBackwardQuadratic):
     """c(t) = half the tail integral of D' Pi D along the fine grid."""
     tt = pi.times
     f = np.empty(len(tt))
-    n_sub = pi.n_sub
-    for j, t in enumerate(tt):
-        k = _coarse_index(min(j, len(tt) - 2), n_sub, c.n_steps)
-        D = c.D.at_step(k)
+    for j in range(len(tt)):
+        D = c.D.at_step(min(min(j, len(tt) - 2) // pi.n_sub, c.n_steps - 1))
         f[j] = D @ pi.values[j] @ D
     seg = 0.5 * (f[:-1] + f[1:]) * np.diff(tt)
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     return tt, 0.5 * tail
 
 
-def _breve_run(
-    c: CoefficientSet,
-    pi: OdeBackwardQuadratic,
-    grid: TimeGrid,
-    xi_centered,
-    atom_probs,
-    n_paths: int,
-    seed: int,
-    *,
-    dt_target: float = 1e-3,
-    plus_sign: bool = False,
-    h_index: int | None = None,
-):
+def _breve_run(c: CoefficientSet, pi: OdeBackwardQuadratic, grid: TimeGrid, xi_centered,
+               atom_probs, n_paths: int, seed: int, *, dt_target: float = 1e-3,
+               plus_sign: bool = False, h_index: int | None = None):
     """Closed-loop centered system; returns per-path cost samples.
 
     With h_index set, also returns the per-path Bellman statistic:
@@ -479,41 +546,26 @@ def _breve_run(
     mean0 = atom_probs @ xi_c
     if np.max(np.abs(mean0)) > 1e-10 * (1.0 + np.max(np.abs(xi_c))):
         raise DimensionError("xi_centered", "initial split must have zero mean")
-    n_sub, n_fine, dt, times = _fine_grid(grid, dt_target)
+    _, n_fine, dt, times = _fine_grid(grid, dt_target)
     if h_index is not None and not (0 <= h_index <= n_fine):
         raise DimensionError("h_index", f"must lie in [0, {n_fine}]")
-    tabs = _coeff_tables(c, n_sub, n_fine)
-    K, _ = _centered_tables(c, pi, times[:n_fine])
-    tail_t, tail_v = _noise_value_curve(c, pi)
+    loop = _centered_loop(c, pi, grid, n_fine, 1.0 if plus_sign else -1.0)
+    # a draw times a zero loading adds exactly zero: skip the draws
+    noisy = bool(np.any(loop.D))
+    record = ()
+    if h_index is not None:
+        record = (h_index,)
+        Pih = pi.at_time(times[h_index])
+        tail_h = float(np.interp(times[h_index], *_noise_value_curve(c, pi)))
     sq = np.sqrt(dt)
-    sign = 1.0 if plus_sign else -1.0
 
     def worker(lo, hi):
         atoms = initial_atoms(seed, lo, hi, atom_probs)
-        dw = idiosyncratic_normals(seed, lo, hi, n_fine) * sq
-        z = xi_c[atoms]
-        run = np.zeros(hi - lo)
+        dw = idiosyncratic_normals(seed, lo, hi, n_fine) * sq if noisy else None
+        run, z, before = _euler(loop, xi_c[atoms], dw, lo, "centered state", record=record)
         bell = None
-        for j in range(n_fine + 1):
-            if h_index is not None and j == h_index:
-                t = times[j]
-                Pih = pi.at_time(t)
-                bell = (
-                    run
-                    + 0.5 * np.einsum("bi,ij,bj->b", z, Pih, z)
-                    + float(np.interp(t, tail_t, tail_v))
-                )
-            if j == n_fine:
-                run += 0.5 * np.einsum("bi,ij,bj->b", z, c.QT, z)
-                break
-            a = sign * (z @ K[j].T)
-            run += dt * 0.5 * (
-                np.einsum("bi,ij,bj->b", z, tabs["Q"][j], z)
-                + 2.0 * np.einsum("bi,ij,bj->b", z, tabs["S"][j], a)
-                + np.einsum("bi,ij,bj->b", a, tabs["R"][j], a)
-            )
-            z = z + dt * (z @ tabs["A"][j].T + a @ tabs["B"][j].T) + np.outer(dw[:, j], tabs["D"][j])
-            _guard_finite(z, j + 1, lo, "centered state")
+        if h_index is not None:
+            bell = before[:, 0] + 0.5 * np.einsum("bi,ij,bj->b", z[:, 0], Pih, z[:, 0]) + tail_h
         return run, bell
 
     parts = _map_batches(worker, _batches(n_paths))
@@ -522,13 +574,18 @@ def _breve_run(
     return costs, bells
 
 
-def _predicted_value(c, pi, xi_c, atom_probs):
-    xi_c = np.atleast_2d(np.asarray(xi_c, dtype=float))
-    initial = 0.5 * float(
-        np.einsum("a,ai,ij,aj->", np.asarray(atom_probs, float), xi_c, pi.values[0], xi_c)
-    )
-    _, tail = _noise_value_curve(c, pi)
-    return initial, float(tail[0])
+def _value_report(label, samples, c, pi, xi_centered, atom_probs) -> CheckReport:
+    """Sample mean against the predicted centered value, to three standard errors."""
+    est = estimate_from_samples(samples)
+    xi_c = np.atleast_2d(np.asarray(xi_centered, dtype=float))
+    probs = np.asarray(atom_probs, dtype=float)
+    initial = 0.5 * float(np.einsum("a,ai,ij,aj->", probs, xi_c, pi.values[0], xi_c))
+    noise = float(_noise_value_curve(c, pi)[1][0])
+    predicted = initial + noise
+    gap = est.mean - predicted
+    z = gap / est.std_error if est.std_error > 0 else (0.0 if gap == 0 else np.inf)
+    return CheckReport(label=label, estimate=est, predicted=predicted, noise_term=noise,
+                       z_score=float(z), passed=bool(abs(gap) <= 3.0 * est.std_error))
 
 
 def check_value_function(
@@ -546,19 +603,7 @@ def check_value_function(
     costs, _ = _breve_run(
         c, pi, grid, xi_centered, atom_probs, n_paths, seed, dt_target=dt_target
     )
-    est = estimate_from_samples(costs)
-    initial, noise = _predicted_value(c, pi, xi_centered, atom_probs)
-    predicted = initial + noise
-    gap = est.mean - predicted
-    z = gap / est.std_error if est.std_error > 0 else (0.0 if gap == 0 else np.inf)
-    return CheckReport(
-        label="value-function",
-        estimate=est,
-        predicted=predicted,
-        noise_term=noise,
-        z_score=float(z),
-        passed=bool(abs(gap) <= 3.0 * est.std_error),
-    )
+    return _value_report("value-function", costs, c, pi, xi_centered, atom_probs)
 
 
 def check_bellman(
@@ -579,29 +624,9 @@ def check_bellman(
     expectation; h_index indexes the simulation's fine grid.
     """
     _, bells = _breve_run(
-        c,
-        pi,
-        grid,
-        xi_centered,
-        atom_probs,
-        n_paths,
-        seed,
-        dt_target=dt_target,
-        h_index=h_index,
+        c, pi, grid, xi_centered, atom_probs, n_paths, seed, dt_target=dt_target, h_index=h_index
     )
-    est = estimate_from_samples(bells)
-    initial, noise = _predicted_value(c, pi, xi_centered, atom_probs)
-    predicted = initial + noise
-    gap = est.mean - predicted
-    z = gap / est.std_error if est.std_error > 0 else (0.0 if gap == 0 else np.inf)
-    return CheckReport(
-        label="bellman-midpoint",
-        estimate=est,
-        predicted=predicted,
-        noise_term=noise,
-        z_score=float(z),
-        passed=bool(abs(gap) <= 3.0 * est.std_error),
-    )
+    return _value_report("bellman-midpoint", bells, c, pi, xi_centered, atom_probs)
 
 
 def check_policy_dominance(
@@ -625,15 +650,7 @@ def check_policy_dominance(
         c, pi, grid, xi_centered, atom_probs, n_paths, seed, dt_target=dt_target
     )
     flipped, _ = _breve_run(
-        c,
-        pi,
-        grid,
-        xi_centered,
-        atom_probs,
-        n_paths,
-        seed,
-        dt_target=dt_target,
-        plus_sign=True,
+        c, pi, grid, xi_centered, atom_probs, n_paths, seed, dt_target=dt_target, plus_sign=True
     )
     est = estimate_from_samples(flipped - base)
     z = est.mean / est.std_error if est.std_error > 0 else np.inf
@@ -667,33 +684,17 @@ def weak_order_check(
     n_finest = counts[-1]
 
     def run(count, dws):
-        dt = grid.horizon / count
-        tabs = _coeff_tables(c, max(1, count // c.n_steps), count)
-        K, _ = _centered_tables(c, pi, np.linspace(0.0, grid.horizon, count + 1)[:-1])
+        loop = _centered_loop(c, pi, grid, count)
+        return np.concatenate([
+            _euler(loop, xi_c[initial_atoms(seed, lo, hi, atom_probs)], dws[lo:hi], lo,
+                   "centered state")[0]
+            for lo, hi in _batches(n_paths)
+        ])
 
-        def worker(lo, hi):
-            atoms = initial_atoms(seed, lo, hi, atom_probs)
-            z = xi_c[atoms]
-            run_cost = np.zeros(hi - lo)
-            for j in range(count):
-                a = -(z @ K[j].T)
-                run_cost += dt * 0.5 * (
-                    np.einsum("bi,ij,bj->b", z, tabs["Q"][j], z)
-                    + 2.0 * np.einsum("bi,ij,bj->b", z, tabs["S"][j], a)
-                    + np.einsum("bi,ij,bj->b", a, tabs["R"][j], a)
-                )
-                z = z + dt * (z @ tabs["A"][j].T + a @ tabs["B"][j].T) + np.outer(
-                    dws[lo:hi, j], tabs["D"][j]
-                )
-            run_cost += 0.5 * np.einsum("bi,ij,bj->b", z, c.QT, z)
-            return run_cost
-
-        return np.concatenate([worker(lo, hi) for lo, hi in _batches(n_paths)])
-
-    finest_normals = np.empty((n_paths, n_finest))
+    dws = np.empty((n_paths, n_finest), order="F")
     for lo, hi in _batches(n_paths):
-        finest_normals[lo:hi] = idiosyncratic_normals(seed, lo, hi, n_finest)
-    dws = finest_normals * np.sqrt(grid.horizon / n_finest)
+        dws[lo:hi] = idiosyncratic_normals(seed, lo, hi, n_finest)
+    dws *= np.sqrt(grid.horizon / n_finest)
     means = []
     for count in reversed(counts):
         means.append(float(run(count, dws).mean()))
@@ -704,10 +705,7 @@ def weak_order_check(
     step_down_next = mean_mid - mean_finest
     ratio = step_down / step_down_next if step_down_next != 0 else np.inf
     return WeakOrderReport(
-        bias_coarse=abs(mean_coarse - exact_value),
-        bias_fine=abs(mean_mid - exact_value),
-        step_down=float(step_down),
-        step_down_next=float(step_down_next),
-        ratio=float(ratio),
-        passed=bool(1.6 <= ratio <= 2.6),
+        bias_coarse=abs(mean_coarse - exact_value), bias_fine=abs(mean_mid - exact_value),
+        step_down=float(step_down), step_down_next=float(step_down_next),
+        ratio=float(ratio), passed=bool(1.6 <= ratio <= 2.6),
     )

@@ -300,6 +300,14 @@ def test_solver_errors_exit_2(tmp_path, capsys):
     assert "requires the tree backend" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("raw", ["abc", "-2"])
+def test_bad_thread_count_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch, raw):
+    monkeypatch.setenv("CMVLQ_THREADS", raw)
+    assert main(["simulate", "--config", _write(tmp_path, MINIMAL), "--paths", "10",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert f"error,CmvlqError,CMVLQ_THREADS='{raw}'" in capsys.readouterr().out
+
+
 def test_suite_skips_simulation_for_random_coefficients(tmp_path, capsys):
     text = MINIMAL.replace("Q = 1.0", "Q = 1.0\nA = -0.5\nA_slope = 0.1")
     out = str(tmp_path / "o")

@@ -18,17 +18,21 @@ from cmvlq.fbsde import build_ode_policy
 from cmvlq.instances import random_instance
 from cmvlq.riccati import solve_pi
 from cmvlq.sim import (
+    NOISE_COMMON,
     NOISE_IDIO,
+    NOISE_INIT,
     check_bellman,
     check_policy_dominance,
     check_value_function,
     conditional_zero_worst,
     estimate_cost,
+    initial_atoms,
     simulate_forward,
     substream,
     thread_count,
     weak_order_check,
 )
+from helpers_euler import reference_forward
 
 
 @dataclass
@@ -120,6 +124,14 @@ def test_increments_reproducible_from_substreams():
     for i in (0, 17, 59):
         expect = substream(11, i, NOISE_IDIO).standard_normal(n_fine) * sq
         assert np.array_equal(ens.dw[i], expect)
+    for g in (0, 7, ens.n_common - 1):
+        expect = substream(11, g, NOISE_COMMON).standard_normal(n_fine) * sq
+        assert np.array_equal(ens.dw0_common[g], expect)
+    probs = np.array([0.3, 0.7])
+    u = np.array([substream(11, i, NOISE_INIT).random() for i in range(60)])
+    expect = np.searchsorted(np.cumsum(probs), u, side="right")
+    assert np.array_equal(initial_atoms(11, 0, 60, probs), expect)
+    assert np.array_equal(initial_atoms(11, 17, 60, probs), expect[17:])
     band = 4.0 / math.sqrt(ens.n_paths * n_fine)
     assert abs(ens.increment_mean_w) <= band
     assert abs(ens.increment_mean_w0) <= 4.0 / math.sqrt(ens.n_common * n_fine)
@@ -145,6 +157,32 @@ def _mean_field_instance():
         H=[[0.5, 0.2], [0.0, 0.3]],
         QT=[[0.5, 0.0], [0.0, 0.5]],
     )
+
+
+def test_kernel_matches_reference_loop(monkeypatch):
+    # the kernel regroups the closed-loop arithmetic into per-step tables,
+    # so it agrees with the term-by-term loop to rounding, not bit for bit
+    c = _mean_field_instance()
+    pol = build_ode_policy(c, dt_target=0.02)
+    kw = dict(xi=[[1.0, -0.5], [0.2, 0.8]], atom_probs=[0.5, 0.5], n_common=5, dt_target=0.01)
+    monkeypatch.setattr(sim_mod, "SIM_BATCH", 37)
+    ens = simulate_forward(pol, c, c.grid(), 200, 4, store_paths=True, **kw)
+    ref = reference_forward(pol, c, c.grid(), 200, 4, **kw)
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    assert len(ens.checkpoint_indices) == c.n_steps + 1
+    assert np.array_equal(ens.dw, ref["dw"])
+    assert close(ens.path_costs, ref["costs"])
+    assert close(ens.states, ref["states"])
+    assert close(ens.mean_states, ref["mean_states"])
+    assert close(ens.controls, ref["controls"])
+    counts = np.bincount(np.arange(200) % 5)[:, None, None].astype(float)
+    mean = ref["dev_sum"] / counts
+    se = np.sqrt((ref["dev_sq"] / counts - mean**2) / (counts - 1.0))
+    assert close(ens.group_dev_mean, mean)
+    assert close(ens.group_dev_se, se)
 
 
 def test_closed_loop_ensemble_matches_continuous_value():
@@ -248,6 +286,40 @@ def test_euler_weak_order_ratio():
     )
     assert rep.passed, f"ratio = {rep.ratio}"
     assert rep.step_down * rep.step_down_next > 0  # same-signed shifts
+
+
+def test_weak_order_maps_fine_steps_by_time():
+    # N=2 under 3 Euler steps: step 1 starts at t=1/3, inside the first
+    # coarse step, so it takes A_0.  Uncontrolled noise-free paths from
+    # +-1 make every mean an exact product of Euler factors.
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, A=[[[-1.0]], [[0.5]]], R=1.0, QT=[[2.0]])
+    pi = solve_pi(c, backend="ode")
+
+    def euler_mean(count):
+        h = 1.0 / count
+        return math.prod(1.0 + h * (-1.0 if 2 * j < count else 0.5) for j in range(count)) ** 2
+
+    rep = weak_order_check(
+        c, pi, c.grid(), 0.0, 40, 1,
+        xi_centered=[[1.0], [-1.0]], atom_probs=[0.5, 0.5], n_coarse=3,
+    )
+    assert rep.bias_coarse == pytest.approx(euler_mean(3), rel=1e-12)
+    assert rep.bias_fine == pytest.approx(euler_mean(6), rel=1e-12)
+
+
+def test_centered_checks_skip_draws_for_zero_loading(monkeypatch):
+    # D = 0 at every step: the idiosyncratic draws would only be
+    # multiplied by zero, so the centered runs must not make them
+    def no_draws(*args):
+        raise AssertionError("idiosyncratic normals drawn for a zero loading")
+
+    monkeypatch.setattr(sim_mod, "idiosyncratic_normals", no_draws)
+    c = _tanh_instance(0.0)
+    pi = solve_pi(c, backend="ode")
+    kw = dict(xi_centered=XI_C, atom_probs=PROBS)
+    assert check_value_function(c, pi, c.grid(), 500, 3, **kw).passed
+    assert check_bellman(c, pi, c.grid(), 500, 500, 3, **kw).passed
+    assert check_policy_dominance(c, pi, c.grid(), 500, 3, **kw).passed
 
 
 def test_non_finite_states_are_reported_with_location():
