@@ -38,18 +38,60 @@ CENTERING_TOL = 1e-12
 
 
 def coeff_nodes(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
-    """Evaluate one coefficient on every node of step k."""
-    prefix_vals = coeff.at_w0(k, tree.cum_w0_prefix[k])
-    return prefix_vals[tree.w0_of_node[k]]
+    """Evaluate one coefficient on the nodes of step k.
+
+    A deterministic coefficient is the same on every node, so its own
+    step array comes back, shape coeff.shape, shared by all nodes.  A
+    node-dependent one is evaluated once per W0 prefix and expanded,
+    shape (n_nodes(k), *coeff.shape).  The node products below accept
+    either.
+    """
+    if coeff.deterministic:
+        return coeff.base[k]
+    return tree.expand_f0(k, coeff.at_w0(k, tree.cum_w0_prefix[k]))
 
 
 def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    # batched matrix @ vector over the node axis
+    """mat @ vec on every node, for a shared (i, j) or per-node (n, i, j) mat."""
+    if mat.ndim == 2:
+        return vec @ mat.T
     return np.einsum("nij,nj->ni", mat, vec)
 
 
+def _mtv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat' @ vec on every node."""
+    if mat.ndim == 2:
+        return vec @ mat
+    return np.einsum("nji,nj->ni", mat, vec)
+
+
 def _quad(vec_l: np.ndarray, mat: np.ndarray, vec_r: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,nij,nj->n", vec_l, mat, vec_r)
+    return _dot(vec_l, _mv(mat, vec_r))
+
+
+def _dot(coef: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """coef . vec on every node; coef may be a shared vector."""
+    if coef.ndim == 1:
+        return vec @ coef
+    return np.einsum("ni,ni->n", coef, vec)
+
+
+def _children(tree: JointTree, k: int, mean: np.ndarray, D=None, D0=None) -> np.ndarray:
+    """States at the children of the step-k nodes: mean + D dW + D0 dW0.
+
+    Every node's children take the same four increments, in branch
+    order, so a shared loading adds one (4, n) pattern to each node's
+    block of children instead of a per-child product.
+    """
+    x = np.repeat(mean, 4, axis=0)
+    for load, dw in ((D, tree.last_dw[k + 1]), (D0, tree.last_dw0[k + 1])):
+        if load is None:
+            continue
+        if load.ndim == 1:
+            x.reshape(len(mean), -1)[...] += np.outer(dw[:4], load).ravel()
+        else:
+            x += np.repeat(load, 4, axis=0) * dw[:, None]
+    return x
 
 
 def _atom_values(xi, tree: JointTree, name: str) -> np.ndarray:
@@ -86,12 +128,7 @@ def simulate_mft(
         D0 = coeff_nodes(c.D0, tree, k)
         _, xbar = tree.ce_f0_step(k, x)
         drift = _mv(A, x) + _mv(B, u.values[k]) + _mv(F, xbar) + b
-        base = np.repeat(x + dt * drift, 4, axis=0)
-        x = (
-            base
-            + np.repeat(D, 4, axis=0) * tree.last_dw[k + 1][:, None]
-            + np.repeat(D0, 4, axis=0) * tree.last_dw0[k + 1][:, None]
-        )
+        x = _children(tree, k, x + dt * drift, D, D0)
         values.append(x)
     return TreeProcess(tree, values, F_ADAPTED)
 
@@ -116,8 +153,7 @@ def simulate_bar(
         b = coeff_nodes(cb.b, tree, k)
         D0 = coeff_nodes(cb.D0, tree, k)
         drift = _mv(Ab, y) + _mv(B, v.values[k]) + b
-        base = np.repeat(y + dt * drift, 4, axis=0)
-        y = base + np.repeat(D0, 4, axis=0) * tree.last_dw0[k + 1][:, None]
+        y = _children(tree, k, y + dt * drift, D0=D0)
         values.append(y)
     return TreeProcess(tree, values, F0_ADAPTED)
 
@@ -145,8 +181,7 @@ def simulate_breve(
         B = coeff_nodes(c.B, tree, k)
         D = coeff_nodes(c.D, tree, k)
         drift = _mv(A, z) + _mv(B, alpha.values[k])
-        base = np.repeat(z + dt * drift, 4, axis=0)
-        z = base + np.repeat(D, 4, axis=0) * tree.last_dw[k + 1][:, None]
+        z = _children(tree, k, z + dt * drift, D)
         values.append(z)
     return TreeProcess(tree, values, F_ADAPTED)
 
@@ -162,30 +197,8 @@ def eval_cost_mft(
     """
     _check_state(x, c, grid, tree)
     _check_control(u, c, grid, tree)
-    dt = grid.dt
-    total = 0.0
-    for k in range(grid.n_steps):
-        _, xbar = tree.ce_f0_step(k, x.values[k])
-        e = x.values[k] - xbar @ c.H.T
-        Q = coeff_nodes(c.Q, tree, k)
-        S = coeff_nodes(c.S, tree, k)
-        R = coeff_nodes(c.R, tree, k)
-        zeta = coeff_nodes(c.zeta, tree, k)
-        varpi = coeff_nodes(c.varpi, tree, k)
-        uk = u.values[k]
-        integrand = (
-            _quad(e, Q, e)
-            + 2.0 * _quad(e, S, uk)
-            + _quad(uk, R, uk)
-            + 2.0 * np.einsum("ni,ni->n", zeta, e)
-            + 2.0 * np.einsum("ni,ni->n", varpi, uk)
-        )
-        total += dt * float(np.dot(tree.probs(k), integrand))
-    N = grid.n_steps
-    _, xbarT = tree.ce_f0_step(N, x.values[N])
-    eT = x.values[N] - xbarT @ c.H.T
-    total += float(np.dot(tree.probs(N), np.einsum("ni,ij,nj->n", eT, c.QT, eT)))
-    return 0.5 * total
+    dev = [v - tree.ce_f0_step(k, v)[1] @ c.H.T for k, v in enumerate(x.values)]
+    return _lq_cost(tree, grid, dev, u.values, c.Q, c.S, c.R, c.QT, c.zeta, c.varpi)
 
 
 def eval_cost_bar(
@@ -198,27 +211,9 @@ def eval_cost_bar(
         if p.adapted != F0_ADAPTED:
             raise AdaptednessError(f"bar {what} must be tagged F0-adapted")
         p.check_f0_constant()
-    dt = grid.dt
-    total = 0.0
-    for k in range(grid.n_steps):
-        Qb = coeff_nodes(cb.Qbar, tree, k)
-        Sb = coeff_nodes(cb.Sbar, tree, k)
-        R = coeff_nodes(cb.R, tree, k)
-        zb = coeff_nodes(cb.zetabar, tree, k)
-        varpi = coeff_nodes(cb.varpi, tree, k)
-        yk, vk = y.values[k], v.values[k]
-        integrand = (
-            _quad(yk, Qb, yk)
-            + 2.0 * _quad(yk, Sb, vk)
-            + _quad(vk, R, vk)
-            + 2.0 * np.einsum("ni,ni->n", zb, yk)
-            + 2.0 * np.einsum("ni,ni->n", varpi, vk)
-        )
-        total += dt * float(np.dot(tree.probs(k), integrand))
-    N = grid.n_steps
-    yT = y.values[N]
-    total += float(np.dot(tree.probs(N), np.einsum("ni,ij,nj->n", yT, cb.QbarT, yT)))
-    return 0.5 * total
+    return _lq_cost(
+        tree, grid, y.values, v.values, cb.Qbar, cb.Sbar, cb.R, cb.QbarT, cb.zetabar, cb.varpi
+    )
 
 
 def eval_cost_breve(
@@ -229,18 +224,32 @@ def eval_cost_breve(
     _check_control(alpha, c, grid, tree)
     _check_centered(alpha, tree, "E[alpha|F0] = 0")
     _check_centered(z, tree, "E[z|F0] = 0")
-    dt = grid.dt
+    return _lq_cost(tree, grid, z.values, alpha.values, c.Q, c.S, c.R, c.QT)
+
+
+def _lq_cost(tree, grid, states, controls, Q, S, R, QT, zeta=None, varpi=None) -> float:
+    """Half the expected running plus terminal cost, summed over the tree.
+
+    states[k] is the state (or state deviation) the weights act on; the
+    linear terms enter only when zeta and varpi are given.
+    """
     total = 0.0
     for k in range(grid.n_steps):
-        Q = coeff_nodes(c.Q, tree, k)
-        S = coeff_nodes(c.S, tree, k)
-        R = coeff_nodes(c.R, tree, k)
-        zk, ak = z.values[k], alpha.values[k]
-        integrand = _quad(zk, Q, zk) + 2.0 * _quad(zk, S, ak) + _quad(ak, R, ak)
-        total += dt * float(np.dot(tree.probs(k), integrand))
-    N = grid.n_steps
-    zT = z.values[N]
-    total += float(np.dot(tree.probs(N), np.einsum("ni,ij,nj->n", zT, c.QT, zT)))
+        e, u = states[k], controls[k]
+        integrand = (
+            _quad(e, coeff_nodes(Q, tree, k), e)
+            + 2.0 * _quad(e, coeff_nodes(S, tree, k), u)
+            + _quad(u, coeff_nodes(R, tree, k), u)
+        )
+        if zeta is not None:
+            integrand = (
+                integrand
+                + 2.0 * _dot(coeff_nodes(zeta, tree, k), e)
+                + 2.0 * _dot(coeff_nodes(varpi, tree, k), u)
+            )
+        total += grid.dt * float(np.dot(tree.probs(k), integrand))
+    eT = states[grid.n_steps]
+    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, QT, eT)))
     return 0.5 * total
 
 
@@ -327,10 +336,10 @@ def lemma_identities(
         Sb = coeff_nodes(cb.Sbar, tree, k)
         zb = coeff_nodes(cb.zetabar, tree, k)
 
-        acc["i"][0] += dt * float(p @ np.einsum("ni,ni->n", zeta, e))
-        acc["i"][1] += dt * float(p @ np.einsum("ni,ni->n", zb, xbar))
-        acc["ii"][0] += dt * float(p @ np.einsum("ni,ni->n", varpi, uk))
-        acc["ii"][1] += dt * float(p @ np.einsum("ni,ni->n", varpi, ubar))
+        acc["i"][0] += dt * float(p @ _dot(zeta, e))
+        acc["i"][1] += dt * float(p @ _dot(zb, xbar))
+        acc["ii"][0] += dt * float(p @ _dot(varpi, uk))
+        acc["ii"][1] += dt * float(p @ _dot(varpi, ubar))
         acc["iii"][0] += dt * float(p @ _quad(uk, R, uk))
         acc["iii"][1] += dt * float(p @ (_quad(ubre, R, ubre) + _quad(ubar, R, ubar)))
         acc["iv"][0] += dt * float(p @ _quad(e, S, uk))
@@ -344,9 +353,9 @@ def lemma_identities(
     xT = x.values[N]
     xbarT, xbreT = parts.xbar.values[N], parts.xbreve.values[N]
     eT = xT - xbarT @ c.H.T
-    lhs = float(pN @ np.einsum("ni,ij,nj->n", eT, c.QT, eT))
+    lhs = float(pN @ _quad(eT, c.QT, eT))
     rhs = float(
-        pN @ (np.einsum("ni,ij,nj->n", xbreT, c.QT, xbreT) + np.einsum("ni,ij,nj->n", xbarT, cb.QbarT, xbarT))
+        pN @ (_quad(xbreT, c.QT, xbreT) + _quad(xbarT, cb.QbarT, xbarT))
     )
     out["v_terminal"] = (lhs, rhs)
     return out
@@ -465,7 +474,7 @@ def _check_centered(p: TreeProcess, tree: JointTree, label: str):
     worst = 0.0
     scale = 1.0
     for k, v in enumerate(p.values):
-        _, ce = tree.ce_f0_step(k, v)
+        ce = tree.prefix_mean(k, v)
         worst = max(worst, float(np.max(np.abs(ce))) if ce.size else 0.0)
         scale = max(scale, float(np.max(np.abs(v))) if v.size else 0.0)
     if worst > CENTERING_TOL * scale:

@@ -30,6 +30,10 @@ class SingularSystemError(CmvlqError):
     """A linear system that should be positive definite is numerically singular."""
 
 
+class FiniteEscapeError(CmvlqError):
+    """A backward Riccati solution left the finite numbers (blew up)."""
+
+
 class NotDeterministicError(CmvlqError):
     """An operation restricted to deterministic coefficients was given random ones."""
 

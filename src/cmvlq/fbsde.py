@@ -20,6 +20,10 @@ import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet, bar_transform
 from .decomposition import (
+    _atom_values,
+    _children,
+    _mtv,
+    _mv,
     coeff_nodes,
     eval_cost_bar,
     eval_cost_breve,
@@ -114,15 +118,6 @@ class CoupledSolution:
     residual_history: list
 
 
-def _mv(mat, vec):
-    return np.einsum("nij,nj->ni", mat, vec)
-
-
-def _mtv(mat, vec):
-    # transposed batched product: mat' vec
-    return np.einsum("nji,nj->ni", mat, vec)
-
-
 def solve_breve_fbsde(
     c: CoefficientSet,
     tree: JointTree,
@@ -134,10 +129,7 @@ def solve_breve_fbsde(
     if pi is None:
         pi = solve_pi(c)
     dt = grid.dt
-    xi_breve = np.asarray(xi_breve, dtype=float)
-    if xi_breve.ndim == 1:
-        xi_breve = np.broadcast_to(xi_breve, (tree.n_atoms, c.n)).copy()
-    z = xi_breve[tree.atom_of_node[0]]
+    z = _atom_values(xi_breve, tree, "xi_breve")[tree.atom_of_node[0]]
     states = [z]
     controls = []
     for k in range(grid.n_steps):
@@ -148,8 +140,7 @@ def solve_breve_fbsde(
         B = coeff_nodes(c.B, tree, k)
         D = coeff_nodes(c.D, tree, k)
         drift = _mv(A, z) + _mv(B, a)
-        base = np.repeat(z + dt * drift, 4, axis=0)
-        z = base + np.repeat(D, 4, axis=0) * tree.last_dw[k + 1][:, None]
+        z = _children(tree, k, z + dt * drift, D)
         states.append(z)
 
     costate = [
@@ -277,37 +268,22 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
         rv = verify_stationarity(coeffs, solution.breve, tree, grid)
         per = [max(a, b) for a, b in zip(rb.per_step, rv.per_step)]
         return StationarityReport(max(rb.max_residual, rv.max_residual), per)
-    if isinstance(solution, BarSolution):
-        if not isinstance(coeffs, BarCoefficients):
+    if isinstance(solution, (BarSolution, BreveSolution)):
+        bar = isinstance(solution, BarSolution)
+        if bar and not isinstance(coeffs, BarCoefficients):
             raise DimensionError("coeffs", "bar solution needs bar coefficients")
+        cross = coeffs.Sbar if bar else coeffs.S
         per = []
         for k in range(grid.n_steps):
-            R = coeff_nodes(coeffs.R, tree, k)
-            Sb = coeff_nodes(coeffs.Sbar, tree, k)
-            B = coeff_nodes(coeffs.B, tree, k)
-            varpi = coeff_nodes(coeffs.varpi, tree, k)
+            control = solution.control.values[k]
             res = (
-                _mv(R, solution.control.values[k])
-                + _mtv(Sb, solution.state.values[k])
-                + _mtv(B, solution.costate_pred.values[k])
-                + varpi
+                _mv(coeff_nodes(coeffs.R, tree, k), control)
+                + _mtv(coeff_nodes(cross, tree, k), solution.state.values[k])
+                + _mtv(coeff_nodes(coeffs.B, tree, k), solution.costate_pred.values[k])
             )
-            scale = 1.0 + float(np.max(np.abs(solution.control.values[k])))
-            per.append(float(np.max(np.abs(res))) / scale)
-        return StationarityReport(max(per), per)
-    if isinstance(solution, BreveSolution):
-        per = []
-        for k in range(grid.n_steps):
-            R = coeff_nodes(coeffs.R, tree, k)
-            S = coeff_nodes(coeffs.S, tree, k)
-            B = coeff_nodes(coeffs.B, tree, k)
-            res = (
-                _mv(R, solution.control.values[k])
-                + _mtv(S, solution.state.values[k])
-                + _mtv(B, solution.costate_pred.values[k])
-            )
-            scale = 1.0 + float(np.max(np.abs(solution.control.values[k])))
-            per.append(float(np.max(np.abs(res))) / scale)
+            if bar:
+                res = res + coeff_nodes(coeffs.varpi, tree, k)
+            per.append(float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(control)))))
         return StationarityReport(max(per), per)
     raise TypeError(f"unsupported solution type {type(solution).__name__}")
 
@@ -324,9 +300,7 @@ def assemble_optimal_control(
     """
     grid = c.grid()
     cb = bar_transform(c)
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = np.broadcast_to(xi, (tree.n_atoms, c.n)).copy()
+    xi = _atom_values(xi, tree, "xi")
     if xi.shape != (tree.n_atoms, c.n):
         raise DimensionError("xi", f"expected {(tree.n_atoms, c.n)}, got {xi.shape}")
     xi_mean = tree.atom_probs @ xi
@@ -388,20 +362,17 @@ def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> Od
     ll = solve_l(cb, backend="ode", dt_target=dt_target)
     off = solve_offset(cb, ll, backend="ode")
     times = pi.times
-    n_fine = len(times) - 1
-    gain_c = np.empty((n_fine + 1, c.d, c.n))
-    gain_m = np.empty((n_fine + 1, c.d, c.n))
-    shift = np.empty((n_fine + 1, c.d))
-    for j in range(n_fine + 1):
-        k = min(int(j // pi.n_sub), grid.n_steps - 1)
-        R = c.R.at_step(k)
-        S = c.S.at_step(k)
-        Sb = cb.Sbar.at_step(k)
-        B = c.B.at_step(k)
-        varpi = c.varpi.at_step(k)
-        gain_c[j] = np.linalg.solve(R, S.T + B.T @ pi.values[j])
-        gain_m[j] = np.linalg.solve(R, Sb.T + B.T @ ll.values[j])
-        shift[j] = np.linalg.solve(R, B.T @ off.offset[j] + varpi)
+    k = np.minimum(np.arange(len(times)) // pi.n_sub, grid.n_steps - 1)
+
+    def table(coeff):
+        return np.stack([coeff.at_step(j) for j in range(grid.n_steps)])[k]
+
+    R = table(c.R)
+    Bt = np.swapaxes(table(c.B), 1, 2)
+    gain_c = np.linalg.solve(R, np.swapaxes(table(c.S), 1, 2) + Bt @ pi.values)
+    gain_m = np.linalg.solve(R, np.swapaxes(table(cb.Sbar), 1, 2) + Bt @ ll.values)
+    rhs = (Bt @ off.offset[..., None])[..., 0] + table(c.varpi)
+    shift = np.linalg.solve(R, rhs[..., None])[..., 0]
     return OdePolicy(
         grid=grid,
         times=times,
@@ -440,9 +411,7 @@ def solve_coupled_mv_fbsde(
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     cb = bar_transform(c)
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = np.broadcast_to(xi, (tree.n_atoms, c.n)).copy()
+    xi = _atom_values(xi, tree, "xi")
     dt = grid.dt
     N = grid.n_steps
     eye = np.eye(c.n)
@@ -491,7 +460,10 @@ def solve_coupled_mv_fbsde(
 
             e = x.values[k] - xbars[k] @ c.H.T
             rhs = _mtv(S, e) + _mtv(B, yt) + varpi
-            cand = -np.linalg.solve(R, rhs[..., None])[..., 0]
+            if R.ndim == 2:
+                cand = -np.linalg.solve(R, rhs.T).T
+            else:
+                cand = -np.linalg.solve(R, rhs[..., None])[..., 0]
             new_u[k] = cand
             scale = 1.0 + float(np.max(np.abs(u_vals[k])))
             change = max(change, float(np.max(np.abs(cand - u_vals[k]))) / scale)

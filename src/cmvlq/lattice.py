@@ -10,10 +10,22 @@ identities hold at floating-point precision instead of up to a
 discretization error.
 
 Node ordering is lexicographic in the increment history, branches ordered
-(+,+), (+,-), (-,+), (-,-) with "+" first.  An optional initial
-randomization ("atoms", outermost index) realizes a random initial state;
-atoms count as idiosyncratic information, so conditioning on the common
-noise averages over them.
+(+,+), (+,-), (-,+), (-,-) with "+" first, so the children of node i sit
+at 4i..4i+3.  An optional initial randomization ("atoms", outermost index)
+realizes a random initial state; atoms count as idiosyncratic information,
+so conditioning on the common noise averages over them.
+
+In the node index, step j contributes the base-4 digit 2*b0 + b1, where
+b0 is the common-noise bit and b1 the idiosyncratic bit (0 = "+"), first
+step most significant.  A node array therefore reshapes, without copying,
+to axes (atom, b0_0, b1_0, ..., b0_{k-1}, b1_{k-1}, payload...), and the
+W0 prefix id is the b0 bits read in the same order.  Conditioning works on
+that view in node order: it folds the b1 bits out, first step first, by
+adding slice pairs, then weights the atoms; expanding per-prefix values
+back onto the nodes broadcasts them over the atom and b1 axes.  Neither
+gathers by index.  Node-dependent coefficients are evaluated once per
+prefix and expanded the same way; deterministic ones are never copied
+onto the nodes.
 """
 
 from __future__ import annotations
@@ -125,18 +137,7 @@ class JointTree:
             self.last_dw0.append(np.tile(sign0 * s, count))
             self.last_dw.append(np.tile(sign1 * s, count))
 
-        # Grouping permutation per step: nodes sorted by (w0, atom, w) so the
-        # members of each W0 group are contiguous.  Member weights within a
-        # group are identical across groups.
-        self._group_perm: list[np.ndarray] = []
-        self._member_weights: list[np.ndarray] = []
-        for k in range(n + 1):
-            perm = np.lexsort(
-                (self.w_of_node[k], self.atom_of_node[k], self.w0_of_node[k])
-            )
-            self._group_perm.append(perm)
-            wk = np.repeat(probs_normalized(atom_probs), 2**k) / 2**k
-            self._member_weights.append(wk)
+        self._atom_weights = probs_normalized(atom_probs)
 
     def n_nodes(self, k: int) -> int:
         return self.n_atoms * 4**k
@@ -166,20 +167,45 @@ class JointTree:
         values has shape (n_nodes(k), ...).  Returns (per-prefix array of
         shape (2**k, ...), per-node expansion of the same).
         """
-        v = np.asarray(values)
-        if v.shape[0] != self.n_nodes(k):
-            raise DimensionError("values", f"expected leading dim {self.n_nodes(k)}, got {v.shape[0]}", step=k)
-        g = self.n_atoms * 2**k
-        grouped = v[self._group_perm[k]].reshape((2**k, g) + v.shape[1:])
-        prefix = np.einsum("g,xg...->x...", self._member_weights[k], grouped)
-        return prefix, prefix[self.w0_of_node[k]]
+        prefix = self.prefix_mean(k, values)
+        return prefix, self.expand_f0(k, prefix)
+
+    def prefix_mean(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Conditional expectation given the W0 prefix, shape (2**k, ...)."""
+        folded = self._fold_w(k, values)
+        weights = self._atom_weights * 0.5**k
+        return (weights @ folded.reshape(self.n_atoms, -1)).reshape(folded.shape[1:])
+
+    def prefix_sum(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Unweighted sum over the nodes of each W0 prefix, shape (2**k, ...)."""
+        return self._fold_w(k, values).sum(axis=0)
 
     def expand_f0(self, k: int, prefix_values: np.ndarray) -> np.ndarray:
         """Broadcast per-prefix values (2**k, ...) onto the full node set."""
         pv = np.asarray(prefix_values)
         if pv.shape[0] != 2**k:
             raise DimensionError("prefix_values", f"expected leading dim {2 ** k}, got {pv.shape[0]}", step=k)
-        return pv[self.w0_of_node[k]]
+        out = np.empty((self.n_nodes(k),) + pv.shape[1:], dtype=pv.dtype)
+        self._digits(k, out)[...] = pv.reshape((1,) + (2, 1) * k + pv.shape[1:])
+        return out
+
+    def group_by_prefix(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Node values regrouped as (2**k, n_atoms * 2**k, ...).
+
+        Row p lists the nodes of W0 prefix p, ordered by (atom, W
+        history); each member carries the weight atom_prob / 2**k.
+        """
+        v = self._digits(k, np.asarray(values))
+        return v.transpose(self._group_axes(k, v.ndim)).reshape(
+            (2**k, self.n_atoms * 2**k) + v.shape[1 + 2 * k :]
+        )
+
+    def ungroup(self, k: int, grouped: np.ndarray) -> np.ndarray:
+        """Inverse of group_by_prefix: back to node order."""
+        g = np.asarray(grouped)
+        split = g.reshape((2,) * k + (self.n_atoms,) + (2,) * k + g.shape[2:])
+        back = np.argsort(self._group_axes(k, split.ndim))
+        return split.transpose(back).reshape((self.n_nodes(k),) + g.shape[2:])
 
     def child_mean(self, k: int, child_values: np.ndarray) -> np.ndarray:
         """One-step predictor: mean over the four children of each node.
@@ -188,7 +214,7 @@ class JointTree:
         of node i occupy slots 4i..4i+3, each with weight 1/4.
         """
         v = self._children_grouped(k, child_values)
-        return v.mean(axis=1)
+        return 0.25 * (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3])
 
     def child_increment_mean(self, k: int, child_values: np.ndarray, which: str) -> np.ndarray:
         """E[value * dW]/dt over each node's children, for either noise.
@@ -217,6 +243,31 @@ class JointTree:
                 step=k + 1,
             )
         return v.reshape((self.n_nodes(k), 4) + v.shape[1:])
+
+    def _digits(self, k: int, v: np.ndarray) -> np.ndarray:
+        # axes (atom, b0_0, b1_0, ..., b0_{k-1}, b1_{k-1}, payload...)
+        if v.shape[0] != self.n_nodes(k):
+            raise DimensionError("values", f"expected leading dim {self.n_nodes(k)}, got {v.shape[0]}", step=k)
+        return v.reshape((self.n_atoms,) + (2, 2) * k + v.shape[1:])
+
+    def _fold_w(self, k: int, values) -> np.ndarray:
+        """Sum out the idiosyncratic bits: (n_atoms, 2**k, ...) in prefix order."""
+        v = self._digits(k, np.asarray(values))
+        payload = v.shape[1 + 2 * k :]
+        # First step first: its two b1 halves are the longest contiguous
+        # runs, so the largest fold is the fastest one.
+        for j in range(k):
+            # axes (atom and kept b0 bits before j, b0_j, b1_j, steps after j)
+            v = v.reshape((self.n_atoms * 2**j, 2, 2, 4 ** (k - 1 - j)) + payload)
+            v = v[:, :, 0] + v[:, :, 1]
+        return v.reshape((self.n_atoms, 2**k) + payload)
+
+    @staticmethod
+    def _group_axes(k: int, ndim: int) -> list:
+        # digit axes reordered to (b0 bits, atom, b1 bits, payload...)
+        b0 = [1 + 2 * j for j in range(k)]
+        b1 = [2 + 2 * j for j in range(k)]
+        return b0 + [0] + b1 + list(range(1 + 2 * k, ndim))
 
 
 def probs_normalized(p) -> np.ndarray:

@@ -18,9 +18,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet, as_coefficient
-from .decomposition import coeff_nodes, eval_cost_mft, simulate_mft
+from .decomposition import _mtv, _mv, coeff_nodes, eval_cost_mft, simulate_mft
 from .errors import ConvergenceError, DimensionError
-from .lattice import F0_ADAPTED, F_ADAPTED, JointTree, TimeGrid, TreeProcess
+from .lattice import (
+    F0_ADAPTED,
+    F_ADAPTED,
+    JointTree,
+    TimeGrid,
+    TreeProcess,
+    probs_normalized,
+)
 
 DIRECT_SOLVE_LIMIT = 2000
 CG_TOL = 1e-12
@@ -48,14 +55,6 @@ class ComparisonReport:
         return abs(self.cost_a - self.cost_b) / max(1.0, abs(self.cost_a))
 
 
-def _mv(mat, vec):
-    return np.einsum("nij,nj->ni", mat, vec)
-
-
-def _mtv(mat, vec):
-    return np.einsum("nji,nj->ni", mat, vec)
-
-
 def cost_gradient(
     c: CoefficientSet, tree: JointTree, grid: TimeGrid, u: TreeProcess, xi
 ) -> list:
@@ -77,7 +76,7 @@ def cost_gradient(
         return x.values[k] - xbar @ c.H.T
 
     def sym(mats):
-        return 0.5 * (mats + mats.transpose(0, 2, 1))
+        return 0.5 * (mats + np.swapaxes(mats, -1, -2))
 
     xt = deviation(N)
     qx = xt @ (0.5 * (c.QT + c.QT.T))
@@ -114,11 +113,8 @@ def cost_gradient(
 # -- flat vector plumbing ---------------------------------------------------
 
 
-def _layout(tree: JointTree, grid: TimeGrid, d: int):
-    shapes = [(tree.n_nodes(k), d) for k in range(grid.n_steps)]
-    sizes = [s[0] * s[1] for s in shapes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    return shapes, offsets
+def _offsets(shapes) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum([np.prod(s) for s in shapes])]).astype(np.int64)
 
 
 def _flatten(arrays) -> np.ndarray:
@@ -175,7 +171,8 @@ def solve_qp_exact(
     c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi
 ) -> QpSolution:
     """Minimize the discretized cost over all adapted controls."""
-    shapes, offsets = _layout(tree, grid, c.d)
+    shapes = [(tree.n_nodes(k), c.d) for k in range(grid.n_steps)]
+    offsets = _offsets(shapes)
     dim = int(offsets[-1])
 
     def grad_of(vec):
@@ -243,8 +240,7 @@ def solve_qp_bar(
     plain = _bar_as_plain(cb)
     d = cb.d
     shapes = [(tree.n_prefixes(k), d) for k in range(grid.n_steps)]
-    sizes = [s[0] * s[1] for s in shapes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = _offsets(shapes)
     dim = int(offsets[-1])
     xi_bar = np.asarray(xi_bar, dtype=float)
 
@@ -257,12 +253,7 @@ def solve_qp_bar(
     def grad_of(vec):
         u = expand(vec)
         raw = cost_gradient(plain, tree, grid, u, xi_bar)
-        reduced = []
-        for k, g in enumerate(raw):
-            acc = np.zeros((tree.n_prefixes(k), d))
-            np.add.at(acc, tree.w0_of_node[k], g)
-            reduced.append(acc)
-        return _flatten(reduced)
+        return _flatten([tree.prefix_sum(k, g) for k, g in enumerate(raw)])
 
     sol_vec, method = _solve_quadratic(grad_of, dim, label="common-noise control space")
     u = expand(sol_vec)
@@ -299,41 +290,28 @@ def solve_qp_breve(
     bases = []
     shapes = []
     for k in range(N):
-        w = tree._member_weights[k]
-        gsize = len(w)
-        wn = w / w.sum()
-        Z = _centered_basis(wn)
+        w = np.repeat(probs_normalized(tree.atom_probs), 2**k) / 2**k
+        Z = _centered_basis(w / w.sum())
         bases.append(Z)
-        shapes.append((tree.n_prefixes(k), gsize - 1, d))
-    sizes = [s[0] * s[1] * s[2] for s in shapes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+        shapes.append((tree.n_prefixes(k), len(w) - 1, d))
+    offsets = _offsets(shapes)
     dim = int(offsets[-1])
 
     def to_nodes(vec):
-        parts = [
-            vec[offsets[i] : offsets[i + 1]].reshape(shapes[i])
-            for i in range(len(shapes))
+        parts = _unflatten(vec, shapes, offsets)
+        vals = [
+            tree.ungroup(k, np.einsum("gb,pbd->pgd", bases[k], beta))
+            for k, beta in enumerate(parts)
         ]
-        vals = []
-        for k, beta in enumerate(parts):
-            # beta: (prefixes, basis, d) -> sorted member values, then unsort
-            sorted_vals = np.einsum("gb,pbd->pgd", bases[k], beta).reshape(
-                tree.n_nodes(k), d
-            )
-            out = np.empty_like(sorted_vals)
-            out[tree._group_perm[k]] = sorted_vals
-            vals.append(out)
         return TreeProcess(tree, vals, F_ADAPTED)
 
     def from_nodes(arrays):
-        parts = []
-        for k, g in enumerate(arrays):
-            gsize = bases[k].shape[0]
-            sorted_g = g[tree._group_perm[k]].reshape(
-                tree.n_prefixes(k), gsize, d
-            )
-            parts.append(np.einsum("gb,pgd->pbd", bases[k], sorted_g))
-        return _flatten(parts)
+        return _flatten(
+            [
+                np.einsum("gb,pgd->pbd", bases[k], tree.group_by_prefix(k, g))
+                for k, g in enumerate(arrays)
+            ]
+        )
 
     def grad_of(vec):
         u = to_nodes(vec)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet
-from .errors import NotDeterministicError, SingularSystemError
+from .errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from .lattice import TimeGrid, w0_prefix_cums
 
 OFFSET_CONSISTENCY_TOL = 1e-9
@@ -46,10 +46,10 @@ class TreeBackwardQuadratic:
         return self.values[0].shape[1]
 
     def node_values(self, tree, k: int) -> np.ndarray:
-        return self.values[k][tree.w0_of_node[k]]
+        return tree.expand_f0(k, self.values[k])
 
     def node_gain(self, tree, k: int) -> np.ndarray:
-        return self.gain_state[k][tree.w0_of_node[k]]
+        return tree.expand_f0(k, self.gain_state[k])
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,10 @@ class TreeOffset:
     constant: list        # k -> (2**k,)
 
     def node_offset(self, tree, k: int) -> np.ndarray:
-        return self.offset[k][tree.w0_of_node[k]]
+        return tree.expand_f0(k, self.offset[k])
 
     def node_gain_const(self, tree, k: int) -> np.ndarray:
-        return self.gain_const[k][tree.w0_of_node[k]]
+        return tree.expand_f0(k, self.gain_const[k])
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,12 @@ def _interp_time(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
     return (1.0 - frac) * values[j] + frac * values[j + 1]
 
 
-def _chol_guard(G: np.ndarray, step: int):
+def _chol_guard(G: np.ndarray, step: int, what: str = "one-step control system matrix"):
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            f"one-step control system matrix is singular at step {step}; "
+            f"{what} is singular at step {step}; "
             "refusing to regularize -- the control weight must be positive "
             "definite on every node"
         ) from exc
@@ -169,23 +169,16 @@ def solve_pi(c: CoefficientSet, backend: str = "tree", *, dt_target: float | Non
     grid = c.grid()
     if backend == "tree":
         cums = w0_prefix_cums(grid)
-
-        def eval_step(k):
-            return (
-                c.A.at_w0(k, cums[k]),
-                c.B.at_w0(k, cums[k]),
-                c.S.at_w0(k, cums[k]),
-                c.Q.at_w0(k, cums[k]),
-                c.R.at_w0(k, cums[k]),
-            )
-
+        fields = (c.A, c.B, c.S, c.Q, c.R)
         return _tree_quadratic(
-            eval_step, c.QT, noise=lambda k: c.D.at_w0(k, cums[k]), grid=grid
+            lambda k: tuple(co.at_w0(k, cums[k]) for co in fields),
+            c.QT,
+            noise=lambda k: c.D.at_w0(k, cums[k]),
+            grid=grid,
         )
     if backend == "ode":
         _require_deterministic({"A": c.A, "B": c.B, "S": c.S, "Q": c.Q, "R": c.R})
-        fields = _DetFields(c.A, c.B, c.S, c.Q, c.R)
-        return _ode_quadratic(fields, c.QT, grid, dt_target)
+        return _ode_quadratic((c.A, c.B, c.S, c.Q, c.R), c.QT, grid, dt_target)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -194,23 +187,15 @@ def solve_l(cb: BarCoefficients, backend: str = "tree", *, dt_target: float | No
     grid = cb.grid()
     if backend == "tree":
         cums = w0_prefix_cums(grid)
-
-        def eval_step(k):
-            return (
-                cb.Abar.at_w0(k, cums[k]),
-                cb.B.at_w0(k, cums[k]),
-                cb.Sbar.at_w0(k, cums[k]),
-                cb.Qbar.at_w0(k, cums[k]),
-                cb.R.at_w0(k, cums[k]),
-            )
-
-        return _tree_quadratic(eval_step, cb.QbarT, grid=grid)
+        fields = (cb.Abar, cb.B, cb.Sbar, cb.Qbar, cb.R)
+        return _tree_quadratic(
+            lambda k: tuple(co.at_w0(k, cums[k]) for co in fields), cb.QbarT, grid=grid
+        )
     if backend == "ode":
         _require_deterministic(
             {"A+F": cb.Abar, "B": cb.B, "S": cb.Sbar, "Q": cb.Qbar, "R": cb.R}
         )
-        fields = _DetFields(cb.Abar, cb.B, cb.Sbar, cb.Qbar, cb.R)
-        return _ode_quadratic(fields, cb.QbarT, grid, dt_target)
+        return _ode_quadratic((cb.Abar, cb.B, cb.Sbar, cb.Qbar, cb.R), cb.QbarT, grid, dt_target)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -319,26 +304,6 @@ def _tree_offset(cb: BarCoefficients, l_sol: TreeBackwardQuadratic, grid: TimeGr
 # -- ODE backend ------------------------------------------------------------
 
 
-class _DetFields:
-    """Per-coarse-step constant matrices of a deterministic system."""
-
-    def __init__(self, A, B, S, Q, R):
-        self.A = A
-        self.B = B
-        self.S = S
-        self.Q = Q
-        self.R = R
-
-    def at(self, k):
-        return (
-            self.A.at_step(k),
-            self.B.at_step(k),
-            self.S.at_step(k),
-            self.Q.at_step(k),
-            self.R.at_step(k),
-        )
-
-
 def _require_deterministic(named: dict):
     bad = sorted(name for name, co in named.items() if not co.deterministic)
     if bad:
@@ -361,7 +326,8 @@ def _quad_rhs(P, A, B, S, Q, R):
     return -(A.T @ P + P @ A + Q - W @ np.linalg.solve(R, W.T))
 
 
-def _ode_quadratic(fields: _DetFields, terminal, grid: TimeGrid, dt_target) -> OdeBackwardQuadratic:
+def _ode_quadratic(fields: tuple, terminal, grid: TimeGrid, dt_target) -> OdeBackwardQuadratic:
+    """RK4 sweep of the Riccati equation; fields are deterministic (A, B, S, Q, R)."""
     n_sub = _fine_steps(grid, dt_target)
     N = grid.n_steps
     h = grid.dt / n_sub
@@ -371,7 +337,8 @@ def _ode_quadratic(fields: _DetFields, terminal, grid: TimeGrid, dt_target) -> O
     values[-1] = P
     idx = N * n_sub
     for k in reversed(range(N)):
-        A, B, S, Q, R = fields.at(k)
+        A, B, S, Q, R = (co.at_step(k) for co in fields)
+        _chol_guard(R, k, "control weight R")
         for _ in range(n_sub):
             k1 = _quad_rhs(P, A, B, S, Q, R)
             k2 = _quad_rhs(P - 0.5 * h * k1, A, B, S, Q, R)
@@ -381,6 +348,14 @@ def _ode_quadratic(fields: _DetFields, terminal, grid: TimeGrid, dt_target) -> O
             P = 0.5 * (P + P.T)
             idx -= 1
             values[idx] = P
+    finite = np.isfinite(values).all(axis=(1, 2))
+    if not finite.all():
+        # integration runs backward, so the first failure is the latest time
+        t_bad = times[np.flatnonzero(~finite)[-1]]
+        raise FiniteEscapeError(
+            f"Riccati solution blew up (finite escape): first non-finite value "
+            f"at t={t_bad:.6g} integrating backward from T={grid.horizon:.6g}"
+        )
     return OdeBackwardQuadratic(grid=grid, times=times, values=values, n_sub=n_sub)
 
 

@@ -300,6 +300,17 @@ def test_solver_errors_exit_2(tmp_path, capsys):
     assert "requires the tree backend" in capsys.readouterr().out
 
 
+def test_riccati_blow_up_exits_2(tmp_path, capsys):
+    text = MINIMAL.replace("T = 1.0", "T = 40.0\nbackend = ode", 1).replace(
+        "Q = 1.0", "Q = -1.0\nA = 0.2\nB = 1.0"
+    ) + "\n[simulation]\ndt_target = 0.04\n"
+    with np.errstate(all="ignore"):
+        status = main(["simulate", "--config", _write(tmp_path, text), "--paths", "10",
+                       "--out", str(tmp_path / "o")])
+    assert status == 2
+    assert "error,FiniteEscapeError,Riccati solution blew up" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("raw", ["abc", "-2"])
 def test_bad_thread_count_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch, raw):
     monkeypatch.setenv("CMVLQ_THREADS", raw)

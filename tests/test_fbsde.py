@@ -221,6 +221,29 @@ def test_coupled_iteration_reports_failure():
     assert len(err.value.residual_history) == 2
 
 
+def test_ode_policy_tables_match_per_step_solves():
+    rng = np.random.default_rng(5)
+    N, n, d = 3, 2, 2
+    R = np.stack([np.eye(d) + 0.4 * k * np.ones((d, d)) for k in range(N)])
+    c = make_coefficients(
+        n, d, horizon=0.7, n_steps=N, A=rng.uniform(-1, 1, (N, n, n)),
+        B=rng.uniform(-1, 1, (N, n, d)), S=0.1 * rng.uniform(-1, 1, (N, n, d)),
+        b=rng.uniform(-1, 1, (N, n)), varpi=rng.uniform(-1, 1, (N, d)),
+        Q=np.eye(n), R=R, QT=np.eye(n),
+    )
+    pol = build_ode_policy(c, dt_target=0.01)
+    cb = bar_transform(c)
+    for j in range(len(pol.times)):
+        k = min(j // pol.n_sub, N - 1)
+        R, B = c.R.at_step(k), c.B.at_step(k)
+        gc = np.linalg.solve(R, c.S.at_step(k).T + B.T @ pol.pi.values[j])
+        gm = np.linalg.solve(R, cb.Sbar.at_step(k).T + B.T @ pol.l_solution.values[j])
+        sh = np.linalg.solve(R, B.T @ pol.offset.offset[j] + c.varpi.at_step(k))
+        assert np.array_equal(pol.gain_centered[j], gc)
+        assert np.array_equal(pol.gain_mean[j], gm)
+        assert np.array_equal(pol.shift[j], sh)
+
+
 def test_ode_policy_gains_at_known_instance():
     # tanh instance: centered gain at time zero is tanh(T)
     c = make_coefficients(1, 1, horizon=1.0, n_steps=4, B=1.0, Q=1.0, R=1.0)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmvlq.coeffs import as_coefficient
+from cmvlq.decomposition import coeff_nodes
 from cmvlq.errors import AdaptednessError, CapacityError, DimensionError
 from cmvlq.lattice import (
     F0_ADAPTED,
@@ -140,6 +142,72 @@ def test_ce_matches_brute_force():
         hists = enumerate_histories(k, n_atoms=2)
         expected = brute_ce_f0(vals[k], hists, atom_probs)
         np.testing.assert_allclose(ce.values[k], expected, atol=1e-13)
+
+
+def test_documented_node_layout():
+    """Children of node i at 4i..4i+3, prefix ids first-step-major, atoms outermost."""
+    grid = TimeGrid(3, 0.75)
+    s = grid.sqrt_dt
+    tree = build_joint_tree(grid, atom_probs=[0.3, 0.7])
+    for k in range(4):
+        hists = enumerate_histories(k, n_atoms=2)
+        w0 = [sum((s0 < 0) << (k - 1 - j) for j, (s0, _) in enumerate(h)) for _, h in hists]
+        np.testing.assert_array_equal(tree.w0_of_node[k], w0)
+        np.testing.assert_array_equal(tree.atom_of_node[k], [a for a, _ in hists])
+        if k == 0:
+            continue
+        # the last pair of each history is the branch into the node
+        np.testing.assert_array_equal(tree.last_dw0[k], [s * h[-1][0] for _, h in hists])
+        np.testing.assert_array_equal(tree.last_dw[k], [s * h[-1][1] for _, h in hists])
+        parent = np.arange(tree.n_nodes(k)) // 4
+        np.testing.assert_array_equal(tree.atom_of_node[k], tree.atom_of_node[k - 1][parent])
+        np.testing.assert_array_equal(tree.w0_of_node[k] >> 1, tree.w0_of_node[k - 1][parent])
+    signs = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]) * s
+    np.testing.assert_array_equal(np.stack([tree.last_dw0[1], tree.last_dw[1]], axis=1)[:4], signs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    k=st.integers(0, 4),
+    n_atoms=st.integers(1, 3),
+    payload=st.sampled_from([(), (2,), (2, 2)]),
+)
+def test_conditioning_by_folding_matches_grouping(seed, k, n_atoms, payload):
+    rng = np.random.default_rng(seed)
+    atom_probs = rng.uniform(0.1, 1.0, n_atoms)
+    atom_probs /= atom_probs.sum()
+    tree = build_joint_tree(TimeGrid(4, 1.0), atom_probs=atom_probs)
+    values = rng.standard_normal((tree.n_nodes(k),) + payload)
+    prefix, expanded = tree.ce_f0_step(k, values)
+    brute = brute_ce_f0(values, enumerate_histories(k, n_atoms), atom_probs)
+    np.testing.assert_allclose(expanded, brute, rtol=0.0, atol=1e-14)
+    # expansion is the prefix gather, and every member of a prefix gets
+    # bit-identical values
+    w0 = tree.w0_of_node[k]
+    assert np.array_equal(expanded, prefix[w0])
+    assert np.array_equal(tree.expand_f0(k, values[: 2**k]), values[: 2**k][w0])
+    sums = np.zeros((2**k,) + payload)
+    np.add.at(sums, w0, values)
+    np.testing.assert_allclose(tree.prefix_sum(k, values), sums, rtol=0.0, atol=1e-12)
+    grouped = tree.group_by_prefix(k, values)
+    for p in range(2**k):
+        assert np.array_equal(grouped[p], values[w0 == p])
+    assert np.array_equal(tree.ungroup(k, grouped), values)
+
+
+def test_coefficients_per_prefix_on_nodes(grid3):
+    tree = build_joint_tree(grid3, atom_probs=[0.5, 0.5])
+    rng = np.random.default_rng(2)
+    det = as_coefficient(rng.standard_normal((3, 2, 2)), 3, (2, 2), "A")
+    dep = as_coefficient(
+        rng.standard_normal((3, 2, 2)), 3, (2, 2), "A", slope=rng.standard_normal((3, 2, 2))
+    )
+    for k in range(3):
+        assert np.array_equal(coeff_nodes(det, tree, k), det.base[k])
+        on_nodes = coeff_nodes(dep, tree, k)
+        gathered = dep.at_w0(k, tree.cum_w0_prefix[k])[tree.w0_of_node[k]]
+        assert np.array_equal(on_nodes, gathered)
 
 
 def test_ce_constant_on_w0_groups(grid3):

@@ -11,7 +11,7 @@ from cmvlq.decomposition import (
     simulate_bar,
     simulate_breve,
 )
-from cmvlq.errors import NotDeterministicError, SingularSystemError
+from cmvlq.errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from cmvlq.instances import random_instance
 from cmvlq.lattice import (
     F0_ADAPTED,
@@ -234,6 +234,25 @@ def test_singular_control_weight_is_refused():
     c = make_coefficients(1, 1, horizon=1.0, n_steps=1)
     with pytest.raises(SingularSystemError):
         solve_pi(c)
+
+
+def test_ode_singular_control_weight_is_refused():
+    R = np.array([[[1.0]], [[0.0]]])
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, B=1.0, Q=1.0, R=R)
+    with pytest.raises(SingularSystemError, match="control weight R is singular at step 1"):
+        solve_pi(c, backend="ode")
+    with pytest.raises(SingularSystemError, match="at step 1"):
+        solve_l(bar_transform(c), backend="ode")
+
+
+def test_ode_finite_escape_is_reported():
+    # indefinite state weight over a long horizon: the Riccati solution
+    # escapes to -infinity in finite backward time
+    c = make_coefficients(1, 1, horizon=40.0, n_steps=4, A=0.2, B=1.0, Q=-1.0, R=1.0, QT=1.0)
+    with np.errstate(all="ignore"), pytest.raises(FiniteEscapeError, match="blew up") as err:
+        solve_pi(c, backend="ode")
+    t_bad = float(str(err.value).split("at t=")[1].split()[0])
+    assert 0.0 < t_bad < 40.0
 
 
 def test_unknown_backend_rejected():
