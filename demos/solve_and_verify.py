@@ -50,7 +50,7 @@ print(f"decomposition cost      {sol.cost:.12f}")
 print(f"  mean part             {sol.bar.cost:.12f}")
 print(f"  centered part         {sol.breve.cost:.12f}")
 print(f"  split residual        {sol.split_residual:.3e}")
-print(f"oracle cost             {qp.cost:.12f}  ({qp.method}, {qp.dim} variables)")
+print(f"oracle cost             {qp.cost:.12f}  ({qp.dim} variables)")
 print(f"cost gap (relative)     {rep.cost_rel_diff:.3e}")
 print(f"control gap (sup)       {rep.control_sup_diff:.3e}")
 print(f"stationarity residual   {stat.max_residual:.3e}")

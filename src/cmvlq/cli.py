@@ -38,7 +38,6 @@ from .fbsde import (
 )
 from .lattice import build_joint_tree
 from .oracle import compare_solutions, solve_qp_bar, solve_qp_breve, solve_qp_exact
-from .riccati import solve_l, solve_offset, solve_pi
 from . import sim
 
 __all__ = ["Row", "SolveReport", "RunResult", "run", "write_report", "main"]
@@ -172,23 +171,14 @@ def _solve_tree(c, tree, grid, xi, seed):
     return rows, report, sol
 
 
-def _rows_solve_ode(c, cfg):
+def _rows_solve_ode(c, cfg, xi, probs):
+    policy = build_ode_policy(c, dt_target=cfg.simulation.dt_target)
+    pi, ll, off = policy.pi, policy.l_solution, policy.offset
     cb = bar_transform(c)
-    dt_target = cfg.simulation.dt_target
-    pi = solve_pi(c, backend="ode", dt_target=dt_target)
-    ll = solve_l(cb, backend="ode", dt_target=dt_target)
-    off = solve_offset(cb, ll, backend="ode")
-    xi, probs = initial_condition(cfg)
-    ybar = probs @ xi
-    xc = xi - ybar
-    value = 0.5 * ybar @ ll.values[0] @ ybar + off.offset[0] @ ybar + off.constant[0]
-    value += 0.5 * float(np.sum(probs * np.einsum("an,nm,am->a", xc, pi.values[0], xc)))
-    value += sim._noise_value_curve(c, pi)[1][0]
-
     qt = 0.5 * (c.QT + c.QT.T)
     qbt = 0.5 * (cb.QbarT + cb.QbarT.T)
     return [
-        _info("value_prediction", value),
+        _info("value_prediction", predicted_closed_loop_value(c, policy, xi, probs)),
         _residual("pi_terminal_residual", np.max(np.abs(pi.values[-1] - qt)), 1e-12),
         _residual("l_terminal_residual", np.max(np.abs(ll.values[-1] - qbt)), 1e-12),
         _residual("offset_terminal_norm", np.max(np.abs(off.offset[-1])), 1e-12),
@@ -351,7 +341,7 @@ def run(cfg: RunConfig) -> RunResult:
         notes += msgs
     if mode == "solve":
         if cfg.grid.backend == "ode":
-            rows += phase("solve_ode", lambda: _rows_solve_ode(c, cfg))
+            rows += phase("solve_ode", lambda: _rows_solve_ode(c, cfg, xi, probs))
         else:
             srows, report, _ = phase(
                 "solve", lambda: _solve_tree(c, tree, grid, xi, cfg.simulation.seed)

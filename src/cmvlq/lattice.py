@@ -330,9 +330,6 @@ class TreeProcess:
     def n_step_arrays(self) -> int:
         return len(self.values)
 
-    def payload_shape(self) -> tuple:
-        return self.values[0].shape[1:]
-
     def check_f0_constant(self, tol: float = 1e-10) -> float:
         """Largest deviation from W0-prefix constancy; raises above tol."""
         worst = 0.0

@@ -3,12 +3,12 @@
 The cost is an exact quadratic in the stacked per-node controls, so the
 discretized problem can be solved without any control theory: compute
 the gradient by plain chain rule through the recursion (an adjoint sweep
-that knows nothing about Riccati equations), assemble the Hessian by
-probing with unit vectors, and solve the linear system.  Slow and
-memory-hungry, but an independent certificate for the structured
-solvers.  Restricted variants minimize over the conditional-mean and
-centered admissible classes by reparametrizing onto a basis of the
-constraint subspace.
+that knows nothing about Riccati equations) and minimize with matrix-free
+conjugate gradients, one gradient evaluation per Hessian-vector product.
+Slow, but an independent certificate for the structured solvers.
+Restricted variants minimize over the conditional-mean and centered
+admissible classes by reparametrizing onto a basis of the constraint
+subspace.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .lattice import (
     probs_normalized,
 )
 
-DIRECT_SOLVE_LIMIT = 2000
 CG_TOL = 1e-12
 
 
@@ -39,7 +38,6 @@ class QpSolution:
     cost: float
     gradient_sup: float
     dim: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -128,63 +126,81 @@ def _unflatten(vec, shapes, offsets) -> list:
     ]
 
 
-def _solve_quadratic(grad_of, dim: int, *, label: str):
-    """Minimize a quadratic given its affine gradient map on flat vectors."""
+def _solve_quadratic(grad_of, dim: int, *, label: str) -> np.ndarray:
+    """Minimize a quadratic given its affine gradient map on flat vectors.
+
+    Conjugate gradients (Hestenes & Stiefel 1952) on H u = -g0, where
+    H v = grad_of(v) - g0.  The residual is tested before each step, so a
+    zero right-hand side returns the zero vector.  Failures carry the
+    relative residual ||r|| / ||b|| of every iterate.
+    """
     g0 = grad_of(np.zeros(dim))
-
-    def hess_mv(v):
-        return grad_of(v) - g0
-
-    if dim <= DIRECT_SOLVE_LIMIT:
-        H = np.empty((dim, dim))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1.0
-            H[:, j] = hess_mv(e)
-        H = 0.5 * (H + H.T)
-        sol = np.linalg.solve(H, -g0)
-        return sol, "direct"
-    # matrix-free conjugate gradients on H u = -g0
     b = -g0
     ustar = np.zeros(dim)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     bnorm = float(np.linalg.norm(b)) or 1.0
-    for _ in range(10 * dim):
-        Hp = hess_mv(p)
+    history = [np.sqrt(rs) / bnorm]
+    while np.sqrt(rs) > CG_TOL * bnorm:
+        if len(history) > 10 * dim:
+            raise ConvergenceError(
+                f"{label}: conjugate gradients stalled at dim {dim}", history
+            )
+        Hp = grad_of(p) - g0
         denom = float(p @ Hp)
         if denom <= 0.0:
-            raise ConvergenceError(f"{label}: curvature lost in conjugate gradients")
+            raise ConvergenceError(
+                f"{label}: curvature lost in conjugate gradients", history
+            )
         alpha = rs / denom
         ustar += alpha * p
         r -= alpha * Hp
         rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= CG_TOL * bnorm:
-            return ustar, "cg"
         p = r + (rs_new / rs) * p
         rs = rs_new
-    raise ConvergenceError(f"{label}: conjugate gradients stalled at dim {dim}")
+        history.append(np.sqrt(rs) / bnorm)
+    return ustar
+
+
+def _solve_over(c, tree, grid, xi, shapes, to_nodes, from_nodes, *, label) -> QpSolution:
+    """Minimize the cost of ``c`` over one parametrization of the controls.
+
+    ``shapes`` are the per-step shapes of the decision variable,
+    ``to_nodes`` maps its per-step arrays to a control on the tree, and
+    ``from_nodes`` pulls the per-step node gradient back onto them.
+    """
+    offsets = _offsets(shapes)
+    dim = int(offsets[-1])
+
+    def control(vec):
+        return to_nodes(_unflatten(vec, shapes, offsets))
+
+    def grad_of(vec):
+        return _flatten(from_nodes(cost_gradient(c, tree, grid, control(vec), xi)))
+
+    sol_vec = _solve_quadratic(grad_of, dim, label=label)
+    u = control(sol_vec)
+    x = simulate_mft(c, tree, grid, u, xi)
+    cost = eval_cost_mft(c, x, u, tree, grid)
+    gsup = float(np.max(np.abs(grad_of(sol_vec))))
+    return QpSolution(control=u, cost=cost, gradient_sup=gsup, dim=dim)
 
 
 def solve_qp_exact(
     c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi
 ) -> QpSolution:
     """Minimize the discretized cost over all adapted controls."""
-    shapes = [(tree.n_nodes(k), c.d) for k in range(grid.n_steps)]
-    offsets = _offsets(shapes)
-    dim = int(offsets[-1])
-
-    def grad_of(vec):
-        u = TreeProcess(tree, _unflatten(vec, shapes, offsets), F_ADAPTED)
-        return _flatten(cost_gradient(c, tree, grid, u, xi))
-
-    sol_vec, method = _solve_quadratic(grad_of, dim, label="full control space")
-    u = TreeProcess(tree, _unflatten(sol_vec, shapes, offsets), F_ADAPTED)
-    x = simulate_mft(c, tree, grid, u, xi)
-    cost = eval_cost_mft(c, x, u, tree, grid)
-    gsup = float(np.max(np.abs(grad_of(sol_vec))))
-    return QpSolution(control=u, cost=cost, gradient_sup=gsup, dim=dim, method=method)
+    return _solve_over(
+        c,
+        tree,
+        grid,
+        xi,
+        [(tree.n_nodes(k), c.d) for k in range(grid.n_steps)],
+        lambda parts: TreeProcess(tree, parts, F_ADAPTED),
+        lambda grads: grads,
+        label="full control space",
+    )
 
 
 def _bar_as_plain(cb: BarCoefficients) -> CoefficientSet:
@@ -237,30 +253,18 @@ def solve_qp_bar(
     The decision variable is one control per common-noise prefix; the
     gradient of the node-level problem is summed over each prefix.
     """
-    plain = _bar_as_plain(cb)
-    d = cb.d
-    shapes = [(tree.n_prefixes(k), d) for k in range(grid.n_steps)]
-    offsets = _offsets(shapes)
-    dim = int(offsets[-1])
-    xi_bar = np.asarray(xi_bar, dtype=float)
-
-    def expand(vec):
-        prefs = _unflatten(vec, shapes, offsets)
-        return TreeProcess(
+    return _solve_over(
+        _bar_as_plain(cb),
+        tree,
+        grid,
+        np.asarray(xi_bar, dtype=float),
+        [(tree.n_prefixes(k), cb.d) for k in range(grid.n_steps)],
+        lambda prefs: TreeProcess(
             tree, [tree.expand_f0(k, p) for k, p in enumerate(prefs)], F0_ADAPTED
-        )
-
-    def grad_of(vec):
-        u = expand(vec)
-        raw = cost_gradient(plain, tree, grid, u, xi_bar)
-        return _flatten([tree.prefix_sum(k, g) for k, g in enumerate(raw)])
-
-    sol_vec, method = _solve_quadratic(grad_of, dim, label="common-noise control space")
-    u = expand(sol_vec)
-    x = simulate_mft(plain, tree, grid, u, xi_bar)
-    cost = eval_cost_mft(plain, x, u, tree, grid)
-    gsup = float(np.max(np.abs(grad_of(sol_vec))))
-    return QpSolution(control=u, cost=cost, gradient_sup=gsup, dim=dim, method=method)
+        ),
+        lambda grads: [tree.prefix_sum(k, g) for k, g in enumerate(grads)],
+        label="common-noise control space",
+    )
 
 
 def _centered_basis(member_weights: np.ndarray) -> np.ndarray:
@@ -279,50 +283,41 @@ def solve_qp_breve(
     c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi_breve
 ) -> QpSolution:
     """Minimize the centered cost over conditionally centered controls."""
-    plain = _breve_as_plain(c)
-    d = c.d
     xi_breve = np.asarray(xi_breve, dtype=float)
     mean = tree.atom_probs @ xi_breve if xi_breve.ndim == 2 else xi_breve
     if float(np.max(np.abs(mean))) > 1e-10 * (1.0 + float(np.max(np.abs(xi_breve)))):
         raise DimensionError("xi_breve", "initial split must have zero mean")
 
-    N = grid.n_steps
     bases = []
     shapes = []
-    for k in range(N):
+    for k in range(grid.n_steps):
         w = np.repeat(probs_normalized(tree.atom_probs), 2**k) / 2**k
-        Z = _centered_basis(w / w.sum())
-        bases.append(Z)
-        shapes.append((tree.n_prefixes(k), len(w) - 1, d))
-    offsets = _offsets(shapes)
-    dim = int(offsets[-1])
+        bases.append(_centered_basis(w / w.sum()))
+        shapes.append((tree.n_prefixes(k), len(w) - 1, c.d))
 
-    def to_nodes(vec):
-        parts = _unflatten(vec, shapes, offsets)
+    def to_nodes(parts):
         vals = [
             tree.ungroup(k, np.einsum("gb,pbd->pgd", bases[k], beta))
             for k, beta in enumerate(parts)
         ]
         return TreeProcess(tree, vals, F_ADAPTED)
 
-    def from_nodes(arrays):
-        return _flatten(
-            [
-                np.einsum("gb,pgd->pbd", bases[k], tree.group_by_prefix(k, g))
-                for k, g in enumerate(arrays)
-            ]
-        )
+    def from_nodes(grads):
+        return [
+            np.einsum("gb,pgd->pbd", bases[k], tree.group_by_prefix(k, g))
+            for k, g in enumerate(grads)
+        ]
 
-    def grad_of(vec):
-        u = to_nodes(vec)
-        return from_nodes(cost_gradient(plain, tree, grid, u, xi_breve))
-
-    sol_vec, method = _solve_quadratic(grad_of, dim, label="centered control space")
-    u = to_nodes(sol_vec)
-    x = simulate_mft(plain, tree, grid, u, xi_breve)
-    cost = eval_cost_mft(plain, x, u, tree, grid)
-    gsup = float(np.max(np.abs(grad_of(sol_vec))))
-    return QpSolution(control=u, cost=cost, gradient_sup=gsup, dim=dim, method=method)
+    return _solve_over(
+        _breve_as_plain(c),
+        tree,
+        grid,
+        xi_breve,
+        shapes,
+        to_nodes,
+        from_nodes,
+        label="centered control space",
+    )
 
 
 def compare_solutions(

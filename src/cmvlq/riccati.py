@@ -61,12 +61,6 @@ class TreeOffset:
     gain_const: list      # k -> (2**k, d)
     constant: list        # k -> (2**k,)
 
-    def node_offset(self, tree, k: int) -> np.ndarray:
-        return tree.expand_f0(k, self.offset[k])
-
-    def node_gain_const(self, tree, k: int) -> np.ndarray:
-        return tree.expand_f0(k, self.gain_const[k])
-
 
 @dataclass(frozen=True)
 class OdeBackwardQuadratic:
@@ -336,18 +330,20 @@ def _ode_quadratic(fields: tuple, terminal, grid: TimeGrid, dt_target) -> OdeBac
     P = np.array(terminal, dtype=float)
     values[-1] = P
     idx = N * n_sub
-    for k in reversed(range(N)):
-        A, B, S, Q, R = (co.at_step(k) for co in fields)
-        _chol_guard(R, k, "control weight R")
-        for _ in range(n_sub):
-            k1 = _quad_rhs(P, A, B, S, Q, R)
-            k2 = _quad_rhs(P - 0.5 * h * k1, A, B, S, Q, R)
-            k3 = _quad_rhs(P - 0.5 * h * k2, A, B, S, Q, R)
-            k4 = _quad_rhs(P - h * k3, A, B, S, Q, R)
-            P = P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            P = 0.5 * (P + P.T)
-            idx -= 1
-            values[idx] = P
+    # an escaping solution overflows; the finiteness check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in reversed(range(N)):
+            A, B, S, Q, R = (co.at_step(k) for co in fields)
+            _chol_guard(R, k, "control weight R")
+            for _ in range(n_sub):
+                k1 = _quad_rhs(P, A, B, S, Q, R)
+                k2 = _quad_rhs(P - 0.5 * h * k1, A, B, S, Q, R)
+                k3 = _quad_rhs(P - 0.5 * h * k2, A, B, S, Q, R)
+                k4 = _quad_rhs(P - h * k3, A, B, S, Q, R)
+                P = P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                P = 0.5 * (P + P.T)
+                idx -= 1
+                values[idx] = P
     finite = np.isfinite(values).all(axis=(1, 2))
     if not finite.all():
         # integration runs backward, so the first failure is the latest time

@@ -319,6 +319,18 @@ def test_bad_thread_count_exits_2_naming_the_variable(tmp_path, capsys, monkeypa
     assert f"error,CmvlqError,CMVLQ_THREADS='{raw}'" in capsys.readouterr().out
 
 
+def test_compare_on_zero_data_returns_the_zero_control(tmp_path):
+    # zero initial state and no affine terms: every gradient at u = 0
+    # vanishes, here at an oracle dimension of 5,461
+    out = tmp_path / "o"
+    path = _write(tmp_path, MINIMAL.replace("N = 2", "N = 7"))
+    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    report = (out / "compare_report.csv").read_text().splitlines()
+    rows = dict(line.split(",")[:2] for line in report)
+    assert float(rows["oracle_cost"]) == 0.0
+    assert rows["oracle_dim"] == "5461"
+
+
 def test_suite_skips_simulation_for_random_coefficients(tmp_path, capsys):
     text = MINIMAL.replace("Q = 1.0", "Q = 1.0\nA = -0.5\nA_slope = 0.1")
     out = str(tmp_path / "o")

@@ -9,7 +9,6 @@ but the cost function and elementary calculus.
 import numpy as np
 import pytest
 
-import cmvlq.oracle as oracle_mod
 from cmvlq.coeffs import bar_transform
 from cmvlq.decomposition import (
     eval_cost_bar,
@@ -19,17 +18,19 @@ from cmvlq.decomposition import (
     simulate_breve,
     simulate_mft,
 )
-from cmvlq.errors import DimensionError
+from cmvlq.errors import ConvergenceError, DimensionError
 from cmvlq.fbsde import assemble_optimal_control
 from cmvlq.instances import random_instance, random_control
 from cmvlq.lattice import F_ADAPTED, TreeProcess
 from cmvlq.oracle import (
+    _solve_quadratic,
     compare_solutions,
     cost_gradient,
     solve_qp_bar,
     solve_qp_breve,
     solve_qp_exact,
 )
+from helpers_dense_qp import dense_qp_exact
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-6
@@ -92,7 +93,8 @@ def test_qp_optimum_is_stationary_and_unbeatable(seed):
     inst = random_instance(seed, max_steps=4)
     grid, tree = inst.grid(), inst.tree()
     sol = solve_qp_exact(inst.coeffs, tree, grid, inst.xi)
-    assert sol.method == "direct"
+    _, direct_cost = dense_qp_exact(inst.coeffs, tree, grid, inst.xi)
+    assert abs(sol.cost - direct_cost) <= 1e-10 * max(1.0, abs(direct_cost))
     assert sol.gradient_sup <= 1e-9 * max(1.0, abs(sol.cost))
     rng = np.random.default_rng([seed, 23])
     for _ in range(10):
@@ -151,13 +153,18 @@ def test_centered_restriction_rejects_uncentered_initial():
         solve_qp_breve(inst.coeffs, inst.tree(), inst.grid(), inst.xi)
 
 
-def test_conjugate_gradients_agrees_with_direct_solve(monkeypatch):
+def test_conjugate_gradients_agrees_with_direct_solve():
     inst = random_instance(4, max_steps=3)
     grid, tree = inst.grid(), inst.tree()
-    direct = solve_qp_exact(inst.coeffs, tree, grid, inst.xi)
-    monkeypatch.setattr(oracle_mod, "DIRECT_SOLVE_LIMIT", -1)
+    direct_control, direct_cost = dense_qp_exact(inst.coeffs, tree, grid, inst.xi)
     cg = solve_qp_exact(inst.coeffs, tree, grid, inst.xi)
-    assert cg.method == "cg"
-    assert abs(cg.cost - direct.cost) <= 1e-10 * max(1.0, abs(direct.cost))
+    assert abs(cg.cost - direct_cost) <= 1e-10 * max(1.0, abs(direct_cost))
     for k in range(grid.n_steps):
-        assert np.max(np.abs(cg.control.values[k] - direct.control.values[k])) <= 1e-8
+        assert np.max(np.abs(cg.control.values[k] - direct_control.values[k])) <= 1e-8
+
+
+def test_conjugate_gradients_refuse_negative_curvature():
+    # gradient 1 - v: a concave quadratic, lost at the first step
+    with pytest.raises(ConvergenceError, match="curvature lost") as err:
+        _solve_quadratic(lambda v: 1.0 - v, 3, label="concave")
+    assert err.value.residual_history == pytest.approx([1.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,14 @@ def test_ode_finite_escape_is_reported():
         solve_pi(c, backend="ode")
     t_bad = float(str(err.value).split("at t=")[1].split()[0])
     assert 0.0 < t_bad < 40.0
+
+
+def test_ode_finite_escape_warns_nothing():
+    c = make_coefficients(1, 1, horizon=40.0, n_steps=4, A=0.2, B=1.0, Q=-1.0, R=1.0, QT=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiniteEscapeError, match="blew up"):
+            solve_pi(c, backend="ode")
 
 
 def test_unknown_backend_rejected():
