@@ -15,6 +15,7 @@ distinct cumulative-W0 levels, which is exact for affine dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,13 @@ class Coefficient:
     @property
     def shape(self) -> tuple:
         return self.base.shape[1:]
+
+    @cached_property
+    def zero_at(self) -> list:
+        """Per step, whether the coefficient is deterministic and zero there."""
+        if self.slope is not None:
+            return [False] * len(self.base)
+        return (~self.base.reshape(len(self.base), -1).any(axis=1)).tolist()
 
     def at_step(self, k: int) -> np.ndarray:
         if self.slope is not None:
@@ -338,6 +346,52 @@ def bar_transform(c: CoefficientSet) -> BarCoefficients:
         R=c.R,
         varpi=c.varpi,
         QbarT=ihT @ c.QT @ ihT.T,
+    )
+
+
+def bar_as_plain(cb: BarCoefficients) -> CoefficientSet:
+    """The conditional-mean problem as an ordinary problem in its own right.
+
+    Drift A+F, common noise only, no conditional-mean terms (F = H = 0):
+    the full problem's recursion, cost and Riccati code solve it as is.
+    """
+    n, d, N = cb.n, cb.d, cb.n_steps
+    return CoefficientSet(
+        n=n,
+        d=d,
+        horizon=cb.horizon,
+        n_steps=N,
+        A=cb.Abar,
+        F=as_coefficient(np.zeros((n, n)), N, (n, n), "F"),
+        B=cb.B,
+        S=cb.Sbar,
+        b=cb.b,
+        D=as_coefficient(np.zeros(n), N, (n,), "D"),
+        D0=cb.D0,
+        zeta=cb.zetabar,
+        varpi=cb.varpi,
+        Q=cb.Qbar,
+        R=cb.R,
+        H=np.zeros((n, n)),
+        QT=cb.QbarT,
+    )
+
+
+def breve_as_plain(c: CoefficientSet) -> CoefficientSet:
+    """The centered problem as an ordinary problem in its own right.
+
+    Idiosyncratic noise only, with no affine and no conditional-mean terms.
+    """
+    n, d, N = c.n, c.d, c.n_steps
+    zero_n = as_coefficient(np.zeros(n), N, (n,), "zero")
+    return replace(
+        c,
+        F=as_coefficient(np.zeros((n, n)), N, (n, n), "F"),
+        b=zero_n,
+        D0=zero_n,
+        zeta=zero_n,
+        varpi=as_coefficient(np.zeros(d), N, (d,), "zero"),
+        H=np.zeros((n, n)),
     )
 
 

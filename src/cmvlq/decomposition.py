@@ -7,6 +7,13 @@ conditional-mean recursion driven by the conditioned control, and the
 difference yields the centered recursion.  No discretization error
 separates the three systems, so the cost identity J = Jbar + Jbreve
 holds at floating-point precision and is checked that way.
+
+Both sub-problems are ordinary LQ problems: after their own input checks
+(adaptedness, F0-constancy, centering), the bar and breve recursions and
+costs run through the full problem's code on the plain views
+``coeffs.bar_as_plain`` and ``coeffs.breve_as_plain``.  A term whose
+coefficient is deterministic and zero, as those views' conditional-mean
+terms are, is skipped together with its conditioning fold.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from .coeffs import (
     BarCoefficients,
     Coefficient,
     CoefficientSet,
+    bar_as_plain,
     bar_transform,
+    breve_as_plain,
     homogeneous,
     homogeneous_bar,
 )
@@ -104,6 +113,16 @@ def _atom_values(xi, tree: JointTree, name: str) -> np.ndarray:
     return xi
 
 
+def _nonzero(coeff: Coefficient, tree: JointTree, k: int):
+    """coeff on the step-k nodes, or None where it is deterministic and zero.
+
+    The plain views of the two sub-problems carry such zeros (no
+    conditional-mean terms, one noise each).  Their terms would add exact
+    zeros, so they are skipped, and with F the conditioning fold.
+    """
+    return None if coeff.zero_at[k] else coeff_nodes(coeff, tree, k)
+
+
 def simulate_mft(
     c: CoefficientSet, tree: JointTree, grid: TimeGrid, u: TreeProcess, xi
 ) -> TreeProcess:
@@ -120,15 +139,13 @@ def simulate_mft(
     x = xi[tree.atom_of_node[0]]
     values = [x]
     for k in range(grid.n_steps):
-        A = coeff_nodes(c.A, tree, k)
-        F = coeff_nodes(c.F, tree, k)
-        B = coeff_nodes(c.B, tree, k)
-        b = coeff_nodes(c.b, tree, k)
-        D = coeff_nodes(c.D, tree, k)
-        D0 = coeff_nodes(c.D0, tree, k)
-        _, xbar = tree.ce_f0_step(k, x)
-        drift = _mv(A, x) + _mv(B, u.values[k]) + _mv(F, xbar) + b
-        x = _children(tree, k, x + dt * drift, D, D0)
+        drift = _mv(coeff_nodes(c.A, tree, k), x) + _mv(coeff_nodes(c.B, tree, k), u.values[k])
+        F, b = _nonzero(c.F, tree, k), _nonzero(c.b, tree, k)
+        if F is not None:
+            drift = drift + _mv(F, tree.ce_f0_step(k, x)[1])
+        if b is not None:
+            drift = drift + b
+        x = _children(tree, k, x + dt * drift, _nonzero(c.D, tree, k), _nonzero(c.D0, tree, k))
         values.append(x)
     return TreeProcess(tree, values, F_ADAPTED)
 
@@ -144,18 +161,8 @@ def simulate_bar(
     xi_bar = np.asarray(xi_bar, dtype=float)
     if xi_bar.shape != (cb.n,):
         raise DimensionError("xi_bar", f"expected shape {(cb.n,)}, got {xi_bar.shape}")
-    dt = grid.dt
-    y = np.broadcast_to(xi_bar, (tree.n_nodes(0), cb.n)).copy()
-    values = [y]
-    for k in range(grid.n_steps):
-        Ab = coeff_nodes(cb.Abar, tree, k)
-        B = coeff_nodes(cb.B, tree, k)
-        b = coeff_nodes(cb.b, tree, k)
-        D0 = coeff_nodes(cb.D0, tree, k)
-        drift = _mv(Ab, y) + _mv(B, v.values[k]) + b
-        y = _children(tree, k, y + dt * drift, D0=D0)
-        values.append(y)
-    return TreeProcess(tree, values, F0_ADAPTED)
+    y = simulate_mft(bar_as_plain(cb), tree, grid, v, xi_bar)
+    return TreeProcess(tree, y.values, F0_ADAPTED)
 
 
 def simulate_breve(
@@ -168,22 +175,18 @@ def simulate_breve(
     """
     _check_control(alpha, c, grid, tree)
     _check_centered(alpha, tree, "E[alpha|F0] = 0")
+    xi_breve = _centered_atoms(xi_breve, tree)
+    return simulate_mft(breve_as_plain(c), tree, grid, alpha, xi_breve)
+
+
+def _centered_atoms(xi_breve, tree: JointTree) -> np.ndarray:
+    """Initial centered split per atom; its mean over the atoms must vanish."""
     xi_breve = _atom_values(xi_breve, tree, "xi_breve")
     mean = tree.atom_probs @ xi_breve
     scale = 1.0 + float(np.max(np.abs(xi_breve)))
     if float(np.max(np.abs(mean))) > CENTERING_TOL * scale:
         raise ConstraintViolationError("E[xi_breve] = 0", float(np.max(np.abs(mean))), CENTERING_TOL)
-    dt = grid.dt
-    z = xi_breve[tree.atom_of_node[0]]
-    values = [z]
-    for k in range(grid.n_steps):
-        A = coeff_nodes(c.A, tree, k)
-        B = coeff_nodes(c.B, tree, k)
-        D = coeff_nodes(c.D, tree, k)
-        drift = _mv(A, z) + _mv(B, alpha.values[k])
-        z = _children(tree, k, z + dt * drift, D)
-        values.append(z)
-    return TreeProcess(tree, values, F_ADAPTED)
+    return xi_breve
 
 
 def eval_cost_mft(
@@ -197,8 +200,26 @@ def eval_cost_mft(
     """
     _check_state(x, c, grid, tree)
     _check_control(u, c, grid, tree)
-    dev = [v - tree.ce_f0_step(k, v)[1] @ c.H.T for k, v in enumerate(x.values)]
-    return _lq_cost(tree, grid, dev, u.values, c.Q, c.S, c.R, c.QT, c.zeta, c.varpi)
+    dev = x.values
+    if c.H.any():
+        dev = [v - tree.ce_f0_step(k, v)[1] @ c.H.T for k, v in enumerate(dev)]
+    total = 0.0
+    for k in range(grid.n_steps):
+        e, v = dev[k], u.values[k]
+        integrand = (
+            _quad(e, coeff_nodes(c.Q, tree, k), e)
+            + 2.0 * _quad(e, coeff_nodes(c.S, tree, k), v)
+            + _quad(v, coeff_nodes(c.R, tree, k), v)
+        )
+        zeta, varpi = _nonzero(c.zeta, tree, k), _nonzero(c.varpi, tree, k)
+        if zeta is not None:
+            integrand = integrand + 2.0 * _dot(zeta, e)
+        if varpi is not None:
+            integrand = integrand + 2.0 * _dot(varpi, v)
+        total += grid.dt * float(np.dot(tree.probs(k), integrand))
+    eT = dev[grid.n_steps]
+    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, c.QT, eT)))
+    return 0.5 * total
 
 
 def eval_cost_bar(
@@ -211,9 +232,7 @@ def eval_cost_bar(
         if p.adapted != F0_ADAPTED:
             raise AdaptednessError(f"bar {what} must be tagged F0-adapted")
         p.check_f0_constant()
-    return _lq_cost(
-        tree, grid, y.values, v.values, cb.Qbar, cb.Sbar, cb.R, cb.QbarT, cb.zetabar, cb.varpi
-    )
+    return eval_cost_mft(bar_as_plain(cb), y, v, tree, grid)
 
 
 def eval_cost_breve(
@@ -224,33 +243,7 @@ def eval_cost_breve(
     _check_control(alpha, c, grid, tree)
     _check_centered(alpha, tree, "E[alpha|F0] = 0")
     _check_centered(z, tree, "E[z|F0] = 0")
-    return _lq_cost(tree, grid, z.values, alpha.values, c.Q, c.S, c.R, c.QT)
-
-
-def _lq_cost(tree, grid, states, controls, Q, S, R, QT, zeta=None, varpi=None) -> float:
-    """Half the expected running plus terminal cost, summed over the tree.
-
-    states[k] is the state (or state deviation) the weights act on; the
-    linear terms enter only when zeta and varpi are given.
-    """
-    total = 0.0
-    for k in range(grid.n_steps):
-        e, u = states[k], controls[k]
-        integrand = (
-            _quad(e, coeff_nodes(Q, tree, k), e)
-            + 2.0 * _quad(e, coeff_nodes(S, tree, k), u)
-            + _quad(u, coeff_nodes(R, tree, k), u)
-        )
-        if zeta is not None:
-            integrand = (
-                integrand
-                + 2.0 * _dot(coeff_nodes(zeta, tree, k), e)
-                + 2.0 * _dot(coeff_nodes(varpi, tree, k), u)
-            )
-        total += grid.dt * float(np.dot(tree.probs(k), integrand))
-    eT = states[grid.n_steps]
-    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, QT, eT)))
-    return 0.5 * total
+    return eval_cost_mft(breve_as_plain(c), z, alpha, tree, grid)
 
 
 @dataclass(frozen=True)
@@ -381,24 +374,18 @@ def estimate_convexity_margin(
     divided by the control's squared L2 norm.  The mean-field samples'
     conditional means and centered parts are folded into the bar and
     breve sample sets, which keeps the min(bar, breve) lower bound on the
-    mean-field margin valid sample by sample.
+    mean-field margin valid sample by sample.  The bar and breve samples
+    are F0-adapted or centered by construction, so their forms are
+    evaluated on the plain views without the sub-problems' input checks.
     """
     ch = homogeneous(c)
-    cbh = homogeneous_bar(bar_transform(c))
-    zero_xi = np.zeros(c.n)
-    zero_xi_atoms = np.zeros((tree.n_atoms, c.n))
+    bar = bar_as_plain(homogeneous_bar(bar_transform(c)))
+    breve = breve_as_plain(ch)
+    zero_xi = np.zeros((tree.n_atoms, c.n))
 
-    def form_mft(u: TreeProcess) -> float:
-        x0 = simulate_mft(ch, tree, grid, u, zero_xi_atoms)
-        return 2.0 * eval_cost_mft(ch, x0, u, tree, grid)
-
-    def form_bar(v: TreeProcess) -> float:
-        y0 = simulate_bar(cbh, tree, grid, v, zero_xi)
-        return 2.0 * eval_cost_bar(cbh, y0, v, tree, grid)
-
-    def form_breve(a: TreeProcess) -> float:
-        z0 = simulate_breve(ch, tree, grid, a, zero_xi_atoms)
-        return 2.0 * eval_cost_breve(ch, z0, a, tree, grid)
+    def form(p: CoefficientSet, u: TreeProcess) -> float:
+        x0 = simulate_mft(p, tree, grid, u, zero_xi)
+        return 2.0 * eval_cost_mft(p, x0, u, tree, grid)
 
     m_mft = np.inf
     m_bar = np.inf
@@ -411,16 +398,16 @@ def estimate_convexity_margin(
             F_ADAPTED,
         )
         nu = inner_product(u, u, tree, grid)
-        m_mft = min(m_mft, form_mft(u) / nu)
+        m_mft = min(m_mft, form(ch, u) / nu)
 
         ubar = conditional_expectation_f0(u, tree)
         nbar = inner_product(ubar, ubar, tree, grid)
         if nbar > 1e-14 * nu:
-            m_bar = min(m_bar, form_bar(ubar) / nbar)
+            m_bar = min(m_bar, form(bar, ubar) / nbar)
         ubre = TreeProcess(tree, [a - b for a, b in zip(u.values, ubar.values)], F_ADAPTED)
         nbre = inner_product(ubre, ubre, tree, grid)
         if nbre > 1e-14 * nu:
-            m_breve = min(m_breve, form_breve(ubre) / nbre)
+            m_breve = min(m_breve, form(breve, ubre) / nbre)
 
         # fresh dedicated samples for the two restricted classes
         v_pref = [
@@ -430,7 +417,7 @@ def estimate_convexity_margin(
             tree, [tree.expand_f0(k, vp) for k, vp in enumerate(v_pref)], F0_ADAPTED
         )
         nv = inner_product(v, v, tree, grid)
-        m_bar = min(m_bar, form_bar(v) / nv)
+        m_bar = min(m_bar, form(bar, v) / nv)
         raw = TreeProcess(
             tree,
             [rng.standard_normal((tree.n_nodes(k), c.d)) for k in range(grid.n_steps)],
@@ -443,7 +430,7 @@ def estimate_convexity_margin(
         )
         na = inner_product(alpha, alpha, tree, grid)
         if na > 1e-14:
-            m_breve = min(m_breve, form_breve(alpha) / na)
+            m_breve = min(m_breve, form(breve, alpha) / na)
     return ConvexityReport(float(m_mft), float(m_bar), float(m_breve), n_samples, seed)
 
 

@@ -5,7 +5,10 @@ the tree by rolling the state forward under the dynamic-programming
 feedback and reading every adjoint quantity off as an honest conditional
 expectation over child nodes.  With the one-step-predicted adjoint in
 the first-order condition, stationarity holds at machine precision, so
-the checks here certify rather than approximate.
+the checks here certify rather than approximate.  Both sub-problems run
+through the full problem's code on their plain views: one adjoint
+routine gives the predicted costate, the backward residual and the cost
+of either, and one first-order residual serves the stationarity check.
 
 A separate Picard iteration solves the coupled mean-field system in one
 piece, without decomposing first; agreement of the two routes is one of
@@ -18,15 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import BarCoefficients, CoefficientSet, bar_transform
+from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, bar_transform, breve_as_plain
 from .decomposition import (
     _atom_values,
+    _centered_atoms,
     _children,
     _mtv,
     _mv,
     coeff_nodes,
-    eval_cost_bar,
-    eval_cost_breve,
     eval_cost_mft,
     simulate_mft,
 )
@@ -118,6 +120,45 @@ class CoupledSolution:
     residual_history: list
 
 
+def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, controls, costate,
+             adapted, noises) -> dict:
+    """The adjoint family, cost and backward residual of plain problem p.
+
+    costate[k] is the value gradient at the step-k state.  The residual is
+    the worst relative gap in the adjoint equation costate_k =
+    (I + dt A)' E_k[costate_{k+1}] + dt (Q x_k + S u_k + zeta).  Returns
+    the fields of a solution, with one noise loading per name in noises.
+    """
+    dt = grid.dt
+    pred = [tree.child_mean(k, costate[k + 1]) for k in range(grid.n_steps)]
+    worst = 0.0
+    for k in range(grid.n_steps):
+        abar = np.eye(p.n) + dt * coeff_nodes(p.A, tree, k)
+        rhs = _mtv(abar, pred[k]) + dt * (
+            _mv(coeff_nodes(p.Q, tree, k), states[k])
+            + _mv(coeff_nodes(p.S, tree, k), controls[k])
+            + coeff_nodes(p.zeta, tree, k)
+        )
+        scale = 1.0 + float(np.max(np.abs(costate[k])))
+        worst = max(worst, float(np.max(np.abs(costate[k] - rhs))) / scale)
+    x, u = TreeProcess(tree, states, adapted), TreeProcess(tree, controls, adapted)
+    fields = dict(
+        state=x,
+        control=u,
+        costate=TreeProcess(tree, costate, adapted),
+        costate_pred=TreeProcess(tree, pred, adapted),
+        cost=eval_cost_mft(p, x, u, tree, grid),
+        backward_residual=worst,
+    )
+    for which in noises:
+        fields["noise_load_" + which] = TreeProcess(
+            tree,
+            [tree.child_increment_mean(k, costate[k + 1], which) for k in range(grid.n_steps)],
+            adapted,
+        )
+    return fields
+
+
 def solve_breve_fbsde(
     c: CoefficientSet,
     tree: JointTree,
@@ -128,54 +169,22 @@ def solve_breve_fbsde(
     """Roll the centered optimum forward and extract its adjoints."""
     if pi is None:
         pi = solve_pi(c)
+    p = breve_as_plain(c)
     dt = grid.dt
-    z = _atom_values(xi_breve, tree, "xi_breve")[tree.atom_of_node[0]]
+    z = _centered_atoms(xi_breve, tree)[tree.atom_of_node[0]]
     states = [z]
     controls = []
     for k in range(grid.n_steps):
-        gain = pi.node_gain(tree, k)
-        a = -_mv(gain, z)
+        a = -_mv(pi.node_gain(tree, k), z)
         controls.append(a)
-        A = coeff_nodes(c.A, tree, k)
-        B = coeff_nodes(c.B, tree, k)
-        D = coeff_nodes(c.D, tree, k)
-        drift = _mv(A, z) + _mv(B, a)
-        z = _children(tree, k, z + dt * drift, D)
+        drift = _mv(coeff_nodes(p.A, tree, k), z) + _mv(coeff_nodes(p.B, tree, k), a)
+        z = _children(tree, k, z + dt * drift, coeff_nodes(p.D, tree, k))
         states.append(z)
-
     costate = [
         _mv(pi.node_values(tree, k), states[k]) for k in range(grid.n_steps + 1)
     ]
-    pred = [tree.child_mean(k, costate[k + 1]) for k in range(grid.n_steps)]
-    load_w = [
-        tree.child_increment_mean(k, costate[k + 1], "w") for k in range(grid.n_steps)
-    ]
-    load_w0 = [
-        tree.child_increment_mean(k, costate[k + 1], "w0") for k in range(grid.n_steps)
-    ]
-
-    worst = 0.0
-    for k in range(grid.n_steps):
-        A = coeff_nodes(c.A, tree, k)
-        Q = coeff_nodes(c.Q, tree, k)
-        S = coeff_nodes(c.S, tree, k)
-        abar = np.eye(c.n) + dt * A
-        rhs = _mtv(abar, pred[k]) + dt * (_mv(Q, states[k]) + _mv(S, controls[k]))
-        scale = 1.0 + float(np.max(np.abs(costate[k])))
-        worst = max(worst, float(np.max(np.abs(costate[k] - rhs))) / scale)
-
-    zproc = TreeProcess(tree, states, F_ADAPTED)
-    aproc = TreeProcess(tree, controls, F_ADAPTED)
-    cost = eval_cost_breve(c, zproc, aproc, tree, grid)
     return BreveSolution(
-        state=zproc,
-        control=aproc,
-        costate=TreeProcess(tree, costate, F_ADAPTED),
-        costate_pred=TreeProcess(tree, pred, F_ADAPTED),
-        noise_load_w=TreeProcess(tree, load_w, F_ADAPTED),
-        noise_load_w0=TreeProcess(tree, load_w0, F_ADAPTED),
-        cost=cost,
-        backward_residual=worst,
+        **_adjoint(p, tree, grid, states, controls, costate, F_ADAPTED, ("w", "w0"))
     )
 
 
@@ -187,7 +196,11 @@ def solve_bar_fbsde(
     l_solution: TreeBackwardQuadratic | None = None,
     offset: TreeOffset | None = None,
 ) -> BarSolution:
-    """Roll the conditional-mean optimum forward and extract its adjoints."""
+    """Roll the conditional-mean optimum forward and extract its adjoints.
+
+    The rollout runs once per common-noise prefix, where the state lives,
+    and is expanded onto the nodes afterwards.
+    """
     if l_solution is None:
         l_solution = solve_l(cb)
     if offset is None:
@@ -219,73 +232,54 @@ def solve_bar_fbsde(
         np.einsum("pij,pj->pi", l_solution.values[k], y_pref[k]) + offset.offset[k]
         for k in range(grid.n_steps + 1)
     ]
-    states = [tree.expand_f0(k, y_pref[k]) for k in range(grid.n_steps + 1)]
-    controls = [tree.expand_f0(k, v_pref[k]) for k in range(grid.n_steps)]
-    costate = [tree.expand_f0(k, cost_pref[k]) for k in range(grid.n_steps + 1)]
-    pred = [tree.child_mean(k, costate[k + 1]) for k in range(grid.n_steps)]
-    load_w0 = [
-        tree.child_increment_mean(k, costate[k + 1], "w0") for k in range(grid.n_steps)
-    ]
-
-    worst = 0.0
-    for k in range(grid.n_steps):
-        Ab = coeff_nodes(cb.Abar, tree, k)
-        Qb = coeff_nodes(cb.Qbar, tree, k)
-        Sb = coeff_nodes(cb.Sbar, tree, k)
-        zb = coeff_nodes(cb.zetabar, tree, k)
-        abar = np.eye(cb.n) + dt * Ab
-        rhs = _mtv(abar, pred[k]) + dt * (
-            _mv(Qb, states[k]) + _mv(Sb, controls[k]) + zb
-        )
-        scale = 1.0 + float(np.max(np.abs(costate[k])))
-        worst = max(worst, float(np.max(np.abs(costate[k] - rhs))) / scale)
-
-    yproc = TreeProcess(tree, states, F0_ADAPTED)
-    vproc = TreeProcess(tree, controls, F0_ADAPTED)
-    cost = eval_cost_bar(cb, yproc, vproc, tree, grid)
     return BarSolution(
-        state=yproc,
-        control=vproc,
-        costate=TreeProcess(tree, costate, F0_ADAPTED),
-        costate_pred=TreeProcess(tree, pred, F0_ADAPTED),
-        noise_load_w0=TreeProcess(tree, load_w0, F0_ADAPTED),
-        cost=cost,
-        backward_residual=worst,
+        **_adjoint(
+            bar_as_plain(cb),
+            tree,
+            grid,
+            [tree.expand_f0(k, yp) for k, yp in enumerate(y_pref)],
+            [tree.expand_f0(k, vp) for k, vp in enumerate(v_pref)],
+            [tree.expand_f0(k, cp) for k, cp in enumerate(cost_pref)],
+            F0_ADAPTED,
+            ("w0",),
+        )
     )
 
 
 def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> StationarityReport:
     """First-order condition residual, per step and overall.
 
-    The residual uses the one-step-predicted costate, under which the
-    optimal control zeroes it exactly; any perturbation of the control
-    shows up at full size.  Accepts a bar, breve, or assembled solution
-    (pass the matching coefficient object: bar coefficients for the bar
-    solution, the full set otherwise).
+    The residual R u + S' x + B' E_k[costate] + varpi uses the one-step-
+    predicted costate, under which the optimal control zeroes it exactly;
+    any perturbation of the control shows up at full size.  Accepts a
+    bar, breve, or assembled solution (pass the matching coefficient
+    object: bar coefficients for the bar solution, the full set
+    otherwise).
     """
     if isinstance(solution, MftSolution):
         rb = verify_stationarity(bar_transform(coeffs), solution.bar, tree, grid)
         rv = verify_stationarity(coeffs, solution.breve, tree, grid)
         per = [max(a, b) for a, b in zip(rb.per_step, rv.per_step)]
         return StationarityReport(max(rb.max_residual, rv.max_residual), per)
-    if isinstance(solution, (BarSolution, BreveSolution)):
-        bar = isinstance(solution, BarSolution)
-        if bar and not isinstance(coeffs, BarCoefficients):
+    if isinstance(solution, BarSolution):
+        if not isinstance(coeffs, BarCoefficients):
             raise DimensionError("coeffs", "bar solution needs bar coefficients")
-        cross = coeffs.Sbar if bar else coeffs.S
-        per = []
-        for k in range(grid.n_steps):
-            control = solution.control.values[k]
-            res = (
-                _mv(coeff_nodes(coeffs.R, tree, k), control)
-                + _mtv(coeff_nodes(cross, tree, k), solution.state.values[k])
-                + _mtv(coeff_nodes(coeffs.B, tree, k), solution.costate_pred.values[k])
-            )
-            if bar:
-                res = res + coeff_nodes(coeffs.varpi, tree, k)
-            per.append(float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(control)))))
-        return StationarityReport(max(per), per)
-    raise TypeError(f"unsupported solution type {type(solution).__name__}")
+        p = bar_as_plain(coeffs)
+    elif isinstance(solution, BreveSolution):
+        p = breve_as_plain(coeffs)
+    else:
+        raise TypeError(f"unsupported solution type {type(solution).__name__}")
+    per = []
+    for k in range(grid.n_steps):
+        control = solution.control.values[k]
+        res = (
+            _mv(coeff_nodes(p.R, tree, k), control)
+            + _mtv(coeff_nodes(p.S, tree, k), solution.state.values[k])
+            + _mtv(coeff_nodes(p.B, tree, k), solution.costate_pred.values[k])
+            + coeff_nodes(p.varpi, tree, k)
+        )
+        per.append(float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(control)))))
+    return StationarityReport(max(per), per)
 
 
 def assemble_optimal_control(

@@ -13,11 +13,11 @@ subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import BarCoefficients, CoefficientSet, as_coefficient
+from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, breve_as_plain
 from .decomposition import _mtv, _mv, coeff_nodes, eval_cost_mft, simulate_mft
 from .errors import ConvergenceError, DimensionError
 from .lattice import (
@@ -203,48 +203,6 @@ def solve_qp_exact(
     )
 
 
-def _bar_as_plain(cb: BarCoefficients) -> CoefficientSet:
-    """The conditional-mean problem viewed as a problem in its own right."""
-    n, d, N = cb.n, cb.d, cb.n_steps
-    zero_nn = as_coefficient(np.zeros((n, n)), N, (n, n), "F")
-    zero_n = as_coefficient(np.zeros(n), N, (n,), "D")
-    return CoefficientSet(
-        n=n,
-        d=d,
-        horizon=cb.horizon,
-        n_steps=N,
-        A=cb.Abar,
-        F=zero_nn,
-        B=cb.B,
-        S=cb.Sbar,
-        b=cb.b,
-        D=zero_n,
-        D0=cb.D0,
-        zeta=cb.zetabar,
-        varpi=cb.varpi,
-        Q=cb.Qbar,
-        R=cb.R,
-        H=np.zeros((n, n)),
-        QT=cb.QbarT,
-    )
-
-
-def _breve_as_plain(c: CoefficientSet) -> CoefficientSet:
-    n, d, N = c.n, c.d, c.n_steps
-    zero_nn = as_coefficient(np.zeros((n, n)), N, (n, n), "F")
-    zero_n = as_coefficient(np.zeros(n), N, (n,), "zero")
-    zero_d = as_coefficient(np.zeros(d), N, (d,), "zero")
-    return replace(
-        c,
-        F=zero_nn,
-        b=zero_n,
-        D0=zero_n,
-        zeta=zero_n,
-        varpi=zero_d,
-        H=np.zeros((n, n)),
-    )
-
-
 def solve_qp_bar(
     cb: BarCoefficients, tree: JointTree, grid: TimeGrid, xi_bar
 ) -> QpSolution:
@@ -254,7 +212,7 @@ def solve_qp_bar(
     gradient of the node-level problem is summed over each prefix.
     """
     return _solve_over(
-        _bar_as_plain(cb),
+        bar_as_plain(cb),
         tree,
         grid,
         np.asarray(xi_bar, dtype=float),
@@ -309,7 +267,7 @@ def solve_qp_breve(
         ]
 
     return _solve_over(
-        _breve_as_plain(c),
+        breve_as_plain(c),
         tree,
         grid,
         xi_breve,

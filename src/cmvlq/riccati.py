@@ -7,7 +7,8 @@ downstream certification can use tight tolerances.  The ODE backend
 integrates the continuous matrix Riccati equations with classical
 Runge-Kutta on a fine grid; it requires coefficients without a
 common-noise loading and is the route for Monte Carlo work where the
-tree would be unaffordable.
+tree would be unaffordable.  Pi and L come from one routine on a plain
+coefficient set: the full set for Pi, ``coeffs.bar_as_plain`` for L.
 
 Value-function conventions (cost has the 1/2 in front): quadratic part
 V(x) = x'Px/2 + g'x + c.  Feedback is u = -gain_state x - gain_const.
@@ -20,11 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import BarCoefficients, CoefficientSet
+from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain
 from .errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from .lattice import TimeGrid, w0_prefix_cums
 
 OFFSET_CONSISTENCY_TOL = 1e-9
+# the coefficients each backward solve reads
+_QUAD_FIELDS = ("A", "B", "S", "Q", "R")
+_OFFSET_FIELDS = _QUAD_FIELDS + ("b", "D0", "zeta", "varpi")
 
 
 @dataclass(frozen=True)
@@ -32,14 +36,14 @@ class TreeBackwardQuadratic:
     """Quadratic value coefficient per common-noise prefix, per step.
 
     values[k] has shape (2**k, n, n); gain_state[k] (2**k, d, n) holds
-    the state-feedback gain for step k < n_steps.  constant[k], when
-    present, carries the noise-induced additive value term.
+    the state-feedback gain for step k < n_steps.  constant[k] (2**k,)
+    carries the additive value term induced by the idiosyncratic noise.
     """
 
     grid: TimeGrid
     values: list
     gain_state: list
-    constant: list | None = None
+    constant: list
 
     @property
     def n(self) -> int:
@@ -130,26 +134,34 @@ def _dp_step(nxt, A, B, S, Q, R, dt: float, step: int):
     return hat, G, M, gain, quad
 
 
-def _tree_quadratic(eval_step, terminal, noise=None, *, grid: TimeGrid):
-    """Shared backward loop; eval_step(k) yields (A, B, S, Q, R[, Dn])."""
+def _fields(c: CoefficientSet, names) -> tuple:
+    return tuple(getattr(c, name) for name in names)
+
+
+def _quadratic(c: CoefficientSet, backend: str, dt_target, drift: str):
+    """Backward quadratic coefficient of a plain problem's value.
+
+    The tree backend also accumulates the additive constant induced by
+    the idiosyncratic noise D.  ``drift`` names c.A in error messages.
+    """
+    grid = c.grid()
+    fields = _fields(c, _QUAD_FIELDS)
+    if backend == "ode":
+        _require_deterministic(c, _QUAD_FIELDS, drift)
+        return _ode_quadratic(fields, c.QT, grid, dt_target)
+    if backend != "tree":
+        raise ValueError(f"unknown backend {backend!r}")
     N = grid.n_steps
-    dt = grid.dt
-    n = terminal.shape[0]
-    values = [None] * (N + 1)
+    cums = w0_prefix_cums(grid)
+    values = [None] * N + [np.broadcast_to(c.QT, (2**N, c.n, c.n)).copy()]
+    consts = [None] * N + [np.zeros(2**N)]
     gains = [None] * N
-    consts = None if noise is None else [None] * (N + 1)
-    values[N] = np.broadcast_to(terminal, (2**N, n, n)).copy()
-    if consts is not None:
-        consts[N] = np.zeros(2**N)
     for k in reversed(range(N)):
-        A, B, S, Q, R = eval_step(k)
-        hat, _, _, gain, quad = _dp_step(values[k + 1], A, B, S, Q, R, dt, k)
-        values[k] = quad
-        gains[k] = gain
-        if consts is not None:
-            chat = 0.5 * (consts[k + 1][0::2] + consts[k + 1][1::2])
-            Dn = noise(k)
-            consts[k] = chat + 0.5 * dt * np.einsum("pi,pij,pj->p", Dn, hat, Dn)
+        A, B, S, Q, R = (co.at_w0(k, cums[k]) for co in fields)
+        hat, _, _, gains[k], values[k] = _dp_step(values[k + 1], A, B, S, Q, R, grid.dt, k)
+        chat = 0.5 * (consts[k + 1][0::2] + consts[k + 1][1::2])
+        Dn = c.D.at_w0(k, cums[k])
+        consts[k] = chat + 0.5 * grid.dt * np.einsum("pi,pij,pj->p", Dn, hat, Dn)
     return TreeBackwardQuadratic(grid=grid, values=values, gain_state=gains, constant=consts)
 
 
@@ -160,37 +172,16 @@ def solve_pi(c: CoefficientSet, backend: str = "tree", *, dt_target: float | Non
     loading; the additive constant it accumulates is the noise-induced
     part of the optimal centered cost.
     """
-    grid = c.grid()
-    if backend == "tree":
-        cums = w0_prefix_cums(grid)
-        fields = (c.A, c.B, c.S, c.Q, c.R)
-        return _tree_quadratic(
-            lambda k: tuple(co.at_w0(k, cums[k]) for co in fields),
-            c.QT,
-            noise=lambda k: c.D.at_w0(k, cums[k]),
-            grid=grid,
-        )
-    if backend == "ode":
-        _require_deterministic({"A": c.A, "B": c.B, "S": c.S, "Q": c.Q, "R": c.R})
-        return _ode_quadratic((c.A, c.B, c.S, c.Q, c.R), c.QT, grid, dt_target)
-    raise ValueError(f"unknown backend {backend!r}")
+    return _quadratic(c, backend, dt_target, "A")
 
 
 def solve_l(cb: BarCoefficients, backend: str = "tree", *, dt_target: float | None = None) -> TreeBackwardQuadratic | OdeBackwardQuadratic:
-    """Backward quadratic coefficient of the conditional-mean value."""
-    grid = cb.grid()
-    if backend == "tree":
-        cums = w0_prefix_cums(grid)
-        fields = (cb.Abar, cb.B, cb.Sbar, cb.Qbar, cb.R)
-        return _tree_quadratic(
-            lambda k: tuple(co.at_w0(k, cums[k]) for co in fields), cb.QbarT, grid=grid
-        )
-    if backend == "ode":
-        _require_deterministic(
-            {"A+F": cb.Abar, "B": cb.B, "S": cb.Sbar, "Q": cb.Qbar, "R": cb.R}
-        )
-        return _ode_quadratic((cb.Abar, cb.B, cb.Sbar, cb.Qbar, cb.R), cb.QbarT, grid, dt_target)
-    raise ValueError(f"unknown backend {backend!r}")
+    """Backward quadratic coefficient of the conditional-mean value.
+
+    The problem carries no idiosyncratic noise, so the tree constant is
+    zero; the common-noise terms enter through ``solve_offset``.
+    """
+    return _quadratic(bar_as_plain(cb), backend, dt_target, "A+F")
 
 
 def solve_offset(
@@ -207,53 +198,34 @@ def solve_offset(
     is cross-checked against its own recursion, so a mismatched pairing
     fails loudly instead of silently producing a wrong offset.
     """
-    grid = cb.grid()
+    p = bar_as_plain(cb)
     if backend == "tree":
         if not isinstance(l_solution, TreeBackwardQuadratic):
             raise ValueError("tree backend requires a tree quadratic solution")
-        return _tree_offset(cb, l_solution, grid)
+        return _tree_offset(p, l_solution)
     if backend == "ode":
         if not isinstance(l_solution, OdeBackwardQuadratic):
             raise ValueError("ode backend requires an ode quadratic solution")
-        _require_deterministic(
-            {
-                "A+F": cb.Abar,
-                "B": cb.B,
-                "S": cb.Sbar,
-                "Q": cb.Qbar,
-                "R": cb.R,
-                "b": cb.b,
-                "D0": cb.D0,
-                "zeta": cb.zetabar,
-                "varpi": cb.varpi,
-            }
-        )
-        return _ode_offset(cb, l_solution, grid)
+        _require_deterministic(p, _OFFSET_FIELDS, "A+F")
+        return _ode_offset(p, l_solution)
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _tree_offset(cb: BarCoefficients, l_sol: TreeBackwardQuadratic, grid: TimeGrid) -> TreeOffset:
+def _tree_offset(p: CoefficientSet, l_sol: TreeBackwardQuadratic) -> TreeOffset:
+    grid = p.grid()
     N = grid.n_steps
     dt = grid.dt
     sq = grid.sqrt_dt
     cums = w0_prefix_cums(grid)
-    n = cb.n
+    n = p.n
+    fields = _fields(p, _OFFSET_FIELDS)
     offset = [None] * (N + 1)
     gain_c = [None] * N
     const = [None] * (N + 1)
     offset[N] = np.zeros((2**N, n))
     const[N] = np.zeros(2**N)
     for k in reversed(range(N)):
-        Ab = cb.Abar.at_w0(k, cums[k])
-        B = cb.B.at_w0(k, cums[k])
-        Sb = cb.Sbar.at_w0(k, cums[k])
-        Qb = cb.Qbar.at_w0(k, cums[k])
-        R = cb.R.at_w0(k, cums[k])
-        b = cb.b.at_w0(k, cums[k])
-        D0 = cb.D0.at_w0(k, cums[k])
-        zb = cb.zetabar.at_w0(k, cums[k])
-        varpi = cb.varpi.at_w0(k, cums[k])
-
+        Ab, B, Sb, Qb, R, b, D0, zb, varpi = (co.at_w0(k, cums[k]) for co in fields)
         nxt = l_sol.values[k + 1]
         hat, G, M, _, quad = _dp_step(nxt, Ab, B, Sb, Qb, R, dt, k)
         scale = 1.0 + float(np.max(np.abs(l_sol.values[k])))
@@ -298,8 +270,11 @@ def _tree_offset(cb: BarCoefficients, l_sol: TreeBackwardQuadratic, grid: TimeGr
 # -- ODE backend ------------------------------------------------------------
 
 
-def _require_deterministic(named: dict):
-    bad = sorted(name for name, co in named.items() if not co.deterministic)
+def _require_deterministic(c: CoefficientSet, names, drift: str):
+    """Refuse node-dependent coefficients; ``drift`` names c.A in the message."""
+    bad = sorted(
+        drift if name == "A" else name for name in names if not getattr(c, name).deterministic
+    )
     if bad:
         raise NotDeterministicError(
             "ODE backend requires coefficients without a common-noise "
@@ -355,33 +330,25 @@ def _ode_quadratic(fields: tuple, terminal, grid: TimeGrid, dt_target) -> OdeBac
     return OdeBackwardQuadratic(grid=grid, times=times, values=values, n_sub=n_sub)
 
 
-def _ode_offset(cb: BarCoefficients, l_sol: OdeBackwardQuadratic, grid: TimeGrid) -> OdeOffset:
+def _ode_offset(p: CoefficientSet, l_sol: OdeBackwardQuadratic) -> OdeOffset:
+    grid = p.grid()
+    fields = _fields(p, _OFFSET_FIELDS)
     n_sub = l_sol.n_sub
     N = grid.n_steps
     h = grid.dt / n_sub
-    n = cb.n
+    n = p.n
     times = l_sol.times
     Ls = np.empty_like(l_sol.values)
     ls = np.empty((N * n_sub + 1, n))
     cs = np.empty(N * n_sub + 1)
-    L = np.array(cb.QbarT, dtype=float)
+    L = np.array(p.QT, dtype=float)
     lv = np.zeros(n)
     cv = 0.0
     Ls[-1], ls[-1], cs[-1] = L, lv, cv
     idx = N * n_sub
 
     def rhs(L, lv, k):
-        A, B, S, Q, R = (
-            cb.Abar.at_step(k),
-            cb.B.at_step(k),
-            cb.Sbar.at_step(k),
-            cb.Qbar.at_step(k),
-            cb.R.at_step(k),
-        )
-        b = cb.b.at_step(k)
-        D0 = cb.D0.at_step(k)
-        zb = cb.zetabar.at_step(k)
-        varpi = cb.varpi.at_step(k)
+        A, B, S, Q, R, b, D0, zb, varpi = (co.at_step(k) for co in fields)
         W = L @ B + S
         wv = B.T @ lv + varpi
         Ld = -(A.T @ L + L @ A + Q - W @ np.linalg.solve(R, W.T))

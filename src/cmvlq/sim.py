@@ -18,8 +18,6 @@ tables that ``_closed_loop`` builds before the batches run.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +33,6 @@ NOISE_COMMON, NOISE_IDIO, NOISE_INIT = 0, 1, 2
 # auto-storage cutoff: full per-path increment/state recording above this
 # many path-steps would dominate memory, so large runs keep summaries only
 STORE_LIMIT = 2_000_000
-
-
-def thread_count() -> int:
-    """Worker cap from CMVLQ_THREADS; 0 means one per CPU, unset means one."""
-    raw = os.environ.get("CMVLQ_THREADS", "").strip()
-    if not raw:
-        return 1
-    if not raw.isdecimal():
-        raise CmvlqError(f"CMVLQ_THREADS={raw!r}: need a non-negative integer")
-    value = int(raw)
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
 
 
 def substream(seed: int, index: int, noise: int) -> np.random.Generator:
@@ -212,16 +197,6 @@ def _tr(a: np.ndarray) -> np.ndarray:
 
 def _batches(n_paths: int):
     return [(lo, min(lo + SIM_BATCH, n_paths)) for lo in range(0, n_paths, SIM_BATCH)]
-
-
-def _map_batches(worker, ranges):
-    workers = min(thread_count(), len(ranges))
-    if workers <= 1:
-        return [worker(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in ranges]
-        # collect in submission order: the reduction stays deterministic
-        return [f.result() for f in futures]
 
 
 def _guard_finite(x: np.ndarray, j: int, lo: int, what: str):
@@ -429,7 +404,7 @@ def simulate_forward(
         )
         return costs, dw_sum, dev_sums, (x, xb_cp, ctl, dw)
 
-    costs, dw_sums, dev_sums, stored = zip(*_map_batches(worker, _batches(n_paths)))
+    costs, dw_sums, dev_sums, stored = zip(*[worker(lo, hi) for lo, hi in _batches(n_paths)])
     common_index = np.arange(n_paths) % n_common
     dev_sum, dev_sq = sum(dev_sums)
     dev_cnt = np.bincount(common_index, minlength=n_common).astype(float)
@@ -568,7 +543,7 @@ def _breve_run(c: CoefficientSet, pi: OdeBackwardQuadratic, grid: TimeGrid, xi_c
             bell = before[:, 0] + 0.5 * np.einsum("bi,ij,bj->b", z[:, 0], Pih, z[:, 0]) + tail_h
         return run, bell
 
-    parts = _map_batches(worker, _batches(n_paths))
+    parts = [worker(lo, hi) for lo, hi in _batches(n_paths)]
     costs = np.concatenate([p[0] for p in parts])
     bells = np.concatenate([p[1] for p in parts]) if h_index is not None else None
     return costs, bells

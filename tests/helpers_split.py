@@ -1,0 +1,101 @@
+"""Reference for the two sub-problems: their own recursions, costs and L loop.
+
+The library runs the conditional-mean and centered problems through the
+full problem's code on their plain views (``coeffs.bar_as_plain`` and
+``coeffs.breve_as_plain``).  The functions here are the dedicated
+versions written against the bar and breve coefficients directly: the
+bar recursion driven by the common noise alone, the centered recursion
+driven by the idiosyncratic noise alone, their two cost sums, and the
+exact backward loop for L on the common-noise prefixes.  They share only
+the node products and the tree with the library, and skip its input
+checks.
+"""
+
+import numpy as np
+
+from cmvlq.decomposition import _children, _dot, _mv, _quad, coeff_nodes
+from cmvlq.lattice import w0_prefix_cums
+
+
+def ref_simulate_bar(cb, tree, grid, v, xi_bar):
+    """Per-step node arrays of y_{k+1} = y + dt (Abar y + B v + b) + D0 dW0."""
+    y = np.broadcast_to(np.asarray(xi_bar, dtype=float), (tree.n_nodes(0), cb.n)).copy()
+    values = [y]
+    for k in range(grid.n_steps):
+        drift = (
+            _mv(coeff_nodes(cb.Abar, tree, k), y)
+            + _mv(coeff_nodes(cb.B, tree, k), v.values[k])
+            + coeff_nodes(cb.b, tree, k)
+        )
+        y = _children(tree, k, y + grid.dt * drift, D0=coeff_nodes(cb.D0, tree, k))
+        values.append(y)
+    return values
+
+
+def ref_simulate_breve(c, tree, grid, alpha, xi_breve):
+    """Per-step node arrays of z_{k+1} = z + dt (A z + B alpha) + D dW."""
+    z = np.asarray(xi_breve, dtype=float)[tree.atom_of_node[0]]
+    values = [z]
+    for k in range(grid.n_steps):
+        drift = _mv(coeff_nodes(c.A, tree, k), z) + _mv(coeff_nodes(c.B, tree, k), alpha.values[k])
+        z = _children(tree, k, z + grid.dt * drift, coeff_nodes(c.D, tree, k))
+        values.append(z)
+    return values
+
+
+def _lq_cost(tree, grid, states, controls, Q, S, R, QT, zeta=None, varpi=None):
+    total = 0.0
+    for k in range(grid.n_steps):
+        e, u = states[k], controls[k]
+        integrand = (
+            _quad(e, coeff_nodes(Q, tree, k), e)
+            + 2.0 * _quad(e, coeff_nodes(S, tree, k), u)
+            + _quad(u, coeff_nodes(R, tree, k), u)
+        )
+        if zeta is not None:
+            integrand = (
+                integrand
+                + 2.0 * _dot(coeff_nodes(zeta, tree, k), e)
+                + 2.0 * _dot(coeff_nodes(varpi, tree, k), u)
+            )
+        total += grid.dt * float(np.dot(tree.probs(k), integrand))
+    eT = states[grid.n_steps]
+    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, QT, eT)))
+    return 0.5 * total
+
+
+def ref_cost_bar(cb, tree, grid, y, v):
+    """Bar cost: transformed weights, both linear terms."""
+    return _lq_cost(
+        tree, grid, y.values, v.values, cb.Qbar, cb.Sbar, cb.R, cb.QbarT, cb.zetabar, cb.varpi
+    )
+
+
+def ref_cost_breve(c, tree, grid, z, alpha):
+    """Centered cost: original weights, no linear terms."""
+    return _lq_cost(tree, grid, z.values, alpha.values, c.Q, c.S, c.R, c.QT)
+
+
+def ref_solve_l(cb):
+    """Exact dynamic programming for L per prefix: (values, gains)."""
+    grid = cb.grid()
+    N, dt = grid.n_steps, grid.dt
+    cums = w0_prefix_cums(grid)
+    eye = np.eye(cb.n)
+    values = [None] * N + [np.broadcast_to(cb.QbarT, (2**N, cb.n, cb.n)).copy()]
+    gains = [None] * N
+    for k in reversed(range(N)):
+        A, B, S, Q, R = (
+            co.at_w0(k, cums[k]) for co in (cb.Abar, cb.B, cb.Sbar, cb.Qbar, cb.R)
+        )
+        nxt = values[k + 1]
+        hat = 0.5 * (nxt[0::2] + nxt[1::2])
+        Abar = eye + dt * A
+        hatB = hat @ (dt * B)
+        G = dt * R + np.transpose(dt * B, (0, 2, 1)) @ hatB
+        G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
+        M = np.transpose(Abar, (0, 2, 1)) @ hatB + dt * S
+        gains[k] = np.linalg.solve(G, np.transpose(M, (0, 2, 1)))
+        quad = np.transpose(Abar, (0, 2, 1)) @ (hat @ Abar) + dt * Q - M @ gains[k]
+        values[k] = 0.5 * (quad + np.transpose(quad, (0, 2, 1)))
+    return values, gains

@@ -311,14 +311,6 @@ def test_riccati_blow_up_exits_2(tmp_path, capsys):
     assert "error,FiniteEscapeError,Riccati solution blew up" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("raw", ["abc", "-2"])
-def test_bad_thread_count_exits_2_naming_the_variable(tmp_path, capsys, monkeypatch, raw):
-    monkeypatch.setenv("CMVLQ_THREADS", raw)
-    assert main(["simulate", "--config", _write(tmp_path, MINIMAL), "--paths", "10",
-                 "--out", str(tmp_path / "o")]) == 2
-    assert f"error,CmvlqError,CMVLQ_THREADS='{raw}'" in capsys.readouterr().out
-
-
 def test_compare_on_zero_data_returns_the_zero_control(tmp_path):
     # zero initial state and no affine terms: every gradient at u = 0
     # vanishes, here at an oracle dimension of 5,461

@@ -1,0 +1,69 @@
+"""The sub-problems on the full problem's code match their dedicated versions.
+
+``simulate_bar``/``simulate_breve``, ``eval_cost_bar``/``eval_cost_breve``
+and ``solve_l`` delegate to the full problem's recursion, cost and
+Riccati loop on the plain views; the references in ``helpers_split``
+are the dedicated bar and breve code.  Agreement is exact: the plain
+views only add exact zeros.
+"""
+
+import numpy as np
+import pytest
+from helpers_split import (
+    ref_cost_bar,
+    ref_cost_breve,
+    ref_simulate_bar,
+    ref_simulate_breve,
+    ref_solve_l,
+)
+
+from cmvlq.coeffs import bar_transform, homogeneous
+from cmvlq.decomposition import eval_cost_bar, eval_cost_breve, simulate_bar, simulate_breve
+from cmvlq.instances import random_instance
+from cmvlq.lattice import F0_ADAPTED, F_ADAPTED, TreeProcess
+from cmvlq.riccati import solve_l
+
+
+def _same(values, ref):
+    return len(values) == len(ref) and all(np.array_equal(a, b) for a, b in zip(values, ref))
+
+
+def _controls(tree, grid, d, seed):
+    rng = np.random.default_rng(seed)
+    v = TreeProcess(
+        tree,
+        [tree.expand_f0(k, rng.standard_normal((tree.n_prefixes(k), d))) for k in range(grid.n_steps)],
+        F0_ADAPTED,
+    )
+    raw = [rng.standard_normal((tree.n_nodes(k), d)) for k in range(grid.n_steps)]
+    alpha = TreeProcess(
+        tree, [w - tree.ce_f0_step(k, w)[1] for k, w in enumerate(raw)], F_ADAPTED
+    )
+    return v, alpha
+
+
+@pytest.mark.parametrize("node_dependent", [False, True])
+@pytest.mark.parametrize("seed", [0, 4, 11, 12])
+def test_delegated_sub_problems_match_dedicated_code(seed, node_dependent):
+    inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
+    grid, tree = inst.grid(), inst.tree()
+    for c in (inst.coeffs, homogeneous(inst.coeffs)):
+        cb = bar_transform(c)
+        v, alpha = _controls(tree, grid, c.d, seed)
+
+        y = simulate_bar(cb, tree, grid, v, inst.xi_mean())
+        assert y.adapted == F0_ADAPTED
+        assert _same(y.values, ref_simulate_bar(cb, tree, grid, v, inst.xi_mean()))
+        assert eval_cost_bar(cb, y, v, tree, grid) == ref_cost_bar(cb, tree, grid, y, v)
+
+        z = simulate_breve(c, tree, grid, alpha, inst.xi_centered())
+        assert z.adapted == F_ADAPTED
+        assert _same(z.values, ref_simulate_breve(c, tree, grid, alpha, inst.xi_centered()))
+        assert eval_cost_breve(c, z, alpha, tree, grid) == ref_cost_breve(c, tree, grid, z, alpha)
+
+        ll = solve_l(cb)
+        values, gains = ref_solve_l(cb)
+        assert _same(ll.values, values)
+        assert _same(ll.gain_state, gains)
+        assert not any(ck.any() for ck in ll.constant)
+

@@ -231,6 +231,17 @@ def test_ode_backend_rejects_random_coefficients():
         solve_l(bar_transform(c), backend="ode")
 
 
+def test_ode_refusal_names_the_mean_drift_a_plus_f():
+    # only F carries a common-noise loading: the L Riccati's drift is A+F,
+    # and the message must not blame A, which is deterministic here
+    c = make_coefficients(
+        1, 1, horizon=1.0, n_steps=2, B=1.0, Q=1.0, R=1.0, F_slope=0.5
+    )
+    with pytest.raises(NotDeterministicError, match=r"carry one: A\+F$"):
+        solve_l(bar_transform(c), backend="ode")
+    solve_pi(c, backend="ode")  # Pi's drift is A alone
+
+
 def test_singular_control_weight_is_refused():
     c = make_coefficients(1, 1, horizon=1.0, n_steps=1)
     with pytest.raises(SingularSystemError):

@@ -29,7 +29,6 @@ from cmvlq.sim import (
     initial_atoms,
     simulate_forward,
     substream,
-    thread_count,
     weak_order_check,
 )
 from helpers_euler import reference_forward
@@ -350,24 +349,6 @@ def test_large_runs_keep_summaries_only(monkeypatch):
     assert ens.states is None and ens.dw is None
     assert len(ens.path_costs) == 50
     assert ens.group_dev_mean.shape[0] == ens.n_common
-
-
-def test_thread_pool_does_not_change_results(monkeypatch):
-    c = make_coefficients(1, 1, horizon=0.5, n_steps=2, A=-0.2, D=0.6, D0=0.2, Q=1.0, R=1.0)
-    kw = dict(xi=[[0.7]], atom_probs=[1.0], dt_target=0.01)
-    pol = zero_policy(c)
-    monkeypatch.setattr(sim_mod, "SIM_BATCH", 64)
-    base = simulate_forward(pol, c, c.grid(), 500, 13, **kw)
-    monkeypatch.setenv("CMVLQ_THREADS", "3")
-    threaded = simulate_forward(pol, c, c.grid(), 500, 13, **kw)
-    assert np.array_equal(base.path_costs, threaded.path_costs)
-
-    monkeypatch.setenv("CMVLQ_THREADS", "")
-    assert thread_count() == 1
-    monkeypatch.setenv("CMVLQ_THREADS", "5")
-    assert thread_count() == 5
-    monkeypatch.setenv("CMVLQ_THREADS", "0")
-    assert thread_count() >= 1
 
 
 def test_cluster_standard_error_frozen_values():
