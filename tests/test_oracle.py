@@ -6,10 +6,15 @@ enumeration), so the reference optimum inherits its trust from nothing
 but the cost function and elementary calculus.
 """
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cmvlq.coeffs import bar_transform
+from cmvlq.coeffs import bar_as_plain, bar_transform, breve_as_plain
+from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import (
     eval_cost_bar,
     eval_cost_breve,
@@ -19,9 +24,9 @@ from cmvlq.decomposition import (
     simulate_mft,
 )
 from cmvlq.errors import ConvergenceError, DimensionError
-from cmvlq.fbsde import assemble_optimal_control
+from cmvlq.fbsde import assemble_optimal_control, solve_bar_fbsde, solve_breve_fbsde
 from cmvlq.instances import random_instance, random_control
-from cmvlq.lattice import F_ADAPTED, TreeProcess
+from cmvlq.lattice import F_ADAPTED, TimeGrid, TreeProcess, build_joint_tree
 from cmvlq.oracle import (
     _solve_quadratic,
     compare_solutions,
@@ -31,6 +36,9 @@ from cmvlq.oracle import (
     solve_qp_exact,
 )
 from helpers_dense_qp import dense_qp_exact
+from helpers_gradient import ref_cost_gradient
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "mean_field.cfg"
 
 FD_STEP = 1e-6
 FD_RTOL = 1e-6
@@ -168,3 +176,85 @@ def test_conjugate_gradients_refuse_negative_curvature():
     with pytest.raises(ConvergenceError, match="curvature lost") as err:
         _solve_quadratic(lambda v: 1.0 - v, 3, label="concave")
     assert err.value.residual_history == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("seed", [0, 4, 11, 12])
+@pytest.mark.parametrize("node_dependent", [True, False])
+def test_gradient_skips_only_exact_zeros(seed, node_dependent):
+    # the plain views have zero H, F and (centered) zeta and varpi, whose
+    # terms the gradient skips; the full problem has none of them
+    inst = random_instance(seed, max_steps=5, node_dependent=node_dependent)
+    grid, tree = inst.grid(), inst.tree()
+    u = random_control(inst, tree, seed=31)
+    for c, xi in (
+        (inst.coeffs, inst.xi),
+        (bar_as_plain(bar_transform(inst.coeffs)), inst.xi_mean()),
+        (breve_as_plain(inst.coeffs), inst.xi_centered()),
+    ):
+        got = cost_gradient(c, tree, grid, u, xi)
+        want = ref_cost_gradient(c, tree, grid, u, xi)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _demo_at_depth(n_steps):
+    text = re.sub(r"^N = \d+$", f"N = {n_steps}", DEMO_CONFIG.read_text(), flags=re.M)
+    cfg = parse_config(text)
+    assert cfg.grid.n_steps == n_steps
+    c = build_coefficients(cfg)
+    xi, probs = initial_condition(cfg)
+    grid = TimeGrid(n_steps, cfg.grid.horizon)
+    return c, grid, build_joint_tree(grid, probs), xi, probs
+
+
+def _gradient_evaluations(sol):
+    # the initial gradient, one per iteration, and the final check
+    return len(sol.residual_history) + 1
+
+
+def test_oracle_iterations_do_not_grow_with_depth():
+    counts = {"full": [], "bar": [], "breve": []}
+    for n_steps in (3, 4, 5, 6):
+        c, grid, tree, xi, probs = _demo_at_depth(n_steps)
+        xi_mean = probs @ xi
+        sols = {
+            "full": solve_qp_exact(c, tree, grid, xi),
+            "bar": solve_qp_bar(bar_transform(c), tree, grid, xi_mean),
+            "breve": solve_qp_breve(c, tree, grid, xi - xi_mean),
+        }
+        for name, sol in sols.items():
+            assert sol.residual_history[-1] <= 1e-12
+            counts[name].append(_gradient_evaluations(sol))
+    for name, per_depth in counts.items():
+        assert max(per_depth) <= 30, (name, per_depth)
+        assert per_depth[-1] <= per_depth[0] + 5, (name, per_depth)
+
+
+@pytest.mark.parametrize("seed", [1, 12, 14, 22])
+def test_preconditioned_solves_on_random_coefficients(seed):
+    # node-dependent coefficients, unequal atom probabilities
+    inst = replace(random_instance(seed, max_steps=5), atom_probs=np.array([0.3, 0.7]))
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    cb = bar_transform(c)
+
+    full = solve_qp_exact(c, tree, grid, inst.xi)
+    direct_control, direct_cost = dense_qp_exact(c, tree, grid, inst.xi)
+    assert abs(full.cost - direct_cost) <= 1e-10 * max(1.0, abs(direct_cost))
+    for k in range(grid.n_steps):
+        assert np.max(np.abs(full.control.values[k] - direct_control.values[k])) <= 1e-8
+
+    bar = solve_qp_bar(cb, tree, grid, inst.xi_mean())
+    bar_cost = solve_bar_fbsde(cb, tree, grid, inst.xi_mean()).cost
+    assert abs(bar.cost - bar_cost) <= 1e-10 * max(1.0, abs(bar_cost))
+    breve = solve_qp_breve(c, tree, grid, inst.xi_centered())
+    breve_cost = solve_breve_fbsde(c, tree, grid, inst.xi_centered()).cost
+    assert abs(breve.cost - breve_cost) <= 1e-10 * max(1.0, abs(breve_cost))
+
+    for sol in (full, bar, breve):
+        assert sol.gradient_sup <= 1e-9 * max(1.0, abs(sol.cost))
+    # Both restrictions are the full problem on a subspace that the metric
+    # embeds isometrically (a prefix control expands onto its nodes, the
+    # centered basis is weight-orthonormal), so their preconditioned
+    # spectra lie inside the full one's; a wrong metric shows as more
+    # iterations than the full problem needs.
+    assert len(bar.residual_history) <= len(full.residual_history)
+    assert len(breve.residual_history) <= len(full.residual_history)
