@@ -8,7 +8,18 @@ remainder (driven by the idiosyncratic noise).  Both are handled either
 exactly on an enumerated joint path tree or through backward Riccati ODE
 integration, and every answer can be cross-checked against a brute-force
 quadratic-programming oracle on the same discretization.
+
+Importing the package, before NumPy is first imported, caps BLAS at one
+thread unless a BLAS or OpenMP thread variable is set: the products here
+are small or memory-bound, and a threaded long dot product sums in an
+order that depends on the thread count, so reports would differ by host.
 """
+
+import os as _os
+
+if not any(_os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                          "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    _os.environ.update(OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 from .coeffs import (
     BarCoefficients,

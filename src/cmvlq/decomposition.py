@@ -46,61 +46,77 @@ from .lattice import (
 CENTERING_TOL = 1e-12
 
 
-def coeff_nodes(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
-    """Evaluate one coefficient on the nodes of step k.
+def _coeff_prefix(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
+    """One coefficient at step k, per W0 prefix, with the prefix axis last.
 
-    A deterministic coefficient is the same on every node, so its own
-    step array comes back, shape coeff.shape, shared by all nodes.  A
-    node-dependent one is evaluated once per W0 prefix and expanded,
-    shape (n_nodes(k), *coeff.shape).  The node products below accept
-    either.
+    A deterministic one comes back shared, a matrix as (i, j) and a vector
+    as a column (i, 1); a node-dependent one is evaluated once per prefix,
+    shape (*coeff.shape, 2**k).  The node products below accept either.
     """
     if coeff.deterministic:
+        base = coeff.base[k]
+        return base[:, None] if base.ndim == 1 else base
+    return np.moveaxis(coeff.at_w0(k, tree.cum_w0_prefix[k]), 0, -1)
+
+
+def _coeff_rows(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
+    """One coefficient on the nodes of step k, node axis last, or shared."""
+    value = _coeff_prefix(coeff, tree, k)
+    return value if coeff.deterministic else tree.expand_rows(k, value)
+
+
+def coeff_nodes(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
+    """One coefficient on the nodes of step k: coeff.shape if shared, else node-major."""
+    if coeff.deterministic:
         return coeff.base[k]
-    return tree.expand_f0(k, coeff.at_w0(k, tree.cum_w0_prefix[k]))
+    return np.moveaxis(_coeff_rows(coeff, tree, k), -1, 0)
 
 
-def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat @ vec on every node, for a shared (i, j) or per-node (n, i, j) mat."""
-    if mat.ndim == 2:
-        return vec @ mat.T
-    return np.einsum("nij,nj->ni", mat, vec)
+def _rows_of(p: TreeProcess, steps=None) -> list:
+    """A vector process's per-step arrays as (component, node) views."""
+    return [v.T for v in p.values[:steps]]
 
 
-def _mtv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat' @ vec on every node."""
-    if mat.ndim == 2:
-        return vec @ mat
-    return np.einsum("nji,nj->ni", mat, vec)
+def _process(tree: JointTree, rows, adapted: str = F_ADAPTED) -> TreeProcess:
+    """(component, node) arrays as a node-major process, without copying."""
+    return TreeProcess(tree, [r.T for r in rows], adapted)
 
 
-def _quad(vec_l: np.ndarray, mat: np.ndarray, vec_r: np.ndarray) -> np.ndarray:
-    return _dot(vec_l, _mv(mat, vec_r))
+def _mv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ x per column, for a shared (i, j) or per-column (i, j, m) mat.
 
-
-def _dot(coef: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """coef . vec on every node; coef may be a shared vector."""
-    if coef.ndim == 1:
-        return vec @ coef
-    return np.einsum("ni,ni->n", coef, vec)
-
-
-def _children(tree: JointTree, k: int, mean: np.ndarray, D=None, D0=None) -> np.ndarray:
-    """States at the children of the step-k nodes: mean + D dW + D0 dW0.
-
-    Every node's children take the same four increments, in branch
-    order, so a shared loading adds one (4, n) pattern to each node's
-    block of children instead of a per-child product.
+    A shared product over one inner index is a broadcast: matmul is
+    several times slower on it.
     """
-    x = np.repeat(mean, 4, axis=0)
-    for load, dw in ((D, tree.last_dw[k + 1]), (D0, tree.last_dw0[k + 1])):
-        if load is None:
-            continue
-        if load.ndim == 1:
-            x.reshape(len(mean), -1)[...] += np.outer(dw[:4], load).ravel()
-        else:
-            x += np.repeat(load, 4, axis=0) * dw[:, None]
-    return x
+    if mat.ndim == 3:
+        return np.einsum("ijm,jm->im", mat, rows)
+    return mat * rows if mat.shape[1] == 1 else mat @ rows
+
+
+def _mtv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat' @ x per column."""
+    return _mv(np.swapaxes(mat, 0, 1), rows)
+
+
+def _dot(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """coef . x per column; coef may be a shared column."""
+    if coef.shape[-1] == 1:
+        return (coef.T @ rows)[0]
+    return np.einsum("im,im->m", coef, rows)
+
+
+def _quad(rows_l: np.ndarray, mat: np.ndarray, rows_r: np.ndarray) -> np.ndarray:
+    return _dot(rows_l, _mv(mat, rows_r))
+
+
+def _abar(A: np.ndarray, dt: float) -> np.ndarray:
+    """I + dt A, shared or per column."""
+    return np.eye(A.shape[0]).reshape(A.shape[:2] + (1,) * (A.ndim - 2)) + dt * A
+
+
+def _plus_prefix(tree: JointTree, k: int, rows: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """rows + a term that is shared (trailing axis 1) or given per prefix."""
+    return rows + (term if term.shape[-1] == 1 else tree.expand_rows(k, term))
 
 
 def _atom_values(xi, tree: JointTree, name: str) -> np.ndarray:
@@ -113,14 +129,78 @@ def _atom_values(xi, tree: JointTree, name: str) -> np.ndarray:
     return xi
 
 
-def _nonzero(coeff: Coefficient, tree: JointTree, k: int):
-    """coeff on the step-k nodes, or None where it is deterministic and zero.
+def _nonzero(coeff: Coefficient, tree: JointTree, k: int, per_prefix: bool = False):
+    """coeff at step k, or None where it is deterministic and zero.
 
     The plain views of the two sub-problems carry such zeros (no
     conditional-mean terms, one noise each).  Their terms would add exact
     zeros, so they are skipped, and with F the conditioning fold.
     """
-    return None if coeff.zero_at[k] else coeff_nodes(coeff, tree, k)
+    if coeff.zero_at[k]:
+        return None
+    return (_coeff_prefix if per_prefix else _coeff_rows)(coeff, tree, k)
+
+
+def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, u: list, xi: np.ndarray,
+             means: bool = False):
+    """The state under control rows u from initial atoms xi, node axis last.
+
+    Returns one (n, n_nodes(k)) array per step and, if means is set, the
+    per-prefix conditional means (n, 2**k) of every step, which the F
+    term folds anyway.  F E[x] + b is summed per prefix and expanded once.
+    """
+    if xi.shape[1] != c.n:
+        raise DimensionError("xi", f"state dimension {c.n} expected, got {xi.shape[1]}")
+    dt = grid.dt
+    x = np.ascontiguousarray(xi.T)  # the atoms are the step-0 nodes, in order
+    states, xbars = [x], []
+    for k in range(grid.n_steps):
+        F = _nonzero(c.F, tree, k, per_prefix=True)
+        xbar = tree.prefix_mean_rows(k, x) if means or F is not None else None
+        xbars.append(xbar)
+        drift = _mv(_coeff_rows(c.A, tree, k), x) + _mv(_coeff_rows(c.B, tree, k), u[k])
+        shift = _nonzero(c.b, tree, k, per_prefix=True)
+        if F is not None:
+            shift = _mv(F, xbar) if shift is None else _mv(F, xbar) + shift
+        if shift is not None:
+            drift = _plus_prefix(tree, k, drift, shift)
+        x = tree.children_rows(k, x + dt * drift, _nonzero(c.D, tree, k), _nonzero(c.D0, tree, k))
+        states.append(x)
+    if not means:
+        return states, None
+    xbars.append(tree.prefix_mean_rows(grid.n_steps, x))
+    return states, xbars
+
+
+def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: list,
+               xbars=None) -> float:
+    """The mean-field cost of state rows x under control rows u; xbars, if
+    given, are the states' per-prefix means, else folded where H needs them."""
+    has_h = c.H.any()
+
+    def deviation(k):
+        if not has_h:
+            return x[k]
+        xbar = xbars[k] if xbars is not None else tree.prefix_mean_rows(k, x[k])
+        return x[k] - tree.expand_rows(k, c.H @ xbar)
+
+    total = 0.0
+    for k in range(grid.n_steps):
+        e, v = deviation(k), u[k]
+        integrand = (
+            _quad(e, _coeff_rows(c.Q, tree, k), e)
+            + 2.0 * _quad(e, _coeff_rows(c.S, tree, k), v)
+            + _quad(v, _coeff_rows(c.R, tree, k), v)
+        )
+        zeta, varpi = _nonzero(c.zeta, tree, k), _nonzero(c.varpi, tree, k)
+        if zeta is not None:
+            integrand = integrand + 2.0 * _dot(zeta, e)
+        if varpi is not None:
+            integrand = integrand + 2.0 * _dot(varpi, v)
+        total += grid.dt * float(np.dot(tree.probs(k), integrand))
+    eT = deviation(grid.n_steps)
+    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, c.QT, eT)))
+    return 0.5 * total
 
 
 def simulate_mft(
@@ -133,21 +213,7 @@ def simulate_mft(
     """
     _check_control(u, c, grid, tree)
     xi = _atom_values(xi, tree, "xi")
-    if xi.shape[1] != c.n:
-        raise DimensionError("xi", f"state dimension {c.n} expected, got {xi.shape[1]}")
-    dt = grid.dt
-    x = xi[tree.atom_of_node[0]]
-    values = [x]
-    for k in range(grid.n_steps):
-        drift = _mv(coeff_nodes(c.A, tree, k), x) + _mv(coeff_nodes(c.B, tree, k), u.values[k])
-        F, b = _nonzero(c.F, tree, k), _nonzero(c.b, tree, k)
-        if F is not None:
-            drift = drift + _mv(F, tree.ce_f0_step(k, x)[1])
-        if b is not None:
-            drift = drift + b
-        x = _children(tree, k, x + dt * drift, _nonzero(c.D, tree, k), _nonzero(c.D0, tree, k))
-        values.append(x)
-    return TreeProcess(tree, values, F_ADAPTED)
+    return _process(tree, _rollout(c, tree, grid, _rows_of(u, grid.n_steps), xi)[0])
 
 
 def simulate_bar(
@@ -200,26 +266,7 @@ def eval_cost_mft(
     """
     _check_state(x, c, grid, tree)
     _check_control(u, c, grid, tree)
-    dev = x.values
-    if c.H.any():
-        dev = [v - tree.ce_f0_step(k, v)[1] @ c.H.T for k, v in enumerate(dev)]
-    total = 0.0
-    for k in range(grid.n_steps):
-        e, v = dev[k], u.values[k]
-        integrand = (
-            _quad(e, coeff_nodes(c.Q, tree, k), e)
-            + 2.0 * _quad(e, coeff_nodes(c.S, tree, k), v)
-            + _quad(v, coeff_nodes(c.R, tree, k), v)
-        )
-        zeta, varpi = _nonzero(c.zeta, tree, k), _nonzero(c.varpi, tree, k)
-        if zeta is not None:
-            integrand = integrand + 2.0 * _dot(zeta, e)
-        if varpi is not None:
-            integrand = integrand + 2.0 * _dot(varpi, v)
-        total += grid.dt * float(np.dot(tree.probs(k), integrand))
-    eT = dev[grid.n_steps]
-    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, c.QT, eT)))
-    return 0.5 * total
+    return _cost_rows(c, tree, grid, _rows_of(x), _rows_of(u, grid.n_steps))
 
 
 def eval_cost_bar(
@@ -313,39 +360,33 @@ def lemma_identities(
     cb = bar_transform(c)
     parts = split_pair(x, u, tree)
     dt = grid.dt
+    N = grid.n_steps
+    xs, us = _rows_of(x), _rows_of(u, N)
+    xbars, ubars = _rows_of(parts.xbar), _rows_of(parts.ubar, N)
+    xbres, ubres = _rows_of(parts.xbreve), _rows_of(parts.ubreve, N)
     acc = {key: [0.0, 0.0] for key in ("i", "ii", "iii", "iv", "v")}
-    for k in range(grid.n_steps):
-        xk, uk = x.values[k], u.values[k]
-        xbar, ubar = parts.xbar.values[k], parts.ubar.values[k]
-        xbre, ubre = parts.xbreve.values[k], parts.ubreve.values[k]
-        e = xk - xbar @ c.H.T
-        p = tree.probs(k)
-        Q = coeff_nodes(c.Q, tree, k)
-        S = coeff_nodes(c.S, tree, k)
-        R = coeff_nodes(c.R, tree, k)
-        zeta = coeff_nodes(c.zeta, tree, k)
-        varpi = coeff_nodes(c.varpi, tree, k)
-        Qb = coeff_nodes(cb.Qbar, tree, k)
-        Sb = coeff_nodes(cb.Sbar, tree, k)
-        zb = coeff_nodes(cb.zetabar, tree, k)
-
-        acc["i"][0] += dt * float(p @ _dot(zeta, e))
-        acc["i"][1] += dt * float(p @ _dot(zb, xbar))
-        acc["ii"][0] += dt * float(p @ _dot(varpi, uk))
-        acc["ii"][1] += dt * float(p @ _dot(varpi, ubar))
-        acc["iii"][0] += dt * float(p @ _quad(uk, R, uk))
-        acc["iii"][1] += dt * float(p @ (_quad(ubre, R, ubre) + _quad(ubar, R, ubar)))
-        acc["iv"][0] += dt * float(p @ _quad(e, S, uk))
-        acc["iv"][1] += dt * float(p @ (_quad(xbre, S, ubre) + _quad(xbar, Sb, ubar)))
-        acc["v"][0] += dt * float(p @ _quad(e, Q, e))
-        acc["v"][1] += dt * float(p @ (_quad(xbre, Q, xbre) + _quad(xbar, Qb, xbar)))
+    for k in range(N):
+        xk, uk = xs[k], us[k]
+        xbar, ubar = xbars[k], ubars[k]
+        xbre, ubre = xbres[k], ubres[k]
+        e = xk - c.H @ xbar
+        Q, S, R, zeta, varpi = (_coeff_rows(co, tree, k) for co in (c.Q, c.S, c.R, c.zeta, c.varpi))
+        Qb, Sb, zb = (_coeff_rows(co, tree, k) for co in (cb.Qbar, cb.Sbar, cb.zetabar))
+        sides = {
+            "i": (_dot(zeta, e), _dot(zb, xbar)),
+            "ii": (_dot(varpi, uk), _dot(varpi, ubar)),
+            "iii": (_quad(uk, R, uk), _quad(ubre, R, ubre) + _quad(ubar, R, ubar)),
+            "iv": (_quad(e, S, uk), _quad(xbre, S, ubre) + _quad(xbar, Sb, ubar)),
+            "v": (_quad(e, Q, e), _quad(xbre, Q, xbre) + _quad(xbar, Qb, xbar)),
+        }
+        for key, pair in sides.items():
+            for side, values in enumerate(pair):
+                acc[key][side] += dt * float(tree.probs(k) @ values)
 
     out = {key: (lhs, rhs) for key, (lhs, rhs) in acc.items()}
-    N = grid.n_steps
     pN = tree.probs(N)
-    xT = x.values[N]
-    xbarT, xbreT = parts.xbar.values[N], parts.xbreve.values[N]
-    eT = xT - xbarT @ c.H.T
+    xbarT, xbreT = xbars[N], xbres[N]
+    eT = xs[N] - c.H @ xbarT
     lhs = float(pN @ _quad(eT, c.QT, eT))
     rhs = float(
         pN @ (_quad(xbreT, c.QT, xbreT) + _quad(xbarT, cb.QbarT, xbarT))
@@ -382,53 +423,39 @@ def estimate_convexity_margin(
     bar = bar_as_plain(homogeneous_bar(bar_transform(c)))
     breve = breve_as_plain(ch)
     zero_xi = np.zeros((tree.n_atoms, c.n))
+    N = grid.n_steps
 
-    def form(p: CoefficientSet, u: TreeProcess) -> float:
-        x0 = simulate_mft(p, tree, grid, u, zero_xi)
-        return 2.0 * eval_cost_mft(p, x0, u, tree, grid)
+    def form(p: CoefficientSet, u: list) -> float:
+        x, xbars = _rollout(p, tree, grid, u, zero_xi, means=bool(p.H.any()))
+        return 2.0 * _cost_rows(p, tree, grid, x, u, xbars)
 
-    m_mft = np.inf
-    m_bar = np.inf
-    m_breve = np.inf
+    def sq_norm(u: list) -> float:
+        v = _process(tree, u)
+        return inner_product(v, v, tree, grid)
+
+    m_mft = m_bar = m_breve = np.inf
     for j in range(n_samples):
         rng = np.random.default_rng([seed, j])
-        u = TreeProcess(
-            tree,
-            [rng.standard_normal((tree.n_nodes(k), c.d)) for k in range(grid.n_steps)],
-            F_ADAPTED,
-        )
-        nu = inner_product(u, u, tree, grid)
+        u = [rng.standard_normal((tree.n_nodes(k), c.d)).T for k in range(N)]
+        nu = sq_norm(u)
         m_mft = min(m_mft, form(ch, u) / nu)
 
-        ubar = conditional_expectation_f0(u, tree)
-        nbar = inner_product(ubar, ubar, tree, grid)
+        ubar = [tree.expand_rows(k, tree.prefix_mean_rows(k, v)) for k, v in enumerate(u)]
+        nbar = sq_norm(ubar)
         if nbar > 1e-14 * nu:
             m_bar = min(m_bar, form(bar, ubar) / nbar)
-        ubre = TreeProcess(tree, [a - b for a, b in zip(u.values, ubar.values)], F_ADAPTED)
-        nbre = inner_product(ubre, ubre, tree, grid)
+        ubre = [a - b for a, b in zip(u, ubar)]
+        nbre = sq_norm(ubre)
         if nbre > 1e-14 * nu:
             m_breve = min(m_breve, form(breve, ubre) / nbre)
 
         # fresh dedicated samples for the two restricted classes
-        v_pref = [
-            rng.standard_normal((tree.n_prefixes(k), c.d)) for k in range(grid.n_steps)
-        ]
-        v = TreeProcess(
-            tree, [tree.expand_f0(k, vp) for k, vp in enumerate(v_pref)], F0_ADAPTED
-        )
-        nv = inner_product(v, v, tree, grid)
-        m_bar = min(m_bar, form(bar, v) / nv)
-        raw = TreeProcess(
-            tree,
-            [rng.standard_normal((tree.n_nodes(k), c.d)) for k in range(grid.n_steps)],
-            F_ADAPTED,
-        )
-        alpha = TreeProcess(
-            tree,
-            [w - tree.ce_f0_step(k, w)[1] for k, w in enumerate(raw.values)],
-            F_ADAPTED,
-        )
-        na = inner_product(alpha, alpha, tree, grid)
+        v_pref = [rng.standard_normal((tree.n_prefixes(k), c.d)).T for k in range(N)]
+        v = [tree.expand_rows(k, vp) for k, vp in enumerate(v_pref)]
+        m_bar = min(m_bar, form(bar, v) / sq_norm(v))
+        raw = [rng.standard_normal((tree.n_nodes(k), c.d)).T for k in range(N)]
+        alpha = [w - tree.expand_rows(k, tree.prefix_mean_rows(k, w)) for k, w in enumerate(raw)]
+        na = sq_norm(alpha)
         if na > 1e-14:
             m_breve = min(m_breve, form(breve, alpha) / na)
     return ConvexityReport(float(m_mft), float(m_bar), float(m_breve), n_samples, seed)

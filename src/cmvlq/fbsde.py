@@ -23,14 +23,8 @@ import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, bar_transform, breve_as_plain
 from .decomposition import (
-    _atom_values,
-    _centered_atoms,
-    _children,
-    _mtv,
-    _mv,
-    coeff_nodes,
-    eval_cost_mft,
-    simulate_mft,
+    _abar, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _mtv, _mv,
+    _nonzero, _plus_prefix, _process, _rollout, _rows_of,
 )
 from .errors import ConvergenceError, DimensionError
 from .lattice import (
@@ -39,7 +33,6 @@ from .lattice import (
     JointTree,
     TimeGrid,
     TreeProcess,
-    w0_prefix_cums,
 )
 from .riccati import (
     OdeBackwardQuadratic,
@@ -124,39 +117,43 @@ def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, control
              adapted, noises) -> dict:
     """The adjoint family, cost and backward residual of plain problem p.
 
-    costate[k] is the value gradient at the step-k state.  The residual is
-    the worst relative gap in the adjoint equation costate_k =
+    states, controls and costate are (component, node) arrays per step;
+    costate[k] is the value gradient at the step-k state.  The residual
+    is the worst relative gap in the adjoint equation costate_k =
     (I + dt A)' E_k[costate_{k+1}] + dt (Q x_k + S u_k + zeta).  Returns
     the fields of a solution, with one noise loading per name in noises.
     """
     dt = grid.dt
-    pred = [tree.child_mean(k, costate[k + 1]) for k in range(grid.n_steps)]
+    pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(grid.n_steps)]
     worst = 0.0
     for k in range(grid.n_steps):
-        abar = np.eye(p.n) + dt * coeff_nodes(p.A, tree, k)
-        rhs = _mtv(abar, pred[k]) + dt * (
-            _mv(coeff_nodes(p.Q, tree, k), states[k])
-            + _mv(coeff_nodes(p.S, tree, k), controls[k])
-            + coeff_nodes(p.zeta, tree, k)
+        rhs = _mtv(_abar(_coeff_rows(p.A, tree, k), dt), pred[k]) + dt * (
+            _mv(_coeff_rows(p.Q, tree, k), states[k])
+            + _mv(_coeff_rows(p.S, tree, k), controls[k])
+            + _coeff_rows(p.zeta, tree, k)
         )
         scale = 1.0 + float(np.max(np.abs(costate[k])))
         worst = max(worst, float(np.max(np.abs(costate[k] - rhs))) / scale)
-    x, u = TreeProcess(tree, states, adapted), TreeProcess(tree, controls, adapted)
     fields = dict(
-        state=x,
-        control=u,
-        costate=TreeProcess(tree, costate, adapted),
-        costate_pred=TreeProcess(tree, pred, adapted),
-        cost=eval_cost_mft(p, x, u, tree, grid),
+        state=_process(tree, states, adapted),
+        control=_process(tree, controls, adapted),
+        costate=_process(tree, costate, adapted),
+        costate_pred=_process(tree, pred, adapted),
+        cost=_cost_rows(p, tree, grid, states, controls),
         backward_residual=worst,
     )
     for which in noises:
-        fields["noise_load_" + which] = TreeProcess(
+        fields["noise_load_" + which] = _process(
             tree,
-            [tree.child_increment_mean(k, costate[k + 1], which) for k in range(grid.n_steps)],
+            [tree.child_increment_mean_rows(k, costate[k + 1], which) for k in range(grid.n_steps)],
             adapted,
         )
     return fields
+
+
+def _prefix_rows(arrays) -> list:
+    """Per-prefix arrays (2**k, *shape) with the prefix axis moved last."""
+    return [np.moveaxis(a, 0, -1) for a in arrays]
 
 
 def solve_breve_fbsde(
@@ -171,17 +168,18 @@ def solve_breve_fbsde(
         pi = solve_pi(c)
     p = breve_as_plain(c)
     dt = grid.dt
-    z = _centered_atoms(xi_breve, tree)[tree.atom_of_node[0]]
+    z = np.ascontiguousarray(_centered_atoms(xi_breve, tree).T)
     states = [z]
     controls = []
-    for k in range(grid.n_steps):
-        a = -_mv(pi.node_gain(tree, k), z)
+    for k, gain in enumerate(_prefix_rows(pi.gain_state[: grid.n_steps])):
+        a = -_mv(tree.expand_rows(k, gain), z)
         controls.append(a)
-        drift = _mv(coeff_nodes(p.A, tree, k), z) + _mv(coeff_nodes(p.B, tree, k), a)
-        z = _children(tree, k, z + dt * drift, coeff_nodes(p.D, tree, k))
+        drift = _mv(_coeff_rows(p.A, tree, k), z) + _mv(_coeff_rows(p.B, tree, k), a)
+        z = tree.children_rows(k, z + dt * drift, _nonzero(p.D, tree, k))
         states.append(z)
     costate = [
-        _mv(pi.node_values(tree, k), states[k]) for k in range(grid.n_steps + 1)
+        _mv(tree.expand_rows(k, values), states[k])
+        for k, values in enumerate(_prefix_rows(pi.values[: grid.n_steps + 1]))
     ]
     return BreveSolution(
         **_adjoint(p, tree, grid, states, controls, costate, F_ADAPTED, ("w", "w0"))
@@ -207,39 +205,32 @@ def solve_bar_fbsde(
         offset = solve_offset(cb, l_solution)
     dt = grid.dt
     sq = grid.sqrt_dt
-    cums = w0_prefix_cums(grid)
     xi_bar = np.asarray(xi_bar, dtype=float)
     if xi_bar.shape != (cb.n,):
         raise DimensionError("xi_bar", f"expected shape {(cb.n,)}, got {xi_bar.shape}")
 
-    y = xi_bar[None, :].copy()
-    y_pref = [y]
-    v_pref = []
+    # (component, prefix) rows: prefix p has the children 2p and 2p+1,
+    # reached by the common-noise increments +sqrt(dt) and -sqrt(dt)
+    y = xi_bar[:, None]
+    y_pref, v_pref = [y], []
+    gains, shifts = _prefix_rows(l_solution.gain_state), _prefix_rows(offset.gain_const)
     for k in range(grid.n_steps):
-        v = -np.einsum("pij,pj->pi", l_solution.gain_state[k], y) - offset.gain_const[k]
+        v = -_mv(gains[k], y) - shifts[k]
         v_pref.append(v)
-        Ab = cb.Abar.at_w0(k, cums[k])
-        B = cb.B.at_w0(k, cums[k])
-        b = cb.b.at_w0(k, cums[k])
-        D0 = cb.D0.at_w0(k, cums[k])
-        drift = np.einsum("pij,pj->pi", Ab, y) + np.einsum("pij,pj->pi", B, v) + b
-        base = np.repeat(y + dt * drift, 2, axis=0)
-        signs = np.tile([1.0, -1.0], y.shape[0])[:, None]
-        y = base + np.repeat(D0, 2, axis=0) * signs * sq
+        drift = _mv(_coeff_prefix(cb.Abar, tree, k), y) + _mv(_coeff_prefix(cb.B, tree, k), v)
+        drift = drift + _coeff_prefix(cb.b, tree, k)
+        D0 = _coeff_prefix(cb.D0, tree, k)
+        D0 = D0 if D0.shape[-1] == 1 else np.repeat(D0, 2, axis=-1)
+        y = np.repeat(y + dt * drift, 2, axis=-1) + D0 * np.tile([sq, -sq], 2**k)
         y_pref.append(y)
-
-    cost_pref = [
-        np.einsum("pij,pj->pi", l_solution.values[k], y_pref[k]) + offset.offset[k]
-        for k in range(grid.n_steps + 1)
-    ]
+    values, offsets = _prefix_rows(l_solution.values), _prefix_rows(offset.offset)
+    cost_pref = [_mv(values[k], yk) + offsets[k] for k, yk in enumerate(y_pref)]
     return BarSolution(
         **_adjoint(
             bar_as_plain(cb),
             tree,
             grid,
-            [tree.expand_f0(k, yp) for k, yp in enumerate(y_pref)],
-            [tree.expand_f0(k, vp) for k, vp in enumerate(v_pref)],
-            [tree.expand_f0(k, cp) for k, cp in enumerate(cost_pref)],
+            *([tree.expand_rows(k, a) for k, a in enumerate(rows)] for rows in (y_pref, v_pref, cost_pref)),
             F0_ADAPTED,
             ("w0",),
         )
@@ -269,14 +260,16 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
         p = breve_as_plain(coeffs)
     else:
         raise TypeError(f"unsupported solution type {type(solution).__name__}")
+    states, controls = _rows_of(solution.state), _rows_of(solution.control)
+    preds = _rows_of(solution.costate_pred)
     per = []
     for k in range(grid.n_steps):
-        control = solution.control.values[k]
+        control = controls[k]
         res = (
-            _mv(coeff_nodes(p.R, tree, k), control)
-            + _mtv(coeff_nodes(p.S, tree, k), solution.state.values[k])
-            + _mtv(coeff_nodes(p.B, tree, k), solution.costate_pred.values[k])
-            + coeff_nodes(p.varpi, tree, k)
+            _mv(_coeff_rows(p.R, tree, k), control)
+            + _mtv(_coeff_rows(p.S, tree, k), states[k])
+            + _mtv(_coeff_rows(p.B, tree, k), preds[k])
+            + _coeff_rows(p.varpi, tree, k)
         )
         per.append(float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(control)))))
     return StationarityReport(max(per), per)
@@ -302,20 +295,13 @@ def assemble_optimal_control(
 
     bar = solve_bar_fbsde(cb, tree, grid, xi_mean)
     breve = solve_breve_fbsde(c, tree, grid, xi_breve)
-    u = TreeProcess(
-        tree,
-        [a + b for a, b in zip(bar.control.values, breve.control.values)],
-        F_ADAPTED,
-    )
+    u = [a + b for a, b in zip(_rows_of(bar.control), _rows_of(breve.control))]
     if resimulate:
-        x = simulate_mft(c, tree, grid, u, xi)
+        x, xbars = _rollout(c, tree, grid, u, xi, means=bool(c.H.any()))
     else:
-        x = TreeProcess(
-            tree,
-            [a + b for a, b in zip(bar.state.values, breve.state.values)],
-            F_ADAPTED,
-        )
-    cost = eval_cost_mft(c, x, u, tree, grid)
+        x, xbars = [a + b for a, b in zip(_rows_of(bar.state), _rows_of(breve.state))], None
+    cost = _cost_rows(c, tree, grid, x, u, xbars)
+    x, u = _process(tree, x), _process(tree, u)
     return MftSolution(state=x, control=u, bar=bar, breve=breve, cost=cost)
 
 
@@ -408,76 +394,65 @@ def solve_coupled_mv_fbsde(
     xi = _atom_values(xi, tree, "xi")
     dt = grid.dt
     N = grid.n_steps
-    eye = np.eye(c.n)
-    u_vals = [np.zeros((tree.n_nodes(k), c.d)) for k in range(N)]
+    u = [np.zeros((c.d, tree.n_nodes(k))) for k in range(N)]
+    # E[u|F0] per prefix, updated with u: the control map is affine with
+    # F0-measurable coefficients, so it never needs a fold
+    ubar = [np.zeros((c.d, tree.n_prefixes(k))) for k in range(N)]
     history = []
-    pred = None
     for _ in range(max_iter):
-        u = TreeProcess(tree, u_vals, F_ADAPTED)
-        x = simulate_mft(c, tree, grid, u, xi)
-        xbars = [tree.ce_f0_step(k, x.values[k])[1] for k in range(N + 1)]
-        ubars = [tree.ce_f0_step(k, u_vals[k])[1] for k in range(N)]
-
-        QbT = cb.QbarT
-        cur = (
-            x.values[N] @ c.QT.T
-            + xbars[N] @ (QbT - c.QT).T
-        )
-        pred = [None] * N
-        new_u = [None] * N
+        x, xbar = _rollout(c, tree, grid, u, xi, means=True)
+        cur = c.QT @ x[N] + tree.expand_rows(N, (cb.QbarT - c.QT) @ xbar[N])
+        pred, new_u, new_ubar = [None] * N, [None] * N, [None] * N
         change = 0.0
         for k in reversed(range(N)):
-            yt = tree.child_mean(k, cur)
+            yt = tree.child_mean_rows(k, cur)
             pred[k] = yt
-            ce_yt = tree.ce_f0_step(k, yt)[1]
-            A = coeff_nodes(c.A, tree, k)
-            F = coeff_nodes(c.F, tree, k)
-            Q = coeff_nodes(c.Q, tree, k)
-            Qb = coeff_nodes(cb.Qbar, tree, k)
-            S = coeff_nodes(c.S, tree, k)
-            R = coeff_nodes(c.R, tree, k)
-            B = coeff_nodes(c.B, tree, k)
-            zb = coeff_nodes(cb.zetabar, tree, k)
-            varpi = coeff_nodes(c.varpi, tree, k)
-            abar = eye + dt * A
-
-            s_u = _mv(S, u_vals[k])
-            s_ubar = _mv(S, ubars[k])
-            running = (
-                _mv(Q, x.values[k])
-                + _mv(Qb - Q, xbars[k])
-                + s_u
-                - s_ubar @ c.H
-                + zb
+            ybar = tree.prefix_mean_rows(k, yt)
+            S, R = _coeff_rows(c.S, tree, k), _coeff_rows(c.R, tree, k)
+            Sp, Rp, Bp, varpi = (_coeff_prefix(co, tree, k) for co in (c.S, c.R, c.B, c.varpi))
+            # the terms constant on each prefix are summed per prefix and
+            # expanded once: F' E[y], (Qbar - Q) xbar, -H' S ubar, zetabar
+            per_prefix = (
+                _mtv(_coeff_prefix(c.F, tree, k), ybar)
+                + _mv(_coeff_prefix(cb.Qbar, tree, k), xbar[k])
+                - _mv(_coeff_prefix(c.Q, tree, k), xbar[k])
+                - c.H.T @ _mv(Sp, ubar[k])
+                + _coeff_prefix(cb.zetabar, tree, k)
             )
-            cur = _mtv(abar, yt) + dt * (_mtv(F, ce_yt) + running)
+            running = _mv(_coeff_rows(c.Q, tree, k), x[k]) + _mv(S, u[k])
+            cur = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), yt) + dt * _plus_prefix(
+                tree, k, running, per_prefix
+            )
 
-            e = x.values[k] - xbars[k] @ c.H.T
-            rhs = _mtv(S, e) + _mtv(B, yt) + varpi
-            if R.ndim == 2:
-                cand = -np.linalg.solve(R, rhs.T).T
-            else:
-                cand = -np.linalg.solve(R, rhs[..., None])[..., 0]
-            new_u[k] = cand
-            scale = 1.0 + float(np.max(np.abs(u_vals[k])))
-            change = max(change, float(np.max(np.abs(cand - u_vals[k]))) / scale)
+            # first-order condition on e = x - H xbar
+            hx = c.H @ xbar[k]
+            rhs = _mtv(S, x[k]) + _mtv(_coeff_rows(c.B, tree, k), yt)
+            new_u[k] = -_solve(R, _plus_prefix(tree, k, rhs, varpi - _mtv(Sp, hx)))
+            new_ubar[k] = -_solve(Rp, _mtv(Sp, xbar[k] - hx) + _mtv(Bp, ybar) + varpi)
+            scale = 1.0 + float(np.max(np.abs(u[k])))
+            change = max(change, float(np.max(np.abs(new_u[k] - u[k]))) / scale)
 
         history.append(change)
         if change <= tol:
-            cost = eval_cost_mft(c, x, u, tree, grid)
             return CoupledSolution(
-                state=x,
-                control=u,
-                costate_pred=pred,
-                cost=cost,
+                state=_process(tree, x),
+                control=_process(tree, u),
+                costate_pred=[p.T for p in pred],
+                cost=_cost_rows(c, tree, grid, x, u, xbar),
                 iterations=len(history),
                 residual_history=history,
             )
-        u_vals = [
-            old + damping * (new - old) for old, new in zip(u_vals, new_u)
-        ]
+        u = [old + damping * (new - old) for old, new in zip(u, new_u)]
+        ubar = [old + damping * (new - old) for old, new in zip(ubar, new_ubar)]
     raise ConvergenceError(
         f"coupled fixed point did not converge within {max_iter} sweeps "
         f"(last change {history[-1]:.3e})",
         residual_history=history,
     )
+
+
+def _solve(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """R^-1 rhs per column, for a shared (d, d) or per-column (d, d, m) R."""
+    if R.ndim == 2:
+        return np.linalg.solve(R, rhs)
+    return np.linalg.solve(np.moveaxis(R, -1, 0), rhs.T[..., None])[..., 0].T

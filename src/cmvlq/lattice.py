@@ -17,15 +17,19 @@ so conditioning on the common noise averages over them.
 
 In the node index, step j contributes the base-4 digit 2*b0 + b1, where
 b0 is the common-noise bit and b1 the idiosyncratic bit (0 = "+"), first
-step most significant.  A node array therefore reshapes, without copying,
-to axes (atom, b0_0, b1_0, ..., b0_{k-1}, b1_{k-1}, payload...), and the
-W0 prefix id is the b0 bits read in the same order.  Conditioning works on
-that view in node order: it folds the b1 bits out, first step first, by
-adding slice pairs, then weights the atoms; expanding per-prefix values
-back onto the nodes broadcasts them over the atom and b1 axes.  Neither
-gathers by index.  Node-dependent coefficients are evaluated once per
-prefix and expanded the same way; deterministic ones are never copied
-onto the nodes.
+step most significant; the W0 prefix id (``w0_of_node``) is the b0 bits.
+
+The kernels (``JointTree`` methods ending in ``_rows``) work in
+(component, node) layout, node axis last, so each state or control
+component is one long contiguous row.  Conditioning folds the b1 bits
+out of a row in node order, first step first, by adding slice pairs, then
+weights the atoms; per-prefix values go back onto the nodes by one
+``take`` on ``w0_of_node``; children are written one branch slot at a
+time.  Node-dependent coefficients are evaluated once per prefix and
+expanded the same way; deterministic ones are never copied onto the
+nodes.  ``TreeProcess.values`` and the node-major methods keep the
+(node, component) shape, moving the node axis on entry and return
+without a copy.
 """
 
 from __future__ import annotations
@@ -172,102 +176,128 @@ class JointTree:
 
     def prefix_mean(self, k: int, values: np.ndarray) -> np.ndarray:
         """Conditional expectation given the W0 prefix, shape (2**k, ...)."""
-        folded = self._fold_w(k, values)
-        weights = self._atom_weights * 0.5**k
-        return (weights @ folded.reshape(self.n_atoms, -1)).reshape(folded.shape[1:])
+        return _node_major(self.prefix_mean_rows(k, _rows(values)))
 
     def prefix_sum(self, k: int, values: np.ndarray) -> np.ndarray:
         """Unweighted sum over the nodes of each W0 prefix, shape (2**k, ...)."""
-        return self._fold_w(k, values).sum(axis=0)
+        return _node_major(self.fold_rows(k, _rows(values)).sum(axis=-2))
 
     def expand_f0(self, k: int, prefix_values: np.ndarray) -> np.ndarray:
         """Broadcast per-prefix values (2**k, ...) onto the full node set."""
-        pv = np.asarray(prefix_values)
-        if pv.shape[0] != 2**k:
-            raise DimensionError("prefix_values", f"expected leading dim {2 ** k}, got {pv.shape[0]}", step=k)
-        out = np.empty((self.n_nodes(k),) + pv.shape[1:], dtype=pv.dtype)
-        self._digits(k, out)[...] = pv.reshape((1,) + (2, 1) * k + pv.shape[1:])
-        return out
-
-    def group_by_prefix(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Node values regrouped as (2**k, n_atoms * 2**k, ...).
-
-        Row p lists the nodes of W0 prefix p, ordered by (atom, W
-        history); each member carries the weight atom_prob / 2**k.
-        """
-        v = self._digits(k, np.asarray(values))
-        return v.transpose(self._group_axes(k, v.ndim)).reshape(
-            (2**k, self.n_atoms * 2**k) + v.shape[1 + 2 * k :]
-        )
-
-    def ungroup(self, k: int, grouped: np.ndarray) -> np.ndarray:
-        """Inverse of group_by_prefix: back to node order."""
-        g = np.asarray(grouped)
-        split = g.reshape((2,) * k + (self.n_atoms,) + (2,) * k + g.shape[2:])
-        back = np.argsort(self._group_axes(k, split.ndim))
-        return split.transpose(back).reshape((self.n_nodes(k),) + g.shape[2:])
+        return _node_major(self.expand_rows(k, _rows(prefix_values)))
 
     def child_mean(self, k: int, child_values: np.ndarray) -> np.ndarray:
-        """One-step predictor: mean over the four children of each node.
-
-        child_values lives on step k+1; the result on step k.  Children
-        of node i occupy slots 4i..4i+3, each with weight 1/4.
-        """
-        v = self._children_grouped(k, child_values)
-        return 0.25 * (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3])
+        """Node-major form of child_mean_rows: step k+1 values to step k."""
+        return _node_major(self.child_mean_rows(k, _rows(child_values)))
 
     def child_increment_mean(self, k: int, child_values: np.ndarray, which: str) -> np.ndarray:
+        """Node-major form of child_increment_mean_rows."""
+        return _node_major(self.child_increment_mean_rows(k, _rows(child_values), which))
+
+    def fold_rows(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Sum out the idiosyncratic bits: (..., n_nodes(k)) -> (..., n_atoms, 2**k).
+
+        In prefix order.  The first step goes first: its b1 halves are the
+        longest contiguous runs, so the largest fold is the fastest one.
+        """
+        v = np.asarray(rows)
+        lead = v.shape[:-1]
+        if v.shape[-1] != self.n_nodes(k):
+            raise DimensionError("values", f"expected {self.n_nodes(k)} nodes, got {v.shape[-1]}", step=k)
+        outer = int(np.prod(lead, dtype=np.int64)) * self.n_atoms
+        for j in range(k):
+            # axes (payload, atom and kept b0 bits before j, b0_j, b1_j, steps after j)
+            v = v.reshape(outer * 2**j, 2, 2, 4 ** (k - 1 - j))
+            v = v[:, :, 0] + v[:, :, 1]
+        return v.reshape(lead + (self.n_atoms, 2**k))
+
+    def prefix_mean_rows(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Conditional expectation given the W0 prefix: (..., 2**k)."""
+        weights = self._atom_weights * 0.5**k
+        return weights @ self.fold_rows(k, rows)
+
+    def expand_rows(self, k: int, prefix_rows: np.ndarray) -> np.ndarray:
+        """Per-prefix values (..., 2**k) onto the nodes of step k: (..., n_nodes(k))."""
+        pv = np.asarray(prefix_rows)
+        if pv.shape[-1] != 2**k:
+            raise DimensionError("prefix_values", f"expected {2 ** k} prefixes, got {pv.shape[-1]}", step=k)
+        return np.take(pv, self.w0_of_node[k], axis=-1)
+
+    def child_mean_rows(self, k: int, child_rows: np.ndarray) -> np.ndarray:
+        """One-step predictor: mean over the four children of each node.
+
+        (..., n_nodes(k+1)) -> (..., n_nodes(k)).  Children of node i
+        occupy slots 4i..4i+3, each with weight 1/4.
+        """
+        v = self._children_grouped(k, child_rows)
+        return 0.25 * (v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3])
+
+    def child_increment_mean_rows(self, k: int, child_rows: np.ndarray, which: str) -> np.ndarray:
         """E[value * dW]/dt over each node's children, for either noise.
 
         On the two-point increment this extracts the exact martingale
         loading of the chosen Wiener process.
         """
-        v = self._children_grouped(k, child_values)
-        if which == "w":
-            pattern = np.array([1.0, -1.0, 1.0, -1.0])
-        elif which == "w0":
-            pattern = np.array([1.0, 1.0, -1.0, -1.0])
-        else:
+        patterns = {"w": [1.0, -1.0, 1.0, -1.0], "w0": [1.0, 1.0, -1.0, -1.0]}
+        if which not in patterns:
             raise ValueError(f"which must be 'w' or 'w0', got {which!r}")
-        shaped = pattern.reshape((1, 4) + (1,) * (v.ndim - 2))
-        return (v * shaped).sum(axis=1) / (4.0 * self.grid.sqrt_dt)
+        v = self._children_grouped(k, child_rows)
+        return (v * np.array(patterns[which])).sum(axis=-1) / (4.0 * self.grid.sqrt_dt)
 
-    def _children_grouped(self, k: int, child_values: np.ndarray) -> np.ndarray:
-        v = np.asarray(child_values)
+    def children_rows(self, k: int, mean: np.ndarray, D=None, D0=None) -> np.ndarray:
+        """States at the children of the step-k nodes: mean + D dW + D0 dW0.
+
+        mean is (n, n_nodes(k)); each loading None, shared (n, 1) or per
+        node.  Child slot j of all nodes is written in one strided pass.
+        """
+        m = np.asarray(mean)
+        if k < 0 or k + 1 > self.grid.n_steps or m.shape[-1] != self.n_nodes(k):
+            raise DimensionError("mean", f"no step-{k + 1} children for {m.shape[-1]} nodes", step=k)
+        pairs = ((D, self.last_dw[k + 1]), (D0, self.last_dw0[k + 1]))
+        loads = [(load, dw[:4]) for load, dw in pairs if load is not None]
+        if not loads:
+            return np.repeat(m, 4, axis=-1)
+        out = np.empty(m.shape + (4,))
+        for j in range(4):
+            np.add(m, sum(load * dw[j] for load, dw in loads), out=out[..., j])
+        return out.reshape(m.shape[:-1] + (4 * m.shape[-1],))
+
+    def group_by_prefix(self, k: int, values: np.ndarray) -> np.ndarray:
+        """Node values regrouped as (2**k, n_atoms * 2**k, ...).
+
+        Row p lists the nodes of W0 prefix p in node order, that is by
+        (atom, W history); each member carries the weight atom_prob / 2**k.
+        """
+        v = np.asarray(values)
+        if v.shape[0] != self.n_nodes(k):
+            raise DimensionError("values", f"expected {self.n_nodes(k)} nodes, got {v.shape[0]}", step=k)
+        return v[np.argsort(self.w0_of_node[k], kind="stable")].reshape((2**k, -1) + v.shape[1:])
+
+    def ungroup(self, k: int, grouped: np.ndarray) -> np.ndarray:
+        """Inverse of group_by_prefix: back to node order."""
+        g = np.asarray(grouped)
+        out = np.empty((self.n_nodes(k),) + g.shape[2:], dtype=g.dtype)
+        out[np.argsort(self.w0_of_node[k], kind="stable")] = g.reshape((-1,) + g.shape[2:])
+        return out
+
+    def _children_grouped(self, k: int, child_rows: np.ndarray) -> np.ndarray:
+        v = np.asarray(child_rows)
         if k < 0 or k + 1 > self.grid.n_steps:
             raise DimensionError("step", f"no children beyond step {self.grid.n_steps}", step=k)
-        if v.shape[0] != self.n_nodes(k + 1):
+        if v.shape[-1] != self.n_nodes(k + 1):
             raise DimensionError(
-                "child_values",
-                f"expected leading dim {self.n_nodes(k + 1)}, got {v.shape[0]}",
-                step=k + 1,
+                "child_values", f"expected {self.n_nodes(k + 1)} nodes, got {v.shape[-1]}", step=k + 1
             )
-        return v.reshape((self.n_nodes(k), 4) + v.shape[1:])
+        return v.reshape(v.shape[:-1] + (self.n_nodes(k), 4))
 
-    def _digits(self, k: int, v: np.ndarray) -> np.ndarray:
-        # axes (atom, b0_0, b1_0, ..., b0_{k-1}, b1_{k-1}, payload...)
-        if v.shape[0] != self.n_nodes(k):
-            raise DimensionError("values", f"expected leading dim {self.n_nodes(k)}, got {v.shape[0]}", step=k)
-        return v.reshape((self.n_atoms,) + (2, 2) * k + v.shape[1:])
+def _rows(values) -> np.ndarray:
+    """Node-major (nodes, ...) as a view with the node axis last."""
+    return np.moveaxis(np.asarray(values), 0, -1)
 
-    def _fold_w(self, k: int, values) -> np.ndarray:
-        """Sum out the idiosyncratic bits: (n_atoms, 2**k, ...) in prefix order."""
-        v = self._digits(k, np.asarray(values))
-        payload = v.shape[1 + 2 * k :]
-        # First step first: its two b1 halves are the longest contiguous
-        # runs, so the largest fold is the fastest one.
-        for j in range(k):
-            # axes (atom and kept b0 bits before j, b0_j, b1_j, steps after j)
-            v = v.reshape((self.n_atoms * 2**j, 2, 2, 4 ** (k - 1 - j)) + payload)
-            v = v[:, :, 0] + v[:, :, 1]
-        return v.reshape((self.n_atoms, 2**k) + payload)
 
-    @staticmethod
-    def _group_axes(k: int, ndim: int) -> list:
-        # digit axes reordered to (b0 bits, atom, b1 bits, payload...)
-        b0 = [1 + 2 * j for j in range(k)]
-        b1 = [2 + 2 * j for j in range(k)]
-        return b0 + [0] + b1 + list(range(1 + 2 * k, ndim))
+def _node_major(rows: np.ndarray) -> np.ndarray:
+    """Node axis last back to node-major, as a view."""
+    return np.moveaxis(rows, -1, 0)
 
 
 def probs_normalized(p) -> np.ndarray:

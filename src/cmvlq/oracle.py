@@ -29,7 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, breve_as_plain
-from .decomposition import _mtv, _mv, _nonzero, coeff_nodes, eval_cost_mft, simulate_mft
+from .decomposition import (
+    _abar, _atom_values, _check_control, _coeff_rows, _mtv, _mv, _nonzero, _plus_prefix, _rollout,
+    _rows_of, eval_cost_mft, simulate_mft,
+)
 from .errors import ConvergenceError, DimensionError
 from .lattice import (
     F0_ADAPTED,
@@ -77,54 +80,55 @@ def cost_gradient(
     over nodes: the conditional-mean couplings show up as group-averaged
     back-propagation terms.
     """
-    x = simulate_mft(c, tree, grid, u, xi)
     N = grid.n_steps
     dt = grid.dt
-    eye = np.eye(c.n)
+    _check_control(u, c, grid, tree)
+    u = _rows_of(u, N)
     # Terms with a zero H, F, zeta or varpi, as the plain views of both
     # sub-problems have them, would add exact zeros; they are skipped, and
     # with H and F their conditioning folds.
-    has_h = c.H.any()
+    H = c.H if c.H.any() else None
+    x, xbars = _rollout(c, tree, grid, u, _atom_values(xi, tree, "xi"), means=H is not None)
 
     def deviation(k):
-        if not has_h:
-            return x.values[k]
-        _, xbar = tree.ce_f0_step(k, x.values[k])
-        return x.values[k] - xbar @ c.H.T
+        if H is None:
+            return x[k]
+        return x[k] - tree.expand_rows(k, H @ xbars[k])
 
     def sym(mats):
-        return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+        return 0.5 * (mats + np.swapaxes(mats, 0, 1))
 
-    grad_x = deviation(N) @ (0.5 * (c.QT + c.QT.T))
-    if has_h:
-        grad_x = grad_x - tree.ce_f0_step(N, grad_x)[1] @ c.H
+    grad_x = sym(c.QT) @ deviation(N)
+    if H is not None:
+        grad_x = grad_x - tree.expand_rows(N, H.T @ tree.prefix_mean_rows(N, grad_x))
     out = [None] * N
     for k in reversed(range(N)):
-        nabla_hat = tree.child_mean(k, grad_x)
-        A = coeff_nodes(c.A, tree, k)
-        B = coeff_nodes(c.B, tree, k)
-        Q = sym(coeff_nodes(c.Q, tree, k))
-        S = coeff_nodes(c.S, tree, k)
-        R = sym(coeff_nodes(c.R, tree, k))
-        F = _nonzero(c.F, tree, k)
+        nabla_hat = tree.child_mean_rows(k, grad_x)
+        F = _nonzero(c.F, tree, k, per_prefix=True)
         zeta = _nonzero(c.zeta, tree, k)
         varpi = _nonzero(c.varpi, tree, k)
+        S = _coeff_rows(c.S, tree, k)
         xtk = deviation(k)
 
-        gk = _mv(R, u.values[k]) + _mtv(S, xtk)
+        gk = _mv(sym(_coeff_rows(c.R, tree, k)), u[k]) + _mtv(S, xtk)
         if varpi is not None:
             gk = gk + varpi
-        gk = gk + _mtv(B, nabla_hat)
-        out[k] = (tree.probs(k) * dt)[:, None] * gk
+        gk = gk + _mtv(_coeff_rows(c.B, tree, k), nabla_hat)
+        out[k] = (gk * (tree.probs(k) * dt)).T
 
-        stage = _mv(Q, xtk) + _mv(S, u.values[k])
+        stage = _mv(sym(_coeff_rows(c.Q, tree, k)), xtk) + _mv(S, u[k])
         if zeta is not None:
             stage = stage + zeta
-        if has_h:
-            stage = stage - tree.ce_f0_step(k, stage)[1] @ c.H
-        grad_x = dt * stage + _mtv(eye + dt * A, nabla_hat)
+        # the conditional-mean terms are constant on each prefix: summed
+        # there and expanded once
+        per_prefix = np.zeros((c.n, 1))
+        if H is not None:
+            per_prefix = per_prefix - H.T @ tree.prefix_mean_rows(k, stage)
         if F is not None:
-            grad_x = grad_x + dt * tree.ce_f0_step(k, _mtv(F, nabla_hat))[1]
+            per_prefix = per_prefix + _mtv(F, tree.prefix_mean_rows(k, nabla_hat))
+        grad_x = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), nabla_hat) + dt * _plus_prefix(
+            tree, k, stage, per_prefix
+        )
     return out
 
 

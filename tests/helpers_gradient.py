@@ -8,50 +8,54 @@ zero or not, so the two must agree exactly.
 
 import numpy as np
 
-from cmvlq.decomposition import _mtv, _mv, coeff_nodes, simulate_mft
+from cmvlq.decomposition import (
+    _abar,
+    _atom_values,
+    _coeff_prefix,
+    _coeff_rows,
+    _mtv,
+    _mv,
+    _plus_prefix,
+    _rollout,
+    _rows_of,
+)
 
 
 def ref_cost_gradient(c, tree, grid, u, xi):
-    """One (n_nodes(k), d) array of cost derivatives per step."""
-    x = simulate_mft(c, tree, grid, u, xi)
+    """One (n_nodes(k), d) array of cost derivatives per step.
+
+    The same (component, node) sweep as the library's, with every term
+    computed whether its coefficient is zero or not.
+    """
     N = grid.n_steps
     dt = grid.dt
-    eye = np.eye(c.n)
+    u = _rows_of(u, N)
+    x, xbars = _rollout(c, tree, grid, u, _atom_values(xi, tree, "xi"), means=True)
 
     def deviation(k):
-        _, xbar = tree.ce_f0_step(k, x.values[k])
-        return x.values[k] - xbar @ c.H.T
+        return x[k] - tree.expand_rows(k, c.H @ xbars[k])
 
     def sym(mats):
-        return 0.5 * (mats + np.swapaxes(mats, -1, -2))
+        return 0.5 * (mats + np.swapaxes(mats, 0, 1))
 
-    xt = deviation(N)
-    qx = xt @ (0.5 * (c.QT + c.QT.T))
-    _, ce = tree.ce_f0_step(N, qx)
-    grad_x = qx - ce @ c.H
+    grad_x = sym(c.QT) @ deviation(N)
+    grad_x = grad_x - tree.expand_rows(N, c.H.T @ tree.prefix_mean_rows(N, grad_x))
     out = [None] * N
     for k in reversed(range(N)):
-        nabla_hat = tree.child_mean(k, grad_x)
-        A = coeff_nodes(c.A, tree, k)
-        B = coeff_nodes(c.B, tree, k)
-        F = coeff_nodes(c.F, tree, k)
-        Q = sym(coeff_nodes(c.Q, tree, k))
-        S = coeff_nodes(c.S, tree, k)
-        R = sym(coeff_nodes(c.R, tree, k))
-        zeta = coeff_nodes(c.zeta, tree, k)
-        varpi = coeff_nodes(c.varpi, tree, k)
+        nabla_hat = tree.child_mean_rows(k, grad_x)
+        S = _coeff_rows(c.S, tree, k)
         xtk = deviation(k)
 
-        gk = _mv(R, u.values[k]) + _mtv(S, xtk) + varpi + _mtv(B, nabla_hat)
-        out[k] = (tree.probs(k) * dt)[:, None] * gk
+        gk = _mv(sym(_coeff_rows(c.R, tree, k)), u[k]) + _mtv(S, xtk)
+        gk = gk + _coeff_rows(c.varpi, tree, k)
+        gk = gk + _mtv(_coeff_rows(c.B, tree, k), nabla_hat)
+        out[k] = (gk * (tree.probs(k) * dt)).T
 
-        stage = _mv(Q, xtk) + _mv(S, u.values[k]) + zeta
-        _, ce_stage = tree.ce_f0_step(k, stage)
-        fterm = _mtv(F, nabla_hat)
-        _, ce_f = tree.ce_f0_step(k, fterm)
-        grad_x = (
-            dt * (stage - ce_stage @ c.H)
-            + _mtv(eye + dt * A, nabla_hat)
-            + dt * ce_f
+        stage = _mv(sym(_coeff_rows(c.Q, tree, k)), xtk) + _mv(S, u[k])
+        stage = stage + _coeff_rows(c.zeta, tree, k)
+        per_prefix = np.zeros((c.n, 1)) - c.H.T @ tree.prefix_mean_rows(k, stage)
+        per_prefix = per_prefix + _mtv(_coeff_prefix(c.F, tree, k), tree.prefix_mean_rows(k, nabla_hat))
+        grad_x = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), nabla_hat) + dt * _plus_prefix(
+            tree, k, stage, per_prefix
         )
     return out

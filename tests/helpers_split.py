@@ -7,59 +7,56 @@ versions written against the bar and breve coefficients directly: the
 bar recursion driven by the common noise alone, the centered recursion
 driven by the idiosyncratic noise alone, their two cost sums, and the
 exact backward loop for L on the common-noise prefixes.  They share only
-the node products and the tree with the library, and skip its input
-checks.
+the (component, node) products and the tree's kernels with the library,
+and skip its input checks.
 """
 
 import numpy as np
 
-from cmvlq.decomposition import _children, _dot, _mv, _quad, coeff_nodes
+from cmvlq.decomposition import _coeff_prefix, _coeff_rows, _dot, _mv, _plus_prefix, _quad
 from cmvlq.lattice import w0_prefix_cums
 
 
 def ref_simulate_bar(cb, tree, grid, v, xi_bar):
     """Per-step node arrays of y_{k+1} = y + dt (Abar y + B v + b) + D0 dW0."""
-    y = np.broadcast_to(np.asarray(xi_bar, dtype=float), (tree.n_nodes(0), cb.n)).copy()
-    values = [y]
+    y = np.broadcast_to(np.asarray(xi_bar, dtype=float), (tree.n_nodes(0), cb.n)).T.copy()
+    values = [y.T]
     for k in range(grid.n_steps):
-        drift = (
-            _mv(coeff_nodes(cb.Abar, tree, k), y)
-            + _mv(coeff_nodes(cb.B, tree, k), v.values[k])
-            + coeff_nodes(cb.b, tree, k)
-        )
-        y = _children(tree, k, y + grid.dt * drift, D0=coeff_nodes(cb.D0, tree, k))
-        values.append(y)
+        drift = _mv(_coeff_rows(cb.Abar, tree, k), y) + _mv(_coeff_rows(cb.B, tree, k), v.values[k].T)
+        drift = _plus_prefix(tree, k, drift, _coeff_prefix(cb.b, tree, k))
+        y = tree.children_rows(k, y + grid.dt * drift, D0=_coeff_rows(cb.D0, tree, k))
+        values.append(y.T)
     return values
 
 
 def ref_simulate_breve(c, tree, grid, alpha, xi_breve):
     """Per-step node arrays of z_{k+1} = z + dt (A z + B alpha) + D dW."""
-    z = np.asarray(xi_breve, dtype=float)[tree.atom_of_node[0]]
-    values = [z]
+    z = np.asarray(xi_breve, dtype=float)[tree.atom_of_node[0]].T.copy()
+    values = [z.T]
     for k in range(grid.n_steps):
-        drift = _mv(coeff_nodes(c.A, tree, k), z) + _mv(coeff_nodes(c.B, tree, k), alpha.values[k])
-        z = _children(tree, k, z + grid.dt * drift, coeff_nodes(c.D, tree, k))
-        values.append(z)
+        drift = _mv(_coeff_rows(c.A, tree, k), z) + _mv(_coeff_rows(c.B, tree, k), alpha.values[k].T)
+        z = tree.children_rows(k, z + grid.dt * drift, _coeff_rows(c.D, tree, k))
+        values.append(z.T)
     return values
 
 
 def _lq_cost(tree, grid, states, controls, Q, S, R, QT, zeta=None, varpi=None):
     total = 0.0
     for k in range(grid.n_steps):
-        e, u = states[k], controls[k]
+        e, u = states[k].T, controls[k].T
         integrand = (
-            _quad(e, coeff_nodes(Q, tree, k), e)
-            + 2.0 * _quad(e, coeff_nodes(S, tree, k), u)
-            + _quad(u, coeff_nodes(R, tree, k), u)
+            _quad(e, _coeff_rows(Q, tree, k), e)
+            + 2.0 * _quad(e, _coeff_rows(S, tree, k), u)
+            + _quad(u, _coeff_rows(R, tree, k), u)
         )
         if zeta is not None:
             integrand = (
                 integrand
-                + 2.0 * _dot(coeff_nodes(zeta, tree, k), e)
-                + 2.0 * _dot(coeff_nodes(varpi, tree, k), u)
+                + 2.0 * _dot(_coeff_rows(zeta, tree, k), e)
+                + 2.0 * _dot(_coeff_rows(varpi, tree, k), u)
             )
         total += grid.dt * float(np.dot(tree.probs(k), integrand))
-    eT = states[grid.n_steps]
+    eT = states[grid.n_steps].T
     total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, QT, eT)))
     return 0.5 * total
 

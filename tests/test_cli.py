@@ -1,6 +1,11 @@
 """Configuration parsing, report emission, and command-line behavior."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +361,71 @@ def test_run_result_carries_solve_report(tmp_path):
     report_text = (tmp_path / "o" / "compare_report.csv").read_text()
     assert "time" not in report_text.split("\n", 1)[0]
     assert isinstance(cfg, RunConfig)
+
+
+def test_solve_report_does_not_depend_on_blas_threads(tmp_path):
+    # at N = 7 the tree's long dot products are long enough for a threaded
+    # BLAS to split them; the package caps BLAS at one thread by default
+    path = _write(tmp_path, FULL_2X1.format(out="ignored").replace("N = 3", "N = 7"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    reports = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "cmvlq.cli", "solve", "--config", path, "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
+        reports.append((out / "solve_report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
+MC_SIMULATE = (
+    FULL_2X1.format(out="ignored")
+    .replace("mode = compare", "mode = simulate")
+    .replace("n_paths = 64", "n_paths = 40000")
+    .replace("n_common_noise = 4", "n_common_noise = 16")
+    .replace("dt_target = 0.02", "dt_target = 0.002")
+)
+
+
+def test_conditional_zero_band_is_sidak_over_the_cells():
+    assert cli._sidak_band(1) == pytest.approx(cli.MC_SIGMA_BAND, rel=1e-12)
+    # 16 groups x 4 checkpoints x 2 components at the family rate of one 4-sigma test
+    assert cli._sidak_band(128) == pytest.approx(5.0283, abs=1e-4)
+
+
+def test_conditional_zero_band_passes_a_correct_run_the_fixed_band_failed(tmp_path):
+    # seed 602 drew a largest cell z of 4.28 over 128 cells on correct code
+    cfg = parse_config(MC_SIMULATE.replace("out = ignored", f"out = {tmp_path}"))
+    result = run(with_overrides(cfg, seed=602))
+    row = {r.metric: r for r in result.rows}["mc_conditional_zero_z"]
+    assert cli.MC_SIGMA_BAND < row.value < row.tolerance
+    assert row.passed and result.status == 0
+
+
+def test_conditional_zero_band_catches_an_injected_bias(tmp_path, monkeypatch):
+    real = cli.sim.simulate_forward
+
+    def biased(*args, **kwargs):
+        # the particles' conditional mean off the companion's after t = 0 by
+        # six standard errors of the least resolved cell
+        ens = real(*args, **kwargs)
+        dev = ens.group_dev_mean.copy()
+        dev[:, 1:, 0] += 6.0 * ens.group_dev_se[:, 1:, 0].max()
+        return replace(ens, group_dev_mean=dev)
+
+    cfg = parse_config(MC_SIMULATE.replace("out = ignored", f"out = {tmp_path}"))
+    cfg = with_overrides(cfg, n_paths=4000, seed=5)
+    row = {r.metric: r for r in run(cfg).rows}["mc_conditional_zero_z"]
+    assert row.passed
+    monkeypatch.setattr(cli.sim, "simulate_forward", biased)
+    result = run(cfg)
+    row = {r.metric: r for r in result.rows}["mc_conditional_zero_z"]
+    # the fixed band of 4 would catch it, and so does the Sidak band
+    assert cli.MC_SIGMA_BAND < row.tolerance < row.value
+    assert not row.passed and result.status == 1
