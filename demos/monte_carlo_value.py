@@ -36,7 +36,7 @@ ensemble = simulate_forward(
     n_common=16, dt_target=2e-3,
 )
 estimate = estimate_cost(ensemble, c, grid)
-predicted = predicted_closed_loop_value(c, policy, xi, probs)
+predicted = predicted_closed_loop_value(policy, xi, probs)
 z = abs(estimate.mean - predicted) / estimate.std_error
 
 print(f"paths                  {ensemble.n_paths}")

@@ -94,7 +94,7 @@ from .oracle import (
     solve_qp_breve,
     solve_qp_exact,
 )
-from .riccati import solve_l, solve_offset, solve_pi
+from .riccati import solve_l, solve_pi
 from .sim import (
     CheckReport,
     DominanceReport,
@@ -174,7 +174,6 @@ __all__ = [
     "solve_breve_fbsde",
     "solve_coupled_mv_fbsde",
     "solve_l",
-    "solve_offset",
     "solve_pi",
     "solve_qp_bar",
     "solve_qp_breve",

@@ -182,15 +182,15 @@ def _solve_tree(c, tree, grid, xi, seed):
 
 def _rows_solve_ode(c, cfg, xi, probs):
     policy = build_ode_policy(c, dt_target=cfg.simulation.dt_target)
-    pi, ll, off = policy.pi, policy.l_solution, policy.offset
+    pi, ll = policy.pi, policy.l_solution
     cb = bar_transform(c)
     qt = 0.5 * (c.QT + c.QT.T)
     qbt = 0.5 * (cb.QbarT + cb.QbarT.T)
     return [
-        _info("value_prediction", predicted_closed_loop_value(c, policy, xi, probs)),
+        _info("value_prediction", predicted_closed_loop_value(policy, xi, probs)),
         _residual("pi_terminal_residual", np.max(np.abs(pi.values[-1] - qt)), 1e-12),
         _residual("l_terminal_residual", np.max(np.abs(ll.values[-1] - qbt)), 1e-12),
-        _residual("offset_terminal_norm", np.max(np.abs(off.offset[-1])), 1e-12),
+        _residual("offset_terminal_norm", np.max(np.abs(ll.offset[-1])), 1e-12),
     ]
 
 
@@ -225,18 +225,18 @@ def _rows_compare(c, tree, grid, xi, probs, seed):
     return rows, report
 
 
-def predicted_closed_loop_value(c, policy, xi, probs) -> float:
+def predicted_closed_loop_value(policy, xi, probs) -> float:
     """Continuous-time optimal value for the atomic initial distribution."""
     ybar = probs @ xi
     xc = xi - ybar
     value = (
         0.5 * ybar @ policy.l_solution.values[0] @ ybar
-        + policy.offset.offset[0] @ ybar
-        + policy.offset.constant[0]
+        + policy.l_solution.offset[0] @ ybar
+        + policy.l_solution.constant[0]
     )
     pi0 = policy.pi.values[0]
     value += 0.5 * float(np.sum(probs * np.einsum("an,nm,am->a", xc, pi0, xc)))
-    value += sim._noise_value_curve(c, policy.pi)[1][0]
+    value += policy.pi.constant[0]
     return float(value)
 
 
@@ -255,7 +255,7 @@ def _rows_simulate(c, grid, cfg, xi, probs):
         dt_target=scfg.dt_target,
     )
     est = sim.estimate_cost(ens, c, grid)
-    predicted = predicted_closed_loop_value(c, policy, xi, probs)
+    predicted = predicted_closed_loop_value(policy, xi, probs)
     gap_z = abs(est.mean - predicted) / est.std_error
     cz = sim.conditional_zero_worst(ens)
 

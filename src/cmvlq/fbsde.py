@@ -34,15 +34,7 @@ from .lattice import (
     TimeGrid,
     TreeProcess,
 )
-from .riccati import (
-    OdeBackwardQuadratic,
-    OdeOffset,
-    TreeBackwardQuadratic,
-    TreeOffset,
-    solve_l,
-    solve_offset,
-    solve_pi,
-)
+from .riccati import OdeBackwardQuadratic, TreeBackwardQuadratic, solve_l, solve_pi
 
 
 @dataclass(frozen=True)
@@ -192,7 +184,6 @@ def solve_bar_fbsde(
     grid: TimeGrid,
     xi_bar,
     l_solution: TreeBackwardQuadratic | None = None,
-    offset: TreeOffset | None = None,
 ) -> BarSolution:
     """Roll the conditional-mean optimum forward and extract its adjoints.
 
@@ -201,8 +192,6 @@ def solve_bar_fbsde(
     """
     if l_solution is None:
         l_solution = solve_l(cb)
-    if offset is None:
-        offset = solve_offset(cb, l_solution)
     dt = grid.dt
     sq = grid.sqrt_dt
     xi_bar = np.asarray(xi_bar, dtype=float)
@@ -213,7 +202,7 @@ def solve_bar_fbsde(
     # reached by the common-noise increments +sqrt(dt) and -sqrt(dt)
     y = xi_bar[:, None]
     y_pref, v_pref = [y], []
-    gains, shifts = _prefix_rows(l_solution.gain_state), _prefix_rows(offset.gain_const)
+    gains, shifts = _prefix_rows(l_solution.gain_state), _prefix_rows(l_solution.gain_const)
     for k in range(grid.n_steps):
         v = -_mv(gains[k], y) - shifts[k]
         v_pref.append(v)
@@ -223,7 +212,7 @@ def solve_bar_fbsde(
         D0 = D0 if D0.shape[-1] == 1 else np.repeat(D0, 2, axis=-1)
         y = np.repeat(y + dt * drift, 2, axis=-1) + D0 * np.tile([sq, -sq], 2**k)
         y_pref.append(y)
-    values, offsets = _prefix_rows(l_solution.values), _prefix_rows(offset.offset)
+    values, offsets = _prefix_rows(l_solution.values), _prefix_rows(l_solution.offset)
     cost_pref = [_mv(values[k], yk) + offsets[k] for k, yk in enumerate(y_pref)]
     return BarSolution(
         **_adjoint(
@@ -324,7 +313,6 @@ class OdePolicy:
     n_sub: int
     pi: OdeBackwardQuadratic
     l_solution: OdeBackwardQuadratic
-    offset: OdeOffset
 
     def control(self, j: int, x: np.ndarray, xbar: np.ndarray) -> np.ndarray:
         return (
@@ -340,7 +328,6 @@ def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> Od
     cb = bar_transform(c)
     pi = solve_pi(c, backend="ode", dt_target=dt_target)
     ll = solve_l(cb, backend="ode", dt_target=dt_target)
-    off = solve_offset(cb, ll, backend="ode")
     times = pi.times
     k = np.minimum(np.arange(len(times)) // pi.n_sub, grid.n_steps - 1)
 
@@ -351,7 +338,7 @@ def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> Od
     Bt = np.swapaxes(table(c.B), 1, 2)
     gain_c = np.linalg.solve(R, np.swapaxes(table(c.S), 1, 2) + Bt @ pi.values)
     gain_m = np.linalg.solve(R, np.swapaxes(table(cb.Sbar), 1, 2) + Bt @ ll.values)
-    rhs = (Bt @ off.offset[..., None])[..., 0] + table(c.varpi)
+    rhs = (Bt @ ll.offset[..., None])[..., 0] + table(c.varpi)
     shift = np.linalg.solve(R, rhs[..., None])[..., 0]
     return OdePolicy(
         grid=grid,
@@ -362,7 +349,6 @@ def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> Od
         n_sub=pi.n_sub,
         pi=pi,
         l_solution=ll,
-        offset=off,
     )
 
 

@@ -1,17 +1,25 @@
-"""Backward quadratic solves for the two decomposed problems.
+"""Backward dynamic programming for the two decomposed problems.
+
+The value of each sub-problem is quadratic-plus-affine in the state,
+V(x) = x'Px/2 + g'x + c (the cost has the 1/2 in front), and one
+backward sweep on a plain coefficient set gives all of it: the
+quadratic part P (``values``), the linear part g (``offset``), the
+additive constant c (``constant``) and, on the tree, the feedback
+u = -gain_state x - gain_const.  ``solve_pi`` runs the sweep on
+``coeffs.breve_as_plain``, where the linear parts come out as exact
+zeros and the constant is the idiosyncratic-noise term; ``solve_l``
+runs it on ``coeffs.bar_as_plain``, where the common noise and the
+affine terms enter the linear part and the constant.
 
 Two backends.  The tree backend runs exact dynamic programming on the
 common-noise prefix tree: the feedback it produces is exactly optimal
 for the discretized cost, not merely up to a discretization error, so
 downstream certification can use tight tolerances.  The ODE backend
-integrates the continuous matrix Riccati equations with classical
-Runge-Kutta on a fine grid; it requires coefficients without a
-common-noise loading and is the route for Monte Carlo work where the
-tree would be unaffordable.  Pi and L come from one routine on a plain
-coefficient set: the full set for Pi, ``coeffs.bar_as_plain`` for L.
-
-Value-function conventions (cost has the 1/2 in front): quadratic part
-V(x) = x'Px/2 + g'x + c.  Feedback is u = -gain_state x - gain_const.
+integrates the continuous backward equations (matrix Riccati, linear,
+constant) with classical Runge-Kutta on a fine grid; it requires
+coefficients without a common-noise loading and is the route for Monte
+Carlo work where the tree would be unaffordable.  ``_interp_table``
+reads its tables, and any other fine-grid table, between grid times.
 """
 
 from __future__ import annotations
@@ -21,89 +29,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain
+from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, breve_as_plain
 from .errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from .lattice import TimeGrid, w0_prefix_cums
 
-OFFSET_CONSISTENCY_TOL = 1e-9
-# the coefficients each backward solve reads
-_QUAD_FIELDS = ("A", "B", "S", "Q", "R")
-_OFFSET_FIELDS = _QUAD_FIELDS + ("b", "D0", "zeta", "varpi")
+# the coefficients a backward sweep reads
+_FIELDS = ("A", "B", "S", "Q", "R", "b", "D", "D0", "zeta", "varpi")
 
 
 @dataclass(frozen=True)
 class TreeBackwardQuadratic:
-    """Quadratic value coefficient per common-noise prefix, per step.
+    """Value function per common-noise prefix, per step.
 
-    values[k] has shape (2**k, n, n); gain_state[k] (2**k, d, n) holds
-    the state-feedback gain for step k < n_steps.  constant[k] (2**k,)
-    carries the additive value term induced by the idiosyncratic noise.
+    values[k] (2**k, n, n), offset[k] (2**k, n) and constant[k] (2**k,)
+    are its quadratic, linear and constant parts; gain_state[k]
+    (2**k, d, n) and gain_const[k] (2**k, d) the feedback for step
+    k < n_steps.
     """
 
     grid: TimeGrid
     values: list
     gain_state: list
+    offset: list
+    gain_const: list
     constant: list
 
     @property
     def n(self) -> int:
         return self.values[0].shape[1]
 
-    def node_values(self, tree, k: int) -> np.ndarray:
-        return tree.expand_f0(k, self.values[k])
-
     def node_gain(self, tree, k: int) -> np.ndarray:
         return tree.expand_f0(k, self.gain_state[k])
 
 
 @dataclass(frozen=True)
-class TreeOffset:
-    """Affine value parts per prefix: linear term, control shift, constant."""
-
-    grid: TimeGrid
-    offset: list          # k -> (2**k, n)
-    gain_const: list      # k -> (2**k, d)
-    constant: list        # k -> (2**k,)
-
-
-@dataclass(frozen=True)
 class OdeBackwardQuadratic:
-    """Fine-grid solution of a continuous backward matrix equation."""
+    """Fine-grid solution of the continuous backward equations.
+
+    values (n_fine + 1, n, n), offset (n_fine + 1, n) and constant
+    (n_fine + 1,) are the value's quadratic, linear and constant parts
+    at the ascending times.
+    """
 
     grid: TimeGrid
-    times: np.ndarray     # (n_fine + 1,), ascending
-    values: np.ndarray    # (n_fine + 1, n, n)
+    times: np.ndarray
+    values: np.ndarray
+    offset: np.ndarray
+    constant: np.ndarray
     n_sub: int            # fine steps per coarse step
 
     def at_time(self, t: float) -> np.ndarray:
-        return _interp_time(self.times, self.values, t)
+        return _interp_table(self.times, self.values, np.array([float(t)]))[0]
 
     def at_coarse(self, k: int) -> np.ndarray:
         return self.values[k * self.n_sub]
 
 
-@dataclass(frozen=True)
-class OdeOffset:
-    grid: TimeGrid
-    times: np.ndarray
-    offset: np.ndarray    # (n_fine + 1, n)
-    constant: np.ndarray  # (n_fine + 1,)
-    n_sub: int
+def _interp_table(src_times: np.ndarray, src_values: np.ndarray, at: np.ndarray):
+    """Linear interpolation of a table of arrays along the time axis.
 
-    def at_time(self, t: float) -> np.ndarray:
-        return _interp_time(self.times, self.offset, t)
-
-    def at_coarse(self, k: int) -> np.ndarray:
-        return self.offset[k * self.n_sub]
-
-
-def _interp_time(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    h = times[1] - times[0]
-    pos = (float(t) - times[0]) / h
-    j = int(math.floor(pos))
-    j = min(max(j, 0), len(times) - 2)
-    frac = min(max(pos - j, 0.0), 1.0)
-    return (1.0 - frac) * values[j] + frac * values[j + 1]
+    Times outside the table take its first or last entry.
+    """
+    pos = np.clip(np.searchsorted(src_times, at, side="right") - 1, 0, len(src_times) - 2)
+    t0 = src_times[pos]
+    t1 = src_times[pos + 1]
+    w = np.where(t1 > t0, (at - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0).clip(0.0, 1.0)
+    w = w.reshape((len(at),) + (1,) * (src_values.ndim - 1))
+    return (1.0 - w) * src_values[pos] + w * src_values[pos + 1]
 
 
 def _chol_guard(G: np.ndarray, step: int, what: str = "one-step control system matrix"):
@@ -117,163 +109,108 @@ def _chol_guard(G: np.ndarray, step: int, what: str = "one-step control system m
         ) from exc
 
 
-def _dp_step(nxt, A, B, S, Q, R, dt: float, step: int):
-    """One exact backward step; returns (child mean, G, M, gain, new value)."""
-    hat = 0.5 * (nxt[0::2] + nxt[1::2])
-    n = A.shape[1]
-    Abar = np.eye(n) + dt * A
-    Bbar = dt * B
-    hatB = hat @ Bbar
-    G = dt * R + np.transpose(Bbar, (0, 2, 1)) @ hatB
-    G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-    M = np.transpose(Abar, (0, 2, 1)) @ hatB + dt * S
-    _chol_guard(G, step)
-    gain = np.linalg.solve(G, np.transpose(M, (0, 2, 1)))
-    quad = np.transpose(Abar, (0, 2, 1)) @ (hat @ Abar) + dt * Q - M @ gain
-    quad = 0.5 * (quad + np.transpose(quad, (0, 2, 1)))
-    return hat, G, M, gain, quad
+def _fields(c: CoefficientSet) -> tuple:
+    return tuple(getattr(c, name) for name in _FIELDS)
 
 
-def _fields(c: CoefficientSet, names) -> tuple:
-    return tuple(getattr(c, name) for name in names)
-
-
-def _quadratic(c: CoefficientSet, backend: str, dt_target, drift: str):
-    """Backward quadratic coefficient of a plain problem's value.
-
-    The tree backend also accumulates the additive constant induced by
-    the idiosyncratic noise D.  ``drift`` names c.A in error messages.
-    """
-    grid = c.grid()
-    fields = _fields(c, _QUAD_FIELDS)
+def _solve(p: CoefficientSet, backend: str, dt_target, drift: str):
+    """The value function of a plain problem; ``drift`` names p.A in error messages."""
     if backend == "ode":
-        _require_deterministic(c, _QUAD_FIELDS, drift)
-        return _ode_quadratic(fields, c.QT, grid, dt_target)
+        _require_deterministic(p, drift)
+        return _ode_sweep(p, dt_target)
     if backend != "tree":
         raise ValueError(f"unknown backend {backend!r}")
-    N = grid.n_steps
-    cums = w0_prefix_cums(grid)
-    values = [None] * N + [np.broadcast_to(c.QT, (2**N, c.n, c.n)).copy()]
-    consts = [None] * N + [np.zeros(2**N)]
-    gains = [None] * N
-    for k in reversed(range(N)):
-        A, B, S, Q, R = (co.at_w0(k, cums[k]) for co in fields)
-        hat, _, _, gains[k], values[k] = _dp_step(values[k + 1], A, B, S, Q, R, grid.dt, k)
-        chat = 0.5 * (consts[k + 1][0::2] + consts[k + 1][1::2])
-        Dn = c.D.at_w0(k, cums[k])
-        consts[k] = chat + 0.5 * grid.dt * np.einsum("pi,pij,pj->p", Dn, hat, Dn)
-    return TreeBackwardQuadratic(grid=grid, values=values, gain_state=gains, constant=consts)
+    return _tree_sweep(p)
 
 
 def solve_pi(c: CoefficientSet, backend: str = "tree", *, dt_target: float | None = None) -> TreeBackwardQuadratic | OdeBackwardQuadratic:
-    """Backward quadratic coefficient of the centered-problem value.
+    """Value function of the centered problem.
 
     Uses the original running weights and the idiosyncratic noise
-    loading; the additive constant it accumulates is the noise-induced
-    part of the optimal centered cost.
+    loading; the linear parts are zero and the additive constant is the
+    noise-induced part of the optimal centered cost.
     """
-    return _quadratic(c, backend, dt_target, "A")
+    return _solve(breve_as_plain(c), backend, dt_target, "A")
 
 
 def solve_l(cb: BarCoefficients, backend: str = "tree", *, dt_target: float | None = None) -> TreeBackwardQuadratic | OdeBackwardQuadratic:
-    """Backward quadratic coefficient of the conditional-mean value.
+    """Value function of the conditional-mean problem.
 
-    The problem carries no idiosyncratic noise, so the tree constant is
-    zero; the common-noise terms enter through ``solve_offset``.
+    The problem carries no idiosyncratic noise; the common noise and the
+    affine terms b, zeta and varpi enter the linear part and the constant.
     """
-    return _quadratic(bar_as_plain(cb), backend, dt_target, "A+F")
+    return _solve(bar_as_plain(cb), backend, dt_target, "A+F")
 
 
-def solve_offset(
-    cb: BarCoefficients,
-    l_solution,
-    backend: str = "tree",
-    *,
-    dt_target: float | None = None,
-) -> TreeOffset | OdeOffset:
-    """Affine value parts of the conditional-mean problem.
+def _tree_sweep(p: CoefficientSet) -> TreeBackwardQuadratic:
+    """Exact backward dynamic programming on the common-noise prefixes.
 
-    Needs the quadratic solution; on the tree backend the per-step system
-    matrices are recomputed from the coefficients and the passed solution
-    is cross-checked against its own recursion, so a mismatched pairing
-    fails loudly instead of silently producing a wrong offset.
+    Prefix p at step k has the children 2p and 2p+1, reached by the
+    common-noise increments +sqrt(dt) and -sqrt(dt); ``hat`` is the mean
+    over the two and ``cov`` the covariance with the increment.
     """
-    p = bar_as_plain(cb)
-    if backend == "tree":
-        if not isinstance(l_solution, TreeBackwardQuadratic):
-            raise ValueError("tree backend requires a tree quadratic solution")
-        return _tree_offset(p, l_solution)
-    if backend == "ode":
-        if not isinstance(l_solution, OdeBackwardQuadratic):
-            raise ValueError("ode backend requires an ode quadratic solution")
-        _require_deterministic(p, _OFFSET_FIELDS, "A+F")
-        return _ode_offset(p, l_solution)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def _tree_offset(p: CoefficientSet, l_sol: TreeBackwardQuadratic) -> TreeOffset:
     grid = p.grid()
-    N = grid.n_steps
-    dt = grid.dt
-    sq = grid.sqrt_dt
-    cums = w0_prefix_cums(grid)
+    N, dt, sq = grid.n_steps, grid.dt, grid.sqrt_dt
     n = p.n
-    fields = _fields(p, _OFFSET_FIELDS)
-    offset = [None] * (N + 1)
-    gain_c = [None] * N
-    const = [None] * (N + 1)
-    offset[N] = np.zeros((2**N, n))
-    const[N] = np.zeros(2**N)
+    cums = w0_prefix_cums(grid)
+    fields = _fields(p)
+    values = [None] * N + [np.broadcast_to(p.QT, (2**N, n, n)).copy()]
+    offset = [None] * N + [np.zeros((2**N, n))]
+    const = [None] * N + [np.zeros(2**N)]
+    gains = [None] * N
+    shifts = [None] * N
     for k in reversed(range(N)):
-        Ab, B, Sb, Qb, R, b, D0, zb, varpi = (co.at_w0(k, cums[k]) for co in fields)
-        nxt = l_sol.values[k + 1]
-        hat, G, M, _, quad = _dp_step(nxt, Ab, B, Sb, Qb, R, dt, k)
-        scale = 1.0 + float(np.max(np.abs(l_sol.values[k])))
-        if float(np.max(np.abs(quad - l_sol.values[k]))) > OFFSET_CONSISTENCY_TOL * scale:
-            raise ValueError(
-                "quadratic solution does not match these coefficients; "
-                "solve the offset with the solution produced for the same set"
-            )
+        A, B, S, Q, R, b, D, D0, zeta, varpi = (co.at_w0(k, cums[k]) for co in fields)
+        nxt, gnxt, cnxt = values[k + 1], offset[k + 1], const[k + 1]
+        hat = 0.5 * (nxt[0::2] + nxt[1::2])
         cov = 0.5 * sq * (nxt[0::2] - nxt[1::2])
-        gnxt = offset[k + 1]
         ghat = 0.5 * (gnxt[0::2] + gnxt[1::2])
         covg = 0.5 * sq * (gnxt[0::2] - gnxt[1::2])
-        chat = 0.5 * (const[k + 1][0::2] + const[k + 1][1::2])
+        chat = 0.5 * (cnxt[0::2] + cnxt[1::2])
 
-        Abar = np.eye(n) + dt * Ab
+        Abar = np.eye(n) + dt * A
         Bbar = dt * B
+        hatB = hat @ Bbar
+        G = dt * R + np.transpose(Bbar, (0, 2, 1)) @ hatB
+        G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
+        M = np.transpose(Abar, (0, 2, 1)) @ hatB + dt * S
+        _chol_guard(G, k)
+        gains[k] = np.linalg.solve(G, np.transpose(M, (0, 2, 1)))
+        quad = np.transpose(Abar, (0, 2, 1)) @ (hat @ Abar) + dt * Q - M @ gains[k]
+        values[k] = 0.5 * (quad + np.transpose(quad, (0, 2, 1)))
+
         bdt = dt * b
-        h = (
-            np.einsum("pij,pj->pi", hat, bdt)
-            + np.einsum("pij,pj->pi", cov, D0)
-            + ghat
-        )
+        covD0 = np.einsum("pij,pj->pi", cov, D0)
+        h = np.einsum("pij,pj->pi", hat, bdt) + covD0 + ghat
         m = dt * varpi + np.einsum("pji,pj->pi", Bbar, h)
-        gc = np.linalg.solve(G, m[..., None])[..., 0]
-        gain_c[k] = gc
+        shifts[k] = np.linalg.solve(G, m[..., None])[..., 0]
         offset[k] = (
             np.einsum("pji,pj->pi", Abar, h)
-            + dt * zb
-            - np.einsum("pij,pj->pi", M, gc)
+            + dt * zeta
+            - np.einsum("pij,pj->pi", M, shifts[k])
         )
         const[k] = (
             chat
+            + 0.5 * dt * np.einsum("pi,pij,pj->p", D, hat, D)
             + 0.5 * np.einsum("pi,pij,pj->p", bdt, hat, bdt)
-            + np.einsum("pi,pi->p", bdt, np.einsum("pij,pj->pi", cov, D0) + ghat)
+            + np.einsum("pi,pi->p", bdt, covD0 + ghat)
             + 0.5 * dt * np.einsum("pi,pij,pj->p", D0, hat, D0)
             + np.einsum("pi,pi->p", covg, D0)
-            - 0.5 * np.einsum("pi,pi->p", m, gc)
+            - 0.5 * np.einsum("pi,pi->p", m, shifts[k])
         )
-    return TreeOffset(grid=grid, offset=offset, gain_const=gain_c, constant=const)
+    return TreeBackwardQuadratic(
+        grid=grid, values=values, gain_state=gains, offset=offset, gain_const=shifts,
+        constant=const,
+    )
 
 
 # -- ODE backend ------------------------------------------------------------
 
 
-def _require_deterministic(c: CoefficientSet, names, drift: str):
+def _require_deterministic(c: CoefficientSet, drift: str):
     """Refuse node-dependent coefficients; ``drift`` names c.A in the message."""
     bad = sorted(
-        drift if name == "A" else name for name in names if not getattr(c, name).deterministic
+        drift if name == "A" else name for name in _FIELDS if not getattr(c, name).deterministic
     )
     if bad:
         raise NotDeterministicError(
@@ -283,6 +220,7 @@ def _require_deterministic(c: CoefficientSet, names, drift: str):
 
 
 def _fine_steps(grid: TimeGrid, dt_target: float | None) -> int:
+    """Fine steps per coarse step; the default target is a thousandth of the horizon."""
     if dt_target is None:
         dt_target = 1e-3 * grid.horizon
     if not dt_target > 0.0:
@@ -290,35 +228,55 @@ def _fine_steps(grid: TimeGrid, dt_target: float | None) -> int:
     return max(1, math.ceil(grid.dt / dt_target))
 
 
-def _quad_rhs(P, A, B, S, Q, R):
-    W = P @ B + S
-    return -(A.T @ P + P @ A + Q - W @ np.linalg.solve(R, W.T))
-
-
-def _ode_quadratic(fields: tuple, terminal, grid: TimeGrid, dt_target) -> OdeBackwardQuadratic:
-    """RK4 sweep of the Riccati equation; fields are deterministic (A, B, S, Q, R)."""
+def _ode_sweep(p: CoefficientSet, dt_target) -> OdeBackwardQuadratic:
+    """RK4 sweep of the Riccati, linear and constant equations; p is deterministic."""
+    grid = p.grid()
     n_sub = _fine_steps(grid, dt_target)
     N = grid.n_steps
     h = grid.dt / n_sub
-    times = np.linspace(0.0, grid.horizon, N * n_sub + 1)
-    values = np.empty((N * n_sub + 1, terminal.shape[0], terminal.shape[0]))
-    P = np.array(terminal, dtype=float)
-    values[-1] = P
-    idx = N * n_sub
+    n_fine = N * n_sub
+    times = np.linspace(0.0, grid.horizon, n_fine + 1)
+    values = np.empty((n_fine + 1, p.n, p.n))
+    offset = np.empty((n_fine + 1, p.n))
+    const = np.empty(n_fine + 1)
+    P = np.array(p.QT, dtype=float)
+    g = np.zeros(p.n)
+    cv = 0.0
+    values[-1], offset[-1], const[-1] = P, g, cv
+    idx = n_fine
+    fields = _fields(p)
+    # zero terms are skipped: without b, zeta and varpi the linear part
+    # stays zero, as it does for Pi, and only nonzero loadings add noise
+    affine = not all(all(getattr(p, name).zero_at) for name in ("b", "zeta", "varpi"))
+    zero_offset = np.zeros(p.n)
     # an escaping solution overflows; the finiteness check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in reversed(range(N)):
-            A, B, S, Q, R = (co.at_step(k) for co in fields)
+            A, B, S, Q, R, b, D, D0, zeta, varpi = (co.at_step(k) for co in fields)
             _chol_guard(R, k, "control weight R")
+            loads = [v for v in (D0, D) if v.any()]
+
+            def rhs(P, g):
+                W = P @ B + S
+                dP = -(A.T @ P + P @ A + Q - W @ np.linalg.solve(R, W.T))
+                noise = sum(0.5 * v @ P @ v for v in loads)
+                if not affine:
+                    return dP, zero_offset, -noise
+                wv = B.T @ g + varpi
+                r = np.linalg.solve(R, wv)
+                return dP, -(A.T @ g + P @ b + zeta - W @ r), -(b @ g + noise - 0.5 * wv @ r)
+
             for _ in range(n_sub):
-                k1 = _quad_rhs(P, A, B, S, Q, R)
-                k2 = _quad_rhs(P - 0.5 * h * k1, A, B, S, Q, R)
-                k3 = _quad_rhs(P - 0.5 * h * k2, A, B, S, Q, R)
-                k4 = _quad_rhs(P - h * k3, A, B, S, Q, R)
-                P = P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k1 = rhs(P, g)
+                k2 = rhs(P - 0.5 * h * k1[0], g - 0.5 * h * k1[1])
+                k3 = rhs(P - 0.5 * h * k2[0], g - 0.5 * h * k2[1])
+                k4 = rhs(P - h * k3[0], g - h * k3[1])
+                P = P - (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
                 P = 0.5 * (P + P.T)
+                g = g - (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+                cv = cv - (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
                 idx -= 1
-                values[idx] = P
+                values[idx], offset[idx], const[idx] = P, g, cv
     finite = np.isfinite(values).all(axis=(1, 2))
     if not finite.all():
         # integration runs backward, so the first failure is the latest time
@@ -327,51 +285,6 @@ def _ode_quadratic(fields: tuple, terminal, grid: TimeGrid, dt_target) -> OdeBac
             f"Riccati solution blew up (finite escape): first non-finite value "
             f"at t={t_bad:.6g} integrating backward from T={grid.horizon:.6g}"
         )
-    return OdeBackwardQuadratic(grid=grid, times=times, values=values, n_sub=n_sub)
-
-
-def _ode_offset(p: CoefficientSet, l_sol: OdeBackwardQuadratic) -> OdeOffset:
-    grid = p.grid()
-    fields = _fields(p, _OFFSET_FIELDS)
-    n_sub = l_sol.n_sub
-    N = grid.n_steps
-    h = grid.dt / n_sub
-    n = p.n
-    times = l_sol.times
-    Ls = np.empty_like(l_sol.values)
-    ls = np.empty((N * n_sub + 1, n))
-    cs = np.empty(N * n_sub + 1)
-    L = np.array(p.QT, dtype=float)
-    lv = np.zeros(n)
-    cv = 0.0
-    Ls[-1], ls[-1], cs[-1] = L, lv, cv
-    idx = N * n_sub
-
-    def rhs(L, lv, k):
-        A, B, S, Q, R, b, D0, zb, varpi = (co.at_step(k) for co in fields)
-        W = L @ B + S
-        wv = B.T @ lv + varpi
-        Ld = -(A.T @ L + L @ A + Q - W @ np.linalg.solve(R, W.T))
-        ld = -(A.T @ lv + L @ b + zb - W @ np.linalg.solve(R, wv))
-        cd = -(b @ lv + 0.5 * D0 @ L @ D0 - 0.5 * wv @ np.linalg.solve(R, wv))
-        return Ld, ld, cd
-
-    for k in reversed(range(N)):
-        for _ in range(n_sub):
-            k1 = rhs(L, lv, k)
-            k2 = rhs(L - 0.5 * h * k1[0], lv - 0.5 * h * k1[1], k)
-            k3 = rhs(L - 0.5 * h * k2[0], lv - 0.5 * h * k2[1], k)
-            k4 = rhs(L - h * k3[0], lv - h * k3[1], k)
-            L = L - (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            L = 0.5 * (L + L.T)
-            lv = lv - (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-            cv = cv - (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-            idx -= 1
-            Ls[idx], ls[idx], cs[idx] = L, lv, cv
-    scale = 1.0 + float(np.max(np.abs(l_sol.values)))
-    if float(np.max(np.abs(Ls - l_sol.values))) > OFFSET_CONSISTENCY_TOL * scale:
-        raise ValueError(
-            "quadratic solution does not match these coefficients; "
-            "solve the offset with the solution produced for the same set"
-        )
-    return OdeOffset(grid=grid, times=times, offset=ls, constant=cs, n_sub=n_sub)
+    return OdeBackwardQuadratic(
+        grid=grid, times=times, values=values, offset=offset, constant=const, n_sub=n_sub
+    )

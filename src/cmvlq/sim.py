@@ -25,7 +25,7 @@ import numpy as np
 from .coeffs import CoefficientSet
 from .errors import CmvlqError, DimensionError, NotDeterministicError
 from .lattice import TimeGrid
-from .riccati import OdeBackwardQuadratic
+from .riccati import OdeBackwardQuadratic, _fine_steps, _interp_table
 
 SIM_BATCH = 4096
 DEFAULT_COMMON_PATHS = 16
@@ -155,7 +155,7 @@ class PathEnsemble:
 
 
 def _fine_grid(grid: TimeGrid, dt_target: float):
-    n_sub = max(1, int(np.ceil(grid.dt / dt_target)))
+    n_sub = _fine_steps(grid, dt_target)
     n_fine = grid.n_steps * n_sub
     dt = grid.horizon / n_fine
     times = np.linspace(0.0, grid.horizon, n_fine + 1)
@@ -178,16 +178,6 @@ def _coeff_tables(c: CoefficientSet, n_fine: int):
         name: np.stack([getattr(c, name).at_step(k) for k in range(c.n_steps)])[idx]
         for name in names
     }
-
-
-def _interp_table(src_times: np.ndarray, src_values: np.ndarray, at: np.ndarray):
-    """Linear interpolation of a table of arrays along the time axis."""
-    pos = np.clip(np.searchsorted(src_times, at, side="right") - 1, 0, len(src_times) - 2)
-    t0 = src_times[pos]
-    t1 = src_times[pos + 1]
-    w = np.where(t1 > t0, (at - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0)
-    w = w.reshape((len(at),) + (1,) * (src_values.ndim - 1))
-    return (1.0 - w) * src_values[pos] + w * src_values[pos + 1]
 
 
 def _tr(a: np.ndarray) -> np.ndarray:
@@ -495,18 +485,6 @@ def _centered_loop(c, pi: OdeBackwardQuadratic, grid: TimeGrid, n_fine: int, sig
     return _closed_loop(grid.horizon / n_fine, tabs, tabs["A"], gain, c.QT)
 
 
-def _noise_value_curve(c: CoefficientSet, pi: OdeBackwardQuadratic):
-    """c(t) = half the tail integral of D' Pi D along the fine grid."""
-    tt = pi.times
-    f = np.empty(len(tt))
-    for j in range(len(tt)):
-        D = c.D.at_step(min(min(j, len(tt) - 2) // pi.n_sub, c.n_steps - 1))
-        f[j] = D @ pi.values[j] @ D
-    seg = 0.5 * (f[:-1] + f[1:]) * np.diff(tt)
-    tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
-    return tt, 0.5 * tail
-
-
 def _breve_run(c: CoefficientSet, pi: OdeBackwardQuadratic, grid: TimeGrid, xi_centered,
                atom_probs, n_paths: int, seed: int, *, dt_target: float = 1e-3,
                plus_sign: bool = False, h_index: int | None = None):
@@ -531,7 +509,7 @@ def _breve_run(c: CoefficientSet, pi: OdeBackwardQuadratic, grid: TimeGrid, xi_c
     if h_index is not None:
         record = (h_index,)
         Pih = pi.at_time(times[h_index])
-        tail_h = float(np.interp(times[h_index], *_noise_value_curve(c, pi)))
+        tail_h = float(_interp_table(pi.times, pi.constant, times[h_index : h_index + 1])[0])
     sq = np.sqrt(dt)
 
     def worker(lo, hi):
@@ -549,13 +527,13 @@ def _breve_run(c: CoefficientSet, pi: OdeBackwardQuadratic, grid: TimeGrid, xi_c
     return costs, bells
 
 
-def _value_report(label, samples, c, pi, xi_centered, atom_probs) -> CheckReport:
+def _value_report(label, samples, pi, xi_centered, atom_probs) -> CheckReport:
     """Sample mean against the predicted centered value, to three standard errors."""
     est = estimate_from_samples(samples)
     xi_c = np.atleast_2d(np.asarray(xi_centered, dtype=float))
     probs = np.asarray(atom_probs, dtype=float)
     initial = 0.5 * float(np.einsum("a,ai,ij,aj->", probs, xi_c, pi.values[0], xi_c))
-    noise = float(_noise_value_curve(c, pi)[1][0])
+    noise = float(pi.constant[0])
     predicted = initial + noise
     gap = est.mean - predicted
     z = gap / est.std_error if est.std_error > 0 else (0.0 if gap == 0 else np.inf)
@@ -578,7 +556,7 @@ def check_value_function(
     costs, _ = _breve_run(
         c, pi, grid, xi_centered, atom_probs, n_paths, seed, dt_target=dt_target
     )
-    return _value_report("value-function", costs, c, pi, xi_centered, atom_probs)
+    return _value_report("value-function", costs, pi, xi_centered, atom_probs)
 
 
 def check_bellman(
@@ -601,7 +579,7 @@ def check_bellman(
     _, bells = _breve_run(
         c, pi, grid, xi_centered, atom_probs, n_paths, seed, dt_target=dt_target, h_index=h_index
     )
-    return _value_report("bellman-midpoint", bells, c, pi, xi_centered, atom_probs)
+    return _value_report("bellman-midpoint", bells, pi, xi_centered, atom_probs)
 
 
 def check_policy_dominance(

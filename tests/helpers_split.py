@@ -6,7 +6,8 @@ full problem's code on their plain views (``coeffs.bar_as_plain`` and
 versions written against the bar and breve coefficients directly: the
 bar recursion driven by the common noise alone, the centered recursion
 driven by the idiosyncratic noise alone, their two cost sums, and the
-exact backward loop for L on the common-noise prefixes.  They share only
+exact backward loops for L and for the affine value parts on the
+common-noise prefixes.  They share only
 the (component, node) products and the tree's kernels with the library,
 and skip its input checks.
 """
@@ -96,3 +97,55 @@ def ref_solve_l(cb):
         quad = np.transpose(Abar, (0, 2, 1)) @ (hat @ Abar) + dt * Q - M @ gains[k]
         values[k] = 0.5 * (quad + np.transpose(quad, (0, 2, 1)))
     return values, gains
+
+
+def ref_tree_offset(cb, values):
+    """Affine value parts per prefix from L's values: (offset, gain_const, constant)."""
+    grid = cb.grid()
+    N, dt, sq = grid.n_steps, grid.dt, grid.sqrt_dt
+    cums = w0_prefix_cums(grid)
+    eye = np.eye(cb.n)
+    offset = [None] * N + [np.zeros((2**N, cb.n))]
+    gain_c = [None] * N
+    const = [None] * N + [np.zeros(2**N)]
+    for k in reversed(range(N)):
+        Ab, B, Sb, R, b, D0, zb, varpi = (
+            co.at_w0(k, cums[k])
+            for co in (cb.Abar, cb.B, cb.Sbar, cb.R, cb.b, cb.D0, cb.zetabar, cb.varpi)
+        )
+        nxt = values[k + 1]
+        hat = 0.5 * (nxt[0::2] + nxt[1::2])
+        cov = 0.5 * sq * (nxt[0::2] - nxt[1::2])
+        Abar = eye + dt * Ab
+        Bbar = dt * B
+        hatB = hat @ Bbar
+        G = dt * R + np.transpose(Bbar, (0, 2, 1)) @ hatB
+        G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
+        M = np.transpose(Abar, (0, 2, 1)) @ hatB + dt * Sb
+        gnxt = offset[k + 1]
+        ghat = 0.5 * (gnxt[0::2] + gnxt[1::2])
+        covg = 0.5 * sq * (gnxt[0::2] - gnxt[1::2])
+        chat = 0.5 * (const[k + 1][0::2] + const[k + 1][1::2])
+        bdt = dt * b
+        h = (
+            np.einsum("pij,pj->pi", hat, bdt)
+            + np.einsum("pij,pj->pi", cov, D0)
+            + ghat
+        )
+        m = dt * varpi + np.einsum("pji,pj->pi", Bbar, h)
+        gc = np.linalg.solve(G, m[..., None])[..., 0]
+        gain_c[k] = gc
+        offset[k] = (
+            np.einsum("pji,pj->pi", Abar, h)
+            + dt * zb
+            - np.einsum("pij,pj->pi", M, gc)
+        )
+        const[k] = (
+            chat
+            + 0.5 * np.einsum("pi,pij,pj->p", bdt, hat, bdt)
+            + np.einsum("pi,pi->p", bdt, np.einsum("pij,pj->pi", cov, D0) + ghat)
+            + 0.5 * dt * np.einsum("pi,pij,pj->p", D0, hat, D0)
+            + np.einsum("pi,pi->p", covg, D0)
+            - 0.5 * np.einsum("pi,pi->p", m, gc)
+        )
+    return offset, gain_c, const

@@ -14,7 +14,7 @@ from cmvlq.fbsde import (
 )
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import F_ADAPTED, TreeProcess, build_joint_tree
-from cmvlq.riccati import solve_l, solve_offset, solve_pi
+from cmvlq.riccati import solve_l, solve_pi
 
 
 def _max_ce(proc, tree):
@@ -94,8 +94,7 @@ def test_mean_adjoints_are_exact(seed):
     grid = inst.grid()
     tree = inst.tree()
     ll = solve_l(cb)
-    off = solve_offset(cb, ll)
-    sol = solve_bar_fbsde(cb, tree, grid, inst.xi_mean(), l_solution=ll, offset=off)
+    sol = solve_bar_fbsde(cb, tree, grid, inst.xi_mean(), l_solution=ll)
 
     assert sol.backward_residual < 1e-12
     rep = verify_stationarity(cb, sol, tree, grid)
@@ -112,7 +111,7 @@ def test_mean_adjoints_are_exact(seed):
         lw0 = tree.child_increment_mean(k, nxt, "w0")
         Lhat = 0.5 * (ll.values[k + 1][0::2] + ll.values[k + 1][1::2])
         psiL = (ll.values[k + 1][0::2] - ll.values[k + 1][1::2]) / (2.0 * sq)
-        psig = (off.offset[k + 1][0::2] - off.offset[k + 1][1::2]) / (2.0 * sq)
+        psig = (ll.offset[k + 1][0::2] - ll.offset[k + 1][1::2]) / (2.0 * sq)
         yhat_nodes = tree.child_mean(k, sol.state.values[k + 1])
         D0 = cb.D0.at_w0(k, tree.cum_w0_prefix[k])
         expected = (
@@ -238,7 +237,7 @@ def test_ode_policy_tables_match_per_step_solves():
         R, B = c.R.at_step(k), c.B.at_step(k)
         gc = np.linalg.solve(R, c.S.at_step(k).T + B.T @ pol.pi.values[j])
         gm = np.linalg.solve(R, cb.Sbar.at_step(k).T + B.T @ pol.l_solution.values[j])
-        sh = np.linalg.solve(R, B.T @ pol.offset.offset[j] + c.varpi.at_step(k))
+        sh = np.linalg.solve(R, B.T @ pol.l_solution.offset[j] + c.varpi.at_step(k))
         assert np.array_equal(pol.gain_centered[j], gc)
         assert np.array_equal(pol.gain_mean[j], gm)
         assert np.array_equal(pol.shift[j], sh)

@@ -1,7 +1,7 @@
 """The sub-problems on the full problem's code match their dedicated versions.
 
 ``simulate_bar``/``simulate_breve``, ``eval_cost_bar``/``eval_cost_breve``
-and ``solve_l`` delegate to the full problem's recursion, cost and
+and ``solve_l`` (its quadratic and affine parts) delegate to the full problem's recursion, cost and
 Riccati loop on the plain views; the references in ``helpers_split``
 are the dedicated bar and breve code.  Agreement is exact: the plain
 views only add exact zeros.
@@ -15,6 +15,7 @@ from helpers_split import (
     ref_simulate_bar,
     ref_simulate_breve,
     ref_solve_l,
+    ref_tree_offset,
 )
 
 from cmvlq.coeffs import bar_transform, homogeneous
@@ -65,5 +66,8 @@ def test_delegated_sub_problems_match_dedicated_code(seed, node_dependent):
         values, gains = ref_solve_l(cb)
         assert _same(ll.values, values)
         assert _same(ll.gain_state, gains)
-        assert not any(ck.any() for ck in ll.constant)
+        offset, gain_const, constant = ref_tree_offset(cb, values)
+        assert _same(ll.offset, offset)
+        assert _same(ll.gain_const, gain_const)
+        assert _same(ll.constant, constant)
 

@@ -21,7 +21,7 @@ from cmvlq.lattice import (
     build_joint_tree,
     w0_prefix_cums,
 )
-from cmvlq.riccati import solve_l, solve_offset, solve_pi
+from cmvlq.riccati import solve_l, solve_pi
 
 
 def test_one_step_matches_hand_formula():
@@ -67,11 +67,10 @@ def test_offset_closed_form():
     )
     cb = bar_transform(c)
     ll = solve_l(cb, backend="ode")
-    off = solve_offset(cb, ll, backend="ode")
-    exact = 1.0 - 1.0 / np.cosh(1.0 - off.times)
-    err = np.max(np.abs(off.offset[:, 0] - exact))
+    exact = 1.0 - 1.0 / np.cosh(1.0 - ll.times)
+    err = np.max(np.abs(ll.offset[:, 0] - exact))
     assert err < 1e-10
-    assert off.at_coarse(0)[0] == pytest.approx(1.0 - 1.0 / math.cosh(1.0), abs=1e-10)
+    assert ll.offset[0][0] == pytest.approx(1.0 - 1.0 / math.cosh(1.0), abs=1e-10)
 
 
 def test_offset_linear_in_time_for_pure_source():
@@ -80,13 +79,12 @@ def test_offset_linear_in_time_for_pure_source():
     cb = bar_transform(c)
     for backend in ("tree", "ode"):
         ll = solve_l(cb, backend=backend)
-        off = solve_offset(cb, ll, backend=backend)
         if backend == "tree":
             for k in range(5):
                 expected = 1.0 - k * 0.25
-                assert np.max(np.abs(off.offset[k] - expected)) < 1e-14
+                assert np.max(np.abs(ll.offset[k] - expected)) < 1e-14
         else:
-            assert np.max(np.abs(off.offset[:, 0] - (1.0 - off.times))) < 1e-12
+            assert np.max(np.abs(ll.offset[:, 0] - (1.0 - ll.times))) < 1e-12
 
 
 @pytest.mark.parametrize("seed", [1, 8, 33])
@@ -147,13 +145,12 @@ def test_mean_feedback_attains_predicted_value(seed):
     sq = grid.sqrt_dt
     cums = w0_prefix_cums(grid)
     ll = solve_l(cb)
-    off = solve_offset(cb, ll)
     ybar0 = inst.xi_mean()
 
     y = ybar0[None, :].copy()
     v_pref = []
     for k in range(grid.n_steps):
-        v = -np.einsum("pij,pj->pi", ll.gain_state[k], y) - off.gain_const[k]
+        v = -np.einsum("pij,pj->pi", ll.gain_state[k], y) - ll.gain_const[k]
         v_pref.append(v)
         Ab = cb.Abar.at_w0(k, cums[k])
         B = cb.B.at_w0(k, cums[k])
@@ -176,8 +173,8 @@ def test_mean_feedback_attains_predicted_value(seed):
     j = eval_cost_bar(cb, ysim, vproc, tree, grid)
     pred = (
         0.5 * float(ybar0 @ ll.values[0][0] @ ybar0)
-        + float(off.offset[0][0] @ ybar0)
-        + float(off.constant[0][0])
+        + float(ll.offset[0][0] @ ybar0)
+        + float(ll.constant[0][0])
     )
     assert j == pytest.approx(pred, abs=1e-10 * max(1.0, abs(pred)))
 
@@ -242,6 +239,20 @@ def test_ode_refusal_names_the_mean_drift_a_plus_f():
     solve_pi(c, backend="ode")  # Pi's drift is A alone
 
 
+def test_ode_sweeps_refuse_node_dependent_noise_and_affine_terms():
+    # each sweep reads the whole value function, so Pi refuses a
+    # node-dependent D and L a node-dependent affine term
+    c = make_coefficients(
+        1, 1, horizon=1.0, n_steps=2, B=1.0, Q=1.0, R=1.0, D_slope=0.5, varpi_slope=0.5
+    )
+    with pytest.raises(NotDeterministicError, match=r"carry one: D$"):
+        solve_pi(c, backend="ode")
+    with pytest.raises(NotDeterministicError, match=r"carry one: varpi$"):
+        solve_l(bar_transform(c), backend="ode")
+    solve_pi(c)  # the tree backend takes both
+    solve_l(bar_transform(c))
+
+
 def test_singular_control_weight_is_refused():
     c = make_coefficients(1, 1, horizon=1.0, n_steps=1)
     with pytest.raises(SingularSystemError):
@@ -291,28 +302,6 @@ def test_solutions_stay_positive_semidefinite(seed):
             ev = np.linalg.eigvalsh(vals)
             assert ev.min() > -1e-10, f"step {k}"
     assert min(float(ck.min()) for ck in pi.constant) > -1e-12
-
-
-def test_offset_rejects_mismatched_quadratic_solution():
-    c1 = random_instance(41).coeffs
-    c2 = random_instance(42).coeffs
-    if c1.n != c2.n or c1.d != c2.d or c1.n_steps != c2.n_steps:
-        # force comparable shapes: rebuild the second with the first's layout
-        c2 = random_instance(43).coeffs
-    cb1 = bar_transform(c1)
-    ll1 = solve_l(cb1)
-    cb2 = bar_transform(c2)
-    if (
-        c2.n == c1.n
-        and c2.d == c1.d
-        and c2.n_steps == c1.n_steps
-        and abs(c2.horizon - c1.horizon) < 1e-12
-    ):
-        with pytest.raises(ValueError):
-            solve_offset(cb2, ll1)
-    else:
-        with pytest.raises(Exception):
-            solve_offset(cb2, ll1)
 
 
 def test_fine_grid_lookup_consistency():

@@ -194,14 +194,13 @@ def test_closed_loop_ensemble_matches_continuous_value():
 
     value_bar = (
         0.5 * ybar @ pol.l_solution.values[0] @ ybar
-        + pol.offset.offset[0] @ ybar
-        + pol.offset.constant[0]
+        + pol.l_solution.offset[0] @ ybar
+        + pol.l_solution.constant[0]
     )
     value_breve = 0.5 * float(
         np.einsum("a,ai,ij,aj->", probs, xic, pol.pi.values[0], xic)
     )
-    _, tail = sim_mod._noise_value_curve(c, pol.pi)
-    predicted = value_bar + value_breve + tail[0]
+    predicted = value_bar + value_breve + pol.pi.constant[0]
 
     ens = simulate_forward(
         pol, c, c.grid(), 6000, 9,
@@ -245,6 +244,14 @@ def test_value_function_check_with_diffusion():
     )
     assert rep.noise_term == pytest.approx(0.5 * 0.49 * LOG_COSH, rel=1e-5)
     assert rep.passed, f"z = {rep.z_score}"
+
+
+def test_ode_noise_constant_matches_closed_form():
+    # Pi = tanh(T - t), so the constant is half the integral of
+    # 0.49 tanh(1 - t) over [0, 1]: 0.5 * 0.49 * log cosh 1
+    pi = solve_pi(_tanh_instance(0.7), backend="ode")
+    assert pi.constant[0] == pytest.approx(0.5 * 0.49 * LOG_COSH, rel=1e-12)
+    assert not pi.offset.any()
 
 
 def test_bellman_midpoint_and_endpoints():
@@ -376,3 +383,20 @@ def test_common_noise_widens_the_error_bar():
     est = estimate_cost(ens, c, c.grid())
     naive = ens.path_costs.std(ddof=1) / math.sqrt(len(ens.path_costs))
     assert est.std_error > 3.0 * naive
+
+
+@pytest.mark.parametrize("dt_target", [-1.0, 0.0])
+def test_non_positive_fine_step_is_refused(dt_target):
+    c = _tanh_instance(0.7)
+    pi = solve_pi(c, backend="ode")
+    kw = dict(xi_centered=XI_C, atom_probs=PROBS, dt_target=dt_target)
+    runs = (
+        lambda: simulate_forward(zero_policy(c), c, c.grid(), 4, 1, xi=XI_C, atom_probs=PROBS,
+                                 dt_target=dt_target),
+        lambda: check_value_function(c, pi, c.grid(), 4, 1, **kw),
+        lambda: check_bellman(c, pi, c.grid(), 0, 4, 1, **kw),
+        lambda: check_policy_dominance(c, pi, c.grid(), 4, 1, **kw),
+    )
+    for run in runs:
+        with pytest.raises(ValueError, match="dt_target must be positive"):
+            run()
