@@ -98,15 +98,12 @@ def _interp_table(src_times: np.ndarray, src_values: np.ndarray, at: np.ndarray)
     return (1.0 - w) * src_values[pos] + w * src_values[pos + 1]
 
 
-def _chol_guard(G: np.ndarray, step: int, what: str = "one-step control system matrix"):
+def _chol_guard(G: np.ndarray, message: str):
+    """Refuse with message, never regularize, a G that is not positive definite."""
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"{what} is singular at step {step}; "
-            "refusing to regularize -- the control weight must be positive "
-            "definite on every node"
-        ) from exc
+        raise SingularSystemError(message) from exc
 
 
 def _fields(c: CoefficientSet) -> tuple:
@@ -174,7 +171,9 @@ def _tree_sweep(p: CoefficientSet) -> TreeBackwardQuadratic:
         G = dt * R + np.transpose(Bbar, (0, 2, 1)) @ hatB
         G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
         M = np.transpose(Abar, (0, 2, 1)) @ hatB + dt * S
-        _chol_guard(G, k)
+        _chol_guard(G, "one-step control matrix dt R + Bbar' E[P] Bbar is not positive definite "
+                       f"at step {k}, so the cost is not convex in the control there; "
+                       "refusing to regularize")
         gains[k] = np.linalg.solve(G, np.transpose(M, (0, 2, 1)))
         quad = np.transpose(Abar, (0, 2, 1)) @ (hat @ Abar) + dt * Q - M @ gains[k]
         values[k] = 0.5 * (quad + np.transpose(quad, (0, 2, 1)))
@@ -253,7 +252,8 @@ def _ode_sweep(p: CoefficientSet, dt_target) -> OdeBackwardQuadratic:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in reversed(range(N)):
             A, B, S, Q, R, b, D, D0, zeta, varpi = (co.at_step(k) for co in fields)
-            _chol_guard(R, k, "control weight R")
+            _chol_guard(R, f"control weight R is singular at step {k}; refusing to regularize "
+                           "-- the control weight must be positive definite on every node")
             loads = [v for v in (D0, D) if v.any()]
 
             def rhs(P, g):

@@ -1,8 +1,14 @@
 """Monte Carlo forward simulation of the closed-loop system.
 
-Increment generation uses one counter-based substream per (path, noise)
-pair, keyed [seed, 4*index + noise], so every draw is reproducible from
-(seed, path index, step) regardless of batch size or execution order.
+Paths draw their random numbers by blocks of RNG_BLOCK = 256.  For
+each noise (common increments, idiosyncratic increments, initial atom)
+block b has its own generator, substream(seed, b, noise), seeded from
+a SeedSequence spawn key (noise, b); one call draws the block's whole
+step-major (count, RNG_BLOCK) array, and path i takes its column
+i % RNG_BLOCK.  So every draw is reproducible from (seed, path index,
+step) regardless of batch size or execution order; a batch that ends
+inside a block still draws that block's full array.
+
 Common-noise paths are shared across many idiosyncratic paths (default
 16 of them); each particle carries a companion conditional-mean path
 integrated from its own closed-loop dynamics under the same common
@@ -30,59 +36,54 @@ from .riccati import OdeBackwardQuadratic, _fine_steps, _interp_table
 SIM_BATCH = 4096
 DEFAULT_COMMON_PATHS = 16
 NOISE_COMMON, NOISE_IDIO, NOISE_INIT = 0, 1, 2
+# paths per random-number stream: one generator is seeded per block
+RNG_BLOCK = 256
 # auto-storage cutoff: full per-path increment/state recording above this
 # many path-steps would dominate memory, so large runs keep summaries only
 STORE_LIMIT = 2_000_000
 
 
-def substream(seed: int, index: int, noise: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.Philox(key=[int(seed), 4 * int(index) + noise]))
+def substream(seed: int, block: int, noise: int) -> np.random.Generator:
+    """The generator of one noise for one block of RNG_BLOCK paths.
 
-
-def _substreams(seed: int, indices, noise: int):
-    """One generator positioned at substream(seed, i, noise) for each i in turn.
-
-    A Philox stream is its (key, counter) pair, so setting the key with a
-    zero counter and an empty buffer reproduces substream() draw for draw
-    without building (and seeding from OS entropy) a generator per path.
+    Path i takes column i % RNG_BLOCK of the step-major (count, RNG_BLOCK)
+    array drawn in one call from substream(seed, i // RNG_BLOCK, noise).
     """
-    bits = np.random.Philox(0)  # state replaced before every use
-    gen = np.random.Generator(bits)
-    key = np.array([int(seed), 0], dtype=np.uint64)
-    zero = np.zeros(4, dtype=np.uint64)
-    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key},
-             "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for i in indices:
-        key[1] = 4 * int(i) + noise
-        bits.state = state
-        yield gen
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(noise, int(block))))
+
+
+def _draw(seed: int, lo: int, hi: int, count: int, noise: int, uniform: bool = False):
+    """Draws of paths lo..hi-1, one row per path, stored column-major.
+
+    Every block the batch overlaps draws its whole slab, and the batch
+    copies out the columns of its own paths, so a path's draws do not
+    depend on how the paths are split into batches.
+    """
+    out = np.empty((hi - lo, count), order="F")
+    steps = out.T  # one row per step, paths contiguous, as in the slab
+    slab = np.empty((count, RNG_BLOCK))
+    for block in range(lo // RNG_BLOCK, -(-hi // RNG_BLOCK)):
+        gen = substream(seed, block, noise)
+        (gen.random if uniform else gen.standard_normal)(out=slab)
+        first = block * RNG_BLOCK
+        a, b = max(lo, first), min(hi, first + RNG_BLOCK)
+        steps[:, a - lo : b - lo] = slab[:, a - first : b - first]
+    return out
 
 
 def idiosyncratic_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
     # column-major, so the Euler kernel reads one fine step of every path
-    # contiguously; rows are drawn into a small block and copied over in
-    # bulk, which writes whole cache lines
-    out = np.empty((hi - lo, count), order="F")
-    block = np.empty((64, count))
-    gens = _substreams(seed, range(lo, hi), NOISE_IDIO)
-    for start in range(0, hi - lo, len(block)):
-        rows = block[: hi - lo - start]
-        for row in rows:
-            next(gens).standard_normal(out=row)
-        out[start : start + len(rows)] = rows
-    return out
+    # contiguously
+    return _draw(seed, lo, hi, count, NOISE_IDIO)
 
 
 def common_normals(seed: int, n_common: int, count: int) -> np.ndarray:
-    out = np.empty((n_common, count))
-    for j, gen in enumerate(_substreams(seed, range(n_common), NOISE_COMMON)):
-        gen.standard_normal(out=out[j])
-    return out
+    return np.ascontiguousarray(_draw(seed, 0, n_common, count, NOISE_COMMON))
 
 
 def initial_atoms(seed: int, lo: int, hi: int, atom_probs: np.ndarray) -> np.ndarray:
     cum = np.cumsum(atom_probs)
-    u = np.array([gen.random() for gen in _substreams(seed, range(lo, hi), NOISE_INIT)])
+    u = _draw(seed, lo, hi, 1, NOISE_INIT, uniform=True)[:, 0]
     return np.minimum(np.searchsorted(cum, u, side="right"), len(atom_probs) - 1)
 
 
@@ -148,7 +149,6 @@ class PathEnsemble:
     controls: np.ndarray | None = None      # (n_paths, n_checkpoints, d)
     dw: np.ndarray | None = None            # (n_paths, n_fine)
     dw0_common: np.ndarray | None = None    # (n_common, n_fine)
-    substream_w: np.ndarray | None = None   # substream ids, one per path
 
 
 # -- fine-grid plumbing -----------------------------------------------------
@@ -415,7 +415,6 @@ def simulate_forward(
         increment_mean_w0=float(dw0.mean()),
         states=states, mean_states=mean_states, controls=controls, dw=dw,
         dw0_common=dw0 if store else None,
-        substream_w=4 * np.arange(n_paths) + NOISE_IDIO,
     )
 
 
@@ -595,7 +594,7 @@ def check_policy_dominance(
 ) -> DominanceReport:
     """Paired comparison of the sign-flipped feedback against the optimum.
 
-    Both runs consume identical substreams, so the per-path cost
+    Both runs consume the same draws, so the per-path cost
     difference isolates the policy effect; the flipped sign must lose
     by more than three standard errors of the paired difference.
     """

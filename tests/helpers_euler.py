@@ -2,14 +2,25 @@
 
 ``reference_forward`` integrates the closed loop of ``simulate_forward``
 one fine step at a time, with the control, running cost and drift
-written out term by term exactly as the model states them.  It draws
-every increment from ``sim.substream`` directly, so it shares neither
-the kernel's closed-loop tables nor its re-keyed generators.
+written out term by term exactly as the model states them.  It
+rebuilds every draw with ``path_draws``: path i's draws are column
+i % RNG_BLOCK of the step-major array that one call on the block
+generator ``sim.substream(seed, i // RNG_BLOCK, noise)`` returns.  So it
+shares neither the kernel's closed-loop tables nor the batched block
+copies of ``sim._draw``.
 """
 
 import numpy as np
 
-from cmvlq.sim import NOISE_COMMON, NOISE_IDIO, NOISE_INIT, substream
+from cmvlq.sim import NOISE_COMMON, NOISE_IDIO, NOISE_INIT, RNG_BLOCK, substream
+
+
+def path_draws(seed, index, count, noise, uniform=False):
+    """The count draws of one path, rebuilt from its block's generator."""
+    gen = substream(seed, index // RNG_BLOCK, noise)
+    size = (count, RNG_BLOCK)
+    block = gen.random(size) if uniform else gen.standard_normal(size)
+    return block[:, index % RNG_BLOCK]
 
 
 def _interp_table(src_times, src_values, at):
@@ -45,8 +56,7 @@ def reference_forward(policy, c, grid, n_paths, seed, *, xi, atom_probs, n_commo
     n_cp = len(checkpoint_indices)
     cp_of = {int(j): i for i, j in enumerate(checkpoint_indices)}
 
-    dw0 = np.stack([substream(seed, g, NOISE_COMMON).standard_normal(n_fine)
-                    for g in range(n_common)]) * sq
+    dw0 = np.stack([path_draws(seed, g, n_fine, NOISE_COMMON) for g in range(n_common)]) * sq
     xbar_path = np.empty((n_fine + 1, n_common, c.n))
     xbar_path[0] = (atom_probs @ xi)[None, :]
     for j in range(n_fine):
@@ -56,10 +66,9 @@ def reference_forward(policy, c, grid, n_paths, seed, *, xi, atom_probs, n_commo
         xbar_path[j + 1] = xb + dt * drift + np.outer(dw0[:, j], tabs["D0"][j])
 
     cum = np.cumsum(atom_probs)
-    u01 = np.array([substream(seed, i, NOISE_INIT).random() for i in range(n_paths)])
+    u01 = np.array([path_draws(seed, i, 1, NOISE_INIT, uniform=True)[0] for i in range(n_paths)])
     atoms = np.minimum(np.searchsorted(cum, u01, side="right"), len(atom_probs) - 1)
-    dw = np.stack([substream(seed, i, NOISE_IDIO).standard_normal(n_fine)
-                   for i in range(n_paths)]) * sq
+    dw = np.stack([path_draws(seed, i, n_fine, NOISE_IDIO) for i in range(n_paths)]) * sq
 
     # the particle loop, one fine step at a time
     gidx = np.arange(n_paths) % n_common

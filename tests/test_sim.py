@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import cmvlq.sim as sim_mod
 from cmvlq.coeffs import make_coefficients
@@ -21,17 +22,18 @@ from cmvlq.sim import (
     NOISE_COMMON,
     NOISE_IDIO,
     NOISE_INIT,
+    RNG_BLOCK,
     check_bellman,
     check_policy_dominance,
     check_value_function,
     conditional_zero_worst,
     estimate_cost,
+    idiosyncratic_normals,
     initial_atoms,
     simulate_forward,
-    substream,
     weak_order_check,
 )
-from helpers_euler import reference_forward
+from helpers_euler import path_draws, reference_forward
 
 
 @dataclass
@@ -113,27 +115,47 @@ def test_seed_determinism_and_batch_independence(monkeypatch):
 
 
 def test_increments_reproducible_from_substreams():
+    # 600 paths: two full blocks and a last partial one
     c = make_coefficients(1, 1, horizon=0.5, n_steps=2, D=1.0, R=1.0)
     ens = simulate_forward(
-        zero_policy(c), c, c.grid(), 60, 11,
+        zero_policy(c), c, c.grid(), 600, 11,
         xi=[[0.0]], atom_probs=[1.0], dt_target=0.025, store_paths=True,
     )
     n_fine = len(ens.times) - 1
     sq = math.sqrt(c.horizon / n_fine)
-    for i in (0, 17, 59):
-        expect = substream(11, i, NOISE_IDIO).standard_normal(n_fine) * sq
+    for i in (0, 17, RNG_BLOCK - 1, RNG_BLOCK, 2 * RNG_BLOCK - 1, 2 * RNG_BLOCK, 599):
+        expect = path_draws(11, i, n_fine, NOISE_IDIO) * sq
         assert np.array_equal(ens.dw[i], expect)
     for g in (0, 7, ens.n_common - 1):
-        expect = substream(11, g, NOISE_COMMON).standard_normal(n_fine) * sq
+        expect = path_draws(11, g, n_fine, NOISE_COMMON) * sq
         assert np.array_equal(ens.dw0_common[g], expect)
     probs = np.array([0.3, 0.7])
-    u = np.array([substream(11, i, NOISE_INIT).random() for i in range(60)])
+    u = np.array([path_draws(11, i, 1, NOISE_INIT, uniform=True)[0] for i in range(600)])
     expect = np.searchsorted(np.cumsum(probs), u, side="right")
-    assert np.array_equal(initial_atoms(11, 0, 60, probs), expect)
-    assert np.array_equal(initial_atoms(11, 17, 60, probs), expect[17:])
+    assert np.array_equal(initial_atoms(11, 0, 600, probs), expect)
+    assert np.array_equal(initial_atoms(11, 17, 600, probs), expect[17:])
     band = 4.0 / math.sqrt(ens.n_paths * n_fine)
     assert abs(ens.increment_mean_w) <= band
     assert abs(ens.increment_mean_w0) <= 4.0 / math.sqrt(ens.n_common * n_fine)
+
+
+def test_draws_do_not_depend_on_how_batches_cross_block_edges():
+    cuts = [(0, 100), (100, 300), (300, 600)]
+    whole = idiosyncratic_normals(5, 0, 600, 40)
+    assert np.array_equal(whole, np.vstack([idiosyncratic_normals(5, lo, hi, 40) for lo, hi in cuts]))
+    probs = np.array([0.2, 0.5, 0.3])
+    whole = initial_atoms(5, 0, 600, probs)
+    assert np.array_equal(whole, np.concatenate([initial_atoms(5, lo, hi, probs) for lo, hi in cuts]))
+
+
+def test_one_block_of_draws_is_standard_normal_and_uncorrelated_across_the_edge():
+    n = 2000
+    draws = idiosyncratic_normals(9, 0, 2 * RNG_BLOCK, n)
+    assert stats.kstest(draws[:RNG_BLOCK].ravel(), "norm").pvalue > 1e-3
+    # lag-1 across the block edge: the last path of block 0 against the
+    # first path of block 1
+    lag1 = np.corrcoef(draws[RNG_BLOCK - 1], draws[RNG_BLOCK])[0, 1]
+    assert abs(lag1) <= 4.0 / math.sqrt(n)
 
 
 def _mean_field_instance():
