@@ -172,11 +172,50 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, u: list, xi: np
     return states, xbars
 
 
+def _prefix_rollout(p: CoefficientSet, tree: JointTree, grid: TimeGrid, y0: np.ndarray,
+                    control) -> tuple[list, list]:
+    """The state of an F0-adapted plain problem on (component, prefix) rows.
+
+    p carries the common noise only and no conditional-mean terms (D = F =
+    H = 0), as the plain bar view does; y0 is the (n,) initial state and
+    control(k, y) the step-k control rows at the step-k state rows.
+    Prefix q has the children 2q and 2q+1, reached by the common-noise
+    increments +sqrt(dt) and -sqrt(dt).  Returns the state and control
+    rows of every step.
+    """
+    dt, sq = grid.dt, grid.sqrt_dt
+    y = np.asarray(y0, dtype=float)[:, None]
+    states, controls = [y], []
+    for k in range(grid.n_steps):
+        v = control(k, y)
+        controls.append(v)
+        drift = _mv(_coeff_prefix(p.A, tree, k), y) + _mv(_coeff_prefix(p.B, tree, k), v)
+        b = _nonzero(p.b, tree, k, per_prefix=True)
+        if b is not None:
+            drift = drift + b
+        y = np.repeat(y + dt * drift, 2, axis=-1)
+        D0 = _nonzero(p.D0, tree, k, per_prefix=True)
+        if D0 is not None:
+            D0 = D0 if D0.shape[-1] == 1 else np.repeat(D0, 2, axis=-1)
+            y = y + D0 * np.tile([sq, -sq], 2**k)
+        states.append(y)
+    return states, controls
+
+
 def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: list,
-               xbars=None) -> float:
+               xbars=None, on_prefixes: bool = False) -> float:
     """The mean-field cost of state rows x under control rows u; xbars, if
-    given, are the states' per-prefix means, else folded where H needs them."""
+    given, are the states' per-prefix means, else folded where H needs them.
+
+    With on_prefixes, x and u are the (component, prefix) rows of a
+    problem without H, as ``_prefix_rollout`` returns them, and prefix
+    mass is 2**-k.
+    """
     has_h = c.H.any()
+    coeff = _coeff_prefix if on_prefixes else _coeff_rows
+
+    def mass(k):
+        return np.full(2**k, 0.5**k) if on_prefixes else tree.probs(k)
 
     def deviation(k):
         if not has_h:
@@ -188,18 +227,19 @@ def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: l
     for k in range(grid.n_steps):
         e, v = deviation(k), u[k]
         integrand = (
-            _quad(e, _coeff_rows(c.Q, tree, k), e)
-            + 2.0 * _quad(e, _coeff_rows(c.S, tree, k), v)
-            + _quad(v, _coeff_rows(c.R, tree, k), v)
+            _quad(e, coeff(c.Q, tree, k), e)
+            + 2.0 * _quad(e, coeff(c.S, tree, k), v)
+            + _quad(v, coeff(c.R, tree, k), v)
         )
-        zeta, varpi = _nonzero(c.zeta, tree, k), _nonzero(c.varpi, tree, k)
+        zeta = _nonzero(c.zeta, tree, k, on_prefixes)
+        varpi = _nonzero(c.varpi, tree, k, on_prefixes)
         if zeta is not None:
             integrand = integrand + 2.0 * _dot(zeta, e)
         if varpi is not None:
             integrand = integrand + 2.0 * _dot(varpi, v)
-        total += grid.dt * float(np.dot(tree.probs(k), integrand))
+        total += grid.dt * float(np.dot(mass(k), integrand))
     eT = deviation(grid.n_steps)
-    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, c.QT, eT)))
+    total += float(np.dot(mass(grid.n_steps), _quad(eT, c.QT, eT)))
     return 0.5 * total
 
 
@@ -417,7 +457,9 @@ def estimate_convexity_margin(
     breve sample sets, which keeps the min(bar, breve) lower bound on the
     mean-field margin valid sample by sample.  The bar and breve samples
     are F0-adapted or centered by construction, so their forms are
-    evaluated on the plain views without the sub-problems' input checks.
+    evaluated on the plain views without the sub-problems' input checks;
+    the bar samples live on the common-noise prefixes, where their forms
+    and norms are taken.
     """
     ch = homogeneous(c)
     bar = bar_as_plain(homogeneous_bar(bar_transform(c)))
@@ -433,6 +475,13 @@ def estimate_convexity_margin(
         v = _process(tree, u)
         return inner_product(v, v, tree, grid)
 
+    def bar_form(v: list) -> float:
+        y, _ = _prefix_rollout(bar, tree, grid, np.zeros(c.n), lambda k, _y: v[k])
+        return 2.0 * _cost_rows(bar, tree, grid, y, v, on_prefixes=True)
+
+    def bar_sq_norm(v: list) -> float:
+        return grid.dt * sum(0.5**k * float(np.vdot(a, a)) for k, a in enumerate(v))
+
     m_mft = m_bar = m_breve = np.inf
     for j in range(n_samples):
         rng = np.random.default_rng([seed, j])
@@ -440,19 +489,18 @@ def estimate_convexity_margin(
         nu = sq_norm(u)
         m_mft = min(m_mft, form(ch, u) / nu)
 
-        ubar = [tree.expand_rows(k, tree.prefix_mean_rows(k, v)) for k, v in enumerate(u)]
-        nbar = sq_norm(ubar)
+        ubar = [tree.prefix_mean_rows(k, v) for k, v in enumerate(u)]
+        nbar = bar_sq_norm(ubar)
         if nbar > 1e-14 * nu:
-            m_bar = min(m_bar, form(bar, ubar) / nbar)
-        ubre = [a - b for a, b in zip(u, ubar)]
+            m_bar = min(m_bar, bar_form(ubar) / nbar)
+        ubre = [a - tree.expand_rows(k, b) for k, (a, b) in enumerate(zip(u, ubar))]
         nbre = sq_norm(ubre)
         if nbre > 1e-14 * nu:
             m_breve = min(m_breve, form(breve, ubre) / nbre)
 
         # fresh dedicated samples for the two restricted classes
-        v_pref = [rng.standard_normal((tree.n_prefixes(k), c.d)).T for k in range(N)]
-        v = [tree.expand_rows(k, vp) for k, vp in enumerate(v_pref)]
-        m_bar = min(m_bar, form(bar, v) / sq_norm(v))
+        v = [rng.standard_normal((tree.n_prefixes(k), c.d)).T for k in range(N)]
+        m_bar = min(m_bar, bar_form(v) / bar_sq_norm(v))
         raw = [rng.standard_normal((tree.n_nodes(k), c.d)).T for k in range(N)]
         alpha = [w - tree.expand_rows(k, tree.prefix_mean_rows(k, w)) for k, w in enumerate(raw)]
         na = sq_norm(alpha)

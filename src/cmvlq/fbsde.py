@@ -12,7 +12,13 @@ of either, and one first-order residual serves the stationarity check.
 
 A separate Picard iteration solves the coupled mean-field system in one
 piece, without decomposing first; agreement of the two routes is one of
-the strongest end-to-end checks in the test suite.
+the strongest end-to-end checks in the test suite.  Its map (roll-out,
+backward adjoint, first-order condition) is affine, and the iterates are
+mixed by Anderson acceleration over the last five map evaluations,
+which on an affine map is GMRES in disguise; with no history the update
+is the plain damped one.  It stops at the first iterate whose undamped
+control residual is within tol in relative sup norm, and returns that
+iterate.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, bar_transform, breve_as_plain
 from .decomposition import (
     _abar, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _mtv, _mv,
-    _nonzero, _plus_prefix, _process, _rollout, _rows_of,
+    _nonzero, _plus_prefix, _prefix_rollout, _process, _rollout, _rows_of,
 )
 from .errors import ConvergenceError, DimensionError
 from .lattice import (
@@ -192,31 +198,20 @@ def solve_bar_fbsde(
     """
     if l_solution is None:
         l_solution = solve_l(cb)
-    dt = grid.dt
-    sq = grid.sqrt_dt
     xi_bar = np.asarray(xi_bar, dtype=float)
     if xi_bar.shape != (cb.n,):
         raise DimensionError("xi_bar", f"expected shape {(cb.n,)}, got {xi_bar.shape}")
 
-    # (component, prefix) rows: prefix p has the children 2p and 2p+1,
-    # reached by the common-noise increments +sqrt(dt) and -sqrt(dt)
-    y = xi_bar[:, None]
-    y_pref, v_pref = [y], []
+    p = bar_as_plain(cb)
     gains, shifts = _prefix_rows(l_solution.gain_state), _prefix_rows(l_solution.gain_const)
-    for k in range(grid.n_steps):
-        v = -_mv(gains[k], y) - shifts[k]
-        v_pref.append(v)
-        drift = _mv(_coeff_prefix(cb.Abar, tree, k), y) + _mv(_coeff_prefix(cb.B, tree, k), v)
-        drift = drift + _coeff_prefix(cb.b, tree, k)
-        D0 = _coeff_prefix(cb.D0, tree, k)
-        D0 = D0 if D0.shape[-1] == 1 else np.repeat(D0, 2, axis=-1)
-        y = np.repeat(y + dt * drift, 2, axis=-1) + D0 * np.tile([sq, -sq], 2**k)
-        y_pref.append(y)
+    y_pref, v_pref = _prefix_rollout(
+        p, tree, grid, xi_bar, lambda k, y: -_mv(gains[k], y) - shifts[k]
+    )
     values, offsets = _prefix_rows(l_solution.values), _prefix_rows(l_solution.offset)
     cost_pref = [_mv(values[k], yk) + offsets[k] for k, yk in enumerate(y_pref)]
     return BarSolution(
         **_adjoint(
-            bar_as_plain(cb),
+            p,
             tree,
             grid,
             *([tree.expand_rows(k, a) for k, a in enumerate(rows)] for rows in (y_pref, v_pref, cost_pref)),
@@ -354,6 +349,11 @@ def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> Od
 
 # -- coupled fixed point ----------------------------------------------------
 
+# past map evaluations the Anderson mixing of the coupled iteration combines
+_ANDERSON_DEPTH = 5
+# shift of the mixing least squares' unit-diagonal normal equations
+_ANDERSON_SHIFT = 1e-12
+
 
 def solve_coupled_mv_fbsde(
     c: CoefficientSet,
@@ -365,76 +365,167 @@ def solve_coupled_mv_fbsde(
     max_iter: int = 200,
     tol: float = 1e-10,
 ) -> CoupledSolution:
-    """Picard iteration on the coupled mean-field optimality system.
+    """Anderson-accelerated Picard iteration on the coupled optimality system.
 
-    Each sweep simulates the state under the current control, solves the
-    composite adjoint recursion backward (conditioning on the common
-    noise where the interaction and mean terms require it), and maps the
-    predicted adjoint through the pointwise first-order condition.  The
-    update is damped.  Convergence is measured by the undamped fixed-
-    point residual in the control, relative sup norm.
+    Each map evaluation (a sweep) simulates the state under the current
+    control, solves the composite adjoint recursion backward (conditioning
+    on the common noise where the interaction and mean terms require it),
+    and maps the predicted adjoint through the pointwise first-order
+    condition.  The iterate is mixed by Anderson acceleration (type II)
+    over the last ``_ANDERSON_DEPTH`` map evaluations, with damping as the
+    mixing weight: the coefficients minimize the Euclidean norm of the
+    combined control residual, and the same combination updates the
+    carried E[u|F0], which stays the exact conditional mean because the
+    mixing is linear.  With no history the update is the damped one,
+    u + damping (G(u) - u).  The map is affine, so the mixing is GMRES on
+    it in disguise (Walker & Ni 2011, SINUM 49:1715).
+
+    Convergence is measured by the undamped fixed-point residual in the
+    control, relative sup norm per step.  The iterate that meets tol is
+    returned with its state, predicted costate and cost; iterations counts
+    map evaluations, one residual per evaluation in residual_history.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     cb = bar_transform(c)
     xi = _atom_values(xi, tree, "xi")
-    dt = grid.dt
     N = grid.n_steps
-    u = [np.zeros((c.d, tree.n_nodes(k))) for k in range(N)]
-    # E[u|F0] per prefix, updated with u: the control map is affine with
-    # F0-measurable coefficients, so it never needs a fold
-    ubar = [np.zeros((c.d, tree.n_prefixes(k))) for k in range(N)]
+    # the iterate z = (u, E[u|F0]) and the map's output as flat vectors,
+    # seen per step as (component, node) and (component, prefix) rows
+    cols = [tree.n_nodes(k) for k in range(N)] + [tree.n_prefixes(k) for k in range(N)]
+
+    def sweep(z, out):
+        zv, ov = _step_views(z, c.d, cols), _step_views(out, c.d, cols)
+        return _picard_sweep(c, cb, tree, grid, xi, zv[:N], zv[N:], ov[:N], ov[N:])
+
+    z, (x, xbar, pred), history = _anderson(
+        sweep, c.d * sum(cols), c.d * sum(cols[:N]), damping, max_iter, tol
+    )
+    u = _step_views(z, c.d, cols[:N])
+    return CoupledSolution(
+        state=_process(tree, x),
+        control=_process(tree, u),
+        costate_pred=[p.T for p in pred],
+        cost=_cost_rows(c, tree, grid, x, u, xbar),
+        iterations=len(history),
+        residual_history=history,
+    )
+
+
+def _anderson(sweep, size: int, n_fit: int, damping: float, max_iter: int, tol: float):
+    """Anderson-mixed (type II) fixed-point iteration on a flat vector z.
+
+    sweep(z, out) writes the map's value at z into out and returns
+    (by-products, change).  The mixing coefficients are fitted on the
+    first n_fit entries of the residual f = G(z) - z and applied to all
+    of it.  Returns (z, by-products, residual history) at the first z
+    whose change is within tol.
+    """
+    z, g = np.zeros(size), np.empty(size)
+    # slot j holds one pair of differences, dz = z_{i+1} - z_i in
+    # hist[j, 0] and df = f_{i+1} - f_i in hist[j, 1]; f_i waits in the
+    # df half of the slot its pair will take
+    depth = _ANDERSON_DEPTH
+    hist = np.empty((depth, 2, size))
     history = []
-    for _ in range(max_iter):
-        x, xbar = _rollout(c, tree, grid, u, xi, means=True)
-        cur = c.QT @ x[N] + tree.expand_rows(N, (cb.QbarT - c.QT) @ xbar[N])
-        pred, new_u, new_ubar = [None] * N, [None] * N, [None] * N
-        change = 0.0
-        for k in reversed(range(N)):
-            yt = tree.child_mean_rows(k, cur)
-            pred[k] = yt
-            ybar = tree.prefix_mean_rows(k, yt)
-            S, R = _coeff_rows(c.S, tree, k), _coeff_rows(c.R, tree, k)
-            Sp, Rp, Bp, varpi = (_coeff_prefix(co, tree, k) for co in (c.S, c.R, c.B, c.varpi))
-            # the terms constant on each prefix are summed per prefix and
-            # expanded once: F' E[y], (Qbar - Q) xbar, -H' S ubar, zetabar
-            per_prefix = (
-                _mtv(_coeff_prefix(c.F, tree, k), ybar)
-                + _mv(_coeff_prefix(cb.Qbar, tree, k), xbar[k])
-                - _mv(_coeff_prefix(c.Q, tree, k), xbar[k])
-                - c.H.T @ _mv(Sp, ubar[k])
-                + _coeff_prefix(cb.zetabar, tree, k)
-            )
-            running = _mv(_coeff_rows(c.Q, tree, k), x[k]) + _mv(S, u[k])
-            cur = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), yt) + dt * _plus_prefix(
-                tree, k, running, per_prefix
-            )
-
-            # first-order condition on e = x - H xbar
-            hx = c.H @ xbar[k]
-            rhs = _mtv(S, x[k]) + _mtv(_coeff_rows(c.B, tree, k), yt)
-            new_u[k] = -_solve(R, _plus_prefix(tree, k, rhs, varpi - _mtv(Sp, hx)))
-            new_ubar[k] = -_solve(Rp, _mtv(Sp, xbar[k] - hx) + _mtv(Bp, ybar) + varpi)
-            scale = 1.0 + float(np.max(np.abs(u[k])))
-            change = max(change, float(np.max(np.abs(new_u[k] - u[k]))) / scale)
-
+    for i in range(max_iter):
+        products, change = sweep(z, g)
         history.append(change)
         if change <= tol:
-            return CoupledSolution(
-                state=_process(tree, x),
-                control=_process(tree, u),
-                costate_pred=[p.T for p in pred],
-                cost=_cost_rows(c, tree, grid, x, u, xbar),
-                iterations=len(history),
-                residual_history=history,
-            )
-        u = [old + damping * (new - old) for old, new in zip(u, new_u)]
-        ubar = [old + damping * (new - old) for old, new in zip(ubar, new_ubar)]
+            return z, products, history
+        del products  # the next sweep replaces them
+        f = np.subtract(g, z, out=g)
+        if i:
+            np.subtract(f, hist[(i - 1) % depth, 1], out=hist[(i - 1) % depth, 1])
+        used = min(i, depth)
+        step = damping * f
+        if used:
+            gamma = _mixing_coefficients(hist[:used, 1, :n_fit], f[:n_fit])
+            # dz and df of a slot are adjacent rows: one product mixes both
+            weights = np.outer(gamma, [1.0, damping]).ravel()
+            step -= weights @ hist[:used].reshape(2 * used, size)
+        hist[i % depth, 0] = step
+        hist[i % depth, 1] = f
+        z += step
     raise ConvergenceError(
-        f"coupled fixed point did not converge within {max_iter} sweeps "
+        f"coupled fixed point did not converge within {max_iter} map evaluations "
         f"(last change {history[-1]:.3e})",
         residual_history=history,
     )
+
+
+def _step_views(flat: np.ndarray, d: int, cols: list) -> list:
+    """Consecutive (d, n) row views of a flat buffer, one per entry of cols."""
+    ends = np.cumsum([0] + [d * n for n in cols])
+    return [flat[a:b].reshape(d, n) for a, b, n in zip(ends[:-1], ends[1:], cols)]
+
+
+def _mixing_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """gamma minimizing |f - df' gamma|, from the Gram matrix of the rows of df.
+
+    The rows are scaled to unit length and the normal equations shifted
+    by _ANDERSON_SHIFT times the identity, so a direction the rows barely
+    span gets a damped coefficient: nearly dependent rows cannot blow the
+    mixing up.
+    """
+    gram = df @ df.T
+    norms = np.sqrt(np.diag(gram))
+    norms[norms == 0.0] = 1.0
+    scaled = gram / np.outer(norms, norms) + _ANDERSON_SHIFT * np.eye(len(norms))
+    return np.linalg.solve(scaled, (df @ f) / norms) / norms
+
+
+def _picard_sweep(c: CoefficientSet, cb: BarCoefficients, tree: JointTree, grid: TimeGrid, xi,
+                  u: list, ubar: list, new_u: list, new_ubar: list):
+    """One evaluation of the coupled fixed-point map at (u, E[u|F0]).
+
+    u and ubar are the control's (component, node) rows and their
+    per-prefix conditional means; the map's control and its conditional
+    mean are written into new_u and new_ubar.  Returns the state rows
+    under u, their prefix means, the predicted costate rows and the
+    relative sup-norm change of the control.
+    """
+    dt = grid.dt
+    N = grid.n_steps
+    x, xbar = _rollout(c, tree, grid, u, xi, means=True)
+    # the terminal costate enters only through its child means, so it is
+    # never formed on the step-N nodes: prefix q has the children 2q, 2q+1
+    term = (cb.QbarT - c.QT) @ xbar[N]
+    yt = c.QT @ tree.child_mean_rows(N - 1, x[N]) + tree.expand_rows(
+        N - 1, 0.5 * (term[:, 0::2] + term[:, 1::2]))
+    pred = [None] * N
+    change = 0.0
+    for k in reversed(range(N)):
+        if k < N - 1:
+            yt = tree.child_mean_rows(k, cur)
+        pred[k] = yt
+        ybar = tree.prefix_mean_rows(k, yt)
+        S, R = _coeff_rows(c.S, tree, k), _coeff_rows(c.R, tree, k)
+        Sp, Rp, Bp, varpi = (_coeff_prefix(co, tree, k) for co in (c.S, c.R, c.B, c.varpi))
+        # the terms constant on each prefix are summed per prefix and
+        # expanded once: F' E[y], (Qbar - Q) xbar, -H' S ubar, zetabar
+        per_prefix = (
+            _mtv(_coeff_prefix(c.F, tree, k), ybar)
+            + _mv(_coeff_prefix(cb.Qbar, tree, k), xbar[k])
+            - _mv(_coeff_prefix(c.Q, tree, k), xbar[k])
+            - c.H.T @ _mv(Sp, ubar[k])
+            + _coeff_prefix(cb.zetabar, tree, k)
+        )
+        running = _mv(_coeff_rows(c.Q, tree, k), x[k]) + _mv(S, u[k])
+        cur = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), yt) + dt * _plus_prefix(
+            tree, k, running, per_prefix
+        )
+
+        # first-order condition on e = x - H xbar
+        hx = c.H @ xbar[k]
+        rhs = _mtv(S, x[k]) + _mtv(_coeff_rows(c.B, tree, k), yt)
+        new_u[k][...] = -_solve(R, _plus_prefix(tree, k, rhs, varpi - _mtv(Sp, hx)))
+        new_ubar[k][...] = -_solve(Rp, _mtv(Sp, xbar[k] - hx) + _mtv(Bp, ybar) + varpi)
+        scale = 1.0 + float(np.max(np.abs(u[k])))
+        change = max(change, float(np.max(np.abs(new_u[k] - u[k]))) / scale)
+    return (x, xbar, pred), change
 
 
 def _solve(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -110,52 +110,62 @@ def eval_cost_mft(c, tree, grid, x, u):
     return 0.5 * total
 
 
+def sweep(c, tree, grid, xi, u):
+    """One undamped evaluation of the coupled fixed-point map, node by node.
+
+    Returns (state, predicted costate, new control, change) at control u,
+    where change is the control's relative sup-norm change per step.
+    """
+    cb = bar_transform(c)
+    dt = grid.dt
+    N = grid.n_steps
+    eye = np.eye(c.n)
+    x = simulate_mft(c, tree, grid, u, xi)
+    xbars = [ce_f0(tree, k, v) for k, v in enumerate(x)]
+    ubars = [ce_f0(tree, k, v) for k, v in enumerate(u)]
+    cur = x[N] @ c.QT.T + xbars[N] @ (cb.QbarT - c.QT).T
+    pred = [None] * N
+    new_u = [None] * N
+    change = 0.0
+    for k in reversed(range(N)):
+        yt = child_mean(tree, k, cur)
+        pred[k] = yt
+        A = coeff_nodes(c.A, tree, k)
+        F = coeff_nodes(c.F, tree, k)
+        Q = coeff_nodes(c.Q, tree, k)
+        S = coeff_nodes(c.S, tree, k)
+        R = coeff_nodes(c.R, tree, k)
+        B = coeff_nodes(c.B, tree, k)
+        running = (
+            _mv(Q, x[k])
+            + _mv(coeff_nodes(cb.Qbar, tree, k) - Q, xbars[k])
+            + _mv(S, u[k])
+            - _mv(S, ubars[k]) @ c.H
+            + coeff_nodes(cb.zetabar, tree, k)
+        )
+        abar = eye + dt * A
+        cur = _mtv(abar, yt) + dt * (_mtv(F, ce_f0(tree, k, yt)) + running)
+        e = x[k] - xbars[k] @ c.H.T
+        rhs = _mtv(S, e) + _mtv(B, yt) + coeff_nodes(c.varpi, tree, k)
+        if R.ndim == 2:
+            new_u[k] = -np.linalg.solve(R, rhs.T).T
+        else:
+            new_u[k] = -np.linalg.solve(R, rhs[..., None])[..., 0]
+        scale = 1.0 + float(np.max(np.abs(u[k])))
+        change = max(change, float(np.max(np.abs(new_u[k] - u[k]))) / scale)
+    return x, pred, new_u, change
+
+
 def solve_coupled(c, tree, grid, xi, *, damping=0.5, max_iter=200, tol=1e-10):
     """The damped Picard iteration on the coupled system, node by node.
 
     Returns (state, control, predicted costate, cost, residual history)
     at the first sweep whose undamped control change is within tol.
     """
-    cb = bar_transform(c)
-    dt = grid.dt
-    N = grid.n_steps
-    eye = np.eye(c.n)
-    u = [np.zeros((tree.n_nodes(k), c.d)) for k in range(N)]
+    u = [np.zeros((tree.n_nodes(k), c.d)) for k in range(grid.n_steps)]
     history = []
     for _ in range(max_iter):
-        x = simulate_mft(c, tree, grid, u, xi)
-        xbars = [ce_f0(tree, k, v) for k, v in enumerate(x)]
-        ubars = [ce_f0(tree, k, v) for k, v in enumerate(u)]
-        cur = x[N] @ c.QT.T + xbars[N] @ (cb.QbarT - c.QT).T
-        pred = [None] * N
-        new_u = [None] * N
-        change = 0.0
-        for k in reversed(range(N)):
-            yt = child_mean(tree, k, cur)
-            pred[k] = yt
-            A = coeff_nodes(c.A, tree, k)
-            F = coeff_nodes(c.F, tree, k)
-            Q = coeff_nodes(c.Q, tree, k)
-            S = coeff_nodes(c.S, tree, k)
-            R = coeff_nodes(c.R, tree, k)
-            B = coeff_nodes(c.B, tree, k)
-            running = (
-                _mv(Q, x[k])
-                + _mv(coeff_nodes(cb.Qbar, tree, k) - Q, xbars[k])
-                + _mv(S, u[k])
-                - _mv(S, ubars[k]) @ c.H
-                + coeff_nodes(cb.zetabar, tree, k)
-            )
-            abar = eye + dt * A
-            cur = _mtv(abar, yt) + dt * (_mtv(F, ce_f0(tree, k, yt)) + running)
-            e = x[k] - xbars[k] @ c.H.T
-            rhs = _mtv(S, e) + _mtv(B, yt) + coeff_nodes(c.varpi, tree, k)
-            if R.ndim == 2:
-                new_u[k] = -np.linalg.solve(R, rhs.T).T
-            else:
-                new_u[k] = -np.linalg.solve(R, rhs[..., None])[..., 0]
-            scale = 1.0 + float(np.max(np.abs(u[k])))
-            change = max(change, float(np.max(np.abs(new_u[k] - u[k]))) / scale)
+        x, pred, new_u, change = sweep(c, tree, grid, xi, u)
         history.append(change)
         if change <= tol:
             return x, u, pred, eval_cost_mft(c, tree, grid, x, u), history

@@ -1,7 +1,11 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cmvlq.coeffs import bar_transform, make_coefficients
+from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import check_decomposition, coeff_nodes, eval_cost_mft, simulate_mft
 from cmvlq.errors import ConvergenceError
 from cmvlq.fbsde import (
@@ -15,6 +19,8 @@ from cmvlq.fbsde import (
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import F_ADAPTED, TreeProcess, build_joint_tree
 from cmvlq.riccati import solve_l, solve_pi
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "mean_field.cfg"
 
 
 def _max_ce(proc, tree):
@@ -194,7 +200,9 @@ def test_cost_is_parabolic_around_the_optimum():
     assert cost_at(-1.0) - j0 == pytest.approx(j1 - j0, abs=1e-10 * scale)
 
 
-@pytest.mark.parametrize("seed", [0, 16, 27, 17])
+# seed 4 (N=6) diverges under damped Picard at damping 0.5; the
+# Anderson-mixed iteration converges on it
+@pytest.mark.parametrize("seed", [0, 16, 27, 17, 4])
 def test_coupled_fixed_point_recovers_the_optimum(seed):
     inst = random_instance(seed)
     c = inst.coeffs
@@ -218,6 +226,31 @@ def test_coupled_iteration_reports_failure():
     with pytest.raises(ConvergenceError) as err:
         solve_coupled_mv_fbsde(inst.coeffs, tree, grid, inst.xi, max_iter=2)
     assert len(err.value.residual_history) == 2
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_coupled_iteration_refuses_no_map_evaluations(max_iter):
+    inst = random_instance(0)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_coupled_mv_fbsde(inst.coeffs, inst.tree(), inst.grid(), inst.xi, max_iter=max_iter)
+
+
+def test_coupled_iteration_is_accelerated_on_the_demo_coefficients():
+    # damped Picard at damping 0.5 needs 29-30 map evaluations here
+    text = DEMO_CONFIG.read_text()
+    for n_steps in (3, 4, 5, 6):
+        cfg = parse_config(re.sub(r"^N = \d+$", f"N = {n_steps}", text, flags=re.M))
+        c = build_coefficients(cfg)
+        xi, probs = initial_condition(cfg)
+        grid = c.grid()
+        assert grid.n_steps == n_steps
+        tree = build_joint_tree(grid, probs)
+        coupled = solve_coupled_mv_fbsde(c, tree, grid, xi)
+        assert coupled.iterations <= 20, n_steps
+        assert len(coupled.residual_history) == coupled.iterations
+        direct = assemble_optimal_control(c, tree, xi)
+        for a, b in zip(coupled.control.values, direct.control.values):
+            assert float(np.max(np.abs(a - b))) <= 1e-8 * (1.0 + float(np.max(np.abs(b))))
 
 
 def test_ode_policy_tables_match_per_step_solves():

@@ -4,9 +4,13 @@ node-major reference.
 The tree kernels keep each state or control component in one contiguous
 row, node axis last.  Their properties are checked here against the
 definitions by index (``w0_of_node``, ``atom_of_node``, child slots
-4i..4i+3), and the roll-out, cost and Picard iteration built on them
-against the node-major reference in ``helpers_node_major``.  The two sum
-in different orders, so agreement is to a relative 1e-14, not bitwise.
+4i..4i+3), and the roll-out, cost and Picard sweep built on them
+against the node-major reference in ``helpers_node_major``; the bar
+roll-out and cost on (component, prefix) rows are checked against the
+node ones.  The two sides sum in different orders, so agreement is to a
+relative 1e-14, not bitwise.  The accelerated coupled iteration is
+checked against the reference's damped one at its fixed point, to the
+1e-8 control tolerance of the decomposition checks.
 """
 
 import helpers_node_major as ref
@@ -15,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvlq.decomposition import eval_cost_mft, simulate_mft
-from cmvlq.fbsde import solve_coupled_mv_fbsde
+from cmvlq.coeffs import bar_as_plain, bar_transform
+from cmvlq.decomposition import _cost_rows, _prefix_rollout, eval_cost_mft, simulate_mft
+from cmvlq.fbsde import _picard_sweep, solve_coupled_mv_fbsde
 from cmvlq.instances import random_control, random_instance
-from cmvlq.lattice import TimeGrid, build_joint_tree
+from cmvlq.lattice import F_ADAPTED, TimeGrid, TreeProcess, build_joint_tree
 
 REL = 1e-14
 
@@ -95,13 +100,46 @@ def test_rollout_and_cost_match_node_major_reference(seed, node_dependent):
 
 
 @pytest.mark.parametrize("seed,node_dependent", CASES)
+def test_bar_rollout_and_cost_on_prefixes_match_the_node_ones(seed, node_dependent):
+    inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    p = bar_as_plain(bar_transform(c))
+    rng = np.random.default_rng(seed)
+    v = [rng.standard_normal((c.d, tree.n_prefixes(k))) for k in range(grid.n_steps)]
+    y, _ = _prefix_rollout(p, tree, grid, inst.xi_mean(), lambda k, _y: v[k])
+    u = TreeProcess(tree, [tree.expand_rows(k, a).T for k, a in enumerate(v)], F_ADAPTED)
+    x = simulate_mft(p, tree, grid, u, inst.xi_mean())
+    assert all(_close(tree.expand_rows(k, a).T, b) for k, (a, b) in enumerate(zip(y, x.values)))
+    cost = _cost_rows(p, tree, grid, y, v, on_prefixes=True)
+    assert _close(cost, eval_cost_mft(p, x, u, tree, grid))
+
+
+@pytest.mark.parametrize("seed,node_dependent", CASES)
 def test_picard_matches_node_major_reference(seed, node_dependent):
     inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    u = random_control(inst, tree, seed=23).values
+    rows = [v.T for v in u]
+    ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(rows)]
+    new_u, new_ubar = [np.empty_like(r) for r in rows], [np.empty_like(b) for b in ubar]
+    (x, _, pred), change = _picard_sweep(c, bar_transform(c), tree, grid, inst.xi, rows, ubar,
+                                         new_u, new_ubar)
+    want_x, want_pred, want_u, want_change = ref.sweep(c, tree, grid, inst.xi, u)
+    assert all(_close(a.T, b) for a, b in zip(x, want_x))
+    assert all(_close(a.T, b) for a, b in zip(pred, want_pred))
+    assert all(_close(a.T, b) for a, b in zip(new_u, want_u))
+    # the carried conditional mean is the fold of the new control
+    assert all(_close(a, tree.prefix_mean_rows(k, b.T)) for k, (a, b) in enumerate(zip(new_ubar, want_u)))
+    assert _close(change, want_change)
+
+
+@pytest.mark.parametrize("seed,node_dependent", CASES)
+def test_accelerated_fixed_point_matches_damped_reference(seed, node_dependent):
+    inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     got = solve_coupled_mv_fbsde(c, tree, grid, inst.xi)
-    x, u, pred, cost, history = ref.solve_coupled(c, tree, grid, inst.xi)
-    assert got.iterations == len(history)
-    assert all(_close(a, b) for a, b in zip(got.control.values, u))
-    assert all(_close(a, b) for a, b in zip(got.state.values, x))
-    assert all(_close(a, b) for a, b in zip(got.costate_pred, pred))
-    assert _close(got.cost, cost)
+    _, u, _, cost, history = ref.solve_coupled(c, tree, grid, inst.xi)
+    assert got.iterations < len(history)
+    for a, b in zip(got.control.values, u):
+        assert float(np.max(np.abs(a - b))) <= 1e-8 * (1.0 + float(np.max(np.abs(b))))
+    assert got.cost == pytest.approx(cost, abs=1e-9 * max(1.0, abs(cost)))
