@@ -13,7 +13,11 @@ Both sub-problems are ordinary LQ problems: after their own input checks
 costs run through the full problem's code on the plain views
 ``coeffs.bar_as_plain`` and ``coeffs.breve_as_plain``.  A term whose
 coefficient is deterministic and zero, as those views' conditional-mean
-terms are, is skipped together with its conditioning fold.
+terms are, is skipped together with its conditioning fold.  The one
+roll-out (``_rollout``, under control rows or a feedback) and the one
+cost (``_cost_rows``) run on either tree: the joint one, or its W0-only
+form ``tree.common``, where the library rolls out and costs whatever the
+common noise alone drives.
 """
 
 from __future__ import annotations
@@ -141,24 +145,30 @@ def _nonzero(coeff: Coefficient, tree: JointTree, k: int, per_prefix: bool = Fal
     return (_coeff_prefix if per_prefix else _coeff_rows)(coeff, tree, k)
 
 
-def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, u: list, xi: np.ndarray,
+def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np.ndarray,
              means: bool = False):
-    """The state under control rows u from initial atoms xi, node axis last.
+    """The state under a control from initial atoms xi, node axis last.
 
-    Returns one (n, n_nodes(k)) array per step and, if means is set, the
-    per-prefix conditional means (n, 2**k) of every step, which the F
-    term folds anyway.  F E[x] + b is summed per prefix and expanded once.
+    control is either the (d, n_nodes(k)) control rows of every step or a
+    feedback control(k, x) giving the step-k rows at the step-k state
+    rows.  Returns one (n, n_nodes(k)) state array per step, the control
+    rows and, if means is set, the per-prefix conditional means (n, 2**k)
+    of every step, which the F term folds anyway.  F E[x] + b is summed
+    per prefix and expanded once.
     """
     if xi.shape[1] != c.n:
         raise DimensionError("xi", f"state dimension {c.n} expected, got {xi.shape[1]}")
+    feedback = control if callable(control) else lambda k, _x: control[k]
     dt = grid.dt
     x = np.ascontiguousarray(xi.T)  # the atoms are the step-0 nodes, in order
-    states, xbars = [x], []
+    states, controls, xbars = [x], [], []
     for k in range(grid.n_steps):
         F = _nonzero(c.F, tree, k, per_prefix=True)
         xbar = tree.prefix_mean_rows(k, x) if means or F is not None else None
         xbars.append(xbar)
-        drift = _mv(_coeff_rows(c.A, tree, k), x) + _mv(_coeff_rows(c.B, tree, k), u[k])
+        u = feedback(k, x)
+        controls.append(u)
+        drift = _mv(_coeff_rows(c.A, tree, k), x) + _mv(_coeff_rows(c.B, tree, k), u)
         shift = _nonzero(c.b, tree, k, per_prefix=True)
         if F is not None:
             shift = _mv(F, xbar) if shift is None else _mv(F, xbar) + shift
@@ -167,55 +177,17 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, u: list, xi: np
         x = tree.children_rows(k, x + dt * drift, _nonzero(c.D, tree, k), _nonzero(c.D0, tree, k))
         states.append(x)
     if not means:
-        return states, None
+        return states, controls, None
     xbars.append(tree.prefix_mean_rows(grid.n_steps, x))
-    return states, xbars
-
-
-def _prefix_rollout(p: CoefficientSet, tree: JointTree, grid: TimeGrid, y0: np.ndarray,
-                    control) -> tuple[list, list]:
-    """The state of an F0-adapted plain problem on (component, prefix) rows.
-
-    p carries the common noise only and no conditional-mean terms (D = F =
-    H = 0), as the plain bar view does; y0 is the (n,) initial state and
-    control(k, y) the step-k control rows at the step-k state rows.
-    Prefix q has the children 2q and 2q+1, reached by the common-noise
-    increments +sqrt(dt) and -sqrt(dt).  Returns the state and control
-    rows of every step.
-    """
-    dt, sq = grid.dt, grid.sqrt_dt
-    y = np.asarray(y0, dtype=float)[:, None]
-    states, controls = [y], []
-    for k in range(grid.n_steps):
-        v = control(k, y)
-        controls.append(v)
-        drift = _mv(_coeff_prefix(p.A, tree, k), y) + _mv(_coeff_prefix(p.B, tree, k), v)
-        b = _nonzero(p.b, tree, k, per_prefix=True)
-        if b is not None:
-            drift = drift + b
-        y = np.repeat(y + dt * drift, 2, axis=-1)
-        D0 = _nonzero(p.D0, tree, k, per_prefix=True)
-        if D0 is not None:
-            D0 = D0 if D0.shape[-1] == 1 else np.repeat(D0, 2, axis=-1)
-            y = y + D0 * np.tile([sq, -sq], 2**k)
-        states.append(y)
-    return states, controls
+    return states, controls, xbars
 
 
 def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: list,
-               xbars=None, on_prefixes: bool = False) -> float:
+               xbars=None) -> float:
     """The mean-field cost of state rows x under control rows u; xbars, if
     given, are the states' per-prefix means, else folded where H needs them.
-
-    With on_prefixes, x and u are the (component, prefix) rows of a
-    problem without H, as ``_prefix_rollout`` returns them, and prefix
-    mass is 2**-k.
     """
     has_h = c.H.any()
-    coeff = _coeff_prefix if on_prefixes else _coeff_rows
-
-    def mass(k):
-        return np.full(2**k, 0.5**k) if on_prefixes else tree.probs(k)
 
     def deviation(k):
         if not has_h:
@@ -227,20 +199,25 @@ def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: l
     for k in range(grid.n_steps):
         e, v = deviation(k), u[k]
         integrand = (
-            _quad(e, coeff(c.Q, tree, k), e)
-            + 2.0 * _quad(e, coeff(c.S, tree, k), v)
-            + _quad(v, coeff(c.R, tree, k), v)
+            _quad(e, _coeff_rows(c.Q, tree, k), e)
+            + 2.0 * _quad(e, _coeff_rows(c.S, tree, k), v)
+            + _quad(v, _coeff_rows(c.R, tree, k), v)
         )
-        zeta = _nonzero(c.zeta, tree, k, on_prefixes)
-        varpi = _nonzero(c.varpi, tree, k, on_prefixes)
+        zeta = _nonzero(c.zeta, tree, k)
+        varpi = _nonzero(c.varpi, tree, k)
         if zeta is not None:
             integrand = integrand + 2.0 * _dot(zeta, e)
         if varpi is not None:
             integrand = integrand + 2.0 * _dot(varpi, v)
-        total += grid.dt * float(np.dot(mass(k), integrand))
+        total += grid.dt * float(np.dot(tree.probs(k), integrand))
     eT = deviation(grid.n_steps)
-    total += float(np.dot(mass(grid.n_steps), _quad(eT, c.QT, eT)))
+    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, c.QT, eT)))
     return 0.5 * total
+
+
+def _expand_common(tree: JointTree, p: TreeProcess) -> TreeProcess:
+    """A process of ``tree.common`` on the nodes of tree, F0-adapted."""
+    return _process(tree, [tree.expand_rows(k, r) for k, r in enumerate(_rows_of(p))], F0_ADAPTED)
 
 
 def simulate_mft(
@@ -375,15 +352,22 @@ def check_decomposition(
 
     The split state components are used directly: the conditional mean of
     an admissible state IS the bar state of the conditioned control, and
-    the remainder IS the breve state, exactly on the tree.
+    the remainder IS the breve state, exactly on the tree.  The bar pair
+    is costed where it lives, on ``tree.common``; the centered pair is
+    centered by construction and costed without the centering checks.
     """
-    cb = bar_transform(c)
-    parts = split_pair(x, u, tree)
+    if x.adapted != F_ADAPTED or u.adapted != F_ADAPTED:
+        raise AdaptednessError("check_decomposition expects F-adapted state and control")
     j_total = eval_cost_mft(c, x, u, tree, grid)
-    ubar_f0 = TreeProcess(tree, parts.ubar.values, F0_ADAPTED)
-    xbar_f0 = TreeProcess(tree, parts.xbar.values, F0_ADAPTED)
-    j_bar = eval_cost_bar(cb, xbar_f0, ubar_f0, tree, grid)
-    j_breve = eval_cost_breve(c, parts.xbreve, parts.ubreve, tree, grid)
+    xs, us = _rows_of(x), _rows_of(u, grid.n_steps)
+    xbar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(xs)]
+    ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(us)]
+    j_bar = _cost_rows(bar_as_plain(bar_transform(c)), tree.common, grid, xbar, ubar)
+
+    def centered(rows, means):
+        return [r - tree.expand_rows(k, m) for k, (r, m) in enumerate(zip(rows, means))]
+
+    j_breve = _cost_rows(breve_as_plain(c), tree, grid, centered(xs, xbar), centered(us, ubar))
     return DecompositionReport(j_total, j_bar, j_breve)
 
 
@@ -458,58 +442,61 @@ def estimate_convexity_margin(
     mean-field margin valid sample by sample.  The bar and breve samples
     are F0-adapted or centered by construction, so their forms are
     evaluated on the plain views without the sub-problems' input checks;
-    the bar samples live on the common-noise prefixes, where their forms
-    and norms are taken.
+    the bar samples live on ``tree.common``, where their forms and norms
+    are taken.  At least one sample is required.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     ch = homogeneous(c)
     bar = bar_as_plain(homogeneous_bar(bar_transform(c)))
     breve = breve_as_plain(ch)
-    zero_xi = np.zeros((tree.n_atoms, c.n))
+    common = tree.common
     N = grid.n_steps
 
-    def form(p: CoefficientSet, u: list) -> float:
-        x, xbars = _rollout(p, tree, grid, u, zero_xi, means=bool(p.H.any()))
-        return 2.0 * _cost_rows(p, tree, grid, x, u, xbars)
+    def form(p: CoefficientSet, on: JointTree, u: list) -> float:
+        zero_xi = np.zeros((on.n_atoms, c.n))
+        x, _, xbars = _rollout(p, on, grid, u, zero_xi, means=bool(p.H.any()))
+        return 2.0 * _cost_rows(p, on, grid, x, u, xbars)
 
-    def sq_norm(u: list) -> float:
-        v = _process(tree, u)
-        return inner_product(v, v, tree, grid)
-
-    def bar_form(v: list) -> float:
-        y, _ = _prefix_rollout(bar, tree, grid, np.zeros(c.n), lambda k, _y: v[k])
-        return 2.0 * _cost_rows(bar, tree, grid, y, v, on_prefixes=True)
-
-    def bar_sq_norm(v: list) -> float:
-        return grid.dt * sum(0.5**k * float(np.vdot(a, a)) for k, a in enumerate(v))
+    def sq_norm(on: JointTree, u: list) -> float:
+        v = _process(on, u)
+        return inner_product(v, v, on, grid)
 
     m_mft = m_bar = m_breve = np.inf
     for j in range(n_samples):
         rng = np.random.default_rng([seed, j])
         u = [rng.standard_normal((tree.n_nodes(k), c.d)).T for k in range(N)]
-        nu = sq_norm(u)
-        m_mft = min(m_mft, form(ch, u) / nu)
+        nu = sq_norm(tree, u)
+        m_mft = min(m_mft, form(ch, tree, u) / nu)
 
         ubar = [tree.prefix_mean_rows(k, v) for k, v in enumerate(u)]
-        nbar = bar_sq_norm(ubar)
+        nbar = sq_norm(common, ubar)
         if nbar > 1e-14 * nu:
-            m_bar = min(m_bar, bar_form(ubar) / nbar)
+            m_bar = min(m_bar, form(bar, common, ubar) / nbar)
         ubre = [a - tree.expand_rows(k, b) for k, (a, b) in enumerate(zip(u, ubar))]
-        nbre = sq_norm(ubre)
+        nbre = sq_norm(tree, ubre)
         if nbre > 1e-14 * nu:
-            m_breve = min(m_breve, form(breve, ubre) / nbre)
+            m_breve = min(m_breve, form(breve, tree, ubre) / nbre)
 
         # fresh dedicated samples for the two restricted classes
-        v = [rng.standard_normal((tree.n_prefixes(k), c.d)).T for k in range(N)]
-        m_bar = min(m_bar, bar_form(v) / bar_sq_norm(v))
+        v = [rng.standard_normal((common.n_nodes(k), c.d)).T for k in range(N)]
+        m_bar = min(m_bar, form(bar, common, v) / sq_norm(common, v))
         raw = [rng.standard_normal((tree.n_nodes(k), c.d)).T for k in range(N)]
         alpha = [w - tree.expand_rows(k, tree.prefix_mean_rows(k, w)) for k, w in enumerate(raw)]
-        na = sq_norm(alpha)
+        na = sq_norm(tree, alpha)
         if na > 1e-14:
-            m_breve = min(m_breve, form(breve, alpha) / na)
+            m_breve = min(m_breve, form(breve, tree, alpha) / na)
     return ConvexityReport(float(m_mft), float(m_bar), float(m_breve), n_samples, seed)
 
 
 # -- shared input checks ----------------------------------------------------
+
+
+def _check_tree(p: TreeProcess, tree: JointTree, what: str):
+    """Refuse a process of another kind of tree or with other atoms."""
+    other = p.tree
+    if other is not tree and (other.branches != tree.branches or other.n_atoms != tree.n_atoms):
+        raise DimensionError(what, "process lives on a different tree")
 
 
 def _check_control(u: TreeProcess, c, grid: TimeGrid, tree: JointTree):
@@ -519,11 +506,11 @@ def _check_control(u: TreeProcess, c, grid: TimeGrid, tree: JointTree):
         raise DimensionError(
             "control", f"payload {(c.d,)} expected, got {u.values[0].shape[1:]}"
         )
-    if u.tree is not tree and u.tree.n_atoms != tree.n_atoms:
-        raise DimensionError("control", "process lives on a different tree")
+    _check_tree(u, tree, "control")
 
 
 def _check_state(x: TreeProcess, c, grid: TimeGrid, tree: JointTree):
+    _check_tree(x, tree, "state")
     if x.n_step_arrays != grid.n_steps + 1:
         raise DimensionError("state", f"need values at steps 0..{grid.n_steps}")
     if x.values[0].shape[1:] != (c.n,):

@@ -6,9 +6,12 @@ feedback and reading every adjoint quantity off as an honest conditional
 expectation over child nodes.  With the one-step-predicted adjoint in
 the first-order condition, stationarity holds at machine precision, so
 the checks here certify rather than approximate.  Both sub-problems run
-through the full problem's code on their plain views: one adjoint
-routine gives the predicted costate, the backward residual and the cost
-of either, and one first-order residual serves the stationarity check.
+through the full problem's code on their plain views: one roll-out under
+the dynamic-programming feedback, one adjoint routine for the predicted
+costate, the backward residual and the cost of either, and one
+first-order residual for the stationarity check.  The conditional-mean
+system is rolled out and its adjoint read on ``tree.common``, one node
+per common-noise prefix, and expanded onto the joint tree on return.
 
 A separate Picard iteration solves the coupled mean-field system in one
 piece, without decomposing first; agreement of the two routes is one of
@@ -29,8 +32,8 @@ import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _mtv, _mv,
-    _nonzero, _plus_prefix, _prefix_rollout, _process, _rollout, _rows_of,
+    _abar, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _expand_common,
+    _mtv, _mv, _plus_prefix, _process, _rollout, _rows_of,
 )
 from .errors import ConvergenceError, DimensionError
 from .lattice import (
@@ -165,16 +168,11 @@ def solve_breve_fbsde(
     if pi is None:
         pi = solve_pi(c)
     p = breve_as_plain(c)
-    dt = grid.dt
-    z = np.ascontiguousarray(_centered_atoms(xi_breve, tree).T)
-    states = [z]
-    controls = []
-    for k, gain in enumerate(_prefix_rows(pi.gain_state[: grid.n_steps])):
-        a = -_mv(tree.expand_rows(k, gain), z)
-        controls.append(a)
-        drift = _mv(_coeff_rows(p.A, tree, k), z) + _mv(_coeff_rows(p.B, tree, k), a)
-        z = tree.children_rows(k, z + dt * drift, _nonzero(p.D, tree, k))
-        states.append(z)
+    gains = _prefix_rows(pi.gain_state[: grid.n_steps])
+    states, controls, _ = _rollout(
+        p, tree, grid, lambda k, z: -_mv(tree.expand_rows(k, gains[k]), z),
+        _centered_atoms(xi_breve, tree),
+    )
     costate = [
         _mv(tree.expand_rows(k, values), states[k])
         for k, values in enumerate(_prefix_rows(pi.values[: grid.n_steps + 1]))
@@ -193,8 +191,9 @@ def solve_bar_fbsde(
 ) -> BarSolution:
     """Roll the conditional-mean optimum forward and extract its adjoints.
 
-    The rollout runs once per common-noise prefix, where the state lives,
-    and is expanded onto the nodes afterwards.
+    Roll-out and adjoint run on ``tree.common``, one node per common-noise
+    prefix, where the state lives; the processes are expanded onto the
+    nodes of tree on return.
     """
     if l_solution is None:
         l_solution = solve_l(cb)
@@ -203,22 +202,18 @@ def solve_bar_fbsde(
         raise DimensionError("xi_bar", f"expected shape {(cb.n,)}, got {xi_bar.shape}")
 
     p = bar_as_plain(cb)
+    common = tree.common
     gains, shifts = _prefix_rows(l_solution.gain_state), _prefix_rows(l_solution.gain_const)
-    y_pref, v_pref = _prefix_rollout(
-        p, tree, grid, xi_bar, lambda k, y: -_mv(gains[k], y) - shifts[k]
+    states, controls, _ = _rollout(
+        p, common, grid, lambda k, y: -_mv(gains[k], y) - shifts[k], xi_bar[None]
     )
     values, offsets = _prefix_rows(l_solution.values), _prefix_rows(l_solution.offset)
-    cost_pref = [_mv(values[k], yk) + offsets[k] for k, yk in enumerate(y_pref)]
-    return BarSolution(
-        **_adjoint(
-            p,
-            tree,
-            grid,
-            *([tree.expand_rows(k, a) for k, a in enumerate(rows)] for rows in (y_pref, v_pref, cost_pref)),
-            F0_ADAPTED,
-            ("w0",),
-        )
-    )
+    costate = [_mv(values[k], yk) + offsets[k] for k, yk in enumerate(states)]
+    fields = _adjoint(p, common, grid, states, controls, costate, F0_ADAPTED, ("w0",))
+    return BarSolution(**{
+        name: _expand_common(tree, f) if isinstance(f, TreeProcess) else f
+        for name, f in fields.items()
+    })
 
 
 def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> StationarityReport:
@@ -281,7 +276,7 @@ def assemble_optimal_control(
     breve = solve_breve_fbsde(c, tree, grid, xi_breve)
     u = [a + b for a, b in zip(_rows_of(bar.control), _rows_of(breve.control))]
     if resimulate:
-        x, xbars = _rollout(c, tree, grid, u, xi, means=bool(c.H.any()))
+        x, _, xbars = _rollout(c, tree, grid, u, xi, means=bool(c.H.any()))
     else:
         x, xbars = [a + b for a, b in zip(_rows_of(bar.state), _rows_of(breve.state))], None
     cost = _cost_rows(c, tree, grid, x, u, xbars)
@@ -489,7 +484,7 @@ def _picard_sweep(c: CoefficientSet, cb: BarCoefficients, tree: JointTree, grid:
     """
     dt = grid.dt
     N = grid.n_steps
-    x, xbar = _rollout(c, tree, grid, u, xi, means=True)
+    x, _, xbar = _rollout(c, tree, grid, u, xi, means=True)
     # the terminal costate enters only through its child means, so it is
     # never formed on the step-N nodes: prefix q has the children 2q, 2q+1
     term = (cb.QbarT - c.QT) @ xbar[N]

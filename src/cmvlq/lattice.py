@@ -19,6 +19,15 @@ In the node index, step j contributes the base-4 digit 2*b0 + b1, where
 b0 is the common-noise bit and b1 the idiosyncratic bit (0 = "+"), first
 step most significant; the W0 prefix id (``w0_of_node``) is the b0 bits.
 
+Every joint tree has a W0-only form, ``JointTree.common``: the lattice of
+a problem driven by the common noise alone, as the conditional-mean one
+is.  It has one atom, its node id is the W0 prefix id, and node q has the
+children 2q and 2q+1, reached by dW0 = +sqrt(dt) and -sqrt(dt), each with
+probability 1/2.  It is the same class with two branch slots instead of
+four and nothing to fold: every kernel below serves both forms, and one
+refuses only what needs the idiosyncratic noise (its loading, its
+increment moment).  A process of one form is refused on the other.
+
 The kernels (``JointTree`` methods ending in ``_rows``) work in
 (component, node) layout, node axis last, so each state or control
 component is one long contiguous row.  Conditioning folds the b1 bits
@@ -44,6 +53,12 @@ F_ADAPTED = "F"
 F0_ADAPTED = "F0"
 
 MAX_TREE_STEPS = 10
+
+# Branch tables: the signs of (dW0, dW) into each child slot, "+" first.
+# The joint tree has the four slots (+,+), (+,-), (-,+), (-,-); its common
+# form the two slots + and -, with no idiosyncratic increment.
+_JOINT_SIGNS = (np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
+_COMMON_SIGNS = (np.array([1.0, -1.0]), np.zeros(2))
 
 
 @dataclass(frozen=True)
@@ -93,16 +108,21 @@ def w0_prefix_cums(grid: TimeGrid) -> list[np.ndarray]:
 class JointTree:
     """Enumerated joint increment histories plus exact conditioning maps.
 
-    Not constructed directly; use :func:`build_joint_tree`.
+    Not constructed directly; use :func:`build_joint_tree`, and
+    ``common`` for the W0-only form.
     """
 
-    def __init__(self, grid: TimeGrid, atom_probs: np.ndarray):
+    def __init__(self, grid: TimeGrid, atom_probs: np.ndarray, _signs=_JOINT_SIGNS):
         self.grid = grid
         self.atom_probs = atom_probs
         self.n_atoms = len(atom_probs)
         n = grid.n_steps
         m = self.n_atoms
         s = grid.sqrt_dt
+        sign0, sign1 = _signs
+        self.branches = len(sign0)
+        self.idiosyncratic = bool(sign1.any())
+        self._signs = {"w0": sign0, "w": sign1}
 
         # Per-step index maps, all in (atom, history) lexicographic order.
         self.w0_of_node: list[np.ndarray] = []
@@ -123,17 +143,14 @@ class JointTree:
         self.atom_of_node.append(atom)
         self.node_probs.append(probs)
 
-        # Branch order (+,+), (+,-), (-,+), (-,-): sign arrays per child slot.
-        sign0 = np.array([1.0, 1.0, -1.0, -1.0])
-        sign1 = np.array([1.0, -1.0, 1.0, -1.0])
-        bit0 = np.array([0, 0, 1, 1], dtype=np.int64)
-        bit1 = np.array([0, 1, 0, 1], dtype=np.int64)
+        bit0 = (sign0 < 0).astype(np.int64)
+        bit1 = (sign1 < 0).astype(np.int64)
         for _ in range(n):
             count = len(w0)
-            w0 = (np.repeat(w0, 4) << 1) | np.tile(bit0, count)
-            w = (np.repeat(w, 4) << 1) | np.tile(bit1, count)
-            atom = np.repeat(atom, 4)
-            probs = np.repeat(probs, 4) * 0.25
+            w0 = (np.repeat(w0, self.branches) << 1) | np.tile(bit0, count)
+            w = (np.repeat(w, self.branches) << 1) | np.tile(bit1, count)
+            atom = np.repeat(atom, self.branches)
+            probs = np.repeat(probs, self.branches) / self.branches
             self.w0_of_node.append(w0)
             self.w_of_node.append(w)
             self.atom_of_node.append(atom)
@@ -142,26 +159,17 @@ class JointTree:
             self.last_dw.append(np.tile(sign1 * s, count))
 
         self._atom_weights = probs_normalized(atom_probs)
+        # the W0-only form: one node per W0 prefix; its own common form
+        self.common = JointTree(grid, np.ones(1), _COMMON_SIGNS) if self.idiosyncratic else self
 
     def n_nodes(self, k: int) -> int:
-        return self.n_atoms * 4**k
+        return self.n_atoms * self.branches**k
 
     def n_prefixes(self, k: int) -> int:
         return 2**k
 
     def probs(self, k: int) -> np.ndarray:
         return self.node_probs[k]
-
-    def cum_w0(self, k: int) -> np.ndarray:
-        """Cumulative W0 per node at step k."""
-        return self.cum_w0_prefix[k][self.w0_of_node[k]]
-
-    def cum_w(self, k: int) -> np.ndarray:
-        """Cumulative idiosyncratic W per node at step k."""
-        if k == 0:
-            return np.zeros(self.n_nodes(0))
-        bits = (self.w_of_node[k][:, None] >> np.arange(k - 1, -1, -1)) & 1
-        return self.grid.sqrt_dt * (1.0 - 2.0 * bits).sum(axis=1)
 
     # -- exact conditioning -------------------------------------------------
 
@@ -178,34 +186,23 @@ class JointTree:
         """Conditional expectation given the W0 prefix, shape (2**k, ...)."""
         return _node_major(self.prefix_mean_rows(k, _rows(values)))
 
-    def prefix_sum(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Unweighted sum over the nodes of each W0 prefix, shape (2**k, ...)."""
-        return _node_major(self.fold_rows(k, _rows(values)).sum(axis=-2))
-
     def expand_f0(self, k: int, prefix_values: np.ndarray) -> np.ndarray:
         """Broadcast per-prefix values (2**k, ...) onto the full node set."""
         return _node_major(self.expand_rows(k, _rows(prefix_values)))
-
-    def child_mean(self, k: int, child_values: np.ndarray) -> np.ndarray:
-        """Node-major form of child_mean_rows: step k+1 values to step k."""
-        return _node_major(self.child_mean_rows(k, _rows(child_values)))
-
-    def child_increment_mean(self, k: int, child_values: np.ndarray, which: str) -> np.ndarray:
-        """Node-major form of child_increment_mean_rows."""
-        return _node_major(self.child_increment_mean_rows(k, _rows(child_values), which))
 
     def fold_rows(self, k: int, rows: np.ndarray) -> np.ndarray:
         """Sum out the idiosyncratic bits: (..., n_nodes(k)) -> (..., n_atoms, 2**k).
 
         In prefix order.  The first step goes first: its b1 halves are the
         longest contiguous runs, so the largest fold is the fastest one.
+        The common form has no b1 bits, so nothing to fold.
         """
         v = np.asarray(rows)
         lead = v.shape[:-1]
         if v.shape[-1] != self.n_nodes(k):
             raise DimensionError("values", f"expected {self.n_nodes(k)} nodes, got {v.shape[-1]}", step=k)
         outer = int(np.prod(lead, dtype=np.int64)) * self.n_atoms
-        for j in range(k):
+        for j in range(self._fold_depth(k)):
             # axes (payload, atom and kept b0 bits before j, b0_j, b1_j, steps after j)
             v = v.reshape(outer * 2**j, 2, 2, 4 ** (k - 1 - j))
             v = v[:, :, 0] + v[:, :, 1]
@@ -213,7 +210,7 @@ class JointTree:
 
     def prefix_mean_rows(self, k: int, rows: np.ndarray) -> np.ndarray:
         """Conditional expectation given the W0 prefix: (..., 2**k)."""
-        weights = self._atom_weights * 0.5**k
+        weights = self._atom_weights * 0.5 ** self._fold_depth(k)
         return weights @ self.fold_rows(k, rows)
 
     def expand_rows(self, k: int, prefix_rows: np.ndarray) -> np.ndarray:
@@ -224,13 +221,17 @@ class JointTree:
         return np.take(pv, self.w0_of_node[k], axis=-1)
 
     def child_mean_rows(self, k: int, child_rows: np.ndarray) -> np.ndarray:
-        """One-step predictor: mean over the four children of each node.
+        """One-step predictor: mean over the children of each node.
 
         (..., n_nodes(k+1)) -> (..., n_nodes(k)).  Children of node i
-        occupy slots 4i..4i+3, each with weight 1/4.
+        occupy the branches slots from branches * i on, each with weight
+        1/branches.
         """
         v = self._children_grouped(k, child_rows)
-        return 0.25 * (v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3])
+        total = v[..., 0]
+        for j in range(1, self.branches):
+            total = total + v[..., j]
+        return total / self.branches
 
     def child_increment_mean_rows(self, k: int, child_rows: np.ndarray, which: str) -> np.ndarray:
         """E[value * dW]/dt over each node's children, for either noise.
@@ -238,11 +239,12 @@ class JointTree:
         On the two-point increment this extracts the exact martingale
         loading of the chosen Wiener process.
         """
-        patterns = {"w": [1.0, -1.0, 1.0, -1.0], "w0": [1.0, 1.0, -1.0, -1.0]}
-        if which not in patterns:
+        if which not in self._signs:
             raise ValueError(f"which must be 'w' or 'w0', got {which!r}")
+        if which == "w" and not self.idiosyncratic:
+            raise DimensionError("which", "the common-noise tree carries no idiosyncratic noise", step=k)
         v = self._children_grouped(k, child_rows)
-        return (v * np.array(patterns[which])).sum(axis=-1) / (4.0 * self.grid.sqrt_dt)
+        return (v * self._signs[which]).sum(axis=-1) / (self.branches * self.grid.sqrt_dt)
 
     def children_rows(self, k: int, mean: np.ndarray, D=None, D0=None) -> np.ndarray:
         """States at the children of the step-k nodes: mean + D dW + D0 dW0.
@@ -253,17 +255,20 @@ class JointTree:
         m = np.asarray(mean)
         if k < 0 or k + 1 > self.grid.n_steps or m.shape[-1] != self.n_nodes(k):
             raise DimensionError("mean", f"no step-{k + 1} children for {m.shape[-1]} nodes", step=k)
+        if D is not None and not self.idiosyncratic:
+            raise DimensionError("D", "the common-noise tree carries no idiosyncratic noise", step=k)
+        slots = self.branches
         pairs = ((D, self.last_dw[k + 1]), (D0, self.last_dw0[k + 1]))
-        loads = [(load, dw[:4]) for load, dw in pairs if load is not None]
+        loads = [(load, dw[:slots]) for load, dw in pairs if load is not None]
         if not loads:
-            return np.repeat(m, 4, axis=-1)
-        out = np.empty(m.shape + (4,))
-        for j in range(4):
+            return np.repeat(m, slots, axis=-1)
+        out = np.empty(m.shape + (slots,))
+        for j in range(slots):
             np.add(m, sum(load * dw[j] for load, dw in loads), out=out[..., j])
-        return out.reshape(m.shape[:-1] + (4 * m.shape[-1],))
+        return out.reshape(m.shape[:-1] + (slots * m.shape[-1],))
 
     def group_by_prefix(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Node values regrouped as (2**k, n_atoms * 2**k, ...).
+        """Node values regrouped as (2**k, n_nodes(k) / 2**k, ...).
 
         Row p lists the nodes of W0 prefix p in node order, that is by
         (atom, W history); each member carries the weight atom_prob / 2**k.
@@ -280,6 +285,10 @@ class JointTree:
         out[np.argsort(self.w0_of_node[k], kind="stable")] = g.reshape((-1,) + g.shape[2:])
         return out
 
+    def _fold_depth(self, k: int) -> int:
+        """Steps whose idiosyncratic bit a fold at step k sums out."""
+        return k if self.idiosyncratic else 0
+
     def _children_grouped(self, k: int, child_rows: np.ndarray) -> np.ndarray:
         v = np.asarray(child_rows)
         if k < 0 or k + 1 > self.grid.n_steps:
@@ -288,7 +297,8 @@ class JointTree:
             raise DimensionError(
                 "child_values", f"expected {self.n_nodes(k + 1)} nodes, got {v.shape[-1]}", step=k + 1
             )
-        return v.reshape(v.shape[:-1] + (self.n_nodes(k), 4))
+        return v.reshape(v.shape[:-1] + (self.n_nodes(k), self.branches))
+
 
 def _rows(values) -> np.ndarray:
     """Node-major (nodes, ...) as a view with the node axis last."""
@@ -422,9 +432,10 @@ def inner_product(u: TreeProcess, v: TreeProcess, tree: JointTree, grid: TimeGri
 
 def _require_same_tree(p: TreeProcess, tree: JointTree):
     if p.tree is not tree:
-        # Allow structurally identical trees (same grid and atoms).
+        # Allow structurally identical trees (same kind, grid and atoms).
         same = (
-            p.tree.grid == tree.grid
+            p.tree.branches == tree.branches
+            and p.tree.grid == tree.grid
             and p.tree.n_atoms == tree.n_atoms
             and np.array_equal(p.tree.atom_probs, tree.atom_probs)
         )

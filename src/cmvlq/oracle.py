@@ -7,8 +7,9 @@ that knows nothing about Riccati equations) and minimize with matrix-free
 conjugate gradients, one gradient evaluation per Hessian-vector product.
 Slow, but an independent certificate for the structured solvers.
 Restricted variants minimize over the conditional-mean and centered
-admissible classes by reparametrizing onto a basis of the constraint
-subspace.
+admissible classes: the conditional-mean one over the nodes of the
+W0-only tree ``tree.common``, one control per common-noise prefix, the
+centered one by reparametrizing onto a basis of the constraint subspace.
 
 The Hessian carries each node's probability, which falls by 4x per step,
 so plain conjugate gradients would need twice the iterations for every
@@ -24,14 +25,14 @@ plain iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, breve_as_plain
 from .decomposition import (
-    _abar, _atom_values, _check_control, _coeff_rows, _mtv, _mv, _nonzero, _plus_prefix, _rollout,
-    _rows_of, eval_cost_mft, simulate_mft,
+    _abar, _atom_values, _check_control, _coeff_rows, _expand_common, _mtv, _mv, _nonzero,
+    _plus_prefix, _rollout, _rows_of, eval_cost_mft, simulate_mft,
 )
 from .errors import ConvergenceError, DimensionError
 from .lattice import (
@@ -88,7 +89,7 @@ def cost_gradient(
     # sub-problems have them, would add exact zeros; they are skipped, and
     # with H and F their conditioning folds.
     H = c.H if c.H.any() else None
-    x, xbars = _rollout(c, tree, grid, u, _atom_values(xi, tree, "xi"), means=H is not None)
+    x, _, xbars = _rollout(c, tree, grid, u, _atom_values(xi, tree, "xi"), means=H is not None)
 
     def deviation(k):
         if H is None:
@@ -226,10 +227,8 @@ def _solve_over(
     )
 
 
-def solve_qp_exact(
-    c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi
-) -> QpSolution:
-    """Minimize the discretized cost over all adapted controls."""
+def _solve_over_nodes(c, tree, grid, xi, adapted, *, label) -> QpSolution:
+    """Minimize the cost of ``c`` over one control per node of tree."""
     return _solve_over(
         c,
         tree,
@@ -237,10 +236,17 @@ def solve_qp_exact(
         xi,
         [(tree.n_nodes(k), c.d) for k in range(grid.n_steps)],
         [tree.probs(k)[:, None] for k in range(grid.n_steps)],
-        lambda parts: TreeProcess(tree, parts, F_ADAPTED),
+        lambda parts: TreeProcess(tree, parts, adapted),
         lambda grads: grads,
-        label="full control space",
+        label=label,
     )
+
+
+def solve_qp_exact(
+    c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi
+) -> QpSolution:
+    """Minimize the discretized cost over all adapted controls."""
+    return _solve_over_nodes(c, tree, grid, xi, F_ADAPTED, label="full control space")
 
 
 def solve_qp_bar(
@@ -249,22 +255,14 @@ def solve_qp_bar(
     """Minimize the conditional-mean cost over common-noise controls.
 
     The decision variable is one control per common-noise prefix, of
-    mass 2^-k; the gradient of the node-level problem is summed over each
-    prefix.
+    mass 2^-k: one per node of ``tree.common``, where the problem is
+    solved.  The optimal control is expanded onto the nodes of tree.
     """
-    return _solve_over(
-        bar_as_plain(cb),
-        tree,
-        grid,
-        np.asarray(xi_bar, dtype=float),
-        [(tree.n_prefixes(k), cb.d) for k in range(grid.n_steps)],
-        [0.5**k for k in range(grid.n_steps)],
-        lambda prefs: TreeProcess(
-            tree, [tree.expand_f0(k, p) for k, p in enumerate(prefs)], F0_ADAPTED
-        ),
-        lambda grads: [tree.prefix_sum(k, g) for k, g in enumerate(grads)],
+    sol = _solve_over_nodes(
+        bar_as_plain(cb), tree.common, grid, np.asarray(xi_bar, dtype=float), F0_ADAPTED,
         label="common-noise control space",
     )
+    return replace(sol, control=_expand_common(tree, sol.control))
 
 
 def _centered_basis(member_weights: np.ndarray) -> np.ndarray:

@@ -58,9 +58,6 @@ class TreeBackwardQuadratic:
     def n(self) -> int:
         return self.values[0].shape[1]
 
-    def node_gain(self, tree, k: int) -> np.ndarray:
-        return tree.expand_f0(k, self.gain_state[k])
-
 
 @dataclass(frozen=True)
 class OdeBackwardQuadratic:

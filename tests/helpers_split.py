@@ -7,14 +7,24 @@ versions written against the bar and breve coefficients directly: the
 bar recursion driven by the common noise alone, the centered recursion
 driven by the idiosyncratic noise alone, their two cost sums, and the
 exact backward loops for L and for the affine value parts on the
-common-noise prefixes.  They share only
+common-noise prefixes, and the centered closed loop under the Pi
+feedback.  They share only
 the (component, node) products and the tree's kernels with the library,
 and skip its input checks.
 """
 
 import numpy as np
 
-from cmvlq.decomposition import _coeff_prefix, _coeff_rows, _dot, _mv, _plus_prefix, _quad
+from cmvlq.decomposition import (
+    _centered_atoms,
+    _coeff_prefix,
+    _coeff_rows,
+    _dot,
+    _mv,
+    _nonzero,
+    _plus_prefix,
+    _quad,
+)
 from cmvlq.lattice import w0_prefix_cums
 
 
@@ -39,6 +49,25 @@ def ref_simulate_breve(c, tree, grid, alpha, xi_breve):
         z = tree.children_rows(k, z + grid.dt * drift, _coeff_rows(c.D, tree, k))
         values.append(z.T)
     return values
+
+
+def ref_breve_closed_loop(c, tree, grid, xi_breve, pi):
+    """(component, node) state and control rows of the centered optimum.
+
+    z_{k+1} = z + dt (A z + B a) + D dW under a = -gain z, with Pi's gain
+    expanded from the prefixes onto the nodes.
+    """
+    dt = grid.dt
+    z = np.ascontiguousarray(_centered_atoms(xi_breve, tree).T)
+    states, controls = [z], []
+    for k in range(grid.n_steps):
+        gain = tree.expand_rows(k, np.moveaxis(pi.gain_state[k], 0, -1))
+        a = -_mv(gain, z)
+        controls.append(a)
+        drift = _mv(_coeff_rows(c.A, tree, k), z) + _mv(_coeff_rows(c.B, tree, k), a)
+        z = tree.children_rows(k, z + dt * drift, _nonzero(c.D, tree, k))
+        states.append(z)
+    return states, controls
 
 
 def _lq_cost(tree, grid, states, controls, Q, S, R, QT, zeta=None, varpi=None):

@@ -19,7 +19,7 @@ from cmvlq.decomposition import (
     simulate_mft,
     split_pair,
 )
-from cmvlq.errors import AdaptednessError, ConstraintViolationError
+from cmvlq.errors import AdaptednessError, ConstraintViolationError, DimensionError
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import (
     F0_ADAPTED,
@@ -232,6 +232,32 @@ def test_pure_control_cost_margins_are_one():
     rep = estimate_convexity_margin(c, tree, grid, n_samples=4, seed=9)
     for m in (rep.margin_mft, rep.margin_bar, rep.margin_breve):
         assert m == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_margin_refuses_no_samples(n_samples):
+    inst = random_instance(2, max_steps=3)
+    with pytest.raises(ValueError, match="n_samples"):
+        estimate_convexity_margin(inst.coeffs, inst.tree(), inst.grid(), n_samples=n_samples, seed=1)
+
+
+def test_processes_of_the_other_tree_kind_are_refused():
+    # a one-atom joint tree and its common form share grid and atoms
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
+    grid = c.grid()
+    tree = build_joint_tree(grid)
+    common = tree.common
+    for on, other in ((tree, common), (common, tree)):
+        u_other = zero_control(other, grid, 1)
+        x_other = simulate_mft(c, other, grid, u_other, np.zeros(1))
+        u_on = zero_control(on, grid, 1)
+        x_on = simulate_mft(c, on, grid, u_on, np.zeros(1))
+        with pytest.raises(DimensionError):
+            simulate_mft(c, on, grid, u_other, np.zeros(1))
+        with pytest.raises(DimensionError):
+            eval_cost_mft(c, x_on, u_other, on, grid)
+        with pytest.raises(DimensionError):
+            eval_cost_mft(c, x_other, u_on, on, grid)
 
 
 @pytest.mark.parametrize("seed", [2, 17])

@@ -41,9 +41,9 @@ def _martingale_moment_residuals(tree, k, nxt, pred, lw, lw0):
         - rep(lw0) * tree.last_dw0[k + 1][:, None]
     )
     return (
-        float(np.max(np.abs(tree.child_mean(k, r)))),
-        float(np.max(np.abs(tree.child_increment_mean(k, r, "w")))),
-        float(np.max(np.abs(tree.child_increment_mean(k, r, "w0")))),
+        float(np.max(np.abs(tree.child_mean_rows(k, r.T)))),
+        float(np.max(np.abs(tree.child_increment_mean_rows(k, r.T, "w")))),
+        float(np.max(np.abs(tree.child_increment_mean_rows(k, r.T, "w0")))),
     )
 
 
@@ -87,7 +87,7 @@ def test_centered_adjoints_are_exact(seed):
         psi = ((pi.values[k + 1][0::2] - pi.values[k + 1][1::2]) / (2.0 * sq))[
             tree.w0_of_node[k]
         ]
-        zhat = tree.child_mean(k, sol.state.values[k + 1])
+        zhat = tree.child_mean_rows(k, sol.state.values[k + 1].T).T
         expected_w0 = np.einsum("nij,nj->ni", psi, zhat)
         assert np.max(np.abs(sol.noise_load_w0.values[k] - expected_w0)) < 1e-12 * scale
 
@@ -111,14 +111,14 @@ def test_mean_adjoints_are_exact(seed):
         nxt = sol.costate.values[k + 1]
         scale = 1.0 + float(np.max(np.abs(nxt)))
         # no idiosyncratic loading in the conditional-mean adjoint
-        lw = tree.child_increment_mean(k, nxt, "w")
+        lw = tree.child_increment_mean_rows(k, nxt.T, "w").T
         assert np.max(np.abs(lw)) < 1e-12 * scale
 
-        lw0 = tree.child_increment_mean(k, nxt, "w0")
+        lw0 = tree.child_increment_mean_rows(k, nxt.T, "w0").T
         Lhat = 0.5 * (ll.values[k + 1][0::2] + ll.values[k + 1][1::2])
         psiL = (ll.values[k + 1][0::2] - ll.values[k + 1][1::2]) / (2.0 * sq)
         psig = (ll.offset[k + 1][0::2] - ll.offset[k + 1][1::2]) / (2.0 * sq)
-        yhat_nodes = tree.child_mean(k, sol.state.values[k + 1])
+        yhat_nodes = tree.child_mean_rows(k, sol.state.values[k + 1].T).T
         D0 = cb.D0.at_w0(k, tree.cum_w0_prefix[k])
         expected = (
             np.einsum("pij,pj->pi", psiL, yhat_nodes[_first_node_per_prefix(tree, k)])

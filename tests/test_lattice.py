@@ -98,15 +98,27 @@ def test_increments_have_exact_moments(grid3):
         assert float(p @ (tree.last_dw0[k] * tree.last_dw[k])) == 0.0
 
 
+def _cumulative_noises(tree, n_steps):
+    """Per-node cumulative W0 and W rows of steps 0..n_steps, from the children kernel."""
+    one = np.ones((1, 1))
+    cw0, cw = [np.zeros((1, tree.n_nodes(0)))], [np.zeros((1, tree.n_nodes(0)))]
+    for k in range(n_steps):
+        cw0.append(tree.children_rows(k, cw0[-1], D0=one))
+        cw.append(tree.children_rows(k, cw[-1], D=one))
+    return [r[0] for r in cw0], [r[0] for r in cw]
+
+
 def test_cumulative_paths_match_enumeration(grid3):
     tree = build_joint_tree(grid3)
     s = grid3.sqrt_dt
+    cum_w0, cum_w = _cumulative_noises(tree, 3)
     for k in range(4):
         hists = enumerate_histories(k)
         cw0 = np.array([s * sum(s0 for s0, _ in h) for _, h in hists])
         cw = np.array([s * sum(s1 for _, s1 in h) for _, h in hists])
-        np.testing.assert_allclose(tree.cum_w0(k), cw0, atol=1e-14)
-        np.testing.assert_allclose(tree.cum_w(k), cw, atol=1e-14)
+        np.testing.assert_allclose(cum_w0[k], cw0, atol=1e-14)
+        np.testing.assert_allclose(tree.expand_rows(k, tree.cum_w0_prefix[k]), cw0, atol=1e-14)
+        np.testing.assert_allclose(cum_w[k], cw, atol=1e-14)
 
 
 def test_deterministic_rebuild(grid3):
@@ -187,9 +199,6 @@ def test_conditioning_by_folding_matches_grouping(seed, k, n_atoms, payload):
     w0 = tree.w0_of_node[k]
     assert np.array_equal(expanded, prefix[w0])
     assert np.array_equal(tree.expand_f0(k, values[: 2**k]), values[: 2**k][w0])
-    sums = np.zeros((2**k,) + payload)
-    np.add.at(sums, w0, values)
-    np.testing.assert_allclose(tree.prefix_sum(k, values), sums, rtol=0.0, atol=1e-12)
     grouped = tree.group_by_prefix(k, values)
     for p in range(2**k):
         assert np.array_equal(grouped[p], values[w0 == p])
@@ -302,8 +311,9 @@ def test_inner_product_cumw0_cumw_brute_force():
     """E integral W0_t W_t dt over the tree, against an exhaustive sum."""
     grid = TimeGrid(2, 1.0)
     tree = build_joint_tree(grid)
-    u = TreeProcess(tree, [tree.cum_w0(k)[:, None] for k in range(2)])
-    v = TreeProcess(tree, [tree.cum_w(k)[:, None] for k in range(2)])
+    cum_w0, cum_w = _cumulative_noises(tree, 1)
+    u = TreeProcess(tree, [cum_w0[k][:, None] for k in range(2)])
+    v = TreeProcess(tree, [cum_w[k][:, None] for k in range(2)])
     got = inner_product(u, v, tree, grid)
 
     s = grid.sqrt_dt
@@ -327,6 +337,21 @@ def test_inner_product_shape_errors(grid3):
     short = TreeProcess(tree, [np.ones((tree.n_nodes(k), 2)) for k in range(2)])
     with pytest.raises(DimensionError):
         inner_product(u, short, tree, grid3)
+
+
+def test_processes_of_the_other_tree_kind_are_refused(grid3):
+    # a one-atom joint tree and its common form share grid and atoms
+    tree = build_joint_tree(grid3)
+    common = tree.common
+    for on, other in ((tree, common), (common, tree)):
+        p = TreeProcess(other, [np.ones((other.n_nodes(k), 1)) for k in range(4)])
+        for call in (
+            lambda: conditional_expectation_f0(p, on),
+            lambda: project_breve(p, on),
+            lambda: inner_product(p, p, on, grid3),
+        ):
+            with pytest.raises(DimensionError):
+                call()
 
 
 def test_w0_prefix_cums_match_tree(grid3):

@@ -5,10 +5,13 @@ The tree kernels keep each state or control component in one contiguous
 row, node axis last.  Their properties are checked here against the
 definitions by index (``w0_of_node``, ``atom_of_node``, child slots
 4i..4i+3), and the roll-out, cost and Picard sweep built on them
-against the node-major reference in ``helpers_node_major``; the bar
-roll-out and cost on (component, prefix) rows are checked against the
-node ones.  The two sides sum in different orders, so agreement is to a
-relative 1e-14, not bitwise.  The accelerated coupled iteration is
+against the node-major reference in ``helpers_node_major``.  The same
+kernels on the W0-only tree ``tree.common`` are checked against the
+joint tree's on F0-adapted data, and the bar roll-out and cost there
+against the node ones.  The two sides sum in different orders, so
+agreement is to a relative 1e-14, not bitwise.  The centered closed
+loop through the generic roll-out is checked bit for bit against its
+dedicated loop in ``helpers_split``.  The accelerated coupled iteration is
 checked against the reference's damped one at its fixed point, to the
 1e-8 control tolerance of the decomposition checks.
 """
@@ -16,14 +19,24 @@ checked against the reference's damped one at its fixed point, to the
 import helpers_node_major as ref
 import numpy as np
 import pytest
+from helpers_split import ref_breve_closed_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvlq.coeffs import bar_as_plain, bar_transform
-from cmvlq.decomposition import _cost_rows, _prefix_rollout, eval_cost_mft, simulate_mft
-from cmvlq.fbsde import _picard_sweep, solve_coupled_mv_fbsde
+from cmvlq.decomposition import _cost_rows, _rollout, eval_cost_mft, simulate_mft
+from cmvlq.errors import DimensionError
+from cmvlq.fbsde import _picard_sweep, solve_breve_fbsde, solve_coupled_mv_fbsde
 from cmvlq.instances import random_control, random_instance
-from cmvlq.lattice import F_ADAPTED, TimeGrid, TreeProcess, build_joint_tree
+from cmvlq.lattice import (
+    F0_ADAPTED,
+    F_ADAPTED,
+    TimeGrid,
+    TreeProcess,
+    build_joint_tree,
+    inner_product,
+)
+from cmvlq.riccati import solve_pi
 
 REL = 1e-14
 
@@ -99,19 +112,76 @@ def test_rollout_and_cost_match_node_major_reference(seed, node_dependent):
     assert _close(cost, ref.eval_cost_mft(c, tree, grid, want, u.values))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    k=st.integers(0, 4),
+    n_atoms=st.integers(1, 3),
+    comps=st.integers(1, 3),
+)
+def test_common_tree_kernels_match_the_joint_ones_on_f0_data(seed, k, n_atoms, comps):
+    rng = np.random.default_rng(seed)
+    atom_probs = rng.uniform(0.1, 1.0, n_atoms)
+    atom_probs /= atom_probs.sum()
+    grid = TimeGrid(5, 1.0)
+    tree = build_joint_tree(grid, atom_probs=atom_probs)
+    common = tree.common
+    assert common.common is common and tree.common is common
+    assert common.n_nodes(k) == 2**k and np.array_equal(common.w0_of_node[k], np.arange(2**k))
+
+    def on_nodes(step, rows):
+        return tree.expand_rows(step, rows)
+
+    values = rng.standard_normal((comps, 2**k))
+    child = rng.standard_normal((comps, 2 ** (k + 1)))
+    assert _close(tree.prefix_mean_rows(k, on_nodes(k, values)), common.prefix_mean_rows(k, values))
+    assert _close(tree.child_mean_rows(k, on_nodes(k + 1, child)),
+                  on_nodes(k, common.child_mean_rows(k, child)))
+    assert _close(tree.child_increment_mean_rows(k, on_nodes(k + 1, child), "w0"),
+                  on_nodes(k, common.child_increment_mean_rows(k, child, "w0")))
+    for D0 in (None, rng.standard_normal((comps, 1)), rng.standard_normal((comps, 2**k))):
+        per_node = D0 if D0 is None or D0.shape[1] == 1 else on_nodes(k, D0)
+        assert _close(tree.children_rows(k, on_nodes(k, values), D0=per_node),
+                      on_nodes(k + 1, common.children_rows(k, values, D0=D0)))
+
+    steps = [rng.standard_normal((2**j, comps)) for j in range(grid.n_steps)]
+    u_common = TreeProcess(common, steps, F0_ADAPTED)
+    u_joint = TreeProcess(tree, [tree.expand_f0(j, a) for j, a in enumerate(steps)], F0_ADAPTED)
+    assert _close(inner_product(u_joint, u_joint, tree, grid),
+                  inner_product(u_common, u_common, common, grid))
+
+    # the common tree carries no idiosyncratic noise
+    with pytest.raises(DimensionError):
+        common.child_increment_mean_rows(k, child, "w")
+    with pytest.raises(DimensionError):
+        common.children_rows(k, values, D=np.ones((comps, 1)))
+
+
 @pytest.mark.parametrize("seed,node_dependent", CASES)
 def test_bar_rollout_and_cost_on_prefixes_match_the_node_ones(seed, node_dependent):
     inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    common = tree.common
     p = bar_as_plain(bar_transform(c))
     rng = np.random.default_rng(seed)
-    v = [rng.standard_normal((c.d, tree.n_prefixes(k))) for k in range(grid.n_steps)]
-    y, _ = _prefix_rollout(p, tree, grid, inst.xi_mean(), lambda k, _y: v[k])
+    v = [rng.standard_normal((c.d, common.n_nodes(k))) for k in range(grid.n_steps)]
+    y, _, _ = _rollout(p, common, grid, v, inst.xi_mean()[None])
     u = TreeProcess(tree, [tree.expand_rows(k, a).T for k, a in enumerate(v)], F_ADAPTED)
     x = simulate_mft(p, tree, grid, u, inst.xi_mean())
     assert all(_close(tree.expand_rows(k, a).T, b) for k, (a, b) in enumerate(zip(y, x.values)))
-    cost = _cost_rows(p, tree, grid, y, v, on_prefixes=True)
+    cost = _cost_rows(p, common, grid, y, v)
     assert _close(cost, eval_cost_mft(p, x, u, tree, grid))
+
+
+@pytest.mark.parametrize("seed,node_dependent", CASES)
+def test_centered_closed_loop_matches_its_dedicated_loop(seed, node_dependent):
+    inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    pi = solve_pi(c)
+    sol = solve_breve_fbsde(c, tree, grid, inst.xi_centered(), pi=pi)
+    states, controls = ref_breve_closed_loop(c, tree, grid, inst.xi_centered(), pi)
+    assert all(np.array_equal(a.T, b) for a, b in zip(sol.state.values, states, strict=True))
+    assert all(np.array_equal(a.T, b) for a, b in zip(sol.control.values, controls, strict=True))
 
 
 @pytest.mark.parametrize("seed,node_dependent", CASES)

@@ -100,7 +100,7 @@ def test_centered_feedback_attains_predicted_value(seed):
     z = xi_c[tree.atom_of_node[0]]
     alphas = []
     for k in range(grid.n_steps):
-        gain = pi.node_gain(tree, k)
+        gain = np.moveaxis(tree.expand_rows(k, np.moveaxis(pi.gain_state[k], 0, -1)), -1, 0)
         a = -np.einsum("nij,nj->ni", gain, z)
         alphas.append(a)
         A = coeff_nodes(c.A, tree, k)
