@@ -8,16 +8,17 @@ difference yields the centered recursion.  No discretization error
 separates the three systems, so the cost identity J = Jbar + Jbreve
 holds at floating-point precision and is checked that way.
 
-Both sub-problems are ordinary LQ problems: after their own input checks
-(adaptedness, F0-constancy, centering), the bar and breve recursions and
-costs run through the full problem's code on the plain views
+Both sub-problems are ordinary LQ problems: the bar and breve recursions
+and costs run through the full problem's code on the plain views
 ``coeffs.bar_as_plain`` and ``coeffs.breve_as_plain``.  A term whose
 coefficient is deterministic and zero, as those views' conditional-mean
 terms are, is skipped together with its conditioning fold.  The one
 roll-out (``_rollout``, under control rows or a feedback) and the one
 cost (``_cost_rows``) run on either tree: the joint one, or its W0-only
-form ``tree.common``, where the library rolls out and costs whatever the
-common noise alone drives.
+form ``tree.common``.  The conditional-mean problem lives on
+``tree.common`` alone, its inputs and outputs one value per common-noise
+prefix, so its F0-adaptedness holds by construction; the centered one
+lives on the joint tree and checks its centering.
 """
 
 from __future__ import annotations
@@ -81,8 +82,11 @@ def _rows_of(p: TreeProcess, steps=None) -> list:
     return [v.T for v in p.values[:steps]]
 
 
-def _process(tree: JointTree, rows, adapted: str = F_ADAPTED) -> TreeProcess:
-    """(component, node) arrays as a node-major process, without copying."""
+def _process(tree: JointTree, rows) -> TreeProcess:
+    """(component, node) arrays as a node-major process, without copying;
+    tagged F0-adapted on a tree without idiosyncratic noise.
+    """
+    adapted = F_ADAPTED if tree.idiosyncratic else F0_ADAPTED
     return TreeProcess(tree, [r.T for r in rows], adapted)
 
 
@@ -215,11 +219,6 @@ def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: l
     return 0.5 * total
 
 
-def _expand_common(tree: JointTree, p: TreeProcess) -> TreeProcess:
-    """A process of ``tree.common`` on the nodes of tree, F0-adapted."""
-    return _process(tree, [tree.expand_rows(k, r) for k, r in enumerate(_rows_of(p))], F0_ADAPTED)
-
-
 def simulate_mft(
     c: CoefficientSet, tree: JointTree, grid: TimeGrid, u: TreeProcess, xi
 ) -> TreeProcess:
@@ -236,16 +235,15 @@ def simulate_mft(
 def simulate_bar(
     cb: BarCoefficients, tree: JointTree, grid: TimeGrid, v: TreeProcess, xi_bar
 ) -> TreeProcess:
-    """Conditional-mean recursion driven by the common noise only."""
-    _check_control(v, cb, grid, tree)
-    if v.adapted != F0_ADAPTED:
-        raise AdaptednessError("bar dynamics require an F0-adapted control")
-    v.check_f0_constant()
+    """Conditional-mean recursion driven by the common noise only.
+
+    The control v and the returned state live on ``tree.common``, one
+    value per common-noise prefix; a process of the joint tree is refused.
+    """
     xi_bar = np.asarray(xi_bar, dtype=float)
     if xi_bar.shape != (cb.n,):
         raise DimensionError("xi_bar", f"expected shape {(cb.n,)}, got {xi_bar.shape}")
-    y = simulate_mft(bar_as_plain(cb), tree, grid, v, xi_bar)
-    return TreeProcess(tree, y.values, F0_ADAPTED)
+    return simulate_mft(bar_as_plain(cb), tree.common, grid, v, xi_bar)
 
 
 def simulate_breve(
@@ -289,14 +287,8 @@ def eval_cost_mft(
 def eval_cost_bar(
     cb: BarCoefficients, y: TreeProcess, v: TreeProcess, tree: JointTree, grid: TimeGrid
 ) -> float:
-    """Cost of the conditional-mean problem for F0-adapted (y, v)."""
-    _check_state(y, cb, grid, tree)
-    _check_control(v, cb, grid, tree)
-    for p, what in ((y, "state"), (v, "control")):
-        if p.adapted != F0_ADAPTED:
-            raise AdaptednessError(f"bar {what} must be tagged F0-adapted")
-        p.check_f0_constant()
-    return eval_cost_mft(bar_as_plain(cb), y, v, tree, grid)
+    """Cost of the conditional-mean problem for (y, v) on ``tree.common``."""
+    return eval_cost_mft(bar_as_plain(cb), y, v, tree.common, grid)
 
 
 def eval_cost_breve(

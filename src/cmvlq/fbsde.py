@@ -10,8 +10,9 @@ through the full problem's code on their plain views: one roll-out under
 the dynamic-programming feedback, one adjoint routine for the predicted
 costate, the backward residual and the cost of either, and one
 first-order residual for the stationarity check.  The conditional-mean
-system is rolled out and its adjoint read on ``tree.common``, one node
-per common-noise prefix, and expanded onto the joint tree on return.
+system lives on ``tree.common``, one node per common-noise prefix: it is
+rolled out, its adjoint read and its stationarity checked there, and
+only the assembled mean-field control brings it onto the joint tree.
 
 A separate Picard iteration solves the coupled mean-field system in one
 piece, without decomposing first; agreement of the two routes is one of
@@ -32,17 +33,11 @@ import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _expand_common,
-    _mtv, _mv, _plus_prefix, _process, _rollout, _rows_of,
+    _abar, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _mtv, _mv,
+    _plus_prefix, _process, _rollout, _rows_of,
 )
 from .errors import ConvergenceError, DimensionError
-from .lattice import (
-    F0_ADAPTED,
-    F_ADAPTED,
-    JointTree,
-    TimeGrid,
-    TreeProcess,
-)
+from .lattice import JointTree, TimeGrid, TreeProcess
 from .riccati import OdeBackwardQuadratic, TreeBackwardQuadratic, solve_l, solve_pi
 
 
@@ -68,7 +63,7 @@ class BreveSolution:
 
 @dataclass(frozen=True)
 class BarSolution:
-    """Optimal conditional-mean system with its adjoint family."""
+    """Optimal conditional-mean system with its adjoint family, on ``tree.common``."""
 
     state: TreeProcess
     control: TreeProcess
@@ -114,15 +109,14 @@ class CoupledSolution:
     residual_history: list
 
 
-def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, controls, costate,
-             adapted, noises) -> dict:
+def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, controls, costate) -> dict:
     """The adjoint family, cost and backward residual of plain problem p.
 
     states, controls and costate are (component, node) arrays per step;
     costate[k] is the value gradient at the step-k state.  The residual
     is the worst relative gap in the adjoint equation costate_k =
     (I + dt A)' E_k[costate_{k+1}] + dt (Q x_k + S u_k + zeta).  Returns
-    the fields of a solution, with one noise loading per name in noises.
+    the fields of a solution, with one loading per noise of tree.
     """
     dt = grid.dt
     pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(grid.n_steps)]
@@ -136,18 +130,17 @@ def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, control
         scale = 1.0 + float(np.max(np.abs(costate[k])))
         worst = max(worst, float(np.max(np.abs(costate[k] - rhs))) / scale)
     fields = dict(
-        state=_process(tree, states, adapted),
-        control=_process(tree, controls, adapted),
-        costate=_process(tree, costate, adapted),
-        costate_pred=_process(tree, pred, adapted),
+        state=_process(tree, states),
+        control=_process(tree, controls),
+        costate=_process(tree, costate),
+        costate_pred=_process(tree, pred),
         cost=_cost_rows(p, tree, grid, states, controls),
         backward_residual=worst,
     )
-    for which in noises:
+    for which in ("w", "w0") if tree.idiosyncratic else ("w0",):
         fields["noise_load_" + which] = _process(
             tree,
             [tree.child_increment_mean_rows(k, costate[k + 1], which) for k in range(grid.n_steps)],
-            adapted,
         )
     return fields
 
@@ -177,9 +170,7 @@ def solve_breve_fbsde(
         _mv(tree.expand_rows(k, values), states[k])
         for k, values in enumerate(_prefix_rows(pi.values[: grid.n_steps + 1]))
     ]
-    return BreveSolution(
-        **_adjoint(p, tree, grid, states, controls, costate, F_ADAPTED, ("w", "w0"))
-    )
+    return BreveSolution(**_adjoint(p, tree, grid, states, controls, costate))
 
 
 def solve_bar_fbsde(
@@ -191,9 +182,8 @@ def solve_bar_fbsde(
 ) -> BarSolution:
     """Roll the conditional-mean optimum forward and extract its adjoints.
 
-    Roll-out and adjoint run on ``tree.common``, one node per common-noise
-    prefix, where the state lives; the processes are expanded onto the
-    nodes of tree on return.
+    Roll-out, adjoint and the returned processes are on ``tree.common``,
+    one node per common-noise prefix.
     """
     if l_solution is None:
         l_solution = solve_l(cb)
@@ -209,11 +199,7 @@ def solve_bar_fbsde(
     )
     values, offsets = _prefix_rows(l_solution.values), _prefix_rows(l_solution.offset)
     costate = [_mv(values[k], yk) + offsets[k] for k, yk in enumerate(states)]
-    fields = _adjoint(p, common, grid, states, controls, costate, F0_ADAPTED, ("w0",))
-    return BarSolution(**{
-        name: _expand_common(tree, f) if isinstance(f, TreeProcess) else f
-        for name, f in fields.items()
-    })
+    return BarSolution(**_adjoint(p, common, grid, states, controls, costate))
 
 
 def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> StationarityReport:
@@ -224,7 +210,8 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
     any perturbation of the control shows up at full size.  Accepts a
     bar, breve, or assembled solution (pass the matching coefficient
     object: bar coefficients for the bar solution, the full set
-    otherwise).
+    otherwise) with the joint tree; the bar residual is taken on
+    ``tree.common``, where the bar solution lives.
     """
     if isinstance(solution, MftSolution):
         rb = verify_stationarity(bar_transform(coeffs), solution.bar, tree, grid)
@@ -234,7 +221,7 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
     if isinstance(solution, BarSolution):
         if not isinstance(coeffs, BarCoefficients):
             raise DimensionError("coeffs", "bar solution needs bar coefficients")
-        p = bar_as_plain(coeffs)
+        p, tree = bar_as_plain(coeffs), tree.common
     elif isinstance(solution, BreveSolution):
         p = breve_as_plain(coeffs)
     else:
@@ -263,6 +250,8 @@ def assemble_optimal_control(
     assembled control is the sum of the conditional-mean feedback and the
     centered feedback; the state is re-simulated under it through the
     coupled dynamics so the returned pair is admissible by construction.
+    The bar solution stays on ``tree.common``: its control, and its state
+    unless resimulate, are expanded onto the joint tree only in the sums.
     """
     grid = c.grid()
     cb = bar_transform(c)
@@ -274,11 +263,16 @@ def assemble_optimal_control(
 
     bar = solve_bar_fbsde(cb, tree, grid, xi_mean)
     breve = solve_breve_fbsde(c, tree, grid, xi_breve)
-    u = [a + b for a, b in zip(_rows_of(bar.control), _rows_of(breve.control))]
+
+    def assembled(bar_part, breve_part):
+        return [tree.expand_rows(k, a) + b
+                for k, (a, b) in enumerate(zip(_rows_of(bar_part), _rows_of(breve_part)))]
+
+    u = assembled(bar.control, breve.control)
     if resimulate:
         x, _, xbars = _rollout(c, tree, grid, u, xi, means=bool(c.H.any()))
     else:
-        x, xbars = [a + b for a, b in zip(_rows_of(bar.state), _rows_of(breve.state))], None
+        x, xbars = assembled(bar.state, breve.state), None
     cost = _cost_rows(c, tree, grid, x, u, xbars)
     x, u = _process(tree, x), _process(tree, u)
     return MftSolution(state=x, control=u, bar=bar, breve=breve, cost=cost)

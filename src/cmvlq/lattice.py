@@ -347,9 +347,9 @@ class TreeProcess:
     """Values on tree nodes, one array per step, with an adaptedness tag.
 
     values[k] has leading dimension tree.n_nodes(k); the payload may be a
-    scalar slot, a vector, or a matrix.  A process tagged F0_ADAPTED takes
-    equal values on all nodes sharing a W0 prefix, which is checkable
-    exactly because conditioning is an enumerated mean.
+    scalar slot, a vector, or a matrix.  The tag is a label, not checked:
+    a process that must be F0-adapted lives on ``JointTree.common``, one
+    node per W0 prefix, and is adapted by construction.
     """
 
     tree: JointTree
@@ -369,20 +369,6 @@ class TreeProcess:
     @property
     def n_step_arrays(self) -> int:
         return len(self.values)
-
-    def check_f0_constant(self, tol: float = 1e-10) -> float:
-        """Largest deviation from W0-prefix constancy; raises above tol."""
-        worst = 0.0
-        for k, v in enumerate(self.values):
-            _, expanded = self.tree.ce_f0_step(k, v)
-            scale = 1.0 + float(np.max(np.abs(v))) if v.size else 1.0
-            dev = float(np.max(np.abs(v - expanded))) / scale if v.size else 0.0
-            worst = max(worst, dev)
-        if worst > tol:
-            raise AdaptednessError(
-                f"process tagged {self.adapted} varies across W branches by {worst:.3e}"
-            )
-        return worst
 
 
 def conditional_expectation_f0(p: TreeProcess, tree: JointTree) -> TreeProcess:

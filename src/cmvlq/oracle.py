@@ -7,9 +7,10 @@ that knows nothing about Riccati equations) and minimize with matrix-free
 conjugate gradients, one gradient evaluation per Hessian-vector product.
 Slow, but an independent certificate for the structured solvers.
 Restricted variants minimize over the conditional-mean and centered
-admissible classes: the conditional-mean one over the nodes of the
-W0-only tree ``tree.common``, one control per common-noise prefix, the
-centered one by reparametrizing onto a basis of the constraint subspace.
+admissible classes: the conditional-mean one is the full problem on the
+W0-only tree ``tree.common``, one control per common-noise prefix, and
+its optimal control stays there; the centered one reparametrizes onto a
+basis of the constraint subspace of the joint tree.
 
 The Hessian carries each node's probability, which falls by 4x per step,
 so plain conjugate gradients would need twice the iterations for every
@@ -25,24 +26,17 @@ plain iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, breve_as_plain
 from .decomposition import (
-    _abar, _atom_values, _check_control, _coeff_rows, _expand_common, _mtv, _mv, _nonzero,
-    _plus_prefix, _rollout, _rows_of, eval_cost_mft, simulate_mft,
+    _abar, _atom_values, _centered_atoms, _check_control, _coeff_rows, _mtv, _mv, _nonzero,
+    _plus_prefix, _process, _rollout, _rows_of, eval_cost_mft, simulate_mft,
 )
-from .errors import ConvergenceError, DimensionError
-from .lattice import (
-    F0_ADAPTED,
-    F_ADAPTED,
-    JointTree,
-    TimeGrid,
-    TreeProcess,
-    probs_normalized,
-)
+from .errors import ConvergenceError
+from .lattice import F_ADAPTED, JointTree, TimeGrid, TreeProcess, probs_normalized
 
 CG_TOL = 1e-12
 
@@ -227,7 +221,7 @@ def _solve_over(
     )
 
 
-def _solve_over_nodes(c, tree, grid, xi, adapted, *, label) -> QpSolution:
+def _solve_over_nodes(c, tree, grid, xi, *, label) -> QpSolution:
     """Minimize the cost of ``c`` over one control per node of tree."""
     return _solve_over(
         c,
@@ -236,7 +230,7 @@ def _solve_over_nodes(c, tree, grid, xi, adapted, *, label) -> QpSolution:
         xi,
         [(tree.n_nodes(k), c.d) for k in range(grid.n_steps)],
         [tree.probs(k)[:, None] for k in range(grid.n_steps)],
-        lambda parts: TreeProcess(tree, parts, adapted),
+        lambda parts: _process(tree, [v.T for v in parts]),
         lambda grads: grads,
         label=label,
     )
@@ -246,7 +240,7 @@ def solve_qp_exact(
     c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi
 ) -> QpSolution:
     """Minimize the discretized cost over all adapted controls."""
-    return _solve_over_nodes(c, tree, grid, xi, F_ADAPTED, label="full control space")
+    return _solve_over_nodes(c, tree, grid, xi, label="full control space")
 
 
 def solve_qp_bar(
@@ -256,13 +250,12 @@ def solve_qp_bar(
 
     The decision variable is one control per common-noise prefix, of
     mass 2^-k: one per node of ``tree.common``, where the problem is
-    solved.  The optimal control is expanded onto the nodes of tree.
+    solved and the optimal control is returned.
     """
-    sol = _solve_over_nodes(
-        bar_as_plain(cb), tree.common, grid, np.asarray(xi_bar, dtype=float), F0_ADAPTED,
+    return _solve_over_nodes(
+        bar_as_plain(cb), tree.common, grid, np.asarray(xi_bar, dtype=float),
         label="common-noise control space",
     )
-    return replace(sol, control=_expand_common(tree, sol.control))
 
 
 def _centered_basis(member_weights: np.ndarray) -> np.ndarray:
@@ -285,12 +278,10 @@ def solve_qp_breve(
     The decision variable holds, per common-noise prefix, the coefficients
     of the control on a weight-orthonormal basis of the centered subspace.
     A node's mass is 2^-k times its weight within the prefix, so the basis
-    gives every coefficient the mass 2^-k exactly.
+    gives every coefficient the mass 2^-k exactly.  The initial split
+    must have zero mean over the atoms.
     """
-    xi_breve = np.asarray(xi_breve, dtype=float)
-    mean = tree.atom_probs @ xi_breve if xi_breve.ndim == 2 else xi_breve
-    if float(np.max(np.abs(mean))) > 1e-10 * (1.0 + float(np.max(np.abs(xi_breve)))):
-        raise DimensionError("xi_breve", "initial split must have zero mean")
+    xi_breve = _centered_atoms(xi_breve, tree)
 
     bases = []
     shapes = []

@@ -19,7 +19,7 @@ from cmvlq.decomposition import (
     simulate_mft,
     split_pair,
 )
-from cmvlq.errors import AdaptednessError, ConstraintViolationError, DimensionError
+from cmvlq.errors import ConstraintViolationError, DimensionError
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import (
     F0_ADAPTED,
@@ -119,7 +119,7 @@ def test_bar_cost_matches_enumeration():
     cb = bar_transform(c)
     rng = np.random.default_rng(77)
     v_pref = [rng.standard_normal((tree.n_prefixes(k), c.d)) for k in range(grid.n_steps)]
-    v = TreeProcess(tree, [tree.expand_f0(k, p) for k, p in enumerate(v_pref)], F0_ADAPTED)
+    v = TreeProcess(tree.common, v_pref)
     xi_bar = atoms @ xi
     y = simulate_bar(cb, tree, grid, v, xi_bar)
     j = eval_cost_bar(cb, y, v, tree, grid)
@@ -194,11 +194,12 @@ def test_conditioned_state_solves_bar_recursion(seed):
     x = simulate_mft(inst.coeffs, tree, grid, u, inst.xi)
     parts = split_pair(x, u, tree)
 
-    ubar = TreeProcess(tree, parts.ubar.values, F0_ADAPTED)
+    ubar = TreeProcess(tree.common, [tree.prefix_mean(k, v) for k, v in enumerate(u.values)])
     y = simulate_bar(cb, tree, grid, ubar, inst.xi_mean())
     for k in range(grid.n_steps + 1):
         scale = 1.0 + np.max(np.abs(x.values[k]))
-        assert np.max(np.abs(y.values[k] - parts.xbar.values[k])) < 1e-12 * scale
+        ybar = tree.expand_f0(k, y.values[k])
+        assert np.max(np.abs(ybar - parts.xbar.values[k])) < 1e-12 * scale
 
     z = simulate_breve(inst.coeffs, tree, grid, parts.ubreve, inst.xi_centered())
     for k in range(grid.n_steps + 1):
@@ -272,30 +273,34 @@ def test_margin_split_bound(seed):
     assert rep.margin_mft >= min(rep.margin_bar, rep.margin_breve) - 1e-9
 
 
-def test_bar_rejects_plain_adapted_control():
-    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
-    grid = c.grid()
-    tree = build_joint_tree(grid)
-    cb = bar_transform(c)
-    u = zero_control(tree, grid, 1)
-    with pytest.raises(AdaptednessError):
-        simulate_bar(cb, tree, grid, u, np.zeros(1))
-
-
-def test_bar_detects_mislabelled_control():
+@pytest.mark.parametrize("tag", [F_ADAPTED, F0_ADAPTED])
+@pytest.mark.parametrize("varying", [False, True])
+def test_bar_refuses_joint_tree_processes(tag, varying):
+    """The bar problem lives on tree.common: a joint-tree control or state
+    is refused, whatever its tag and even where it is constant on every
+    W0 prefix, as a simulate_bar control and as eval_cost_bar's state and
+    control."""
     c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
     grid = c.grid()
     tree = build_joint_tree(grid)
     cb = bar_transform(c)
     rng = np.random.default_rng(0)
-    # tagged F0 but actually varying across idiosyncratic branches
-    fake = TreeProcess(
-        tree,
-        [rng.standard_normal((tree.n_nodes(k), 1)) for k in range(grid.n_steps)],
-        F0_ADAPTED,
-    )
-    with pytest.raises(AdaptednessError):
-        simulate_bar(cb, tree, grid, fake, np.zeros(1))
+
+    def joint(n_arrays):
+        if varying:
+            return [rng.standard_normal((tree.n_nodes(k), 1)) for k in range(n_arrays)]
+        return [tree.expand_f0(k, rng.standard_normal((2**k, 1))) for k in range(n_arrays)]
+
+    v = TreeProcess(tree.common, [np.zeros((2**k, 1)) for k in range(grid.n_steps)])
+    y = simulate_bar(cb, tree, grid, v, np.zeros(1))
+    u_joint = TreeProcess(tree, joint(grid.n_steps), tag)
+    y_joint = TreeProcess(tree, joint(grid.n_steps + 1), tag)
+    with pytest.raises(DimensionError, match="control"):
+        simulate_bar(cb, tree, grid, u_joint, np.zeros(1))
+    with pytest.raises(DimensionError, match="state"):
+        eval_cost_bar(cb, y_joint, v, tree, grid)
+    with pytest.raises(DimensionError, match="control"):
+        eval_cost_bar(cb, y, u_joint, tree, grid)
 
 
 def test_breve_rejects_uncentered_control():

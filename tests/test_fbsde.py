@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -17,7 +18,8 @@ from cmvlq.fbsde import (
     verify_stationarity,
 )
 from cmvlq.instances import random_control, random_instance
-from cmvlq.lattice import F_ADAPTED, TreeProcess, build_joint_tree
+from cmvlq.lattice import F0_ADAPTED, F_ADAPTED, TreeProcess, build_joint_tree
+from cmvlq.oracle import solve_qp_bar
 from cmvlq.riccati import solve_l, solve_pi
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "mean_field.cfg"
@@ -106,38 +108,44 @@ def test_mean_adjoints_are_exact(seed):
     rep = verify_stationarity(cb, sol, tree, grid)
     assert rep.max_residual < 1e-12
 
+    # the bar processes live on tree.common, where node id = W0 prefix id
+    common = tree.common
     sq = grid.sqrt_dt
     for k in range(grid.n_steps):
         nxt = sol.costate.values[k + 1]
         scale = 1.0 + float(np.max(np.abs(nxt)))
         # no idiosyncratic loading in the conditional-mean adjoint
-        lw = tree.child_increment_mean_rows(k, nxt.T, "w").T
+        lw = tree.child_increment_mean_rows(k, tree.expand_f0(k + 1, nxt).T, "w").T
         assert np.max(np.abs(lw)) < 1e-12 * scale
 
-        lw0 = tree.child_increment_mean_rows(k, nxt.T, "w0").T
         Lhat = 0.5 * (ll.values[k + 1][0::2] + ll.values[k + 1][1::2])
         psiL = (ll.values[k + 1][0::2] - ll.values[k + 1][1::2]) / (2.0 * sq)
         psig = (ll.offset[k + 1][0::2] - ll.offset[k + 1][1::2]) / (2.0 * sq)
-        yhat_nodes = tree.child_mean_rows(k, sol.state.values[k + 1].T).T
+        yhat = common.child_mean_rows(k, sol.state.values[k + 1].T).T
         D0 = cb.D0.at_w0(k, tree.cum_w0_prefix[k])
         expected = (
-            np.einsum("pij,pj->pi", psiL, yhat_nodes[_first_node_per_prefix(tree, k)])
+            np.einsum("pij,pj->pi", psiL, yhat)
             + np.einsum("pij,pj->pi", Lhat, D0)
             + psig
         )
-        got = lw0[_first_node_per_prefix(tree, k)]
+        got = common.child_increment_mean_rows(k, nxt.T, "w0").T
         assert np.max(np.abs(got - expected)) < 1e-12 * scale
 
 
-def _first_node_per_prefix(tree, k):
-    w0 = tree.w0_of_node[k]
-    first = np.zeros(tree.n_prefixes(k), dtype=np.int64)
-    seen = np.zeros(tree.n_prefixes(k), dtype=bool)
-    for i, p in enumerate(w0):
-        if not seen[p]:
-            seen[p] = True
-            first[p] = i
-    return first
+def test_bar_processes_have_one_node_per_prefix():
+    inst = random_instance(3)
+    cb = bar_transform(inst.coeffs)
+    grid = inst.grid()
+    tree = inst.tree()
+    assert tree.n_atoms > 1
+    sol = solve_bar_fbsde(cb, tree, grid, inst.xi_mean())
+    processes = [getattr(sol, f.name) for f in dataclasses.fields(sol)]
+    processes = [p for p in processes if isinstance(p, TreeProcess)]
+    assert len(processes) == 5
+    for p in processes + [solve_qp_bar(cb, tree, grid, inst.xi_mean()).control]:
+        assert p.tree is tree.common
+        assert p.adapted == F0_ADAPTED
+        assert [v.shape[0] for v in p.values] == [2**k for k in range(len(p.values))]
 
 
 @pytest.mark.parametrize("seed", [1, 9, 40])
@@ -154,11 +162,15 @@ def test_assembled_control_is_globally_optimal(seed):
     dec = check_decomposition(c, sol.state, sol.control, tree, grid)
     assert dec.relative_residual < 1e-11
 
-    # state splits into exactly the two partial states
+    # state splits into exactly the two partial states, and the control
+    # is their controls' sum bit for bit
     for k in range(grid.n_steps + 1):
-        both = sol.bar.state.values[k] + sol.breve.state.values[k]
+        both = tree.expand_f0(k, sol.bar.state.values[k]) + sol.breve.state.values[k]
         scale = 1.0 + np.max(np.abs(sol.state.values[k]))
         assert np.max(np.abs(sol.state.values[k] - both)) < 1e-11 * scale
+    for k in range(grid.n_steps):
+        both = tree.expand_f0(k, sol.bar.control.values[k]) + sol.breve.control.values[k]
+        assert np.array_equal(sol.control.values[k], both)
 
     rng = np.random.default_rng(seed + 5000)
     for _ in range(6):

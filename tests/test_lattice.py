@@ -225,7 +225,9 @@ def test_ce_constant_on_w0_groups(grid3):
     p = TreeProcess(tree, [rng.standard_normal((tree.n_nodes(k), 2)) for k in range(4)])
     ce = conditional_expectation_f0(p, tree)
     assert ce.adapted == F0_ADAPTED
-    assert ce.check_f0_constant(tol=1e-13) <= 1e-13
+    for k, v in enumerate(ce.values):
+        constant = tree.expand_f0(k, tree.prefix_mean(k, v))
+        assert np.max(np.abs(v - constant)) / (1.0 + np.max(np.abs(v))) <= 1e-13
 
 
 def test_ce_of_f0_process_is_identity(grid3):

@@ -23,7 +23,7 @@ from cmvlq.decomposition import (
     simulate_breve,
     simulate_mft,
 )
-from cmvlq.errors import ConvergenceError, DimensionError
+from cmvlq.errors import ConstraintViolationError, ConvergenceError
 from cmvlq.fbsde import assemble_optimal_control, solve_bar_fbsde, solve_breve_fbsde
 from cmvlq.instances import random_instance, random_control
 from cmvlq.lattice import F_ADAPTED, TimeGrid, TreeProcess, build_joint_tree
@@ -139,11 +139,12 @@ def test_restricted_problems_split_the_reference_cost(seed):
     scale = max(1.0, abs(full.cost))
     assert abs(bar.cost + breve.cost - full.cost) <= 1e-9 * scale
 
-    # the restricted optima are the two components of the full optimum
-    ubar_full = [tree.ce_f0_step(k, full.control.values[k])[1] for k in range(grid.n_steps)]
+    # the restricted optima are the two components of the full optimum;
+    # the bar one has one control per W0 prefix
     for k in range(grid.n_steps):
-        assert np.max(np.abs(bar.control.values[k] - ubar_full[k])) <= 1e-8
-        centered = full.control.values[k] - ubar_full[k]
+        prefix, ubar_full = tree.ce_f0_step(k, full.control.values[k])
+        assert np.max(np.abs(bar.control.values[k] - prefix)) <= 1e-8
+        centered = full.control.values[k] - ubar_full
         assert np.max(np.abs(breve.control.values[k] - centered)) <= 1e-8
 
     # restricted costs agree with the dedicated one-sided evaluators
@@ -157,7 +158,7 @@ def test_restricted_problems_split_the_reference_cost(seed):
 
 def test_centered_restriction_rejects_uncentered_initial():
     inst = random_instance(5, max_steps=3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConstraintViolationError, match=r"E\[xi_breve\] = 0"):
         solve_qp_breve(inst.coeffs, inst.tree(), inst.grid(), inst.xi)
 
 

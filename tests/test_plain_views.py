@@ -32,9 +32,7 @@ def _same(values, ref):
 def _controls(tree, grid, d, seed):
     rng = np.random.default_rng(seed)
     v = TreeProcess(
-        tree,
-        [tree.expand_f0(k, rng.standard_normal((tree.n_prefixes(k), d))) for k in range(grid.n_steps)],
-        F0_ADAPTED,
+        tree.common, [rng.standard_normal((tree.n_prefixes(k), d)) for k in range(grid.n_steps)]
     )
     raw = [rng.standard_normal((tree.n_nodes(k), d)) for k in range(grid.n_steps)]
     alpha = TreeProcess(
@@ -54,8 +52,8 @@ def test_delegated_sub_problems_match_dedicated_code(seed, node_dependent):
 
         y = simulate_bar(cb, tree, grid, v, inst.xi_mean())
         assert y.adapted == F0_ADAPTED
-        assert _same(y.values, ref_simulate_bar(cb, tree, grid, v, inst.xi_mean()))
-        assert eval_cost_bar(cb, y, v, tree, grid) == ref_cost_bar(cb, tree, grid, y, v)
+        assert _same(y.values, ref_simulate_bar(cb, tree.common, grid, v, inst.xi_mean()))
+        assert eval_cost_bar(cb, y, v, tree, grid) == ref_cost_bar(cb, tree.common, grid, y, v)
 
         z = simulate_breve(c, tree, grid, alpha, inst.xi_centered())
         assert z.adapted == F_ADAPTED

@@ -15,7 +15,6 @@ from cmvlq.decomposition import (
 from cmvlq.errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from cmvlq.instances import random_instance
 from cmvlq.lattice import (
-    F0_ADAPTED,
     F_ADAPTED,
     TreeProcess,
     build_joint_tree,
@@ -163,13 +162,9 @@ def test_mean_feedback_attains_predicted_value(seed):
         signs = np.tile([1.0, -1.0], y.shape[0])[:, None]
         y = base + np.repeat(D0, 2, axis=0) * signs * sq
 
-    vproc = TreeProcess(
-        tree, [tree.expand_f0(k, v) for k, v in enumerate(v_pref)], F0_ADAPTED
-    )
+    vproc = TreeProcess(tree.common, v_pref)
     ysim = simulate_bar(cb, tree, grid, vproc, ybar0)
-    assert np.allclose(
-        ysim.values[-1], tree.expand_f0(grid.n_steps, y), atol=1e-12, rtol=0.0
-    )
+    assert np.allclose(ysim.values[-1], y, atol=1e-12, rtol=0.0)
     j = eval_cost_bar(cb, ysim, vproc, tree, grid)
     pred = (
         0.5 * float(ybar0 @ ll.values[0][0] @ ybar0)
@@ -184,14 +179,7 @@ def test_mean_feedback_attains_predicted_value(seed):
             rng.standard_normal((tree.n_prefixes(k), c.d))
             for k in range(grid.n_steps)
         ]
-        v2 = TreeProcess(
-            tree,
-            [
-                tree.expand_f0(k, v + 0.2 * dl)
-                for k, (v, dl) in enumerate(zip(v_pref, delta))
-            ],
-            F0_ADAPTED,
-        )
+        v2 = TreeProcess(tree.common, [v + 0.2 * dl for v, dl in zip(v_pref, delta)])
         y2 = simulate_bar(cb, tree, grid, v2, ybar0)
         j2 = eval_cost_bar(cb, y2, v2, tree, grid)
         assert j2 >= j - 1e-11 * max(1.0, abs(j))
