@@ -22,13 +22,11 @@ if not any(_os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREAD
     _os.environ.update(OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 from .coeffs import (
-    BarCoefficients,
     Coefficient,
     CoefficientSet,
     ValidationReport,
     bar_transform,
     homogeneous,
-    homogeneous_bar,
     make_coefficients,
     validate_coefficients,
 )
@@ -110,7 +108,6 @@ from .sim import (
 
 __all__ = [
     "AdaptednessError",
-    "BarCoefficients",
     "CapacityError",
     "CheckReport",
     "CmvlqError",
@@ -155,7 +152,6 @@ __all__ = [
     "eval_cost_breve",
     "eval_cost_mft",
     "homogeneous",
-    "homogeneous_bar",
     "initial_condition",
     "inner_product",
     "lemma_identities",

@@ -12,7 +12,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,7 @@ from .lattice import build_joint_tree
 from .oracle import compare_solutions, solve_qp_bar, solve_qp_breve, solve_qp_exact
 from . import sim
 
-__all__ = ["Row", "SolveReport", "RunResult", "run", "write_report", "main"]
+__all__ = ["Row", "RunResult", "run", "write_report", "main"]
 
 MARGIN_SAMPLES = 8
 PICARD_MAX_ITER = 200
@@ -58,33 +58,12 @@ class Row:
 
 
 @dataclass(frozen=True)
-class SolveReport:
-    """Solver-side summary behind the solve/compare report rows."""
-
-    cost_total: float
-    cost_mean_part: float
-    cost_centered_part: float
-    split_residual: float
-    decomposition_residual: float
-    stationarity_residual: float
-    margin_mft: float
-    margin_bar: float
-    margin_breve: float
-    picard_iterations: int | None
-    picard_control_gap: float | None
-    oracle_cost_gap: float | None = None
-    oracle_control_gap: float | None = None
-    phase_seconds: tuple = ()
-
-
-@dataclass(frozen=True)
 class RunResult:
     status: int
     rows: tuple
     artifacts: tuple
     notes: tuple
     timings: tuple
-    report: SolveReport | None = None
 
 
 def _info(metric: str, value: float) -> Row:
@@ -145,8 +124,6 @@ def _solve_tree(c, tree, grid, xi, seed):
     ordering = conv.margin_mft - min(conv.margin_bar, conv.margin_breve)
     rows.append(_check("margin_ordering_gap", ordering, 1e-9, ordering >= -1e-9))
 
-    picard_iters = None
-    picard_gap = None
     try:
         coupled = solve_coupled_mv_fbsde(c, tree, grid, xi, max_iter=PICARD_MAX_ITER)
     except ConvergenceError:
@@ -163,21 +140,7 @@ def _solve_tree(c, tree, grid, xi, seed):
                    picard_iters <= PICARD_MAX_ITER)
         )
         rows.append(_residual("picard_control_gap", picard_gap, 1e-6))
-
-    report = SolveReport(
-        cost_total=sol.cost,
-        cost_mean_part=sol.bar.cost,
-        cost_centered_part=sol.breve.cost,
-        split_residual=sol.split_residual,
-        decomposition_residual=dec.relative_residual,
-        stationarity_residual=stat.max_residual,
-        margin_mft=conv.margin_mft,
-        margin_bar=conv.margin_bar,
-        margin_breve=conv.margin_breve,
-        picard_iterations=picard_iters,
-        picard_control_gap=picard_gap,
-    )
-    return rows, report, sol
+    return rows, sol
 
 
 def _rows_solve_ode(c, cfg, xi, probs):
@@ -185,7 +148,7 @@ def _rows_solve_ode(c, cfg, xi, probs):
     pi, ll = policy.pi, policy.l_solution
     cb = bar_transform(c)
     qt = 0.5 * (c.QT + c.QT.T)
-    qbt = 0.5 * (cb.QbarT + cb.QbarT.T)
+    qbt = 0.5 * (cb.QT + cb.QT.T)
     return [
         _info("value_prediction", predicted_closed_loop_value(policy, xi, probs)),
         _residual("pi_terminal_residual", np.max(np.abs(pi.values[-1] - qt)), 1e-12),
@@ -197,7 +160,7 @@ def _rows_solve_ode(c, cfg, xi, probs):
 def _rows_oracle(c, tree, grid, xi, probs):
     qp = solve_qp_exact(c, tree, grid, xi)
     xi_mean = probs @ xi
-    qp_bar = solve_qp_bar(bar_transform(c), tree, grid, xi_mean)
+    qp_bar = solve_qp_bar(c, tree, grid, xi_mean)
     qp_breve = solve_qp_breve(c, tree, grid, xi - xi_mean)
     scale = max(1.0, abs(qp.cost))
     split_gap = abs(qp_bar.cost + qp_breve.cost - qp.cost)
@@ -211,18 +174,13 @@ def _rows_oracle(c, tree, grid, xi, probs):
 
 
 def _rows_compare(c, tree, grid, xi, probs, seed):
-    rows, report, sol = _solve_tree(c, tree, grid, xi, seed)
+    rows, sol = _solve_tree(c, tree, grid, xi, seed)
     oracle_rows, qp = _rows_oracle(c, tree, grid, xi, probs)
     rows += oracle_rows
     cmp = compare_solutions(c, tree, grid, sol.control, qp.control, xi)
     rows.append(_residual("oracle_cost_gap_rel", cmp.cost_rel_diff, 1e-9))
     rows.append(_residual("oracle_control_gap", cmp.control_sup_diff, 1e-8))
-    report = replace(
-        report,
-        oracle_cost_gap=cmp.cost_rel_diff,
-        oracle_control_gap=cmp.control_sup_diff,
-    )
-    return rows, report
+    return rows
 
 
 def predicted_closed_loop_value(policy, xi, probs) -> float:
@@ -325,7 +283,6 @@ def run(cfg: RunConfig) -> RunResult:
     notes: list = []
     artifacts: list = []
     timings: list = []
-    report = None
 
     def phase(name, fn):
         start = time.perf_counter()
@@ -352,7 +309,7 @@ def run(cfg: RunConfig) -> RunResult:
         if cfg.grid.backend == "ode":
             rows += phase("solve_ode", lambda: _rows_solve_ode(c, cfg, xi, probs))
         else:
-            srows, report, _ = phase(
+            srows, _ = phase(
                 "solve", lambda: _solve_tree(c, tree, grid, xi, cfg.simulation.seed)
             )
             rows += srows
@@ -360,7 +317,7 @@ def run(cfg: RunConfig) -> RunResult:
         orows, _ = phase("oracle", lambda: _rows_oracle(c, tree, grid, xi, probs))
         rows += orows
     if mode in ("compare", "suite"):
-        crows, report = phase(
+        crows = phase(
             "compare",
             lambda: _rows_compare(c, tree, grid, xi, probs, cfg.simulation.seed),
         )
@@ -386,8 +343,6 @@ def run(cfg: RunConfig) -> RunResult:
     report_path = out_dir / f"{mode}_report.csv"
     phase("report", lambda: write_report(report_path, rows))
     artifacts.insert(0, str(report_path))
-    if report is not None:
-        report = replace(report, phase_seconds=tuple(timings))
 
     status = 0 if all(r.passed for r in rows) else 1
     return RunResult(
@@ -396,7 +351,6 @@ def run(cfg: RunConfig) -> RunResult:
         artifacts=tuple(artifacts),
         notes=tuple(notes),
         timings=tuple(timings),
-        report=report,
     )
 
 

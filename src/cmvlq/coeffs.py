@@ -10,6 +10,10 @@ definite, state weight dominating its cross term in the Schur sense,
 terminal weight positive semidefinite) must hold at every step and every
 reachable node; ``validate_coefficients`` checks it by enumerating the
 distinct cumulative-W0 levels, which is exact for affine dependence.
+
+There is one problem type.  Both sub-problems of the decomposition are
+coefficient sets of their own: ``bar_transform`` gives the
+conditional-mean problem and ``breve_as_plain`` the centered one.
 """
 
 from __future__ import annotations
@@ -274,106 +278,36 @@ def _check_symmetry(mat, name, step):
         raise DimensionError(name, f"not symmetric (max deviation {dev:.3e})", step=step)
 
 
-@dataclass(frozen=True)
-class BarCoefficients:
-    """Coefficients of the conditional-mean problem.
+def bar_transform(c: CoefficientSet) -> CoefficientSet:
+    """The conditional-mean problem as an ordinary problem in its own right.
 
-    Drift matrix Abar = A + F; diffusion D0 against the common noise; the
-    cost weights are the (I - H)-transformed ones, with R and varpi
-    carried over unchanged.
+    Drift A+F, common noise only, no conditional-mean terms (F = D = H =
+    0), and the cost weights (I-H)' S, (I-H)' zeta, (I-H)' Q (I-H) and
+    (I-H)' QT (I-H); B, b, D0, R and varpi are shared with c.  The
+    transforms are linear, so affine common-noise dependence is preserved
+    exactly.  The result maps to itself bit for bit (with F = H = 0 every
+    transform adds exact zeros), so the conditional-mean entry points
+    apply it to whichever set they are given.  Assumes the coefficient
+    set has passed validation.
     """
-
-    n: int
-    d: int
-    horizon: float
-    n_steps: int
-    Abar: Coefficient
-    B: Coefficient
-    b: Coefficient
-    D0: Coefficient
-    Sbar: Coefficient
-    zetabar: Coefficient
-    Qbar: Coefficient
-    R: Coefficient
-    varpi: Coefficient
-    QbarT: np.ndarray
-
-    def grid(self) -> TimeGrid:
-        return TimeGrid(self.n_steps, self.horizon)
-
-    @property
-    def deterministic(self) -> bool:
-        return all(
-            getattr(self, f).deterministic
-            for f in ("Abar", "B", "b", "D0", "Sbar", "zetabar", "Qbar", "R", "varpi")
-        )
-
-
-def bar_transform(c: CoefficientSet) -> BarCoefficients:
-    """Derive the conditional-mean problem's coefficients.
-
-    The transforms are linear in the originals, so affine common-noise
-    dependence is preserved exactly: (I-H)' S, (I-H)' zeta,
-    (I-H)' Q (I-H), (I-H)' QT (I-H), and A+F for the drift.
-    Assumes the coefficient set has passed validation.
-    """
-    ihT = (np.eye(c.n) - c.H).T
+    n, N = c.n, c.n_steps
+    ihT = (np.eye(n) - c.H).T
 
     def lin(coeff: Coefficient, op) -> Coefficient:
         return Coefficient(
             op(coeff.base), None if coeff.slope is None else op(coeff.slope)
         )
 
-    abar = Coefficient(
-        c.A.base + c.F.base,
-        _add_slopes(c.A.slope, c.F.slope),
-    )
-    sbar = lin(c.S, lambda arr: np.einsum("ij,kjl->kil", ihT, arr))
-    zbar = lin(c.zeta, lambda arr: np.einsum("ij,kj->ki", ihT, arr))
-    qbar = lin(c.Q, lambda arr: np.einsum("ij,kjl,ml->kim", ihT, arr, ihT))
-    return BarCoefficients(
-        n=c.n,
-        d=c.d,
-        horizon=c.horizon,
-        n_steps=c.n_steps,
-        Abar=abar,
-        B=c.B,
-        b=c.b,
-        D0=c.D0,
-        Sbar=sbar,
-        zetabar=zbar,
-        Qbar=qbar,
-        R=c.R,
-        varpi=c.varpi,
-        QbarT=ihT @ c.QT @ ihT.T,
-    )
-
-
-def bar_as_plain(cb: BarCoefficients) -> CoefficientSet:
-    """The conditional-mean problem as an ordinary problem in its own right.
-
-    Drift A+F, common noise only, no conditional-mean terms (F = H = 0):
-    the full problem's recursion, cost and Riccati code solve it as is.
-    """
-    n, d, N = cb.n, cb.d, cb.n_steps
-    return CoefficientSet(
-        n=n,
-        d=d,
-        horizon=cb.horizon,
-        n_steps=N,
-        A=cb.Abar,
+    return replace(
+        c,
+        A=Coefficient(c.A.base + c.F.base, _add_slopes(c.A.slope, c.F.slope)),
         F=as_coefficient(np.zeros((n, n)), N, (n, n), "F"),
-        B=cb.B,
-        S=cb.Sbar,
-        b=cb.b,
+        S=lin(c.S, lambda arr: np.einsum("ij,kjl->kil", ihT, arr)),
         D=as_coefficient(np.zeros(n), N, (n,), "D"),
-        D0=cb.D0,
-        zeta=cb.zetabar,
-        varpi=cb.varpi,
-        Q=cb.Qbar,
-        R=cb.R,
+        zeta=lin(c.zeta, lambda arr: np.einsum("ij,kj->ki", ihT, arr)),
+        Q=lin(c.Q, lambda arr: np.einsum("ij,kjl,ml->kim", ihT, arr, ihT)),
         H=np.zeros((n, n)),
-        QT=cb.QbarT,
+        QT=ihT @ c.QT @ ihT.T,
     )
 
 
@@ -411,8 +345,3 @@ def homogeneous(c: CoefficientSet) -> CoefficientSet:
     zero_ctl = as_coefficient(np.zeros((c.d,)), c.n_steps, (c.d,), "zero")
     return replace(c, b=zero_vec, D=zero_vec, D0=zero_vec, zeta=zero_vec, varpi=zero_ctl)
 
-
-def homogeneous_bar(cb: BarCoefficients) -> BarCoefficients:
-    zero_vec = as_coefficient(np.zeros((cb.n,)), cb.n_steps, (cb.n,), "zero")
-    zero_ctl = as_coefficient(np.zeros((cb.d,)), cb.n_steps, (cb.d,), "zero")
-    return replace(cb, b=zero_vec, D0=zero_vec, zetabar=zero_vec, varpi=zero_ctl)

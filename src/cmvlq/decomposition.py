@@ -9,9 +9,9 @@ separates the three systems, so the cost identity J = Jbar + Jbreve
 holds at floating-point precision and is checked that way.
 
 Both sub-problems are ordinary LQ problems: the bar and breve recursions
-and costs run through the full problem's code on the plain views
-``coeffs.bar_as_plain`` and ``coeffs.breve_as_plain``.  A term whose
-coefficient is deterministic and zero, as those views' conditional-mean
+and costs run through the full problem's code on the coefficient sets
+``coeffs.bar_transform`` and ``coeffs.breve_as_plain``.  A term whose
+coefficient is deterministic and zero, as those sets' conditional-mean
 terms are, is skipped together with its conditioning fold.  The one
 roll-out (``_rollout``, under control rows or a feedback) and the one
 cost (``_cost_rows``) run on either tree: the joint one, or its W0-only
@@ -27,16 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import (
-    BarCoefficients,
-    Coefficient,
-    CoefficientSet,
-    bar_as_plain,
-    bar_transform,
-    breve_as_plain,
-    homogeneous,
-    homogeneous_bar,
-)
+from .coeffs import Coefficient, CoefficientSet, bar_transform, breve_as_plain, homogeneous
 from .errors import AdaptednessError, ConstraintViolationError, DimensionError
 from .lattice import (
     F0_ADAPTED,
@@ -140,7 +131,7 @@ def _atom_values(xi, tree: JointTree, name: str) -> np.ndarray:
 def _nonzero(coeff: Coefficient, tree: JointTree, k: int, per_prefix: bool = False):
     """coeff at step k, or None where it is deterministic and zero.
 
-    The plain views of the two sub-problems carry such zeros (no
+    The coefficient sets of the two sub-problems carry such zeros (no
     conditional-mean terms, one noise each).  Their terms would add exact
     zeros, so they are skipped, and with F the conditioning fold.
     """
@@ -233,17 +224,19 @@ def simulate_mft(
 
 
 def simulate_bar(
-    cb: BarCoefficients, tree: JointTree, grid: TimeGrid, v: TreeProcess, xi_bar
+    c: CoefficientSet, tree: JointTree, grid: TimeGrid, v: TreeProcess, xi_bar
 ) -> TreeProcess:
     """Conditional-mean recursion driven by the common noise only.
 
-    The control v and the returned state live on ``tree.common``, one
-    value per common-noise prefix; a process of the joint tree is refused.
+    c is the full set or its ``bar_transform``; either gives the same
+    problem.  The control v and the returned state live on
+    ``tree.common``, one value per common-noise prefix; a process of the
+    joint tree is refused.
     """
     xi_bar = np.asarray(xi_bar, dtype=float)
-    if xi_bar.shape != (cb.n,):
-        raise DimensionError("xi_bar", f"expected shape {(cb.n,)}, got {xi_bar.shape}")
-    return simulate_mft(bar_as_plain(cb), tree.common, grid, v, xi_bar)
+    if xi_bar.shape != (c.n,):
+        raise DimensionError("xi_bar", f"expected shape {(c.n,)}, got {xi_bar.shape}")
+    return simulate_mft(bar_transform(c), tree.common, grid, v, xi_bar)
 
 
 def simulate_breve(
@@ -263,11 +256,16 @@ def simulate_breve(
 def _centered_atoms(xi_breve, tree: JointTree) -> np.ndarray:
     """Initial centered split per atom; its mean over the atoms must vanish."""
     xi_breve = _atom_values(xi_breve, tree, "xi_breve")
-    mean = tree.atom_probs @ xi_breve
+    _check_centered_split(xi_breve, tree.atom_probs)
+    return xi_breve
+
+
+def _check_centered_split(xi_breve: np.ndarray, atom_probs: np.ndarray) -> None:
+    """Refuse an initial split per atom whose mean over the atoms is not zero."""
+    mean = atom_probs @ xi_breve
     scale = 1.0 + float(np.max(np.abs(xi_breve)))
     if float(np.max(np.abs(mean))) > CENTERING_TOL * scale:
         raise ConstraintViolationError("E[xi_breve] = 0", float(np.max(np.abs(mean))), CENTERING_TOL)
-    return xi_breve
 
 
 def eval_cost_mft(
@@ -285,10 +283,13 @@ def eval_cost_mft(
 
 
 def eval_cost_bar(
-    cb: BarCoefficients, y: TreeProcess, v: TreeProcess, tree: JointTree, grid: TimeGrid
+    c: CoefficientSet, y: TreeProcess, v: TreeProcess, tree: JointTree, grid: TimeGrid
 ) -> float:
-    """Cost of the conditional-mean problem for (y, v) on ``tree.common``."""
-    return eval_cost_mft(bar_as_plain(cb), y, v, tree.common, grid)
+    """Cost of the conditional-mean problem for (y, v) on ``tree.common``.
+
+    c is the full set or its ``bar_transform``.
+    """
+    return eval_cost_mft(bar_transform(c), y, v, tree.common, grid)
 
 
 def eval_cost_breve(
@@ -354,7 +355,7 @@ def check_decomposition(
     xs, us = _rows_of(x), _rows_of(u, grid.n_steps)
     xbar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(xs)]
     ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(us)]
-    j_bar = _cost_rows(bar_as_plain(bar_transform(c)), tree.common, grid, xbar, ubar)
+    j_bar = _cost_rows(bar_transform(c), tree.common, grid, xbar, ubar)
 
     def centered(rows, means):
         return [r - tree.expand_rows(k, m) for k, (r, m) in enumerate(zip(rows, means))]
@@ -387,7 +388,7 @@ def lemma_identities(
         xbre, ubre = xbres[k], ubres[k]
         e = xk - c.H @ xbar
         Q, S, R, zeta, varpi = (_coeff_rows(co, tree, k) for co in (c.Q, c.S, c.R, c.zeta, c.varpi))
-        Qb, Sb, zb = (_coeff_rows(co, tree, k) for co in (cb.Qbar, cb.Sbar, cb.zetabar))
+        Qb, Sb, zb = (_coeff_rows(co, tree, k) for co in (cb.Q, cb.S, cb.zeta))
         sides = {
             "i": (_dot(zeta, e), _dot(zb, xbar)),
             "ii": (_dot(varpi, uk), _dot(varpi, ubar)),
@@ -405,7 +406,7 @@ def lemma_identities(
     eT = xs[N] - c.H @ xbarT
     lhs = float(pN @ _quad(eT, c.QT, eT))
     rhs = float(
-        pN @ (_quad(xbreT, c.QT, xbreT) + _quad(xbarT, cb.QbarT, xbarT))
+        pN @ (_quad(xbreT, c.QT, xbreT) + _quad(xbarT, cb.QT, xbarT))
     )
     out["v_terminal"] = (lhs, rhs)
     return out
@@ -433,14 +434,14 @@ def estimate_convexity_margin(
     breve sample sets, which keeps the min(bar, breve) lower bound on the
     mean-field margin valid sample by sample.  The bar and breve samples
     are F0-adapted or centered by construction, so their forms are
-    evaluated on the plain views without the sub-problems' input checks;
-    the bar samples live on ``tree.common``, where their forms and norms
-    are taken.  At least one sample is required.
+    evaluated on the sub-problems' coefficient sets without their input
+    checks; the bar samples live on ``tree.common``, where their forms
+    and norms are taken.  At least one sample is required.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     ch = homogeneous(c)
-    bar = bar_as_plain(homogeneous_bar(bar_transform(c)))
+    bar = homogeneous(bar_transform(c))
     breve = breve_as_plain(ch)
     common = tree.common
     N = grid.n_steps

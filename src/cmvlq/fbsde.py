@@ -6,7 +6,7 @@ feedback and reading every adjoint quantity off as an honest conditional
 expectation over child nodes.  With the one-step-predicted adjoint in
 the first-order condition, stationarity holds at machine precision, so
 the checks here certify rather than approximate.  Both sub-problems run
-through the full problem's code on their plain views: one roll-out under
+through the full problem's code on their coefficient sets: one roll-out under
 the dynamic-programming feedback, one adjoint routine for the predicted
 costate, the backward residual and the cost of either, and one
 first-order residual for the stationarity check.  The conditional-mean
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, bar_transform, breve_as_plain
+from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
     _abar, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _mtv, _mv,
     _plus_prefix, _process, _rollout, _rows_of,
@@ -174,7 +174,7 @@ def solve_breve_fbsde(
 
 
 def solve_bar_fbsde(
-    cb: BarCoefficients,
+    c: CoefficientSet,
     tree: JointTree,
     grid: TimeGrid,
     xi_bar,
@@ -182,16 +182,17 @@ def solve_bar_fbsde(
 ) -> BarSolution:
     """Roll the conditional-mean optimum forward and extract its adjoints.
 
-    Roll-out, adjoint and the returned processes are on ``tree.common``,
-    one node per common-noise prefix.
+    c is the full set or its ``bar_transform``; either gives the same
+    problem.  Roll-out, adjoint and the returned processes are on
+    ``tree.common``, one node per common-noise prefix.
     """
+    p = bar_transform(c)
     if l_solution is None:
-        l_solution = solve_l(cb)
+        l_solution = solve_l(p)
     xi_bar = np.asarray(xi_bar, dtype=float)
-    if xi_bar.shape != (cb.n,):
-        raise DimensionError("xi_bar", f"expected shape {(cb.n,)}, got {xi_bar.shape}")
+    if xi_bar.shape != (p.n,):
+        raise DimensionError("xi_bar", f"expected shape {(p.n,)}, got {xi_bar.shape}")
 
-    p = bar_as_plain(cb)
     common = tree.common
     gains, shifts = _prefix_rows(l_solution.gain_state), _prefix_rows(l_solution.gain_const)
     states, controls, _ = _rollout(
@@ -208,20 +209,18 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
     The residual R u + S' x + B' E_k[costate] + varpi uses the one-step-
     predicted costate, under which the optimal control zeroes it exactly;
     any perturbation of the control shows up at full size.  Accepts a
-    bar, breve, or assembled solution (pass the matching coefficient
-    object: bar coefficients for the bar solution, the full set
-    otherwise) with the joint tree; the bar residual is taken on
-    ``tree.common``, where the bar solution lives.
+    bar, breve, or assembled solution with the full coefficient set and
+    the joint tree; for a bar solution the set's ``bar_transform`` gives
+    the same result.  The bar residual is taken on ``tree.common``, where
+    the bar solution lives.
     """
     if isinstance(solution, MftSolution):
-        rb = verify_stationarity(bar_transform(coeffs), solution.bar, tree, grid)
+        rb = verify_stationarity(coeffs, solution.bar, tree, grid)
         rv = verify_stationarity(coeffs, solution.breve, tree, grid)
         per = [max(a, b) for a, b in zip(rb.per_step, rv.per_step)]
         return StationarityReport(max(rb.max_residual, rv.max_residual), per)
     if isinstance(solution, BarSolution):
-        if not isinstance(coeffs, BarCoefficients):
-            raise DimensionError("coeffs", "bar solution needs bar coefficients")
-        p, tree = bar_as_plain(coeffs), tree.common
+        p, tree = bar_transform(coeffs), tree.common
     elif isinstance(solution, BreveSolution):
         p = breve_as_plain(coeffs)
     else:
@@ -254,14 +253,13 @@ def assemble_optimal_control(
     unless resimulate, are expanded onto the joint tree only in the sums.
     """
     grid = c.grid()
-    cb = bar_transform(c)
     xi = _atom_values(xi, tree, "xi")
     if xi.shape != (tree.n_atoms, c.n):
         raise DimensionError("xi", f"expected {(tree.n_atoms, c.n)}, got {xi.shape}")
     xi_mean = tree.atom_probs @ xi
     xi_breve = xi - xi_mean
 
-    bar = solve_bar_fbsde(cb, tree, grid, xi_mean)
+    bar = solve_bar_fbsde(c, tree, grid, xi_mean)
     breve = solve_breve_fbsde(c, tree, grid, xi_breve)
 
     def assembled(bar_part, breve_part):
@@ -321,7 +319,7 @@ def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> Od
     R = table(c.R)
     Bt = np.swapaxes(table(c.B), 1, 2)
     gain_c = np.linalg.solve(R, np.swapaxes(table(c.S), 1, 2) + Bt @ pi.values)
-    gain_m = np.linalg.solve(R, np.swapaxes(table(cb.Sbar), 1, 2) + Bt @ ll.values)
+    gain_m = np.linalg.solve(R, np.swapaxes(table(cb.S), 1, 2) + Bt @ ll.values)
     rhs = (Bt @ ll.offset[..., None])[..., 0] + table(c.varpi)
     shift = np.linalg.solve(R, rhs[..., None])[..., 0]
     return OdePolicy(
@@ -466,7 +464,7 @@ def _mixing_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(scaled, (df @ f) / norms) / norms
 
 
-def _picard_sweep(c: CoefficientSet, cb: BarCoefficients, tree: JointTree, grid: TimeGrid, xi,
+def _picard_sweep(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: TimeGrid, xi,
                   u: list, ubar: list, new_u: list, new_ubar: list):
     """One evaluation of the coupled fixed-point map at (u, E[u|F0]).
 
@@ -481,7 +479,7 @@ def _picard_sweep(c: CoefficientSet, cb: BarCoefficients, tree: JointTree, grid:
     x, _, xbar = _rollout(c, tree, grid, u, xi, means=True)
     # the terminal costate enters only through its child means, so it is
     # never formed on the step-N nodes: prefix q has the children 2q, 2q+1
-    term = (cb.QbarT - c.QT) @ xbar[N]
+    term = (cb.QT - c.QT) @ xbar[N]
     yt = c.QT @ tree.child_mean_rows(N - 1, x[N]) + tree.expand_rows(
         N - 1, 0.5 * (term[:, 0::2] + term[:, 1::2]))
     pred = [None] * N
@@ -494,13 +492,13 @@ def _picard_sweep(c: CoefficientSet, cb: BarCoefficients, tree: JointTree, grid:
         S, R = _coeff_rows(c.S, tree, k), _coeff_rows(c.R, tree, k)
         Sp, Rp, Bp, varpi = (_coeff_prefix(co, tree, k) for co in (c.S, c.R, c.B, c.varpi))
         # the terms constant on each prefix are summed per prefix and
-        # expanded once: F' E[y], (Qbar - Q) xbar, -H' S ubar, zetabar
+        # expanded once: F' E[y], (cb.Q - Q) xbar, -H' S ubar, cb.zeta
         per_prefix = (
             _mtv(_coeff_prefix(c.F, tree, k), ybar)
-            + _mv(_coeff_prefix(cb.Qbar, tree, k), xbar[k])
+            + _mv(_coeff_prefix(cb.Q, tree, k), xbar[k])
             - _mv(_coeff_prefix(c.Q, tree, k), xbar[k])
             - c.H.T @ _mv(Sp, ubar[k])
-            + _coeff_prefix(cb.zetabar, tree, k)
+            + _coeff_prefix(cb.zeta, tree, k)
         )
         running = _mv(_coeff_rows(c.Q, tree, k), x[k]) + _mv(S, u[k])
         cur = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), yt) + dt * _plus_prefix(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, breve_as_plain
+from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
     _abar, _atom_values, _centered_atoms, _check_control, _coeff_rows, _mtv, _mv, _nonzero,
     _plus_prefix, _process, _rollout, _rows_of, eval_cost_mft, simulate_mft,
@@ -79,8 +79,8 @@ def cost_gradient(
     dt = grid.dt
     _check_control(u, c, grid, tree)
     u = _rows_of(u, N)
-    # Terms with a zero H, F, zeta or varpi, as the plain views of both
-    # sub-problems have them, would add exact zeros; they are skipped, and
+    # Terms with a zero H, F, zeta or varpi, as the coefficient sets of
+    # both sub-problems have them, would add exact zeros; they are skipped, and
     # with H and F their conditioning folds.
     H = c.H if c.H.any() else None
     x, _, xbars = _rollout(c, tree, grid, u, _atom_values(xi, tree, "xi"), means=H is not None)
@@ -244,16 +244,17 @@ def solve_qp_exact(
 
 
 def solve_qp_bar(
-    cb: BarCoefficients, tree: JointTree, grid: TimeGrid, xi_bar
+    c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi_bar
 ) -> QpSolution:
     """Minimize the conditional-mean cost over common-noise controls.
 
-    The decision variable is one control per common-noise prefix, of
-    mass 2^-k: one per node of ``tree.common``, where the problem is
-    solved and the optimal control is returned.
+    c is the full set or its ``bar_transform``.  The decision variable is
+    one control per common-noise prefix, of mass 2^-k: one per node of
+    ``tree.common``, where the problem is solved and the optimal control
+    is returned.
     """
     return _solve_over_nodes(
-        bar_as_plain(cb), tree.common, grid, np.asarray(xi_bar, dtype=float),
+        bar_transform(c), tree.common, grid, np.asarray(xi_bar, dtype=float),
         label="common-noise control space",
     )
 

@@ -8,7 +8,7 @@ additive constant c (``constant``) and, on the tree, the feedback
 u = -gain_state x - gain_const.  ``solve_pi`` runs the sweep on
 ``coeffs.breve_as_plain``, where the linear parts come out as exact
 zeros and the constant is the idiosyncratic-noise term; ``solve_l``
-runs it on ``coeffs.bar_as_plain``, where the common noise and the
+runs it on ``coeffs.bar_transform``, where the common noise and the
 affine terms enter the linear part and the constant.
 
 Two backends.  The tree backend runs exact dynamic programming on the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import BarCoefficients, CoefficientSet, bar_as_plain, breve_as_plain
+from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from .lattice import TimeGrid, w0_prefix_cums
 
@@ -127,13 +127,14 @@ def solve_pi(c: CoefficientSet, backend: str = "tree", *, dt_target: float | Non
     return _solve(breve_as_plain(c), backend, dt_target, "A")
 
 
-def solve_l(cb: BarCoefficients, backend: str = "tree", *, dt_target: float | None = None) -> TreeBackwardQuadratic | OdeBackwardQuadratic:
+def solve_l(c: CoefficientSet, backend: str = "tree", *, dt_target: float | None = None) -> TreeBackwardQuadratic | OdeBackwardQuadratic:
     """Value function of the conditional-mean problem.
 
-    The problem carries no idiosyncratic noise; the common noise and the
+    c is the full set or its ``bar_transform``; either gives the same
+    problem.  It carries no idiosyncratic noise; the common noise and the
     affine terms b, zeta and varpi enter the linear part and the constant.
     """
-    return _solve(bar_as_plain(cb), backend, dt_target, "A+F")
+    return _solve(bar_transform(c), backend, dt_target, "A+F")
 
 
 def _tree_sweep(p: CoefficientSet) -> TreeBackwardQuadratic:

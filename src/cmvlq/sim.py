@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientSet
+from .decomposition import _check_centered_split
 from .errors import CmvlqError, DimensionError, NotDeterministicError
 from .lattice import TimeGrid
 from .riccati import OdeBackwardQuadratic, _fine_steps, _interp_table
@@ -495,9 +496,7 @@ def _breve_run(c: CoefficientSet, pi: OdeBackwardQuadratic, grid: TimeGrid, xi_c
     any diffusion).
     """
     xi_c, atom_probs = _check_initial(xi_centered, atom_probs, c.n)
-    mean0 = atom_probs @ xi_c
-    if np.max(np.abs(mean0)) > 1e-10 * (1.0 + np.max(np.abs(xi_c))):
-        raise DimensionError("xi_centered", "initial split must have zero mean")
+    _check_centered_split(xi_c, atom_probs)
     _, n_fine, dt, times = _fine_grid(grid, dt_target)
     if h_index is not None and not (0 <= h_index <= n_fine):
         raise DimensionError("h_index", f"must lie in [0, {n_fine}]")
@@ -632,6 +631,7 @@ def weak_order_check(
     context but carry the raw Monte Carlo error.
     """
     xi_c, atom_probs = _check_initial(xi_centered, atom_probs, c.n)
+    _check_centered_split(xi_c, atom_probs)
     counts = [n_coarse, 2 * n_coarse, 4 * n_coarse]
     n_finest = counts[-1]
 

@@ -105,14 +105,14 @@ def brute_cost_bar(cb, xi_bar, v_prefix_arrays, grid):
         new_prefixes, new_y = [], []
         for i, h in enumerate(prefixes):
             cum0 = s * sum(h)
-            Ab = cb.Abar.at_w0(k, [cum0])[0]
+            Ab = cb.A.at_w0(k, [cum0])[0]
             B = cb.B.at_w0(k, [cum0])[0]
             bb = cb.b.at_w0(k, [cum0])[0]
             D0v = cb.D0.at_w0(k, [cum0])[0]
-            Qb = cb.Qbar.at_w0(k, [cum0])[0]
-            Sb = cb.Sbar.at_w0(k, [cum0])[0]
+            Qb = cb.Q.at_w0(k, [cum0])[0]
+            Sb = cb.S.at_w0(k, [cum0])[0]
             R = cb.R.at_w0(k, [cum0])[0]
-            zb = cb.zetabar.at_w0(k, [cum0])[0]
+            zb = cb.zeta.at_w0(k, [cum0])[0]
             varpi = cb.varpi.at_w0(k, [cum0])[0]
             vi = v_prefix_arrays[k][i]
             p = 0.5**k
@@ -133,5 +133,5 @@ def brute_cost_bar(cb, xi_bar, v_prefix_arrays, grid):
                 new_y.append(base + D0v * (p0 * s))
         prefixes, y = new_prefixes, new_y
     for i, h in enumerate(prefixes):
-        total += 0.5**N * (y[i] @ cb.QbarT @ y[i])
+        total += 0.5**N * (y[i] @ cb.QT @ y[i])
     return 0.5 * total

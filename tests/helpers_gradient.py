@@ -1,7 +1,7 @@
 """Reference for the oracle's gradient: the adjoint sweep without skips.
 
 ``oracle.cost_gradient`` skips the conditional-mean folds and linear
-terms whose coefficient is zero, as the plain views of both sub-problems
+terms whose coefficient is zero, as the coefficient sets of both sub-problems
 have them.  ``ref_cost_gradient`` is the sweep that computes every term,
 zero or not, so the two must agree exactly.
 """

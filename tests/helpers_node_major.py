@@ -123,7 +123,7 @@ def sweep(c, tree, grid, xi, u):
     x = simulate_mft(c, tree, grid, u, xi)
     xbars = [ce_f0(tree, k, v) for k, v in enumerate(x)]
     ubars = [ce_f0(tree, k, v) for k, v in enumerate(u)]
-    cur = x[N] @ c.QT.T + xbars[N] @ (cb.QbarT - c.QT).T
+    cur = x[N] @ c.QT.T + xbars[N] @ (cb.QT - c.QT).T
     pred = [None] * N
     new_u = [None] * N
     change = 0.0
@@ -138,10 +138,10 @@ def sweep(c, tree, grid, xi, u):
         B = coeff_nodes(c.B, tree, k)
         running = (
             _mv(Q, x[k])
-            + _mv(coeff_nodes(cb.Qbar, tree, k) - Q, xbars[k])
+            + _mv(coeff_nodes(cb.Q, tree, k) - Q, xbars[k])
             + _mv(S, u[k])
             - _mv(S, ubars[k]) @ c.H
-            + coeff_nodes(cb.zetabar, tree, k)
+            + coeff_nodes(cb.zeta, tree, k)
         )
         abar = eye + dt * A
         cur = _mtv(abar, yt) + dt * (_mtv(F, ce_f0(tree, k, yt)) + running)

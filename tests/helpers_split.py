@@ -1,9 +1,9 @@
 """Reference for the two sub-problems: their own recursions, costs and L loop.
 
 The library runs the conditional-mean and centered problems through the
-full problem's code on their plain views (``coeffs.bar_as_plain`` and
-``coeffs.breve_as_plain``).  The functions here are the dedicated
-versions written against the bar and breve coefficients directly: the
+full problem's code on their own coefficient sets (``coeffs.bar_transform``
+and ``coeffs.breve_as_plain``).  The functions here are the dedicated
+versions, each reading only the fields its sub-problem uses: the
 bar recursion driven by the common noise alone, the centered recursion
 driven by the idiosyncratic noise alone, their two cost sums, and the
 exact backward loops for L and for the affine value parts on the
@@ -29,11 +29,14 @@ from cmvlq.lattice import w0_prefix_cums
 
 
 def ref_simulate_bar(cb, tree, grid, v, xi_bar):
-    """Per-step node arrays of y_{k+1} = y + dt (Abar y + B v + b) + D0 dW0."""
+    """Per-step node arrays of y_{k+1} = y + dt (A y + B v + b) + D0 dW0.
+
+    cb is the conditional-mean set, whose drift A is the full problem's A + F.
+    """
     y = np.broadcast_to(np.asarray(xi_bar, dtype=float), (tree.n_nodes(0), cb.n)).T.copy()
     values = [y.T]
     for k in range(grid.n_steps):
-        drift = _mv(_coeff_rows(cb.Abar, tree, k), y) + _mv(_coeff_rows(cb.B, tree, k), v.values[k].T)
+        drift = _mv(_coeff_rows(cb.A, tree, k), y) + _mv(_coeff_rows(cb.B, tree, k), v.values[k].T)
         drift = _plus_prefix(tree, k, drift, _coeff_prefix(cb.b, tree, k))
         y = tree.children_rows(k, y + grid.dt * drift, D0=_coeff_rows(cb.D0, tree, k))
         values.append(y.T)
@@ -94,7 +97,7 @@ def _lq_cost(tree, grid, states, controls, Q, S, R, QT, zeta=None, varpi=None):
 def ref_cost_bar(cb, tree, grid, y, v):
     """Bar cost: transformed weights, both linear terms."""
     return _lq_cost(
-        tree, grid, y.values, v.values, cb.Qbar, cb.Sbar, cb.R, cb.QbarT, cb.zetabar, cb.varpi
+        tree, grid, y.values, v.values, cb.Q, cb.S, cb.R, cb.QT, cb.zeta, cb.varpi
     )
 
 
@@ -109,11 +112,11 @@ def ref_solve_l(cb):
     N, dt = grid.n_steps, grid.dt
     cums = w0_prefix_cums(grid)
     eye = np.eye(cb.n)
-    values = [None] * N + [np.broadcast_to(cb.QbarT, (2**N, cb.n, cb.n)).copy()]
+    values = [None] * N + [np.broadcast_to(cb.QT, (2**N, cb.n, cb.n)).copy()]
     gains = [None] * N
     for k in reversed(range(N)):
         A, B, S, Q, R = (
-            co.at_w0(k, cums[k]) for co in (cb.Abar, cb.B, cb.Sbar, cb.Qbar, cb.R)
+            co.at_w0(k, cums[k]) for co in (cb.A, cb.B, cb.S, cb.Q, cb.R)
         )
         nxt = values[k + 1]
         hat = 0.5 * (nxt[0::2] + nxt[1::2])
@@ -140,7 +143,7 @@ def ref_tree_offset(cb, values):
     for k in reversed(range(N)):
         Ab, B, Sb, R, b, D0, zb, varpi = (
             co.at_w0(k, cums[k])
-            for co in (cb.Abar, cb.B, cb.Sbar, cb.R, cb.b, cb.D0, cb.zetabar, cb.varpi)
+            for co in (cb.A, cb.B, cb.S, cb.R, cb.b, cb.D0, cb.zeta, cb.varpi)
         )
         nxt = values[k + 1]
         hat = 0.5 * (nxt[0::2] + nxt[1::2])

@@ -10,6 +10,7 @@ from cmvlq.coeffs import (
     validate_coefficients,
 )
 from cmvlq.errors import DimensionError, NotDeterministicError
+from cmvlq.instances import random_instance
 from cmvlq.lattice import TimeGrid
 
 
@@ -85,18 +86,18 @@ def test_bar_transform_identity_mixing():
     zeta = rng.standard_normal(2)
     c0 = make_coefficients(2, 1, 1.0, 2, R=np.eye(1), Q=Q, S=S, zeta=zeta, QT=np.eye(2))
     cb0 = bar_transform(c0)
-    np.testing.assert_allclose(cb0.Qbar.base[0], Q, atol=1e-15)
-    np.testing.assert_allclose(cb0.Sbar.base[1], S, atol=1e-15)
-    np.testing.assert_allclose(cb0.QbarT, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(cb0.Q.base[0], Q, atol=1e-15)
+    np.testing.assert_allclose(cb0.S.base[1], S, atol=1e-15)
+    np.testing.assert_allclose(cb0.QT, np.eye(2), atol=1e-15)
 
     c1 = make_coefficients(
         2, 1, 1.0, 2, R=np.eye(1), Q=Q, S=S, zeta=zeta, QT=np.eye(2), H=np.eye(2)
     )
     cb1 = bar_transform(c1)
-    assert np.max(np.abs(cb1.Qbar.base)) == 0.0
-    assert np.max(np.abs(cb1.Sbar.base)) == 0.0
-    assert np.max(np.abs(cb1.zetabar.base)) == 0.0
-    assert np.max(np.abs(cb1.QbarT)) == 0.0
+    assert np.max(np.abs(cb1.Q.base)) == 0.0
+    assert np.max(np.abs(cb1.S.base)) == 0.0
+    assert np.max(np.abs(cb1.zeta.base)) == 0.0
+    assert np.max(np.abs(cb1.QT)) == 0.0
 
 
 def test_bar_transform_matches_matrix_products():
@@ -115,11 +116,11 @@ def test_bar_transform_matches_matrix_products():
     cb = bar_transform(c)
     ih = np.eye(n) - H
     for k in range(N):
-        np.testing.assert_allclose(cb.Qbar.base[k], ih.T @ Q[k] @ ih, atol=1e-13)
-        np.testing.assert_allclose(cb.Sbar.base[k], ih.T @ S[k], atol=1e-13)
-        np.testing.assert_allclose(cb.zetabar.base[k], ih.T @ zeta[k], atol=1e-13)
-        np.testing.assert_allclose(cb.Abar.base[k], A[k] + F[k], atol=1e-13)
-    np.testing.assert_allclose(cb.QbarT, ih.T @ QT @ ih, atol=1e-13)
+        np.testing.assert_allclose(cb.Q.base[k], ih.T @ Q[k] @ ih, atol=1e-13)
+        np.testing.assert_allclose(cb.S.base[k], ih.T @ S[k], atol=1e-13)
+        np.testing.assert_allclose(cb.zeta.base[k], ih.T @ zeta[k], atol=1e-13)
+        np.testing.assert_allclose(cb.A.base[k], A[k] + F[k], atol=1e-13)
+    np.testing.assert_allclose(cb.QT, ih.T @ QT @ ih, atol=1e-13)
 
 
 def test_bar_transform_preserves_affine_node_dependence():
@@ -133,13 +134,31 @@ def test_bar_transform_preserves_affine_node_dependence():
     )
     cb = bar_transform(c)
     ih = np.eye(n) - H
-    assert cb.Qbar.slope is not None
-    np.testing.assert_allclose(cb.Qbar.slope[0], ih.T @ Qs @ ih, atol=1e-14)
+    assert cb.Q.slope is not None
+    np.testing.assert_allclose(cb.Q.slope[0], ih.T @ Qs @ ih, atol=1e-14)
     # evaluation at a W0 level matches transform-then-evaluate
     w0 = np.array([0.7])
     np.testing.assert_allclose(
-        cb.Qbar.at_w0(0, w0)[0], ih.T @ c.Q.at_w0(0, w0)[0] @ ih, atol=1e-14
+        cb.Q.at_w0(0, w0)[0], ih.T @ c.Q.at_w0(0, w0)[0] @ ih, atol=1e-14
     )
+
+
+@pytest.mark.parametrize("node_dependent", [False, True])
+def test_bar_transform_maps_its_output_to_itself(node_dependent):
+    # the conditional-mean set has F = D = H = 0, so transforming it again
+    # adds exact zeros: every base and slope, H and QT come back bit for bit
+    fields = ("A", "F", "B", "S", "b", "D", "D0", "zeta", "varpi", "Q", "R")
+    for seed in range(40):
+        cb = bar_transform(random_instance(seed, node_dependent=node_dependent).coeffs)
+        again = bar_transform(cb)
+        for name in fields:
+            one, two = getattr(cb, name), getattr(again, name)
+            assert one.base.tobytes() == two.base.tobytes(), (seed, name)
+            assert (one.slope is None) == (two.slope is None), (seed, name)
+            if one.slope is not None:
+                assert one.slope.tobytes() == two.slope.tobytes(), (seed, name)
+        assert cb.H.tobytes() == again.H.tobytes() and not cb.H.any()
+        assert cb.QT.tobytes() == again.QT.tobytes(), seed
 
 
 def test_homogeneous_strips_affine_and_noise():

@@ -159,6 +159,10 @@ def test_assembled_control_is_globally_optimal(seed):
     assert sol.split_residual < 1e-11 * max(1.0, abs(sol.cost))
     rep = verify_stationarity(c, sol, tree, grid)
     assert rep.max_residual < 1e-12
+    # the bar part alone checks against the full set or its transform alike
+    bar_rep = verify_stationarity(c, sol.bar, tree, grid)
+    assert bar_rep == verify_stationarity(bar_transform(c), sol.bar, tree, grid)
+    assert bar_rep.max_residual < 1e-12
     dec = check_decomposition(c, sol.state, sol.control, tree, grid)
     assert dec.relative_residual < 1e-11
 
@@ -281,7 +285,7 @@ def test_ode_policy_tables_match_per_step_solves():
         k = min(j // pol.n_sub, N - 1)
         R, B = c.R.at_step(k), c.B.at_step(k)
         gc = np.linalg.solve(R, c.S.at_step(k).T + B.T @ pol.pi.values[j])
-        gm = np.linalg.solve(R, cb.Sbar.at_step(k).T + B.T @ pol.l_solution.values[j])
+        gm = np.linalg.solve(R, cb.S.at_step(k).T + B.T @ pol.l_solution.values[j])
         sh = np.linalg.solve(R, B.T @ pol.l_solution.offset[j] + c.varpi.at_step(k))
         assert np.array_equal(pol.gain_centered[j], gc)
         assert np.array_equal(pol.gain_mean[j], gm)

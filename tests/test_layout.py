@@ -23,7 +23,7 @@ from helpers_split import ref_breve_closed_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvlq.coeffs import bar_as_plain, bar_transform
+from cmvlq.coeffs import bar_transform
 from cmvlq.decomposition import _cost_rows, _rollout, eval_cost_mft, simulate_mft
 from cmvlq.errors import DimensionError
 from cmvlq.fbsde import _picard_sweep, solve_breve_fbsde, solve_coupled_mv_fbsde
@@ -162,7 +162,7 @@ def test_bar_rollout_and_cost_on_prefixes_match_the_node_ones(seed, node_depende
     inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     common = tree.common
-    p = bar_as_plain(bar_transform(c))
+    p = bar_transform(c)
     rng = np.random.default_rng(seed)
     v = [rng.standard_normal((c.d, common.n_nodes(k))) for k in range(grid.n_steps)]
     y, _, _ = _rollout(p, common, grid, v, inst.xi_mean()[None])

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmvlq.coeffs import bar_as_plain, bar_transform, breve_as_plain
+from cmvlq.coeffs import bar_transform, breve_as_plain
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import (
     eval_cost_bar,
@@ -182,14 +182,14 @@ def test_conjugate_gradients_refuse_negative_curvature():
 @pytest.mark.parametrize("seed", [0, 4, 11, 12])
 @pytest.mark.parametrize("node_dependent", [True, False])
 def test_gradient_skips_only_exact_zeros(seed, node_dependent):
-    # the plain views have zero H, F and (centered) zeta and varpi, whose
+    # the sub-problems' sets have zero H, F and (centered) zeta and varpi, whose
     # terms the gradient skips; the full problem has none of them
     inst = random_instance(seed, max_steps=5, node_dependent=node_dependent)
     grid, tree = inst.grid(), inst.tree()
     u = random_control(inst, tree, seed=31)
     for c, xi in (
         (inst.coeffs, inst.xi),
-        (bar_as_plain(bar_transform(inst.coeffs)), inst.xi_mean()),
+        (bar_transform(inst.coeffs), inst.xi_mean()),
         (breve_as_plain(inst.coeffs), inst.xi_centered()),
     ):
         got = cost_gradient(c, tree, grid, u, xi)

@@ -2,9 +2,12 @@
 
 ``simulate_bar``/``simulate_breve``, ``eval_cost_bar``/``eval_cost_breve``
 and ``solve_l`` (its quadratic and affine parts) delegate to the full problem's recursion, cost and
-Riccati loop on the plain views; the references in ``helpers_split``
-are the dedicated bar and breve code.  Agreement is exact: the plain
-views only add exact zeros.
+Riccati loop on the sub-problems' coefficient sets (``bar_transform``,
+``breve_as_plain``); the references in ``helpers_split`` are the
+dedicated bar and breve code.  Agreement is exact: those sets only add
+exact zeros.  Every conditional-mean entry point applies
+``bar_transform`` itself, so the full set and its transform give it the
+same problem, bit for bit.
 """
 
 import numpy as np
@@ -20,8 +23,10 @@ from helpers_split import (
 
 from cmvlq.coeffs import bar_transform, homogeneous
 from cmvlq.decomposition import eval_cost_bar, eval_cost_breve, simulate_bar, simulate_breve
+from cmvlq.fbsde import solve_bar_fbsde, verify_stationarity
 from cmvlq.instances import random_instance
 from cmvlq.lattice import F0_ADAPTED, F_ADAPTED, TreeProcess
+from cmvlq.oracle import solve_qp_bar
 from cmvlq.riccati import solve_l
 
 
@@ -69,3 +74,35 @@ def test_delegated_sub_problems_match_dedicated_code(seed, node_dependent):
         assert _same(ll.gain_const, gain_const)
         assert _same(ll.constant, constant)
 
+
+def _same_arrays(a, b) -> bool:
+    """Equal bit for bit: same dtype, shape and bytes, also nested in lists."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same_arrays(x, y) for x, y in zip(a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("node_dependent", [False, True])
+@pytest.mark.parametrize("seed", [0, 4, 11, 12])
+def test_bar_entry_points_take_the_full_set_or_its_transform(seed, node_dependent):
+    inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
+    c, grid, tree, xi_bar = inst.coeffs, inst.grid(), inst.tree(), inst.xi_mean()
+    v, _ = _controls(tree, grid, c.d, seed)
+    runs = {}
+    for given in (c, bar_transform(c)):
+        ll = solve_l(given)
+        sol = solve_bar_fbsde(given, tree, grid, xi_bar)
+        y = simulate_bar(given, tree, grid, v, xi_bar)
+        qp = solve_qp_bar(given, tree, grid, xi_bar)
+        runs[given is c] = [
+            [ll.values, ll.offset, ll.constant, ll.gain_state, ll.gain_const],
+            [getattr(sol, f).values for f in ("state", "control", "costate", "costate_pred",
+                                              "noise_load_w0")],
+            [sol.cost, sol.backward_residual],
+            verify_stationarity(given, sol, tree, grid).per_step,
+            y.values,
+            eval_cost_bar(given, y, v, tree, grid),
+            [qp.control.values, qp.cost, qp.gradient_sup],
+        ]
+    assert _same_arrays(runs[True], runs[False])

@@ -151,7 +151,7 @@ def test_mean_feedback_attains_predicted_value(seed):
     for k in range(grid.n_steps):
         v = -np.einsum("pij,pj->pi", ll.gain_state[k], y) - ll.gain_const[k]
         v_pref.append(v)
-        Ab = cb.Abar.at_w0(k, cums[k])
+        Ab = cb.A.at_w0(k, cums[k])
         B = cb.B.at_w0(k, cums[k])
         b = cb.b.at_w0(k, cums[k])
         D0 = cb.D0.at_w0(k, cums[k])

@@ -14,7 +14,8 @@ from scipy import stats
 
 import cmvlq.sim as sim_mod
 from cmvlq.coeffs import make_coefficients
-from cmvlq.errors import CmvlqError, DimensionError, NotDeterministicError
+from cmvlq.decomposition import CENTERING_TOL
+from cmvlq.errors import CmvlqError, ConstraintViolationError, DimensionError, NotDeterministicError
 from cmvlq.fbsde import build_ode_policy
 from cmvlq.instances import random_instance
 from cmvlq.riccati import solve_pi
@@ -348,6 +349,27 @@ def test_centered_checks_skip_draws_for_zero_loading(monkeypatch):
     assert check_value_function(c, pi, c.grid(), 500, 3, **kw).passed
     assert check_bellman(c, pi, c.grid(), 500, 500, 3, **kw).passed
     assert check_policy_dominance(c, pi, c.grid(), 500, 3, **kw).passed
+
+
+CENTERED_CHECKS = {
+    "value": lambda c, pi, kw: check_value_function(c, pi, c.grid(), 4, 1, **kw),
+    "bellman": lambda c, pi, kw: check_bellman(c, pi, c.grid(), 0, 4, 1, **kw),
+    "dominance": lambda c, pi, kw: check_policy_dominance(c, pi, c.grid(), 4, 1, **kw),
+    "weak_order": lambda c, pi, kw: weak_order_check(c, pi, c.grid(), 0.0, 4, 1, n_coarse=2, **kw),
+}
+
+
+@pytest.mark.parametrize("shift", [1.0, 10.0 * CENTERING_TOL])
+@pytest.mark.parametrize("check", sorted(CENTERED_CHECKS))
+def test_centered_checks_refuse_an_uncentered_split(check, shift):
+    # one rule with the tree side: the atoms' mean must vanish to
+    # CENTERING_TOL relative to 1 + max |xi|, here 2.2
+    c = _tanh_instance(0.7)
+    pi = solve_pi(c, backend="ode")
+    shifted = [[row[0] + shift] for row in XI_C]
+    with pytest.raises(ConstraintViolationError, match=r"E\[xi_breve\] = 0"):
+        CENTERED_CHECKS[check](c, pi, dict(xi_centered=shifted, atom_probs=PROBS))
+    CENTERED_CHECKS[check](c, pi, dict(xi_centered=XI_C, atom_probs=PROBS))
 
 
 def test_non_finite_states_are_reported_with_location():
