@@ -187,11 +187,8 @@ def predicted_closed_loop_value(policy, xi, probs) -> float:
     """Continuous-time optimal value for the atomic initial distribution."""
     ybar = probs @ xi
     xc = xi - ybar
-    value = (
-        0.5 * ybar @ policy.l_solution.values[0] @ ybar
-        + policy.l_solution.offset[0] @ ybar
-        + policy.l_solution.constant[0]
-    )
+    z = np.append(ybar, 1.0)
+    value = 0.5 * z @ policy.l_solution.table[0] @ z
     pi0 = policy.pi.values[0]
     value += 0.5 * float(np.sum(probs * np.einsum("an,nm,am->a", xc, pi0, xc)))
     value += policy.pi.constant[0]

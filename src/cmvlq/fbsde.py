@@ -198,8 +198,9 @@ def solve_bar_fbsde(
     states, controls, _ = _rollout(
         p, common, grid, lambda k, y: -_mv(gains[k], y) - shifts[k], xi_bar[None]
     )
-    values, offsets = _prefix_rows(l_solution.values), _prefix_rows(l_solution.offset)
-    costate = [_mv(values[k], yk) + offsets[k] for k, yk in enumerate(states)]
+    # the value gradient: the augmented table's state rows times z = [y; 1]
+    tables = _prefix_rows(l_solution.table)
+    costate = [_mv(t[:-1], np.vstack([y, np.ones_like(y[:1])])) for t, y in zip(tables, states)]
     return BarSolution(**_adjoint(p, common, grid, states, controls, costate))
 
 
@@ -319,15 +320,16 @@ def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> Od
     R = table(c.R)
     Bt = np.swapaxes(table(c.B), 1, 2)
     gain_c = np.linalg.solve(R, np.swapaxes(table(c.S), 1, 2) + Bt @ pi.values)
-    gain_m = np.linalg.solve(R, np.swapaxes(table(cb.S), 1, 2) + Bt @ ll.values)
-    rhs = (Bt @ ll.offset[..., None])[..., 0] + table(c.varpi)
-    shift = np.linalg.solve(R, rhs[..., None])[..., 0]
+    # the mean feedback on z = [xbar; 1], R^-1 ([S; varpi']' + B' L[:n]) for L's
+    # augmented table, holds the mean gain and, in its last column, the shift
+    Sz_t = np.concatenate([np.swapaxes(table(cb.S), 1, 2), table(cb.varpi)[..., None]], axis=2)
+    gain_z = np.linalg.solve(R, Sz_t + Bt @ ll.table[:, :-1])
     return OdePolicy(
         grid=grid,
         times=times,
         gain_centered=gain_c,
-        gain_mean=gain_m,
-        shift=shift,
+        gain_mean=gain_z[..., :-1],
+        shift=gain_z[..., -1],
         n_sub=pi.n_sub,
         pi=pi,
         l_solution=ll,

@@ -1,25 +1,28 @@
 """Backward dynamic programming for the two decomposed problems.
 
 The value of each sub-problem is quadratic-plus-affine in the state,
-V(x) = x'Px/2 + g'x + c (the cost has the 1/2 in front), and one
-backward sweep on a plain coefficient set gives all of it: the
-quadratic part P (``values``), the linear part g (``offset``), the
-additive constant c (``constant``) and, on the tree, the feedback
-u = -gain_state x - gain_const.  ``solve_pi`` runs the sweep on
+V(x) = x'Px/2 + g'x + c (the cost has the 1/2 in front), which is
+z'[[P, g], [g', 2c]]z/2 in the augmented state z = [x; 1].  In z the
+affine problem is homogeneous (state augmentation; Anderson & Moore,
+Optimal Control: Linear Quadratic Methods, 1990), so each backend runs
+one Riccati recursion on (n+1)x(n+1) matrices, and the quadratic part P
+(``values``), the linear part g (``offset``), the constant c
+(``constant``) and, on the tree, the feedback u = -gain_state x -
+gain_const are read off its results.  ``solve_pi`` runs it on
 ``coeffs.breve_as_plain``, where the linear parts come out as exact
-zeros and the constant is the idiosyncratic-noise term; ``solve_l``
-runs it on ``coeffs.bar_transform``, where the common noise and the
-affine terms enter the linear part and the constant.
+zeros and the constant is the idiosyncratic-noise term; ``solve_l`` on
+``coeffs.bar_transform``, where the common noise and the affine terms
+enter the linear part and the constant.
 
 Two backends.  The tree backend runs exact dynamic programming on the
 common-noise prefix tree: the feedback it produces is exactly optimal
 for the discretized cost, not merely up to a discretization error, so
 downstream certification can use tight tolerances.  The ODE backend
-integrates the continuous backward equations (matrix Riccati, linear,
-constant) with classical Runge-Kutta on a fine grid; it requires
-coefficients without a common-noise loading and is the route for Monte
-Carlo work where the tree would be unaffordable.  ``_interp_table``
-reads its tables, and any other fine-grid table, between grid times.
+integrates the continuous equation with classical Runge-Kutta on a fine
+grid; it requires coefficients without a common-noise loading and is
+the route for Monte Carlo work where the tree would be unaffordable.
+``_interp_table`` reads its tables, and any other fine-grid table,
+between grid times.
 """
 
 from __future__ import annotations
@@ -41,39 +44,39 @@ _FIELDS = ("A", "B", "S", "Q", "R", "b", "D", "D0", "zeta", "varpi")
 class TreeBackwardQuadratic:
     """Value function per common-noise prefix, per step.
 
-    values[k] (2**k, n, n), offset[k] (2**k, n) and constant[k] (2**k,)
-    are its quadratic, linear and constant parts; gain_state[k]
-    (2**k, d, n) and gain_const[k] (2**k, d) the feedback for step
-    k < n_steps.
+    table[k] (2**k, n+1, n+1) is the augmented value [[P, g], [g', 2c]]
+    at step k, read as values P, offset g and constant c, and
+    feedback[k] (2**k, d, n+1) the control u = -feedback z for step
+    k < n_steps, read as gain_state and gain_const.
     """
 
     grid: TimeGrid
-    values: list
-    gain_state: list
-    offset: list
-    gain_const: list
-    constant: list
+    table: list
+    feedback: list
 
-    @property
-    def n(self) -> int:
-        return self.values[0].shape[1]
+    values = property(lambda self: [t[:, :-1, :-1] for t in self.table])
+    offset = property(lambda self: [t[:, :-1, -1] for t in self.table])
+    constant = property(lambda self: [0.5 * t[:, -1, -1] for t in self.table])
+    gain_state = property(lambda self: [f[..., :-1] for f in self.feedback])
+    gain_const = property(lambda self: [f[..., -1] for f in self.feedback])
 
 
 @dataclass(frozen=True)
 class OdeBackwardQuadratic:
-    """Fine-grid solution of the continuous backward equations.
+    """Fine-grid solution of the continuous backward equation.
 
-    values (n_fine + 1, n, n), offset (n_fine + 1, n) and constant
-    (n_fine + 1,) are the value's quadratic, linear and constant parts
-    at the ascending times.
+    table (n_fine + 1, n+1, n+1) is the augmented value [[P, g], [g', 2c]]
+    at the ascending times, read as values P, offset g and constant c.
     """
 
     grid: TimeGrid
     times: np.ndarray
-    values: np.ndarray
-    offset: np.ndarray
-    constant: np.ndarray
+    table: np.ndarray
     n_sub: int            # fine steps per coarse step
+
+    values = property(lambda self: self.table[:, :-1, :-1])
+    offset = property(lambda self: self.table[:, :-1, -1])
+    constant = property(lambda self: 0.5 * self.table[:, -1, -1])
 
     def at_time(self, t: float) -> np.ndarray:
         return _interp_table(self.times, self.values, np.array([float(t)]))[0]
@@ -103,8 +106,25 @@ def _chol_guard(G: np.ndarray, message: str):
         raise SingularSystemError(message) from exc
 
 
-def _fields(c: CoefficientSet) -> tuple:
-    return tuple(getattr(c, name) for name in _FIELDS)
+def _augmented(p: CoefficientSet, k: int, w0=None) -> tuple:
+    """Step k's (A, B, S, Q, R, D, D0) in z = [x; 1], per node of w0 if given.
+
+    In z the drift is [[A, b], [0, 0]], the weights [[Q, zeta], [zeta',
+    0]] and [S; varpi'], and the loadings [B; 0], [D; 0] and [D0; 0]; the
+    noises multiply the constant coordinate.  Without w0 p is deterministic.
+    """
+    A, B, S, Q, R, b, D, D0, zeta, varpi = (
+        co.at_step(k) if w0 is None else co.at_w0(k, w0) for co in (getattr(p, f) for f in _FIELDS)
+    )
+    n, lead = p.n, A.shape[:-2]
+    Az, Qz = np.zeros(lead + (n + 1, n + 1)), np.zeros(lead + (n + 1, n + 1))
+    Bz, Sz = np.zeros(lead + (n + 1, p.d)), np.zeros(lead + (n + 1, p.d))
+    Dz, D0z = np.zeros(lead + (n + 1,)), np.zeros(lead + (n + 1,))
+    Az[..., :n, :n], Az[..., :n, n] = A, b
+    Qz[..., :n, :n], Qz[..., :n, n], Qz[..., n, :n] = Q, zeta, zeta
+    Bz[..., :n, :], Sz[..., :n, :], Sz[..., n, :] = B, S, varpi
+    Dz[..., :n], D0z[..., :n] = D, D0
+    return Az, Bz, Sz, Qz, R, Dz, D0z
 
 
 def _solve(p: CoefficientSet, backend: str, dt_target, drift: str):
@@ -141,64 +161,51 @@ def _tree_sweep(p: CoefficientSet) -> TreeBackwardQuadratic:
     """Exact backward dynamic programming on the common-noise prefixes.
 
     Prefix p at step k has the children 2p and 2p+1, reached by the
-    common-noise increments +sqrt(dt) and -sqrt(dt); ``hat`` is the mean
-    over the two and ``cov`` the covariance with the increment.
+    common-noise increments +sqrt(dt) and -sqrt(dt).
     """
     grid = p.grid()
-    N, dt, sq = grid.n_steps, grid.dt, grid.sqrt_dt
-    n = p.n
+    N = grid.n_steps
     cums = w0_prefix_cums(grid)
-    fields = _fields(p)
-    values = [None] * N + [np.broadcast_to(p.QT, (2**N, n, n)).copy()]
-    offset = [None] * N + [np.zeros((2**N, n))]
-    const = [None] * N + [np.zeros(2**N)]
-    gains = [None] * N
-    shifts = [None] * N
+    table = [None] * N + [np.broadcast_to(np.pad(p.QT, (0, 1)), (2**N, p.n + 1, p.n + 1)).copy()]
+    feedback = [None] * N
     for k in reversed(range(N)):
-        A, B, S, Q, R, b, D, D0, zeta, varpi = (co.at_w0(k, cums[k]) for co in fields)
-        nxt, gnxt, cnxt = values[k + 1], offset[k + 1], const[k + 1]
-        hat = 0.5 * (nxt[0::2] + nxt[1::2])
-        cov = 0.5 * sq * (nxt[0::2] - nxt[1::2])
-        ghat = 0.5 * (gnxt[0::2] + gnxt[1::2])
-        covg = 0.5 * sq * (gnxt[0::2] - gnxt[1::2])
-        chat = 0.5 * (cnxt[0::2] + cnxt[1::2])
+        nxt = table[k + 1]
+        table[k], feedback[k] = _tree_step(k, grid, nxt[0::2], nxt[1::2], _augmented(p, k, cums[k]))
+    return TreeBackwardQuadratic(grid=grid, table=table, feedback=feedback)
 
-        Abar = np.eye(n) + dt * A
-        Bbar = dt * B
-        hatB = hat @ Bbar
-        G = dt * R + np.transpose(Bbar, (0, 2, 1)) @ hatB
-        G = 0.5 * (G + np.transpose(G, (0, 2, 1)))
-        M = np.transpose(Abar, (0, 2, 1)) @ hatB + dt * S
-        _chol_guard(G, "one-step control matrix dt R + Bbar' E[P] Bbar is not positive definite "
-                       f"at step {k}, so the cost is not convex in the control there; "
-                       "refusing to regularize")
-        gains[k] = np.linalg.solve(G, np.transpose(M, (0, 2, 1)))
-        quad = np.transpose(Abar, (0, 2, 1)) @ (hat @ Abar) + dt * Q - M @ gains[k]
-        values[k] = 0.5 * (quad + np.transpose(quad, (0, 2, 1)))
 
-        bdt = dt * b
-        covD0 = np.einsum("pij,pj->pi", cov, D0)
-        h = np.einsum("pij,pj->pi", hat, bdt) + covD0 + ghat
-        m = dt * varpi + np.einsum("pji,pj->pi", Bbar, h)
-        shifts[k] = np.linalg.solve(G, m[..., None])[..., 0]
-        offset[k] = (
-            np.einsum("pji,pj->pi", Abar, h)
-            + dt * zeta
-            - np.einsum("pij,pj->pi", M, shifts[k])
-        )
-        const[k] = (
-            chat
-            + 0.5 * dt * np.einsum("pi,pij,pj->p", D, hat, D)
-            + 0.5 * np.einsum("pi,pij,pj->p", bdt, hat, bdt)
-            + np.einsum("pi,pi->p", bdt, covD0 + ghat)
-            + 0.5 * dt * np.einsum("pi,pij,pj->p", D0, hat, D0)
-            + np.einsum("pi,pi->p", covg, D0)
-            - 0.5 * np.einsum("pi,pi->p", m, shifts[k])
-        )
-    return TreeBackwardQuadratic(
-        grid=grid, values=values, gain_state=gains, offset=offset, gain_const=shifts,
-        constant=const,
-    )
+def _tree_step(k: int, grid: TimeGrid, plus, minus, coefficients) -> tuple:
+    """Step k's value table and feedback from its children's, plus and minus.
+
+    Branch +/- moves z to Phi z + dt B u, Phi = I + dt A +/- sqrt(dt) D0 e'
+    with e the constant coordinate; the idiosyncratic noise adds dt D'hat D,
+    hat the children's mean.  Completing the square in u with
+    G = dt R + (dt B)' hat (dt B) and M = mean(Phi' P) dt B + dt S gives
+    the feedback G^-1 M'.
+    """
+    A, B, S, Q, R, D, D0 = coefficients
+    dt = grid.dt
+    hat = 0.5 * (plus + minus)
+    loading = np.zeros_like(A)
+    loading[..., -1] = grid.sqrt_dt * D0
+    phi = np.eye(A.shape[-1]) + dt * A
+    phis = (phi + loading, phi - loading)
+    Bbar = dt * B
+    G = dt * R + _t(Bbar) @ (hat @ Bbar)
+    G = 0.5 * (G + _t(G))
+    _chol_guard(G, "one-step control matrix dt R + Bbar' E[P] Bbar is not positive definite "
+                   f"at step {k}, so the cost is not convex in the control there; "
+                   "refusing to regularize")
+    phi_p = [_t(phi) @ child for phi, child in zip(phis, (plus, minus))]
+    M = 0.5 * (phi_p[0] + phi_p[1]) @ Bbar + dt * S
+    K = np.linalg.solve(G, _t(M))
+    quad = 0.5 * (phi_p[0] @ phis[0] + phi_p[1] @ phis[1]) + dt * Q - M @ K
+    quad[..., -1, -1] += dt * np.einsum("pi,pij,pj->p", D, hat, D)
+    return 0.5 * (quad + _t(quad)), K
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
 
 
 # -- ODE backend ------------------------------------------------------------
@@ -226,56 +233,39 @@ def _fine_steps(grid: TimeGrid, dt_target: float | None) -> int:
 
 
 def _ode_sweep(p: CoefficientSet, dt_target) -> OdeBackwardQuadratic:
-    """RK4 sweep of the Riccati, linear and constant equations; p is deterministic."""
+    """RK4 sweep of the Riccati equation in z = [x; 1]; p is deterministic.
+
+    dP/dt = -(A'P + PA + Q + C'PC + C0'PC0 - W R^-1 W') with W = PB + S
+    and the coefficients of ``_augmented``; C = D e' and C0 = D0 e' load
+    the constant coordinate e, so their terms sit in the corner.
+    """
     grid = p.grid()
     n_sub = _fine_steps(grid, dt_target)
-    N = grid.n_steps
     h = grid.dt / n_sub
-    n_fine = N * n_sub
-    times = np.linspace(0.0, grid.horizon, n_fine + 1)
-    values = np.empty((n_fine + 1, p.n, p.n))
-    offset = np.empty((n_fine + 1, p.n))
-    const = np.empty(n_fine + 1)
-    P = np.array(p.QT, dtype=float)
-    g = np.zeros(p.n)
-    cv = 0.0
-    values[-1], offset[-1], const[-1] = P, g, cv
-    idx = n_fine
-    fields = _fields(p)
-    # zero terms are skipped: without b, zeta and varpi the linear part
-    # stays zero, as it does for Pi, and only nonzero loadings add noise
-    affine = not all(all(getattr(p, name).zero_at) for name in ("b", "zeta", "varpi"))
-    zero_offset = np.zeros(p.n)
+    times = np.linspace(0.0, grid.horizon, grid.n_steps * n_sub + 1)
+    table = np.empty((len(times), p.n + 1, p.n + 1))
+    P = table[-1] = np.pad(p.QT, (0, 1))
     # an escaping solution overflows; the finiteness check below names it
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in reversed(range(N)):
-            A, B, S, Q, R, b, D, D0, zeta, varpi = (co.at_step(k) for co in fields)
+        for k in reversed(range(grid.n_steps)):
+            A, B, S, Q, R, D, D0 = _augmented(p, k)
             _chol_guard(R, f"control weight R is singular at step {k}; refusing to regularize "
                            "-- the control weight must be positive definite on every node")
-            loads = [v for v in (D0, D) if v.any()]
 
-            def rhs(P, g):
+            def rhs(P):
                 W = P @ B + S
-                dP = -(A.T @ P + P @ A + Q - W @ np.linalg.solve(R, W.T))
-                noise = sum(0.5 * v @ P @ v for v in loads)
-                if not affine:
-                    return dP, zero_offset, -noise
-                wv = B.T @ g + varpi
-                r = np.linalg.solve(R, wv)
-                return dP, -(A.T @ g + P @ b + zeta - W @ r), -(b @ g + noise - 0.5 * wv @ r)
+                dP = A.T @ P + P @ A + Q - W @ np.linalg.solve(R, W.T)
+                dP[-1, -1] += D @ P @ D + D0 @ P @ D0
+                return -dP
 
-            for _ in range(n_sub):
-                k1 = rhs(P, g)
-                k2 = rhs(P - 0.5 * h * k1[0], g - 0.5 * h * k1[1])
-                k3 = rhs(P - 0.5 * h * k2[0], g - 0.5 * h * k2[1])
-                k4 = rhs(P - h * k3[0], g - h * k3[1])
-                P = P - (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-                P = 0.5 * (P + P.T)
-                g = g - (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-                cv = cv - (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-                idx -= 1
-                values[idx], offset[idx], const[idx] = P, g, cv
-    finite = np.isfinite(values).all(axis=(1, 2))
+            for j in reversed(range(k * n_sub, (k + 1) * n_sub)):
+                k1 = rhs(P)
+                k2 = rhs(P - 0.5 * h * k1)
+                k3 = rhs(P - 0.5 * h * k2)
+                k4 = rhs(P - h * k3)
+                P = P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                table[j] = P = 0.5 * (P + P.T)
+    finite = np.isfinite(table).all(axis=(1, 2))
     if not finite.all():
         # integration runs backward, so the first failure is the latest time
         t_bad = times[np.flatnonzero(~finite)[-1]]
@@ -283,6 +273,4 @@ def _ode_sweep(p: CoefficientSet, dt_target) -> OdeBackwardQuadratic:
             f"Riccati solution blew up (finite escape): first non-finite value "
             f"at t={t_bad:.6g} integrating backward from T={grid.horizon:.6g}"
         )
-    return OdeBackwardQuadratic(
-        grid=grid, times=times, values=values, offset=offset, constant=const, n_sub=n_sub
-    )
+    return OdeBackwardQuadratic(grid=grid, times=times, table=table, n_sub=n_sub)

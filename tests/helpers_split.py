@@ -5,12 +5,13 @@ full problem's code on their own coefficient sets (``coeffs.bar_transform``
 and ``coeffs.breve_as_plain``).  The functions here are the dedicated
 versions, each reading only the fields its sub-problem uses: the
 bar recursion driven by the common noise alone, the centered recursion
-driven by the idiosyncratic noise alone, their two cost sums, and the
-exact backward loops for L and for the affine value parts on the
-common-noise prefixes, and the centered closed loop under the Pi
-feedback.  They share only
-the (component, node) products and the tree's kernels with the library,
-and skip its input checks.
+driven by the idiosyncratic noise alone, their two cost sums, the
+centered closed loop under the Pi feedback, and the value function as
+three separate recursions (Riccati, linear and constant), on the
+common-noise prefixes and as ODEs, where the library runs one recursion
+on the augmented state z = [x; 1].  They share only the (component,
+node) products and the tree's kernels with the library, and skip its
+input checks.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from cmvlq.decomposition import (
     _quad,
 )
 from cmvlq.lattice import w0_prefix_cums
+from cmvlq.riccati import _fine_steps
 
 
 def ref_simulate_bar(cb, tree, grid, v, xi_bar):
@@ -106,8 +108,23 @@ def ref_cost_breve(c, tree, grid, z, alpha):
     return _lq_cost(tree, grid, z.values, alpha.values, c.Q, c.S, c.R, c.QT)
 
 
+def rel_gap(values, ref) -> float:
+    """Largest |values - ref| over the largest |ref|, for arrays or lists of them.
+
+    Exact agreement gives 0, also against an all-zero reference.
+    """
+    a, b = (np.concatenate([np.ravel(x) for x in v]) if isinstance(v, list) else np.ravel(v)
+            for v in (values, ref))
+    assert a.shape == b.shape
+    gap = float(np.max(np.abs(a - b), initial=0.0))
+    return gap / float(np.max(np.abs(b))) if gap else 0.0
+
+
 def ref_solve_l(cb):
-    """Exact dynamic programming for L per prefix: (values, gains)."""
+    """Exact dynamic programming for the quadratic part per prefix: (values, gains).
+
+    Named for L, it takes any plain set, the centered one included.
+    """
     grid = cb.grid()
     N, dt = grid.n_steps, grid.dt
     cums = w0_prefix_cums(grid)
@@ -132,7 +149,11 @@ def ref_solve_l(cb):
 
 
 def ref_tree_offset(cb, values):
-    """Affine value parts per prefix from L's values: (offset, gain_const, constant)."""
+    """Affine value parts per prefix from L's values: (offset, gain_const, constant).
+
+    The constant carries the idiosyncratic-noise term dt D' hat D / 2, so
+    the centered set's values give Pi's constant too.
+    """
     grid = cb.grid()
     N, dt, sq = grid.n_steps, grid.dt, grid.sqrt_dt
     cums = w0_prefix_cums(grid)
@@ -141,9 +162,9 @@ def ref_tree_offset(cb, values):
     gain_c = [None] * N
     const = [None] * N + [np.zeros(2**N)]
     for k in reversed(range(N)):
-        Ab, B, Sb, R, b, D0, zb, varpi = (
+        Ab, B, Sb, R, b, D, D0, zb, varpi = (
             co.at_w0(k, cums[k])
-            for co in (cb.A, cb.B, cb.S, cb.R, cb.b, cb.D0, cb.zeta, cb.varpi)
+            for co in (cb.A, cb.B, cb.S, cb.R, cb.b, cb.D, cb.D0, cb.zeta, cb.varpi)
         )
         nxt = values[k + 1]
         hat = 0.5 * (nxt[0::2] + nxt[1::2])
@@ -174,6 +195,7 @@ def ref_tree_offset(cb, values):
         )
         const[k] = (
             chat
+            + 0.5 * dt * np.einsum("pi,pij,pj->p", D, hat, D)
             + 0.5 * np.einsum("pi,pij,pj->p", bdt, hat, bdt)
             + np.einsum("pi,pi->p", bdt, np.einsum("pij,pj->pi", cov, D0) + ghat)
             + 0.5 * dt * np.einsum("pi,pij,pj->p", D0, hat, D0)
@@ -181,3 +203,51 @@ def ref_tree_offset(cb, values):
             - 0.5 * np.einsum("pi,pi->p", m, gc)
         )
     return offset, gain_c, const
+
+
+def ref_ode_sweep(p, dt_target):
+    """RK4 sweep of the Riccati, linear and constant equations: (values, offset, constant).
+
+    dP = -(A'P + PA + Q - W R^-1 W'), W = PB + S;
+    dg = -(A'g + Pb + zeta - W R^-1 (B'g + varpi));
+    dc = -(b'g + D'PD/2 + D0'PD0/2 - (B'g + varpi)' R^-1 (B'g + varpi)/2),
+    on the library's fine grid; p is deterministic.
+    """
+    grid = p.grid()
+    n_sub = _fine_steps(grid, dt_target)
+    h = grid.dt / n_sub
+    n_fine = grid.n_steps * n_sub
+    values = np.empty((n_fine + 1, p.n, p.n))
+    offset = np.empty((n_fine + 1, p.n))
+    const = np.empty(n_fine + 1)
+    P, g, cv = np.array(p.QT, dtype=float), np.zeros(p.n), 0.0
+    values[-1], offset[-1], const[-1] = P, g, cv
+    idx = n_fine
+    for k in reversed(range(grid.n_steps)):
+        A, B, S, Q, R, b, D, D0, zeta, varpi = (
+            getattr(p, f).at_step(k)
+            for f in ("A", "B", "S", "Q", "R", "b", "D", "D0", "zeta", "varpi")
+        )
+
+        def rhs(P, g):
+            W = P @ B + S
+            wv = B.T @ g + varpi
+            r = np.linalg.solve(R, wv)
+            return (
+                -(A.T @ P + P @ A + Q - W @ np.linalg.solve(R, W.T)),
+                -(A.T @ g + P @ b + zeta - W @ r),
+                -(b @ g + 0.5 * D @ P @ D + 0.5 * D0 @ P @ D0 - 0.5 * wv @ r),
+            )
+
+        for _ in range(n_sub):
+            k1 = rhs(P, g)
+            k2 = rhs(P - 0.5 * h * k1[0], g - 0.5 * h * k1[1])
+            k3 = rhs(P - 0.5 * h * k2[0], g - 0.5 * h * k2[1])
+            k4 = rhs(P - h * k3[0], g - h * k3[1])
+            P = P - (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+            P = 0.5 * (P + P.T)
+            g = g - (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+            cv = cv - (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+            idx -= 1
+            values[idx], offset[idx], const[idx] = P, g, cv
+    return values, offset, const

@@ -11,16 +11,20 @@ import numpy as np
 import pytest
 
 import cmvlq.cli as cli
+import cmvlq.riccati as riccati
 from cmvlq.cli import main, report_csv, run
 from cmvlq.config import (
     RunConfig,
     build_coefficients,
     initial_condition,
+    load_config,
     parse_config,
     serialize_config,
     with_overrides,
 )
 from cmvlq.errors import ConfigError
+
+NODE_DEPENDENT_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "node_dependent.cfg"
 
 
 MINIMAL = """
@@ -439,3 +443,25 @@ def test_conditional_zero_band_catches_an_injected_bias(tmp_path, monkeypatch):
     # the fixed band of 4 would catch it, and so does the Sidak band
     assert cli.MC_SIGMA_BAND < row.tolerance < row.value
     assert not row.passed and result.status == 1
+
+
+def test_gates_catch_a_dropped_common_noise_covariance(tmp_path, monkeypatch):
+    # both common-noise branches of the tree sweep read the mean child value,
+    # which drops the covariance of the value with the increment; it is
+    # nonzero only where the coefficients depend on the common noise
+    cfg = with_overrides(load_config(NODE_DEPENDENT_CONFIG), mode="compare", out=str(tmp_path))
+    gated = ("stationarity_residual", "picard_control_gap", "oracle_cost_gap_rel",
+             "oracle_control_gap")
+    result = run(cfg)
+    assert result.status == 0
+    step = riccati._tree_step
+
+    def mean_child(k, grid, plus, minus, coefficients):
+        hat = 0.5 * (plus + minus)
+        return step(k, grid, hat, hat, coefficients)
+
+    monkeypatch.setattr(riccati, "_tree_step", mean_child)
+    result = run(cfg)
+    rows = {r.metric: r for r in result.rows}
+    assert [m for m in gated if rows[m].passed] == []
+    assert result.status == 1

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers_split import rel_gap
 
 from cmvlq.coeffs import bar_transform, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
@@ -288,8 +289,9 @@ def test_ode_policy_tables_match_per_step_solves():
         gm = np.linalg.solve(R, cb.S.at_step(k).T + B.T @ pol.l_solution.values[j])
         sh = np.linalg.solve(R, B.T @ pol.l_solution.offset[j] + c.varpi.at_step(k))
         assert np.array_equal(pol.gain_centered[j], gc)
-        assert np.array_equal(pol.gain_mean[j], gm)
-        assert np.array_equal(pol.shift[j], sh)
+        # the mean gain and the shift come from one solve on the augmented table
+        assert rel_gap(pol.gain_mean[j], gm) <= 1e-13
+        assert rel_gap(pol.shift[j], sh) <= 1e-13
 
 
 def test_ode_policy_gains_at_known_instance():

@@ -4,8 +4,10 @@
 and ``solve_l`` (its quadratic and affine parts) delegate to the full problem's recursion, cost and
 Riccati loop on the sub-problems' coefficient sets (``bar_transform``,
 ``breve_as_plain``); the references in ``helpers_split`` are the
-dedicated bar and breve code.  Agreement is exact: those sets only add
-exact zeros.  Every conditional-mean entry point applies
+dedicated bar and breve code.  Agreement is exact, as those sets only
+add exact zeros, except for ``solve_l``: it runs one recursion on the
+augmented state [x; 1] where the reference runs three, and agrees to
+1e-13 relative.  Every conditional-mean entry point applies
 ``bar_transform`` itself, so the full set and its transform give it the
 same problem, bit for bit.
 """
@@ -19,6 +21,7 @@ from helpers_split import (
     ref_simulate_breve,
     ref_solve_l,
     ref_tree_offset,
+    rel_gap,
 )
 
 from cmvlq.coeffs import bar_transform, homogeneous
@@ -65,14 +68,15 @@ def test_delegated_sub_problems_match_dedicated_code(seed, node_dependent):
         assert _same(z.values, ref_simulate_breve(c, tree, grid, alpha, inst.xi_centered()))
         assert eval_cost_breve(c, z, alpha, tree, grid) == ref_cost_breve(c, tree, grid, z, alpha)
 
+        # one augmented recursion against three: the summation order differs
         ll = solve_l(cb)
         values, gains = ref_solve_l(cb)
-        assert _same(ll.values, values)
-        assert _same(ll.gain_state, gains)
         offset, gain_const, constant = ref_tree_offset(cb, values)
-        assert _same(ll.offset, offset)
-        assert _same(ll.gain_const, gain_const)
-        assert _same(ll.constant, constant)
+        for part, ref in zip(
+            (ll.values, ll.gain_state, ll.offset, ll.gain_const, ll.constant),
+            (values, gains, offset, gain_const, constant),
+        ):
+            assert rel_gap(part, ref) <= 1e-13
 
 
 def _same_arrays(a, b) -> bool:

@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from helpers_split import ref_ode_sweep, ref_solve_l, ref_tree_offset, rel_gap
 
-from cmvlq.coeffs import bar_transform, make_coefficients
+from cmvlq.coeffs import bar_transform, breve_as_plain, make_coefficients
 from cmvlq.decomposition import (
     coeff_nodes,
     eval_cost_bar,
@@ -204,6 +205,42 @@ def test_tree_approaches_ode_at_first_order():
         errs.append(np.max(np.abs(tree_sol.values[0][0] - ref)))
     ratio = errs[0] / errs[1]
     assert 1.5 < ratio < 2.7
+
+    # the affine blocks of the conditional-mean value converge at the same order
+    data.update(F=np.diag([0.1, 0.05]), b=[0.1, -0.05], D0=[0.25, 0.1], zeta=[0.02, 0.01],
+                varpi=[0.03])
+    ref = solve_l(make_coefficients(2, 1, horizon=1.0, n_steps=4, **data), backend="ode",
+                  dt_target=1e-4)
+    parts = ("values", "offset", "constant")
+    errs = {part: [] for part in parts}
+    for N in (8, 16):
+        tree_sol = solve_l(make_coefficients(2, 1, horizon=1.0, n_steps=N, **data))
+        for part in parts:
+            errs[part].append(np.max(np.abs(getattr(tree_sol, part)[0][0] - getattr(ref, part)[0])))
+    for part, (coarse, fine) in errs.items():
+        assert 1.5 < coarse / fine < 2.7, part
+
+
+@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("sub_problem", ["pi", "l"])
+@pytest.mark.parametrize("route", ["tree", "tree_node_dependent", "ode"])
+def test_augmented_sweep_matches_the_three_recursions(route, sub_problem, seed):
+    # one recursion on z = [x; 1] against separate Riccati, linear and
+    # constant recursions; the ODE backend refuses node-dependent sets
+    inst = random_instance(seed, node_dependent=route == "tree_node_dependent")
+    p = breve_as_plain(inst.coeffs) if sub_problem == "pi" else bar_transform(inst.coeffs)
+    solve = solve_pi if sub_problem == "pi" else solve_l
+    if route == "ode":
+        sol = solve(inst.coeffs, backend="ode", dt_target=0.01)
+        refs = dict(zip(("values", "offset", "constant"), ref_ode_sweep(p, 0.01)))
+    else:
+        sol = solve(inst.coeffs)
+        values, gains = ref_solve_l(p)
+        offset, gain_const, constant = ref_tree_offset(p, values)
+        refs = dict(values=values, gain_state=gains, offset=offset, gain_const=gain_const,
+                    constant=constant)
+    for part, ref in refs.items():
+        assert rel_gap(getattr(sol, part), ref) <= 1e-13, part
 
 
 def test_ode_backend_rejects_random_coefficients():
