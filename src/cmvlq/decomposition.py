@@ -414,7 +414,11 @@ def lemma_identities(
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Empirical uniform-convexity margins (upper bounds, Rayleigh minima)."""
+    """Sampled uniform-convexity margins: Rayleigh minima, so upper bounds.
+
+    ``riccati.convexity_margins`` computes the exact margins; this sampled
+    check is independent of it.
+    """
 
     margin_mft: float
     margin_bar: float

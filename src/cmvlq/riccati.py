@@ -23,6 +23,11 @@ grid; it requires coefficients without a common-noise loading and is
 the route for Monte Carlo work where the tree would be unaffordable.
 ``_interp_table`` reads its tables, and any other fine-grid table,
 between grid times.
+
+``convexity_margins`` runs the tree recursion on the W0 levels for a
+stack of shifts of R and bisects for the largest shift at which every
+one-step control matrix stays positive definite: the exact convexity
+margin of each sub-problem.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet, bar_transform, breve_as_plain
+from .coeffs import CoefficientSet, _w0_levels, bar_transform, breve_as_plain, homogeneous
 from .errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from .lattice import TimeGrid, w0_prefix_cums
 
 # the coefficients a backward sweep reads
 _FIELDS = ("A", "B", "S", "Q", "R", "b", "D", "D0", "zeta", "varpi")
+MARGIN_SHIFTS = 16    # shifts of R tried by one sweep of the margin search
+MARGIN_REL = 1e-13    # relative bracket width at which the margin search stops
 
 
 @dataclass(frozen=True)
@@ -127,14 +134,24 @@ def _augmented(p: CoefficientSet, k: int, w0=None) -> tuple:
     return Az, Bz, Sz, Qz, R, Dz, D0z
 
 
-def _solve(p: CoefficientSet, backend: str, dt_target, drift: str):
-    """The value function of a plain problem; ``drift`` names p.A in error messages."""
+def _solve(p: CoefficientSet, backend: str, dt_target, drift: str, problem: str):
+    """The value function of a plain problem; ``drift`` names p.A and ``problem`` p in error messages.
+
+    A tree sweep that refuses a cost that is not convex quotes p's exact
+    convexity margin, then at most 0, over all of p's controls.
+    """
     if backend == "ode":
         _require_deterministic(p, drift)
         return _ode_sweep(p, dt_target)
     if backend != "tree":
         raise ValueError(f"unknown backend {backend!r}")
-    return _tree_sweep(p)
+    try:
+        return _tree_sweep(p)
+    except SingularSystemError as exc:
+        margin = _margin(homogeneous(p))
+        raise SingularSystemError(
+            f"{exc}; the exact convexity margin of the {problem} problem is {margin:.12g}"
+        ) from exc
 
 
 def solve_pi(c: CoefficientSet, backend: str = "tree", *, dt_target: float | None = None) -> TreeBackwardQuadratic | OdeBackwardQuadratic:
@@ -144,7 +161,7 @@ def solve_pi(c: CoefficientSet, backend: str = "tree", *, dt_target: float | Non
     loading; the linear parts are zero and the additive constant is the
     noise-induced part of the optimal centered cost.
     """
-    return _solve(breve_as_plain(c), backend, dt_target, "A")
+    return _solve(breve_as_plain(c), backend, dt_target, "A", "centered")
 
 
 def solve_l(c: CoefficientSet, backend: str = "tree", *, dt_target: float | None = None) -> TreeBackwardQuadratic | OdeBackwardQuadratic:
@@ -154,7 +171,7 @@ def solve_l(c: CoefficientSet, backend: str = "tree", *, dt_target: float | None
     problem.  It carries no idiosyncratic noise; the common noise and the
     affine terms b, zeta and varpi enter the linear part and the constant.
     """
-    return _solve(bar_transform(c), backend, dt_target, "A+F")
+    return _solve(bar_transform(c), backend, dt_target, "A+F", "conditional-mean")
 
 
 def _tree_sweep(p: CoefficientSet) -> TreeBackwardQuadratic:
@@ -191,8 +208,7 @@ def _tree_step(k: int, grid: TimeGrid, plus, minus, coefficients) -> tuple:
     phi = np.eye(A.shape[-1]) + dt * A
     phis = (phi + loading, phi - loading)
     Bbar = dt * B
-    G = dt * R + _t(Bbar) @ (hat @ Bbar)
-    G = 0.5 * (G + _t(G))
+    G = _control_matrix(dt, B, R, hat)
     _chol_guard(G, "one-step control matrix dt R + Bbar' E[P] Bbar is not positive definite "
                    f"at step {k}, so the cost is not convex in the control there; "
                    "refusing to regularize")
@@ -200,12 +216,126 @@ def _tree_step(k: int, grid: TimeGrid, plus, minus, coefficients) -> tuple:
     M = 0.5 * (phi_p[0] + phi_p[1]) @ Bbar + dt * S
     K = np.linalg.solve(G, _t(M))
     quad = 0.5 * (phi_p[0] @ phis[0] + phi_p[1] @ phis[1]) + dt * Q - M @ K
-    quad[..., -1, -1] += dt * np.einsum("pi,pij,pj->p", D, hat, D)
+    quad[..., -1, -1] += dt * np.einsum("...i,...ij,...j->...", D, hat, D)
     return 0.5 * (quad + _t(quad)), K
+
+
+def _control_matrix(dt: float, B, R, hat) -> np.ndarray:
+    """The one-step control matrix G = dt R + (dt B)' hat (dt B), symmetrized."""
+    Bbar = dt * B
+    G = dt * R + _t(Bbar) @ (hat @ Bbar)
+    return 0.5 * (G + _t(G))
 
 
 def _t(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
+
+
+# -- convexity margins -----------------------------------------------------
+
+
+def convexity_margins(c: CoefficientSet, n_atoms: int) -> tuple[float, float]:
+    """Exact convexity margins (margin_bar, margin_breve) of the two sub-problems.
+
+    A sub-problem's margin is the largest lam at which its homogeneous
+    cost form minus lam times the squared control norm (metric dt times
+    node probability, as in ``decomposition.estimate_convexity_margin``)
+    is positive definite on its controls.  Completing the square, that
+    holds exactly when every one-step matrix G_k = dt (R - lam I) + Bbar'
+    hat Bbar of the backward sweep with R - lam I passes the Cholesky test
+    of the sweep's guard.  Each margin is the passing end of a bracket
+    narrower than MARGIN_REL relative, so a certified lower bound.  The
+    full problem's form splits into the two sub-problems' forms, so
+    min(margin_bar, margin_breve) is its margin.
+
+    The centered controls have conditional mean zero given the common
+    noise.  With n_atoms = 1 nothing but the common noise is known at step
+    0, so they vanish there: the centered search then skips step 0's
+    matrix, and with one step there is no centered control and its
+    margin is inf.
+    """
+    bar = _margin(homogeneous(bar_transform(c)))
+    return bar, _margin(homogeneous(breve_as_plain(c)), first=int(n_atoms < 2))
+
+
+def _margin(p: CoefficientSet, first: int = 0) -> float:
+    """Largest shift of R at which p's sweep goes through steps first..N-1; p is homogeneous.
+
+    The bracket starts at [0, eigmin(G_{N-1}(0)) / dt], whose top is exact
+    because P_N = QT does not move with the shift.  Each sweep tries
+    MARGIN_SHIFTS shifts spread evenly inside the bracket, and its bottom
+    too until a shift has passed.  A cost that is not convex fails at 0,
+    and the bracket then extends below 0, doubling, until a shift passes.
+    """
+    grid = p.grid()
+    if first >= grid.n_steps:
+        return math.inf
+    # coefficients that do not depend on W0 are the same on every level: keep one
+    coefficients = [_augmented(p, k, np.zeros(1) if p.deterministic else _w0_levels(grid, k))
+                    for k in range(grid.n_steps)]
+    terminal = np.pad(p.QT, (0, 1))
+    _, B, _, _, R, _, _ = coefficients[-1]
+    eig = np.linalg.eigvalsh(_control_matrix(grid.dt, B, R, terminal)) / grid.dt
+    hi = float(eig.min())
+    # below a few ulps of G's scale the Cholesky test cannot tell shifts apart
+    floor = 4.0 * np.finfo(float).eps * (float(np.abs(eig).max()) or 1.0)
+
+    lo, width, passed = min(0.0, hi), abs(hi) or 1.0, False
+    while not passed or hi - lo > max(MARGIN_REL * max(abs(lo), abs(hi)), floor):
+        # until a shift has passed, lo is tried too
+        shifts = np.linspace(lo, hi, MARGIN_SHIFTS + 2)[int(passed):-1]
+        m = len(_level_sweep(grid, coefficients, terminal, shifts, first)[first])
+        if m < len(shifts):
+            hi = shifts[m]
+        if m:
+            lo, passed = shifts[m - 1], True
+        elif not passed:
+            lo, width = lo - width, 2.0 * width
+    return float(lo)
+
+
+def _level_sweep(grid: TimeGrid, coefficients: list, terminal, shifts, first: int = 0) -> list:
+    """The tree recursion on the W0 levels for an ascending stack of shifts of R.
+
+    The coefficients are affine in cumulative W0, so every value depends
+    on a prefix only through its level, its count of "-" steps: step k
+    has k+1 levels, and level j has the children j (+) and j+1 (-).  A
+    table of one level stands for all levels of its step: the terminal
+    QT, and every table of a p whose coefficients come on one level.
+    table[k] (m_k, levels, n+1, n+1), for k >= first, holds the m_k
+    leading shifts whose one-step matrices pass at steps k..N-1.  Passing
+    is monotone in the shift, so the failing shifts are the trailing
+    ones, dropped before ``_tree_step`` sees them.
+    """
+    N = grid.n_steps
+    table = [None] * N + [np.broadcast_to(terminal, (len(shifts), 1) + terminal.shape)]
+    for k in reversed(range(first, N)):
+        A, B, S, Q, R, D, D0 = coefficients[k]
+        plus, minus = table[k + 1][:, : k + 1], table[k + 1][:, -(k + 1):]
+        R = R - shifts[: len(plus), None, None, None] * np.eye(R.shape[-1])
+        m = _leading_pd(_control_matrix(grid.dt, B, R, 0.5 * (plus + minus)))
+        table[k], _ = _tree_step(k, grid, plus[:m], minus[:m], (A, B, S, Q, R[:m], D, D0))
+    return table
+
+
+def _leading_pd(G: np.ndarray) -> int:
+    """How many leading shifts of G (shifts, levels, d, d) pass the Cholesky test at every level.
+
+    Tries the whole stack first, as at every step but the binding one all
+    shifts pass, then bisects on the count.  A count is taken only once
+    its whole slice has passed, so every counted shift passes even where
+    rounding breaks the monotone order.
+    """
+    lo, hi, mid = 0, len(G), len(G)
+    while lo < hi:
+        try:
+            np.linalg.cholesky(G[lo:mid])
+        except np.linalg.LinAlgError:
+            hi = mid - 1
+        else:
+            lo = mid
+        mid = (lo + hi + 1) // 2
+    return lo
 
 
 # -- ODE backend ------------------------------------------------------------

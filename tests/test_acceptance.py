@@ -33,7 +33,7 @@ from cmvlq.oracle import (
     solve_qp_breve,
     solve_qp_exact,
 )
-from cmvlq.riccati import solve_l, solve_pi
+from cmvlq.riccati import convexity_margins, solve_l, solve_pi
 from cmvlq import sim
 
 
@@ -205,9 +205,13 @@ def test_criterion_09_optimum_is_a_global_minimum_with_positive_margins():
             cost = eval_cost_mft(c, x, bumped, tree, grid)
             assert cost - sol.cost >= -1e-10, f"seed {inst.seed}, pair {j}"
             pair += 1
+        bar, breve = convexity_margins(c, tree.n_atoms)
+        assert bar > 0.0 and breve > 0.0
         conv = estimate_convexity_margin(c, tree, grid, 4, seed=5)
         assert conv.margin_mft > 0.0 and conv.margin_bar > 0.0 and conv.margin_breve > 0.0
         assert conv.margin_mft >= min(conv.margin_bar, conv.margin_breve) - 1e-9
+        # the sampled quotients are upper bounds on the exact margins
+        assert conv.margin_bar >= bar - 1e-12 * bar and conv.margin_breve >= breve - 1e-12 * breve
     assert pair == 100
 
 

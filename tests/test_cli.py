@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers_dense_qp import dense_margins
 
 import cmvlq.cli as cli
 import cmvlq.riccati as riccati
@@ -23,6 +24,7 @@ from cmvlq.config import (
     with_overrides,
 )
 from cmvlq.errors import ConfigError
+from cmvlq.lattice import build_joint_tree
 
 NODE_DEPENDENT_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "node_dependent.cfg"
 
@@ -329,6 +331,34 @@ def test_non_convex_cost_is_refused_as_such_not_blamed_on_r(tmp_path, capsys):
     assert out.startswith("error,SingularSystemError,one-step control matrix")
     assert "is not positive definite at step 0, so the cost is not convex in the control" in out
     assert "control weight" not in out
+
+
+def test_non_convex_refusal_quotes_the_exact_margin(tmp_path, capsys):
+    # the quoted margin is the smallest eigenvalue of the cost's Hessian
+    text = FULL_2X1.format(out=tmp_path / "o").replace("Q = 1.2 0.1", "Q = -8 0.1")
+    assert main(["solve", "--config", _write(tmp_path, text)]) == 2
+    out = capsys.readouterr().out.strip()
+    prefix, quoted = out.rsplit("the exact convexity margin of the centered problem is ", 1)
+    assert prefix.startswith("error,SingularSystemError,one-step control matrix")
+    cfg = parse_config(text)
+    c = build_coefficients(cfg)
+    _, probs = initial_condition(cfg)
+    full, _, breve = dense_margins(c, build_joint_tree(c.grid(), probs), c.grid())
+    assert breve == pytest.approx(full, rel=1e-12) and full < 0.0
+    assert float(quoted) == pytest.approx(full, rel=1e-11, abs=0)
+    assert float(quoted) == pytest.approx(-0.039060362406, rel=1e-11)
+
+
+@pytest.mark.parametrize("config", ["full", "node_dependent"])
+def test_solve_report_does_not_depend_on_the_seed(tmp_path, config):
+    # the margins are exact, so no report row draws random numbers
+    path = _write(tmp_path, FULL_2X1.format(out="ignored")) if config == "full" else str(NODE_DEPENDENT_CONFIG)
+    reports = []
+    for seed in (1, 2):
+        out = tmp_path / f"s{seed}"
+        assert main(["solve", "--config", path, "--seed", str(seed), "--out", str(out)]) == 0
+        reports.append((out / "solve_report.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_compare_on_zero_data_returns_the_zero_control(tmp_path):

@@ -29,6 +29,7 @@ from cmvlq.lattice import (
     conditional_expectation_f0,
     inner_product,
 )
+from cmvlq.riccati import convexity_margins
 
 
 def zero_control(tree, grid, d):
@@ -259,6 +260,19 @@ def test_processes_of_the_other_tree_kind_are_refused():
             eval_cost_mft(c, x_on, u_other, on, grid)
         with pytest.raises(DimensionError):
             eval_cost_mft(c, x_other, u_on, on, grid)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sampled_quotients_never_undercut_the_exact_margins(seed):
+    # every sampled quotient is a Rayleigh quotient of the form it samples,
+    # so none can fall below that form's smallest eigenvalue
+    inst = random_instance(seed, max_steps=5)
+    tree = inst.tree()
+    bar, breve = convexity_margins(inst.coeffs, tree.n_atoms)
+    rep = estimate_convexity_margin(inst.coeffs, tree, inst.grid(), n_samples=4, seed=seed)
+    for sampled, exact in ((rep.margin_bar, bar), (rep.margin_breve, breve),
+                           (rep.margin_mft, min(bar, breve))):
+        assert sampled >= exact - 1e-12 * max(1.0, abs(exact))
 
 
 @pytest.mark.parametrize("seed", [2, 17])

@@ -1,11 +1,16 @@
 import math
+import re
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers_dense_qp import dense_margins
 from helpers_split import ref_ode_sweep, ref_solve_l, ref_tree_offset, rel_gap
 
-from cmvlq.coeffs import bar_transform, breve_as_plain, make_coefficients
+from cmvlq.coeffs import _w0_levels, as_coefficient, bar_transform, breve_as_plain, make_coefficients
+from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import (
     coeff_nodes,
     eval_cost_bar,
@@ -21,7 +26,14 @@ from cmvlq.lattice import (
     build_joint_tree,
     w0_prefix_cums,
 )
-from cmvlq.riccati import solve_l, solve_pi
+from cmvlq.riccati import (
+    _augmented,
+    _level_sweep,
+    _tree_sweep,
+    convexity_margins,
+    solve_l,
+    solve_pi,
+)
 
 
 def test_one_step_matches_hand_formula():
@@ -337,3 +349,86 @@ def test_fine_grid_lookup_consistency():
         assert np.allclose(sol.at_time(t), sol.at_coarse(k), atol=1e-14)
     mid = 0.5 * (sol.values[3] + sol.values[4])
     assert np.allclose(sol.at_time(0.5 * (sol.times[3] + sol.times[4])), mid, atol=1e-12)
+
+
+# -- exact convexity margins --------------------------------------------------
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def _demo(name, n_steps):
+    text = (DEMOS / name).read_text()
+    cfg = parse_config(re.sub(r"(?m)^N = \d+$", f"N = {n_steps}", text))
+    _, probs = initial_condition(cfg)
+    c = build_coefficients(cfg)
+    return c, build_joint_tree(c.grid(), probs)
+
+
+def _instance(seed, atoms):
+    inst = random_instance(seed, max_steps=4, random_initial=atoms == 2)
+    return inst.coeffs, inst.tree()
+
+
+MARGIN_CASES = (
+    [pytest.param(lambda n=n: _demo("mean_field.cfg", n), id=f"demo-N{n}") for n in (2, 3, 4)]
+    + [pytest.param(lambda: _demo("node_dependent.cfg", 4), id="node_dependent-N4")]
+    + [pytest.param(lambda s=s, a=a: _instance(s, a), id=f"seed{s}-atoms{a}")
+       for s in range(6) for a in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("case", MARGIN_CASES)
+def test_exact_margins_match_the_dense_hessian(case):
+    # N = 2, 3, 4; one- and two-atom initial laws; node-dependent coefficients
+    c, tree = case()
+    full, bar, breve = dense_margins(c, tree, c.grid())
+    got_bar, got_breve = convexity_margins(c, tree.n_atoms)
+    assert got_bar == pytest.approx(bar, rel=1e-12, abs=0)
+    assert got_breve == pytest.approx(breve, rel=1e-12, abs=0)  # inf == inf without centered controls
+    assert min(got_bar, got_breve) == pytest.approx(full, rel=1e-12, abs=0)
+
+
+def test_demo_margins_at_n8():
+    # 8 sampled quotients at seed 5 read bar 0.835, breve 0.927 here
+    c, tree = _demo("mean_field.cfg", 8)
+    bar, breve = convexity_margins(c, tree.n_atoms)
+    assert bar == pytest.approx(0.7979289823407, rel=1e-12)
+    assert breve == pytest.approx(0.7978823464385, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("plain", [bar_transform, breve_as_plain])
+@pytest.mark.parametrize("one_level", [False, True], ids=["levels", "one_level"])
+def test_level_stack_at_zero_shift_is_the_prefix_table(one_level, plain, seed):
+    # one level per step is exact for coefficients that do not depend on W0
+    p = plain(random_instance(seed, max_steps=5, node_dependent=not one_level).coeffs)
+    grid = p.grid()
+    coefficients = [_augmented(p, k, np.zeros(1) if one_level else _w0_levels(grid, k))
+                    for k in range(grid.n_steps)]
+    levels = _level_sweep(grid, coefficients, np.pad(p.QT, (0, 1)), np.zeros(1))
+    prefixes = _tree_sweep(p).table
+    for k, cums in enumerate(w0_prefix_cums(grid)):
+        level = np.rint((k - cums / grid.sqrt_dt) / 2).astype(int)  # count of "-" steps
+        got, want = levels[k][0], prefixes[k]
+        got = got[np.minimum(level, len(got) - 1)]  # one level stands for all
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
+def test_margin_search_brackets_a_non_convex_cost_from_below():
+    # Q = -8 makes the centered cost non-convex; the bar transform stays convex
+    c, tree = _demo("mean_field.cfg", 3)
+    c = replace(c, Q=as_coefficient(np.array([[-8.0, 0.1], [0.1, 0.9]]), c.n_steps, (2, 2), "Q"))
+    full, _, breve = dense_margins(c, tree, c.grid())
+    got_bar, got_breve = convexity_margins(c, tree.n_atoms)
+    assert got_breve < 0.0 < got_bar
+    assert got_breve == pytest.approx(breve, rel=1e-12, abs=0)
+    assert got_breve == pytest.approx(full, rel=1e-12, abs=0)
+    with pytest.raises(SingularSystemError, match=r"margin of the centered problem is -0\.039060362"):
+        solve_pi(c)
+
+
+def test_margin_of_a_singular_control_weight_is_zero():
+    # R = 0 and B = 0: every shift below 0 passes and 0 itself fails
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=2)
+    for margin in convexity_margins(c, 2):
+        assert -1e-15 < margin <= 0.0
