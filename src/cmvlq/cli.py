@@ -131,10 +131,9 @@ def _solve_tree(c, tree, grid, xi):
         rows.append(_check("picard_converged", 0.0, 0.5, False))
     else:
         picard_iters = coupled.iterations
-        picard_gap = max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(coupled.control.values, sol.control.values)
-        )
+        picard_gap = float(np.max([
+            np.max(np.abs(a - b)) for a, b in zip(coupled.control.values, sol.control.values)
+        ]))
         rows.append(_check("picard_converged", 1.0, 0.5, True))
         rows.append(
             _check("picard_iterations", picard_iters, PICARD_MAX_ITER,

@@ -141,7 +141,7 @@ def _nonzero(coeff: Coefficient, tree: JointTree, k: int, per_prefix: bool = Fal
 
 
 def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np.ndarray,
-             means: bool = False):
+             means: bool = False, leaves: bool = True):
     """The state under a control from initial atoms xi, node axis last.
 
     control is either the (d, n_nodes(k)) control rows of every step or a
@@ -149,7 +149,9 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np
     rows.  Returns one (n, n_nodes(k)) state array per step, the control
     rows and, if means is set, the per-prefix conditional means (n, 2**k)
     of every step, which the F term folds anyway.  F E[x] + b is summed
-    per prefix and expanded once.
+    per prefix and expanded once.  With leaves unset the last step's
+    noise is not added: the last state entry is then the pre-noise mean
+    E_{N-1}[x_N] on the step-(N-1) nodes, and the means stop at N-1.
     """
     if xi.shape[1] != c.n:
         raise DimensionError("xi", f"state dimension {c.n} expected, got {xi.shape[1]}")
@@ -169,12 +171,20 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np
             shift = _mv(F, xbar) if shift is None else _mv(F, xbar) + shift
         if shift is not None:
             drift = _plus_prefix(tree, k, drift, shift)
-        x = tree.children_rows(k, x + dt * drift, _nonzero(c.D, tree, k), _nonzero(c.D0, tree, k))
+        x = x + dt * drift
+        if leaves or k < grid.n_steps - 1:
+            x = _add_noise(c, tree, k, x)
         states.append(x)
     if not means:
         return states, controls, None
-    xbars.append(tree.prefix_mean_rows(grid.n_steps, x))
+    if leaves:
+        xbars.append(tree.prefix_mean_rows(grid.n_steps, x))
     return states, controls, xbars
+
+
+def _add_noise(c: CoefficientSet, tree: JointTree, k: int, mean: np.ndarray) -> np.ndarray:
+    """The step-(k+1) states from the step-k pre-noise means: mean + D dW + D0 dW0."""
+    return tree.children_rows(k, mean, _nonzero(c.D, tree, k), _nonzero(c.D0, tree, k))
 
 
 def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: list,
@@ -262,10 +272,9 @@ def _centered_atoms(xi_breve, tree: JointTree) -> np.ndarray:
 
 def _check_centered_split(xi_breve: np.ndarray, atom_probs: np.ndarray) -> None:
     """Refuse an initial split per atom whose mean over the atoms is not zero."""
-    mean = atom_probs @ xi_breve
-    scale = 1.0 + float(np.max(np.abs(xi_breve)))
-    if float(np.max(np.abs(mean))) > CENTERING_TOL * scale:
-        raise ConstraintViolationError("E[xi_breve] = 0", float(np.max(np.abs(mean))), CENTERING_TOL)
+    worst = float(np.max(np.abs(atom_probs @ xi_breve)))
+    if not worst <= CENTERING_TOL * (1.0 + float(np.max(np.abs(xi_breve)))):
+        raise ConstraintViolationError("E[xi_breve] = 0", worst, CENTERING_TOL)
 
 
 def eval_cost_mft(
@@ -517,11 +526,9 @@ def _check_state(x: TreeProcess, c, grid: TimeGrid, tree: JointTree):
 
 
 def _check_centered(p: TreeProcess, tree: JointTree, label: str):
-    worst = 0.0
-    scale = 1.0
-    for k, v in enumerate(p.values):
-        ce = tree.prefix_mean(k, v)
-        worst = max(worst, float(np.max(np.abs(ce))) if ce.size else 0.0)
-        scale = max(scale, float(np.max(np.abs(v))) if v.size else 0.0)
-    if worst > CENTERING_TOL * scale:
+    """Refuse a process whose conditional mean given W0 is not zero, or not finite."""
+    worst = float(np.max([np.max(np.abs(tree.prefix_mean(k, v)), initial=0.0)
+                          for k, v in enumerate(p.values)]))
+    scale = float(np.max([np.max(np.abs(v), initial=1.0) for v in p.values]))
+    if not worst <= CENTERING_TOL * scale:
         raise ConstraintViolationError(label, worst, CENTERING_TOL)

@@ -20,9 +20,13 @@ the strongest end-to-end checks in the test suite.  Its map (roll-out,
 backward adjoint, first-order condition) is affine, and the iterates are
 mixed by Anderson acceleration over the last five map evaluations,
 which on an affine map is GMRES in disguise; with no history the update
-is the plain damped one.  It stops at the first iterate whose undamped
-control residual is within tol in relative sup norm, and returns that
-iterate.
+is the plain damped one.  A map evaluation does only the work that
+changes from one evaluation to the next: the roll-out stops at the
+pre-noise mean of step N-1, which is all the terminal costate needs, the
+backward steps' coefficients are built once per solve, and each backward
+step is one stacked product.  The leaves are formed once, for the
+returned iterate.  It stops at the first iterate whose undamped control
+residual is within tol in relative sup norm, and returns that iterate.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ import numpy as np
 
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _mtv, _mv,
-    _plus_prefix, _process, _rollout, _rows_of,
+    _abar, _add_noise, _atom_values, _centered_atoms, _coeff_rows, _cost_rows, _mtv, _mv,
+    _process, _rollout, _rows_of,
 )
-from .errors import ConvergenceError, DimensionError
+from .errors import CmvlqError, ConvergenceError, DimensionError
 from .lattice import JointTree, TimeGrid, TreeProcess
 from .riccati import OdeBackwardQuadratic, TreeBackwardQuadratic, solve_l, solve_pi
 
@@ -120,22 +124,21 @@ def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, control
     """
     dt = grid.dt
     pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(grid.n_steps)]
-    worst = 0.0
+    gaps = []
     for k in range(grid.n_steps):
         rhs = _mtv(_abar(_coeff_rows(p.A, tree, k), dt), pred[k]) + dt * (
             _mv(_coeff_rows(p.Q, tree, k), states[k])
             + _mv(_coeff_rows(p.S, tree, k), controls[k])
             + _coeff_rows(p.zeta, tree, k)
         )
-        scale = 1.0 + float(np.max(np.abs(costate[k])))
-        worst = max(worst, float(np.max(np.abs(costate[k] - rhs))) / scale)
+        gaps.append(np.max(np.abs(costate[k] - rhs)) / (1.0 + np.max(np.abs(costate[k]))))
     fields = dict(
         state=_process(tree, states),
         control=_process(tree, controls),
         costate=_process(tree, costate),
         costate_pred=_process(tree, pred),
         cost=_cost_rows(p, tree, grid, states, controls),
-        backward_residual=worst,
+        backward_residual=float(np.max(gaps)),  # np.max keeps a NaN, max() may drop it
     )
     for which in ("w", "w0") if tree.idiosyncratic else ("w0",):
         fields["noise_load_" + which] = _process(
@@ -218,8 +221,8 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
     if isinstance(solution, MftSolution):
         rb = verify_stationarity(coeffs, solution.bar, tree, grid)
         rv = verify_stationarity(coeffs, solution.breve, tree, grid)
-        per = [max(a, b) for a, b in zip(rb.per_step, rv.per_step)]
-        return StationarityReport(max(rb.max_residual, rv.max_residual), per)
+        per = np.maximum(rb.per_step, rv.per_step).tolist()
+        return StationarityReport(float(np.max(per)), per)
     if isinstance(solution, BarSolution):
         p, tree = bar_transform(coeffs), tree.common
     elif isinstance(solution, BreveSolution):
@@ -238,7 +241,7 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
             + _coeff_rows(p.varpi, tree, k)
         )
         per.append(float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(control)))))
-    return StationarityReport(max(per), per)
+    return StationarityReport(float(np.max(per)), per)
 
 
 def assemble_optimal_control(
@@ -357,22 +360,30 @@ def solve_coupled_mv_fbsde(
     """Anderson-accelerated Picard iteration on the coupled optimality system.
 
     Each map evaluation (a sweep) simulates the state under the current
-    control, solves the composite adjoint recursion backward (conditioning
-    on the common noise where the interaction and mean terms require it),
-    and maps the predicted adjoint through the pointwise first-order
-    condition.  The iterate is mixed by Anderson acceleration (type II)
-    over the last ``_ANDERSON_DEPTH`` map evaluations, with damping as the
-    mixing weight: the coefficients minimize the Euclidean norm of the
-    combined control residual, and the same combination updates the
-    carried E[u|F0], which stays the exact conditional mean because the
-    mixing is linear.  With no history the update is the damped one,
-    u + damping (G(u) - u).  The map is affine, so the mixing is GMRES on
-    it in disguise (Walker & Ni 2011, SINUM 49:1715).
+    control up to step N-1, solves the composite adjoint recursion backward
+    (conditioning on the common noise where the interaction and mean terms
+    require it), and maps the predicted adjoint through the pointwise
+    first-order condition.  The terminal costate enters only through its
+    child means, and the increments have mean zero, so a sweep stops at the
+    pre-noise mean of step N-1 and never forms the leaves.  The coefficients
+    of each backward step are built once per solve, R^-1 folded in, and a
+    step computes the costate and the new control together as one stacked
+    product on [x; u; E_k y] plus one expansion of the per-prefix terms.
+
+    The iterate is mixed by Anderson acceleration (type II) over the last
+    ``_ANDERSON_DEPTH`` map evaluations, with damping as the mixing
+    weight: the coefficients minimize the Euclidean norm of the combined
+    control residual, and the same combination updates the carried
+    E[u|F0], which stays the exact conditional mean because the mixing is
+    linear.  With no history the update is the damped one, u + damping
+    (G(u) - u).  The map is affine, so the mixing is GMRES on it in
+    disguise (Walker & Ni 2011, SINUM 49:1715).
 
     Convergence is measured by the undamped fixed-point residual in the
     control, relative sup norm per step.  The iterate that meets tol is
-    returned with its state, predicted costate and cost; iterations counts
-    map evaluations, one residual per evaluation in residual_history.
+    returned with its state, the leaves added once, predicted costate and
+    cost; iterations counts map evaluations, one residual per evaluation
+    in residual_history.  A non-finite change raises CmvlqError.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -381,17 +392,21 @@ def solve_coupled_mv_fbsde(
     cb = bar_transform(c)
     xi = _atom_values(xi, tree, "xi")
     N = grid.n_steps
+    steps = _picard_steps(c, cb, tree, grid)
     # the iterate z = (u, E[u|F0]) and the map's output as flat vectors,
     # seen per step as (component, node) and (component, prefix) rows
     cols = [tree.n_nodes(k) for k in range(N)] + [tree.n_prefixes(k) for k in range(N)]
 
     def sweep(z, out):
         zv, ov = _step_views(z, c.d, cols), _step_views(out, c.d, cols)
-        return _picard_sweep(c, cb, tree, grid, xi, zv[:N], zv[N:], ov[:N], ov[N:])
+        return _picard_sweep(c, cb, tree, grid, xi, steps, zv[:N], zv[N:], ov[:N], ov[N:])
 
-    z, (x, xbar, pred), history = _anderson(
+    z, (x, m, xbar, pred), history = _anderson(
         sweep, c.d * sum(cols), c.d * sum(cols[:N]), damping, max_iter, tol
     )
+    del steps  # done with: freed before the leaves are formed, to keep the peak down
+    x.append(_add_noise(c, tree, N - 1, m))
+    xbar.append(tree.prefix_mean_rows(N, x[N]))
     u = _step_views(z, c.d, cols[:N])
     return CoupledSolution(
         state=_process(tree, x),
@@ -407,10 +422,10 @@ def _anderson(sweep, size: int, n_fit: int, damping: float, max_iter: int, tol: 
     """Anderson-mixed (type II) fixed-point iteration on a flat vector z.
 
     sweep(z, out) writes the map's value at z into out and returns
-    (by-products, change).  The mixing coefficients are fitted on the
-    first n_fit entries of the residual f = G(z) - z and applied to all
-    of it.  Returns (z, by-products, residual history) at the first z
-    whose change is within tol.
+    (by-products, per-step changes).  The mixing coefficients are fitted
+    on the first n_fit entries of the residual f = G(z) - z and applied to
+    all of it.  Returns (z, by-products, residual history) at the first z
+    whose largest change is within tol; a non-finite change raises.
     """
     z, g = np.zeros(size), np.empty(size)
     # slot j holds one pair of differences, dz = z_{i+1} - z_i in
@@ -420,7 +435,14 @@ def _anderson(sweep, size: int, n_fit: int, damping: float, max_iter: int, tol: 
     hist = np.empty((depth, 2, size))
     history = []
     for i in range(max_iter):
-        products, change = sweep(z, g)
+        products, changes = sweep(z, g)
+        change = float(np.max(changes))
+        if not np.isfinite(change):
+            bad = int(np.argmin(np.isfinite(changes)))
+            raise CmvlqError(
+                f"coupled fixed point: non-finite control change at step {bad} "
+                f"in map evaluation {i + 1}"
+            )
         history.append(change)
         if change <= tol:
             return z, products, history
@@ -466,59 +488,95 @@ def _mixing_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(scaled, (df @ f) / norms) / norms
 
 
+def _picard_steps(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: TimeGrid) -> list:
+    """The backward steps' coefficients, (node, prefix, shift) per step.
+
+    node maps the stacked node rows [x; u; E_k y] to [costate; R^-1 (S'x
+    + B' E_k y)], the block matrix [[dt Q, dt S, (I + dt A)'], [R^-1 S',
+    0, R^-1 B']].  prefix maps the stacked prefix means [xbar; ubar; ybar]
+    and shift adds a constant: the first n + d rows are the terms constant
+    on a prefix, dt (F' ybar + (cb.Q - Q) xbar - H'S ubar + cb.zeta) and
+    R^-1 (varpi - S'H xbar), which are expanded onto the node rows; the
+    last d are R^-1 (S'(I - H) xbar + B' ybar + varpi), the negative of
+    the new E[u|F0].  All three are shared at a step where every
+    coefficient is deterministic, and at step 0, which has one prefix;
+    otherwise node is per node and prefix and shift are per prefix.
+    """
+    n, d, dt = c.n, c.d, grid.dt
+    steps = []
+    for k in range(grid.n_steps):
+        A, F, Q, S, R, B, varpi, Q_bar, zeta_bar = (
+            _prefix_values(co, tree, k)
+            for co in (c.A, c.F, c.Q, c.S, c.R, c.B, c.varpi, cb.Q, cb.zeta)
+        )
+        prefixes = max(len(v) for v in (A, F, Q, S, R, B, varpi, Q_bar, zeta_bar))
+        # one solve per prefix: R^-1 [S', B', varpi]
+        rhs = _blocks([[np.swapaxes(S, 1, 2), np.swapaxes(B, 1, 2), varpi[..., None]]], prefixes)
+        RiSt, RiBt, Rivarpi = np.split(np.linalg.solve(R, rhs), [n, 2 * n], axis=2)
+        RiStH = RiSt @ c.H
+        zero_dd, zero_dn = np.zeros((1, d, d)), np.zeros((1, d, n))
+        node = _blocks([[dt * Q, dt * S, np.swapaxes(np.eye(n) + dt * A, 1, 2)],
+                        [RiSt, zero_dd, RiBt]], prefixes)
+        prefix = _blocks([[dt * (Q_bar - Q), -dt * (c.H.T @ S), dt * np.swapaxes(F, 1, 2)],
+                          [-RiStH, zero_dd, zero_dn],
+                          [RiSt - RiStH, zero_dd, RiBt]], prefixes)
+        shift = _blocks([[dt * zeta_bar[..., None]], [Rivarpi], [Rivarpi]], prefixes)[..., 0]
+        if prefixes == 1:
+            node, prefix = node[0], prefix[0]
+        else:
+            node, prefix = tree.expand_rows(k, np.moveaxis(node, 0, -1)), np.moveaxis(prefix, 0, -1)
+        steps.append((node, prefix, shift.T))
+    return steps
+
+
+def _prefix_values(coeff, tree: JointTree, k: int) -> np.ndarray:
+    """coeff at step k as (prefix, *coeff.shape), one prefix row if shared."""
+    if coeff.deterministic:
+        return coeff.base[k][None]
+    return coeff.at_w0(k, tree.cum_w0_prefix[k])
+
+
+def _blocks(rows: list, prefixes: int) -> np.ndarray:
+    """A block matrix (prefixes, i, j) from rows of (1 or prefixes, i_b, j_b) blocks."""
+    return np.concatenate([
+        np.concatenate([np.broadcast_to(b, (prefixes,) + b.shape[1:]) for b in row], axis=2)
+        for row in rows
+    ], axis=1)
+
+
 def _picard_sweep(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: TimeGrid, xi,
-                  u: list, ubar: list, new_u: list, new_ubar: list):
+                  steps: list, u: list, ubar: list, new_u: list, new_ubar: list):
     """One evaluation of the coupled fixed-point map at (u, E[u|F0]).
 
     u and ubar are the control's (component, node) rows and their
-    per-prefix conditional means; the map's control and its conditional
-    mean are written into new_u and new_ubar.  Returns the state rows
-    under u, their prefix means, the predicted costate rows and the
-    relative sup-norm change of the control.
+    per-prefix conditional means; steps are ``_picard_steps``'s.  The
+    map's control and its conditional mean are written into new_u and
+    new_ubar.  Returns the state rows under u at steps 0..N-1, the
+    pre-noise mean E_{N-1}[x_N], the states' prefix means at steps
+    0..N-1, the predicted costate rows, and per step the relative
+    sup-norm change of the control.
     """
-    dt = grid.dt
     N = grid.n_steps
-    x, _, xbar = _rollout(c, tree, grid, u, xi, means=True)
-    # the terminal costate enters only through its child means, so it is
-    # never formed on the step-N nodes: prefix q has the children 2q, 2q+1
-    term = (cb.QT - c.QT) @ xbar[N]
-    yt = c.QT @ tree.child_mean_rows(N - 1, x[N]) + tree.expand_rows(
-        N - 1, 0.5 * (term[:, 0::2] + term[:, 1::2]))
+    n, d = c.n, c.d
+    x, _, xbar = _rollout(c, tree, grid, u, xi, means=True, leaves=False)
+    m = x.pop()
+    # the terminal costate enters only through its child means: the
+    # increments have mean zero, so E_{N-1}[x_N] = m, and the step-N
+    # prefix means fold back to E[m | F0] at step N-1
+    yt = c.QT @ m + tree.expand_rows(N - 1, (cb.QT - c.QT) @ tree.prefix_mean_rows(N - 1, m))
     pred = [None] * N
-    change = 0.0
+    changes = np.empty(N)
     for k in reversed(range(N)):
         if k < N - 1:
             yt = tree.child_mean_rows(k, cur)
         pred[k] = yt
-        ybar = tree.prefix_mean_rows(k, yt)
-        S, R = _coeff_rows(c.S, tree, k), _coeff_rows(c.R, tree, k)
-        Sp, Rp, Bp, varpi = (_coeff_prefix(co, tree, k) for co in (c.S, c.R, c.B, c.varpi))
-        # the terms constant on each prefix are summed per prefix and
-        # expanded once: F' E[y], (cb.Q - Q) xbar, -H' S ubar, cb.zeta
-        per_prefix = (
-            _mtv(_coeff_prefix(c.F, tree, k), ybar)
-            + _mv(_coeff_prefix(cb.Q, tree, k), xbar[k])
-            - _mv(_coeff_prefix(c.Q, tree, k), xbar[k])
-            - c.H.T @ _mv(Sp, ubar[k])
-            + _coeff_prefix(cb.zeta, tree, k)
-        )
-        running = _mv(_coeff_rows(c.Q, tree, k), x[k]) + _mv(S, u[k])
-        cur = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), yt) + dt * _plus_prefix(
-            tree, k, running, per_prefix
-        )
-
-        # first-order condition on e = x - H xbar
-        hx = c.H @ xbar[k]
-        rhs = _mtv(S, x[k]) + _mtv(_coeff_rows(c.B, tree, k), yt)
-        new_u[k][...] = -_solve(R, _plus_prefix(tree, k, rhs, varpi - _mtv(Sp, hx)))
-        new_ubar[k][...] = -_solve(Rp, _mtv(Sp, xbar[k] - hx) + _mtv(Bp, ybar) + varpi)
-        scale = 1.0 + float(np.max(np.abs(u[k])))
-        change = max(change, float(np.max(np.abs(new_u[k] - u[k]))) / scale)
-    return (x, xbar, pred), change
-
-
-def _solve(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """R^-1 rhs per column, for a shared (d, d) or per-column (d, d, m) R."""
-    if R.ndim == 2:
-        return np.linalg.solve(R, rhs)
-    return np.linalg.solve(np.moveaxis(R, -1, 0), rhs.T[..., None])[..., 0].T
+        node, prefix, shift = steps[k]
+        means = _mv(prefix, np.concatenate([xbar[k], ubar[k], tree.prefix_mean_rows(k, yt)]))
+        means += shift
+        out = _mv(node, np.concatenate([x[k], u[k], yt]))
+        out += tree.expand_rows(k, means[:n + d])
+        cur = out[:n]
+        np.negative(out[n:], out=new_u[k])
+        np.negative(means[n + d:], out=new_ubar[k])
+        changes[k] = np.max(np.abs(new_u[k] - u[k])) / (1.0 + np.max(np.abs(u[k])))
+    return (x, m, xbar, pred), changes

@@ -330,10 +330,7 @@ def compare_solutions(
     xb = simulate_mft(c, tree, grid, control_b, xi)
     ja = eval_cost_mft(c, xa, control_a, tree, grid)
     jb = eval_cost_mft(c, xb, control_b, tree, grid)
-    sup = 0.0
-    for k in range(grid.n_steps):
-        sup = max(
-            sup,
-            float(np.max(np.abs(control_a.values[k] - control_b.values[k]))),
-        )
-    return ComparisonReport(cost_a=ja, cost_b=jb, control_sup_diff=sup)
+    sup = np.max([
+        np.max(np.abs(control_a.values[k] - control_b.values[k])) for k in range(grid.n_steps)
+    ])
+    return ComparisonReport(cost_a=ja, cost_b=jb, control_sup_diff=float(sup))

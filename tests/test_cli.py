@@ -23,8 +23,8 @@ from cmvlq.config import (
     serialize_config,
     with_overrides,
 )
-from cmvlq.errors import ConfigError
-from cmvlq.lattice import build_joint_tree
+from cmvlq.errors import CmvlqError, ConfigError
+from cmvlq.lattice import F_ADAPTED, TreeProcess, build_joint_tree
 
 NODE_DEPENDENT_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "node_dependent.cfg"
 
@@ -224,6 +224,23 @@ def test_residual_rows_must_be_finite():
         cli._residual("x", math.nan, 1.0)
     with pytest.raises(CmvlqError, match="finite"):
         cli._residual("x", -1e-3, 1.0)
+
+
+def test_picard_gap_row_refuses_a_nan(monkeypatch):
+    cfg = parse_config(FULL_2X1.format(out="ignored"))
+    c, (xi, probs) = build_coefficients(cfg), initial_condition(cfg)
+    grid = c.grid()
+    real = cli.solve_coupled_mv_fbsde
+
+    def last_step_nan(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        values = [v.copy() for v in sol.control.values]
+        values[-1][0, 0] = np.nan
+        return replace(sol, control=TreeProcess(sol.control.tree, values, F_ADAPTED))
+
+    monkeypatch.setattr(cli, "solve_coupled_mv_fbsde", last_step_nan)
+    with pytest.raises(CmvlqError, match="picard_control_gap"):
+        cli._solve_tree(c, build_joint_tree(grid, probs), grid, xi)
 
 
 def _write(tmp_path, text):

@@ -349,3 +349,16 @@ def test_breve_cost_rejects_uncentered_state():
     )
     with pytest.raises(ConstraintViolationError):
         eval_cost_breve(c, biased, alpha, tree, grid)
+
+
+def test_breve_rejects_a_non_finite_control_or_initial_split():
+    # a NaN compares false against the tolerance: the check must fail on it
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
+    grid = c.grid()
+    tree = build_joint_tree(grid)
+    values = [np.zeros((tree.n_nodes(k), 1)) for k in range(grid.n_steps)]
+    values[1][0, 0] = np.nan
+    with pytest.raises(ConstraintViolationError, match="alpha"):
+        simulate_breve(c, tree, grid, TreeProcess(tree, values, F_ADAPTED), np.zeros(1))
+    with pytest.raises(ConstraintViolationError, match="xi_breve"):
+        simulate_breve(c, tree, grid, zero_control(tree, grid, 1), np.array([np.nan]))

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from helpers_split import rel_gap
 
-from cmvlq.coeffs import bar_transform, make_coefficients
+from cmvlq.coeffs import bar_transform, breve_as_plain, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import check_decomposition, coeff_nodes, eval_cost_mft, simulate_mft
-from cmvlq.errors import ConvergenceError
+from cmvlq.errors import CmvlqError, ConvergenceError
 from cmvlq.fbsde import (
+    _adjoint,
     assemble_optimal_control,
     build_ode_policy,
     solve_bar_fbsde,
@@ -243,6 +244,44 @@ def test_coupled_iteration_reports_failure():
     with pytest.raises(ConvergenceError) as err:
         solve_coupled_mv_fbsde(inst.coeffs, tree, grid, inst.xi, max_iter=2)
     assert len(err.value.residual_history) == 2
+
+
+def test_coupled_iteration_refuses_a_non_finite_change():
+    # max() dropped the NaN change: the iteration "converged" after one sweep
+    inst = random_instance(0, max_steps=3)
+    xi = inst.xi.copy()
+    xi[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+        CmvlqError, match=r"non-finite control change at step \d+ in map evaluation 1$"
+    ) as err:
+        solve_coupled_mv_fbsde(inst.coeffs, inst.tree(), inst.grid(), xi)
+    # a numerical failure, not a solver that ran out of iterations
+    assert not isinstance(err.value, ConvergenceError)
+
+
+def test_backward_residual_keeps_a_nan():
+    inst = random_instance(1, max_steps=3)
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    sol = solve_breve_fbsde(c, tree, grid, inst.xi_centered())
+    costate = [v.T.copy() for v in sol.costate.values]
+    costate[0][0, 0] = np.nan
+    rows = lambda p: [v.T for v in p.values]
+    fields = _adjoint(breve_as_plain(c), tree, grid, rows(sol.state), rows(sol.control), costate)
+    assert np.isnan(fields["backward_residual"])
+
+
+def test_stationarity_keeps_a_nan():
+    inst = random_instance(1, max_steps=3)
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    assert grid.n_steps >= 2
+    sol = assemble_optimal_control(c, tree, inst.xi)
+    values = [v.copy() for v in sol.breve.control.values]
+    values[-1][0, 0] = np.nan
+    breve = dataclasses.replace(sol.breve, control=TreeProcess(tree, values, F_ADAPTED))
+    for broken in (breve, dataclasses.replace(sol, breve=breve)):
+        report = verify_stationarity(c, broken, tree, grid)
+        assert np.isnan(report.max_residual) and np.isnan(report.per_step[-1])
+        assert not report.passed
 
 
 @pytest.mark.parametrize("max_iter", [0, -1])

@@ -5,16 +5,20 @@ The tree kernels keep each state or control component in one contiguous
 row, node axis last.  Their properties are checked here against the
 definitions by index (``w0_of_node``, ``atom_of_node``, child slots
 4i..4i+3), and the roll-out, cost and Picard sweep built on them
-against the node-major reference in ``helpers_node_major``.  The same
-kernels on the W0-only tree ``tree.common`` are checked against the
-joint tree's on F0-adapted data, and the bar roll-out and cost there
-against the node ones.  The two sides sum in different orders, so
-agreement is to a relative 1e-14, not bitwise.  The centered closed
-loop through the generic roll-out is checked bit for bit against its
-dedicated loop in ``helpers_split``.  The accelerated coupled iteration is
-checked against the reference's damped one at its fixed point, to the
-1e-8 control tolerance of the decomposition checks.
+against the node-major reference in ``helpers_node_major``; the sweep's
+terminal prediction, read off the pre-noise mean, against the one built
+from the leaves.  The same kernels on the W0-only tree ``tree.common``
+are checked against the joint tree's on F0-adapted data, and the bar
+roll-out and cost there against the node ones.  The two sides sum in
+different orders, so agreement is to a relative 1e-14, not bitwise.
+The centered closed loop through the generic roll-out is checked bit
+for bit against its dedicated loop in ``helpers_split``.  The
+accelerated coupled iteration is checked against the reference's damped
+one at its fixed point, to the 1e-8 control tolerance of the
+decomposition checks, and its states against the reference roll-out.
 """
+
+import dataclasses
 
 import helpers_node_major as ref
 import numpy as np
@@ -23,10 +27,10 @@ from helpers_split import ref_breve_closed_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvlq.coeffs import bar_transform
+from cmvlq.coeffs import Coefficient, bar_transform
 from cmvlq.decomposition import _cost_rows, _rollout, eval_cost_mft, simulate_mft
 from cmvlq.errors import DimensionError
-from cmvlq.fbsde import _picard_sweep, solve_breve_fbsde, solve_coupled_mv_fbsde
+from cmvlq.fbsde import _picard_steps, _picard_sweep, solve_breve_fbsde, solve_coupled_mv_fbsde
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import (
     F0_ADAPTED,
@@ -188,19 +192,51 @@ def test_centered_closed_loop_matches_its_dedicated_loop(seed, node_dependent):
 def test_picard_matches_node_major_reference(seed, node_dependent):
     inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    cb = bar_transform(c)
     u = random_control(inst, tree, seed=23).values
     rows = [v.T for v in u]
     ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(rows)]
     new_u, new_ubar = [np.empty_like(r) for r in rows], [np.empty_like(b) for b in ubar]
-    (x, _, pred), change = _picard_sweep(c, bar_transform(c), tree, grid, inst.xi, rows, ubar,
-                                         new_u, new_ubar)
+    (x, _, _, pred), changes = _picard_sweep(c, cb, tree, grid, inst.xi,
+                                             _picard_steps(c, cb, tree, grid), rows, ubar,
+                                             new_u, new_ubar)
     want_x, want_pred, want_u, want_change = ref.sweep(c, tree, grid, inst.xi, u)
-    assert all(_close(a.T, b) for a, b in zip(x, want_x))
-    assert all(_close(a.T, b) for a, b in zip(pred, want_pred))
-    assert all(_close(a.T, b) for a, b in zip(new_u, want_u))
+    # the sweep's states stop at step N-1: it never forms the leaves
+    assert all(_close(a.T, b) for a, b in zip(x, want_x[:grid.n_steps], strict=True))
+    assert all(_close(a.T, b) for a, b in zip(pred, want_pred, strict=True))
+    assert all(_close(a.T, b) for a, b in zip(new_u, want_u, strict=True))
     # the carried conditional mean is the fold of the new control
-    assert all(_close(a, tree.prefix_mean_rows(k, b.T)) for k, (a, b) in enumerate(zip(new_ubar, want_u)))
-    assert _close(change, want_change)
+    assert all(_close(a, tree.prefix_mean_rows(k, b.T))
+               for k, (a, b) in enumerate(zip(new_ubar, want_u, strict=True)))
+    assert _close(np.max(changes), want_change)
+
+
+@pytest.mark.parametrize("loads", [(False, False), (True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("n_atoms", [1, 3])
+@pytest.mark.parametrize("node_dependent", [False, True])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_terminal_predicted_costate_needs_no_leaves(seed, node_dependent, n_atoms, loads):
+    # the sweep reads E_{N-1}[y_N] off the pre-noise mean; the leaves give it too
+    inst = random_instance(seed, node_dependent=node_dependent, max_steps=4)
+    c, grid = inst.coeffs, inst.grid()
+    zero = Coefficient(np.zeros_like(c.D.base))
+    c = dataclasses.replace(c, D=c.D if loads[0] else zero, D0=c.D0 if loads[1] else zero)
+    cb = bar_transform(c)
+    rng = np.random.default_rng(seed)
+    probs = rng.uniform(0.2, 1.0, n_atoms)
+    tree = build_joint_tree(grid, atom_probs=probs / probs.sum())
+    xi = rng.uniform(-1.0, 1.0, (n_atoms, c.n))
+    N = grid.n_steps
+    rows = [rng.standard_normal((c.d, tree.n_nodes(k))) for k in range(N)]
+    ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(rows)]
+    new_u, new_ubar = [np.empty_like(r) for r in rows], [np.empty_like(b) for b in ubar]
+    (_, _, _, pred), _ = _picard_sweep(c, cb, tree, grid, xi, _picard_steps(c, cb, tree, grid),
+                                       rows, ubar, new_u, new_ubar)
+    x, _, xbar = _rollout(c, tree, grid, rows, xi, means=True)
+    term = (cb.QT - c.QT) @ xbar[N]
+    want = c.QT @ tree.child_mean_rows(N - 1, x[N]) + tree.expand_rows(
+        N - 1, 0.5 * (term[:, 0::2] + term[:, 1::2]))
+    assert _close(pred[N - 1], want)
 
 
 @pytest.mark.parametrize("seed,node_dependent", CASES)
@@ -210,6 +246,9 @@ def test_accelerated_fixed_point_matches_damped_reference(seed, node_dependent):
     got = solve_coupled_mv_fbsde(c, tree, grid, inst.xi)
     _, u, _, cost, history = ref.solve_coupled(c, tree, grid, inst.xi)
     assert got.iterations < len(history)
-    for a, b in zip(got.control.values, u):
+    for a, b in zip(got.control.values, u, strict=True):
         assert float(np.max(np.abs(a - b))) <= 1e-8 * (1.0 + float(np.max(np.abs(b))))
+    # the returned states, leaves included, are those of the returned control
+    want_x = ref.simulate_mft(c, tree, grid, got.control.values, inst.xi)
+    assert all(_close(a, b) for a, b in zip(got.state.values, want_x, strict=True))
     assert got.cost == pytest.approx(cost, abs=1e-9 * max(1.0, abs(cost)))

@@ -126,6 +126,18 @@ def test_reference_optimum_matches_structured_solver(seed):
     assert abs(rep.cost_a - qp.cost) <= 1e-12 * max(1.0, abs(qp.cost))
 
 
+def test_comparison_keeps_a_nan_control_gap():
+    inst = random_instance(1, max_steps=3)
+    grid, tree = inst.grid(), inst.tree()
+    assert grid.n_steps >= 2
+    mft = assemble_optimal_control(inst.coeffs, tree, inst.xi)
+    values = [v.copy() for v in mft.control.values]
+    values[-1][0, 0] = np.nan
+    broken = TreeProcess(tree, values, F_ADAPTED)
+    rep = compare_solutions(inst.coeffs, tree, grid, mft.control, broken, inst.xi)
+    assert np.isnan(rep.control_sup_diff)
+
+
 @pytest.mark.parametrize("seed", [2, 7, 13])
 def test_restricted_problems_split_the_reference_cost(seed):
     inst = random_instance(seed, max_steps=4)
