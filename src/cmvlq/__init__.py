@@ -40,7 +40,6 @@ from .config import (
 )
 from .decomposition import (
     check_decomposition,
-    estimate_convexity_margin,
     eval_cost_bar,
     eval_cost_breve,
     eval_cost_mft,
@@ -147,7 +146,6 @@ __all__ = [
     "conditional_expectation_f0",
     "convexity_margins",
     "cost_gradient",
-    "estimate_convexity_margin",
     "estimate_cost",
     "eval_cost_bar",
     "eval_cost_breve",

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, NotDeterministicError
-from .lattice import TimeGrid, w0_prefix_cums
+from .lattice import TimeGrid, w0_levels
 
 PSD_TOL = 1e-10
 SYM_TOL = 1e-12
@@ -241,7 +241,7 @@ def validate_coefficients(c: CoefficientSet, grid: TimeGrid) -> ValidationReport
     delta_hat = np.inf
     schur_min = np.inf
     for k in range(c.n_steps):
-        levels = _w0_levels(grid, k)
+        levels = w0_levels(grid, k)
         Rk = c.R.at_w0(k, levels)
         Qk = c.Q.at_w0(k, levels)
         Sk = c.S.at_w0(k, levels)
@@ -265,11 +265,6 @@ def validate_coefficients(c: CoefficientSet, grid: TimeGrid) -> ValidationReport
         messages.append(f"terminal weight indefinite (min eig {qt_min:.3e})")
     passed = delta_hat > 0.0 and schur_min >= -PSD_TOL and qt_min >= -PSD_TOL
     return ValidationReport(delta_hat, schur_min, qt_min, passed, tuple(messages))
-
-
-def _w0_levels(grid: TimeGrid, k: int) -> np.ndarray:
-    # distinct cumulative-W0 values at step k: k+1 signed levels
-    return grid.sqrt_dt * (k - 2.0 * np.arange(k + 1))
 
 
 def _check_symmetry(mat, name, step):

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coefficient, CoefficientSet, bar_transform, breve_as_plain, homogeneous
-from .errors import AdaptednessError, ConstraintViolationError, DimensionError
+from .coeffs import Coefficient, CoefficientSet, bar_transform, breve_as_plain
+from .errors import AdaptednessError, CmvlqError, ConstraintViolationError, DimensionError
 from .lattice import (
     F0_ADAPTED,
     F_ADAPTED,
@@ -36,7 +36,6 @@ from .lattice import (
     TimeGrid,
     TreeProcess,
     conditional_expectation_f0,
-    inner_product,
 )
 
 CENTERING_TOL = 1e-12
@@ -155,6 +154,8 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np
     """
     if xi.shape[1] != c.n:
         raise DimensionError("xi", f"state dimension {c.n} expected, got {xi.shape[1]}")
+    if not np.isfinite(xi).all():
+        raise CmvlqError("initial state xi has a non-finite entry")
     feedback = control if callable(control) else lambda k, _x: control[k]
     dt = grid.dt
     x = np.ascontiguousarray(xi.T)  # the atoms are the step-0 nodes, in order
@@ -419,80 +420,6 @@ def lemma_identities(
     )
     out["v_terminal"] = (lhs, rhs)
     return out
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    """Sampled uniform-convexity margins: Rayleigh minima, so upper bounds.
-
-    ``riccati.convexity_margins`` computes the exact margins; this sampled
-    check is independent of it.
-    """
-
-    margin_mft: float
-    margin_bar: float
-    margin_breve: float
-    n_samples: int
-    seed: int
-
-
-def estimate_convexity_margin(
-    c: CoefficientSet, tree: JointTree, grid: TimeGrid, n_samples: int, seed: int
-) -> ConvexityReport:
-    """Smallest observed Rayleigh quotient of each homogeneous cost form.
-
-    For each sample the full quadratic form (twice the zero-data cost) is
-    divided by the control's squared L2 norm.  The mean-field samples'
-    conditional means and centered parts are folded into the bar and
-    breve sample sets, which keeps the min(bar, breve) lower bound on the
-    mean-field margin valid sample by sample.  The bar and breve samples
-    are F0-adapted or centered by construction, so their forms are
-    evaluated on the sub-problems' coefficient sets without their input
-    checks; the bar samples live on ``tree.common``, where their forms
-    and norms are taken.  At least one sample is required.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    ch = homogeneous(c)
-    bar = homogeneous(bar_transform(c))
-    breve = breve_as_plain(ch)
-    common = tree.common
-    N = grid.n_steps
-
-    def form(p: CoefficientSet, on: JointTree, u: list) -> float:
-        zero_xi = np.zeros((on.n_atoms, c.n))
-        x, _, xbars = _rollout(p, on, grid, u, zero_xi, means=bool(p.H.any()))
-        return 2.0 * _cost_rows(p, on, grid, x, u, xbars)
-
-    def sq_norm(on: JointTree, u: list) -> float:
-        v = _process(on, u)
-        return inner_product(v, v, on, grid)
-
-    m_mft = m_bar = m_breve = np.inf
-    for j in range(n_samples):
-        rng = np.random.default_rng([seed, j])
-        u = [rng.standard_normal((tree.n_nodes(k), c.d)).T for k in range(N)]
-        nu = sq_norm(tree, u)
-        m_mft = min(m_mft, form(ch, tree, u) / nu)
-
-        ubar = [tree.prefix_mean_rows(k, v) for k, v in enumerate(u)]
-        nbar = sq_norm(common, ubar)
-        if nbar > 1e-14 * nu:
-            m_bar = min(m_bar, form(bar, common, ubar) / nbar)
-        ubre = [a - tree.expand_rows(k, b) for k, (a, b) in enumerate(zip(u, ubar))]
-        nbre = sq_norm(tree, ubre)
-        if nbre > 1e-14 * nu:
-            m_breve = min(m_breve, form(breve, tree, ubre) / nbre)
-
-        # fresh dedicated samples for the two restricted classes
-        v = [rng.standard_normal((common.n_nodes(k), c.d)).T for k in range(N)]
-        m_bar = min(m_bar, form(bar, common, v) / sq_norm(common, v))
-        raw = [rng.standard_normal((tree.n_nodes(k), c.d)).T for k in range(N)]
-        alpha = [w - tree.expand_rows(k, tree.prefix_mean_rows(k, w)) for k, w in enumerate(raw)]
-        na = sq_norm(tree, alpha)
-        if na > 1e-14:
-            m_breve = min(m_breve, form(breve, tree, alpha) / na)
-    return ConvexityReport(float(m_mft), float(m_bar), float(m_breve), n_samples, seed)
 
 
 # -- shared input checks ----------------------------------------------------

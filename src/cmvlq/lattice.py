@@ -19,6 +19,11 @@ In the node index, step j contributes the base-4 digit 2*b0 + b1, where
 b0 is the common-noise bit and b1 the idiosyncratic bit (0 = "+"), first
 step most significant; the W0 prefix id (``w0_of_node``) is the b0 bits.
 
+A prefix's cumulative W0 value is fixed by its level, its count of "-"
+steps: step k has the k+1 levels of a recombining lattice (Cox, Ross &
+Rubinstein 1979).  ``w0_prefix_cums`` reads each prefix's value off its
+level, so per-prefix and per-level coefficients agree bit for bit.
+
 Every joint tree has a W0-only form, ``JointTree.common``: the lattice of
 a problem driven by the common noise alone, as the conditional-mean one
 is.  It has one atom, its node id is the W0 prefix id, and node q has the
@@ -86,23 +91,27 @@ class TimeGrid:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
+def w0_levels(grid: TimeGrid, k: int) -> np.ndarray:
+    """The cumulative W0 value of each level j = 0..k at step k: sqrt(dt) (k - 2j)."""
+    return grid.sqrt_dt * (k - 2.0 * np.arange(k + 1))
+
+
+def w0_prefix_levels(n_steps: int) -> list[np.ndarray]:
+    """Per step 0..n_steps, each prefix's level: the count of 1 ("-") bits of its id."""
+    levels = [np.zeros(1, dtype=np.int64)]
+    for _ in range(n_steps):
+        levels.append((levels[-1][:, None] + np.arange(2)).ravel())
+    return levels
+
+
 def w0_prefix_cums(grid: TimeGrid) -> list[np.ndarray]:
     """Cumulative common-noise value per W0 prefix, one array per step.
 
     Entry k has shape (2**k,), indexed by the prefix id whose bits are the
-    signs of the k first dW0 increments (0 bit = "+").  Step 0 is the
-    single root prefix with value 0.  Independent of the full tree, so the
-    Riccati recursions can run without building it.
+    signs of the k first dW0 increments (0 bit = "+"): the ``w0_levels``
+    value at the prefix's level.
     """
-    s = grid.sqrt_dt
-    cums = [np.zeros(1)]
-    for _ in range(grid.n_steps):
-        prev = cums[-1]
-        nxt = np.repeat(prev, 2)
-        nxt[0::2] += s
-        nxt[1::2] -= s
-        cums.append(nxt)
-    return cums
+    return [w0_levels(grid, k)[level] for k, level in enumerate(w0_prefix_levels(grid.n_steps))]
 
 
 class JointTree:

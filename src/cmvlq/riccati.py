@@ -15,19 +15,20 @@ zeros and the constant is the idiosyncratic-noise term; ``solve_l`` on
 enter the linear part and the constant.
 
 Two backends.  The tree backend runs exact dynamic programming on the
-common-noise prefix tree: the feedback it produces is exactly optimal
-for the discretized cost, not merely up to a discretization error, so
-downstream certification can use tight tolerances.  The ODE backend
-integrates the continuous equation with classical Runge-Kutta on a fine
-grid; it requires coefficients without a common-noise loading and is
-the route for Monte Carlo work where the tree would be unaffordable.
-``_interp_table`` reads its tables, and any other fine-grid table,
-between grid times.
+common-noise lattice: the feedback it produces is exactly optimal for the
+discretized cost, not merely up to a discretization error, so downstream
+certification can use tight tolerances.  Its one recursion,
+``_level_sweep``, runs on the W0 levels and is read per prefix through
+each prefix's level.  The ODE backend integrates the continuous equation
+with classical Runge-Kutta on a fine grid; it requires coefficients
+without a common-noise loading and is the route for Monte Carlo work
+where the tree would be unaffordable.  ``_interp_table`` reads its
+tables, and any other fine-grid table, between grid times.
 
-``convexity_margins`` runs the tree recursion on the W0 levels for a
-stack of shifts of R and bisects for the largest shift at which every
-one-step control matrix stays positive definite: the exact convexity
-margin of each sub-problem.
+``convexity_margins`` runs the same recursion for a stack of shifts of R
+and bisects for the largest shift at which every one-step control matrix
+stays positive definite: the exact convexity margin of each sub-problem.
+A tree solve is the sweep at the single shift 0.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet, _w0_levels, bar_transform, breve_as_plain, homogeneous
+from .coeffs import CoefficientSet, bar_transform, breve_as_plain, homogeneous
 from .errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
-from .lattice import TimeGrid, w0_prefix_cums
+from .lattice import TimeGrid, w0_levels, w0_prefix_levels
 
 # the coefficients a backward sweep reads
 _FIELDS = ("A", "B", "S", "Q", "R", "b", "D", "D0", "zeta", "varpi")
@@ -49,23 +50,30 @@ MARGIN_REL = 1e-13    # relative bracket width at which the margin search stops
 
 @dataclass(frozen=True)
 class TreeBackwardQuadratic:
-    """Value function per common-noise prefix, per step.
+    """Value function per W0 level, read per common-noise prefix, per step.
 
     table[k] (2**k, n+1, n+1) is the augmented value [[P, g], [g', 2c]]
     at step k, read as values P, offset g and constant c, and
     feedback[k] (2**k, d, n+1) the control u = -feedback z for step
-    k < n_steps, read as gain_state and gain_const.
+    k < n_steps, read as gain_state and gain_const: each prefix's rows
+    of the ``_level_sweep`` tables level_table and level_feedback.
     """
 
     grid: TimeGrid
-    table: list
-    feedback: list
+    level_table: list
+    level_feedback: list
 
+    table = property(lambda self: self._per_prefix(self.level_table))
+    feedback = property(lambda self: self._per_prefix(self.level_feedback))
     values = property(lambda self: [t[:, :-1, :-1] for t in self.table])
     offset = property(lambda self: [t[:, :-1, -1] for t in self.table])
     constant = property(lambda self: [0.5 * t[:, -1, -1] for t in self.table])
     gain_state = property(lambda self: [f[..., :-1] for f in self.feedback])
     gain_const = property(lambda self: [f[..., -1] for f in self.feedback])
+
+    def _per_prefix(self, tables: list) -> list:
+        levels = w0_prefix_levels(self.grid.n_steps)
+        return [t[np.minimum(level, len(t) - 1)] for t, level in zip(tables, levels)]
 
 
 @dataclass(frozen=True)
@@ -105,14 +113,6 @@ def _interp_table(src_times: np.ndarray, src_values: np.ndarray, at: np.ndarray)
     return (1.0 - w) * src_values[pos] + w * src_values[pos + 1]
 
 
-def _chol_guard(G: np.ndarray, message: str):
-    """Refuse with message, never regularize, a G that is not positive definite."""
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(message) from exc
-
-
 def _augmented(p: CoefficientSet, k: int, w0=None) -> tuple:
     """Step k's (A, B, S, Q, R, D, D0) in z = [x; 1], per node of w0 if given.
 
@@ -145,13 +145,17 @@ def _solve(p: CoefficientSet, backend: str, dt_target, drift: str, problem: str)
         return _ode_sweep(p, dt_target)
     if backend != "tree":
         raise ValueError(f"unknown backend {backend!r}")
-    try:
-        return _tree_sweep(p)
-    except SingularSystemError as exc:
-        margin = _margin(homogeneous(p))
+    grid = p.grid()
+    table, feedback = _level_sweep(grid, _level_coefficients(p), np.pad(p.QT, (0, 1)), np.zeros(1))
+    failed = [k for k in range(grid.n_steps) if not len(table[k])]
+    if failed:
         raise SingularSystemError(
-            f"{exc}; the exact convexity margin of the {problem} problem is {margin:.12g}"
-        ) from exc
+            "one-step control matrix dt R + Bbar' E[P] Bbar is not positive definite "
+            f"at step {failed[-1]}, so the cost is not convex in the control there; "
+            "refusing to regularize; the exact convexity margin of the "
+            f"{problem} problem is {_margin(homogeneous(p)):.12g}"
+        )
+    return TreeBackwardQuadratic(grid, [t[0] for t in table], [f[0] for f in feedback])
 
 
 def solve_pi(c: CoefficientSet, backend: str = "tree", *, dt_target: float | None = None) -> TreeBackwardQuadratic | OdeBackwardQuadratic:
@@ -174,23 +178,6 @@ def solve_l(c: CoefficientSet, backend: str = "tree", *, dt_target: float | None
     return _solve(bar_transform(c), backend, dt_target, "A+F", "conditional-mean")
 
 
-def _tree_sweep(p: CoefficientSet) -> TreeBackwardQuadratic:
-    """Exact backward dynamic programming on the common-noise prefixes.
-
-    Prefix p at step k has the children 2p and 2p+1, reached by the
-    common-noise increments +sqrt(dt) and -sqrt(dt).
-    """
-    grid = p.grid()
-    N = grid.n_steps
-    cums = w0_prefix_cums(grid)
-    table = [None] * N + [np.broadcast_to(np.pad(p.QT, (0, 1)), (2**N, p.n + 1, p.n + 1)).copy()]
-    feedback = [None] * N
-    for k in reversed(range(N)):
-        nxt = table[k + 1]
-        table[k], feedback[k] = _tree_step(k, grid, nxt[0::2], nxt[1::2], _augmented(p, k, cums[k]))
-    return TreeBackwardQuadratic(grid=grid, table=table, feedback=feedback)
-
-
 def _tree_step(k: int, grid: TimeGrid, plus, minus, coefficients) -> tuple:
     """Step k's value table and feedback from its children's, plus and minus.
 
@@ -209,9 +196,6 @@ def _tree_step(k: int, grid: TimeGrid, plus, minus, coefficients) -> tuple:
     phis = (phi + loading, phi - loading)
     Bbar = dt * B
     G = _control_matrix(dt, B, R, hat)
-    _chol_guard(G, "one-step control matrix dt R + Bbar' E[P] Bbar is not positive definite "
-                   f"at step {k}, so the cost is not convex in the control there; "
-                   "refusing to regularize")
     phi_p = [_t(phi) @ child for phi, child in zip(phis, (plus, minus))]
     M = 0.5 * (phi_p[0] + phi_p[1]) @ Bbar + dt * S
     K = np.linalg.solve(G, _t(M))
@@ -239,14 +223,14 @@ def convexity_margins(c: CoefficientSet, n_atoms: int) -> tuple[float, float]:
 
     A sub-problem's margin is the largest lam at which its homogeneous
     cost form minus lam times the squared control norm (metric dt times
-    node probability, as in ``decomposition.estimate_convexity_margin``)
-    is positive definite on its controls.  Completing the square, that
-    holds exactly when every one-step matrix G_k = dt (R - lam I) + Bbar'
-    hat Bbar of the backward sweep with R - lam I passes the Cholesky test
-    of the sweep's guard.  Each margin is the passing end of a bracket
-    narrower than MARGIN_REL relative, so a certified lower bound.  The
-    full problem's form splits into the two sub-problems' forms, so
-    min(margin_bar, margin_breve) is its margin.
+    node probability, as in ``lattice.inner_product``) is positive
+    definite on its controls.  Completing the square, that holds exactly
+    when every one-step matrix G_k = dt (R - lam I) + Bbar' hat Bbar of
+    the level sweep with R - lam I passes the Cholesky test that a tree
+    solve, the sweep at lam = 0, refuses on.  Each margin is the passing
+    end of a bracket narrower than MARGIN_REL relative, so a certified
+    lower bound.  The full problem's form splits into the two
+    sub-problems' forms, so min(margin_bar, margin_breve) is its margin.
 
     The centered controls have conditional mean zero given the common
     noise.  With n_atoms = 1 nothing but the common noise is known at step
@@ -270,9 +254,7 @@ def _margin(p: CoefficientSet, first: int = 0) -> float:
     grid = p.grid()
     if first >= grid.n_steps:
         return math.inf
-    # coefficients that do not depend on W0 are the same on every level: keep one
-    coefficients = [_augmented(p, k, np.zeros(1) if p.deterministic else _w0_levels(grid, k))
-                    for k in range(grid.n_steps)]
+    coefficients = _level_coefficients(p)
     terminal = np.pad(p.QT, (0, 1))
     _, B, _, _, R, _, _ = coefficients[-1]
     eig = np.linalg.eigvalsh(_control_matrix(grid.dt, B, R, terminal)) / grid.dt
@@ -284,7 +266,7 @@ def _margin(p: CoefficientSet, first: int = 0) -> float:
     while not passed or hi - lo > max(MARGIN_REL * max(abs(lo), abs(hi)), floor):
         # until a shift has passed, lo is tried too
         shifts = np.linspace(lo, hi, MARGIN_SHIFTS + 2)[int(passed):-1]
-        m = len(_level_sweep(grid, coefficients, terminal, shifts, first)[first])
+        m = len(_level_sweep(grid, coefficients, terminal, shifts, first)[0][first])
         if m < len(shifts):
             hi = shifts[m]
         if m:
@@ -294,7 +276,14 @@ def _margin(p: CoefficientSet, first: int = 0) -> float:
     return float(lo)
 
 
-def _level_sweep(grid: TimeGrid, coefficients: list, terminal, shifts, first: int = 0) -> list:
+def _level_coefficients(p: CoefficientSet) -> list:
+    """Each step's ``_augmented`` coefficients per W0 level; one level if p is deterministic."""
+    grid = p.grid()
+    return [_augmented(p, k, np.zeros(1) if p.deterministic else w0_levels(grid, k))
+            for k in range(grid.n_steps)]
+
+
+def _level_sweep(grid: TimeGrid, coefficients: list, terminal, shifts, first: int = 0) -> tuple:
     """The tree recursion on the W0 levels for an ascending stack of shifts of R.
 
     The coefficients are affine in cumulative W0, so every value depends
@@ -302,20 +291,22 @@ def _level_sweep(grid: TimeGrid, coefficients: list, terminal, shifts, first: in
     has k+1 levels, and level j has the children j (+) and j+1 (-).  A
     table of one level stands for all levels of its step: the terminal
     QT, and every table of a p whose coefficients come on one level.
-    table[k] (m_k, levels, n+1, n+1), for k >= first, holds the m_k
-    leading shifts whose one-step matrices pass at steps k..N-1.  Passing
-    is monotone in the shift, so the failing shifts are the trailing
-    ones, dropped before ``_tree_step`` sees them.
+    table[k] (m_k, levels, n+1, n+1) and feedback[k] (m_k, levels, d,
+    n+1), for k >= first, hold the m_k leading shifts whose one-step
+    matrices pass at steps k..N-1.  Passing is monotone in the shift, so
+    the failing shifts are the trailing ones, dropped before
+    ``_tree_step`` sees them.
     """
     N = grid.n_steps
     table = [None] * N + [np.broadcast_to(terminal, (len(shifts), 1) + terminal.shape)]
+    feedback = [None] * N
     for k in reversed(range(first, N)):
         A, B, S, Q, R, D, D0 = coefficients[k]
         plus, minus = table[k + 1][:, : k + 1], table[k + 1][:, -(k + 1):]
         R = R - shifts[: len(plus), None, None, None] * np.eye(R.shape[-1])
         m = _leading_pd(_control_matrix(grid.dt, B, R, 0.5 * (plus + minus)))
-        table[k], _ = _tree_step(k, grid, plus[:m], minus[:m], (A, B, S, Q, R[:m], D, D0))
-    return table
+        table[k], feedback[k] = _tree_step(k, grid, plus[:m], minus[:m], (A, B, S, Q, R[:m], D, D0))
+    return table, feedback
 
 
 def _leading_pd(G: np.ndarray) -> int:
@@ -379,8 +370,10 @@ def _ode_sweep(p: CoefficientSet, dt_target) -> OdeBackwardQuadratic:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in reversed(range(grid.n_steps)):
             A, B, S, Q, R, D, D0 = _augmented(p, k)
-            _chol_guard(R, f"control weight R is singular at step {k}; refusing to regularize "
-                           "-- the control weight must be positive definite on every node")
+            if not _leading_pd(R[None, None]):
+                raise SingularSystemError(
+                    f"control weight R is singular at step {k}; refusing to regularize "
+                    "-- the control weight must be positive definite on every node")
 
             def rhs(P):
                 W = P @ B + S

@@ -11,7 +11,9 @@ three separate recursions (Riccati, linear and constant), on the
 common-noise prefixes and as ODEs, where the library runs one recursion
 on the augmented state z = [x; 1].  They share only the (component,
 node) products and the tree's kernels with the library, and skip its
-input checks.
+input checks.  ``ref_tree_sweep`` is the augmented recursion on all 2**k
+prefixes of each step, where the library runs it on the k+1 W0 levels;
+it shares the library's one-step update.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ from cmvlq.decomposition import (
     _quad,
 )
 from cmvlq.lattice import w0_prefix_cums
-from cmvlq.riccati import _fine_steps
+from cmvlq.riccati import _augmented, _fine_steps, _tree_step
 
 
 def ref_simulate_bar(cb, tree, grid, v, xi_bar):
@@ -118,6 +120,23 @@ def rel_gap(values, ref) -> float:
     assert a.shape == b.shape
     gap = float(np.max(np.abs(a - b), initial=0.0))
     return gap / float(np.max(np.abs(b))) if gap else 0.0
+
+
+def ref_tree_sweep(p):
+    """The augmented value tables and feedbacks per common-noise prefix: (table, feedback).
+
+    Prefix q at step k has the children 2q and 2q+1, reached by the
+    common-noise increments +sqrt(dt) and -sqrt(dt).
+    """
+    grid = p.grid()
+    N = grid.n_steps
+    cums = w0_prefix_cums(grid)
+    table = [None] * N + [np.broadcast_to(np.pad(p.QT, (0, 1)), (2**N, p.n + 1, p.n + 1)).copy()]
+    feedback = [None] * N
+    for k in reversed(range(N)):
+        nxt = table[k + 1]
+        table[k], feedback[k] = _tree_step(k, grid, nxt[0::2], nxt[1::2], _augmented(p, k, cums[k]))
+    return table, feedback
 
 
 def ref_solve_l(cb):

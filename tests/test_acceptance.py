@@ -9,12 +9,12 @@ import time
 from functools import lru_cache
 
 import numpy as np
+from helpers_sampled_margin import estimate_convexity_margin
 
 from cmvlq.cli import main
 from cmvlq.coeffs import bar_transform, make_coefficients
 from cmvlq.decomposition import (
     check_decomposition,
-    estimate_convexity_margin,
     eval_cost_mft,
     lemma_identities,
     simulate_mft,

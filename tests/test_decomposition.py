@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 from helpers_bruteforce import brute_cost_bar, brute_cost_mft, brute_simulate_mft
+from helpers_sampled_margin import estimate_convexity_margin
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvlq.coeffs import as_coefficient, bar_transform, make_coefficients
 from cmvlq.decomposition import (
     check_decomposition,
-    estimate_convexity_margin,
     eval_cost_bar,
     eval_cost_breve,
     eval_cost_mft,

@@ -1,11 +1,13 @@
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers_split import rel_gap
 
+from cmvlq import fbsde
 from cmvlq.coeffs import bar_transform, breve_as_plain, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import check_decomposition, coeff_nodes, eval_cost_mft, simulate_mft
@@ -246,17 +248,35 @@ def test_coupled_iteration_reports_failure():
     assert len(err.value.residual_history) == 2
 
 
-def test_coupled_iteration_refuses_a_non_finite_change():
+def test_coupled_iteration_refuses_a_non_finite_change(monkeypatch):
     # max() dropped the NaN change: the iteration "converged" after one sweep
+    inst = random_instance(0, max_steps=3)
+    sweep = fbsde._picard_sweep
+
+    def nan_change(*args):
+        products, changes = sweep(*args)
+        changes[-1] = np.nan
+        return products, changes
+
+    monkeypatch.setattr(fbsde, "_picard_sweep", nan_change)
+    last = inst.grid().n_steps - 1
+    with pytest.raises(
+        CmvlqError, match=rf"non-finite control change at step {last} in map evaluation 1$"
+    ) as err:
+        solve_coupled_mv_fbsde(inst.coeffs, inst.tree(), inst.grid(), inst.xi)
+    # a numerical failure, not a solver that ran out of iterations
+    assert not isinstance(err.value, ConvergenceError)
+
+
+def test_coupled_iteration_refuses_a_non_finite_initial_state():
+    # refused before any arithmetic, so no NumPy warning comes first
     inst = random_instance(0, max_steps=3)
     xi = inst.xi.copy()
     xi[0, 0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(
-        CmvlqError, match=r"non-finite control change at step \d+ in map evaluation 1$"
-    ) as err:
-        solve_coupled_mv_fbsde(inst.coeffs, inst.tree(), inst.grid(), xi)
-    # a numerical failure, not a solver that ran out of iterations
-    assert not isinstance(err.value, ConvergenceError)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CmvlqError, match=r"initial state xi has a non-finite entry$"):
+            solve_coupled_mv_fbsde(inst.coeffs, inst.tree(), inst.grid(), xi)
 
 
 def test_backward_residual_keeps_a_nan():

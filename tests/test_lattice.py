@@ -25,7 +25,9 @@ from cmvlq.lattice import (
     conditional_expectation_f0,
     inner_product,
     project_breve,
+    w0_levels,
     w0_prefix_cums,
+    w0_prefix_levels,
 )
 
 
@@ -357,11 +359,15 @@ def test_processes_of_the_other_tree_kind_are_refused(grid3):
 
 
 def test_w0_prefix_cums_match_tree(grid3):
+    # a prefix's level is its count of "-" (1) bits, and its value the level's, bit for bit
     cums = w0_prefix_cums(grid3)
     tree = build_joint_tree(grid3)
+    levels = w0_prefix_levels(3)
     for k in range(4):
         np.testing.assert_array_equal(cums[k], tree.cum_w0_prefix[k])
         assert len(cums[k]) == 2**k
+        assert levels[k].tolist() == [bin(q).count("1") for q in range(2**k)]
+        assert tree.cum_w0_prefix[k].tobytes() == w0_levels(grid3, k)[levels[k]].tobytes()
 
 
 def test_tree_process_node_count_validation(grid3):

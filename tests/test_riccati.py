@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers_dense_qp import dense_margins
-from helpers_split import ref_ode_sweep, ref_solve_l, ref_tree_offset, rel_gap
+from helpers_split import ref_ode_sweep, ref_solve_l, ref_tree_offset, ref_tree_sweep, rel_gap
 
-from cmvlq.coeffs import _w0_levels, as_coefficient, bar_transform, breve_as_plain, make_coefficients
+from cmvlq.coeffs import as_coefficient, bar_transform, breve_as_plain, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import (
     coeff_nodes,
@@ -25,11 +25,11 @@ from cmvlq.lattice import (
     TreeProcess,
     build_joint_tree,
     w0_prefix_cums,
+    w0_prefix_levels,
 )
 from cmvlq.riccati import (
-    _augmented,
+    _level_coefficients,
     _level_sweep,
-    _tree_sweep,
     convexity_margins,
     solve_l,
     solve_pi,
@@ -403,15 +403,29 @@ def test_level_stack_at_zero_shift_is_the_prefix_table(one_level, plain, seed):
     # one level per step is exact for coefficients that do not depend on W0
     p = plain(random_instance(seed, max_steps=5, node_dependent=not one_level).coeffs)
     grid = p.grid()
-    coefficients = [_augmented(p, k, np.zeros(1) if one_level else _w0_levels(grid, k))
-                    for k in range(grid.n_steps)]
-    levels = _level_sweep(grid, coefficients, np.pad(p.QT, (0, 1)), np.zeros(1))
-    prefixes = _tree_sweep(p).table
-    for k, cums in enumerate(w0_prefix_cums(grid)):
-        level = np.rint((k - cums / grid.sqrt_dt) / 2).astype(int)  # count of "-" steps
-        got, want = levels[k][0], prefixes[k]
-        got = got[np.minimum(level, len(got) - 1)]  # one level stands for all
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+    levels = _level_sweep(grid, _level_coefficients(p), np.pad(p.QT, (0, 1)), np.zeros(1))
+    for got, want in zip(levels, ref_tree_sweep(p)):
+        for k, level in enumerate(w0_prefix_levels(grid.n_steps)[: len(want)]):
+            one = got[k][0][np.minimum(level, len(got[k][0]) - 1)]  # one level stands for all
+            np.testing.assert_allclose(one, want[k], rtol=0, atol=1e-13 * np.abs(want[k]).max())
+
+
+TREE_SOLVE_CASES = (
+    [pytest.param(lambda s=s: random_instance(s).coeffs, id=f"seed{s}") for s in range(40)]
+    + [pytest.param(lambda n=n: _demo("node_dependent.cfg", n)[0], id=f"node_dependent-N{n}")
+       for n in (8, 10)]
+)
+
+
+@pytest.mark.parametrize("case", TREE_SOLVE_CASES)
+def test_tree_solution_is_the_prefix_sweep(case):
+    # the level tables read per prefix against the recursion on all 2**k prefixes
+    c = case()
+    for solve, plain in ((solve_pi, breve_as_plain), (solve_l, bar_transform)):
+        sol = solve(c)
+        table, feedback = ref_tree_sweep(plain(c))
+        assert rel_gap(sol.table, table) <= 1e-13, solve.__name__
+        assert rel_gap(sol.feedback, feedback) <= 1e-13, solve.__name__
 
 
 def test_margin_search_brackets_a_non_convex_cost_from_below():
@@ -425,6 +439,18 @@ def test_margin_search_brackets_a_non_convex_cost_from_below():
     assert got_breve == pytest.approx(full, rel=1e-12, abs=0)
     with pytest.raises(SingularSystemError, match=r"margin of the centered problem is -0\.039060362"):
         solve_pi(c)
+
+
+def test_refusal_names_the_last_step_and_quotes_the_exact_margin():
+    # a strongly negative terminal weight: G = dt R + Bbar' QT Bbar fails at step N-1
+    c, tree = _demo("mean_field.cfg", 3)
+    c = replace(c, QT=-8.0 * np.eye(c.n))
+    _, bar, breve = dense_margins(c, tree, c.grid())
+    for solve, margin, problem in ((solve_pi, breve, "centered"), (solve_l, bar, "conditional-mean")):
+        with pytest.raises(SingularSystemError, match=r"not positive definite at step 2, ") as err:
+            solve(c)
+        quoted = str(err.value).rsplit(f"the exact convexity margin of the {problem} problem is ", 1)
+        assert margin < 0.0 and float(quoted[1]) == pytest.approx(margin, rel=1e-11, abs=0)
 
 
 def test_margin_of_a_singular_control_weight_is_zero():
