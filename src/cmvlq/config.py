@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coeffs import CoefficientSet, make_coefficients
+from .coeffs import _COEFF_FIELDS, CoefficientSet, make_coefficients
 from .errors import ConfigError
 from .lattice import MAX_TREE_STEPS
 
@@ -34,17 +34,8 @@ __all__ = [
 MODES = ("validate", "solve", "oracle", "compare", "simulate", "suite")
 BACKENDS = ("tree", "ode")
 
-# shape codes resolved against (n, d) once those are known
-_MAT_SHAPES = {"A": "nn", "F": "nn", "Q": "nn", "H": "nn", "QT": "nn",
-               "B": "nd", "S": "nd", "R": "dd"}
-_VEC_SHAPES = {"b": "n", "D": "n", "D0": "n", "zeta": "n", "varpi": "d"}
-_SLOPED = ("A", "F", "B", "S", "b", "D", "D0", "zeta", "varpi", "Q", "R")
-
-_COEFF_ORDER = tuple(
-    name
-    for base in ("A", "F", "B", "S", "b", "D", "D0", "zeta", "varpi", "Q", "R")
-    for name in (base, base + "_slope")
-) + ("H", "QT")
+# the running coefficients and their slopes in coeffs' field order, then H and QT
+_COEFF_ORDER = tuple(name for base in _COEFF_FIELDS for name in (base, base + "_slope")) + ("H", "QT")
 
 _SECTIONS = ("run", "grid", "coefficients", "simulation")
 
@@ -231,10 +222,7 @@ def _positive_float(text):
 
 def _shape_for(name: str, n: int, d: int):
     base = name[:-6] if name.endswith("_slope") else name
-    code = _MAT_SHAPES.get(base)
-    if code is not None:
-        return {"nn": (n, n), "nd": (n, d), "dd": (d, d)}[code]
-    return {"n": (n,), "d": (d,)}[_VEC_SHAPES[base]]
+    return (n, n) if base in ("H", "QT") else _COEFF_FIELDS[base](n, d)
 
 
 def _coeff_value(name, text, n, d):

@@ -18,6 +18,11 @@ so conditioning on the common noise averages over them.
 In the node index, step j contributes the base-4 digit 2*b0 + b1, where
 b0 is the common-noise bit and b1 the idiosyncratic bit (0 = "+"), first
 step most significant; the W0 prefix id (``w0_of_node``) is the b0 bits.
+That map is the one per-node array the tree stores, as expansion reads
+it.  The rest of the layout is computed on read: ``probs`` from the atom
+probabilities, the children from the branch sign tables, and the
+``atom_of_node``, ``last_dw0`` and ``last_dw`` views, which no kernel
+reads, from the node order the first time something reads them.
 
 A prefix's cumulative W0 value is fixed by its level, its count of "-"
 steps: step k has the k+1 levels of a recombining lattice (Cox, Ross &
@@ -49,6 +54,7 @@ without a copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -125,47 +131,18 @@ class JointTree:
         self.grid = grid
         self.atom_probs = atom_probs
         self.n_atoms = len(atom_probs)
-        n = grid.n_steps
-        m = self.n_atoms
-        s = grid.sqrt_dt
         sign0, sign1 = _signs
         self.branches = len(sign0)
         self.idiosyncratic = bool(sign1.any())
         self._signs = {"w0": sign0, "w": sign1}
-
-        # Per-step index maps, all in (atom, history) lexicographic order.
-        self.w0_of_node: list[np.ndarray] = []
-        self.w_of_node: list[np.ndarray] = []
-        self.atom_of_node: list[np.ndarray] = []
-        self.node_probs: list[np.ndarray] = []
-        # Increment that led into each node (empty at step 0).
-        self.last_dw0: list[np.ndarray] = [np.zeros(0)]
-        self.last_dw: list[np.ndarray] = [np.zeros(0)]
         self.cum_w0_prefix = w0_prefix_cums(grid)
 
-        w0 = np.zeros(m, dtype=np.int64)
-        w = np.zeros(m, dtype=np.int64)
-        atom = np.arange(m, dtype=np.int64)
-        probs = np.asarray(atom_probs, dtype=float).copy()
-        self.w0_of_node.append(w0)
-        self.w_of_node.append(w)
-        self.atom_of_node.append(atom)
-        self.node_probs.append(probs)
-
+        # The one stored per-node map: each node's W0 prefix id, per step.
+        self.w0_of_node: list[np.ndarray] = [np.zeros(self.n_atoms, dtype=np.int64)]
         bit0 = (sign0 < 0).astype(np.int64)
-        bit1 = (sign1 < 0).astype(np.int64)
-        for _ in range(n):
-            count = len(w0)
-            w0 = (np.repeat(w0, self.branches) << 1) | np.tile(bit0, count)
-            w = (np.repeat(w, self.branches) << 1) | np.tile(bit1, count)
-            atom = np.repeat(atom, self.branches)
-            probs = np.repeat(probs, self.branches) / self.branches
-            self.w0_of_node.append(w0)
-            self.w_of_node.append(w)
-            self.atom_of_node.append(atom)
-            self.node_probs.append(probs)
-            self.last_dw0.append(np.tile(sign0 * s, count))
-            self.last_dw.append(np.tile(sign1 * s, count))
+        for _ in range(grid.n_steps):
+            w0 = self.w0_of_node[-1]
+            self.w0_of_node.append((np.repeat(w0, self.branches) << 1) | np.tile(bit0, len(w0)))
 
         self._atom_weights = probs_normalized(atom_probs)
         # the W0-only form: one node per W0 prefix; its own common form
@@ -178,7 +155,34 @@ class JointTree:
         return 2**k
 
     def probs(self, k: int) -> np.ndarray:
-        return self.node_probs[k]
+        """Node probabilities at step k: each atom's probability over its branches**k nodes.
+
+        Dividing by a power of two is exact, so this is the probability
+        halved or quartered once per step, bit for bit.
+        """
+        return np.repeat(self.atom_probs / self.branches**k, self.branches**k)
+
+    # -- layout views, built on first read; no kernel reads them -------------
+
+    @cached_property
+    def atom_of_node(self) -> list[np.ndarray]:
+        """Each node's atom, per step: atom a owns nodes a * branches**k onward."""
+        atoms = np.arange(self.n_atoms, dtype=np.int64)
+        return [np.repeat(atoms, self.branches**k) for k in range(self.grid.n_steps + 1)]
+
+    @cached_property
+    def last_dw0(self) -> list[np.ndarray]:
+        """The dW0 increment that led into each node, per step (empty at step 0)."""
+        return self._last_increments("w0")
+
+    @cached_property
+    def last_dw(self) -> list[np.ndarray]:
+        """The dW increment that led into each node, per step (empty at step 0)."""
+        return self._last_increments("w")
+
+    def _last_increments(self, which: str) -> list[np.ndarray]:
+        step = self._signs[which] * self.grid.sqrt_dt
+        return [np.zeros(0)] + [np.tile(step, self.n_nodes(k)) for k in range(self.grid.n_steps)]
 
     # -- exact conditioning -------------------------------------------------
 
@@ -267,8 +271,8 @@ class JointTree:
         if D is not None and not self.idiosyncratic:
             raise DimensionError("D", "the common-noise tree carries no idiosyncratic noise", step=k)
         slots = self.branches
-        pairs = ((D, self.last_dw[k + 1]), (D0, self.last_dw0[k + 1]))
-        loads = [(load, dw[:slots]) for load, dw in pairs if load is not None]
+        pairs = ((D, self._signs["w"]), (D0, self._signs["w0"]))
+        loads = [(load, signs * self.grid.sqrt_dt) for load, signs in pairs if load is not None]
         if not loads:
             return np.repeat(m, slots, axis=-1)
         out = np.empty(m.shape + (slots,))

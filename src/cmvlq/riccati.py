@@ -178,24 +178,23 @@ def solve_l(c: CoefficientSet, backend: str = "tree", *, dt_target: float | None
     return _solve(bar_transform(c), backend, dt_target, "A+F", "conditional-mean")
 
 
-def _tree_step(k: int, grid: TimeGrid, plus, minus, coefficients) -> tuple:
-    """Step k's value table and feedback from its children's, plus and minus.
+def _tree_step(grid: TimeGrid, plus, minus, hat, G, coefficients) -> tuple:
+    """A step's value table and feedback from its children's, plus and minus.
 
     Branch +/- moves z to Phi z + dt B u, Phi = I + dt A +/- sqrt(dt) D0 e'
     with e the constant coordinate; the idiosyncratic noise adds dt D'hat D,
-    hat the children's mean.  Completing the square in u with
-    G = dt R + (dt B)' hat (dt B) and M = mean(Phi' P) dt B + dt S gives
-    the feedback G^-1 M'.
+    hat the children's mean.  Completing the square in u with the
+    one-step control matrix G = dt R + (dt B)' hat (dt B) and M =
+    mean(Phi' P) dt B + dt S gives the feedback G^-1 M'.  hat and G come
+    from the caller, which has tested G; R enters through G only.
     """
-    A, B, S, Q, R, D, D0 = coefficients
+    A, B, S, Q, _, D, D0 = coefficients
     dt = grid.dt
-    hat = 0.5 * (plus + minus)
     loading = np.zeros_like(A)
     loading[..., -1] = grid.sqrt_dt * D0
     phi = np.eye(A.shape[-1]) + dt * A
     phis = (phi + loading, phi - loading)
     Bbar = dt * B
-    G = _control_matrix(dt, B, R, hat)
     phi_p = [_t(phi) @ child for phi, child in zip(phis, (plus, minus))]
     M = 0.5 * (phi_p[0] + phi_p[1]) @ Bbar + dt * S
     K = np.linalg.solve(G, _t(M))
@@ -301,11 +300,13 @@ def _level_sweep(grid: TimeGrid, coefficients: list, terminal, shifts, first: in
     table = [None] * N + [np.broadcast_to(terminal, (len(shifts), 1) + terminal.shape)]
     feedback = [None] * N
     for k in reversed(range(first, N)):
-        A, B, S, Q, R, D, D0 = coefficients[k]
+        _, B, _, _, R, _, _ = coefficients[k]
         plus, minus = table[k + 1][:, : k + 1], table[k + 1][:, -(k + 1):]
         R = R - shifts[: len(plus), None, None, None] * np.eye(R.shape[-1])
-        m = _leading_pd(_control_matrix(grid.dt, B, R, 0.5 * (plus + minus)))
-        table[k], feedback[k] = _tree_step(k, grid, plus[:m], minus[:m], (A, B, S, Q, R[:m], D, D0))
+        hat = 0.5 * (plus + minus)
+        G = _control_matrix(grid.dt, B, R, hat)
+        m = _leading_pd(G)
+        table[k], feedback[k] = _tree_step(grid, plus[:m], minus[:m], hat[:m], G[:m], coefficients[k])
     return table, feedback
 
 

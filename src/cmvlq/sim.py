@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet
+from .coeffs import _COEFF_FIELDS, CoefficientSet
 from .decomposition import _check_centered_split
 from .errors import CmvlqError, DimensionError, NotDeterministicError
 from .lattice import TimeGrid
@@ -174,10 +174,9 @@ def _coeff_tables(c: CoefficientSet, n_fine: int):
             "Monte Carlo closed-loop simulation needs deterministic coefficients"
         )
     idx = np.arange(n_fine) * c.n_steps // n_fine
-    names = ("A", "F", "B", "S", "b", "D", "D0", "zeta", "varpi", "Q", "R")
     return {
         name: np.stack([getattr(c, name).at_step(k) for k in range(c.n_steps)])[idx]
-        for name in names
+        for name in _COEFF_FIELDS
     }
 
 

@@ -14,6 +14,41 @@ import numpy as np
 
 from cmvlq.coeffs import bar_transform
 
+# signs of (dW0, dW) into each child slot, "+" first: the joint tree's four
+# slots and the two of its W0-only form
+_JOINT_SIGNS = (np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
+_COMMON_SIGNS = (np.array([1.0, -1.0]), np.zeros(2))
+
+
+def ref_index_maps(tree):
+    """Every per-node layout map of the tree, built by extending the node order step by step.
+
+    Returns a dict of lists over steps 0..n_steps: the W0 prefix id
+    ``w0_of_node``, ``atom_of_node``, ``node_probs``, and the increments
+    into each node, ``last_dw0`` and ``last_dw`` (empty at step 0).  Each
+    child of a node gets the parent's prefix id shifted left by one bit
+    plus its slot's W0 bit, the parent's atom, and a quarter (a half on
+    the W0-only form) of the parent's probability.
+    """
+    sign0, sign1 = _JOINT_SIGNS if tree.idiosyncratic else _COMMON_SIGNS
+    branches, s = len(sign0), tree.grid.sqrt_dt
+    bit0 = (sign0 < 0).astype(np.int64)
+    w0 = np.zeros(tree.n_atoms, dtype=np.int64)
+    atom = np.arange(tree.n_atoms, dtype=np.int64)
+    probs = np.asarray(tree.atom_probs, dtype=float).copy()
+    maps = {"w0_of_node": [w0], "atom_of_node": [atom], "node_probs": [probs],
+            "last_dw0": [np.zeros(0)], "last_dw": [np.zeros(0)]}
+    for _ in range(tree.grid.n_steps):
+        count = len(w0)
+        w0 = (np.repeat(w0, branches) << 1) | np.tile(bit0, count)
+        atom = np.repeat(atom, branches)
+        probs = np.repeat(probs, branches) / branches
+        for key, value in (("w0_of_node", w0), ("atom_of_node", atom), ("node_probs", probs),
+                           ("last_dw0", np.tile(sign0 * s, count)),
+                           ("last_dw", np.tile(sign1 * s, count))):
+            maps[key].append(value)
+    return maps
+
 
 def coeff_nodes(coeff, tree, k):
     """Shared step array, or the per-prefix values gathered onto the nodes."""

@@ -13,7 +13,7 @@ on the augmented state z = [x; 1].  They share only the (component,
 node) products and the tree's kernels with the library, and skip its
 input checks.  ``ref_tree_sweep`` is the augmented recursion on all 2**k
 prefixes of each step, where the library runs it on the k+1 W0 levels;
-it shares the library's one-step update.
+it shares the library's one-step update and control matrix.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ from cmvlq.decomposition import (
     _quad,
 )
 from cmvlq.lattice import w0_prefix_cums
-from cmvlq.riccati import _augmented, _fine_steps, _tree_step
+from cmvlq.riccati import _augmented, _control_matrix, _fine_steps, _tree_step
 
 
 def ref_simulate_bar(cb, tree, grid, v, xi_bar):
@@ -134,8 +134,12 @@ def ref_tree_sweep(p):
     table = [None] * N + [np.broadcast_to(np.pad(p.QT, (0, 1)), (2**N, p.n + 1, p.n + 1)).copy()]
     feedback = [None] * N
     for k in reversed(range(N)):
-        nxt = table[k + 1]
-        table[k], feedback[k] = _tree_step(k, grid, nxt[0::2], nxt[1::2], _augmented(p, k, cums[k]))
+        plus, minus = table[k + 1][0::2], table[k + 1][1::2]
+        coefficients = _augmented(p, k, cums[k])
+        _, B, _, _, R, _, _ = coefficients
+        hat = 0.5 * (plus + minus)
+        G = _control_matrix(grid.dt, B, R, hat)
+        table[k], feedback[k] = _tree_step(grid, plus, minus, hat, G, coefficients)
     return table, feedback
 
 

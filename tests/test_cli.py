@@ -503,9 +503,8 @@ def test_gates_catch_a_dropped_common_noise_covariance(tmp_path, monkeypatch):
     assert result.status == 0
     step = riccati._tree_step
 
-    def mean_child(k, grid, plus, minus, coefficients):
-        hat = 0.5 * (plus + minus)
-        return step(k, grid, hat, hat, coefficients)
+    def mean_child(grid, plus, minus, hat, G, coefficients):
+        return step(grid, hat, hat, hat, G, coefficients)
 
     monkeypatch.setattr(riccati, "_tree_step", mean_child)
     result = run(cfg)

@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers_node_major import ref_index_maps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,8 +129,33 @@ def test_deterministic_rebuild(grid3):
     b = build_joint_tree(grid3, atom_probs=[0.5, 0.5])
     for k in range(4):
         assert np.array_equal(a.w0_of_node[k], b.w0_of_node[k])
-        assert np.array_equal(a.w_of_node[k], b.w_of_node[k])
+        assert np.array_equal(a.atom_of_node[k], b.atom_of_node[k])
+        assert np.array_equal(a.last_dw0[k], b.last_dw0[k])
+        assert np.array_equal(a.last_dw[k], b.last_dw[k])
         assert np.array_equal(a.probs(k), b.probs(k))
+
+
+def _same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("atom_probs", [[1.0], [0.5, 0.25, 0.25]])
+@pytest.mark.parametrize("n_steps", [1, 3, 5])
+def test_layout_read_off_the_node_order_is_the_enumerated_maps(n_steps, atom_probs):
+    # the tree stores only w0_of_node; probabilities, atoms and increments
+    # are computed on read and must equal the maps built step by step
+    joint = build_joint_tree(TimeGrid(n_steps, 0.75), atom_probs=atom_probs)
+    counts = [joint.n_nodes(k) for k in range(n_steps + 1)]
+    per_node = [name for name, v in vars(joint).items()
+                if isinstance(v, list) and [len(a) for a in v] == counts]
+    assert per_node == ["w0_of_node"]
+    for tree in (joint, joint.common):
+        maps = ref_index_maps(tree)
+        for k in range(n_steps + 1):
+            assert _same_bits(tree.w0_of_node[k], maps["w0_of_node"][k])
+            assert _same_bits(tree.probs(k), maps["node_probs"][k])
+            for name in ("atom_of_node", "last_dw0", "last_dw"):
+                assert _same_bits(getattr(tree, name)[k], maps[name][k]), (name, k)
 
 
 def test_capacity_cap():

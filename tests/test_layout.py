@@ -28,9 +28,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvlq.coeffs import Coefficient, bar_transform
-from cmvlq.decomposition import _cost_rows, _rollout, eval_cost_mft, simulate_mft
+from cmvlq.decomposition import (
+    _cost_rows,
+    _rollout,
+    check_decomposition,
+    eval_cost_mft,
+    simulate_mft,
+)
 from cmvlq.errors import DimensionError
-from cmvlq.fbsde import _picard_steps, _picard_sweep, solve_breve_fbsde, solve_coupled_mv_fbsde
+from cmvlq.fbsde import (
+    _picard_steps,
+    _picard_sweep,
+    assemble_optimal_control,
+    solve_breve_fbsde,
+    solve_coupled_mv_fbsde,
+    verify_stationarity,
+)
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import (
     F0_ADAPTED,
@@ -40,7 +53,8 @@ from cmvlq.lattice import (
     build_joint_tree,
     inner_product,
 )
-from cmvlq.riccati import solve_pi
+from cmvlq.oracle import solve_qp_bar, solve_qp_breve, solve_qp_exact
+from cmvlq.riccati import convexity_margins, solve_pi
 
 REL = 1e-14
 
@@ -97,6 +111,24 @@ def test_row_kernels_match_their_index_definitions(seed, k, n_atoms, comps):
             if D0 is not None:
                 expected = expected + D0 * dw0[slots + j]
             np.testing.assert_allclose(got[:, slots + j], expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+def test_no_kernel_builds_the_layout_views(seed):
+    # the tree stores w0_of_node only; solving, checking and the oracle must
+    # run without ever building the views computed on first read
+    inst = random_instance(seed, max_steps=4)
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    sol = assemble_optimal_control(c, tree, inst.xi)
+    verify_stationarity(c, sol, tree, grid)
+    check_decomposition(c, sol.state, sol.control, tree, grid)
+    solve_coupled_mv_fbsde(c, tree, grid, inst.xi)
+    convexity_margins(c, tree.n_atoms)
+    solve_qp_exact(c, tree, grid, inst.xi)
+    solve_qp_bar(bar_transform(c), tree, grid, inst.xi_mean())
+    solve_qp_breve(c, tree, grid, inst.xi_centered())
+    for t in (tree, tree.common):
+        assert not {"atom_of_node", "last_dw0", "last_dw"} & set(vars(t))
 
 
 # seeds whose Picard iteration converges, with and without node-dependent coefficients
