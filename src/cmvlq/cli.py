@@ -211,6 +211,9 @@ def _rows_simulate(c, grid, cfg, xi, probs):
     )
     est = sim.estimate_cost(ens, c, grid)
     predicted = predicted_closed_loop_value(policy, xi, probs)
+    if not est.std_error > 0:
+        raise CmvlqError(f"the Monte Carlo cost has zero standard error over {est.n_paths} "
+                         "path(s), so its gap to the predicted value has no z-score; use more paths")
     gap_z = abs(est.mean - predicted) / est.std_error
     cz = sim.conditional_zero_worst(ens)
 

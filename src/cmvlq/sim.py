@@ -3,11 +3,12 @@
 Paths draw their random numbers by blocks of RNG_BLOCK = 256.  For
 each noise (common increments, idiosyncratic increments, initial atom)
 block b has its own generator, substream(seed, b, noise), seeded from
-a SeedSequence spawn key (noise, b); one call draws the block's whole
-step-major (count, RNG_BLOCK) array, and path i takes its column
-i % RNG_BLOCK.  So every draw is reproducible from (seed, path index,
-step) regardless of batch size or execution order; a batch that ends
-inside a block still draws that block's full array.
+a SeedSequence spawn key (noise, b).  The generator fills the block's
+step-major (count, RNG_BLOCK) array as one walk, STEP_CHUNK steps at a
+time, with the values a single call would give, and path i takes its
+column i % RNG_BLOCK.  So every draw is reproducible from (seed, path
+index, step) regardless of batch size, chunk size or execution order;
+a batch that ends inside a block still draws that block's full array.
 
 Common-noise paths are shared across many idiosyncratic paths (default
 16 of them); each particle carries a companion conditional-mean path
@@ -18,7 +19,9 @@ cross-path regression.
 Every closed loop here (the companion paths, the particles, and the
 centered runs of the value, Bellman, dominance and weak-order checks)
 is advanced by one Euler kernel, ``_euler``, from per-fine-step
-tables that ``_closed_loop`` builds before the batches run.
+tables that ``_closed_loop`` builds before the batches run.  It reads
+the idiosyncratic increments in step-major chunks of STEP_CHUNK fine
+steps, drawn as it needs them: memory does not grow with the steps.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ DEFAULT_COMMON_PATHS = 16
 NOISE_COMMON, NOISE_IDIO, NOISE_INIT = 0, 1, 2
 # paths per random-number stream: one generator is seeded per block
 RNG_BLOCK = 256
+# fine steps of increments drawn per block and handed to the Euler kernel at once
+STEP_CHUNK = 16
 # auto-storage cutoff: full per-path increment/state recording above this
 # many path-steps would dominate memory, so large runs keep summaries only
 STORE_LIMIT = 2_000_000
@@ -48,33 +53,40 @@ def substream(seed: int, block: int, noise: int) -> np.random.Generator:
     """The generator of one noise for one block of RNG_BLOCK paths.
 
     Path i takes column i % RNG_BLOCK of the step-major (count, RNG_BLOCK)
-    array drawn in one call from substream(seed, i // RNG_BLOCK, noise).
+    array that substream(seed, i // RNG_BLOCK, noise) draws in one call.
     """
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(noise, int(block))))
 
 
-def _draw(seed: int, lo: int, hi: int, count: int, noise: int, uniform: bool = False):
-    """Draws of paths lo..hi-1, one row per path, stored column-major.
+def _draw_steps(seed: int, lo: int, hi: int, count: int, noise: int, uniform=False, scale=1.0):
+    """Draws of paths lo..hi-1, times scale, as step-major (k, hi - lo) chunks of STEP_CHUNK steps.
 
-    Every block the batch overlaps draws its whole slab, and the batch
-    copies out the columns of its own paths, so a path's draws do not
-    depend on how the paths are split into batches.
+    Every block the batch overlaps fills its whole (k, RNG_BLOCK) slab, and
+    the batch copies out the columns of its own paths, so a path's draws do
+    not depend on how the paths are split into batches.  The generators
+    consume their streams in order, so the chunks are the rows of one
+    (count, RNG_BLOCK) call per block.
     """
-    out = np.empty((hi - lo, count), order="F")
-    steps = out.T  # one row per step, paths contiguous, as in the slab
-    slab = np.empty((count, RNG_BLOCK))
-    for block in range(lo // RNG_BLOCK, -(-hi // RNG_BLOCK)):
-        gen = substream(seed, block, noise)
-        (gen.random if uniform else gen.standard_normal)(out=slab)
-        first = block * RNG_BLOCK
-        a, b = max(lo, first), min(hi, first + RNG_BLOCK)
-        steps[:, a - lo : b - lo] = slab[:, a - first : b - first]
-    return out
+    gens = {b: substream(seed, b, noise) for b in range(lo // RNG_BLOCK, -(-hi // RNG_BLOCK))}
+    for start in range(0, count, STEP_CHUNK):
+        k = min(STEP_CHUNK, count - start)
+        out = np.empty((k, hi - lo))
+        for block, gen in gens.items():
+            slab = (gen.random if uniform else gen.standard_normal)((k, RNG_BLOCK))
+            first = block * RNG_BLOCK
+            a, b = max(lo, first), min(hi, first + RNG_BLOCK)
+            out[:, a - lo : b - lo] = slab[:, a - first : b - first]
+        out *= scale
+        yield out
+
+
+def _draw(seed: int, lo: int, hi: int, count: int, noise: int, uniform: bool = False):
+    """Draws of paths lo..hi-1, one row per path, stored column-major."""
+    return np.concatenate(list(_draw_steps(seed, lo, hi, count, noise, uniform))).T
 
 
 def idiosyncratic_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
-    # column-major, so the Euler kernel reads one fine step of every path
-    # contiguously
+    # column-major: one fine step of every path is contiguous, as in a chunk
     return _draw(seed, lo, hi, count, NOISE_IDIO)
 
 
@@ -256,10 +268,11 @@ def _closed_loop(dt, tabs, A, gain, QT, *, v=None, h=None, m0=None) -> _Loop:
 def _euler(loop: _Loop, x0, dw, lo: int, what: str, group=None, record=()):
     """The Monte Carlo Euler kernel: one batch of paths through every fine step.
 
-    dw holds the scaled idiosyncratic increments (None when D is zero);
-    group gives each path's column of the group tables.  Returns the
-    per-path costs, the states at the distinct fine steps in record, and
-    the cost accrued before each of those steps.
+    dw yields the scaled idiosyncratic increments as step-major (k,
+    n_paths) chunks, in step order (None when D is zero); the kernel
+    keeps only the current chunk.  group gives each path's column of the
+    group tables.  Returns the per-path costs, the states at the distinct fine
+    steps in record, and the cost accrued before each of those steps.
     """
     n_paths, n = x0.shape
     n_fine = len(loop.D)
@@ -270,6 +283,7 @@ def _euler(loop: _Loop, x0, dw, lo: int, what: str, group=None, record=()):
     # contiguous rows of n_paths entries
     x = np.array(np.transpose(x0), dtype=float, order="C")
     run = np.zeros(n_paths)
+    chunks, chunk, start = iter(() if dw is None else dw), (), 0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n_fine + 1):
             if j in slot:
@@ -283,7 +297,9 @@ def _euler(loop: _Loop, x0, dw, lo: int, what: str, group=None, record=()):
                 break
             x = z[:n]
             if dw is not None:
-                x += loop.D[j] * dw[:, j]
+                if j - start == len(chunk):
+                    chunk, start = next(chunks), j
+                x += loop.D[j] * chunk[j - start]
             _guard_finite(x.T, j + 1, lo, what)
     if loop.T is not None:
         run += loop.r_before[-1][group]
@@ -374,25 +390,31 @@ def simulate_forward(
 
     def worker(lo, hi):
         gidx = np.arange(lo, hi) % n_common
-        dw = idiosyncratic_normals(seed, lo, hi, n_fine)
-        dw *= sq
+        sums, kept = [], []  # chunks are kept only when storing
+
+        def increments():
+            for chunk in _draw_steps(seed, lo, hi, n_fine, NOISE_IDIO, scale=sq):
+                sums.append(chunk.sum())
+                if store:
+                    kept.append(chunk)
+                yield chunk
+
         x0 = xi[initial_atoms(seed, lo, hi, atom_probs)]
-        costs, rec, _ = _euler(particles, x0, dw, lo, "state", gidx, record)
-        dw_sum, dw = dw.sum(), (dw if store else None)  # free unstored increments early
+        costs, rec, _ = _euler(particles, x0, increments(), lo, "state", gidx, record)
         x, xb_cp = rec[:, cp_slots], xbar_path[:, checkpoint_indices][gidx]
         dev = x - xb_cp
         dev_sums = np.zeros((2, n_common, n_cp, c.n))
         np.add.at(dev_sums[0], gidx, dev)
         np.add.at(dev_sums[1], gidx, dev * dev)
         if not store:
-            return costs, dw_sum, dev_sums, None
+            return costs, sum(sums), dev_sums, None
         xc, xbc = rec[:, ctl_slots], xbar_path[:, control_indices][gidx]
         ctl = (
             -np.einsum("bki,kdi->bkd", xc - xbc, Kc[control_indices])
             - np.einsum("bki,kdi->bkd", xbc, Km[control_indices])
             - shift[control_indices]
         )
-        return costs, dw_sum, dev_sums, (x, xb_cp, ctl, dw)
+        return costs, sum(sums), dev_sums, (x, xb_cp, ctl, np.concatenate(kept).T)
 
     costs, dw_sums, dev_sums, stored = zip(*[worker(lo, hi) for lo, hi in _batches(n_paths)])
     common_index = np.arange(n_paths) % n_common
@@ -465,12 +487,19 @@ def estimate_cost(ensemble: PathEnsemble, c: CoefficientSet, grid: TimeGrid) -> 
 def conditional_zero_worst(ensemble: PathEnsemble) -> float:
     """Largest |mean|/SE of (x - xbar) over groups, checkpoints, components.
 
-    Zero-spread cells (exactly centered by construction) count as zero.
+    Zero-spread cells count as zero when exactly centered; a zero-spread
+    cell off centre has no z-score, and is refused with its location.
     """
     mean = ensemble.group_dev_mean
     se = ensemble.group_dev_se
-    z = np.where(se > 0, np.abs(mean) / np.where(se > 0, se, 1.0), np.where(np.abs(mean) > 0, np.inf, 0.0))
-    return float(z.max())
+    off = (se == 0) & (mean != 0)
+    if off.any():
+        g, cp, _ = np.argwhere(off)[0]
+        paths = int(np.count_nonzero(ensemble.common_index == g))
+        raise CmvlqError(f"stream {g} at t = {ensemble.times[ensemble.checkpoint_indices[cp]]:.6g}: "
+                         f"x - E[x|F0] has zero spread but a nonzero mean over its {paths} path(s); "
+                         "too few paths per stream to test the conditional centering")
+    return float((np.abs(mean) / np.where(se > 0, se, 1.0)).max())
 
 
 # -- centered subproblem checks ---------------------------------------------
@@ -511,7 +540,7 @@ def _breve_run(c: CoefficientSet, pi: OdeBackwardQuadratic, grid: TimeGrid, xi_c
 
     def worker(lo, hi):
         atoms = initial_atoms(seed, lo, hi, atom_probs)
-        dw = idiosyncratic_normals(seed, lo, hi, n_fine) * sq if noisy else None
+        dw = _draw_steps(seed, lo, hi, n_fine, NOISE_IDIO, scale=sq) if noisy else None
         run, z, before = _euler(loop, xi_c[atoms], dw, lo, "centered state", record=record)
         bell = None
         if h_index is not None:
@@ -637,15 +666,13 @@ def weak_order_check(
     def run(count, dws):
         loop = _centered_loop(c, pi, grid, count)
         return np.concatenate([
-            _euler(loop, xi_c[initial_atoms(seed, lo, hi, atom_probs)], dws[lo:hi], lo,
+            _euler(loop, xi_c[initial_atoms(seed, lo, hi, atom_probs)], [dws[lo:hi].T], lo,
                    "centered state")[0]
             for lo, hi in _batches(n_paths)
         ])
 
-    dws = np.empty((n_paths, n_finest), order="F")
-    for lo, hi in _batches(n_paths):
-        dws[lo:hi] = idiosyncratic_normals(seed, lo, hi, n_finest)
-    dws *= np.sqrt(grid.horizon / n_finest)
+    # the pair sums need every step at once: one whole array, one chunk per batch
+    dws = idiosyncratic_normals(seed, 0, n_paths, n_finest) * np.sqrt(grid.horizon / n_finest)
     means = []
     for count in reversed(counts):
         means.append(float(run(count, dws).mean()))

@@ -7,7 +7,7 @@ rebuilds every draw with ``path_draws``: path i's draws are column
 i % RNG_BLOCK of the step-major array that one call on the block
 generator ``sim.substream(seed, i // RNG_BLOCK, noise)`` returns.  So it
 shares neither the kernel's closed-loop tables nor the batched block
-copies of ``sim._draw``.
+copies of ``sim._draw_steps``.
 """
 
 import numpy as np

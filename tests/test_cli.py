@@ -492,6 +492,19 @@ def test_conditional_zero_band_catches_an_injected_bias(tmp_path, monkeypatch):
     assert not row.passed and result.status == 1
 
 
+@pytest.mark.parametrize("paths, cause", [
+    ("1", "error,CmvlqError,the Monte Carlo cost has zero standard error over 1 path(s)"),
+    # two paths a stream: both paths of stream 0 start from the same atom, so
+    # the t = 0 cell has no spread but sits off the mean initial state
+    ("32", "error,CmvlqError,stream 0 at t = 0: x - E[x|F0] has zero spread but a nonzero "
+           "mean over its 2 path(s); too few paths per stream"),
+], ids=["one_path", "two_paths_per_stream"])
+def test_zero_monte_carlo_spread_exits_2_naming_its_cause(tmp_path, capsys, paths, cause):
+    text = MC_SIMULATE.replace("out = ignored", f"out = {tmp_path / 'o'}")
+    assert main(["simulate", "--config", _write(tmp_path, text), "--paths", paths]) == 2
+    assert capsys.readouterr().out.startswith(cause)
+
+
 def test_gates_catch_a_dropped_common_noise_covariance(tmp_path, monkeypatch):
     # both common-noise branches of the tree sweep read the mean child value,
     # which drops the covariance of the value with the increment; it is

@@ -6,6 +6,7 @@ its noise correction), never from the code under test.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,69 @@ def test_draws_do_not_depend_on_how_batches_cross_block_edges():
     probs = np.array([0.2, 0.5, 0.3])
     whole = initial_atoms(5, 0, 600, probs)
     assert np.array_equal(whole, np.concatenate([initial_atoms(5, lo, hi, probs) for lo, hi in cuts]))
+
+
+STORED_FIELDS = ("path_costs", "states", "mean_states", "controls", "dw", "dw0_common",
+                 "group_dev_mean", "group_dev_se")
+
+
+@pytest.mark.parametrize("batch", [sim_mod.SIM_BATCH, 37])
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_step_chunks_change_no_draw(monkeypatch, chunk, batch):
+    # 100 fine steps: chunks of one step, of a size that leaves a remainder,
+    # and of more steps than the run has, against the default chunk at the
+    # same batch size; 600 paths span three blocks, and batches of 37 cross
+    # their edges (the batch size alone moves the group sums' rounding)
+    monkeypatch.setattr(sim_mod, "SIM_BATCH", batch)
+    c = _mean_field_instance()
+    pol = build_ode_policy(c, dt_target=0.02)
+    kw = dict(xi=[[1.0, -0.5], [0.2, 0.8]], atom_probs=[0.5, 0.5], n_common=5, dt_target=0.01,
+              store_paths=True)
+    tanh = _tanh_instance(0.7)
+    pi = solve_pi(tanh, backend="ode")
+    ckw = dict(xi_centered=XI_C, atom_probs=PROBS, dt_target=0.01)
+
+    def runs():
+        ens = simulate_forward(pol, c, c.grid(), 600, 4, **kw)
+        costs, _ = sim_mod._breve_run(tanh, pi, tanh.grid(), XI_C, PROBS, 600, 4, dt_target=0.01)
+        value = check_value_function(tanh, pi, tanh.grid(), 600, 4, **ckw)
+        return ens, costs, value
+
+    default, default_costs, default_value = runs()
+    assert len(default.times) - 1 == 100
+    monkeypatch.setattr(sim_mod, "STEP_CHUNK", chunk)
+    ens, costs, value = runs()
+    for field in STORED_FIELDS:
+        assert np.array_equal(getattr(ens, field), getattr(default, field)), field
+    assert np.array_equal(costs, default_costs)
+    assert value == default_value
+    # the walk's chunks, joined, are the one-call block arrays
+    walk = np.concatenate(list(sim_mod._draw_steps(5, 100, 600, 40, NOISE_IDIO)))
+    expect = np.stack([path_draws(5, i, 40, NOISE_IDIO) for i in range(100, 600)])
+    assert np.array_equal(walk.T, expect)
+    assert np.array_equal(idiosyncratic_normals(5, 100, 600, 40), expect)
+
+
+def test_increment_memory_does_not_grow_with_the_fine_steps():
+    # with summaries only, a batch holds one chunk of increments at a time:
+    # eight times the fine steps may add at most a quarter of the whole
+    # increment array of one batch at the finer step; four streams keep the
+    # per-step group tables (streams x fine steps) small beside that
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, A=-0.5, D=0.4, D0=0.3, Q=1.0, R=1.0)
+    n_paths = 1024
+
+    def peak(dt_target):
+        tracemalloc.start()
+        try:
+            ens = simulate_forward(zero_policy(c), c, c.grid(), n_paths, 3, xi=[[1.0]], atom_probs=[1.0],
+                                   n_common=4, dt_target=dt_target, store_paths=False)
+            return len(ens.times) - 1, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (coarse, low), (fine, high) = peak(1 / 199.5), peak(1 / 1599.5)
+    assert (coarse, fine) == (200, 1600)
+    assert high - low <= 0.25 * n_paths * fine * 8
 
 
 def test_one_block_of_draws_is_standard_normal_and_uncorrelated_across_the_edge():
@@ -339,10 +403,13 @@ def test_weak_order_maps_fine_steps_by_time():
 def test_centered_checks_skip_draws_for_zero_loading(monkeypatch):
     # D = 0 at every step: the idiosyncratic draws would only be
     # multiplied by zero, so the centered runs must not make them
-    def no_draws(*args):
-        raise AssertionError("idiosyncratic normals drawn for a zero loading")
+    draw_steps = sim_mod._draw_steps
 
-    monkeypatch.setattr(sim_mod, "idiosyncratic_normals", no_draws)
+    def no_idiosyncratic_draws(seed, lo, hi, count, noise, *args, **kwargs):
+        assert noise != NOISE_IDIO, "idiosyncratic normals drawn for a zero loading"
+        return draw_steps(seed, lo, hi, count, noise, *args, **kwargs)
+
+    monkeypatch.setattr(sim_mod, "_draw_steps", no_idiosyncratic_draws)
     c = _tanh_instance(0.0)
     pi = solve_pi(c, backend="ode")
     kw = dict(xi_centered=XI_C, atom_probs=PROBS)
