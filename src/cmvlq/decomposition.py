@@ -35,6 +35,7 @@ from .lattice import (
     JointTree,
     TimeGrid,
     TreeProcess,
+    _require_same_tree,
     conditional_expectation_f0,
 )
 
@@ -425,13 +426,6 @@ def lemma_identities(
 # -- shared input checks ----------------------------------------------------
 
 
-def _check_tree(p: TreeProcess, tree: JointTree, what: str):
-    """Refuse a process of another kind of tree or with other atoms."""
-    other = p.tree
-    if other is not tree and (other.branches != tree.branches or other.n_atoms != tree.n_atoms):
-        raise DimensionError(what, "process lives on a different tree")
-
-
 def _check_control(u: TreeProcess, c, grid: TimeGrid, tree: JointTree):
     if u.n_step_arrays < grid.n_steps:
         raise DimensionError("control", f"need values at steps 0..{grid.n_steps - 1}")
@@ -439,11 +433,11 @@ def _check_control(u: TreeProcess, c, grid: TimeGrid, tree: JointTree):
         raise DimensionError(
             "control", f"payload {(c.d,)} expected, got {u.values[0].shape[1:]}"
         )
-    _check_tree(u, tree, "control")
+    _require_same_tree(u, tree, "control")
 
 
 def _check_state(x: TreeProcess, c, grid: TimeGrid, tree: JointTree):
-    _check_tree(x, tree, "state")
+    _require_same_tree(x, tree, "state")
     if x.n_step_arrays != grid.n_steps + 1:
         raise DimensionError("state", f"need values at steps 0..{grid.n_steps}")
     if x.values[0].shape[1:] != (c.n,):

@@ -280,24 +280,6 @@ class JointTree:
             np.add(m, sum(load * dw[j] for load, dw in loads), out=out[..., j])
         return out.reshape(m.shape[:-1] + (slots * m.shape[-1],))
 
-    def group_by_prefix(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Node values regrouped as (2**k, n_nodes(k) / 2**k, ...).
-
-        Row p lists the nodes of W0 prefix p in node order, that is by
-        (atom, W history); each member carries the weight atom_prob / 2**k.
-        """
-        v = np.asarray(values)
-        if v.shape[0] != self.n_nodes(k):
-            raise DimensionError("values", f"expected {self.n_nodes(k)} nodes, got {v.shape[0]}", step=k)
-        return v[np.argsort(self.w0_of_node[k], kind="stable")].reshape((2**k, -1) + v.shape[1:])
-
-    def ungroup(self, k: int, grouped: np.ndarray) -> np.ndarray:
-        """Inverse of group_by_prefix: back to node order."""
-        g = np.asarray(grouped)
-        out = np.empty((self.n_nodes(k),) + g.shape[2:], dtype=g.dtype)
-        out[np.argsort(self.w0_of_node[k], kind="stable")] = g.reshape((-1,) + g.shape[2:])
-        return out
-
     def _fold_depth(self, k: int) -> int:
         """Steps whose idiosyncratic bit a fold at step k sums out."""
         return k if self.idiosyncratic else 0
@@ -429,14 +411,15 @@ def inner_product(u: TreeProcess, v: TreeProcess, tree: JointTree, grid: TimeGri
     return total * grid.dt
 
 
-def _require_same_tree(p: TreeProcess, tree: JointTree):
-    if p.tree is not tree:
-        # Allow structurally identical trees (same kind, grid and atoms).
-        same = (
-            p.tree.branches == tree.branches
-            and p.tree.grid == tree.grid
-            and p.tree.n_atoms == tree.n_atoms
-            and np.array_equal(p.tree.atom_probs, tree.atom_probs)
-        )
-        if not same:
-            raise DimensionError("tree", "process belongs to a different tree")
+def _require_same_tree(p: TreeProcess, tree: JointTree, what: str = "tree"):
+    """Refuse a process of another kind of tree, grid or atom probabilities.
+
+    ``what`` names the refused field: "tree", "control" or "state".
+    """
+    other = p.tree
+    if other is not tree and not (
+        other.branches == tree.branches
+        and other.grid == tree.grid
+        and np.array_equal(other.atom_probs, tree.atom_probs)
+    ):
+        raise DimensionError(what, "process belongs to a different tree")

@@ -9,8 +9,9 @@ Slow, but an independent certificate for the structured solvers.
 Restricted variants minimize over the conditional-mean and centered
 admissible classes: the conditional-mean one is the full problem on the
 W0-only tree ``tree.common``, one control per common-noise prefix, and
-its optimal control stays there; the centered one reparametrizes onto a
-basis of the constraint subspace of the joint tree.
+its optimal control stays there; the centered one keeps one control per
+node of the joint tree and projects it onto the class, u - E[u|F0], the
+orthogonal projection in the metric below (Gould, Hribar & Nocedal 2001).
 
 The Hessian carries each node's probability, which falls by 4x per step,
 so plain conjugate gradients would need twice the iterations for every
@@ -36,7 +37,7 @@ from .decomposition import (
     _plus_prefix, _process, _rollout, _rows_of, eval_cost_mft, simulate_mft,
 )
 from .errors import ConvergenceError
-from .lattice import F_ADAPTED, JointTree, TimeGrid, TreeProcess, probs_normalized
+from .lattice import JointTree, TimeGrid, TreeProcess
 
 CG_TOL = 1e-12
 
@@ -189,50 +190,47 @@ def _solve_quadratic(grad_of, dim: int, *, label: str, metric=1.0):
     return ustar, history
 
 
-def _solve_over(
-    c, tree, grid, xi, shapes, masses, to_nodes, from_nodes, *, label
-) -> QpSolution:
-    """Minimize the cost of ``c`` over one parametrization of the controls.
+def _solve_over(c, tree, grid, xi, *, label, centered=False) -> QpSolution:
+    """Minimize the cost of ``c`` over one control per node of ``tree``.
 
-    ``shapes`` are the per-step shapes of the decision variable and
-    ``masses`` the probability mass of each of its entries, per step and
-    broadcastable to those shapes: with dt they make the conjugate
-    gradients' metric.  ``to_nodes`` maps the per-step arrays to a control
-    on the tree, and ``from_nodes`` pulls the per-step node gradient back
-    onto them.
+    Each decision variable weighs its node's probability mass times dt in
+    the conjugate gradients' metric.  With ``centered`` the control is the
+    decision vector minus its E[.|F0], the metric-orthogonal projection
+    onto the centered class; the node gradient is pulled back through the
+    projection's Euclidean adjoint g - M expand(prefix_mean(g / M)), M the
+    node masses.  The projection is self-adjoint in the metric, so the
+    iterates stay centered.  ``dim`` is the dimension of the class:
+    n_nodes(k) - 2^k free nodes per step and control component.
     """
+    N = grid.n_steps
+    masses = [tree.probs(k) for k in range(N)]
+    shapes = [(tree.n_nodes(k), c.d) for k in range(N)]
     offsets = _offsets(shapes)
-    dim = int(offsets[-1])
-    metric = grid.dt * _flatten([np.broadcast_to(m, s) for m, s in zip(masses, shapes)])
+    metric = grid.dt * _flatten([np.broadcast_to(m[:, None], s) for m, s in zip(masses, shapes)])
 
     def control(vec):
-        return to_nodes(_unflatten(vec, shapes, offsets))
+        rows = [v.T for v in _unflatten(vec, shapes, offsets)]
+        if centered:
+            rows = [r - tree.expand_rows(k, tree.prefix_mean_rows(k, r)) for k, r in enumerate(rows)]
+        return _process(tree, rows)
 
     def grad_of(vec):
-        return _flatten(from_nodes(cost_gradient(c, tree, grid, control(vec), xi)))
+        grads = cost_gradient(c, tree, grid, control(vec), xi)
+        if centered:
+            grads = [
+                (g.T - m * tree.expand_rows(k, tree.prefix_mean_rows(k, g.T / m))).T
+                for k, (g, m) in enumerate(zip(grads, masses))
+            ]
+        return _flatten(grads)
 
-    sol_vec, history = _solve_quadratic(grad_of, dim, label=label, metric=metric)
+    sol_vec, history = _solve_quadratic(grad_of, int(offsets[-1]), label=label, metric=metric)
     u = control(sol_vec)
     x = simulate_mft(c, tree, grid, u, xi)
     cost = eval_cost_mft(c, x, u, tree, grid)
     gsup = float(np.max(np.abs(grad_of(sol_vec))))
+    dim = c.d * sum(tree.n_nodes(k) - (tree.n_prefixes(k) if centered else 0) for k in range(N))
     return QpSolution(
         control=u, cost=cost, gradient_sup=gsup, dim=dim, residual_history=history
-    )
-
-
-def _solve_over_nodes(c, tree, grid, xi, *, label) -> QpSolution:
-    """Minimize the cost of ``c`` over one control per node of tree."""
-    return _solve_over(
-        c,
-        tree,
-        grid,
-        xi,
-        [(tree.n_nodes(k), c.d) for k in range(grid.n_steps)],
-        [tree.probs(k)[:, None] for k in range(grid.n_steps)],
-        lambda parts: _process(tree, [v.T for v in parts]),
-        lambda grads: grads,
-        label=label,
     )
 
 
@@ -240,7 +238,7 @@ def solve_qp_exact(
     c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi
 ) -> QpSolution:
     """Minimize the discretized cost over all adapted controls."""
-    return _solve_over_nodes(c, tree, grid, xi, label="full control space")
+    return _solve_over(c, tree, grid, xi, label="full control space")
 
 
 def solve_qp_bar(
@@ -253,22 +251,10 @@ def solve_qp_bar(
     ``tree.common``, where the problem is solved and the optimal control
     is returned.
     """
-    return _solve_over_nodes(
+    return _solve_over(
         bar_transform(c), tree.common, grid, np.asarray(xi_bar, dtype=float),
         label="common-noise control space",
     )
-
-
-def _centered_basis(member_weights: np.ndarray) -> np.ndarray:
-    """Columns spanning the weighted-mean-zero subspace of one group.
-
-    Weighted-orthonormal: Z' diag(w) Z = identity, w' Z = 0.
-    """
-    g = len(member_weights)
-    sq = np.sqrt(member_weights)
-    M = np.concatenate([sq[:, None], np.eye(g)], axis=1)
-    Qm, _ = np.linalg.qr(M)
-    return Qm[:, 1:g] / sq[:, None]
 
 
 def solve_qp_breve(
@@ -276,44 +262,13 @@ def solve_qp_breve(
 ) -> QpSolution:
     """Minimize the centered cost over conditionally centered controls.
 
-    The decision variable holds, per common-noise prefix, the coefficients
-    of the control on a weight-orthonormal basis of the centered subspace.
-    A node's mass is 2^-k times its weight within the prefix, so the basis
-    gives every coefficient the mass 2^-k exactly.  The initial split
-    must have zero mean over the atoms.
+    The decision variable is one control per node, projected onto the
+    centered class by subtracting its E[.|F0].  The initial split must
+    have zero mean over the atoms.
     """
-    xi_breve = _centered_atoms(xi_breve, tree)
-
-    bases = []
-    shapes = []
-    for k in range(grid.n_steps):
-        w = np.repeat(probs_normalized(tree.atom_probs), 2**k) / 2**k
-        bases.append(_centered_basis(w / w.sum()))
-        shapes.append((tree.n_prefixes(k), len(w) - 1, c.d))
-
-    def to_nodes(parts):
-        vals = [
-            tree.ungroup(k, np.einsum("gb,pbd->pgd", bases[k], beta))
-            for k, beta in enumerate(parts)
-        ]
-        return TreeProcess(tree, vals, F_ADAPTED)
-
-    def from_nodes(grads):
-        return [
-            np.einsum("gb,pgd->pbd", bases[k], tree.group_by_prefix(k, g))
-            for k, g in enumerate(grads)
-        ]
-
     return _solve_over(
-        breve_as_plain(c),
-        tree,
-        grid,
-        xi_breve,
-        shapes,
-        [0.5**k for k in range(grid.n_steps)],
-        to_nodes,
-        from_nodes,
-        label="centered control space",
+        breve_as_plain(c), tree, grid, _centered_atoms(xi_breve, tree),
+        label="centered control space", centered=True,
     )
 
 

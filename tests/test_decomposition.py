@@ -24,6 +24,7 @@ from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import (
     F0_ADAPTED,
     F_ADAPTED,
+    TimeGrid,
     TreeProcess,
     build_joint_tree,
     conditional_expectation_f0,
@@ -315,6 +316,36 @@ def test_bar_refuses_joint_tree_processes(tag, varying):
         eval_cost_bar(cb, y_joint, v, tree, grid)
     with pytest.raises(DimensionError, match="control"):
         eval_cost_bar(cb, y, u_joint, tree, grid)
+
+
+@pytest.mark.parametrize("other", ["atom_probs", "horizon"])
+def test_mft_refuses_processes_of_another_tree(other):
+    """A process of a tree with other atom probabilities or another
+    horizon is refused, though its shapes fit: as a simulate_mft control
+    and as eval_cost_mft's state and control.  One of an equal tree built
+    apart is accepted."""
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
+    grid = c.grid()
+    tree = build_joint_tree(grid, atom_probs=[0.3, 0.7])
+    foreign = build_joint_tree(
+        grid if other == "atom_probs" else TimeGrid(2, 2.0),
+        atom_probs=[0.5, 0.5] if other == "atom_probs" else [0.3, 0.7],
+    )
+    xi = np.array([[0.7], [-0.3]])
+    u = zero_control(tree, grid, 1)
+    x = simulate_mft(c, tree, grid, u, xi)
+    twin = build_joint_tree(grid, atom_probs=[0.3, 0.7])
+    assert eval_cost_mft(c, x, zero_control(twin, grid, 1), tree, grid) == eval_cost_mft(
+        c, x, u, tree, grid
+    )
+    u_other = zero_control(foreign, grid, 1)
+    x_other = TreeProcess(foreign, x.values, F_ADAPTED)
+    with pytest.raises(DimensionError, match="control"):
+        simulate_mft(c, tree, grid, u_other, xi)
+    with pytest.raises(DimensionError, match="state"):
+        eval_cost_mft(c, x_other, u, tree, grid)
+    with pytest.raises(DimensionError, match="control"):
+        eval_cost_mft(c, x, u_other, tree, grid)
 
 
 def test_breve_rejects_uncentered_control():

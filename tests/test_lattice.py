@@ -227,10 +227,6 @@ def test_conditioning_by_folding_matches_grouping(seed, k, n_atoms, payload):
     w0 = tree.w0_of_node[k]
     assert np.array_equal(expanded, prefix[w0])
     assert np.array_equal(tree.expand_f0(k, values[: 2**k]), values[: 2**k][w0])
-    grouped = tree.group_by_prefix(k, values)
-    for p in range(2**k):
-        assert np.array_equal(grouped[p], values[w0 == p])
-    assert np.array_equal(tree.ungroup(k, grouped), values)
 
 
 def test_coefficients_per_prefix_on_nodes(grid3):

@@ -226,6 +226,7 @@ def _gradient_evaluations(sol):
 
 def test_oracle_iterations_do_not_grow_with_depth():
     counts = {"full": [], "bar": [], "breve": []}
+    dims = {"full": [], "bar": [], "breve": []}
     for n_steps in (3, 4, 5, 6):
         c, grid, tree, xi, probs = _demo_at_depth(n_steps)
         xi_mean = probs @ xi
@@ -237,15 +238,28 @@ def test_oracle_iterations_do_not_grow_with_depth():
         for name, sol in sols.items():
             assert sol.residual_history[-1] <= 1e-12
             counts[name].append(_gradient_evaluations(sol))
+            dims[name].append(sol.dim)
     for name, per_depth in counts.items():
         assert max(per_depth) <= 30, (name, per_depth)
         assert per_depth[-1] <= per_depth[0] + 5, (name, per_depth)
+    # the dimensions of the admissible classes at N = 3..6 (two atoms,
+    # d = 1): every node, every W0 prefix, and the nodes less the prefixes
+    assert dims == {
+        "full": [42, 170, 682, 2730],
+        "bar": [7, 15, 31, 63],
+        "breve": [35, 155, 651, 2667],
+    }
 
 
-@pytest.mark.parametrize("seed", [1, 12, 14, 22])
-def test_preconditioned_solves_on_random_coefficients(seed):
-    # node-dependent coefficients, unequal atom probabilities
-    inst = replace(random_instance(seed, max_steps=5), atom_probs=np.array([0.3, 0.7]))
+@pytest.mark.parametrize(
+    ("seed", "atom_probs"),
+    [pytest.param(seed, [0.3, 0.7], id=str(seed)) for seed in (1, 12, 14, 22)]
+    + [pytest.param(seed, [1.0], id=f"{seed}-one_atom") for seed in (1, 12, 14, 22)],
+)
+def test_preconditioned_solves_on_random_coefficients(seed, atom_probs):
+    # node-dependent coefficients, unequal atom probabilities or one atom
+    inst = random_instance(seed, max_steps=5)
+    inst = replace(inst, xi=inst.xi[: len(atom_probs)], atom_probs=np.array(atom_probs))
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     cb = bar_transform(c)
 
@@ -264,10 +278,16 @@ def test_preconditioned_solves_on_random_coefficients(seed):
 
     for sol in (full, bar, breve):
         assert sol.gradient_sup <= 1e-9 * max(1.0, abs(sol.cost))
+    # the centered class has n_nodes(k) - 2^k free nodes per step: none at
+    # step 0 with one atom, where the projection leaves a zero control
+    assert breve.dim == c.d * sum(tree.n_nodes(k) - 2**k for k in range(grid.n_steps))
+    if len(atom_probs) == 1:
+        assert not breve.control.values[0].any()
     # Both restrictions are the full problem on a subspace that the metric
     # embeds isometrically (a prefix control expands onto its nodes, the
-    # centered basis is weight-orthonormal), so their preconditioned
-    # spectra lie inside the full one's; a wrong metric shows as more
-    # iterations than the full problem needs.
+    # centered class is the image of the metric-orthogonal projection
+    # u - E[u|F0]), so their preconditioned spectra lie inside the full
+    # one's; a wrong metric shows as more iterations than the full problem
+    # needs.
     assert len(bar.residual_history) <= len(full.residual_history)
     assert len(breve.residual_history) <= len(full.residual_history)
