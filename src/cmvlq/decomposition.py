@@ -19,6 +19,19 @@ form ``tree.common``.  The conditional-mean problem lives on
 ``tree.common`` alone, its inputs and outputs one value per common-noise
 prefix, so its F0-adaptedness holds by construction; the centered one
 lives on the joint tree and checks its centering.
+
+Per-prefix values reach the nodes one block of ``NODE_BLOCK`` nodes at a
+time: ``_prefix_mv`` multiplies a per-prefix matrix (a node-dependent
+coefficient, a gain or value table) into node rows block by block, and
+``_cost_rows`` fills each step's integrand block by block into one node
+vector, expanding only the block's prefixes of H E[x|F0] and of its
+coefficients, before one dot with the node probabilities.  A node's value
+comes from its own columns by the same operations either way, so the
+results are those of a whole-step expansion bit for bit, no per-node
+matrix is formed, and the cost's only whole-step arrays are its integrand
+and the node probabilities.  ``_Prefixed`` keeps
+a coefficient set's per-prefix values, so a solve that rolls out again and
+again evaluates each coefficient once per step.
 """
 
 from __future__ import annotations
@@ -40,6 +53,25 @@ from .lattice import (
 )
 
 CENTERING_TOL = 1e-12
+
+
+# Nodes per block where per-prefix values are expanded onto the nodes of a
+# step: a per-prefix coefficient's matrices, or the cost's H E[x|F0].  Only
+# one block of them exists at a time.
+NODE_BLOCK = 16384
+# A block is a whole number of _BLOCK_ALIGN nodes, or the rest of the step.
+# A shared coefficient's product is a BLAS call on the block's columns, and
+# BLAS picks its kernel by the width (a vector call at one column, a
+# remainder loop past the last group of four), so narrower or ragged blocks
+# could round differently from one call on the whole step.
+_BLOCK_ALIGN = 64
+
+
+def _node_blocks(tree: JointTree, k: int) -> list:
+    """The step-k nodes as consecutive slices of NODE_BLOCK nodes, rounded up to _BLOCK_ALIGN."""
+    size = -(-NODE_BLOCK // _BLOCK_ALIGN) * _BLOCK_ALIGN
+    n = tree.n_nodes(k)
+    return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
 def _coeff_prefix(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
@@ -66,6 +98,33 @@ def coeff_nodes(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
     if coeff.deterministic:
         return coeff.base[k]
     return np.moveaxis(_coeff_rows(coeff, tree, k), -1, 0)
+
+
+class _Prefixed:
+    """A coefficient set's values per W0 prefix, each evaluated once per step.
+
+    Calling it gives ``_coeff_prefix``'s form.  A solve that reads the same
+    coefficients on every map evaluation holds one for its whole run; the
+    values are per prefix, never per node.
+    """
+
+    def __init__(self, c: CoefficientSet, tree: JointTree):
+        self.c, self.tree = c, tree
+        self._memo = {}
+
+    def __call__(self, name: str, k: int) -> np.ndarray:
+        if (name, k) not in self._memo:
+            self._memo[name, k] = _coeff_prefix(getattr(self.c, name), self.tree, k)
+        return self._memo[name, k]
+
+    def nonzero(self, name: str, k: int):
+        """As ``_nonzero``: the value at step k, or None where it is deterministic and zero."""
+        return None if getattr(self.c, name).zero_at[k] else self(name, k)
+
+    def at(self, name: str, k: int, nodes: np.ndarray) -> np.ndarray:
+        """The value at step k on the given step-k nodes: shared as it is, else taken by prefix id."""
+        value = self(name, k)
+        return value if getattr(self.c, name).deterministic else np.take(value, nodes, axis=-1)
 
 
 def _rows_of(p: TreeProcess, steps=None) -> list:
@@ -95,6 +154,27 @@ def _mv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _mtv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """mat' @ x per column."""
     return _mv(np.swapaxes(mat, 0, 1), rows)
+
+
+def _prefix_mv(tree: JointTree, k: int, mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat @ x per node of step k, for a shared (i, j) or per-prefix (i, j, 2**k) mat.
+
+    A per-prefix mat is expanded onto one block of nodes at a time, and
+    each block's product is the one over its own columns, so the result is
+    the product with the expanded mat bit for bit.
+    """
+    if mat.ndim < 3:
+        return _mv(mat, rows)
+    out = np.empty((mat.shape[0], rows.shape[-1]))
+    nodes = tree.w0_of_node[k]
+    for s in _node_blocks(tree, k):
+        out[:, s] = _mv(np.take(mat, nodes[s], axis=-1), rows[:, s])
+    return out
+
+
+def _prefix_mtv(tree: JointTree, k: int, mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """mat' @ x per node of step k."""
+    return _prefix_mv(tree, k, np.swapaxes(mat, 0, 1), rows)
 
 
 def _dot(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -141,7 +221,7 @@ def _nonzero(coeff: Coefficient, tree: JointTree, k: int, per_prefix: bool = Fal
 
 
 def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np.ndarray,
-             means: bool = False, leaves: bool = True):
+             means: bool = False, leaves: bool = True, table: _Prefixed | None = None):
     """The state under a control from initial atoms xi, node axis last.
 
     control is either the (d, n_nodes(k)) control rows of every step or a
@@ -152,30 +232,34 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np
     per prefix and expanded once.  With leaves unset the last step's
     noise is not added: the last state entry is then the pre-noise mean
     E_{N-1}[x_N] on the step-(N-1) nodes, and the means stop at N-1.
+    table holds c's per-prefix values; a caller that rolls out often
+    passes one, else one is made for this roll-out.
     """
     if xi.shape[1] != c.n:
         raise DimensionError("xi", f"state dimension {c.n} expected, got {xi.shape[1]}")
     if not np.isfinite(xi).all():
         raise CmvlqError("initial state xi has a non-finite entry")
+    if table is None:
+        table = _Prefixed(c, tree)
     feedback = control if callable(control) else lambda k, _x: control[k]
     dt = grid.dt
     x = np.ascontiguousarray(xi.T)  # the atoms are the step-0 nodes, in order
     states, controls, xbars = [x], [], []
     for k in range(grid.n_steps):
-        F = _nonzero(c.F, tree, k, per_prefix=True)
+        F = table.nonzero("F", k)
         xbar = tree.prefix_mean_rows(k, x) if means or F is not None else None
         xbars.append(xbar)
         u = feedback(k, x)
         controls.append(u)
-        drift = _mv(_coeff_rows(c.A, tree, k), x) + _mv(_coeff_rows(c.B, tree, k), u)
-        shift = _nonzero(c.b, tree, k, per_prefix=True)
+        drift = _prefix_mv(tree, k, table("A", k), x) + _prefix_mv(tree, k, table("B", k), u)
+        shift = table.nonzero("b", k)
         if F is not None:
             shift = _mv(F, xbar) if shift is None else _mv(F, xbar) + shift
         if shift is not None:
             drift = _plus_prefix(tree, k, drift, shift)
         x = x + dt * drift
         if leaves or k < grid.n_steps - 1:
-            x = _add_noise(c, tree, k, x)
+            x = _add_noise(c, tree, k, x, table)
         states.append(x)
     if not means:
         return states, controls, None
@@ -184,41 +268,57 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np
     return states, controls, xbars
 
 
-def _add_noise(c: CoefficientSet, tree: JointTree, k: int, mean: np.ndarray) -> np.ndarray:
+def _add_noise(c: CoefficientSet, tree: JointTree, k: int, mean: np.ndarray,
+               table: _Prefixed | None = None) -> np.ndarray:
     """The step-(k+1) states from the step-k pre-noise means: mean + D dW + D0 dW0."""
-    return tree.children_rows(k, mean, _nonzero(c.D, tree, k), _nonzero(c.D0, tree, k))
+    if table is None:
+        table = _Prefixed(c, tree)
+    loads = [None if getattr(c, name).zero_at[k] else table.at(name, k, tree.w0_of_node[k])
+             for name in ("D", "D0")]
+    return tree.children_rows(k, mean, *loads)
 
 
 def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: list,
-               xbars=None) -> float:
+               xbars=None, table: _Prefixed | None = None) -> float:
     """The mean-field cost of state rows x under control rows u; xbars, if
     given, are the states' per-prefix means, else folded where H needs them.
+
+    Each step's integrand is filled one block of nodes at a time into one
+    per-node vector: the block's deviation x - H E[x|F0] (only the block's
+    prefixes of H E[x|F0] expanded), its node-dependent coefficients and
+    its integrand.  Every node's value comes from its own columns by the
+    same operations as on the whole step, then one dot with the node
+    probabilities sums the step.
     """
+    if table is None:
+        table = _Prefixed(c, tree)
     has_h = c.H.any()
-
-    def deviation(k):
-        if not has_h:
-            return x[k]
-        xbar = xbars[k] if xbars is not None else tree.prefix_mean_rows(k, x[k])
-        return x[k] - tree.expand_rows(k, c.H @ xbar)
-
+    N = grid.n_steps
     total = 0.0
-    for k in range(grid.n_steps):
-        e, v = deviation(k), u[k]
-        integrand = (
-            _quad(e, _coeff_rows(c.Q, tree, k), e)
-            + 2.0 * _quad(e, _coeff_rows(c.S, tree, k), v)
-            + _quad(v, _coeff_rows(c.R, tree, k), v)
-        )
-        zeta = _nonzero(c.zeta, tree, k)
-        varpi = _nonzero(c.varpi, tree, k)
-        if zeta is not None:
-            integrand = integrand + 2.0 * _dot(zeta, e)
-        if varpi is not None:
-            integrand = integrand + 2.0 * _dot(varpi, v)
-        total += grid.dt * float(np.dot(tree.probs(k), integrand))
-    eT = deviation(grid.n_steps)
-    total += float(np.dot(tree.probs(grid.n_steps), _quad(eT, c.QT, eT)))
+    for k in range(N + 1):
+        hxbar = None
+        if has_h:
+            xbar = xbars[k] if xbars is not None else tree.prefix_mean_rows(k, x[k])
+            hxbar = c.H @ xbar
+        nodes = tree.w0_of_node[k]
+        integrand = np.empty(tree.n_nodes(k))
+        for s in _node_blocks(tree, k):
+            e = x[k][:, s]
+            if hxbar is not None:
+                e = e - np.take(hxbar, nodes[s], axis=-1)
+            if k == N:
+                integrand[s] = _quad(e, c.QT, e)
+                continue
+            v = u[k][:, s]
+            Q, S, R = (table.at(name, k, nodes[s]) for name in ("Q", "S", "R"))
+            block = _quad(e, Q, e) + 2.0 * _quad(e, S, v) + _quad(v, R, v)
+            if not c.zeta.zero_at[k]:
+                block = block + 2.0 * _dot(table.at("zeta", k, nodes[s]), e)
+            if not c.varpi.zero_at[k]:
+                block = block + 2.0 * _dot(table.at("varpi", k, nodes[s]), v)
+            integrand[s] = block
+        step = float(np.dot(tree.probs(k), integrand))
+        total += grid.dt * step if k < N else step
     return 0.5 * total
 
 

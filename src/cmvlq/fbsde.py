@@ -9,10 +9,14 @@ the checks here certify rather than approximate.  Both sub-problems run
 through the full problem's code on their coefficient sets: one roll-out under
 the dynamic-programming feedback, one adjoint routine for the predicted
 costate, the backward residual and the cost of either, and one
-first-order residual for the stationarity check.  The conditional-mean
-system lives on ``tree.common``, one node per common-noise prefix: it is
-rolled out, its adjoint read and its stationarity checked there, and
-only the assembled mean-field control brings it onto the joint tree.
+first-order residual for the stationarity check.  A solution stores what
+the pipeline reads (state, control, predicted costate, cost, residual)
+and its value function; the costate, the gradient of that value function
+at the state, and the martingale loadings read off it are formed on first
+read and then cached.  The conditional-mean system lives on
+``tree.common``, one node per common-noise prefix: it is rolled out, its
+adjoint read and its stationarity checked there, and only the assembled
+mean-field control brings it onto the joint tree.
 
 A separate Picard iteration solves the coupled mean-field system in one
 piece, without decomposing first; agreement of the two routes is one of
@@ -23,22 +27,24 @@ which on an affine map is GMRES in disguise; with no history the update
 is the plain damped one.  A map evaluation does only the work that
 changes from one evaluation to the next: the roll-out stops at the
 pre-noise mean of step N-1, which is all the terminal costate needs, the
-backward steps' coefficients are built once per solve, and each backward
-step is one stacked product.  The leaves are formed once, for the
-returned iterate.  It stops at the first iterate whose undamped control
-residual is within tol in relative sup norm, and returns that iterate.
+coefficients of the roll-out and of the backward steps are built once per
+solve and kept per prefix, and each backward step is one stacked
+product.  The leaves are formed once, for the returned iterate.  It stops
+at the first iterate whose undamped control residual is within tol in
+relative sup norm, and returns that iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _add_noise, _atom_values, _centered_atoms, _coeff_rows, _cost_rows, _mtv, _mv,
-    _process, _rollout, _rows_of,
+    _abar, _add_noise, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _mv,
+    _Prefixed, _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of,
 )
 from .errors import CmvlqError, ConvergenceError, DimensionError
 from .lattice import JointTree, TimeGrid, TreeProcess
@@ -49,33 +55,58 @@ from .riccati import OdeBackwardQuadratic, TreeBackwardQuadratic, solve_l, solve
 class BreveSolution:
     """Optimal centered system with its adjoint family.
 
-    costate holds Pi_k z_k at every step; costate_pred its one-step
-    prediction E_k of the next costate, which is the object entering the
-    first-order condition.  noise_load_w / noise_load_w0 are the exact
-    martingale loadings E_k[costate' dW]/dt of the two noises.
+    costate_pred holds the one-step prediction E_k of the next costate,
+    which is the object entering the first-order condition.  The rest of
+    the family is formed on first read from the state and the value
+    function ``value``: costate holds Pi_k z_k at every step, and
+    noise_load_w / noise_load_w0 are the exact martingale loadings
+    E_k[costate' dW]/dt of the two noises.
     """
 
     state: TreeProcess
     control: TreeProcess
-    costate: TreeProcess
     costate_pred: TreeProcess
-    noise_load_w: TreeProcess
-    noise_load_w0: TreeProcess
     cost: float
     backward_residual: float
+    value: TreeBackwardQuadratic
+
+    @cached_property
+    def costate(self) -> TreeProcess:
+        tree = self.state.tree
+        return _process(tree, _breve_costate(tree, self.value, _rows_of(self.state)))
+
+    @cached_property
+    def noise_load_w(self) -> TreeProcess:
+        return _noise_load(self.costate, "w")
+
+    @cached_property
+    def noise_load_w0(self) -> TreeProcess:
+        return _noise_load(self.costate, "w0")
 
 
 @dataclass(frozen=True)
 class BarSolution:
-    """Optimal conditional-mean system with its adjoint family, on ``tree.common``."""
+    """Optimal conditional-mean system with its adjoint family, on ``tree.common``.
+
+    As for ``BreveSolution``, the costate (the gradient of the value
+    function ``value`` at the state) and its common-noise loading
+    noise_load_w0 are formed on first read.
+    """
 
     state: TreeProcess
     control: TreeProcess
-    costate: TreeProcess
     costate_pred: TreeProcess
-    noise_load_w0: TreeProcess
     cost: float
     backward_residual: float
+    value: TreeBackwardQuadratic
+
+    @cached_property
+    def costate(self) -> TreeProcess:
+        return _process(self.state.tree, _bar_costate(self.value, _rows_of(self.state)))
+
+    @cached_property
+    def noise_load_w0(self) -> TreeProcess:
+        return _noise_load(self.costate, "w0")
 
 
 @dataclass(frozen=True)
@@ -114,43 +145,57 @@ class CoupledSolution:
 
 
 def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, controls, costate) -> dict:
-    """The adjoint family, cost and backward residual of plain problem p.
+    """The predicted costate, cost and backward residual of plain problem p.
 
     states, controls and costate are (component, node) arrays per step;
     costate[k] is the value gradient at the step-k state.  The residual
     is the worst relative gap in the adjoint equation costate_k =
     (I + dt A)' E_k[costate_{k+1}] + dt (Q x_k + S u_k + zeta).  Returns
-    the fields of a solution, with one loading per noise of tree.
+    the stored fields of a solution; the costate itself is not kept.
     """
     dt = grid.dt
     pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(grid.n_steps)]
     gaps = []
     for k in range(grid.n_steps):
-        rhs = _mtv(_abar(_coeff_rows(p.A, tree, k), dt), pred[k]) + dt * (
-            _mv(_coeff_rows(p.Q, tree, k), states[k])
-            + _mv(_coeff_rows(p.S, tree, k), controls[k])
+        rhs = _prefix_mtv(tree, k, _abar(_coeff_prefix(p.A, tree, k), dt), pred[k]) + dt * (
+            _prefix_mv(tree, k, _coeff_prefix(p.Q, tree, k), states[k])
+            + _prefix_mv(tree, k, _coeff_prefix(p.S, tree, k), controls[k])
             + _coeff_rows(p.zeta, tree, k)
         )
         gaps.append(np.max(np.abs(costate[k] - rhs)) / (1.0 + np.max(np.abs(costate[k]))))
-    fields = dict(
+    return dict(
         state=_process(tree, states),
         control=_process(tree, controls),
-        costate=_process(tree, costate),
         costate_pred=_process(tree, pred),
         cost=_cost_rows(p, tree, grid, states, controls),
         backward_residual=float(np.max(gaps)),  # np.max keeps a NaN, max() may drop it
     )
-    for which in ("w", "w0") if tree.idiosyncratic else ("w0",):
-        fields["noise_load_" + which] = _process(
-            tree,
-            [tree.child_increment_mean_rows(k, costate[k + 1], which) for k in range(grid.n_steps)],
-        )
-    return fields
+
+
+def _noise_load(costate: TreeProcess, which: str) -> TreeProcess:
+    """The martingale loading E_k[costate_{k+1} dW]/dt of one noise, steps 0..N-1."""
+    tree, rows = costate.tree, _rows_of(costate)
+    return _process(tree, [tree.child_increment_mean_rows(k, rows[k + 1], which)
+                           for k in range(len(rows) - 1)])
 
 
 def _prefix_rows(arrays) -> list:
     """Per-prefix arrays (2**k, *shape) with the prefix axis moved last."""
     return [np.moveaxis(a, 0, -1) for a in arrays]
+
+
+def _breve_costate(tree: JointTree, pi: TreeBackwardQuadratic, states: list) -> list:
+    """The centered value gradient Pi_k z_k at the state rows of each step."""
+    return [_prefix_mv(tree, k, values, z)
+            for k, (values, z) in enumerate(zip(_prefix_rows(pi.values), states))]
+
+
+def _bar_costate(l_solution: TreeBackwardQuadratic, states: list) -> list:
+    """The conditional-mean value gradient at the state rows of ``tree.common``:
+    the augmented table's state rows times z = [y; 1].
+    """
+    return [_mv(t[:-1], np.vstack([y, np.ones_like(y[:1])]))
+            for t, y in zip(_prefix_rows(l_solution.table), states)]
 
 
 def solve_breve_fbsde(
@@ -166,14 +211,11 @@ def solve_breve_fbsde(
     p = breve_as_plain(c)
     gains = _prefix_rows(pi.gain_state[: grid.n_steps])
     states, controls, _ = _rollout(
-        p, tree, grid, lambda k, z: -_mv(tree.expand_rows(k, gains[k]), z),
+        p, tree, grid, lambda k, z: -_prefix_mv(tree, k, gains[k], z),
         _centered_atoms(xi_breve, tree),
     )
-    costate = [
-        _mv(tree.expand_rows(k, values), states[k])
-        for k, values in enumerate(_prefix_rows(pi.values[: grid.n_steps + 1]))
-    ]
-    return BreveSolution(**_adjoint(p, tree, grid, states, controls, costate))
+    costate = _breve_costate(tree, pi, states)
+    return BreveSolution(**_adjoint(p, tree, grid, states, controls, costate), value=pi)
 
 
 def solve_bar_fbsde(
@@ -201,10 +243,8 @@ def solve_bar_fbsde(
     states, controls, _ = _rollout(
         p, common, grid, lambda k, y: -_mv(gains[k], y) - shifts[k], xi_bar[None]
     )
-    # the value gradient: the augmented table's state rows times z = [y; 1]
-    tables = _prefix_rows(l_solution.table)
-    costate = [_mv(t[:-1], np.vstack([y, np.ones_like(y[:1])])) for t, y in zip(tables, states)]
-    return BarSolution(**_adjoint(p, common, grid, states, controls, costate))
+    costate = _bar_costate(l_solution, states)
+    return BarSolution(**_adjoint(p, common, grid, states, controls, costate), value=l_solution)
 
 
 def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> StationarityReport:
@@ -235,9 +275,9 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
     for k in range(grid.n_steps):
         control = controls[k]
         res = (
-            _mv(_coeff_rows(p.R, tree, k), control)
-            + _mtv(_coeff_rows(p.S, tree, k), states[k])
-            + _mtv(_coeff_rows(p.B, tree, k), preds[k])
+            _prefix_mv(tree, k, _coeff_prefix(p.R, tree, k), control)
+            + _prefix_mtv(tree, k, _coeff_prefix(p.S, tree, k), states[k])
+            + _prefix_mtv(tree, k, _coeff_prefix(p.B, tree, k), preds[k])
             + _coeff_rows(p.varpi, tree, k)
         )
         per.append(float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(control)))))
@@ -365,10 +405,11 @@ def solve_coupled_mv_fbsde(
     require it), and maps the predicted adjoint through the pointwise
     first-order condition.  The terminal costate enters only through its
     child means, and the increments have mean zero, so a sweep stops at the
-    pre-noise mean of step N-1 and never forms the leaves.  The coefficients
-    of each backward step are built once per solve, R^-1 folded in, and a
-    step computes the costate and the new control together as one stacked
-    product on [x; u; E_k y] plus one expansion of the per-prefix terms.
+    pre-noise mean of step N-1 and never forms the leaves.  The roll-out's
+    coefficients and those of each backward step are built once per solve,
+    per prefix, R^-1 folded in, and a step computes the costate and the new
+    control together as one stacked product on [x; u; E_k y], its matrix
+    expanded block by block, plus one expansion of the per-prefix terms.
 
     The iterate is mixed by Anderson acceleration (type II) over the last
     ``_ANDERSON_DEPTH`` map evaluations, with damping as the mixing
@@ -392,27 +433,27 @@ def solve_coupled_mv_fbsde(
     cb = bar_transform(c)
     xi = _atom_values(xi, tree, "xi")
     N = grid.n_steps
-    steps = _picard_steps(c, cb, tree, grid)
+    table = _Prefixed(c, tree)
+    steps = _picard_steps(c, cb, tree, grid, table)
     # the iterate z = (u, E[u|F0]) and the map's output as flat vectors,
     # seen per step as (component, node) and (component, prefix) rows
     cols = [tree.n_nodes(k) for k in range(N)] + [tree.n_prefixes(k) for k in range(N)]
 
     def sweep(z, out):
         zv, ov = _step_views(z, c.d, cols), _step_views(out, c.d, cols)
-        return _picard_sweep(c, cb, tree, grid, xi, steps, zv[:N], zv[N:], ov[:N], ov[N:])
+        return _picard_sweep(c, cb, tree, grid, xi, steps, zv[:N], zv[N:], ov[:N], ov[N:], table)
 
     z, (x, m, xbar, pred), history = _anderson(
         sweep, c.d * sum(cols), c.d * sum(cols[:N]), damping, max_iter, tol
     )
-    del steps  # done with: freed before the leaves are formed, to keep the peak down
-    x.append(_add_noise(c, tree, N - 1, m))
+    x.append(_add_noise(c, tree, N - 1, m, table))
     xbar.append(tree.prefix_mean_rows(N, x[N]))
     u = _step_views(z, c.d, cols[:N])
     return CoupledSolution(
         state=_process(tree, x),
         control=_process(tree, u),
         costate_pred=[p.T for p in pred],
-        cost=_cost_rows(c, tree, grid, x, u, xbar),
+        cost=_cost_rows(c, tree, grid, x, u, xbar, table),
         iterations=len(history),
         residual_history=history,
     )
@@ -488,7 +529,8 @@ def _mixing_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(scaled, (df @ f) / norms) / norms
 
 
-def _picard_steps(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: TimeGrid) -> list:
+def _picard_steps(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: TimeGrid,
+                  table: _Prefixed | None = None) -> list:
     """The backward steps' coefficients, (node, prefix, shift) per step.
 
     node maps the stacked node rows [x; u; E_k y] to [costate; R^-1 (S'x
@@ -500,15 +542,19 @@ def _picard_steps(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: 
     last d are R^-1 (S'(I - H) xbar + B' ybar + varpi), the negative of
     the new E[u|F0].  All three are shared at a step where every
     coefficient is deterministic, and at step 0, which has one prefix;
-    otherwise node is per node and prefix and shift are per prefix.
+    otherwise they are per prefix, and node is expanded block by block
+    where it is applied.  c's values come from table, which the roll-outs
+    of the solve share, so every coefficient is evaluated once per step.
     """
     n, d, dt = c.n, c.d, grid.dt
+    if table is None:
+        table = _Prefixed(c, tree)
+    bar = _Prefixed(cb, tree)
     steps = []
     for k in range(grid.n_steps):
-        A, F, Q, S, R, B, varpi, Q_bar, zeta_bar = (
-            _prefix_values(co, tree, k)
-            for co in (c.A, c.F, c.Q, c.S, c.R, c.B, c.varpi, cb.Q, cb.zeta)
-        )
+        A, F, Q, S, R, B, varpi = (_prefix_values(table, name, k)
+                                   for name in ("A", "F", "Q", "S", "R", "B", "varpi"))
+        Q_bar, zeta_bar = (_prefix_values(bar, name, k) for name in ("Q", "zeta"))
         prefixes = max(len(v) for v in (A, F, Q, S, R, B, varpi, Q_bar, zeta_bar))
         # one solve per prefix: R^-1 [S', B', varpi]
         rhs = _blocks([[np.swapaxes(S, 1, 2), np.swapaxes(B, 1, 2), varpi[..., None]]], prefixes)
@@ -524,16 +570,17 @@ def _picard_steps(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: 
         if prefixes == 1:
             node, prefix = node[0], prefix[0]
         else:
-            node, prefix = tree.expand_rows(k, np.moveaxis(node, 0, -1)), np.moveaxis(prefix, 0, -1)
+            node, prefix = np.ascontiguousarray(np.moveaxis(node, 0, -1)), np.moveaxis(prefix, 0, -1)
         steps.append((node, prefix, shift.T))
     return steps
 
 
-def _prefix_values(coeff, tree: JointTree, k: int) -> np.ndarray:
-    """coeff at step k as (prefix, *coeff.shape), one prefix row if shared."""
+def _prefix_values(table: _Prefixed, name: str, k: int) -> np.ndarray:
+    """A coefficient at step k as (prefix, *shape), one prefix row if shared."""
+    coeff = getattr(table.c, name)
     if coeff.deterministic:
         return coeff.base[k][None]
-    return coeff.at_w0(k, tree.cum_w0_prefix[k])
+    return np.moveaxis(table(name, k), -1, 0)
 
 
 def _blocks(rows: list, prefixes: int) -> np.ndarray:
@@ -545,11 +592,13 @@ def _blocks(rows: list, prefixes: int) -> np.ndarray:
 
 
 def _picard_sweep(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: TimeGrid, xi,
-                  steps: list, u: list, ubar: list, new_u: list, new_ubar: list):
+                  steps: list, u: list, ubar: list, new_u: list, new_ubar: list,
+                  table: _Prefixed | None = None):
     """One evaluation of the coupled fixed-point map at (u, E[u|F0]).
 
     u and ubar are the control's (component, node) rows and their
-    per-prefix conditional means; steps are ``_picard_steps``'s.  The
+    per-prefix conditional means; steps are ``_picard_steps``'s and
+    table the solve's per-prefix coefficients.  The
     map's control and its conditional mean are written into new_u and
     new_ubar.  Returns the state rows under u at steps 0..N-1, the
     pre-noise mean E_{N-1}[x_N], the states' prefix means at steps
@@ -558,7 +607,7 @@ def _picard_sweep(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: 
     """
     N = grid.n_steps
     n, d = c.n, c.d
-    x, _, xbar = _rollout(c, tree, grid, u, xi, means=True, leaves=False)
+    x, _, xbar = _rollout(c, tree, grid, u, xi, means=True, leaves=False, table=table)
     m = x.pop()
     # the terminal costate enters only through its child means: the
     # increments have mean zero, so E_{N-1}[x_N] = m, and the step-N
@@ -573,7 +622,7 @@ def _picard_sweep(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: 
         node, prefix, shift = steps[k]
         means = _mv(prefix, np.concatenate([xbar[k], ubar[k], tree.prefix_mean_rows(k, yt)]))
         means += shift
-        out = _mv(node, np.concatenate([x[k], u[k], yt]))
+        out = _prefix_mv(tree, k, node, np.concatenate([x[k], u[k], yt]))
         out += tree.expand_rows(k, means[:n + d])
         cur = out[:n]
         np.negative(out[n:], out=new_u[k])

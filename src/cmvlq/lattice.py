@@ -45,8 +45,8 @@ out of a row in node order, first step first, by adding slice pairs, then
 weights the atoms; per-prefix values go back onto the nodes by one
 ``take`` on ``w0_of_node``; children are written one branch slot at a
 time.  Node-dependent coefficients are evaluated once per prefix and
-expanded the same way; deterministic ones are never copied onto the
-nodes.  ``TreeProcess.values`` and the node-major methods keep the
+expanded the same way, one block of nodes at a time (``decomposition``);
+deterministic ones are never copied onto the nodes.  ``TreeProcess.values`` and the node-major methods keep the
 (node, component) shape, moving the node axis on entry and return
 without a copy.
 """

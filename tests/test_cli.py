@@ -424,6 +424,22 @@ def test_run_result_carries_solve_report(tmp_path):
     assert isinstance(cfg, RunConfig)
 
 
+@pytest.mark.parametrize("mode", ["solve", "compare"])
+def test_solutions_form_the_adjoint_by_products_only_on_read(monkeypatch, tmp_path, mode):
+    # the costate and the noise loadings are cached properties that no
+    # report reads: the solutions a run holds keep none of them
+    captured, assemble = [], cli.assemble_optimal_control
+    monkeypatch.setattr(cli, "assemble_optimal_control",
+                        lambda *args, **kwargs: captured.append(assemble(*args, **kwargs)) or captured[-1])
+    cfg = parse_config(FULL_2X1.format(out=str(tmp_path / "o")))
+    assert run(with_overrides(cfg, mode=mode)).status == 0
+    assert len(captured) == 1
+    for part in (captured[0].bar, captured[0].breve):
+        assert not {"costate", "noise_load_w", "noise_load_w0"} & set(vars(part))
+        assert part.costate.values  # formed on read, then kept
+        assert "costate" in vars(part)
+
+
 def test_solve_report_does_not_depend_on_blas_threads(tmp_path):
     # at N = 7 the tree's long dot products are long enough for a threaded
     # BLAS to split them; the package caps BLAS at one thread by default
