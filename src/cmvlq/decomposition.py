@@ -20,6 +20,9 @@ form ``tree.common``.  The conditional-mean problem lives on
 prefix, so its F0-adaptedness holds by construction; the centered one
 lives on the joint tree and checks its centering.
 
+Coefficients reach the tree only through ``_Prefixed``, one table per
+coefficient set and tree that each public entry builds and its kernels
+read, evaluating each coefficient once per step and per W0 prefix.
 Per-prefix values reach the nodes one block of ``NODE_BLOCK`` nodes at a
 time: ``_prefix_mv`` multiplies a per-prefix matrix (a node-dependent
 coefficient, a gain or value table) into node rows block by block, and
@@ -29,9 +32,7 @@ coefficients, before one dot with the node probabilities.  A node's value
 comes from its own columns by the same operations either way, so the
 results are those of a whole-step expansion bit for bit, no per-node
 matrix is formed, and the cost's only whole-step arrays are its integrand
-and the node probabilities.  ``_Prefixed`` keeps
-a coefficient set's per-prefix values, so a solve that rolls out again and
-again evaluates each coefficient once per step.
+and the node probabilities.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import Coefficient, CoefficientSet, bar_transform, breve_as_plain
+from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .errors import AdaptednessError, CmvlqError, ConstraintViolationError, DimensionError
 from .lattice import (
     F0_ADAPTED,
@@ -74,38 +75,13 @@ def _node_blocks(tree: JointTree, k: int) -> list:
     return [slice(a, min(a + size, n)) for a in range(0, n, size)]
 
 
-def _coeff_prefix(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
-    """One coefficient at step k, per W0 prefix, with the prefix axis last.
-
-    A deterministic one comes back shared, a matrix as (i, j) and a vector
-    as a column (i, 1); a node-dependent one is evaluated once per prefix,
-    shape (*coeff.shape, 2**k).  The node products below accept either.
-    """
-    if coeff.deterministic:
-        base = coeff.base[k]
-        return base[:, None] if base.ndim == 1 else base
-    return np.moveaxis(coeff.at_w0(k, tree.cum_w0_prefix[k]), 0, -1)
-
-
-def _coeff_rows(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
-    """One coefficient on the nodes of step k, node axis last, or shared."""
-    value = _coeff_prefix(coeff, tree, k)
-    return value if coeff.deterministic else tree.expand_rows(k, value)
-
-
-def coeff_nodes(coeff: Coefficient, tree: JointTree, k: int) -> np.ndarray:
-    """One coefficient on the nodes of step k: coeff.shape if shared, else node-major."""
-    if coeff.deterministic:
-        return coeff.base[k]
-    return np.moveaxis(_coeff_rows(coeff, tree, k), -1, 0)
-
-
 class _Prefixed:
-    """A coefficient set's values per W0 prefix, each evaluated once per step.
+    """A coefficient set's values on one tree, per W0 prefix, each evaluated once per step.
 
-    Calling it gives ``_coeff_prefix``'s form.  A solve that reads the same
-    coefficients on every map evaluation holds one for its whole run; the
-    values are per prefix, never per node.
+    Calling it gives the value at step k, prefix axis last: a deterministic
+    one shared, a matrix as (i, j) and a vector as a column (i, 1); a
+    node-dependent one per prefix, shape (*shape, 2**k).  The node
+    products accept either.
     """
 
     def __init__(self, c: CoefficientSet, tree: JointTree):
@@ -114,11 +90,22 @@ class _Prefixed:
 
     def __call__(self, name: str, k: int) -> np.ndarray:
         if (name, k) not in self._memo:
-            self._memo[name, k] = _coeff_prefix(getattr(self.c, name), self.tree, k)
+            coeff = getattr(self.c, name)
+            if coeff.deterministic:
+                base = coeff.base[k]
+                value = base[:, None] if base.ndim == 1 else base
+            else:
+                value = np.moveaxis(coeff.at_w0(k, self.tree.cum_w0_prefix[k]), 0, -1)
+            self._memo[name, k] = value
         return self._memo[name, k]
 
     def nonzero(self, name: str, k: int):
-        """As ``_nonzero``: the value at step k, or None where it is deterministic and zero."""
+        """The value at step k, or None where it is deterministic and zero.
+
+        The coefficient sets of the two sub-problems carry such zeros (no
+        conditional-mean terms, one noise each).  Their terms would add
+        exact zeros, so they are skipped, and with F the conditioning fold.
+        """
         return None if getattr(self.c, name).zero_at[k] else self(name, k)
 
     def at(self, name: str, k: int, nodes: np.ndarray) -> np.ndarray:
@@ -156,25 +143,34 @@ def _mtv(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return _mv(np.swapaxes(mat, 0, 1), rows)
 
 
-def _prefix_mv(tree: JointTree, k: int, mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _prefix_mv(tree: JointTree, k: int, mat: np.ndarray, rows: np.ndarray,
+               product=_mv) -> np.ndarray:
     """mat @ x per node of step k, for a shared (i, j) or per-prefix (i, j, 2**k) mat.
 
     A per-prefix mat is expanded onto one block of nodes at a time, and
     each block's product is the one over its own columns, so the result is
-    the product with the expanded mat bit for bit.
+    product (``_mv`` or ``_mtv``) on the expanded mat bit for bit.
     """
     if mat.ndim < 3:
-        return _mv(mat, rows)
-    out = np.empty((mat.shape[0], rows.shape[-1]))
+        return product(mat, rows)
+    out = None
     nodes = tree.w0_of_node[k]
     for s in _node_blocks(tree, k):
-        out[:, s] = _mv(np.take(mat, nodes[s], axis=-1), rows[:, s])
+        block = product(np.take(mat, nodes[s], axis=-1), rows[:, s])
+        if out is None:
+            out = np.empty((len(block), rows.shape[-1]))
+        out[:, s] = block
     return out
 
 
 def _prefix_mtv(tree: JointTree, k: int, mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """mat' @ x per node of step k."""
-    return _prefix_mv(tree, k, np.swapaxes(mat, 0, 1), rows)
+    """mat' @ x per node of step k.
+
+    Each block is transposed after its expansion, as the whole step's
+    expanded mat would be: einsum sums a single column in an order that
+    depends on the memory layout.
+    """
+    return _prefix_mv(tree, k, mat, rows, _mtv)
 
 
 def _dot(coef: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -208,20 +204,8 @@ def _atom_values(xi, tree: JointTree, name: str) -> np.ndarray:
     return xi
 
 
-def _nonzero(coeff: Coefficient, tree: JointTree, k: int, per_prefix: bool = False):
-    """coeff at step k, or None where it is deterministic and zero.
-
-    The coefficient sets of the two sub-problems carry such zeros (no
-    conditional-mean terms, one noise each).  Their terms would add exact
-    zeros, so they are skipped, and with F the conditioning fold.
-    """
-    if coeff.zero_at[k]:
-        return None
-    return (_coeff_prefix if per_prefix else _coeff_rows)(coeff, tree, k)
-
-
-def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np.ndarray,
-             means: bool = False, leaves: bool = True, table: _Prefixed | None = None):
+def _rollout(table: _Prefixed, grid: TimeGrid, control, xi: np.ndarray, means: bool = False,
+             leaves: bool = True):
     """The state under a control from initial atoms xi, node axis last.
 
     control is either the (d, n_nodes(k)) control rows of every step or a
@@ -232,15 +216,13 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np
     per prefix and expanded once.  With leaves unset the last step's
     noise is not added: the last state entry is then the pre-noise mean
     E_{N-1}[x_N] on the step-(N-1) nodes, and the means stop at N-1.
-    table holds c's per-prefix values; a caller that rolls out often
-    passes one, else one is made for this roll-out.
+    table holds the coefficient set and the tree.
     """
+    c, tree = table.c, table.tree
     if xi.shape[1] != c.n:
         raise DimensionError("xi", f"state dimension {c.n} expected, got {xi.shape[1]}")
     if not np.isfinite(xi).all():
         raise CmvlqError("initial state xi has a non-finite entry")
-    if table is None:
-        table = _Prefixed(c, tree)
     feedback = control if callable(control) else lambda k, _x: control[k]
     dt = grid.dt
     x = np.ascontiguousarray(xi.T)  # the atoms are the step-0 nodes, in order
@@ -259,7 +241,7 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np
             drift = _plus_prefix(tree, k, drift, shift)
         x = x + dt * drift
         if leaves or k < grid.n_steps - 1:
-            x = _add_noise(c, tree, k, x, table)
+            x = _add_noise(table, k, x)
         states.append(x)
     if not means:
         return states, controls, None
@@ -268,18 +250,15 @@ def _rollout(c: CoefficientSet, tree: JointTree, grid: TimeGrid, control, xi: np
     return states, controls, xbars
 
 
-def _add_noise(c: CoefficientSet, tree: JointTree, k: int, mean: np.ndarray,
-               table: _Prefixed | None = None) -> np.ndarray:
+def _add_noise(table: _Prefixed, k: int, mean: np.ndarray) -> np.ndarray:
     """The step-(k+1) states from the step-k pre-noise means: mean + D dW + D0 dW0."""
-    if table is None:
-        table = _Prefixed(c, tree)
-    loads = [None if getattr(c, name).zero_at[k] else table.at(name, k, tree.w0_of_node[k])
+    tree = table.tree
+    loads = [None if getattr(table.c, name).zero_at[k] else table.at(name, k, tree.w0_of_node[k])
              for name in ("D", "D0")]
     return tree.children_rows(k, mean, *loads)
 
 
-def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: list,
-               xbars=None, table: _Prefixed | None = None) -> float:
+def _cost_rows(table: _Prefixed, grid: TimeGrid, x: list, u: list, xbars=None) -> float:
     """The mean-field cost of state rows x under control rows u; xbars, if
     given, are the states' per-prefix means, else folded where H needs them.
 
@@ -290,8 +269,7 @@ def _cost_rows(c: CoefficientSet, tree: JointTree, grid: TimeGrid, x: list, u: l
     same operations as on the whole step, then one dot with the node
     probabilities sums the step.
     """
-    if table is None:
-        table = _Prefixed(c, tree)
+    c, tree = table.c, table.tree
     has_h = c.H.any()
     N = grid.n_steps
     total = 0.0
@@ -332,7 +310,7 @@ def simulate_mft(
     """
     _check_control(u, c, grid, tree)
     xi = _atom_values(xi, tree, "xi")
-    return _process(tree, _rollout(c, tree, grid, _rows_of(u, grid.n_steps), xi)[0])
+    return _process(tree, _rollout(_Prefixed(c, tree), grid, _rows_of(u, grid.n_steps), xi)[0])
 
 
 def simulate_bar(
@@ -390,7 +368,7 @@ def eval_cost_mft(
     """
     _check_state(x, c, grid, tree)
     _check_control(u, c, grid, tree)
-    return _cost_rows(c, tree, grid, _rows_of(x), _rows_of(u, grid.n_steps))
+    return _cost_rows(_Prefixed(c, tree), grid, _rows_of(x), _rows_of(u, grid.n_steps))
 
 
 def eval_cost_bar(
@@ -466,12 +444,13 @@ def check_decomposition(
     xs, us = _rows_of(x), _rows_of(u, grid.n_steps)
     xbar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(xs)]
     ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(us)]
-    j_bar = _cost_rows(bar_transform(c), tree.common, grid, xbar, ubar)
+    j_bar = _cost_rows(_Prefixed(bar_transform(c), tree.common), grid, xbar, ubar)
 
     def centered(rows, means):
         return [r - tree.expand_rows(k, m) for k, (r, m) in enumerate(zip(rows, means))]
 
-    j_breve = _cost_rows(breve_as_plain(c), tree, grid, centered(xs, xbar), centered(us, ubar))
+    j_breve = _cost_rows(_Prefixed(breve_as_plain(c), tree), grid, centered(xs, xbar),
+                         centered(us, ubar))
     return DecompositionReport(j_total, j_bar, j_breve)
 
 
@@ -486,6 +465,7 @@ def lemma_identities(
     decomposed side); they agree up to round-off.
     """
     cb = bar_transform(c)
+    table, bar = _Prefixed(c, tree), _Prefixed(cb, tree)
     parts = split_pair(x, u, tree)
     dt = grid.dt
     N = grid.n_steps
@@ -498,14 +478,20 @@ def lemma_identities(
         xbar, ubar = xbars[k], ubars[k]
         xbre, ubre = xbres[k], ubres[k]
         e = xk - c.H @ xbar
-        Q, S, R, zeta, varpi = (_coeff_rows(co, tree, k) for co in (c.Q, c.S, c.R, c.zeta, c.varpi))
-        Qb, Sb, zb = (_coeff_rows(co, tree, k) for co in (cb.Q, cb.S, cb.zeta))
+        Q, S, R, Qb, Sb = table("Q", k), table("S", k), table("R", k), bar("Q", k), bar("S", k)
+        nodes = tree.w0_of_node[k]
+        zeta, varpi = table.at("zeta", k, nodes), table.at("varpi", k, nodes)
+        zb = bar.at("zeta", k, nodes)
+
+        def quad(left, mat, right):
+            return _dot(left, _prefix_mv(tree, k, mat, right))
+
         sides = {
             "i": (_dot(zeta, e), _dot(zb, xbar)),
             "ii": (_dot(varpi, uk), _dot(varpi, ubar)),
-            "iii": (_quad(uk, R, uk), _quad(ubre, R, ubre) + _quad(ubar, R, ubar)),
-            "iv": (_quad(e, S, uk), _quad(xbre, S, ubre) + _quad(xbar, Sb, ubar)),
-            "v": (_quad(e, Q, e), _quad(xbre, Q, xbre) + _quad(xbar, Qb, xbar)),
+            "iii": (quad(uk, R, uk), quad(ubre, R, ubre) + quad(ubar, R, ubar)),
+            "iv": (quad(e, S, uk), quad(xbre, S, ubre) + quad(xbar, Sb, ubar)),
+            "v": (quad(e, Q, e), quad(xbre, Q, xbre) + quad(xbar, Qb, xbar)),
         }
         for key, pair in sides.items():
             for side, values in enumerate(pair):

@@ -9,7 +9,8 @@ the checks here certify rather than approximate.  Both sub-problems run
 through the full problem's code on their coefficient sets: one roll-out under
 the dynamic-programming feedback, one adjoint routine for the predicted
 costate, the backward residual and the cost of either, and one
-first-order residual for the stationarity check.  A solution stores what
+first-order residual for the stationarity check, each reading one
+``decomposition._Prefixed`` table per coefficient set.  A solution stores what
 the pipeline reads (state, control, predicted costate, cost, residual)
 and its value function; the costate, the gradient of that value function
 at the state, and the martingale loadings read off it are formed on first
@@ -27,8 +28,8 @@ which on an affine map is GMRES in disguise; with no history the update
 is the plain damped one.  A map evaluation does only the work that
 changes from one evaluation to the next: the roll-out stops at the
 pre-noise mean of step N-1, which is all the terminal costate needs, the
-coefficients of the roll-out and of the backward steps are built once per
-solve and kept per prefix, and each backward step is one stacked
+roll-out reads the solve's table, the backward steps' matrices are built
+from it once per solve, per prefix, and each backward step is one stacked
 product.  The leaves are formed once, for the returned iterate.  It stops
 at the first iterate whose undamped control residual is within tol in
 relative sup norm, and returns that iterate.
@@ -43,12 +44,12 @@ import numpy as np
 
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _add_noise, _atom_values, _centered_atoms, _coeff_prefix, _coeff_rows, _cost_rows, _mv,
-    _Prefixed, _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of,
+    _abar, _add_noise, _atom_values, _centered_atoms, _cost_rows, _mv, _plus_prefix, _Prefixed,
+    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of,
 )
 from .errors import CmvlqError, ConvergenceError, DimensionError
 from .lattice import JointTree, TimeGrid, TreeProcess
-from .riccati import OdeBackwardQuadratic, TreeBackwardQuadratic, solve_l, solve_pi
+from .riccati import OdeBackwardQuadratic, TreeBackwardQuadratic, _coeff_tables, solve_l, solve_pi
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,8 @@ class CoupledSolution:
     residual_history: list
 
 
-def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, controls, costate) -> dict:
-    """The predicted costate, cost and backward residual of plain problem p.
+def _adjoint(table: _Prefixed, grid: TimeGrid, states, controls, costate) -> dict:
+    """The predicted costate, cost and backward residual of the plain problem in table.
 
     states, controls and costate are (component, node) arrays per step;
     costate[k] is the value gradient at the step-k state.  The residual
@@ -153,21 +154,22 @@ def _adjoint(p: CoefficientSet, tree: JointTree, grid: TimeGrid, states, control
     (I + dt A)' E_k[costate_{k+1}] + dt (Q x_k + S u_k + zeta).  Returns
     the stored fields of a solution; the costate itself is not kept.
     """
-    dt = grid.dt
+    dt, tree = grid.dt, table.tree
     pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(grid.n_steps)]
     gaps = []
     for k in range(grid.n_steps):
-        rhs = _prefix_mtv(tree, k, _abar(_coeff_prefix(p.A, tree, k), dt), pred[k]) + dt * (
-            _prefix_mv(tree, k, _coeff_prefix(p.Q, tree, k), states[k])
-            + _prefix_mv(tree, k, _coeff_prefix(p.S, tree, k), controls[k])
-            + _coeff_rows(p.zeta, tree, k)
+        rhs = _prefix_mtv(tree, k, _abar(table("A", k), dt), pred[k]) + dt * _plus_prefix(
+            tree, k,
+            _prefix_mv(tree, k, table("Q", k), states[k])
+            + _prefix_mv(tree, k, table("S", k), controls[k]),
+            table("zeta", k),
         )
         gaps.append(np.max(np.abs(costate[k] - rhs)) / (1.0 + np.max(np.abs(costate[k]))))
     return dict(
         state=_process(tree, states),
         control=_process(tree, controls),
         costate_pred=_process(tree, pred),
-        cost=_cost_rows(p, tree, grid, states, controls),
+        cost=_cost_rows(table, grid, states, controls),
         backward_residual=float(np.max(gaps)),  # np.max keeps a NaN, max() may drop it
     )
 
@@ -208,14 +210,13 @@ def solve_breve_fbsde(
     """Roll the centered optimum forward and extract its adjoints."""
     if pi is None:
         pi = solve_pi(c)
-    p = breve_as_plain(c)
+    table = _Prefixed(breve_as_plain(c), tree)
     gains = _prefix_rows(pi.gain_state[: grid.n_steps])
     states, controls, _ = _rollout(
-        p, tree, grid, lambda k, z: -_prefix_mv(tree, k, gains[k], z),
-        _centered_atoms(xi_breve, tree),
+        table, grid, lambda k, z: -_prefix_mv(tree, k, gains[k], z), _centered_atoms(xi_breve, tree)
     )
     costate = _breve_costate(tree, pi, states)
-    return BreveSolution(**_adjoint(p, tree, grid, states, controls, costate), value=pi)
+    return BreveSolution(**_adjoint(table, grid, states, controls, costate), value=pi)
 
 
 def solve_bar_fbsde(
@@ -238,13 +239,13 @@ def solve_bar_fbsde(
     if xi_bar.shape != (p.n,):
         raise DimensionError("xi_bar", f"expected shape {(p.n,)}, got {xi_bar.shape}")
 
-    common = tree.common
+    table = _Prefixed(p, tree.common)
     gains, shifts = _prefix_rows(l_solution.gain_state), _prefix_rows(l_solution.gain_const)
     states, controls, _ = _rollout(
-        p, common, grid, lambda k, y: -_mv(gains[k], y) - shifts[k], xi_bar[None]
+        table, grid, lambda k, y: -_mv(gains[k], y) - shifts[k], xi_bar[None]
     )
     costate = _bar_costate(l_solution, states)
-    return BarSolution(**_adjoint(p, common, grid, states, controls, costate), value=l_solution)
+    return BarSolution(**_adjoint(table, grid, states, controls, costate), value=l_solution)
 
 
 def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> StationarityReport:
@@ -269,32 +270,32 @@ def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> St
         p = breve_as_plain(coeffs)
     else:
         raise TypeError(f"unsupported solution type {type(solution).__name__}")
+    table = _Prefixed(p, tree)
     states, controls = _rows_of(solution.state), _rows_of(solution.control)
     preds = _rows_of(solution.costate_pred)
     per = []
     for k in range(grid.n_steps):
         control = controls[k]
-        res = (
-            _prefix_mv(tree, k, _coeff_prefix(p.R, tree, k), control)
-            + _prefix_mtv(tree, k, _coeff_prefix(p.S, tree, k), states[k])
-            + _prefix_mtv(tree, k, _coeff_prefix(p.B, tree, k), preds[k])
-            + _coeff_rows(p.varpi, tree, k)
+        res = _plus_prefix(
+            tree, k,
+            _prefix_mv(tree, k, table("R", k), control)
+            + _prefix_mtv(tree, k, table("S", k), states[k])
+            + _prefix_mtv(tree, k, table("B", k), preds[k]),
+            table("varpi", k),
         )
         per.append(float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(control)))))
     return StationarityReport(float(np.max(per)), per)
 
 
-def assemble_optimal_control(
-    c: CoefficientSet, tree: JointTree, xi, *, resimulate: bool = True
-) -> MftSolution:
+def assemble_optimal_control(c: CoefficientSet, tree: JointTree, xi) -> MftSolution:
     """Solve both decomposed problems and compose the mean-field optimum.
 
     xi gives the initial state per tree atom (or a single vector).  The
     assembled control is the sum of the conditional-mean feedback and the
     centered feedback; the state is re-simulated under it through the
     coupled dynamics so the returned pair is admissible by construction.
-    The bar solution stays on ``tree.common``: its control, and its state
-    unless resimulate, are expanded onto the joint tree only in the sums.
+    The bar solution stays on ``tree.common``: its control is expanded
+    onto the joint tree only in the sum.
     """
     grid = c.grid()
     xi = _atom_values(xi, tree, "xi")
@@ -306,16 +307,11 @@ def assemble_optimal_control(
     bar = solve_bar_fbsde(c, tree, grid, xi_mean)
     breve = solve_breve_fbsde(c, tree, grid, xi_breve)
 
-    def assembled(bar_part, breve_part):
-        return [tree.expand_rows(k, a) + b
-                for k, (a, b) in enumerate(zip(_rows_of(bar_part), _rows_of(breve_part)))]
-
-    u = assembled(bar.control, breve.control)
-    if resimulate:
-        x, _, xbars = _rollout(c, tree, grid, u, xi, means=bool(c.H.any()))
-    else:
-        x, xbars = assembled(bar.state, breve.state), None
-    cost = _cost_rows(c, tree, grid, x, u, xbars)
+    u = [tree.expand_rows(k, a) + b
+         for k, (a, b) in enumerate(zip(_rows_of(bar.control), _rows_of(breve.control)))]
+    table = _Prefixed(c, tree)
+    x, _, xbars = _rollout(table, grid, u, xi, means=bool(c.H.any()))
+    cost = _cost_rows(table, grid, x, u, xbars)
     x, u = _process(tree, x), _process(tree, u)
     return MftSolution(state=x, control=u, bar=bar, breve=breve, cost=cost)
 
@@ -355,17 +351,17 @@ def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> Od
     pi = solve_pi(c, backend="ode", dt_target=dt_target)
     ll = solve_l(cb, backend="ode", dt_target=dt_target)
     times = pi.times
-    k = np.minimum(np.arange(len(times)) // pi.n_sub, grid.n_steps - 1)
-
-    def table(coeff):
-        return np.stack([coeff.at_step(j) for j in range(grid.n_steps)])[k]
-
-    R = table(c.R)
-    Bt = np.swapaxes(table(c.B), 1, 2)
-    gain_c = np.linalg.solve(R, np.swapaxes(table(c.S), 1, 2) + Bt @ pi.values)
+    n_fine = len(times) - 1
+    # the end of the horizon reads the last fine step's coefficients
+    rows = np.minimum(np.arange(n_fine + 1), n_fine - 1)
+    tabs, bar = (_coeff_tables(p, n_fine) for p in (c, cb))
+    R = tabs["R"][rows]
+    Bt = np.swapaxes(tabs["B"][rows], 1, 2)
+    gain_c = np.linalg.solve(R, np.swapaxes(tabs["S"][rows], 1, 2) + Bt @ pi.values)
     # the mean feedback on z = [xbar; 1], R^-1 ([S; varpi']' + B' L[:n]) for L's
     # augmented table, holds the mean gain and, in its last column, the shift
-    Sz_t = np.concatenate([np.swapaxes(table(cb.S), 1, 2), table(cb.varpi)[..., None]], axis=2)
+    Sz_t = np.concatenate([np.swapaxes(bar["S"][rows], 1, 2), bar["varpi"][rows][..., None]],
+                          axis=2)
     gain_z = np.linalg.solve(R, Sz_t + Bt @ ll.table[:, :-1])
     return OdePolicy(
         grid=grid,
@@ -433,27 +429,27 @@ def solve_coupled_mv_fbsde(
     cb = bar_transform(c)
     xi = _atom_values(xi, tree, "xi")
     N = grid.n_steps
-    table = _Prefixed(c, tree)
-    steps = _picard_steps(c, cb, tree, grid, table)
+    table, bar = _Prefixed(c, tree), _Prefixed(cb, tree)
+    steps = _picard_steps(table, bar, grid)
     # the iterate z = (u, E[u|F0]) and the map's output as flat vectors,
     # seen per step as (component, node) and (component, prefix) rows
     cols = [tree.n_nodes(k) for k in range(N)] + [tree.n_prefixes(k) for k in range(N)]
 
     def sweep(z, out):
         zv, ov = _step_views(z, c.d, cols), _step_views(out, c.d, cols)
-        return _picard_sweep(c, cb, tree, grid, xi, steps, zv[:N], zv[N:], ov[:N], ov[N:], table)
+        return _picard_sweep(table, bar, grid, xi, steps, zv[:N], zv[N:], ov[:N], ov[N:])
 
     z, (x, m, xbar, pred), history = _anderson(
         sweep, c.d * sum(cols), c.d * sum(cols[:N]), damping, max_iter, tol
     )
-    x.append(_add_noise(c, tree, N - 1, m, table))
+    x.append(_add_noise(table, N - 1, m))
     xbar.append(tree.prefix_mean_rows(N, x[N]))
     u = _step_views(z, c.d, cols[:N])
     return CoupledSolution(
         state=_process(tree, x),
         control=_process(tree, u),
         costate_pred=[p.T for p in pred],
-        cost=_cost_rows(c, tree, grid, x, u, xbar, table),
+        cost=_cost_rows(table, grid, x, u, xbar),
         iterations=len(history),
         residual_history=history,
     )
@@ -529,8 +525,7 @@ def _mixing_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(scaled, (df @ f) / norms) / norms
 
 
-def _picard_steps(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: TimeGrid,
-                  table: _Prefixed | None = None) -> list:
+def _picard_steps(table: _Prefixed, bar: _Prefixed, grid: TimeGrid) -> list:
     """The backward steps' coefficients, (node, prefix, shift) per step.
 
     node maps the stacked node rows [x; u; E_k y] to [costate; R^-1 (S'x
@@ -543,13 +538,12 @@ def _picard_steps(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: 
     the new E[u|F0].  All three are shared at a step where every
     coefficient is deterministic, and at step 0, which has one prefix;
     otherwise they are per prefix, and node is expanded block by block
-    where it is applied.  c's values come from table, which the roll-outs
-    of the solve share, so every coefficient is evaluated once per step.
+    where it is applied.  The values come from the solve's tables, table
+    for the full set c and bar for its ``bar_transform``; the roll-outs of
+    the solve share table, so every coefficient is evaluated once per step.
     """
+    c = table.c
     n, d, dt = c.n, c.d, grid.dt
-    if table is None:
-        table = _Prefixed(c, tree)
-    bar = _Prefixed(cb, tree)
     steps = []
     for k in range(grid.n_steps):
         A, F, Q, S, R, B, varpi = (_prefix_values(table, name, k)
@@ -591,23 +585,23 @@ def _blocks(rows: list, prefixes: int) -> np.ndarray:
     ], axis=1)
 
 
-def _picard_sweep(c: CoefficientSet, cb: CoefficientSet, tree: JointTree, grid: TimeGrid, xi,
-                  steps: list, u: list, ubar: list, new_u: list, new_ubar: list,
-                  table: _Prefixed | None = None):
+def _picard_sweep(table: _Prefixed, bar: _Prefixed, grid: TimeGrid, xi, steps: list, u: list,
+                  ubar: list, new_u: list, new_ubar: list):
     """One evaluation of the coupled fixed-point map at (u, E[u|F0]).
 
     u and ubar are the control's (component, node) rows and their
-    per-prefix conditional means; steps are ``_picard_steps``'s and
-    table the solve's per-prefix coefficients.  The
-    map's control and its conditional mean are written into new_u and
-    new_ubar.  Returns the state rows under u at steps 0..N-1, the
-    pre-noise mean E_{N-1}[x_N], the states' prefix means at steps
-    0..N-1, the predicted costate rows, and per step the relative
-    sup-norm change of the control.
+    per-prefix conditional means; table and bar are the solve's tables of
+    the full and the conditional-mean coefficient sets, and steps are
+    ``_picard_steps``'s.  The map's control and its conditional mean are
+    written into new_u and new_ubar.  Returns the state rows under u at
+    steps 0..N-1, the pre-noise mean E_{N-1}[x_N], the states' prefix
+    means at steps 0..N-1, the predicted costate rows, and per step the
+    relative sup-norm change of the control.
     """
+    c, cb, tree = table.c, bar.c, table.tree
     N = grid.n_steps
     n, d = c.n, c.d
-    x, _, xbar = _rollout(c, tree, grid, u, xi, means=True, leaves=False, table=table)
+    x, _, xbar = _rollout(table, grid, u, xi, means=True, leaves=False)
     m = x.pop()
     # the terminal costate enters only through its child means: the
     # increments have mean zero, so E_{N-1}[x_N] = m, and the step-N

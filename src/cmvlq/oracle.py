@@ -12,6 +12,10 @@ W0-only tree ``tree.common``, one control per common-noise prefix, and
 its optimal control stays there; the centered one keeps one control per
 node of the joint tree and projects it onto the class, u - E[u|F0], the
 orthogonal projection in the metric below (Gould, Hribar & Nocedal 2001).
+A QP solve holds one ``decomposition._Prefixed`` table of its coefficient
+set for every gradient evaluation, the closing roll-out and the cost, so
+each node-dependent coefficient is evaluated once per step; the gradient
+multiplies its per-prefix matrices into the node rows block by block.
 
 The Hessian carries each node's probability, which falls by 4x per step,
 so plain conjugate gradients would need twice the iterations for every
@@ -33,8 +37,8 @@ import numpy as np
 
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _atom_values, _centered_atoms, _check_control, _coeff_rows, _mtv, _mv, _nonzero,
-    _plus_prefix, _process, _rollout, _rows_of, eval_cost_mft, simulate_mft,
+    _abar, _atom_values, _centered_atoms, _check_control, _cost_rows, _mtv, _plus_prefix, _Prefixed,
+    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, eval_cost_mft, simulate_mft,
 )
 from .errors import ConvergenceError
 from .lattice import JointTree, TimeGrid, TreeProcess
@@ -76,15 +80,21 @@ def cost_gradient(
     over nodes: the conditional-mean couplings show up as group-averaged
     back-propagation terms.
     """
+    _check_control(u, c, grid, tree)
+    xi = _atom_values(xi, tree, "xi")
+    return _gradient(_Prefixed(c, tree), grid, _rows_of(u, grid.n_steps), xi)
+
+
+def _gradient(table: _Prefixed, grid: TimeGrid, u: list, xi: np.ndarray) -> list:
+    """``cost_gradient`` at control rows u from initial atoms xi, c and the tree in table."""
+    c, tree = table.c, table.tree
     N = grid.n_steps
     dt = grid.dt
-    _check_control(u, c, grid, tree)
-    u = _rows_of(u, N)
     # Terms with a zero H, F, zeta or varpi, as the coefficient sets of
     # both sub-problems have them, would add exact zeros; they are skipped, and
     # with H and F their conditioning folds.
     H = c.H if c.H.any() else None
-    x, _, xbars = _rollout(c, tree, grid, u, _atom_values(xi, tree, "xi"), means=H is not None)
+    x, _, xbars = _rollout(table, grid, u, xi, means=H is not None)
 
     def deviation(k):
         if H is None:
@@ -100,21 +110,19 @@ def cost_gradient(
     out = [None] * N
     for k in reversed(range(N)):
         nabla_hat = tree.child_mean_rows(k, grad_x)
-        F = _nonzero(c.F, tree, k, per_prefix=True)
-        zeta = _nonzero(c.zeta, tree, k)
-        varpi = _nonzero(c.varpi, tree, k)
-        S = _coeff_rows(c.S, tree, k)
+        F, zeta, varpi = (table.nonzero(name, k) for name in ("F", "zeta", "varpi"))
+        S = table("S", k)
         xtk = deviation(k)
 
-        gk = _mv(sym(_coeff_rows(c.R, tree, k)), u[k]) + _mtv(S, xtk)
+        gk = _prefix_mv(tree, k, sym(table("R", k)), u[k]) + _prefix_mtv(tree, k, S, xtk)
         if varpi is not None:
-            gk = gk + varpi
-        gk = gk + _mtv(_coeff_rows(c.B, tree, k), nabla_hat)
+            gk = _plus_prefix(tree, k, gk, varpi)
+        gk = gk + _prefix_mtv(tree, k, table("B", k), nabla_hat)
         out[k] = (gk * (tree.probs(k) * dt)).T
 
-        stage = _mv(sym(_coeff_rows(c.Q, tree, k)), xtk) + _mv(S, u[k])
+        stage = _prefix_mv(tree, k, sym(table("Q", k)), xtk) + _prefix_mv(tree, k, S, u[k])
         if zeta is not None:
-            stage = stage + zeta
+            stage = _plus_prefix(tree, k, stage, zeta)
         # the conditional-mean terms are constant on each prefix: summed
         # there and expanded once
         per_prefix = np.zeros((c.n, 1))
@@ -122,7 +130,7 @@ def cost_gradient(
             per_prefix = per_prefix - H.T @ tree.prefix_mean_rows(k, stage)
         if F is not None:
             per_prefix = per_prefix + _mtv(F, tree.prefix_mean_rows(k, nabla_hat))
-        grad_x = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), nabla_hat) + dt * _plus_prefix(
+        grad_x = _prefix_mtv(tree, k, _abar(table("A", k), dt), nabla_hat) + dt * _plus_prefix(
             tree, k, stage, per_prefix
         )
     return out
@@ -199,10 +207,14 @@ def _solve_over(c, tree, grid, xi, *, label, centered=False) -> QpSolution:
     onto the centered class; the node gradient is pulled back through the
     projection's Euclidean adjoint g - M expand(prefix_mean(g / M)), M the
     node masses.  The projection is self-adjoint in the metric, so the
-    iterates stay centered.  ``dim`` is the dimension of the class:
-    n_nodes(k) - 2^k free nodes per step and control component.
+    iterates stay centered.  One table of c's values serves every
+    gradient, the closing roll-out and the cost.  ``dim`` is the
+    dimension of the class: n_nodes(k) - 2^k free nodes per step and
+    control component.
     """
     N = grid.n_steps
+    table = _Prefixed(c, tree)
+    xi = _atom_values(xi, tree, "xi")
     masses = [tree.probs(k) for k in range(N)]
     shapes = [(tree.n_nodes(k), c.d) for k in range(N)]
     offsets = _offsets(shapes)
@@ -212,10 +224,10 @@ def _solve_over(c, tree, grid, xi, *, label, centered=False) -> QpSolution:
         rows = [v.T for v in _unflatten(vec, shapes, offsets)]
         if centered:
             rows = [r - tree.expand_rows(k, tree.prefix_mean_rows(k, r)) for k, r in enumerate(rows)]
-        return _process(tree, rows)
+        return rows
 
     def grad_of(vec):
-        grads = cost_gradient(c, tree, grid, control(vec), xi)
+        grads = _gradient(table, grid, control(vec), xi)
         if centered:
             grads = [
                 (g.T - m * tree.expand_rows(k, tree.prefix_mean_rows(k, g.T / m))).T
@@ -225,12 +237,11 @@ def _solve_over(c, tree, grid, xi, *, label, centered=False) -> QpSolution:
 
     sol_vec, history = _solve_quadratic(grad_of, int(offsets[-1]), label=label, metric=metric)
     u = control(sol_vec)
-    x = simulate_mft(c, tree, grid, u, xi)
-    cost = eval_cost_mft(c, x, u, tree, grid)
+    cost = _cost_rows(table, grid, _rollout(table, grid, u, xi)[0], u)
     gsup = float(np.max(np.abs(grad_of(sol_vec))))
     dim = c.d * sum(tree.n_nodes(k) - (tree.n_prefixes(k) if centered else 0) for k in range(N))
     return QpSolution(
-        control=u, cost=cost, gradient_sup=gsup, dim=dim, residual_history=history
+        control=_process(tree, u), cost=cost, gradient_sup=gsup, dim=dim, residual_history=history
     )
 
 

@@ -23,7 +23,8 @@ each prefix's level.  The ODE backend integrates the continuous equation
 with classical Runge-Kutta on a fine grid; it requires coefficients
 without a common-noise loading and is the route for Monte Carlo work
 where the tree would be unaffordable.  ``_interp_table`` reads its
-tables, and any other fine-grid table, between grid times.
+tables, and any other fine-grid table, between grid times;
+``_coeff_tables`` holds the coefficients per fine step.
 
 ``convexity_margins`` runs the same recursion for a stack of shifts of R
 and bisects for the largest shift at which every one-step control matrix
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet, bar_transform, breve_as_plain, homogeneous
+from .coeffs import _COEFF_FIELDS, CoefficientSet, bar_transform, breve_as_plain, homogeneous
 from .errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from .lattice import TimeGrid, w0_levels, w0_prefix_levels
 
@@ -352,6 +353,23 @@ def _fine_steps(grid: TimeGrid, dt_target: float | None) -> int:
     if not dt_target > 0.0:
         raise ValueError("dt_target must be positive")
     return max(1, math.ceil(grid.dt / dt_target))
+
+
+def _coeff_tables(c: CoefficientSet, n_fine: int):
+    """Per-fine-step coefficient arrays; deterministic coefficients only.
+
+    Fine step j takes the coefficients of the coarse step holding its
+    left end j*T/n_fine, so any n_fine works, multiple of n_steps or not.
+    """
+    if not c.deterministic:
+        raise NotDeterministicError(
+            "Monte Carlo closed-loop simulation needs deterministic coefficients"
+        )
+    idx = np.arange(n_fine) * c.n_steps // n_fine
+    return {
+        name: np.stack([getattr(c, name).at_step(k) for k in range(c.n_steps)])[idx]
+        for name in _COEFF_FIELDS
+    }
 
 
 def _ode_sweep(p: CoefficientSet, dt_target) -> OdeBackwardQuadratic:

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import _COEFF_FIELDS, CoefficientSet
+from .coeffs import CoefficientSet
 from .decomposition import _check_centered_split
-from .errors import CmvlqError, DimensionError, NotDeterministicError
+from .errors import CmvlqError, DimensionError
 from .lattice import TimeGrid
-from .riccati import OdeBackwardQuadratic, _fine_steps, _interp_table
+from .riccati import OdeBackwardQuadratic, _coeff_tables, _fine_steps, _interp_table
 
 SIM_BATCH = 4096
 DEFAULT_COMMON_PATHS = 16
@@ -173,23 +173,6 @@ def _fine_grid(grid: TimeGrid, dt_target: float):
     dt = grid.horizon / n_fine
     times = np.linspace(0.0, grid.horizon, n_fine + 1)
     return n_sub, n_fine, dt, times
-
-
-def _coeff_tables(c: CoefficientSet, n_fine: int):
-    """Per-fine-step coefficient arrays; deterministic coefficients only.
-
-    Fine step j takes the coefficients of the coarse step holding its
-    left end j*T/n_fine, so any n_fine works, multiple of n_steps or not.
-    """
-    if not c.deterministic:
-        raise NotDeterministicError(
-            "Monte Carlo closed-loop simulation needs deterministic coefficients"
-        )
-    idx = np.arange(n_fine) * c.n_steps // n_fine
-    return {
-        name: np.stack([getattr(c, name).at_step(k) for k in range(c.n_steps)])[idx]
-        for name in _COEFF_FIELDS
-    }
 
 
 def _tr(a: np.ndarray) -> np.ndarray:
@@ -495,7 +478,7 @@ def conditional_zero_worst(ensemble: PathEnsemble) -> float:
     off = (se == 0) & (mean != 0)
     if off.any():
         g, cp, _ = np.argwhere(off)[0]
-        paths = int(np.count_nonzero(ensemble.common_index == g))
+        paths = int((ensemble.common_index == g).sum())
         raise CmvlqError(f"stream {g} at t = {ensemble.times[ensemble.checkpoint_indices[cp]]:.6g}: "
                          f"x - E[x|F0] has zero spread but a nonzero mean over its {paths} path(s); "
                          "too few paths per stream to test the conditional centering")

@@ -7,15 +7,15 @@ zero or not, so the two must agree exactly.
 """
 
 import numpy as np
+from helpers_expanded import coeff_prefix, coeff_rows
 
 from cmvlq.decomposition import (
     _abar,
     _atom_values,
-    _coeff_prefix,
-    _coeff_rows,
     _mtv,
     _mv,
     _plus_prefix,
+    _Prefixed,
     _rollout,
     _rows_of,
 )
@@ -30,7 +30,7 @@ def ref_cost_gradient(c, tree, grid, u, xi):
     N = grid.n_steps
     dt = grid.dt
     u = _rows_of(u, N)
-    x, _, xbars = _rollout(c, tree, grid, u, _atom_values(xi, tree, "xi"), means=True)
+    x, _, xbars = _rollout(_Prefixed(c, tree), grid, u, _atom_values(xi, tree, "xi"), means=True)
 
     def deviation(k):
         return x[k] - tree.expand_rows(k, c.H @ xbars[k])
@@ -43,19 +43,20 @@ def ref_cost_gradient(c, tree, grid, u, xi):
     out = [None] * N
     for k in reversed(range(N)):
         nabla_hat = tree.child_mean_rows(k, grad_x)
-        S = _coeff_rows(c.S, tree, k)
+        S = coeff_rows(c.S, tree, k)
         xtk = deviation(k)
 
-        gk = _mv(sym(_coeff_rows(c.R, tree, k)), u[k]) + _mtv(S, xtk)
-        gk = gk + _coeff_rows(c.varpi, tree, k)
-        gk = gk + _mtv(_coeff_rows(c.B, tree, k), nabla_hat)
+        gk = _mv(sym(coeff_rows(c.R, tree, k)), u[k]) + _mtv(S, xtk)
+        gk = gk + coeff_rows(c.varpi, tree, k)
+        gk = gk + _mtv(coeff_rows(c.B, tree, k), nabla_hat)
         out[k] = (gk * (tree.probs(k) * dt)).T
 
-        stage = _mv(sym(_coeff_rows(c.Q, tree, k)), xtk) + _mv(S, u[k])
-        stage = stage + _coeff_rows(c.zeta, tree, k)
+        stage = _mv(sym(coeff_rows(c.Q, tree, k)), xtk) + _mv(S, u[k])
+        stage = stage + coeff_rows(c.zeta, tree, k)
         per_prefix = np.zeros((c.n, 1)) - c.H.T @ tree.prefix_mean_rows(k, stage)
-        per_prefix = per_prefix + _mtv(_coeff_prefix(c.F, tree, k), tree.prefix_mean_rows(k, nabla_hat))
-        grad_x = _mtv(_abar(_coeff_rows(c.A, tree, k), dt), nabla_hat) + dt * _plus_prefix(
+        F = coeff_prefix(c.F, tree, k)
+        per_prefix = per_prefix + _mtv(F, tree.prefix_mean_rows(k, nabla_hat))
+        grad_x = _mtv(_abar(coeff_rows(c.A, tree, k), dt), nabla_hat) + dt * _plus_prefix(
             tree, k, stage, per_prefix
         )
     return out

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cmvlq.coeffs import CoefficientSet, bar_transform, breve_as_plain, homogeneous
-from cmvlq.decomposition import _cost_rows, _process, _rollout
+from cmvlq.decomposition import _cost_rows, _Prefixed, _process, _rollout
 from cmvlq.lattice import JointTree, TimeGrid, inner_product
 
 
@@ -51,8 +51,9 @@ def estimate_convexity_margin(
 
     def form(p: CoefficientSet, on: JointTree, u: list) -> float:
         zero_xi = np.zeros((on.n_atoms, c.n))
-        x, _, xbars = _rollout(p, on, grid, u, zero_xi, means=bool(p.H.any()))
-        return 2.0 * _cost_rows(p, on, grid, x, u, xbars)
+        table = _Prefixed(p, on)
+        x, _, xbars = _rollout(table, grid, u, zero_xi, means=bool(p.H.any()))
+        return 2.0 * _cost_rows(table, grid, x, u, xbars)
 
     def sq_norm(on: JointTree, u: list) -> float:
         v = _process(on, u)

@@ -17,14 +17,12 @@ it shares the library's one-step update and control matrix.
 """
 
 import numpy as np
+from helpers_expanded import coeff_prefix, coeff_rows, nonzero_rows
 
 from cmvlq.decomposition import (
     _centered_atoms,
-    _coeff_prefix,
-    _coeff_rows,
     _dot,
     _mv,
-    _nonzero,
     _plus_prefix,
     _quad,
 )
@@ -40,9 +38,9 @@ def ref_simulate_bar(cb, tree, grid, v, xi_bar):
     y = np.broadcast_to(np.asarray(xi_bar, dtype=float), (tree.n_nodes(0), cb.n)).T.copy()
     values = [y.T]
     for k in range(grid.n_steps):
-        drift = _mv(_coeff_rows(cb.A, tree, k), y) + _mv(_coeff_rows(cb.B, tree, k), v.values[k].T)
-        drift = _plus_prefix(tree, k, drift, _coeff_prefix(cb.b, tree, k))
-        y = tree.children_rows(k, y + grid.dt * drift, D0=_coeff_rows(cb.D0, tree, k))
+        drift = _mv(coeff_rows(cb.A, tree, k), y) + _mv(coeff_rows(cb.B, tree, k), v.values[k].T)
+        drift = _plus_prefix(tree, k, drift, coeff_prefix(cb.b, tree, k))
+        y = tree.children_rows(k, y + grid.dt * drift, D0=coeff_rows(cb.D0, tree, k))
         values.append(y.T)
     return values
 
@@ -52,8 +50,8 @@ def ref_simulate_breve(c, tree, grid, alpha, xi_breve):
     z = np.asarray(xi_breve, dtype=float)[tree.atom_of_node[0]].T.copy()
     values = [z.T]
     for k in range(grid.n_steps):
-        drift = _mv(_coeff_rows(c.A, tree, k), z) + _mv(_coeff_rows(c.B, tree, k), alpha.values[k].T)
-        z = tree.children_rows(k, z + grid.dt * drift, _coeff_rows(c.D, tree, k))
+        drift = _mv(coeff_rows(c.A, tree, k), z) + _mv(coeff_rows(c.B, tree, k), alpha.values[k].T)
+        z = tree.children_rows(k, z + grid.dt * drift, coeff_rows(c.D, tree, k))
         values.append(z.T)
     return values
 
@@ -71,8 +69,8 @@ def ref_breve_closed_loop(c, tree, grid, xi_breve, pi):
         gain = tree.expand_rows(k, np.moveaxis(pi.gain_state[k], 0, -1))
         a = -_mv(gain, z)
         controls.append(a)
-        drift = _mv(_coeff_rows(c.A, tree, k), z) + _mv(_coeff_rows(c.B, tree, k), a)
-        z = tree.children_rows(k, z + dt * drift, _nonzero(c.D, tree, k))
+        drift = _mv(coeff_rows(c.A, tree, k), z) + _mv(coeff_rows(c.B, tree, k), a)
+        z = tree.children_rows(k, z + dt * drift, nonzero_rows(c.D, tree, k))
         states.append(z)
     return states, controls
 
@@ -82,15 +80,15 @@ def _lq_cost(tree, grid, states, controls, Q, S, R, QT, zeta=None, varpi=None):
     for k in range(grid.n_steps):
         e, u = states[k].T, controls[k].T
         integrand = (
-            _quad(e, _coeff_rows(Q, tree, k), e)
-            + 2.0 * _quad(e, _coeff_rows(S, tree, k), u)
-            + _quad(u, _coeff_rows(R, tree, k), u)
+            _quad(e, coeff_rows(Q, tree, k), e)
+            + 2.0 * _quad(e, coeff_rows(S, tree, k), u)
+            + _quad(u, coeff_rows(R, tree, k), u)
         )
         if zeta is not None:
             integrand = (
                 integrand
-                + 2.0 * _dot(_coeff_rows(zeta, tree, k), e)
-                + 2.0 * _dot(_coeff_rows(varpi, tree, k), u)
+                + 2.0 * _dot(coeff_rows(zeta, tree, k), e)
+                + 2.0 * _dot(coeff_rows(varpi, tree, k), u)
             )
         total += grid.dt * float(np.dot(tree.probs(k), integrand))
     eT = states[grid.n_steps].T

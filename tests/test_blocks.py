@@ -16,12 +16,15 @@ import pytest
 from helpers_expanded import ref_cost_rows, ref_prefix_mv
 
 from cmvlq import decomposition, fbsde
-from cmvlq.coeffs import Coefficient, bar_transform
+from cmvlq.coeffs import _COEFF_FIELDS, Coefficient, bar_transform, breve_as_plain
 from cmvlq.config import build_coefficients, initial_condition, parse_config
-from cmvlq.decomposition import _cost_rows, _prefix_mv, _rollout, _rows_of
+from cmvlq.decomposition import (
+    _cost_rows, _mtv, _prefix_mtv, _prefix_mv, _Prefixed, _rollout, _rows_of,
+)
 from cmvlq.fbsde import assemble_optimal_control, solve_coupled_mv_fbsde
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import build_joint_tree
+from cmvlq.oracle import solve_qp_breve, solve_qp_exact
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -57,15 +60,17 @@ def test_blockwise_cost_is_the_whole_step_cost_bit_for_bit(monkeypatch, block, s
     inst = _instance(seed, node_dependent, two_atoms)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     u = _rows_of(random_control(inst, tree, 3))
-    x, _, xbars = _rollout(c, tree, grid, u, inst.xi, means=True)
+    table = _Prefixed(c, tree)
+    x, _, xbars = _rollout(table, grid, u, inst.xi, means=True)
     for means in (None, xbars):
-        assert _cost_rows(c, tree, grid, x, u, means) == ref_cost_rows(c, tree, grid, x, u, means)
+        assert _cost_rows(table, grid, x, u, means) == ref_cost_rows(c, tree, grid, x, u, means)
     # the W0-only form, under the conditional-mean problem
     cb, common = bar_transform(c), tree.common
     rng = np.random.default_rng(seed)
     v = [rng.standard_normal((c.d, common.n_nodes(k))) for k in range(grid.n_steps)]
-    y, _, _ = _rollout(cb, common, grid, v, inst.xi_mean()[None])
-    assert _cost_rows(cb, common, grid, y, v) == ref_cost_rows(cb, common, grid, y, v)
+    bar = _Prefixed(cb, common)
+    y, _, _ = _rollout(bar, grid, v, inst.xi_mean()[None])
+    assert _cost_rows(bar, grid, y, v) == ref_cost_rows(cb, common, grid, y, v)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -76,12 +81,17 @@ def test_prefix_matrix_products_are_the_expanded_products_bit_for_bit(monkeypatc
         tree = build_joint_tree(random_instance(0).grid(), np.full(n_atoms, 1.0 / n_atoms))
         for t in (tree, tree.common):
             for k in range(t.grid.n_steps + 1):
-                for i, j in ((1, 1), (2, 3), (3, 2)):
+                for i, j in ((1, 1), (2, 3), (3, 2), (3, 3)):
                     mat = rng.standard_normal((i, j, 2**k))
                     rows = rng.standard_normal((j, t.n_nodes(k)))
                     assert np.array_equal(_prefix_mv(t, k, mat, rows), ref_prefix_mv(t, k, mat, rows))
                     shared = mat[..., 0]
                     assert np.array_equal(_prefix_mv(t, k, shared, rows), ref_prefix_mv(t, k, shared, rows))
+                    # the transposed product; at one node einsum's sum order
+                    # follows the memory layout of the expanded mat
+                    rows = rng.standard_normal((i, t.n_nodes(k)))
+                    assert np.array_equal(_prefix_mtv(t, k, mat, rows),
+                                          ref_prefix_mv(t, k, mat, rows, _mtv))
 
 
 def _solution_arrays(c, tree, grid, xi):
@@ -137,6 +147,35 @@ def test_picard_evaluates_each_coefficient_once_per_step(monkeypatch):
         assert all(calls[id(getattr(c, name)), k] == 1 for k in range(grid.n_steps)), name
 
 
+@pytest.mark.parametrize("centered", [False, True])
+def test_qp_evaluates_each_coefficient_once_per_step(monkeypatch, centered):
+    # every gradient of the conjugate gradients, the closing roll-out and
+    # the cost read one table; solve_qp_exact made 693 evaluations when
+    # each gradient evaluated its coefficients afresh
+    c, tree, xi = _demo("node_dependent", 7)
+    grid = c.grid()
+    solved = breve_as_plain(c) if centered else c
+    dependent = [name for name in _COEFF_FIELDS if not getattr(solved, name).deterministic]
+    # A, b, D0 and Q in the full set; the centered one drops b and D0
+    assert dependent == (["A", "Q"] if centered else ["A", "b", "D0", "Q"])
+    calls = Counter()
+    at_w0 = Coefficient.at_w0
+
+    def counted(self, k, w0):
+        calls[id(self), k] += 1
+        return at_w0(self, k, w0)
+
+    monkeypatch.setattr(Coefficient, "at_w0", counted)
+    if centered:
+        qp = solve_qp_breve(c, tree, grid, xi - tree.atom_probs @ xi)
+    else:
+        qp = solve_qp_exact(c, tree, grid, xi)
+    assert len(qp.residual_history) > 2
+    assert sum(calls.values()) == len(dependent) * grid.n_steps == (14 if centered else 28)
+    assert calls == Counter({(id(getattr(c, name)), k): 1
+                             for name in dependent for k in range(grid.n_steps)})
+
+
 @pytest.mark.parametrize("name", ["mean_field", "node_dependent"])
 def test_cost_memory_is_two_node_vectors_and_a_block(name):
     # the step's integrand and its node probabilities are one vector each;
@@ -150,7 +189,7 @@ def test_cost_memory_is_two_node_vectors_and_a_block(name):
     assert leaves == 131072
     tracemalloc.start()
     try:
-        cost = _cost_rows(c, tree, grid, x, u)
+        cost = _cost_rows(_Prefixed(c, tree), grid, x, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

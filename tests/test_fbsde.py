@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers_node_major import coeff_nodes
 from helpers_split import rel_gap
 
 from cmvlq import fbsde
 from cmvlq.coeffs import bar_transform, breve_as_plain, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
-from cmvlq.decomposition import check_decomposition, coeff_nodes, eval_cost_mft, simulate_mft
+from cmvlq.decomposition import _Prefixed, check_decomposition, eval_cost_mft, simulate_mft
 from cmvlq.errors import CmvlqError, ConvergenceError
 from cmvlq.fbsde import (
     _adjoint,
@@ -289,7 +290,8 @@ def test_backward_residual_keeps_a_nan():
     costate = [v.T.copy() for v in sol.costate.values]
     costate[0][0, 0] = np.nan
     rows = lambda p: [v.T for v in p.values]
-    fields = _adjoint(breve_as_plain(c), tree, grid, rows(sol.state), rows(sol.control), costate)
+    fields = _adjoint(_Prefixed(breve_as_plain(c), tree), grid, rows(sol.state), rows(sol.control),
+                      costate)
     assert np.isnan(fields["backward_residual"])
 
 

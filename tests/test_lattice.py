@@ -7,15 +7,16 @@ is checked against something written independently.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers_node_major import ref_index_maps
+from helpers_node_major import coeff_nodes, ref_index_maps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvlq.coeffs import as_coefficient
-from cmvlq.decomposition import coeff_nodes
+from cmvlq.decomposition import _Prefixed
 from cmvlq.errors import AdaptednessError, CapacityError, DimensionError
 from cmvlq.lattice import (
     F0_ADAPTED,
@@ -236,11 +237,16 @@ def test_coefficients_per_prefix_on_nodes(grid3):
     dep = as_coefficient(
         rng.standard_normal((3, 2, 2)), 3, (2, 2), "A", slope=rng.standard_normal((3, 2, 2))
     )
+    # the library's per-prefix table, expanded onto the nodes, against the
+    # node-major gather of the reference
+    table = _Prefixed(SimpleNamespace(A=det, F=dep), tree)
     for k in range(3):
+        assert np.array_equal(table("A", k), det.base[k])
         assert np.array_equal(coeff_nodes(det, tree, k), det.base[k])
-        on_nodes = coeff_nodes(dep, tree, k)
+        on_nodes = np.moveaxis(tree.expand_rows(k, table("F", k)), -1, 0)
         gathered = dep.at_w0(k, tree.cum_w0_prefix[k])[tree.w0_of_node[k]]
         assert np.array_equal(on_nodes, gathered)
+        assert np.array_equal(coeff_nodes(dep, tree, k), gathered)
 
 
 def test_ce_constant_on_w0_groups(grid3):

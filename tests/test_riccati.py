@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers_dense_qp import dense_margins
+from helpers_node_major import coeff_nodes
 from helpers_split import ref_ode_sweep, ref_solve_l, ref_tree_offset, ref_tree_sweep, rel_gap
 
 from cmvlq.coeffs import as_coefficient, bar_transform, breve_as_plain, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import (
-    coeff_nodes,
     eval_cost_bar,
     eval_cost_breve,
     simulate_bar,
