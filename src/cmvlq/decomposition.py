@@ -195,8 +195,12 @@ def _plus_prefix(tree: JointTree, k: int, rows: np.ndarray, term: np.ndarray) ->
 
 
 def _atom_values(xi, tree: JointTree, name: str) -> np.ndarray:
-    """Initial state per atom, broadcast from a single vector if needed."""
-    xi = np.asarray(xi, dtype=float)
+    """Initial state per atom, broadcast from a single vector if needed.
+
+    The result is a copy: a solution keeps its atoms to roll its state out
+    again, which a later change to the caller's array must not reach.
+    """
+    xi = np.array(xi, dtype=float)
     if xi.ndim == 1:
         xi = np.broadcast_to(xi, (tree.n_atoms, len(xi))).copy()
     if xi.shape[0] != tree.n_atoms:

@@ -11,10 +11,13 @@ the dynamic-programming feedback, one adjoint routine for the predicted
 costate, the backward residual and the cost of either, and one
 first-order residual for the stationarity check, each reading one
 ``decomposition._Prefixed`` table per coefficient set.  A solution stores what
-the pipeline reads (state, control, predicted costate, cost, residual)
-and its value function; the costate, the gradient of that value function
-at the state, and the martingale loadings read off it are formed on first
-read and then cached.  The conditional-mean system lives on
+the pipeline reads (control, predicted costate, cost, residual), the
+plain coefficient set it was solved on, its initial atoms and its value
+function.  On the lattice a state is the roll-out of its control, so the
+state is rolled out again on every read rather than stored; the costate,
+the gradient of that value function at the state, and the martingale
+loadings read off it are formed on first read and then cached.  The
+conditional-mean system lives on
 ``tree.common``, one node per common-noise prefix: it is rolled out, its
 adjoint read and its stationarity checked there, and only the assembled
 mean-field control brings it onto the joint tree.
@@ -45,17 +48,37 @@ import numpy as np
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
     _abar, _add_noise, _atom_values, _centered_atoms, _cost_rows, _mv, _plus_prefix, _Prefixed,
-    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of,
+    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, simulate_mft,
 )
 from .errors import CmvlqError, ConvergenceError, DimensionError
 from .lattice import JointTree, TimeGrid, TreeProcess
 from .riccati import OdeBackwardQuadratic, TreeBackwardQuadratic, _coeff_tables, solve_l, solve_pi
 
 
+class _RolledOut:
+    """A solution whose state is the roll-out of its control.
+
+    coeffs is the plain coefficient set the solution was solved on and xi
+    its initial atoms.  ``state`` rolls the state out under the control on
+    every read (``simulate_mft`` on the control's tree and the set's own
+    grid), which reproduces the solver's roll-out bit for bit; it is not
+    cached, so a solution that outlives its checks holds no state.  A
+    ``dataclasses.replace`` of the control therefore reads the state under
+    the new control.
+    """
+
+    @property
+    def state(self) -> TreeProcess:
+        c = self.coeffs
+        return simulate_mft(c, self.control.tree, c.grid(), self.control, self.xi)
+
+
 @dataclass(frozen=True)
-class BreveSolution:
+class BreveSolution(_RolledOut):
     """Optimal centered system with its adjoint family.
 
+    coeffs is ``breve_as_plain(c)`` and xi the centered initial atoms;
+    the state is rolled out under the control on every read.
     costate_pred holds the one-step prediction E_k of the next costate,
     which is the object entering the first-order condition.  The rest of
     the family is formed on first read from the state and the value
@@ -64,16 +87,17 @@ class BreveSolution:
     E_k[costate' dW]/dt of the two noises.
     """
 
-    state: TreeProcess
     control: TreeProcess
     costate_pred: TreeProcess
     cost: float
     backward_residual: float
     value: TreeBackwardQuadratic
+    coeffs: CoefficientSet
+    xi: np.ndarray
 
     @cached_property
     def costate(self) -> TreeProcess:
-        tree = self.state.tree
+        tree = self.control.tree
         return _process(tree, _breve_costate(tree, self.value, _rows_of(self.state)))
 
     @cached_property
@@ -86,24 +110,27 @@ class BreveSolution:
 
 
 @dataclass(frozen=True)
-class BarSolution:
+class BarSolution(_RolledOut):
     """Optimal conditional-mean system with its adjoint family, on ``tree.common``.
 
+    coeffs is ``bar_transform(c)`` and xi the mean initial state as one
+    atom row; the state is rolled out under the control on every read.
     As for ``BreveSolution``, the costate (the gradient of the value
     function ``value`` at the state) and its common-noise loading
     noise_load_w0 are formed on first read.
     """
 
-    state: TreeProcess
     control: TreeProcess
     costate_pred: TreeProcess
     cost: float
     backward_residual: float
     value: TreeBackwardQuadratic
+    coeffs: CoefficientSet
+    xi: np.ndarray
 
     @cached_property
     def costate(self) -> TreeProcess:
-        return _process(self.state.tree, _bar_costate(self.value, _rows_of(self.state)))
+        return _process(self.control.tree, _bar_costate(self.value, _rows_of(self.state)))
 
     @cached_property
     def noise_load_w0(self) -> TreeProcess:
@@ -111,14 +138,19 @@ class BarSolution:
 
 
 @dataclass(frozen=True)
-class MftSolution:
-    """Mean-field optimum assembled from the two decomposed solutions."""
+class MftSolution(_RolledOut):
+    """Mean-field optimum assembled from the two decomposed solutions.
 
-    state: TreeProcess
+    coeffs is the full set and xi the initial atoms; the state is rolled
+    out through the coupled dynamics under the control on every read.
+    """
+
     control: TreeProcess
     bar: BarSolution
     breve: BreveSolution
     cost: float
+    coeffs: CoefficientSet
+    xi: np.ndarray
 
     @property
     def split_residual(self) -> float:
@@ -136,13 +168,19 @@ class StationarityReport:
 
 
 @dataclass(frozen=True)
-class CoupledSolution:
-    state: TreeProcess
+class CoupledSolution(_RolledOut):
+    """The coupled fixed point's control, with the full set and the initial
+    atoms it was solved from; the state is rolled out under the control on
+    every read.
+    """
+
     control: TreeProcess
     costate_pred: list
     cost: float
     iterations: int
     residual_history: list
+    coeffs: CoefficientSet
+    xi: np.ndarray
 
 
 def _adjoint(table: _Prefixed, grid: TimeGrid, states, controls, costate) -> dict:
@@ -152,7 +190,7 @@ def _adjoint(table: _Prefixed, grid: TimeGrid, states, controls, costate) -> dic
     costate[k] is the value gradient at the step-k state.  The residual
     is the worst relative gap in the adjoint equation costate_k =
     (I + dt A)' E_k[costate_{k+1}] + dt (Q x_k + S u_k + zeta).  Returns
-    the stored fields of a solution; the costate itself is not kept.
+    the stored fields of a solution; the states and the costate are not kept.
     """
     dt, tree = grid.dt, table.tree
     pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(grid.n_steps)]
@@ -166,7 +204,6 @@ def _adjoint(table: _Prefixed, grid: TimeGrid, states, controls, costate) -> dic
         )
         gaps.append(np.max(np.abs(costate[k] - rhs)) / (1.0 + np.max(np.abs(costate[k]))))
     return dict(
-        state=_process(tree, states),
         control=_process(tree, controls),
         costate_pred=_process(tree, pred),
         cost=_cost_rows(table, grid, states, controls),
@@ -212,11 +249,13 @@ def solve_breve_fbsde(
         pi = solve_pi(c)
     table = _Prefixed(breve_as_plain(c), tree)
     gains = _prefix_rows(pi.gain_state[: grid.n_steps])
+    xi_breve = _centered_atoms(xi_breve, tree)
     states, controls, _ = _rollout(
-        table, grid, lambda k, z: -_prefix_mv(tree, k, gains[k], z), _centered_atoms(xi_breve, tree)
+        table, grid, lambda k, z: -_prefix_mv(tree, k, gains[k], z), xi_breve
     )
     costate = _breve_costate(tree, pi, states)
-    return BreveSolution(**_adjoint(table, grid, states, controls, costate), value=pi)
+    return BreveSolution(**_adjoint(table, grid, states, controls, costate), value=pi,
+                         coeffs=table.c, xi=xi_breve)
 
 
 def solve_bar_fbsde(
@@ -235,7 +274,7 @@ def solve_bar_fbsde(
     p = bar_transform(c)
     if l_solution is None:
         l_solution = solve_l(p)
-    xi_bar = np.asarray(xi_bar, dtype=float)
+    xi_bar = np.array(xi_bar, dtype=float)
     if xi_bar.shape != (p.n,):
         raise DimensionError("xi_bar", f"expected shape {(p.n,)}, got {xi_bar.shape}")
 
@@ -245,7 +284,8 @@ def solve_bar_fbsde(
         table, grid, lambda k, y: -_mv(gains[k], y) - shifts[k], xi_bar[None]
     )
     costate = _bar_costate(l_solution, states)
-    return BarSolution(**_adjoint(table, grid, states, controls, costate), value=l_solution)
+    return BarSolution(**_adjoint(table, grid, states, controls, costate), value=l_solution,
+                       coeffs=p, xi=xi_bar[None])
 
 
 def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> StationarityReport:
@@ -292,10 +332,11 @@ def assemble_optimal_control(c: CoefficientSet, tree: JointTree, xi) -> MftSolut
 
     xi gives the initial state per tree atom (or a single vector).  The
     assembled control is the sum of the conditional-mean feedback and the
-    centered feedback; the state is re-simulated under it through the
-    coupled dynamics so the returned pair is admissible by construction.
-    The bar solution stays on ``tree.common``: its control is expanded
-    onto the joint tree only in the sum.
+    centered feedback; the state is rolled out under it through the
+    coupled dynamics, once here for the cost and again on every read of
+    ``state``, so the returned pair is admissible by construction.  The
+    bar solution stays on ``tree.common``: its control is expanded onto
+    the joint tree only in the sum.
     """
     grid = c.grid()
     xi = _atom_values(xi, tree, "xi")
@@ -312,8 +353,7 @@ def assemble_optimal_control(c: CoefficientSet, tree: JointTree, xi) -> MftSolut
     table = _Prefixed(c, tree)
     x, _, xbars = _rollout(table, grid, u, xi, means=bool(c.H.any()))
     cost = _cost_rows(table, grid, x, u, xbars)
-    x, u = _process(tree, x), _process(tree, u)
-    return MftSolution(state=x, control=u, bar=bar, breve=breve, cost=cost)
+    return MftSolution(control=_process(tree, u), bar=bar, breve=breve, cost=cost, coeffs=c, xi=xi)
 
 
 # -- continuous-time feedback for Monte Carlo use ---------------------------
@@ -418,9 +458,11 @@ def solve_coupled_mv_fbsde(
 
     Convergence is measured by the undamped fixed-point residual in the
     control, relative sup norm per step.  The iterate that meets tol is
-    returned with its state, the leaves added once, predicted costate and
-    cost; iterations counts map evaluations, one residual per evaluation
-    in residual_history.  A non-finite change raises CmvlqError.
+    returned with its predicted costate and its cost, taken on its state
+    with the leaves added once; the state is then dropped and rolled out
+    again on read.  iterations counts map evaluations, one residual per
+    evaluation in residual_history.  A non-finite change raises
+    CmvlqError.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -446,12 +488,13 @@ def solve_coupled_mv_fbsde(
     xbar.append(tree.prefix_mean_rows(N, x[N]))
     u = _step_views(z, c.d, cols[:N])
     return CoupledSolution(
-        state=_process(tree, x),
         control=_process(tree, u),
         costate_pred=[p.T for p in pred],
         cost=_cost_rows(table, grid, x, u, xbar),
         iterations=len(history),
         residual_history=history,
+        coeffs=c,
+        xi=xi,
     )
 
 
@@ -488,13 +531,16 @@ def _anderson(sweep, size: int, n_fit: int, damping: float, max_iter: int, tol: 
         if i:
             np.subtract(f, hist[(i - 1) % depth, 1], out=hist[(i - 1) % depth, 1])
         used = min(i, depth)
-        step = damping * f
+        mix = 0.0
         if used:
             gamma = _mixing_coefficients(hist[:used, 1, :n_fit], f[:n_fit])
-            # dz and df of a slot are adjacent rows: one product mixes both
+            # dz and df of a slot are adjacent rows: one product mixes both,
+            # taken before the step is written into the slot it retires
             weights = np.outer(gamma, [1.0, damping]).ravel()
-            step -= weights @ hist[:used].reshape(2 * used, size)
-        hist[i % depth, 0] = step
+            mix = weights @ hist[:used].reshape(2 * used, size)
+        step = np.multiply(f, damping, out=hist[i % depth, 0])
+        step -= mix
+        del mix  # the next sweep should not hold it
         hist[i % depth, 1] = f
         z += step
     raise ConvergenceError(

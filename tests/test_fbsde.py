@@ -1,12 +1,13 @@
 import dataclasses
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers_node_major import coeff_nodes
-from helpers_split import rel_gap
+from helpers_split import ref_breve_closed_loop, ref_simulate_bar, rel_gap
 
 from cmvlq import fbsde
 from cmvlq.coeffs import bar_transform, breve_as_plain, make_coefficients
@@ -27,7 +28,17 @@ from cmvlq.lattice import F0_ADAPTED, F_ADAPTED, TreeProcess, build_joint_tree
 from cmvlq.oracle import solve_qp_bar
 from cmvlq.riccati import solve_l, solve_pi
 
-DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "mean_field.cfg"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+def _demo(name, n_steps):
+    """A demo config's coefficients at n_steps, with its tree and initial atoms."""
+    text = (DEMOS / f"{name}.cfg").read_text()
+    cfg = parse_config(re.sub(r"^N = \d+$", f"N = {n_steps}", text, flags=re.M))
+    c = build_coefficients(cfg)
+    xi, probs = initial_condition(cfg)
+    assert c.n_steps == n_steps
+    return c, build_joint_tree(c.grid(), probs), xi
 
 
 def _max_ce(proc, tree):
@@ -135,6 +146,62 @@ def test_mean_adjoints_are_exact(seed):
         )
         got = common.child_increment_mean_rows(k, nxt.T, "w0").T
         assert np.max(np.abs(got - expected)) < 1e-12 * scale
+
+
+def _same(process, rows):
+    return all(np.array_equal(a, b) for a, b in zip(process.values, rows, strict=True))
+
+
+@pytest.mark.parametrize("node_dependent", [False, True])
+def test_states_are_rolled_out_from_the_stored_controls(node_dependent):
+    # no solution stores a state: each read rolls it out under the control,
+    # bit for bit the solver's own roll-out
+    inst = random_instance(4, node_dependent=node_dependent)
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    assert grid.n_steps >= 4 and tree.n_atoms > 1 and c.H.any()
+    xi = inst.xi.copy()
+    sol = assemble_optimal_control(c, tree, xi)
+    coupled = solve_coupled_mv_fbsde(c, tree, grid, xi)
+    xi += 1.0  # the solutions keep their own initial atoms
+    for s in (sol, sol.bar, sol.breve, coupled):
+        assert "state" not in {f.name for f in dataclasses.fields(s)}
+
+    pi = solve_pi(c)
+    centered, _ = ref_breve_closed_loop(c, tree, grid, inst.xi_centered(), pi)
+    assert _same(sol.breve.state, [z.T for z in centered])
+    mean = ref_simulate_bar(bar_transform(c), tree.common, grid, sol.bar.control, inst.xi_mean())
+    assert _same(sol.bar.state, mean)
+    for s in (sol, coupled):
+        assert _same(s.state, simulate_mft(c, tree, grid, s.control, inst.xi).values)
+        # the cost was taken on the solver's roll-out
+        assert eval_cost_mft(c, s.state, s.control, tree, grid) == s.cost
+
+    # a replaced control reads its own state
+    other = random_control(inst, tree, seed=5)
+    moved = dataclasses.replace(sol, control=other)
+    assert _same(moved.state, simulate_mft(c, tree, grid, other, inst.xi).values)
+
+
+def test_solutions_hold_less_than_one_state():
+    # what the two solvers leave allocated stays below one full state
+    # process; each solution held at least one such state (the assembled
+    # one two, its own and the centered one) when they stored their states
+    c, tree, xi = _demo("mean_field", 6)
+    grid = c.grid()
+    state_bytes = c.n * sum(tree.n_nodes(k) for k in range(grid.n_steps + 1)) * 8
+    assemble_optimal_control(c, tree, xi)  # the tree's cached views, outside the count
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sol = assemble_optimal_control(c, tree, xi)
+        assembled = tracemalloc.get_traced_memory()[0]
+        coupled = solve_coupled_mv_fbsde(c, tree, grid, xi)
+        picard = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert coupled.iterations > 1 and sol.cost > 0.0
+    assert assembled - start < state_bytes
+    assert picard - assembled < state_bytes
 
 
 def test_bar_processes_have_one_node_per_prefix():
@@ -318,14 +385,9 @@ def test_coupled_iteration_refuses_no_map_evaluations(max_iter):
 
 def test_coupled_iteration_is_accelerated_on_the_demo_coefficients():
     # damped Picard at damping 0.5 needs 29-30 map evaluations here
-    text = DEMO_CONFIG.read_text()
     for n_steps in (3, 4, 5, 6):
-        cfg = parse_config(re.sub(r"^N = \d+$", f"N = {n_steps}", text, flags=re.M))
-        c = build_coefficients(cfg)
-        xi, probs = initial_condition(cfg)
+        c, tree, xi = _demo("mean_field", n_steps)
         grid = c.grid()
-        assert grid.n_steps == n_steps
-        tree = build_joint_tree(grid, probs)
         coupled = solve_coupled_mv_fbsde(c, tree, grid, xi)
         assert coupled.iterations <= 20, n_steps
         assert len(coupled.residual_history) == coupled.iterations
