@@ -35,7 +35,7 @@ ensemble = simulate_forward(
     policy, c, grid, 20_000, seed=11, xi=xi, atom_probs=probs,
     n_common=16, dt_target=2e-3,
 )
-estimate = estimate_cost(ensemble, c, grid)
+estimate = estimate_cost(ensemble)
 predicted = predicted_closed_loop_value(policy, xi, probs)
 z = abs(estimate.mean - predicted) / estimate.std_error
 

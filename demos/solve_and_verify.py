@@ -44,7 +44,7 @@ tree = build_joint_tree(grid, probs)
 sol = assemble_optimal_control(c, tree, xi)
 qp = solve_qp_exact(c, tree, grid, xi)
 rep = compare_solutions(c, tree, grid, qp.control, sol.control, xi)
-stat = verify_stationarity(c, sol, tree, grid)
+stat = verify_stationarity(sol)
 
 print(f"decomposition cost      {sol.cost:.12f}")
 print(f"  mean part             {sol.bar.cost:.12f}")

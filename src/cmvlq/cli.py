@@ -105,7 +105,7 @@ def _rows_validate(c, grid):
 
 def _solve_tree(c, tree, grid, xi):
     sol = assemble_optimal_control(c, tree, xi)
-    stat = verify_stationarity(c, sol, tree, grid)
+    stat = verify_stationarity(sol)
     dec = check_decomposition(c, sol.state, sol.control, tree, grid)
     margin_bar, margin_breve = convexity_margins(c, tree.n_atoms)
     margin_mft = min(margin_bar, margin_breve)
@@ -209,7 +209,7 @@ def _rows_simulate(c, grid, cfg, xi, probs):
         n_common=scfg.n_common_noise,
         dt_target=scfg.dt_target,
     )
-    est = sim.estimate_cost(ens, c, grid)
+    est = sim.estimate_cost(ens)
     predicted = predicted_closed_loop_value(policy, xi, probs)
     if not est.std_error > 0:
         raise CmvlqError(f"the Monte Carlo cost has zero standard error over {est.n_paths} "

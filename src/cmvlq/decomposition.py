@@ -21,8 +21,8 @@ prefix, so its F0-adaptedness holds by construction; the centered one
 lives on the joint tree and checks its centering.
 
 Coefficients reach the tree only through ``_Prefixed``, one table per
-coefficient set and tree that each public entry builds and its kernels
-read, evaluating each coefficient once per step and per W0 prefix.
+coefficient set, tree and grid that each public entry builds and its
+kernels read, evaluating each coefficient once per step and per W0 prefix.
 Per-prefix values reach the nodes one block of ``NODE_BLOCK`` nodes at a
 time: ``_prefix_mv`` multiplies a per-prefix matrix (a node-dependent
 coefficient, a gain or value table) into node rows block by block, and
@@ -81,11 +81,17 @@ class _Prefixed:
     Calling it gives the value at step k, prefix axis last: a deterministic
     one shared, a matrix as (i, j) and a vector as a column (i, 1); a
     node-dependent one per prefix, shape (*shape, 2**k).  The node
-    products accept either.
+    products accept either.  The set, the tree and the grid must agree:
+    the kernels read the time step from ``grid``, and a grid that is not
+    the set's is refused rather than solved on.
     """
 
-    def __init__(self, c: CoefficientSet, tree: JointTree):
-        self.c, self.tree = c, tree
+    def __init__(self, c: CoefficientSet, tree: JointTree, grid: TimeGrid):
+        own = c.grid()
+        for name, other in (("grid", grid), ("tree", tree.grid)):
+            if other != own:
+                raise DimensionError(name, f"{other} does not match the coefficients' {own}")
+        self.c, self.tree, self.grid = c, tree, grid
         self._memo = {}
 
     def __call__(self, name: str, k: int) -> np.ndarray:
@@ -117,6 +123,12 @@ class _Prefixed:
 def _rows_of(p: TreeProcess, steps=None) -> list:
     """A vector process's per-step arrays as (component, node) views."""
     return [v.T for v in p.values[:steps]]
+
+
+def _step_views(flat: np.ndarray, d: int, cols: list) -> list:
+    """Consecutive (d, n) row views of a flat buffer, one per entry of cols."""
+    ends = np.cumsum([0] + [d * n for n in cols])
+    return [flat[a:b].reshape(d, n) for a, b, n in zip(ends[:-1], ends[1:], cols)]
 
 
 def _process(tree: JointTree, rows) -> TreeProcess:
@@ -208,8 +220,7 @@ def _atom_values(xi, tree: JointTree, name: str) -> np.ndarray:
     return xi
 
 
-def _rollout(table: _Prefixed, grid: TimeGrid, control, xi: np.ndarray, means: bool = False,
-             leaves: bool = True):
+def _rollout(table: _Prefixed, control, xi: np.ndarray, means: bool = False, leaves: bool = True):
     """The state under a control from initial atoms xi, node axis last.
 
     control is either the (d, n_nodes(k)) control rows of every step or a
@@ -220,9 +231,9 @@ def _rollout(table: _Prefixed, grid: TimeGrid, control, xi: np.ndarray, means: b
     per prefix and expanded once.  With leaves unset the last step's
     noise is not added: the last state entry is then the pre-noise mean
     E_{N-1}[x_N] on the step-(N-1) nodes, and the means stop at N-1.
-    table holds the coefficient set and the tree.
+    table holds the coefficient set, the tree and the grid.
     """
-    c, tree = table.c, table.tree
+    c, tree, grid = table.c, table.tree, table.grid
     if xi.shape[1] != c.n:
         raise DimensionError("xi", f"state dimension {c.n} expected, got {xi.shape[1]}")
     if not np.isfinite(xi).all():
@@ -262,7 +273,7 @@ def _add_noise(table: _Prefixed, k: int, mean: np.ndarray) -> np.ndarray:
     return tree.children_rows(k, mean, *loads)
 
 
-def _cost_rows(table: _Prefixed, grid: TimeGrid, x: list, u: list, xbars=None) -> float:
+def _cost_rows(table: _Prefixed, x: list, u: list, xbars=None) -> float:
     """The mean-field cost of state rows x under control rows u; xbars, if
     given, are the states' per-prefix means, else folded where H needs them.
 
@@ -273,7 +284,7 @@ def _cost_rows(table: _Prefixed, grid: TimeGrid, x: list, u: list, xbars=None) -
     same operations as on the whole step, then one dot with the node
     probabilities sums the step.
     """
-    c, tree = table.c, table.tree
+    c, tree, grid = table.c, table.tree, table.grid
     has_h = c.H.any()
     N = grid.n_steps
     total = 0.0
@@ -314,7 +325,7 @@ def simulate_mft(
     """
     _check_control(u, c, grid, tree)
     xi = _atom_values(xi, tree, "xi")
-    return _process(tree, _rollout(_Prefixed(c, tree), grid, _rows_of(u, grid.n_steps), xi)[0])
+    return _process(tree, _rollout(_Prefixed(c, tree, grid), _rows_of(u, grid.n_steps), xi)[0])
 
 
 def simulate_bar(
@@ -372,7 +383,7 @@ def eval_cost_mft(
     """
     _check_state(x, c, grid, tree)
     _check_control(u, c, grid, tree)
-    return _cost_rows(_Prefixed(c, tree), grid, _rows_of(x), _rows_of(u, grid.n_steps))
+    return _cost_rows(_Prefixed(c, tree, grid), _rows_of(x), _rows_of(u, grid.n_steps))
 
 
 def eval_cost_bar(
@@ -448,12 +459,12 @@ def check_decomposition(
     xs, us = _rows_of(x), _rows_of(u, grid.n_steps)
     xbar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(xs)]
     ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(us)]
-    j_bar = _cost_rows(_Prefixed(bar_transform(c), tree.common), grid, xbar, ubar)
+    j_bar = _cost_rows(_Prefixed(bar_transform(c), tree.common, grid), xbar, ubar)
 
     def centered(rows, means):
         return [r - tree.expand_rows(k, m) for k, (r, m) in enumerate(zip(rows, means))]
 
-    j_breve = _cost_rows(_Prefixed(breve_as_plain(c), tree), grid, centered(xs, xbar),
+    j_breve = _cost_rows(_Prefixed(breve_as_plain(c), tree, grid), centered(xs, xbar),
                          centered(us, ubar))
     return DecompositionReport(j_total, j_bar, j_breve)
 
@@ -469,7 +480,7 @@ def lemma_identities(
     decomposed side); they agree up to round-off.
     """
     cb = bar_transform(c)
-    table, bar = _Prefixed(c, tree), _Prefixed(cb, tree)
+    table, bar = _Prefixed(c, tree, grid), _Prefixed(cb, tree, grid)
     parts = split_pair(x, u, tree)
     dt = grid.dt
     N = grid.n_steps

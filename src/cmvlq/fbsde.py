@@ -5,22 +5,21 @@ the tree by rolling the state forward under the dynamic-programming
 feedback and reading every adjoint quantity off as an honest conditional
 expectation over child nodes.  With the one-step-predicted adjoint in
 the first-order condition, stationarity holds at machine precision, so
-the checks here certify rather than approximate.  Both sub-problems run
-through the full problem's code on their coefficient sets: one roll-out under
-the dynamic-programming feedback, one adjoint routine for the predicted
-costate, the backward residual and the cost of either, and one
-first-order residual for the stationarity check, each reading one
-``decomposition._Prefixed`` table per coefficient set.  A solution stores what
-the pipeline reads (control, predicted costate, cost, residual), the
-plain coefficient set it was solved on, its initial atoms and its value
-function.  On the lattice a state is the roll-out of its control, so the
-state is rolled out again on every read rather than stored; the costate,
-the gradient of that value function at the state, and the martingale
-loadings read off it are formed on first read and then cached.  The
-conditional-mean system lives on
-``tree.common``, one node per common-noise prefix: it is rolled out, its
-adjoint read and its stationarity checked there, and only the assembled
-mean-field control brings it onto the joint tree.
+the checks here certify rather than approximate.  Both sub-problems are
+one solve, ``_solve_sub``, on their plain coefficient sets: it rolls out
+the value function's feedback u = -(K x + k), reads the costate as
+P x + g, per prefix (the centered problem's k and g are exact zeros and
+skipped), and one adjoint routine gives the predicted costate, the
+backward residual and the cost.  Its ``SubSolution`` stores what the
+pipeline reads (control, predicted costate, cost, residual), the plain
+set it was solved on, its initial atoms and its value function, which is
+all ``verify_stationarity`` needs.  On the lattice a state is the
+roll-out of its control, so it is rolled out again on every read rather
+than stored; the costate and its martingale loadings are formed on first
+read and cached.  The conditional-mean system lives on ``tree.common``,
+one node per common-noise prefix: it is rolled out, its adjoint read and
+its stationarity checked there, and only the assembled mean-field
+control brings it onto the joint tree.
 
 A separate Picard iteration solves the coupled mean-field system in one
 piece, without decomposing first; agreement of the two routes is one of
@@ -48,7 +47,7 @@ import numpy as np
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
     _abar, _add_noise, _atom_values, _centered_atoms, _cost_rows, _mv, _plus_prefix, _Prefixed,
-    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, simulate_mft,
+    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, _step_views, simulate_mft,
 )
 from .errors import CmvlqError, ConvergenceError, DimensionError
 from .lattice import JointTree, TimeGrid, TreeProcess
@@ -74,17 +73,19 @@ class _RolledOut:
 
 
 @dataclass(frozen=True)
-class BreveSolution(_RolledOut):
-    """Optimal centered system with its adjoint family.
+class SubSolution(_RolledOut):
+    """Optimal solution of one decomposed problem with its adjoint family.
 
-    coeffs is ``breve_as_plain(c)`` and xi the centered initial atoms;
-    the state is rolled out under the control on every read.
+    coeffs and xi are ``bar_transform(c)`` and the mean initial state as
+    one atom row on ``tree.common`` for the conditional-mean problem,
+    ``breve_as_plain(c)`` and the centered atoms on the joint tree for the
+    centered one; the state is rolled out under the control on every read.
     costate_pred holds the one-step prediction E_k of the next costate,
-    which is the object entering the first-order condition.  The rest of
-    the family is formed on first read from the state and the value
-    function ``value``: costate holds Pi_k z_k at every step, and
-    noise_load_w / noise_load_w0 are the exact martingale loadings
-    E_k[costate' dW]/dt of the two noises.
+    which enters the first-order condition.  Formed on first read from the
+    state and the value function ``value``: costate, the value's gradient
+    P_k x_k + g_k, and noise_load_w / noise_load_w0, the exact martingale
+    loadings E_k[costate' dW]/dt of the two noises (``DimensionError`` for
+    W on ``tree.common``).
     """
 
     control: TreeProcess
@@ -98,39 +99,11 @@ class BreveSolution(_RolledOut):
     @cached_property
     def costate(self) -> TreeProcess:
         tree = self.control.tree
-        return _process(tree, _breve_costate(tree, self.value, _rows_of(self.state)))
+        return _process(tree, _value_gradient(tree, self.value, _rows_of(self.state)))
 
     @cached_property
     def noise_load_w(self) -> TreeProcess:
         return _noise_load(self.costate, "w")
-
-    @cached_property
-    def noise_load_w0(self) -> TreeProcess:
-        return _noise_load(self.costate, "w0")
-
-
-@dataclass(frozen=True)
-class BarSolution(_RolledOut):
-    """Optimal conditional-mean system with its adjoint family, on ``tree.common``.
-
-    coeffs is ``bar_transform(c)`` and xi the mean initial state as one
-    atom row; the state is rolled out under the control on every read.
-    As for ``BreveSolution``, the costate (the gradient of the value
-    function ``value`` at the state) and its common-noise loading
-    noise_load_w0 are formed on first read.
-    """
-
-    control: TreeProcess
-    costate_pred: TreeProcess
-    cost: float
-    backward_residual: float
-    value: TreeBackwardQuadratic
-    coeffs: CoefficientSet
-    xi: np.ndarray
-
-    @cached_property
-    def costate(self) -> TreeProcess:
-        return _process(self.control.tree, _bar_costate(self.value, _rows_of(self.state)))
 
     @cached_property
     def noise_load_w0(self) -> TreeProcess:
@@ -146,8 +119,8 @@ class MftSolution(_RolledOut):
     """
 
     control: TreeProcess
-    bar: BarSolution
-    breve: BreveSolution
+    bar: SubSolution
+    breve: SubSolution
     cost: float
     coeffs: CoefficientSet
     xi: np.ndarray
@@ -183,7 +156,7 @@ class CoupledSolution(_RolledOut):
     xi: np.ndarray
 
 
-def _adjoint(table: _Prefixed, grid: TimeGrid, states, controls, costate) -> dict:
+def _adjoint(table: _Prefixed, states, controls, costate) -> dict:
     """The predicted costate, cost and backward residual of the plain problem in table.
 
     states, controls and costate are (component, node) arrays per step;
@@ -192,10 +165,10 @@ def _adjoint(table: _Prefixed, grid: TimeGrid, states, controls, costate) -> dic
     (I + dt A)' E_k[costate_{k+1}] + dt (Q x_k + S u_k + zeta).  Returns
     the stored fields of a solution; the states and the costate are not kept.
     """
-    dt, tree = grid.dt, table.tree
-    pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(grid.n_steps)]
+    dt, tree, n_steps = table.grid.dt, table.tree, table.grid.n_steps
+    pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(n_steps)]
     gaps = []
-    for k in range(grid.n_steps):
+    for k in range(n_steps):
         rhs = _prefix_mtv(tree, k, _abar(table("A", k), dt), pred[k]) + dt * _plus_prefix(
             tree, k,
             _prefix_mv(tree, k, table("Q", k), states[k])
@@ -206,7 +179,7 @@ def _adjoint(table: _Prefixed, grid: TimeGrid, states, controls, costate) -> dic
     return dict(
         control=_process(tree, controls),
         costate_pred=_process(tree, pred),
-        cost=_cost_rows(table, grid, states, controls),
+        cost=_cost_rows(table, states, controls),
         backward_residual=float(np.max(gaps)),  # np.max keeps a NaN, max() may drop it
     )
 
@@ -223,48 +196,44 @@ def _prefix_rows(arrays) -> list:
     return [np.moveaxis(a, 0, -1) for a in arrays]
 
 
-def _breve_costate(tree: JointTree, pi: TreeBackwardQuadratic, states: list) -> list:
-    """The centered value gradient Pi_k z_k at the state rows of each step."""
-    return [_prefix_mv(tree, k, values, z)
-            for k, (values, z) in enumerate(zip(_prefix_rows(pi.values), states))]
+def _affine(tree: JointTree, k: int, mat: np.ndarray, term: np.ndarray, rows: np.ndarray):
+    """mat @ x + term per node of step k, both per prefix; an all-zero term is skipped."""
+    out = _prefix_mv(tree, k, mat, rows)
+    return _plus_prefix(tree, k, out, term) if term.any() else out
 
 
-def _bar_costate(l_solution: TreeBackwardQuadratic, states: list) -> list:
-    """The conditional-mean value gradient at the state rows of ``tree.common``:
-    the augmented table's state rows times z = [y; 1].
+def _value_gradient(tree: JointTree, value: TreeBackwardQuadratic, states: list) -> list:
+    """The value gradient P_k x_k + g_k at the state rows of each step."""
+    return [_affine(tree, k, P, g, x) for k, (P, g, x) in
+            enumerate(zip(_prefix_rows(value.values), _prefix_rows(value.offset), states))]
+
+
+def _solve_sub(p: CoefficientSet, tree: JointTree, grid: TimeGrid, value: TreeBackwardQuadratic,
+               xi: np.ndarray) -> SubSolution:
+    """Roll the plain problem p's optimum forward on tree and extract its adjoints.
+
+    The control is the value function's feedback u = -(K x + k), the
+    costate its gradient P x + g, each per prefix.
     """
-    return [_mv(t[:-1], np.vstack([y, np.ones_like(y[:1])]))
-            for t, y in zip(_prefix_rows(l_solution.table), states)]
+    table = _Prefixed(p, tree, grid)
+    if value.grid != grid:
+        raise DimensionError("value", f"solved on {value.grid}, not on {grid}")
+    gains, shifts = (_prefix_rows(f[: grid.n_steps]) for f in (value.gain_state, value.gain_const))
+    states, controls, _ = _rollout(table, lambda k, x: -_affine(tree, k, gains[k], shifts[k], x), xi)
+    costate = _value_gradient(tree, value, states)
+    return SubSolution(**_adjoint(table, states, controls, costate), value=value, coeffs=p, xi=xi)
 
 
-def solve_breve_fbsde(
-    c: CoefficientSet,
-    tree: JointTree,
-    grid: TimeGrid,
-    xi_breve,
-    pi: TreeBackwardQuadratic | None = None,
-) -> BreveSolution:
+def solve_breve_fbsde(c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi_breve,
+                      pi: TreeBackwardQuadratic | None = None) -> SubSolution:
     """Roll the centered optimum forward and extract its adjoints."""
     if pi is None:
         pi = solve_pi(c)
-    table = _Prefixed(breve_as_plain(c), tree)
-    gains = _prefix_rows(pi.gain_state[: grid.n_steps])
-    xi_breve = _centered_atoms(xi_breve, tree)
-    states, controls, _ = _rollout(
-        table, grid, lambda k, z: -_prefix_mv(tree, k, gains[k], z), xi_breve
-    )
-    costate = _breve_costate(tree, pi, states)
-    return BreveSolution(**_adjoint(table, grid, states, controls, costate), value=pi,
-                         coeffs=table.c, xi=xi_breve)
+    return _solve_sub(breve_as_plain(c), tree, grid, pi, _centered_atoms(xi_breve, tree))
 
 
-def solve_bar_fbsde(
-    c: CoefficientSet,
-    tree: JointTree,
-    grid: TimeGrid,
-    xi_bar,
-    l_solution: TreeBackwardQuadratic | None = None,
-) -> BarSolution:
+def solve_bar_fbsde(c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi_bar,
+                    l_solution: TreeBackwardQuadratic | None = None) -> SubSolution:
     """Roll the conditional-mean optimum forward and extract its adjoints.
 
     c is the full set or its ``bar_transform``; either gives the same
@@ -277,44 +246,32 @@ def solve_bar_fbsde(
     xi_bar = np.array(xi_bar, dtype=float)
     if xi_bar.shape != (p.n,):
         raise DimensionError("xi_bar", f"expected shape {(p.n,)}, got {xi_bar.shape}")
-
-    table = _Prefixed(p, tree.common)
-    gains, shifts = _prefix_rows(l_solution.gain_state), _prefix_rows(l_solution.gain_const)
-    states, controls, _ = _rollout(
-        table, grid, lambda k, y: -_mv(gains[k], y) - shifts[k], xi_bar[None]
-    )
-    costate = _bar_costate(l_solution, states)
-    return BarSolution(**_adjoint(table, grid, states, controls, costate), value=l_solution,
-                       coeffs=p, xi=xi_bar[None])
+    return _solve_sub(p, tree.common, grid, l_solution, xi_bar[None])
 
 
-def verify_stationarity(coeffs, solution, tree: JointTree, grid: TimeGrid) -> StationarityReport:
+def verify_stationarity(solution) -> StationarityReport:
     """First-order condition residual, per step and overall.
 
     The residual R u + S' x + B' E_k[costate] + varpi uses the one-step-
     predicted costate, under which the optimal control zeroes it exactly;
-    any perturbation of the control shows up at full size.  Accepts a
-    bar, breve, or assembled solution with the full coefficient set and
-    the joint tree; for a bar solution the set's ``bar_transform`` gives
-    the same result.  The bar residual is taken on ``tree.common``, where
-    the bar solution lives.
+    any perturbation of the control shows up at full size.  A sub-solution
+    is checked on the plain set it was solved on (``coeffs``), on its
+    control's tree and the set's grid: a conditional-mean one on
+    ``tree.common``, where it lives.  An assembled solution gives the
+    per-step maximum over its two parts; any other type raises TypeError.
     """
     if isinstance(solution, MftSolution):
-        rb = verify_stationarity(coeffs, solution.bar, tree, grid)
-        rv = verify_stationarity(coeffs, solution.breve, tree, grid)
+        rb, rv = verify_stationarity(solution.bar), verify_stationarity(solution.breve)
         per = np.maximum(rb.per_step, rv.per_step).tolist()
         return StationarityReport(float(np.max(per)), per)
-    if isinstance(solution, BarSolution):
-        p, tree = bar_transform(coeffs), tree.common
-    elif isinstance(solution, BreveSolution):
-        p = breve_as_plain(coeffs)
-    else:
+    if not isinstance(solution, SubSolution):
         raise TypeError(f"unsupported solution type {type(solution).__name__}")
-    table = _Prefixed(p, tree)
+    p, tree = solution.coeffs, solution.control.tree
+    table = _Prefixed(p, tree, p.grid())
     states, controls = _rows_of(solution.state), _rows_of(solution.control)
     preds = _rows_of(solution.costate_pred)
     per = []
-    for k in range(grid.n_steps):
+    for k in range(p.n_steps):
         control = controls[k]
         res = _plus_prefix(
             tree, k,
@@ -350,9 +307,9 @@ def assemble_optimal_control(c: CoefficientSet, tree: JointTree, xi) -> MftSolut
 
     u = [tree.expand_rows(k, a) + b
          for k, (a, b) in enumerate(zip(_rows_of(bar.control), _rows_of(breve.control)))]
-    table = _Prefixed(c, tree)
-    x, _, xbars = _rollout(table, grid, u, xi, means=bool(c.H.any()))
-    cost = _cost_rows(table, grid, x, u, xbars)
+    table = _Prefixed(c, tree, grid)
+    x, _, xbars = _rollout(table, u, xi, means=bool(c.H.any()))
+    cost = _cost_rows(table, x, u, xbars)
     return MftSolution(control=_process(tree, u), bar=bar, breve=breve, cost=cost, coeffs=c, xi=xi)
 
 
@@ -471,15 +428,15 @@ def solve_coupled_mv_fbsde(
     cb = bar_transform(c)
     xi = _atom_values(xi, tree, "xi")
     N = grid.n_steps
-    table, bar = _Prefixed(c, tree), _Prefixed(cb, tree)
-    steps = _picard_steps(table, bar, grid)
+    table, bar = _Prefixed(c, tree, grid), _Prefixed(cb, tree, grid)
+    steps = _picard_steps(table, bar)
     # the iterate z = (u, E[u|F0]) and the map's output as flat vectors,
     # seen per step as (component, node) and (component, prefix) rows
     cols = [tree.n_nodes(k) for k in range(N)] + [tree.n_prefixes(k) for k in range(N)]
 
     def sweep(z, out):
         zv, ov = _step_views(z, c.d, cols), _step_views(out, c.d, cols)
-        return _picard_sweep(table, bar, grid, xi, steps, zv[:N], zv[N:], ov[:N], ov[N:])
+        return _picard_sweep(table, bar, xi, steps, zv[:N], zv[N:], ov[:N], ov[N:])
 
     z, (x, m, xbar, pred), history = _anderson(
         sweep, c.d * sum(cols), c.d * sum(cols[:N]), damping, max_iter, tol
@@ -490,7 +447,7 @@ def solve_coupled_mv_fbsde(
     return CoupledSolution(
         control=_process(tree, u),
         costate_pred=[p.T for p in pred],
-        cost=_cost_rows(table, grid, x, u, xbar),
+        cost=_cost_rows(table, x, u, xbar),
         iterations=len(history),
         residual_history=history,
         coeffs=c,
@@ -550,12 +507,6 @@ def _anderson(sweep, size: int, n_fit: int, damping: float, max_iter: int, tol: 
     )
 
 
-def _step_views(flat: np.ndarray, d: int, cols: list) -> list:
-    """Consecutive (d, n) row views of a flat buffer, one per entry of cols."""
-    ends = np.cumsum([0] + [d * n for n in cols])
-    return [flat[a:b].reshape(d, n) for a, b, n in zip(ends[:-1], ends[1:], cols)]
-
-
 def _mixing_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
     """gamma minimizing |f - df' gamma|, from the Gram matrix of the rows of df.
 
@@ -571,7 +522,7 @@ def _mixing_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.linalg.solve(scaled, (df @ f) / norms) / norms
 
 
-def _picard_steps(table: _Prefixed, bar: _Prefixed, grid: TimeGrid) -> list:
+def _picard_steps(table: _Prefixed, bar: _Prefixed) -> list:
     """The backward steps' coefficients, (node, prefix, shift) per step.
 
     node maps the stacked node rows [x; u; E_k y] to [costate; R^-1 (S'x
@@ -589,9 +540,9 @@ def _picard_steps(table: _Prefixed, bar: _Prefixed, grid: TimeGrid) -> list:
     the solve share table, so every coefficient is evaluated once per step.
     """
     c = table.c
-    n, d, dt = c.n, c.d, grid.dt
+    n, d, dt = c.n, c.d, table.grid.dt
     steps = []
-    for k in range(grid.n_steps):
+    for k in range(table.grid.n_steps):
         A, F, Q, S, R, B, varpi = (_prefix_values(table, name, k)
                                    for name in ("A", "F", "Q", "S", "R", "B", "varpi"))
         Q_bar, zeta_bar = (_prefix_values(bar, name, k) for name in ("Q", "zeta"))
@@ -631,8 +582,8 @@ def _blocks(rows: list, prefixes: int) -> np.ndarray:
     ], axis=1)
 
 
-def _picard_sweep(table: _Prefixed, bar: _Prefixed, grid: TimeGrid, xi, steps: list, u: list,
-                  ubar: list, new_u: list, new_ubar: list):
+def _picard_sweep(table: _Prefixed, bar: _Prefixed, xi, steps: list, u: list, ubar: list,
+                  new_u: list, new_ubar: list):
     """One evaluation of the coupled fixed-point map at (u, E[u|F0]).
 
     u and ubar are the control's (component, node) rows and their
@@ -645,9 +596,9 @@ def _picard_sweep(table: _Prefixed, bar: _Prefixed, grid: TimeGrid, xi, steps: l
     relative sup-norm change of the control.
     """
     c, cb, tree = table.c, bar.c, table.tree
-    N = grid.n_steps
+    N = table.grid.n_steps
     n, d = c.n, c.d
-    x, _, xbar = _rollout(table, grid, u, xi, means=True, leaves=False)
+    x, _, xbar = _rollout(table, u, xi, means=True, leaves=False)
     m = x.pop()
     # the terminal costate enters only through its child means: the
     # increments have mean zero, so E_{N-1}[x_N] = m, and the step-N

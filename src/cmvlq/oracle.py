@@ -38,7 +38,7 @@ import numpy as np
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
     _abar, _atom_values, _centered_atoms, _check_control, _cost_rows, _mtv, _plus_prefix, _Prefixed,
-    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, eval_cost_mft, simulate_mft,
+    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, _step_views, eval_cost_mft, simulate_mft,
 )
 from .errors import ConvergenceError
 from .lattice import JointTree, TimeGrid, TreeProcess
@@ -82,19 +82,21 @@ def cost_gradient(
     """
     _check_control(u, c, grid, tree)
     xi = _atom_values(xi, tree, "xi")
-    return _gradient(_Prefixed(c, tree), grid, _rows_of(u, grid.n_steps), xi)
+    return [g.T for g in _gradient(_Prefixed(c, tree, grid), _rows_of(u, grid.n_steps), xi)]
 
 
-def _gradient(table: _Prefixed, grid: TimeGrid, u: list, xi: np.ndarray) -> list:
-    """``cost_gradient`` at control rows u from initial atoms xi, c and the tree in table."""
-    c, tree = table.c, table.tree
+def _gradient(table: _Prefixed, u: list, xi: np.ndarray) -> list:
+    """``cost_gradient`` as (component, node) rows at control rows u from initial
+    atoms xi; c, the tree and the grid are table's.
+    """
+    c, tree, grid = table.c, table.tree, table.grid
     N = grid.n_steps
     dt = grid.dt
     # Terms with a zero H, F, zeta or varpi, as the coefficient sets of
     # both sub-problems have them, would add exact zeros; they are skipped, and
     # with H and F their conditioning folds.
     H = c.H if c.H.any() else None
-    x, _, xbars = _rollout(table, grid, u, xi, means=H is not None)
+    x, _, xbars = _rollout(table, u, xi, means=H is not None)
 
     def deviation(k):
         if H is None:
@@ -118,7 +120,7 @@ def _gradient(table: _Prefixed, grid: TimeGrid, u: list, xi: np.ndarray) -> list
         if varpi is not None:
             gk = _plus_prefix(tree, k, gk, varpi)
         gk = gk + _prefix_mtv(tree, k, table("B", k), nabla_hat)
-        out[k] = (gk * (tree.probs(k) * dt)).T
+        out[k] = gk * (tree.probs(k) * dt)
 
         stage = _prefix_mv(tree, k, sym(table("Q", k)), xtk) + _prefix_mv(tree, k, S, u[k])
         if zeta is not None:
@@ -134,24 +136,6 @@ def _gradient(table: _Prefixed, grid: TimeGrid, u: list, xi: np.ndarray) -> list
             tree, k, stage, per_prefix
         )
     return out
-
-
-# -- flat vector plumbing ---------------------------------------------------
-
-
-def _offsets(shapes) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum([np.prod(s) for s in shapes])]).astype(np.int64)
-
-
-def _flatten(arrays) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-def _unflatten(vec, shapes, offsets) -> list:
-    return [
-        vec[offsets[i] : offsets[i + 1]].reshape(shapes[i])
-        for i in range(len(shapes))
-    ]
 
 
 def _solve_quadratic(grad_of, dim: int, *, label: str, metric=1.0):
@@ -210,34 +194,35 @@ def _solve_over(c, tree, grid, xi, *, label, centered=False) -> QpSolution:
     iterates stay centered.  One table of c's values serves every
     gradient, the closing roll-out and the cost.  ``dim`` is the
     dimension of the class: n_nodes(k) - 2^k free nodes per step and
-    control component.
+    control component.  A flat vector holds the steps' (component, node)
+    rows one after another, as the coupled fixed point's iterate does.
     """
     N = grid.n_steps
-    table = _Prefixed(c, tree)
+    table = _Prefixed(c, tree, grid)
     xi = _atom_values(xi, tree, "xi")
     masses = [tree.probs(k) for k in range(N)]
-    shapes = [(tree.n_nodes(k), c.d) for k in range(N)]
-    offsets = _offsets(shapes)
-    metric = grid.dt * _flatten([np.broadcast_to(m[:, None], s) for m, s in zip(masses, shapes)])
+    cols = [tree.n_nodes(k) for k in range(N)]
+    size = c.d * sum(cols)
+    metric = np.empty(size)
+    for view, m in zip(_step_views(metric, c.d, cols), masses):
+        view[...] = grid.dt * m
 
     def control(vec):
-        rows = [v.T for v in _unflatten(vec, shapes, offsets)]
+        rows = _step_views(vec, c.d, cols)
         if centered:
             rows = [r - tree.expand_rows(k, tree.prefix_mean_rows(k, r)) for k, r in enumerate(rows)]
         return rows
 
     def grad_of(vec):
-        grads = _gradient(table, grid, control(vec), xi)
-        if centered:
-            grads = [
-                (g.T - m * tree.expand_rows(k, tree.prefix_mean_rows(k, g.T / m))).T
-                for k, (g, m) in enumerate(zip(grads, masses))
-            ]
-        return _flatten(grads)
+        out = np.empty(size)
+        views = _step_views(out, c.d, cols)
+        for k, (view, g, m) in enumerate(zip(views, _gradient(table, control(vec), xi), masses)):
+            view[...] = g - m * tree.expand_rows(k, tree.prefix_mean_rows(k, g / m)) if centered else g
+        return out
 
-    sol_vec, history = _solve_quadratic(grad_of, int(offsets[-1]), label=label, metric=metric)
+    sol_vec, history = _solve_quadratic(grad_of, size, label=label, metric=metric)
     u = control(sol_vec)
-    cost = _cost_rows(table, grid, _rollout(table, grid, u, xi)[0], u)
+    cost = _cost_rows(table, _rollout(table, u, xi)[0], u)
     gsup = float(np.max(np.abs(grad_of(sol_vec))))
     dim = c.d * sum(tree.n_nodes(k) - (tree.n_prefixes(k) if centered else 0) for k in range(N))
     return QpSolution(

@@ -452,12 +452,14 @@ def cluster_standard_error(samples: np.ndarray, groups: np.ndarray) -> float:
     return math.sqrt(variance)
 
 
-def estimate_cost(ensemble: PathEnsemble, c: CoefficientSet, grid: TimeGrid) -> ValueEstimate:
+def estimate_cost(ensemble: PathEnsemble) -> ValueEstimate:
     """Mean per-path cost with a common-noise-aware standard error.
 
-    The reported error accounts for the clustering of paths on shared
-    common-noise streams; it is the honest uncertainty of the mean even
-    when the between-stream variation dominates the within-stream one.
+    Reads only the ensemble: its per-path costs and each path's
+    common-noise stream.  The reported error accounts for the clustering
+    of paths on shared common-noise streams; it is the honest uncertainty
+    of the mean even when the between-stream variation dominates the
+    within-stream one.
     """
     if len(ensemble.path_costs) != ensemble.n_paths:
         raise DimensionError("ensemble", "per-path costs missing or inconsistent")

@@ -30,7 +30,7 @@ def ref_cost_gradient(c, tree, grid, u, xi):
     N = grid.n_steps
     dt = grid.dt
     u = _rows_of(u, N)
-    x, _, xbars = _rollout(_Prefixed(c, tree), grid, u, _atom_values(xi, tree, "xi"), means=True)
+    x, _, xbars = _rollout(_Prefixed(c, tree, grid), u, _atom_values(xi, tree, "xi"), means=True)
 
     def deviation(k):
         return x[k] - tree.expand_rows(k, c.H @ xbars[k])

@@ -51,9 +51,9 @@ def estimate_convexity_margin(
 
     def form(p: CoefficientSet, on: JointTree, u: list) -> float:
         zero_xi = np.zeros((on.n_atoms, c.n))
-        table = _Prefixed(p, on)
-        x, _, xbars = _rollout(table, grid, u, zero_xi, means=bool(p.H.any()))
-        return 2.0 * _cost_rows(table, grid, x, u, xbars)
+        table = _Prefixed(p, on, grid)
+        x, _, xbars = _rollout(table, u, zero_xi, means=bool(p.H.any()))
+        return 2.0 * _cost_rows(table, x, u, xbars)
 
     def sq_norm(on: JointTree, u: list) -> float:
         v = _process(on, u)

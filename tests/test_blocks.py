@@ -60,17 +60,17 @@ def test_blockwise_cost_is_the_whole_step_cost_bit_for_bit(monkeypatch, block, s
     inst = _instance(seed, node_dependent, two_atoms)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     u = _rows_of(random_control(inst, tree, 3))
-    table = _Prefixed(c, tree)
-    x, _, xbars = _rollout(table, grid, u, inst.xi, means=True)
+    table = _Prefixed(c, tree, grid)
+    x, _, xbars = _rollout(table, u, inst.xi, means=True)
     for means in (None, xbars):
-        assert _cost_rows(table, grid, x, u, means) == ref_cost_rows(c, tree, grid, x, u, means)
+        assert _cost_rows(table, x, u, means) == ref_cost_rows(c, tree, grid, x, u, means)
     # the W0-only form, under the conditional-mean problem
     cb, common = bar_transform(c), tree.common
     rng = np.random.default_rng(seed)
     v = [rng.standard_normal((c.d, common.n_nodes(k))) for k in range(grid.n_steps)]
-    bar = _Prefixed(cb, common)
-    y, _, _ = _rollout(bar, grid, v, inst.xi_mean()[None])
-    assert _cost_rows(bar, grid, y, v) == ref_cost_rows(cb, common, grid, y, v)
+    bar = _Prefixed(cb, common, grid)
+    y, _, _ = _rollout(bar, v, inst.xi_mean()[None])
+    assert _cost_rows(bar, y, v) == ref_cost_rows(cb, common, grid, y, v)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -189,7 +189,7 @@ def test_cost_memory_is_two_node_vectors_and_a_block(name):
     assert leaves == 131072
     tracemalloc.start()
     try:
-        cost = _cost_rows(_Prefixed(c, tree), grid, x, u)
+        cost = _cost_rows(_Prefixed(c, tree, grid), x, u)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

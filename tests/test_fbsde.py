@@ -13,8 +13,9 @@ from cmvlq import fbsde
 from cmvlq.coeffs import bar_transform, breve_as_plain, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import _Prefixed, check_decomposition, eval_cost_mft, simulate_mft
-from cmvlq.errors import CmvlqError, ConvergenceError
+from cmvlq.errors import CmvlqError, ConvergenceError, DimensionError
 from cmvlq.fbsde import (
+    SubSolution,
     _adjoint,
     assemble_optimal_control,
     build_ode_policy,
@@ -24,8 +25,8 @@ from cmvlq.fbsde import (
     verify_stationarity,
 )
 from cmvlq.instances import random_control, random_instance
-from cmvlq.lattice import F0_ADAPTED, F_ADAPTED, TreeProcess, build_joint_tree
-from cmvlq.oracle import solve_qp_bar
+from cmvlq.lattice import F0_ADAPTED, F_ADAPTED, TimeGrid, TreeProcess, build_joint_tree
+from cmvlq.oracle import solve_qp_bar, solve_qp_exact
 from cmvlq.riccati import solve_l, solve_pi
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -75,7 +76,7 @@ def test_centered_adjoints_are_exact(seed):
     sol = solve_breve_fbsde(c, tree, grid, inst.xi_centered(), pi=pi)
 
     assert sol.backward_residual < 1e-12
-    rep = verify_stationarity(c, sol, tree, grid)
+    rep = verify_stationarity(sol)
     assert rep.max_residual < 1e-12
 
     # both the optimal control and state condition to zero on the tree
@@ -121,7 +122,7 @@ def test_mean_adjoints_are_exact(seed):
     sol = solve_bar_fbsde(cb, tree, grid, inst.xi_mean(), l_solution=ll)
 
     assert sol.backward_residual < 1e-12
-    rep = verify_stationarity(cb, sol, tree, grid)
+    rep = verify_stationarity(sol)
     assert rep.max_residual < 1e-12
 
     # the bar processes live on tree.common, where node id = W0 prefix id
@@ -232,11 +233,12 @@ def test_assembled_control_is_globally_optimal(seed):
     sol = assemble_optimal_control(c, tree, inst.xi)
 
     assert sol.split_residual < 1e-11 * max(1.0, abs(sol.cost))
-    rep = verify_stationarity(c, sol, tree, grid)
+    rep = verify_stationarity(sol)
     assert rep.max_residual < 1e-12
-    # the bar part alone checks against the full set or its transform alike
-    bar_rep = verify_stationarity(c, sol.bar, tree, grid)
-    assert bar_rep == verify_stationarity(bar_transform(c), sol.bar, tree, grid)
+    # each part is checked on the set and the tree it was solved on, and
+    # the assembled check is their per-step maximum
+    bar_rep, breve_rep = verify_stationarity(sol.bar), verify_stationarity(sol.breve)
+    assert rep.per_step == np.maximum(bar_rep.per_step, breve_rep.per_step).tolist()
     assert bar_rep.max_residual < 1e-12
     dec = check_decomposition(c, sol.state, sol.control, tree, grid)
     assert dec.relative_residual < 1e-11
@@ -357,9 +359,50 @@ def test_backward_residual_keeps_a_nan():
     costate = [v.T.copy() for v in sol.costate.values]
     costate[0][0, 0] = np.nan
     rows = lambda p: [v.T for v in p.values]
-    fields = _adjoint(_Prefixed(breve_as_plain(c), tree), grid, rows(sol.state), rows(sol.control),
+    fields = _adjoint(_Prefixed(breve_as_plain(c), tree, grid), rows(sol.state), rows(sol.control),
                       costate)
     assert np.isnan(fields["backward_residual"])
+
+
+@pytest.mark.parametrize("wrong", ["horizon", "n_steps"])
+def test_a_grid_that_is_not_the_coefficients_is_refused(wrong):
+    # unrefused, a doubled horizon is solved with the wrong time step: the
+    # centered solution reports cost 0.8777, its re-rolled state costs 0.6743
+    inst = random_instance(1, max_steps=4)
+    c, tree, grid = inst.coeffs, inst.tree(), inst.grid()
+    other = (TimeGrid(grid.n_steps, 2.0 * grid.horizon) if wrong == "horizon"
+             else TimeGrid(grid.n_steps + 1, grid.horizon))
+    runs = [
+        (solve_breve_fbsde, inst.xi_centered()),
+        (solve_bar_fbsde, inst.xi_mean()),
+        (solve_coupled_mv_fbsde, inst.xi),
+        (solve_qp_exact, inst.xi),
+    ]
+    for solve, xi in runs:
+        with pytest.raises(DimensionError, match="^grid: "):
+            solve(c, tree, other, xi)
+    # the tree's grid and a given value function's must agree too
+    with pytest.raises(DimensionError, match="^tree: "):
+        solve_breve_fbsde(c, build_joint_tree(other, inst.atom_probs), grid, inst.xi_centered())
+    moved = dataclasses.replace(c, horizon=2.0 * c.horizon)
+    with pytest.raises(DimensionError, match="^value: "):
+        solve_breve_fbsde(c, tree, grid, inst.xi_centered(), pi=solve_pi(moved))
+    with pytest.raises(DimensionError, match="^value: "):
+        solve_bar_fbsde(c, tree, grid, inst.xi_mean(), l_solution=solve_l(moved))
+
+
+def test_both_sub_problems_share_one_solution_type():
+    inst = random_instance(2, max_steps=4)
+    tree = inst.tree()
+    sol = assemble_optimal_control(inst.coeffs, tree, inst.xi)
+    assert type(sol.bar) is SubSolution and type(sol.breve) is SubSolution
+    assert sol.bar.control.tree is tree.common and sol.breve.control.tree is tree
+    # tree.common carries no idiosyncratic noise to load
+    with pytest.raises(DimensionError, match="no idiosyncratic noise"):
+        sol.bar.noise_load_w
+    assert sol.bar.noise_load_w0.tree is tree.common
+    with pytest.raises(TypeError, match="unsupported solution type"):
+        verify_stationarity(sol.control)
 
 
 def test_stationarity_keeps_a_nan():
@@ -371,7 +414,7 @@ def test_stationarity_keeps_a_nan():
     values[-1][0, 0] = np.nan
     breve = dataclasses.replace(sol.breve, control=TreeProcess(tree, values, F_ADAPTED))
     for broken in (breve, dataclasses.replace(sol, breve=breve)):
-        report = verify_stationarity(c, broken, tree, grid)
+        report = verify_stationarity(broken)
         assert np.isnan(report.max_residual) and np.isnan(report.per_step[-1])
         assert not report.passed
 

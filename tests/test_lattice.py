@@ -239,7 +239,7 @@ def test_coefficients_per_prefix_on_nodes(grid3):
     )
     # the library's per-prefix table, expanded onto the nodes, against the
     # node-major gather of the reference
-    table = _Prefixed(SimpleNamespace(A=det, F=dep), tree)
+    table = _Prefixed(SimpleNamespace(A=det, F=dep, grid=lambda: grid3), tree, grid3)
     for k in range(3):
         assert np.array_equal(table("A", k), det.base[k])
         assert np.array_equal(coeff_nodes(det, tree, k), det.base[k])

@@ -121,7 +121,7 @@ def test_no_kernel_builds_the_layout_views(seed):
     inst = random_instance(seed, max_steps=4)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     sol = assemble_optimal_control(c, tree, inst.xi)
-    verify_stationarity(c, sol, tree, grid)
+    verify_stationarity(sol)
     check_decomposition(c, sol.state, sol.control, tree, grid)
     solve_coupled_mv_fbsde(c, tree, grid, inst.xi)
     convexity_margins(c, tree.n_atoms)
@@ -202,12 +202,12 @@ def test_bar_rollout_and_cost_on_prefixes_match_the_node_ones(seed, node_depende
     p = bar_transform(c)
     rng = np.random.default_rng(seed)
     v = [rng.standard_normal((c.d, common.n_nodes(k))) for k in range(grid.n_steps)]
-    table = _Prefixed(p, common)
-    y, _, _ = _rollout(table, grid, v, inst.xi_mean()[None])
+    table = _Prefixed(p, common, grid)
+    y, _, _ = _rollout(table, v, inst.xi_mean()[None])
     u = TreeProcess(tree, [tree.expand_rows(k, a).T for k, a in enumerate(v)], F_ADAPTED)
     x = simulate_mft(p, tree, grid, u, inst.xi_mean())
     assert all(_close(tree.expand_rows(k, a).T, b) for k, (a, b) in enumerate(zip(y, x.values)))
-    cost = _cost_rows(table, grid, y, v)
+    cost = _cost_rows(table, y, v)
     assert _close(cost, eval_cost_mft(p, x, u, tree, grid))
 
 
@@ -231,10 +231,9 @@ def test_picard_matches_node_major_reference(seed, node_dependent):
     rows = [v.T for v in u]
     ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(rows)]
     new_u, new_ubar = [np.empty_like(r) for r in rows], [np.empty_like(b) for b in ubar]
-    table, bar = _Prefixed(c, tree), _Prefixed(cb, tree)
-    (x, _, _, pred), changes = _picard_sweep(table, bar, grid, inst.xi,
-                                             _picard_steps(table, bar, grid), rows, ubar,
-                                             new_u, new_ubar)
+    table, bar = _Prefixed(c, tree, grid), _Prefixed(cb, tree, grid)
+    (x, _, _, pred), changes = _picard_sweep(table, bar, inst.xi, _picard_steps(table, bar),
+                                             rows, ubar, new_u, new_ubar)
     want_x, want_pred, want_u, want_change = ref.sweep(c, tree, grid, inst.xi, u)
     # the sweep's states stop at step N-1: it never forms the leaves
     assert all(_close(a.T, b) for a, b in zip(x, want_x[:grid.n_steps], strict=True))
@@ -265,10 +264,10 @@ def test_terminal_predicted_costate_needs_no_leaves(seed, node_dependent, n_atom
     rows = [rng.standard_normal((c.d, tree.n_nodes(k))) for k in range(N)]
     ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(rows)]
     new_u, new_ubar = [np.empty_like(r) for r in rows], [np.empty_like(b) for b in ubar]
-    table, bar = _Prefixed(c, tree), _Prefixed(cb, tree)
-    (_, _, _, pred), _ = _picard_sweep(table, bar, grid, xi, _picard_steps(table, bar, grid),
+    table, bar = _Prefixed(c, tree, grid), _Prefixed(cb, tree, grid)
+    (_, _, _, pred), _ = _picard_sweep(table, bar, xi, _picard_steps(table, bar),
                                        rows, ubar, new_u, new_ubar)
-    x, _, xbar = _rollout(table, grid, rows, xi, means=True)
+    x, _, xbar = _rollout(table, rows, xi, means=True)
     term = (cb.QT - c.QT) @ xbar[N]
     want = c.QT @ tree.child_mean_rows(N - 1, x[N]) + tree.expand_rows(
         N - 1, 0.5 * (term[:, 0::2] + term[:, 1::2]))

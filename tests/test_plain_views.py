@@ -104,7 +104,7 @@ def test_bar_entry_points_take_the_full_set_or_its_transform(seed, node_dependen
             [getattr(sol, f).values for f in ("state", "control", "costate", "costate_pred",
                                               "noise_load_w0")],
             [sol.cost, sol.backward_residual],
-            verify_stationarity(given, sol, tree, grid).per_step,
+            verify_stationarity(sol).per_step,
             y.values,
             eval_cost_bar(given, y, v, tree, grid),
             [qp.control.values, qp.cost, qp.gradient_sup],

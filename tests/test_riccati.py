@@ -146,6 +146,17 @@ def test_centered_feedback_attains_predicted_value(seed):
         assert j2 >= j - 1e-11 * max(1.0, abs(j))
 
 
+@pytest.mark.parametrize("node_dependent", [False, True])
+@pytest.mark.parametrize("seed", [0, 6, 17])
+def test_centered_value_has_no_affine_part(seed, node_dependent):
+    # the centered set has no affine terms and no common noise on the
+    # constant coordinate, so its value's linear part and its feedback's
+    # shift are exact zeros, which the sub-problem solve skips
+    pi = solve_pi(random_instance(seed, node_dependent=node_dependent).coeffs)
+    assert not any(g.any() for g in pi.offset)
+    assert not any(k.any() for k in pi.gain_const)
+
+
 @pytest.mark.parametrize("seed", [2, 5, 21])
 def test_mean_feedback_attains_predicted_value(seed):
     inst = random_instance(seed)

@@ -64,7 +64,7 @@ def test_zero_instance_stays_at_zero():
     )
     assert np.all(ens.states == 0.0)
     assert np.all(ens.path_costs == 0.0)
-    est = estimate_cost(ens, c, c.grid())
+    est = estimate_cost(ens)
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
@@ -87,7 +87,7 @@ def test_terminal_second_moment_matches_lyapunov_form():
         zero_policy(c), c, c.grid(), 20_000, 5,
         xi=[[x0]], atom_probs=[1.0], dt_target=1e-3,
     )
-    est = estimate_cost(ens, c, c.grid())
+    est = estimate_cost(ens)
     exact = math.exp(2 * a * T) * x0**2 + s**2 * (math.exp(2 * a * T) - 1.0) / (2 * a)
     assert abs(est.mean - exact) <= 3.0 * est.std_error
     # equal group sizes: the cluster SE is std of the group means / sqrt(G)
@@ -293,7 +293,7 @@ def test_closed_loop_ensemble_matches_continuous_value():
         pol, c, c.grid(), 6000, 9,
         xi=xi, atom_probs=probs, n_common=12, dt_target=2e-3,
     )
-    est = estimate_cost(ens, c, c.grid())
+    est = estimate_cost(ens)
     assert abs(est.mean - predicted) <= 4.0 * est.std_error
     # exact conditioning structure: per-group deviations center to zero
     assert conditional_zero_worst(ens) <= 4.0
@@ -491,7 +491,7 @@ def test_common_noise_widens_the_error_bar():
         zero_policy(c), c, c.grid(), 4_000, 3,
         xi=[[1.0]], atom_probs=[1.0], n_common=8, dt_target=0.01,
     )
-    est = estimate_cost(ens, c, c.grid())
+    est = estimate_cost(ens)
     naive = ens.path_costs.std(ddof=1) / math.sqrt(len(ens.path_costs))
     assert est.std_error > 3.0 * naive
 
