@@ -11,7 +11,6 @@ import numpy as np
 from cmvlq import (
     assemble_optimal_control,
     build_joint_tree,
-    compare_solutions,
     make_coefficients,
     solve_qp_exact,
     verify_stationarity,
@@ -43,14 +42,16 @@ tree = build_joint_tree(grid, probs)
 
 sol = assemble_optimal_control(c, tree, xi)
 qp = solve_qp_exact(c, tree, grid, xi)
-rep = compare_solutions(c, tree, grid, qp.control, sol.control, xi)
 stat = verify_stationarity(sol)
+# each solution holds the cost of its own control's roll-out
+cost_gap = abs(qp.cost - sol.cost) / max(1.0, abs(qp.cost))
+control_gap = np.max([np.max(np.abs(a - b)) for a, b in zip(qp.control.values, sol.control.values)])
 
 print(f"decomposition cost      {sol.cost:.12f}")
 print(f"  mean part             {sol.bar.cost:.12f}")
 print(f"  centered part         {sol.breve.cost:.12f}")
 print(f"  split residual        {sol.split_residual:.3e}")
 print(f"oracle cost             {qp.cost:.12f}  ({qp.dim} variables)")
-print(f"cost gap (relative)     {rep.cost_rel_diff:.3e}")
-print(f"control gap (sup)       {rep.control_sup_diff:.3e}")
+print(f"cost gap (relative)     {cost_gap:.3e}")
+print(f"control gap (sup)       {control_gap:.3e}")
 print(f"stationarity residual   {stat.max_residual:.3e}")

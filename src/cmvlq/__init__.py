@@ -36,18 +36,12 @@ from .config import (
     initial_condition,
     load_config,
     parse_config,
-    serialize_config,
 )
 from .decomposition import (
     check_decomposition,
-    eval_cost_bar,
-    eval_cost_breve,
     eval_cost_mft,
     lemma_identities,
-    simulate_bar,
-    simulate_breve,
     simulate_mft,
-    split_pair,
 )
 from .errors import (
     AdaptednessError,
@@ -78,14 +72,10 @@ from .lattice import (
     TimeGrid,
     TreeProcess,
     build_joint_tree,
-    conditional_expectation_f0,
     inner_product,
-    project_breve,
 )
 from .oracle import (
-    ComparisonReport,
     QpSolution,
-    compare_solutions,
     cost_gradient,
     solve_qp_bar,
     solve_qp_breve,
@@ -112,7 +102,6 @@ __all__ = [
     "CmvlqError",
     "Coefficient",
     "CoefficientSet",
-    "ComparisonReport",
     "ConfigError",
     "ConstraintViolationError",
     "ConvergenceError",
@@ -142,13 +131,9 @@ __all__ = [
     "check_decomposition",
     "check_policy_dominance",
     "check_value_function",
-    "compare_solutions",
-    "conditional_expectation_f0",
     "convexity_margins",
     "cost_gradient",
     "estimate_cost",
-    "eval_cost_bar",
-    "eval_cost_breve",
     "eval_cost_mft",
     "homogeneous",
     "initial_condition",
@@ -157,12 +142,8 @@ __all__ = [
     "load_config",
     "make_coefficients",
     "parse_config",
-    "project_breve",
     "random_control",
     "random_instance",
-    "serialize_config",
-    "simulate_bar",
-    "simulate_breve",
     "simulate_forward",
     "simulate_mft",
     "solve_bar_fbsde",
@@ -173,7 +154,6 @@ __all__ = [
     "solve_qp_bar",
     "solve_qp_breve",
     "solve_qp_exact",
-    "split_pair",
     "validate_coefficients",
     "verify_stationarity",
     "weak_order_check",

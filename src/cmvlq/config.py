@@ -1,4 +1,4 @@
-"""Plain-text run configuration: parsing, validation, serialization.
+"""Plain-text run configuration: parsing and validation.
 
 Format: bracketed ``[section]`` headers with ``key = value`` lines and
 ``#`` comments.  Matrices are written row-major with ``;`` between rows
@@ -15,7 +15,7 @@ import numpy as np
 
 from .coeffs import _COEFF_FIELDS, CoefficientSet, make_coefficients
 from .errors import ConfigError
-from .lattice import MAX_TREE_STEPS
+from .lattice import ATOM_SUM_TOL, MAX_TREE_STEPS
 
 __all__ = [
     "MODES",
@@ -26,7 +26,6 @@ __all__ = [
     "RunConfig",
     "parse_config",
     "load_config",
-    "serialize_config",
     "build_coefficients",
     "initial_condition",
 ]
@@ -291,8 +290,9 @@ def _parse_coefficients(sec: _Section) -> CoefficientConfig:
             xi_probs = _parse_vector(text)
             if any(p <= 0.0 for p in xi_probs):
                 raise ValueError("atom weights must be positive")
-            if abs(sum(xi_probs) - 1.0) > 1e-9:
-                raise ValueError(f"atom weights sum to {sum(xi_probs)!r}, need 1")
+            total = float(np.sum(xi_probs))  # summed as the tree and the simulation sum them
+            if abs(total - 1.0) > ATOM_SUM_TOL:
+                raise ValueError(f"atom weights sum to {total!r}, need 1")
             if xi_atoms is not None and len(xi_probs) != len(xi_atoms):
                 raise ValueError(
                     f"{len(xi_probs)} weights for {len(xi_atoms)} atoms"
@@ -384,54 +384,12 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
-# -- serialization ----------------------------------------------------------
+# -- number formatting ------------------------------------------------------
 
 
 def format_real(x: float) -> str:
     """Decimal text with enough digits to reproduce the float bit-exactly."""
     return "%.17g" % float(x)
-
-
-def _format_value(value) -> str:
-    if isinstance(value[0], tuple):
-        return " ; ".join(" ".join(format_real(v) for v in row) for row in value)
-    return " ".join(format_real(v) for v in value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) == cfg."""
-    cc = cfg.coefficients
-    lines = [
-        "[run]",
-        f"mode = {cfg.mode}",
-        f"out = {cfg.out}",
-        "",
-        "[grid]",
-        f"N = {cfg.grid.n_steps}",
-        f"T = {format_real(cfg.grid.horizon)}",
-        f"backend = {cfg.grid.backend}",
-        "",
-        "[coefficients]",
-        f"n = {cc.n}",
-        f"d = {cc.d}",
-    ]
-    for name, value in cc.entries:
-        lines.append(f"{name} = {_format_value(value)}")
-    if cc.xi_atoms is not None:
-        lines.append(f"xi_atoms = {_format_value(cc.xi_atoms)}")
-    if cc.xi_probs is not None:
-        lines.append(f"xi_probs = {_format_value(cc.xi_probs)}")
-    sim = cfg.simulation
-    lines += [
-        "",
-        "[simulation]",
-        f"n_paths = {sim.n_paths}",
-        f"seed = {sim.seed}",
-        f"n_common_noise = {sim.n_common_noise}",
-        f"dt_target = {format_real(sim.dt_target)}",
-        "",
-    ]
-    return "\n".join(lines)
 
 
 # -- bridge to solver objects -----------------------------------------------

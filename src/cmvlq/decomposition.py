@@ -18,7 +18,9 @@ cost (``_cost_rows``) run on either tree: the joint one, or its W0-only
 form ``tree.common``.  The conditional-mean problem lives on
 ``tree.common`` alone, its inputs and outputs one value per common-noise
 prefix, so its F0-adaptedness holds by construction; the centered one
-lives on the joint tree and checks its centering.
+lives on the joint tree, and its solvers refuse an initial split whose
+mean over the atoms is not zero.  ``simulate_mft`` and ``eval_cost_mft``
+serve all three problems, given the set and the tree of each.
 
 Coefficients reach the tree only through ``_Prefixed``, one table per
 coefficient set, tree and grid that each public entry builds and its
@@ -50,7 +52,6 @@ from .lattice import (
     TimeGrid,
     TreeProcess,
     _require_same_tree,
-    conditional_expectation_f0,
 )
 
 CENTERING_TOL = 1e-12
@@ -328,36 +329,6 @@ def simulate_mft(
     return _process(tree, _rollout(_Prefixed(c, tree, grid), _rows_of(u, grid.n_steps), xi)[0])
 
 
-def simulate_bar(
-    c: CoefficientSet, tree: JointTree, grid: TimeGrid, v: TreeProcess, xi_bar
-) -> TreeProcess:
-    """Conditional-mean recursion driven by the common noise only.
-
-    c is the full set or its ``bar_transform``; either gives the same
-    problem.  The control v and the returned state live on
-    ``tree.common``, one value per common-noise prefix; a process of the
-    joint tree is refused.
-    """
-    xi_bar = np.asarray(xi_bar, dtype=float)
-    if xi_bar.shape != (c.n,):
-        raise DimensionError("xi_bar", f"expected shape {(c.n,)}, got {xi_bar.shape}")
-    return simulate_mft(bar_transform(c), tree.common, grid, v, xi_bar)
-
-
-def simulate_breve(
-    c: CoefficientSet, tree: JointTree, grid: TimeGrid, alpha: TreeProcess, xi_breve
-) -> TreeProcess:
-    """Centered recursion driven by the idiosyncratic noise only.
-
-    Requires a conditionally centered control and a mean-zero initial
-    split; under those the state conditions to zero at every step.
-    """
-    _check_control(alpha, c, grid, tree)
-    _check_centered(alpha, tree, "E[alpha|F0] = 0")
-    xi_breve = _centered_atoms(xi_breve, tree)
-    return simulate_mft(breve_as_plain(c), tree, grid, alpha, xi_breve)
-
-
 def _centered_atoms(xi_breve, tree: JointTree) -> np.ndarray:
     """Initial centered split per atom; its mean over the atoms must vanish."""
     xi_breve = _atom_values(xi_breve, tree, "xi_breve")
@@ -386,47 +357,6 @@ def eval_cost_mft(
     return _cost_rows(_Prefixed(c, tree, grid), _rows_of(x), _rows_of(u, grid.n_steps))
 
 
-def eval_cost_bar(
-    c: CoefficientSet, y: TreeProcess, v: TreeProcess, tree: JointTree, grid: TimeGrid
-) -> float:
-    """Cost of the conditional-mean problem for (y, v) on ``tree.common``.
-
-    c is the full set or its ``bar_transform``.
-    """
-    return eval_cost_mft(bar_transform(c), y, v, tree.common, grid)
-
-
-def eval_cost_breve(
-    c: CoefficientSet, z: TreeProcess, alpha: TreeProcess, tree: JointTree, grid: TimeGrid
-) -> float:
-    """Cost of the centered problem; both arguments must condition to zero."""
-    _check_state(z, c, grid, tree)
-    _check_control(alpha, c, grid, tree)
-    _check_centered(alpha, tree, "E[alpha|F0] = 0")
-    _check_centered(z, tree, "E[z|F0] = 0")
-    return eval_cost_mft(breve_as_plain(c), z, alpha, tree, grid)
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    """Conditional-mean and centered components of an admissible pair."""
-
-    xbar: TreeProcess
-    ubar: TreeProcess
-    xbreve: TreeProcess
-    ubreve: TreeProcess
-
-
-def split_pair(x: TreeProcess, u: TreeProcess, tree: JointTree) -> SplitPair:
-    if x.adapted != F_ADAPTED or u.adapted != F_ADAPTED:
-        raise AdaptednessError("split_pair expects F-adapted state and control")
-    xbar = conditional_expectation_f0(x, tree)
-    ubar = conditional_expectation_f0(u, tree)
-    xbreve = TreeProcess(tree, [a - b for a, b in zip(x.values, xbar.values)], F_ADAPTED)
-    ubreve = TreeProcess(tree, [a - b for a, b in zip(u.values, ubar.values)], F_ADAPTED)
-    return SplitPair(xbar, ubar, xbreve, ubreve)
-
-
 @dataclass(frozen=True)
 class DecompositionReport:
     j_total: float
@@ -451,7 +381,7 @@ def check_decomposition(
     an admissible state IS the bar state of the conditioned control, and
     the remainder IS the breve state, exactly on the tree.  The bar pair
     is costed where it lives, on ``tree.common``; the centered pair is
-    centered by construction and costed without the centering checks.
+    centered by construction.
     """
     if x.adapted != F_ADAPTED or u.adapted != F_ADAPTED:
         raise AdaptednessError("check_decomposition expects F-adapted state and control")
@@ -479,14 +409,18 @@ def lemma_identities(
     terminal-weight analogue of v.  Each value is (mean-field side,
     decomposed side); they agree up to round-off.
     """
+    if x.adapted != F_ADAPTED or u.adapted != F_ADAPTED:
+        raise AdaptednessError("lemma_identities expects F-adapted state and control")
     cb = bar_transform(c)
     table, bar = _Prefixed(c, tree, grid), _Prefixed(cb, tree, grid)
-    parts = split_pair(x, u, tree)
     dt = grid.dt
     N = grid.n_steps
     xs, us = _rows_of(x), _rows_of(u, N)
-    xbars, ubars = _rows_of(parts.xbar), _rows_of(parts.ubar, N)
-    xbres, ubres = _rows_of(parts.xbreve), _rows_of(parts.ubreve, N)
+    # the split on the nodes: E[.|F0] expanded, and the remainder
+    xbars = [tree.expand_rows(k, tree.prefix_mean_rows(k, r)) for k, r in enumerate(xs)]
+    ubars = [tree.expand_rows(k, tree.prefix_mean_rows(k, r)) for k, r in enumerate(us)]
+    xbres = [r - m for r, m in zip(xs, xbars)]
+    ubres = [r - m for r, m in zip(us, ubars)]
     acc = {key: [0.0, 0.0] for key in ("i", "ii", "iii", "iv", "v")}
     for k in range(N):
         xk, uk = xs[k], us[k]
@@ -545,12 +479,3 @@ def _check_state(x: TreeProcess, c, grid: TimeGrid, tree: JointTree):
         raise DimensionError(
             "state", f"payload {(c.n,)} expected, got {x.values[0].shape[1:]}"
         )
-
-
-def _check_centered(p: TreeProcess, tree: JointTree, label: str):
-    """Refuse a process whose conditional mean given W0 is not zero, or not finite."""
-    worst = float(np.max([np.max(np.abs(tree.prefix_mean(k, v)), initial=0.0)
-                          for k, v in enumerate(p.values)]))
-    scale = float(np.max([np.max(np.abs(v), initial=1.0) for v in p.values]))
-    if not worst <= CENTERING_TOL * scale:
-        raise ConstraintViolationError(label, worst, CENTERING_TOL)

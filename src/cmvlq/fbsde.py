@@ -333,13 +333,6 @@ class OdePolicy:
     pi: OdeBackwardQuadratic
     l_solution: OdeBackwardQuadratic
 
-    def control(self, j: int, x: np.ndarray, xbar: np.ndarray) -> np.ndarray:
-        return (
-            -(x - xbar) @ self.gain_centered[j].T
-            - xbar @ self.gain_mean[j].T
-            - self.shift[j]
-        )
-
 
 def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> OdePolicy:
     """Solve the continuous backward equations and tabulate the gains."""

@@ -46,9 +46,9 @@ weights the atoms; per-prefix values go back onto the nodes by one
 ``take`` on ``w0_of_node``; children are written one branch slot at a
 time.  Node-dependent coefficients are evaluated once per prefix and
 expanded the same way, one block of nodes at a time (``decomposition``);
-deterministic ones are never copied onto the nodes.  ``TreeProcess.values`` and the node-major methods keep the
-(node, component) shape, moving the node axis on entry and return
-without a copy.
+deterministic ones are never copied onto the nodes.  ``TreeProcess.values``
+keep the (node, component) shape; ``values[k].T`` is the row view the
+kernels take, without a copy.
 """
 
 from __future__ import annotations
@@ -64,6 +64,9 @@ F_ADAPTED = "F"
 F0_ADAPTED = "F0"
 
 MAX_TREE_STEPS = 10
+# how far the initial atoms' probabilities may sum from 1: the config
+# parser, the tree and the Monte Carlo initial draw read this one bound
+ATOM_SUM_TOL = 1e-12
 
 # Branch tables: the signs of (dW0, dW) into each child slot, "+" first.
 # The joint tree has the four slots (+,+), (+,-), (-,+), (-,-); its common
@@ -186,23 +189,6 @@ class JointTree:
 
     # -- exact conditioning -------------------------------------------------
 
-    def ce_f0_step(self, k: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Conditional expectation given the W0 prefix at step k.
-
-        values has shape (n_nodes(k), ...).  Returns (per-prefix array of
-        shape (2**k, ...), per-node expansion of the same).
-        """
-        prefix = self.prefix_mean(k, values)
-        return prefix, self.expand_f0(k, prefix)
-
-    def prefix_mean(self, k: int, values: np.ndarray) -> np.ndarray:
-        """Conditional expectation given the W0 prefix, shape (2**k, ...)."""
-        return _node_major(self.prefix_mean_rows(k, _rows(values)))
-
-    def expand_f0(self, k: int, prefix_values: np.ndarray) -> np.ndarray:
-        """Broadcast per-prefix values (2**k, ...) onto the full node set."""
-        return _node_major(self.expand_rows(k, _rows(prefix_values)))
-
     def fold_rows(self, k: int, rows: np.ndarray) -> np.ndarray:
         """Sum out the idiosyncratic bits: (..., n_nodes(k)) -> (..., n_atoms, 2**k).
 
@@ -295,16 +281,6 @@ class JointTree:
         return v.reshape(v.shape[:-1] + (self.n_nodes(k), self.branches))
 
 
-def _rows(values) -> np.ndarray:
-    """Node-major (nodes, ...) as a view with the node axis last."""
-    return np.moveaxis(np.asarray(values), 0, -1)
-
-
-def _node_major(rows: np.ndarray) -> np.ndarray:
-    """Node axis last back to node-major, as a view."""
-    return np.moveaxis(rows, -1, 0)
-
-
 def probs_normalized(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     return p / p.sum()
@@ -332,7 +308,7 @@ def build_joint_tree(grid: TimeGrid, atom_probs=None) -> JointTree:
         raise DimensionError("atom_probs", "must be a 1-d probability vector")
     if np.any(atom_probs <= 0.0):
         raise ValueError("atom probabilities must be positive")
-    if abs(atom_probs.sum() - 1.0) > 1e-12:
+    if abs(atom_probs.sum() - 1.0) > ATOM_SUM_TOL:
         raise ValueError("atom probabilities must sum to 1")
     return JointTree(grid, atom_probs)
 
@@ -364,29 +340,6 @@ class TreeProcess:
     @property
     def n_step_arrays(self) -> int:
         return len(self.values)
-
-
-def conditional_expectation_f0(p: TreeProcess, tree: JointTree) -> TreeProcess:
-    """Project a process onto the common-noise filtration, step by step."""
-    _require_same_tree(p, tree)
-    if p.adapted != F_ADAPTED:
-        raise AdaptednessError(
-            "conditional_expectation_f0 expects an F-adapted process; "
-            f"got tag {p.adapted!r}"
-        )
-    out = [tree.ce_f0_step(k, v)[1] for k, v in enumerate(p.values)]
-    return TreeProcess(tree, out, F0_ADAPTED)
-
-
-def project_breve(p: TreeProcess, tree: JointTree) -> TreeProcess:
-    """Centered component p - E[p | F0], which conditions to zero exactly."""
-    _require_same_tree(p, tree)
-    if p.adapted != F_ADAPTED:
-        raise AdaptednessError(
-            f"project_breve expects an F-adapted process; got tag {p.adapted!r}"
-        )
-    out = [v - tree.ce_f0_step(k, v)[1] for k, v in enumerate(p.values)]
-    return TreeProcess(tree, out, F_ADAPTED)
 
 
 def inner_product(u: TreeProcess, v: TreeProcess, tree: JointTree, grid: TimeGrid) -> float:

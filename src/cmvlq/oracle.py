@@ -38,7 +38,7 @@ import numpy as np
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
     _abar, _atom_values, _centered_atoms, _check_control, _cost_rows, _mtv, _plus_prefix, _Prefixed,
-    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, _step_views, eval_cost_mft, simulate_mft,
+    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, _step_views,
 )
 from .errors import ConvergenceError
 from .lattice import JointTree, TimeGrid, TreeProcess
@@ -54,19 +54,6 @@ class QpSolution:
     dim: int
     # relative residual ||r|| / ||b|| of every conjugate-gradient iterate
     residual_history: list
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Side-by-side of two controls for the same problem data."""
-
-    cost_a: float
-    cost_b: float
-    control_sup_diff: float
-
-    @property
-    def cost_rel_diff(self) -> float:
-        return abs(self.cost_a - self.cost_b) / max(1.0, abs(self.cost_a))
 
 
 def cost_gradient(
@@ -189,7 +176,7 @@ def _solve_over(c, tree, grid, xi, *, label, centered=False) -> QpSolution:
     the conjugate gradients' metric.  With ``centered`` the control is the
     decision vector minus its E[.|F0], the metric-orthogonal projection
     onto the centered class; the node gradient is pulled back through the
-    projection's Euclidean adjoint g - M expand(prefix_mean(g / M)), M the
+    projection's Euclidean adjoint g - M E[g / M | F0] on the nodes, M the
     node masses.  The projection is self-adjoint in the metric, so the
     iterates stay centered.  One table of c's values serves every
     gradient, the closing roll-out and the cost.  ``dim`` is the
@@ -266,22 +253,3 @@ def solve_qp_breve(
         breve_as_plain(c), tree, grid, _centered_atoms(xi_breve, tree),
         label="centered control space", centered=True,
     )
-
-
-def compare_solutions(
-    c: CoefficientSet,
-    tree: JointTree,
-    grid: TimeGrid,
-    control_a: TreeProcess,
-    control_b: TreeProcess,
-    xi,
-) -> ComparisonReport:
-    """Costs of two controls on the same data plus their sup distance."""
-    xa = simulate_mft(c, tree, grid, control_a, xi)
-    xb = simulate_mft(c, tree, grid, control_b, xi)
-    ja = eval_cost_mft(c, xa, control_a, tree, grid)
-    jb = eval_cost_mft(c, xb, control_b, tree, grid)
-    sup = np.max([
-        np.max(np.abs(control_a.values[k] - control_b.values[k])) for k in range(grid.n_steps)
-    ])
-    return ComparisonReport(cost_a=ja, cost_b=jb, control_sup_diff=float(sup))

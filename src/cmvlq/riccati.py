@@ -97,9 +97,6 @@ class OdeBackwardQuadratic:
     def at_time(self, t: float) -> np.ndarray:
         return _interp_table(self.times, self.values, np.array([float(t)]))[0]
 
-    def at_coarse(self, k: int) -> np.ndarray:
-        return self.values[k * self.n_sub]
-
 
 def _interp_table(src_times: np.ndarray, src_values: np.ndarray, at: np.ndarray):
     """Linear interpolation of a table of arrays along the time axis.

@@ -34,7 +34,7 @@ import numpy as np
 from .coeffs import CoefficientSet
 from .decomposition import _check_centered_split
 from .errors import CmvlqError, DimensionError
-from .lattice import TimeGrid
+from .lattice import ATOM_SUM_TOL, TimeGrid
 from .riccati import OdeBackwardQuadratic, _coeff_tables, _fine_steps, _interp_table
 
 SIM_BATCH = 4096
@@ -44,9 +44,6 @@ NOISE_COMMON, NOISE_IDIO, NOISE_INIT = 0, 1, 2
 RNG_BLOCK = 256
 # fine steps of increments drawn per block and handed to the Euler kernel at once
 STEP_CHUNK = 16
-# auto-storage cutoff: full per-path increment/state recording above this
-# many path-steps would dominate memory, so large runs keep summaries only
-STORE_LIMIT = 2_000_000
 
 
 def substream(seed: int, block: int, noise: int) -> np.random.Generator:
@@ -145,6 +142,13 @@ class WeakOrderReport:
 
 @dataclass(frozen=True)
 class PathEnsemble:
+    """Summaries of a Monte Carlo run: per-path costs and the checkpoint deviations.
+
+    No path is stored: the kernel records each batch's states at the
+    checkpoints only, and they are folded into the per-stream deviation
+    mean and standard error of x - E[x|F0].
+    """
+
     n_paths: int
     seed: int
     n_common: int
@@ -152,16 +156,10 @@ class PathEnsemble:
     checkpoint_indices: np.ndarray
     common_index: np.ndarray
     path_costs: np.ndarray
-    # summaries always present; full paths only within the storage budget
     group_dev_mean: np.ndarray  # (n_common, n_checkpoints, n)
     group_dev_se: np.ndarray
     increment_mean_w: float
     increment_mean_w0: float
-    states: np.ndarray | None = None        # (n_paths, n_checkpoints, n)
-    mean_states: np.ndarray | None = None
-    controls: np.ndarray | None = None      # (n_paths, n_checkpoints, d)
-    dw: np.ndarray | None = None            # (n_paths, n_fine)
-    dw0_common: np.ndarray | None = None    # (n_common, n_fine)
 
 
 # -- fine-grid plumbing -----------------------------------------------------
@@ -297,7 +295,7 @@ def _check_initial(xi, atom_probs, n):
     atom_probs = np.asarray(atom_probs, dtype=float)
     if xi.shape != (len(atom_probs), n):
         raise DimensionError("xi", f"need ({len(atom_probs)}, {n}) initial atoms, got {xi.shape}")
-    if abs(atom_probs.sum() - 1.0) > 1e-12 or np.any(atom_probs <= 0):
+    if abs(atom_probs.sum() - 1.0) > ATOM_SUM_TOL or np.any(atom_probs <= 0):
         raise DimensionError("atom_probs", "must be positive and sum to one")
     return xi, atom_probs
 
@@ -316,7 +314,6 @@ def simulate_forward(
     atom_probs,
     n_common: int = DEFAULT_COMMON_PATHS,
     dt_target: float = 1e-3,
-    store_paths: bool | None = None,
 ) -> PathEnsemble:
     """Euler-Maruyama ensemble under a linear feedback policy.
 
@@ -338,12 +335,6 @@ def simulate_forward(
 
     checkpoint_indices = np.arange(0, n_fine + 1, n_sub)
     n_cp = len(checkpoint_indices)
-    # controls are stored at the checkpoints, the terminal one holding
-    # the last control applied (at fine step n_fine - 1)
-    control_indices = np.minimum(checkpoint_indices, n_fine - 1)
-    record = np.union1d(checkpoint_indices, control_indices)
-    cp_slots = np.searchsorted(record, checkpoint_indices)
-    ctl_slots = np.searchsorted(record, control_indices)
 
     dw0 = common_normals(seed, n_common, n_fine)
     dw0 *= sq
@@ -369,37 +360,24 @@ def simulate_forward(
         m0=dt * (xb[:-1] @ _tr(tabs["F"]) + tabs["b"][:, None, :]) + common,
     )
 
-    store = n_paths * n_fine <= STORE_LIMIT if store_paths is None else store_paths
-
     def worker(lo, hi):
         gidx = np.arange(lo, hi) % n_common
-        sums, kept = [], []  # chunks are kept only when storing
+        sums = []
 
         def increments():
             for chunk in _draw_steps(seed, lo, hi, n_fine, NOISE_IDIO, scale=sq):
                 sums.append(chunk.sum())
-                if store:
-                    kept.append(chunk)
                 yield chunk
 
         x0 = xi[initial_atoms(seed, lo, hi, atom_probs)]
-        costs, rec, _ = _euler(particles, x0, increments(), lo, "state", gidx, record)
-        x, xb_cp = rec[:, cp_slots], xbar_path[:, checkpoint_indices][gidx]
-        dev = x - xb_cp
+        costs, x, _ = _euler(particles, x0, increments(), lo, "state", gidx, checkpoint_indices)
+        dev = x - xbar_path[:, checkpoint_indices][gidx]
         dev_sums = np.zeros((2, n_common, n_cp, c.n))
         np.add.at(dev_sums[0], gidx, dev)
         np.add.at(dev_sums[1], gidx, dev * dev)
-        if not store:
-            return costs, sum(sums), dev_sums, None
-        xc, xbc = rec[:, ctl_slots], xbar_path[:, control_indices][gidx]
-        ctl = (
-            -np.einsum("bki,kdi->bkd", xc - xbc, Kc[control_indices])
-            - np.einsum("bki,kdi->bkd", xbc, Km[control_indices])
-            - shift[control_indices]
-        )
-        return costs, sum(sums), dev_sums, (x, xb_cp, ctl, np.concatenate(kept).T)
+        return costs, sum(sums), dev_sums
 
-    costs, dw_sums, dev_sums, stored = zip(*[worker(lo, hi) for lo, hi in _batches(n_paths)])
+    costs, dw_sums, dev_sums = zip(*[worker(lo, hi) for lo, hi in _batches(n_paths)])
     common_index = np.arange(n_paths) % n_common
     dev_sum, dev_sq = sum(dev_sums)
     dev_cnt = np.bincount(common_index, minlength=n_common).astype(float)
@@ -408,9 +386,6 @@ def simulate_forward(
     var = np.maximum(dev_sq / cnt - dev_mean**2, 0.0)
     denom = np.maximum(dev_cnt - 1.0, 1.0)[:, None, None]
     dev_se = np.sqrt(var * (dev_cnt[:, None, None] / denom)) / np.sqrt(cnt)
-    states = mean_states = controls = dw = None
-    if store:
-        states, mean_states, controls, dw = (np.concatenate(f) for f in zip(*stored))
 
     return PathEnsemble(
         n_paths=n_paths, seed=seed, n_common=n_common, times=times,
@@ -418,8 +393,6 @@ def simulate_forward(
         path_costs=np.concatenate(costs), group_dev_mean=dev_mean, group_dev_se=dev_se,
         increment_mean_w=float(sum(dw_sums) / (n_paths * n_fine)),
         increment_mean_w0=float(dw0.mean()),
-        states=states, mean_states=mean_states, controls=controls, dw=dw,
-        dw0_common=dw0 if store else None,
     )
 
 

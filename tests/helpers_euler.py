@@ -39,7 +39,7 @@ def _coeff_tables(c, n_sub, n_fine):
 
 
 def reference_forward(policy, c, grid, n_paths, seed, *, xi, atom_probs, n_common, dt_target):
-    """Per-path costs, checkpoint states, mean states, controls and group deviations."""
+    """Per-path costs, per-stream sums of the checkpoint deviations and their squares, increments."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
     atom_probs = np.asarray(atom_probs, dtype=float)
     n_sub = max(1, int(np.ceil(grid.dt / dt_target)))
@@ -74,12 +74,8 @@ def reference_forward(policy, c, grid, n_paths, seed, *, xi, atom_probs, n_commo
     gidx = np.arange(n_paths) % n_common
     x = xi[atoms]
     run = np.zeros(n_paths)
-    st = np.empty((n_paths, n_cp, c.n))
-    mst = np.empty((n_paths, n_cp, c.n))
-    ctl = np.empty((n_paths, n_cp, c.d))
     dev_sum = np.zeros((n_common, n_cp, c.n))
     dev_sq = np.zeros((n_common, n_cp, c.n))
-    u = np.zeros((n_paths, c.d))
     for j in range(n_fine + 1):
         xb = xbar_path[j][gidx]
         if j in cp_of:
@@ -87,16 +83,11 @@ def reference_forward(policy, c, grid, n_paths, seed, *, xi, atom_probs, n_commo
             dev = x - xb
             np.add.at(dev_sum, (gidx, i), dev)
             np.add.at(dev_sq, (gidx, i), dev * dev)
-            st[:, i] = x
-            mst[:, i] = xb
         if j == n_fine:
             e = x - xb @ c.H.T
             run += 0.5 * np.einsum("bi,ij,bj->b", e, c.QT, e)
-            ctl[:, n_cp - 1] = u
             break
         u = -(x - xb) @ Kc[j].T - xb @ Km[j].T - shift[j]
-        if j in cp_of:
-            ctl[:, cp_of[j]] = u
         e = x - xb @ c.H.T
         run += dt * 0.5 * (
             np.einsum("bi,ij,bj->b", e, tabs["Q"][j], e)
@@ -112,5 +103,4 @@ def reference_forward(policy, c, grid, n_paths, seed, *, xi, atom_probs, n_commo
             + np.outer(dw[:, j], tabs["D"][j])
             + np.outer(dw0[gidx, j], tabs["D0"][j])
         )
-    return dict(costs=run, states=st, mean_states=mst, controls=ctl,
-                dev_sum=dev_sum, dev_sq=dev_sq, dw=dw)
+    return dict(costs=run, dev_sum=dev_sum, dev_sq=dev_sq, dw=dw)

@@ -11,9 +11,11 @@ three separate recursions (Riccati, linear and constant), on the
 common-noise prefixes and as ODEs, where the library runs one recursion
 on the augmented state z = [x; 1].  They share only the (component,
 node) products and the tree's kernels with the library, and skip its
-input checks.  ``ref_tree_sweep`` is the augmented recursion on all 2**k
-prefixes of each step, where the library runs it on the k+1 W0 levels;
-it shares the library's one-step update and control matrix.
+input checks.  ``prefix_mean`` and ``cond_mean`` condition a node-major
+array through the library's row kernels.  ``ref_tree_sweep`` is the
+augmented recursion on all 2**k prefixes of each step, where the library
+runs it on the k+1 W0 levels; it shares the library's one-step update and
+control matrix.
 """
 
 import numpy as np
@@ -28,6 +30,16 @@ from cmvlq.decomposition import (
 )
 from cmvlq.lattice import w0_prefix_cums
 from cmvlq.riccati import _augmented, _control_matrix, _fine_steps, _tree_step
+
+
+def prefix_mean(tree, k, values):
+    """E[values | F0] per W0 prefix, node-major: the library's row kernel on ``values.T``."""
+    return tree.prefix_mean_rows(k, values.T).T
+
+
+def cond_mean(tree, k, values):
+    """E[values | F0] on every step-k node, node-major."""
+    return tree.expand_rows(k, tree.prefix_mean_rows(k, values.T)).T
 
 
 def ref_simulate_bar(cb, tree, grid, v, xi_bar):

@@ -10,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 from helpers_sampled_margin import estimate_convexity_margin
+from helpers_split import prefix_mean
 
 from cmvlq.cli import main
 from cmvlq.coeffs import bar_transform, make_coefficients
@@ -27,7 +28,6 @@ from cmvlq.fbsde import (
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import F_ADAPTED, TreeProcess
 from cmvlq.oracle import (
-    compare_solutions,
     cost_gradient,
     solve_qp_bar,
     solve_qp_breve,
@@ -92,9 +92,12 @@ def test_criterion_02_cross_term_identities_hold_for_any_control():
 def test_criterion_03_decomposed_optimum_matches_brute_force_solver():
     start = time.perf_counter()
     for inst, tree, grid, sol, qp in _solved_suite():
-        rep = compare_solutions(inst.coeffs, tree, grid, qp.control, sol.control, inst.xi)
-        assert rep.cost_rel_diff <= 1e-9, f"seed {inst.seed}"
-        assert rep.control_sup_diff <= 1e-8, f"seed {inst.seed}"
+        # each control rolled out and costed afresh
+        ja, jb = (eval_cost_mft(inst.coeffs, simulate_mft(inst.coeffs, tree, grid, s.control, inst.xi),
+                                s.control, tree, grid) for s in (qp, sol))
+        assert abs(ja - jb) / max(1.0, abs(ja)) <= 1e-9, f"seed {inst.seed}"
+        gap = np.max([np.max(np.abs(a - b)) for a, b in zip(qp.control.values, sol.control.values)])
+        assert gap <= 1e-8, f"seed {inst.seed}"
         qp_bar = solve_qp_bar(bar_transform(inst.coeffs), tree, grid, inst.xi_mean())
         qp_breve = solve_qp_breve(inst.coeffs, tree, grid, inst.xi_centered())
         assert abs(qp_bar.cost + qp_breve.cost - qp.cost) <= 1e-9, f"seed {inst.seed}"
@@ -105,10 +108,10 @@ def test_criterion_04_centered_parts_have_zero_conditional_mean():
     for inst, tree, grid, sol, _ in _solved_suite():
         breve = sol.breve
         for k in range(grid.n_steps):
-            prefix = tree.ce_f0_step(k, breve.control.values[k])[0]
+            prefix = prefix_mean(tree, k, breve.control.values[k])
             assert float(np.max(np.abs(prefix))) <= 1e-12, f"seed {inst.seed}, u step {k}"
         for k in range(grid.n_steps + 1):
-            prefix = tree.ce_f0_step(k, breve.state.values[k])[0]
+            prefix = prefix_mean(tree, k, breve.state.values[k])
             assert float(np.max(np.abs(prefix))) <= 1e-12, f"seed {inst.seed}, x step {k}"
 
 

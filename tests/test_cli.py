@@ -20,7 +20,6 @@ from cmvlq.config import (
     initial_condition,
     load_config,
     parse_config,
-    serialize_config,
     with_overrides,
 )
 from cmvlq.errors import CmvlqError, ConfigError
@@ -96,19 +95,6 @@ def test_missing_weight_named_with_section():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL.replace("R = 1.0\n", ""))
     assert any("[coefficients].R" in m for m in err.value.errors)
-
-
-def test_round_trip_is_identity_bit_exactly():
-    # awkward decimals exercise the 17-digit formatting
-    text = FULL_2X1.format(out="out").replace("1.2 0.1", "0.1 0.3333333333333333")
-    cfg = parse_config(text)
-    again = parse_config(serialize_config(cfg))
-    assert cfg == again
-    a = build_coefficients(cfg)
-    b = build_coefficients(again)
-    assert np.array_equal(a.Q.base[0], b.Q.base[0])
-    third = parse_config(serialize_config(again))
-    assert again == third
 
 
 def test_all_errors_reported_with_line_numbers():
@@ -316,6 +302,17 @@ def test_config_errors_exit_2_with_machine_readable_lines(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("error,config,")
     assert "[coefficients].R" in out
+
+
+@pytest.mark.parametrize("mode", ["solve", "simulate"])
+def test_atom_weights_off_by_more_than_the_solvers_allow_are_a_config_error(tmp_path, capsys, mode):
+    # the parser reads the tree's and the simulation's own bound on the sum
+    text = FULL_2X1.format(out=tmp_path / "o").replace("xi_probs = 0.35 0.65",
+                                                       "xi_probs = 0.3500000001 0.65")
+    assert main([mode, "--config", _write(tmp_path, text), "--paths", "16"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error,config,line ")
+    assert "[coefficients].xi_probs: atom weights sum to 1.0000000001, need 1" in out
 
 
 def test_solver_errors_exit_2(tmp_path, capsys):

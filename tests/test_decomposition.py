@@ -4,22 +4,19 @@ import numpy as np
 import pytest
 from helpers_bruteforce import brute_cost_bar, brute_cost_mft, brute_simulate_mft
 from helpers_sampled_margin import estimate_convexity_margin
+from helpers_split import cond_mean, prefix_mean
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmvlq.coeffs import as_coefficient, bar_transform, make_coefficients
+from cmvlq.coeffs import as_coefficient, bar_transform, breve_as_plain, make_coefficients
 from cmvlq.decomposition import (
     check_decomposition,
-    eval_cost_bar,
-    eval_cost_breve,
     eval_cost_mft,
     lemma_identities,
-    simulate_bar,
-    simulate_breve,
     simulate_mft,
-    split_pair,
 )
-from cmvlq.errors import ConstraintViolationError, DimensionError
+from cmvlq.errors import AdaptednessError, ConstraintViolationError, DimensionError
+from cmvlq.fbsde import solve_breve_fbsde
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import (
     F0_ADAPTED,
@@ -27,9 +24,9 @@ from cmvlq.lattice import (
     TimeGrid,
     TreeProcess,
     build_joint_tree,
-    conditional_expectation_f0,
     inner_product,
 )
+from cmvlq.oracle import solve_qp_breve
 from cmvlq.riccati import convexity_margins
 
 
@@ -123,8 +120,8 @@ def test_bar_cost_matches_enumeration():
     v_pref = [rng.standard_normal((tree.n_prefixes(k), c.d)) for k in range(grid.n_steps)]
     v = TreeProcess(tree.common, v_pref)
     xi_bar = atoms @ xi
-    y = simulate_bar(cb, tree, grid, v, xi_bar)
-    j = eval_cost_bar(cb, y, v, tree, grid)
+    y = simulate_mft(cb, tree.common, grid, v, xi_bar)
+    j = eval_cost_mft(cb, y, v, tree.common, grid)
     j_ref = brute_cost_bar(cb, xi_bar, v_pref, grid)
     assert j == pytest.approx(j_ref, abs=1e-12 * max(1.0, abs(j_ref)))
 
@@ -134,12 +131,13 @@ def test_breve_cost_matches_enumeration():
     grid = c.grid()
     alpha = TreeProcess(
         tree,
-        [w - tree.ce_f0_step(k, w)[1] for k, w in enumerate(u.values)],
+        [w - cond_mean(tree, k, w) for k, w in enumerate(u.values)],
         F_ADAPTED,
     )
     xi_c = xi - atoms @ xi
-    z = simulate_breve(c, tree, grid, alpha, xi_c)
-    j = eval_cost_breve(c, z, alpha, tree, grid)
+    cc = breve_as_plain(c)
+    z = simulate_mft(cc, tree, grid, alpha, xi_c)
+    j = eval_cost_mft(cc, z, alpha, tree, grid)
     # the centered problem is the mean-field cost with interaction, noise
     # sharing, and affine data removed
     zeros_n = np.zeros(c.n)
@@ -155,7 +153,7 @@ def test_breve_cost_matches_enumeration():
     j_ref = brute_cost_mft(c2, xi_c, atoms, alpha.values, grid)
     assert j == pytest.approx(j_ref, abs=1e-12 * max(1.0, abs(j_ref)))
     for k in range(grid.n_steps + 1):
-        prefix, _ = tree.ce_f0_step(k, z.values[k])
+        prefix = prefix_mean(tree, k, z.values[k])
         assert np.max(np.abs(prefix)) < 1e-12 * (1.0 + np.max(np.abs(z.values[k])))
 
 
@@ -183,6 +181,16 @@ def test_cross_term_identities(seed):
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs)), key
 
 
+def test_cross_term_identities_refuse_an_f0_tagged_pair():
+    inst = random_instance(100)
+    grid, tree = inst.grid(), inst.tree()
+    u = random_control(inst, tree, 3)
+    x = simulate_mft(inst.coeffs, tree, grid, u, inst.xi)
+    for pair in ((TreeProcess(tree, x.values, F0_ADAPTED), u), (x, TreeProcess(tree, u.values, F0_ADAPTED))):
+        with pytest.raises(AdaptednessError, match="lemma_identities"):
+            lemma_identities(inst.coeffs, *pair, tree, grid)
+
+
 @pytest.mark.parametrize("seed", [5, 23, 51])
 def test_conditioned_state_solves_bar_recursion(seed):
     # E[x|F0] must BE the bar state driven by E[u|F0], and the remainder
@@ -194,19 +202,20 @@ def test_conditioned_state_solves_bar_recursion(seed):
     cb = bar_transform(inst.coeffs)
     u = random_control(inst, tree, 11)
     x = simulate_mft(inst.coeffs, tree, grid, u, inst.xi)
-    parts = split_pair(x, u, tree)
+    xbar = [cond_mean(tree, k, v) for k, v in enumerate(x.values)]
 
-    ubar = TreeProcess(tree.common, [tree.prefix_mean(k, v) for k, v in enumerate(u.values)])
-    y = simulate_bar(cb, tree, grid, ubar, inst.xi_mean())
+    ubar = TreeProcess(tree.common, [prefix_mean(tree, k, v) for k, v in enumerate(u.values)])
+    y = simulate_mft(cb, tree.common, grid, ubar, inst.xi_mean())
     for k in range(grid.n_steps + 1):
         scale = 1.0 + np.max(np.abs(x.values[k]))
-        ybar = tree.expand_f0(k, y.values[k])
-        assert np.max(np.abs(ybar - parts.xbar.values[k])) < 1e-12 * scale
+        ybar = tree.expand_rows(k, y.values[k].T).T
+        assert np.max(np.abs(ybar - xbar[k])) < 1e-12 * scale
 
-    z = simulate_breve(inst.coeffs, tree, grid, parts.ubreve, inst.xi_centered())
+    ubreve = TreeProcess(tree, [v - cond_mean(tree, k, v) for k, v in enumerate(u.values)])
+    z = simulate_mft(breve_as_plain(inst.coeffs), tree, grid, ubreve, inst.xi_centered())
     for k in range(grid.n_steps + 1):
         scale = 1.0 + np.max(np.abs(x.values[k]))
-        assert np.max(np.abs(z.values[k] - parts.xbreve.values[k])) < 1e-12 * scale
+        assert np.max(np.abs(z.values[k] - (x.values[k] - xbar[k]))) < 1e-12 * scale
 
 
 @settings(max_examples=15, deadline=None)
@@ -216,7 +225,7 @@ def test_split_controls_are_orthogonal(seed):
     grid = inst.grid()
     tree = inst.tree()
     u = random_control(inst, tree, seed)
-    ubar = conditional_expectation_f0(u, tree)
+    ubar = TreeProcess(tree, [cond_mean(tree, k, v) for k, v in enumerate(u.values)])
     ubre = TreeProcess(
         tree, [a - b for a, b in zip(u.values, ubar.values)], F_ADAPTED
     )
@@ -293,8 +302,8 @@ def test_margin_split_bound(seed):
 def test_bar_refuses_joint_tree_processes(tag, varying):
     """The bar problem lives on tree.common: a joint-tree control or state
     is refused, whatever its tag and even where it is constant on every
-    W0 prefix, as a simulate_bar control and as eval_cost_bar's state and
-    control."""
+    W0 prefix, as a simulate_mft control on ``tree.common`` and as
+    eval_cost_mft's state and control there."""
     c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
     grid = c.grid()
     tree = build_joint_tree(grid)
@@ -304,18 +313,18 @@ def test_bar_refuses_joint_tree_processes(tag, varying):
     def joint(n_arrays):
         if varying:
             return [rng.standard_normal((tree.n_nodes(k), 1)) for k in range(n_arrays)]
-        return [tree.expand_f0(k, rng.standard_normal((2**k, 1))) for k in range(n_arrays)]
+        return [tree.expand_rows(k, rng.standard_normal((1, 2**k))).T for k in range(n_arrays)]
 
     v = TreeProcess(tree.common, [np.zeros((2**k, 1)) for k in range(grid.n_steps)])
-    y = simulate_bar(cb, tree, grid, v, np.zeros(1))
+    y = simulate_mft(cb, tree.common, grid, v, np.zeros(1))
     u_joint = TreeProcess(tree, joint(grid.n_steps), tag)
     y_joint = TreeProcess(tree, joint(grid.n_steps + 1), tag)
     with pytest.raises(DimensionError, match="control"):
-        simulate_bar(cb, tree, grid, u_joint, np.zeros(1))
+        simulate_mft(cb, tree.common, grid, u_joint, np.zeros(1))
     with pytest.raises(DimensionError, match="state"):
-        eval_cost_bar(cb, y_joint, v, tree, grid)
+        eval_cost_mft(cb, y_joint, v, tree.common, grid)
     with pytest.raises(DimensionError, match="control"):
-        eval_cost_bar(cb, y, u_joint, tree, grid)
+        eval_cost_mft(cb, y, u_joint, tree.common, grid)
 
 
 @pytest.mark.parametrize("other", ["atom_probs", "horizon"])
@@ -348,48 +357,21 @@ def test_mft_refuses_processes_of_another_tree(other):
         eval_cost_mft(c, x, u_other, tree, grid)
 
 
-def test_breve_rejects_uncentered_control():
-    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
-    grid = c.grid()
-    tree = build_joint_tree(grid)
-    ones = TreeProcess(
-        tree, [np.ones((tree.n_nodes(k), 1)) for k in range(grid.n_steps)], F_ADAPTED
-    )
-    with pytest.raises(ConstraintViolationError):
-        simulate_breve(c, tree, grid, ones, np.zeros(1))
-
-
 def test_breve_rejects_biased_initial_state():
+    # the centered problem's solvers refuse an initial split with a nonzero mean
     c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
     grid = c.grid()
     tree = build_joint_tree(grid)
-    alpha = zero_control(tree, grid, 1)
-    with pytest.raises(ConstraintViolationError):
-        simulate_breve(c, tree, grid, alpha, np.array([0.5]))
+    for solve in (solve_breve_fbsde, solve_qp_breve):
+        with pytest.raises(ConstraintViolationError, match="xi_breve"):
+            solve(c, tree, grid, np.array([0.5]))
 
 
-def test_breve_cost_rejects_uncentered_state():
-    c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
-    grid = c.grid()
-    tree = build_joint_tree(grid)
-    alpha = zero_control(tree, grid, 1)
-    biased = TreeProcess(
-        tree,
-        [np.ones((tree.n_nodes(k), 1)) for k in range(grid.n_steps + 1)],
-        F_ADAPTED,
-    )
-    with pytest.raises(ConstraintViolationError):
-        eval_cost_breve(c, biased, alpha, tree, grid)
-
-
-def test_breve_rejects_a_non_finite_control_or_initial_split():
+def test_breve_rejects_a_non_finite_initial_split():
     # a NaN compares false against the tolerance: the check must fail on it
     c = make_coefficients(1, 1, horizon=1.0, n_steps=2, R=1.0, QT=[[1.0]])
     grid = c.grid()
     tree = build_joint_tree(grid)
-    values = [np.zeros((tree.n_nodes(k), 1)) for k in range(grid.n_steps)]
-    values[1][0, 0] = np.nan
-    with pytest.raises(ConstraintViolationError, match="alpha"):
-        simulate_breve(c, tree, grid, TreeProcess(tree, values, F_ADAPTED), np.zeros(1))
-    with pytest.raises(ConstraintViolationError, match="xi_breve"):
-        simulate_breve(c, tree, grid, zero_control(tree, grid, 1), np.array([np.nan]))
+    for solve in (solve_breve_fbsde, solve_qp_breve):
+        with pytest.raises(ConstraintViolationError, match="xi_breve"):
+            solve(c, tree, grid, np.array([np.nan]))

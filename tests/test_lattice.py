@@ -12,21 +12,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from helpers_node_major import coeff_nodes, ref_index_maps
+from helpers_split import cond_mean, prefix_mean
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmvlq.coeffs import as_coefficient
 from cmvlq.decomposition import _Prefixed
-from cmvlq.errors import AdaptednessError, CapacityError, DimensionError
+from cmvlq.errors import CapacityError, DimensionError
 from cmvlq.lattice import (
-    F0_ADAPTED,
     F_ADAPTED,
     TimeGrid,
     TreeProcess,
     build_joint_tree,
-    conditional_expectation_f0,
     inner_product,
-    project_breve,
     w0_levels,
     w0_prefix_cums,
     w0_prefix_levels,
@@ -177,12 +175,10 @@ def test_ce_matches_brute_force():
     tree = build_joint_tree(grid, atom_probs=atom_probs)
     rng = np.random.default_rng(11)
     vals = [rng.standard_normal(tree.n_nodes(k)) for k in range(3)]
-    p = TreeProcess(tree, vals, F_ADAPTED)
-    ce = conditional_expectation_f0(p, tree)
     for k in range(3):
         hists = enumerate_histories(k, n_atoms=2)
         expected = brute_ce_f0(vals[k], hists, atom_probs)
-        np.testing.assert_allclose(ce.values[k], expected, atol=1e-13)
+        np.testing.assert_allclose(cond_mean(tree, k, vals[k]), expected, atol=1e-13)
 
 
 def test_documented_node_layout():
@@ -220,14 +216,15 @@ def test_conditioning_by_folding_matches_grouping(seed, k, n_atoms, payload):
     atom_probs /= atom_probs.sum()
     tree = build_joint_tree(TimeGrid(4, 1.0), atom_probs=atom_probs)
     values = rng.standard_normal((tree.n_nodes(k),) + payload)
-    prefix, expanded = tree.ce_f0_step(k, values)
+    prefix = prefix_mean(tree, k, values)
+    expanded = tree.expand_rows(k, prefix.T).T
     brute = brute_ce_f0(values, enumerate_histories(k, n_atoms), atom_probs)
     np.testing.assert_allclose(expanded, brute, rtol=0.0, atol=1e-14)
     # expansion is the prefix gather, and every member of a prefix gets
     # bit-identical values
     w0 = tree.w0_of_node[k]
     assert np.array_equal(expanded, prefix[w0])
-    assert np.array_equal(tree.expand_f0(k, values[: 2**k]), values[: 2**k][w0])
+    assert np.array_equal(tree.expand_rows(k, values[: 2**k].T).T, values[: 2**k][w0])
 
 
 def test_coefficients_per_prefix_on_nodes(grid3):
@@ -252,11 +249,9 @@ def test_coefficients_per_prefix_on_nodes(grid3):
 def test_ce_constant_on_w0_groups(grid3):
     tree = build_joint_tree(grid3, atom_probs=[0.5, 0.5])
     rng = np.random.default_rng(5)
-    p = TreeProcess(tree, [rng.standard_normal((tree.n_nodes(k), 2)) for k in range(4)])
-    ce = conditional_expectation_f0(p, tree)
-    assert ce.adapted == F0_ADAPTED
-    for k, v in enumerate(ce.values):
-        constant = tree.expand_f0(k, tree.prefix_mean(k, v))
+    for k in range(4):
+        v = cond_mean(tree, k, rng.standard_normal((tree.n_nodes(k), 2)))
+        constant = tree.expand_rows(k, prefix_mean(tree, k, v).T).T
         assert np.max(np.abs(v - constant)) / (1.0 + np.max(np.abs(v))) <= 1e-13
 
 
@@ -264,22 +259,9 @@ def test_ce_of_f0_process_is_identity(grid3):
     """Tower property: conditioning an already-conditioned process is a no-op."""
     tree = build_joint_tree(grid3)
     rng = np.random.default_rng(7)
-    p = TreeProcess(tree, [rng.standard_normal(tree.n_nodes(k)) for k in range(4)])
-    ce = conditional_expectation_f0(p, tree)
-    again = conditional_expectation_f0(
-        TreeProcess(tree, ce.values, F_ADAPTED), tree
-    )
     for k in range(4):
-        np.testing.assert_allclose(again.values[k], ce.values[k], rtol=0, atol=1e-14)
-
-
-def test_ce_rejects_f0_tag(grid3):
-    tree = build_joint_tree(grid3)
-    p = TreeProcess(tree, [np.zeros(tree.n_nodes(k)) for k in range(2)], F0_ADAPTED)
-    with pytest.raises(AdaptednessError):
-        conditional_expectation_f0(p, tree)
-    with pytest.raises(AdaptednessError):
-        project_breve(p, tree)
+        ce = cond_mean(tree, k, rng.standard_normal(tree.n_nodes(k)))
+        np.testing.assert_allclose(cond_mean(tree, k, ce), ce, rtol=0, atol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -294,38 +276,31 @@ def test_ce_linearity(seed, a, b):
     rng = np.random.default_rng(seed)
     u = [rng.standard_normal(tree.n_nodes(k)) for k in range(3)]
     v = [rng.standard_normal(tree.n_nodes(k)) for k in range(3)]
-    ce_u = conditional_expectation_f0(TreeProcess(tree, u), tree)
-    ce_v = conditional_expectation_f0(TreeProcess(tree, v), tree)
-    mix = conditional_expectation_f0(
-        TreeProcess(tree, [a * x + b * y for x, y in zip(u, v)]), tree
-    )
     for k in range(3):
         np.testing.assert_allclose(
-            mix.values[k], a * ce_u.values[k] + b * ce_v.values[k], atol=1e-12
+            cond_mean(tree, k, a * u[k] + b * v[k]),
+            a * cond_mean(tree, k, u[k]) + b * cond_mean(tree, k, v[k]), atol=1e-12
         )
 
 
 def test_projection_conditions_to_zero(grid3):
     tree = build_joint_tree(grid3, atom_probs=[0.4, 0.6])
     rng = np.random.default_rng(3)
-    p = TreeProcess(tree, [rng.standard_normal((tree.n_nodes(k), 3)) for k in range(4)])
-    br = project_breve(p, tree)
-    ce = conditional_expectation_f0(br, tree)
     for k in range(4):
-        scale = 1.0 + float(np.max(np.abs(p.values[k])))
-        assert float(np.max(np.abs(ce.values[k]))) <= 1e-14 * scale
+        v = rng.standard_normal((tree.n_nodes(k), 3))
+        br = v - cond_mean(tree, k, v)
+        scale = 1.0 + float(np.max(np.abs(v)))
+        assert float(np.max(np.abs(cond_mean(tree, k, br)))) <= 1e-14 * scale
 
 
 def test_orthogonality(grid3):
     tree = build_joint_tree(grid3)
     rng = np.random.default_rng(9)
-    raw = TreeProcess(tree, [rng.standard_normal((tree.n_nodes(k), 2)) for k in range(3)])
-    u_f0 = conditional_expectation_f0(raw, tree)
-    other = TreeProcess(tree, [rng.standard_normal((tree.n_nodes(k), 2)) for k in range(3)])
-    br = project_breve(other, tree)
-    ip = inner_product(
-        TreeProcess(tree, u_f0.values, F_ADAPTED), br, tree, grid3
-    )
+    raw = [rng.standard_normal((tree.n_nodes(k), 2)) for k in range(3)]
+    u_f0 = TreeProcess(tree, [cond_mean(tree, k, v) for k, v in enumerate(raw)], F_ADAPTED)
+    other = [rng.standard_normal((tree.n_nodes(k), 2)) for k in range(3)]
+    br = TreeProcess(tree, [v - cond_mean(tree, k, v) for k, v in enumerate(other)], F_ADAPTED)
+    ip = inner_product(u_f0, br, tree, grid3)
     scale = 1.0 + max(
         float(np.max(np.abs(v))) for v in u_f0.values + br.values
     )
@@ -377,13 +352,8 @@ def test_processes_of_the_other_tree_kind_are_refused(grid3):
     common = tree.common
     for on, other in ((tree, common), (common, tree)):
         p = TreeProcess(other, [np.ones((other.n_nodes(k), 1)) for k in range(4)])
-        for call in (
-            lambda: conditional_expectation_f0(p, on),
-            lambda: project_breve(p, on),
-            lambda: inner_product(p, p, on, grid3),
-        ):
-            with pytest.raises(DimensionError):
-                call()
+        with pytest.raises(DimensionError):
+            inner_product(p, p, on, grid3)
 
 
 def test_w0_prefix_cums_match_tree(grid3):

@@ -183,7 +183,7 @@ def test_common_tree_kernels_match_the_joint_ones_on_f0_data(seed, k, n_atoms, c
 
     steps = [rng.standard_normal((2**j, comps)) for j in range(grid.n_steps)]
     u_common = TreeProcess(common, steps, F0_ADAPTED)
-    u_joint = TreeProcess(tree, [tree.expand_f0(j, a) for j, a in enumerate(steps)], F0_ADAPTED)
+    u_joint = TreeProcess(tree, [tree.expand_rows(j, a.T).T for j, a in enumerate(steps)], F0_ADAPTED)
     assert _close(inner_product(u_joint, u_joint, tree, grid),
                   inner_product(u_common, u_common, common, grid))
 

@@ -13,23 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cmvlq.cli as cli
 from cmvlq.coeffs import bar_transform, breve_as_plain
 from cmvlq.config import build_coefficients, initial_condition, parse_config
-from cmvlq.decomposition import (
-    eval_cost_bar,
-    eval_cost_breve,
-    eval_cost_mft,
-    simulate_bar,
-    simulate_breve,
-    simulate_mft,
-)
-from cmvlq.errors import ConstraintViolationError, ConvergenceError
+from cmvlq.decomposition import eval_cost_mft, simulate_mft
+from cmvlq.errors import CmvlqError, ConstraintViolationError, ConvergenceError
 from cmvlq.fbsde import assemble_optimal_control, solve_bar_fbsde, solve_breve_fbsde
 from cmvlq.instances import random_instance, random_control
 from cmvlq.lattice import F_ADAPTED, TimeGrid, TreeProcess, build_joint_tree
 from cmvlq.oracle import (
     _solve_quadratic,
-    compare_solutions,
     cost_gradient,
     solve_qp_bar,
     solve_qp_breve,
@@ -37,6 +30,7 @@ from cmvlq.oracle import (
 )
 from helpers_dense_qp import dense_qp_exact
 from helpers_gradient import ref_cost_gradient
+from helpers_split import cond_mean, prefix_mean
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "mean_field.cfg"
 
@@ -120,22 +114,39 @@ def test_reference_optimum_matches_structured_solver(seed):
     grid, tree = inst.grid(), inst.tree()
     qp = solve_qp_exact(inst.coeffs, tree, grid, inst.xi)
     mft = assemble_optimal_control(inst.coeffs, tree, inst.xi)
-    rep = compare_solutions(inst.coeffs, tree, grid, qp.control, mft.control, inst.xi)
-    assert rep.control_sup_diff <= 1e-8
-    assert rep.cost_rel_diff <= 1e-9
-    assert abs(rep.cost_a - qp.cost) <= 1e-12 * max(1.0, abs(qp.cost))
+    for a, b in zip(qp.control.values, mft.control.values):
+        assert np.max(np.abs(a - b)) <= 1e-8
+    assert abs(qp.cost - mft.cost) / max(1.0, abs(qp.cost)) <= 1e-9
+    again = eval_cost_mft(inst.coeffs, simulate_mft(inst.coeffs, tree, grid, qp.control, inst.xi),
+                          qp.control, tree, grid)
+    assert abs(again - qp.cost) <= 1e-12 * max(1.0, abs(qp.cost))
 
 
 def test_comparison_keeps_a_nan_control_gap():
+    # a NaN on the last step must reach the compare report's gap row, which refuses it
     inst = random_instance(1, max_steps=3)
-    grid, tree = inst.grid(), inst.tree()
-    assert grid.n_steps >= 2
+    tree = inst.tree()
+    assert inst.grid().n_steps >= 2
     mft = assemble_optimal_control(inst.coeffs, tree, inst.xi)
     values = [v.copy() for v in mft.control.values]
     values[-1][0, 0] = np.nan
     broken = TreeProcess(tree, values, F_ADAPTED)
-    rep = compare_solutions(inst.coeffs, tree, grid, mft.control, broken, inst.xi)
-    assert np.isnan(rep.control_sup_diff)
+    assert cli._sup_gap(mft.control, mft.control) == 0.0
+    assert np.isnan(cli._sup_gap(mft.control, broken))
+    with pytest.raises(CmvlqError, match="oracle_control_gap"):
+        cli._residual("oracle_control_gap", cli._sup_gap(mft.control, broken), 1e-8)
+
+
+@pytest.mark.parametrize("node_dependent", [False, True])
+def test_solutions_hold_the_cost_of_their_control(node_dependent):
+    # the compare report gaps the held costs; rolling each control out again
+    # and costing it must give them bit for bit
+    inst = random_instance(4, max_steps=4, node_dependent=node_dependent)
+    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
+    assert grid.n_steps == 4 and c.deterministic != node_dependent
+    for sol in (assemble_optimal_control(c, tree, inst.xi), solve_qp_exact(c, tree, grid, inst.xi)):
+        x = simulate_mft(c, tree, grid, sol.control, inst.xi)
+        assert eval_cost_mft(c, x, sol.control, tree, grid) == sol.cost
 
 
 @pytest.mark.parametrize("seed", [2, 7, 13])
@@ -154,17 +165,19 @@ def test_restricted_problems_split_the_reference_cost(seed):
     # the restricted optima are the two components of the full optimum;
     # the bar one has one control per W0 prefix
     for k in range(grid.n_steps):
-        prefix, ubar_full = tree.ce_f0_step(k, full.control.values[k])
+        prefix = prefix_mean(tree, k, full.control.values[k])
+        ubar_full = cond_mean(tree, k, full.control.values[k])
         assert np.max(np.abs(bar.control.values[k] - prefix)) <= 1e-8
         centered = full.control.values[k] - ubar_full
         assert np.max(np.abs(breve.control.values[k] - centered)) <= 1e-8
 
-    # restricted costs agree with the dedicated one-sided evaluators
-    y = simulate_bar(cb, tree, grid, bar.control, inst.xi_mean())
-    jb = eval_cost_bar(cb, y, bar.control, tree, grid)
+    # restricted costs agree with the roll-out and cost of each sub-problem's set
+    y = simulate_mft(cb, tree.common, grid, bar.control, inst.xi_mean())
+    jb = eval_cost_mft(cb, y, bar.control, tree.common, grid)
     assert abs(jb - bar.cost) <= 1e-11 * scale
-    z = simulate_breve(inst.coeffs, tree, grid, breve.control, inst.xi_centered())
-    jbr = eval_cost_breve(inst.coeffs, z, breve.control, tree, grid)
+    cc = breve_as_plain(inst.coeffs)
+    z = simulate_mft(cc, tree, grid, breve.control, inst.xi_centered())
+    jbr = eval_cost_mft(cc, z, breve.control, tree, grid)
     assert abs(jbr - breve.cost) <= 1e-11 * scale
 
 

@@ -1,10 +1,10 @@
 """The sub-problems on the full problem's code match their dedicated versions.
 
-``simulate_bar``/``simulate_breve``, ``eval_cost_bar``/``eval_cost_breve``
-and ``solve_l`` (its quadratic and affine parts) delegate to the full problem's recursion, cost and
-Riccati loop on the sub-problems' coefficient sets (``bar_transform``,
-``breve_as_plain``); the references in ``helpers_split`` are the
-dedicated bar and breve code.  Agreement is exact, as those sets only
+``simulate_mft`` and ``eval_cost_mft`` on the sub-problems' coefficient
+sets (``bar_transform`` on ``tree.common``, ``breve_as_plain`` on the
+joint tree) and ``solve_l`` (its quadratic and affine parts) are the full
+problem's recursion, cost and Riccati loop; the references in
+``helpers_split`` are the dedicated bar and breve code.  Agreement is exact, as those sets only
 add exact zeros, except for ``solve_l``: it runs one recursion on the
 augmented state [x; 1] where the reference runs three, and agrees to
 1e-13 relative.  Every conditional-mean entry point applies
@@ -15,6 +15,7 @@ same problem, bit for bit.
 import numpy as np
 import pytest
 from helpers_split import (
+    cond_mean,
     ref_cost_bar,
     ref_cost_breve,
     ref_simulate_bar,
@@ -24,8 +25,8 @@ from helpers_split import (
     rel_gap,
 )
 
-from cmvlq.coeffs import bar_transform, homogeneous
-from cmvlq.decomposition import eval_cost_bar, eval_cost_breve, simulate_bar, simulate_breve
+from cmvlq.coeffs import bar_transform, breve_as_plain, homogeneous
+from cmvlq.decomposition import eval_cost_mft, simulate_mft
 from cmvlq.fbsde import solve_bar_fbsde, verify_stationarity
 from cmvlq.instances import random_instance
 from cmvlq.lattice import F0_ADAPTED, F_ADAPTED, TreeProcess
@@ -44,7 +45,7 @@ def _controls(tree, grid, d, seed):
     )
     raw = [rng.standard_normal((tree.n_nodes(k), d)) for k in range(grid.n_steps)]
     alpha = TreeProcess(
-        tree, [w - tree.ce_f0_step(k, w)[1] for k, w in enumerate(raw)], F_ADAPTED
+        tree, [w - cond_mean(tree, k, w) for k, w in enumerate(raw)], F_ADAPTED
     )
     return v, alpha
 
@@ -58,15 +59,16 @@ def test_delegated_sub_problems_match_dedicated_code(seed, node_dependent):
         cb = bar_transform(c)
         v, alpha = _controls(tree, grid, c.d, seed)
 
-        y = simulate_bar(cb, tree, grid, v, inst.xi_mean())
+        y = simulate_mft(cb, tree.common, grid, v, inst.xi_mean())
         assert y.adapted == F0_ADAPTED
         assert _same(y.values, ref_simulate_bar(cb, tree.common, grid, v, inst.xi_mean()))
-        assert eval_cost_bar(cb, y, v, tree, grid) == ref_cost_bar(cb, tree.common, grid, y, v)
+        assert eval_cost_mft(cb, y, v, tree.common, grid) == ref_cost_bar(cb, tree.common, grid, y, v)
 
-        z = simulate_breve(c, tree, grid, alpha, inst.xi_centered())
+        cc = breve_as_plain(c)
+        z = simulate_mft(cc, tree, grid, alpha, inst.xi_centered())
         assert z.adapted == F_ADAPTED
         assert _same(z.values, ref_simulate_breve(c, tree, grid, alpha, inst.xi_centered()))
-        assert eval_cost_breve(c, z, alpha, tree, grid) == ref_cost_breve(c, tree, grid, z, alpha)
+        assert eval_cost_mft(cc, z, alpha, tree, grid) == ref_cost_breve(c, tree, grid, z, alpha)
 
         # one augmented recursion against three: the summation order differs
         ll = solve_l(cb)
@@ -92,12 +94,10 @@ def _same_arrays(a, b) -> bool:
 def test_bar_entry_points_take_the_full_set_or_its_transform(seed, node_dependent):
     inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
     c, grid, tree, xi_bar = inst.coeffs, inst.grid(), inst.tree(), inst.xi_mean()
-    v, _ = _controls(tree, grid, c.d, seed)
     runs = {}
     for given in (c, bar_transform(c)):
         ll = solve_l(given)
         sol = solve_bar_fbsde(given, tree, grid, xi_bar)
-        y = simulate_bar(given, tree, grid, v, xi_bar)
         qp = solve_qp_bar(given, tree, grid, xi_bar)
         runs[given is c] = [
             [ll.values, ll.offset, ll.constant, ll.gain_state, ll.gain_const],
@@ -105,8 +105,6 @@ def test_bar_entry_points_take_the_full_set_or_its_transform(seed, node_dependen
                                               "noise_load_w0")],
             [sol.cost, sol.backward_residual],
             verify_stationarity(sol).per_step,
-            y.values,
-            eval_cost_bar(given, y, v, tree, grid),
             [qp.control.values, qp.cost, qp.gradient_sup],
         ]
     assert _same_arrays(runs[True], runs[False])

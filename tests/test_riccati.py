@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 from helpers_dense_qp import dense_margins
 from helpers_node_major import coeff_nodes
-from helpers_split import ref_ode_sweep, ref_solve_l, ref_tree_offset, ref_tree_sweep, rel_gap
+from helpers_split import (
+    cond_mean,
+    ref_ode_sweep,
+    ref_solve_l,
+    ref_tree_offset,
+    ref_tree_sweep,
+    rel_gap,
+)
 
 from cmvlq.coeffs import as_coefficient, bar_transform, breve_as_plain, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
-from cmvlq.decomposition import (
-    eval_cost_bar,
-    eval_cost_breve,
-    simulate_bar,
-    simulate_breve,
-)
+from cmvlq.decomposition import eval_cost_mft, simulate_mft
 from cmvlq.errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
 from cmvlq.instances import random_instance
 from cmvlq.lattice import (
@@ -123,9 +125,10 @@ def test_centered_feedback_attains_predicted_value(seed):
         z = base + np.repeat(D, 4, axis=0) * tree.last_dw[k + 1][:, None]
 
     alpha = TreeProcess(tree, alphas, F_ADAPTED)
-    zsim = simulate_breve(c, tree, grid, alpha, xi_c)
+    cc = breve_as_plain(c)
+    zsim = simulate_mft(cc, tree, grid, alpha, xi_c)
     assert np.allclose(zsim.values[-1], z, atol=1e-12, rtol=0.0)
-    j = eval_cost_breve(c, zsim, alpha, tree, grid)
+    j = eval_cost_mft(cc, zsim, alpha, tree, grid)
     pred = 0.5 * float(
         np.einsum("a,ai,ij,aj->", inst.atom_probs, xi_c, pi.values[0][0], xi_c)
     ) + float(pi.constant[0][0])
@@ -137,12 +140,12 @@ def test_centered_feedback_attains_predicted_value(seed):
         raw = [
             rng.standard_normal((tree.n_nodes(k), c.d)) for k in range(grid.n_steps)
         ]
-        delta = [w - tree.ce_f0_step(k, w)[1] for k, w in enumerate(raw)]
+        delta = [w - cond_mean(tree, k, w) for k, w in enumerate(raw)]
         a2 = TreeProcess(
             tree, [a + 0.2 * d for a, d in zip(alpha.values, delta)], F_ADAPTED
         )
-        z2 = simulate_breve(c, tree, grid, a2, xi_c)
-        j2 = eval_cost_breve(c, z2, a2, tree, grid)
+        z2 = simulate_mft(cc, tree, grid, a2, xi_c)
+        j2 = eval_cost_mft(cc, z2, a2, tree, grid)
         assert j2 >= j - 1e-11 * max(1.0, abs(j))
 
 
@@ -187,9 +190,9 @@ def test_mean_feedback_attains_predicted_value(seed):
         y = base + np.repeat(D0, 2, axis=0) * signs * sq
 
     vproc = TreeProcess(tree.common, v_pref)
-    ysim = simulate_bar(cb, tree, grid, vproc, ybar0)
+    ysim = simulate_mft(cb, tree.common, grid, vproc, ybar0)
     assert np.allclose(ysim.values[-1], y, atol=1e-12, rtol=0.0)
-    j = eval_cost_bar(cb, ysim, vproc, tree, grid)
+    j = eval_cost_mft(cb, ysim, vproc, tree.common, grid)
     pred = (
         0.5 * float(ybar0 @ ll.values[0][0] @ ybar0)
         + float(ll.offset[0][0] @ ybar0)
@@ -204,8 +207,8 @@ def test_mean_feedback_attains_predicted_value(seed):
             for k in range(grid.n_steps)
         ]
         v2 = TreeProcess(tree.common, [v + 0.2 * dl for v, dl in zip(v_pref, delta)])
-        y2 = simulate_bar(cb, tree, grid, v2, ybar0)
-        j2 = eval_cost_bar(cb, y2, v2, tree, grid)
+        y2 = simulate_mft(cb, tree.common, grid, v2, ybar0)
+        j2 = eval_cost_mft(cb, y2, v2, tree.common, grid)
         assert j2 >= j - 1e-11 * max(1.0, abs(j))
 
 
@@ -357,7 +360,7 @@ def test_fine_grid_lookup_consistency():
     sol = solve_pi(c, backend="ode", dt_target=0.01)
     for k in range(5):
         t = k * 0.25
-        assert np.allclose(sol.at_time(t), sol.at_coarse(k), atol=1e-14)
+        assert np.allclose(sol.at_time(t), sol.values[k * sol.n_sub], atol=1e-14)
     mid = 0.5 * (sol.values[3] + sol.values[4])
     assert np.allclose(sol.at_time(0.5 * (sol.times[3] + sol.times[4])), mid, atol=1e-12)
 

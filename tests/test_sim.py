@@ -56,26 +56,50 @@ def zero_policy(c):
     )
 
 
+def _recorded_draws(monkeypatch):
+    """Record the draws simulate_forward makes: each batch's scaled idiosyncratic
+    increments (paths, fine steps) and the raw common-noise normals."""
+    seen = {"idio": [], "common": []}
+    draw_steps, common_normals = sim_mod._draw_steps, sim_mod.common_normals
+
+    def steps(seed, lo, hi, count, noise, uniform=False, scale=1.0):
+        chunks = list(draw_steps(seed, lo, hi, count, noise, uniform, scale))
+        if noise == NOISE_IDIO:
+            seen["idio"].append(np.concatenate(chunks).T)
+        yield from chunks
+
+    def common(*args):
+        out = common_normals(*args)
+        seen["common"].append(out.copy())
+        return out
+
+    monkeypatch.setattr(sim_mod, "_draw_steps", steps)
+    monkeypatch.setattr(sim_mod, "common_normals", common)
+    return seen
+
+
 def test_zero_instance_stays_at_zero():
-    c = make_coefficients(2, 1, horizon=1.0, n_steps=2, R=1.0)
+    # positive definite weights: a path costs zero only where its state stays at zero
+    c = make_coefficients(2, 1, horizon=1.0, n_steps=2, Q=np.eye(2), R=1.0, QT=np.eye(2))
     ens = simulate_forward(
         zero_policy(c), c, c.grid(), 40, 1,
-        xi=np.zeros((1, 2)), atom_probs=[1.0], dt_target=0.05, store_paths=True,
+        xi=np.zeros((1, 2)), atom_probs=[1.0], dt_target=0.05,
     )
-    assert np.all(ens.states == 0.0)
     assert np.all(ens.path_costs == 0.0)
+    assert np.all(ens.group_dev_mean == 0.0) and np.all(ens.group_dev_se == 0.0)
     est = estimate_cost(ens)
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
 def test_uncontrolled_exponential_decay():
-    # pure drift dx = -x dt from 1: terminal value e^{-1} up to Euler bias
-    c = make_coefficients(1, 1, horizon=1.0, n_steps=1, A=-1.0, R=1.0)
+    # pure drift dx = -x dt from 1: terminal value e^{-1} up to Euler bias,
+    # read off the terminal cost x_T^2 / 2 * 2
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=1, A=-1.0, R=1.0, QT=[[2.0]])
     ens = simulate_forward(
         zero_policy(c), c, c.grid(), 8, 2,
-        xi=[[1.0]], atom_probs=[1.0], dt_target=1e-3, store_paths=True,
+        xi=[[1.0]], atom_probs=[1.0], dt_target=1e-3,
     )
-    terminal = ens.states[:, -1, 0]
+    terminal = np.sqrt(ens.path_costs)
     assert np.max(np.abs(terminal - math.exp(-1.0))) <= 5e-3
 
 
@@ -104,33 +128,37 @@ def test_terminal_second_moment_matches_lyapunov_form():
 
 def test_seed_determinism_and_batch_independence(monkeypatch):
     c = make_coefficients(2, 1, horizon=0.5, n_steps=2, A=-0.3 * np.eye(2), B=[[1.0], [0.4]], D=[0.5, 0.2], D0=[0.3, 0.1], Q=np.eye(2), R=1.0)
-    kw = dict(xi=[[0.5, -0.2]], atom_probs=[1.0], dt_target=0.01, store_paths=True)
+    kw = dict(xi=[[0.5, -0.2]], atom_probs=[1.0], dt_target=0.01)
     pol = zero_policy(c)
+    seen = _recorded_draws(monkeypatch)
     one = simulate_forward(pol, c, c.grid(), 300, 7, **kw)
     two = simulate_forward(pol, c, c.grid(), 300, 7, **kw)
-    assert np.array_equal(one.path_costs, two.path_costs)
-    assert np.array_equal(one.states, two.states)
+    for field in ("path_costs", "group_dev_mean", "group_dev_se"):
+        assert np.array_equal(getattr(one, field), getattr(two, field)), field
     monkeypatch.setattr(sim_mod, "SIM_BATCH", 17)
     three = simulate_forward(pol, c, c.grid(), 300, 7, **kw)
     assert np.array_equal(one.path_costs, three.path_costs)
-    assert np.array_equal(one.dw, three.dw)
+    # one and two draw in one batch of 300 paths each, three in 18 of at most 17
+    dw_one, dw_three = seen["idio"][0], np.concatenate(seen["idio"][2:])
+    assert np.array_equal(dw_one, dw_three)
 
 
-def test_increments_reproducible_from_substreams():
+def test_increments_reproducible_from_substreams(monkeypatch):
     # 600 paths: two full blocks and a last partial one
     c = make_coefficients(1, 1, horizon=0.5, n_steps=2, D=1.0, R=1.0)
+    seen = _recorded_draws(monkeypatch)
     ens = simulate_forward(
         zero_policy(c), c, c.grid(), 600, 11,
-        xi=[[0.0]], atom_probs=[1.0], dt_target=0.025, store_paths=True,
+        xi=[[0.0]], atom_probs=[1.0], dt_target=0.025,
     )
+    (dw,), (dw0,) = seen["idio"], seen["common"]
     n_fine = len(ens.times) - 1
     sq = math.sqrt(c.horizon / n_fine)
     for i in (0, 17, RNG_BLOCK - 1, RNG_BLOCK, 2 * RNG_BLOCK - 1, 2 * RNG_BLOCK, 599):
         expect = path_draws(11, i, n_fine, NOISE_IDIO) * sq
-        assert np.array_equal(ens.dw[i], expect)
+        assert np.array_equal(dw[i], expect)
     for g in (0, 7, ens.n_common - 1):
-        expect = path_draws(11, g, n_fine, NOISE_COMMON) * sq
-        assert np.array_equal(ens.dw0_common[g], expect)
+        assert np.array_equal(dw0[g], path_draws(11, g, n_fine, NOISE_COMMON))
     probs = np.array([0.3, 0.7])
     u = np.array([path_draws(11, i, 1, NOISE_INIT, uniform=True)[0] for i in range(600)])
     expect = np.searchsorted(np.cumsum(probs), u, side="right")
@@ -150,8 +178,7 @@ def test_draws_do_not_depend_on_how_batches_cross_block_edges():
     assert np.array_equal(whole, np.concatenate([initial_atoms(5, lo, hi, probs) for lo, hi in cuts]))
 
 
-STORED_FIELDS = ("path_costs", "states", "mean_states", "controls", "dw", "dw0_common",
-                 "group_dev_mean", "group_dev_se")
+STORED_FIELDS = ("path_costs", "group_dev_mean", "group_dev_se")
 
 
 @pytest.mark.parametrize("batch", [sim_mod.SIM_BATCH, 37])
@@ -164,8 +191,7 @@ def test_step_chunks_change_no_draw(monkeypatch, chunk, batch):
     monkeypatch.setattr(sim_mod, "SIM_BATCH", batch)
     c = _mean_field_instance()
     pol = build_ode_policy(c, dt_target=0.02)
-    kw = dict(xi=[[1.0, -0.5], [0.2, 0.8]], atom_probs=[0.5, 0.5], n_common=5, dt_target=0.01,
-              store_paths=True)
+    kw = dict(xi=[[1.0, -0.5], [0.2, 0.8]], atom_probs=[0.5, 0.5], n_common=5, dt_target=0.01)
     tanh = _tanh_instance(0.7)
     pi = solve_pi(tanh, backend="ode")
     ckw = dict(xi_centered=XI_C, atom_probs=PROBS, dt_target=0.01)
@@ -192,7 +218,7 @@ def test_step_chunks_change_no_draw(monkeypatch, chunk, batch):
 
 
 def test_increment_memory_does_not_grow_with_the_fine_steps():
-    # with summaries only, a batch holds one chunk of increments at a time:
+    # a batch holds one chunk of increments at a time:
     # eight times the fine steps may add at most a quarter of the whole
     # increment array of one batch at the finer step; four streams keep the
     # per-step group tables (streams x fine steps) small beside that
@@ -203,7 +229,7 @@ def test_increment_memory_does_not_grow_with_the_fine_steps():
         tracemalloc.start()
         try:
             ens = simulate_forward(zero_policy(c), c, c.grid(), n_paths, 3, xi=[[1.0]], atom_probs=[1.0],
-                                   n_common=4, dt_target=dt_target, store_paths=False)
+                                   n_common=4, dt_target=dt_target)
             return len(ens.times) - 1, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -252,18 +278,16 @@ def test_kernel_matches_reference_loop(monkeypatch):
     pol = build_ode_policy(c, dt_target=0.02)
     kw = dict(xi=[[1.0, -0.5], [0.2, 0.8]], atom_probs=[0.5, 0.5], n_common=5, dt_target=0.01)
     monkeypatch.setattr(sim_mod, "SIM_BATCH", 37)
-    ens = simulate_forward(pol, c, c.grid(), 200, 4, store_paths=True, **kw)
+    seen = _recorded_draws(monkeypatch)
+    ens = simulate_forward(pol, c, c.grid(), 200, 4, **kw)
     ref = reference_forward(pol, c, c.grid(), 200, 4, **kw)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     assert len(ens.checkpoint_indices) == c.n_steps + 1
-    assert np.array_equal(ens.dw, ref["dw"])
+    assert np.array_equal(np.concatenate(seen["idio"]), ref["dw"])
     assert close(ens.path_costs, ref["costs"])
-    assert close(ens.states, ref["states"])
-    assert close(ens.mean_states, ref["mean_states"])
-    assert close(ens.controls, ref["controls"])
     counts = np.bincount(np.arange(200) % 5)[:, None, None].astype(float)
     mean = ref["dev_sum"] / counts
     se = np.sqrt((ref["dev_sq"] / counts - mean**2) / (counts - 1.0))
@@ -455,18 +479,6 @@ def test_random_coefficients_are_rejected():
             zero_policy(inst.coeffs), inst.coeffs, inst.grid(), 4, 1,
             xi=inst.xi, atom_probs=inst.atom_probs, dt_target=0.1,
         )
-
-
-def test_large_runs_keep_summaries_only(monkeypatch):
-    c = make_coefficients(1, 1, horizon=0.5, n_steps=1, D=1.0, R=1.0)
-    monkeypatch.setattr(sim_mod, "STORE_LIMIT", 10)
-    ens = simulate_forward(
-        zero_policy(c), c, c.grid(), 50, 3,
-        xi=[[0.3]], atom_probs=[1.0], dt_target=0.05,
-    )
-    assert ens.states is None and ens.dw is None
-    assert len(ens.path_costs) == 50
-    assert ens.group_dev_mean.shape[0] == ens.n_common
 
 
 def test_cluster_standard_error_frozen_values():
