@@ -306,10 +306,8 @@ def build_joint_tree(grid: TimeGrid, atom_probs=None) -> JointTree:
     atom_probs = np.asarray(atom_probs, dtype=float)
     if atom_probs.ndim != 1 or len(atom_probs) < 1:
         raise DimensionError("atom_probs", "must be a 1-d probability vector")
-    if np.any(atom_probs <= 0.0):
-        raise ValueError("atom probabilities must be positive")
-    if abs(atom_probs.sum() - 1.0) > ATOM_SUM_TOL:
-        raise ValueError("atom probabilities must sum to 1")
+    if np.any(atom_probs <= 0.0) or abs(atom_probs.sum() - 1.0) > ATOM_SUM_TOL:
+        raise DimensionError("atom_probs", "must be positive and sum to one")
     return JointTree(grid, atom_probs)
 
 

@@ -1,7 +1,15 @@
 """Monte Carlo forward simulation of the closed-loop system.
 
-Paths draw their random numbers by blocks of RNG_BLOCK = 256.  For
-each noise (common increments, idiosyncratic increments, initial atom)
+Both Brownian motions move by the lattice's own increments: each fine
+step adds +sqrt(dt) or -sqrt(dt) with probability one half, from one
+random bit per path and step (the simplified weak Euler scheme of
+Kloeden & Platen, ch. 14).  Every closed loop here is linear in its
+increments and its cost is quadratic, so expected costs, conditional
+means and increment means depend on the increments through their mean
+and variance alone, which the signs share with Gaussian increments.
+
+Paths draw their random numbers by blocks of RNG_BLOCK = 256.  For each
+noise (common increments, idiosyncratic increments, initial atom)
 block b has its own generator, substream(seed, b, noise), seeded from
 a SeedSequence spawn key (noise, b).  The generator fills the block's
 step-major (count, RNG_BLOCK) array as one walk, STEP_CHUNK steps at a
@@ -56,24 +64,38 @@ def substream(seed: int, block: int, noise: int) -> np.random.Generator:
 
 
 def _draw_steps(seed: int, lo: int, hi: int, count: int, noise: int, uniform=False, scale=1.0):
-    """Draws of paths lo..hi-1, times scale, as step-major (k, hi - lo) chunks of STEP_CHUNK steps.
+    """Draws of paths lo..hi-1 as step-major (k, hi - lo) chunks of STEP_CHUNK steps.
+
+    Each draw is +scale or -scale from one random bit: a block's k steps
+    read k * RNG_BLOCK / 64 whole 64-bit words of its generator, and bit
+    i % 64 of word i // 64 (least significant first) is entry i of the
+    row-major (k, RNG_BLOCK) slab, 1 meaning +scale.  With uniform the
+    draws are U[0, 1) instead, unscaled.
 
     Every block the batch overlaps fills its whole (k, RNG_BLOCK) slab, and
     the batch copies out the columns of its own paths, so a path's draws do
     not depend on how the paths are split into batches.  The generators
     consume their streams in order, so the chunks are the rows of one
-    (count, RNG_BLOCK) call per block.
+    (count, RNG_BLOCK) slab per block.
     """
     gens = {b: substream(seed, b, noise) for b in range(lo // RNG_BLOCK, -(-hi // RNG_BLOCK))}
     for start in range(0, count, STEP_CHUNK):
         k = min(STEP_CHUNK, count - start)
         out = np.empty((k, hi - lo))
         for block, gen in gens.items():
-            slab = (gen.random if uniform else gen.standard_normal)((k, RNG_BLOCK))
+            if uniform:
+                slab = gen.random((k, RNG_BLOCK))
+            else:
+                words = gen.bit_generator.random_raw(k * RNG_BLOCK // 64)
+                slab = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                                     bitorder="little").reshape(k, RNG_BLOCK)
             first = block * RNG_BLOCK
             a, b = max(lo, first), min(hi, first + RNG_BLOCK)
             out[:, a - lo : b - lo] = slab[:, a - first : b - first]
-        out *= scale
+        if not uniform:
+            # 2 scale - scale and 0 - scale are exactly +-scale
+            out *= 2.0 * scale
+            out -= scale
         yield out
 
 
@@ -82,12 +104,14 @@ def _draw(seed: int, lo: int, hi: int, count: int, noise: int, uniform: bool = F
     return np.concatenate(list(_draw_steps(seed, lo, hi, count, noise, uniform))).T
 
 
-def idiosyncratic_normals(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+def idiosyncratic_signs(seed: int, lo: int, hi: int, count: int) -> np.ndarray:
+    """The +-1 idiosyncratic draws of paths lo..hi-1, (hi - lo, count)."""
     # column-major: one fine step of every path is contiguous, as in a chunk
     return _draw(seed, lo, hi, count, NOISE_IDIO)
 
 
-def common_normals(seed: int, n_common: int, count: int) -> np.ndarray:
+def common_signs(seed: int, n_common: int, count: int) -> np.ndarray:
+    """The +-1 common-noise draws of every stream, (n_common, count)."""
     return np.ascontiguousarray(_draw(seed, 0, n_common, count, NOISE_COMMON))
 
 
@@ -315,7 +339,11 @@ def simulate_forward(
     n_common: int = DEFAULT_COMMON_PATHS,
     dt_target: float = 1e-3,
 ) -> PathEnsemble:
-    """Euler-Maruyama ensemble under a linear feedback policy.
+    """Euler ensemble under a linear feedback policy, on +-sqrt(dt) increments.
+
+    Both noises move by signs (the simplified weak Euler scheme), so the
+    expected cost is that of Euler-Maruyama with Gaussian increments:
+    the loop is linear in its increments and its cost quadratic.
 
     The conditional-mean companion is integrated first, one path per
     common-noise stream, from its own closed-loop dynamics; particles
@@ -336,7 +364,7 @@ def simulate_forward(
     checkpoint_indices = np.arange(0, n_fine + 1, n_sub)
     n_cp = len(checkpoint_indices)
 
-    dw0 = common_normals(seed, n_common, n_fine)
+    dw0 = common_signs(seed, n_common, n_fine)
     dw0 *= sq
     common = dw0.T[:, :, None] * tabs["D0"][:, None, :]  # (n_fine, n_common, n)
 
@@ -608,13 +636,14 @@ def weak_order_check(
 ) -> WeakOrderReport:
     """Euler bias decay under step halving, on strongly coupled paths.
 
-    Three resolutions (h, h/2, h/4) consume the same underlying Gaussian
-    draws, coarser increments being pair sums of finer ones, so the mean
-    shift from one halving to the next is measured with the shared
-    sampling error cancelled.  For a linear-in-dt bias the two shifts
-    have ratio equal to the bias decay factor; weak order one puts it
-    near two.  Biases against the supplied exact value are reported for
-    context but carry the raw Monte Carlo error.
+    Three resolutions (h, h/2, h/4) consume the same underlying sign
+    draws, coarser increments being pair sums of finer ones (still mean
+    zero, with the coarser step as variance), so the mean shift from
+    one halving to the next is measured with the shared sampling error
+    cancelled.  For a linear-in-dt bias the two shifts have ratio equal
+    to the bias decay factor; weak order one puts it near two.  Biases
+    against the supplied exact value are reported for context but carry
+    the raw Monte Carlo error.
     """
     xi_c, atom_probs = _check_initial(xi_centered, atom_probs, c.n)
     _check_centered_split(xi_c, atom_probs)
@@ -630,7 +659,7 @@ def weak_order_check(
         ])
 
     # the pair sums need every step at once: one whole array, one chunk per batch
-    dws = idiosyncratic_normals(seed, 0, n_paths, n_finest) * np.sqrt(grid.horizon / n_finest)
+    dws = idiosyncratic_signs(seed, 0, n_paths, n_finest) * np.sqrt(grid.horizon / n_finest)
     means = []
     for count in reversed(counts):
         means.append(float(run(count, dws).mean()))

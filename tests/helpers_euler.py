@@ -16,10 +16,20 @@ from cmvlq.sim import NOISE_COMMON, NOISE_IDIO, NOISE_INIT, RNG_BLOCK, substream
 
 
 def path_draws(seed, index, count, noise, uniform=False):
-    """The count draws of one path, rebuilt from its block's generator."""
+    """The count draws of one path, rebuilt from its block's generator.
+
+    Signs come from the block's bits in stream order, read as bytes in
+    one call: bit b of byte i (least significant first) is entry 8 i + b
+    of the row-major (count, RNG_BLOCK) array, 1 meaning +1.
+    """
     gen = substream(seed, index // RNG_BLOCK, noise)
     size = (count, RNG_BLOCK)
-    block = gen.random(size) if uniform else gen.standard_normal(size)
+    if uniform:
+        block = gen.random(size)
+    else:
+        raw = np.frombuffer(gen.bytes(count * RNG_BLOCK // 8), dtype=np.uint8)
+        bits = (raw[:, None] >> np.arange(8)) & 1
+        block = np.where(bits.reshape(size) == 1, 1.0, -1.0)
     return block[:, index % RNG_BLOCK]
 
 

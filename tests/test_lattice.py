@@ -29,6 +29,7 @@ from cmvlq.lattice import (
     w0_prefix_cums,
     w0_prefix_levels,
 )
+from cmvlq.sim import _check_initial
 
 
 def enumerate_histories(n_steps, n_atoms=1):
@@ -163,10 +164,12 @@ def test_capacity_cap():
 
 
 def test_atom_prob_validation(grid3):
-    with pytest.raises(ValueError):
-        build_joint_tree(grid3, atom_probs=[0.7, 0.2])
-    with pytest.raises(ValueError):
-        build_joint_tree(grid3, atom_probs=[1.5, -0.5])
+    # the simulation's own check raises the same error for the same weights
+    for probs in ([0.7, 0.2], [1.5, -0.5]):
+        with pytest.raises(DimensionError, match="atom_probs: must be positive and sum to one"):
+            build_joint_tree(grid3, atom_probs=probs)
+        with pytest.raises(DimensionError, match="atom_probs: must be positive and sum to one"):
+            _check_initial(np.zeros((2, 1)), probs, 1)
 
 
 def test_ce_matches_brute_force():

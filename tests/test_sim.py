@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import cmvlq.sim as sim_mod
 from cmvlq.coeffs import make_coefficients
@@ -30,7 +29,7 @@ from cmvlq.sim import (
     check_value_function,
     conditional_zero_worst,
     estimate_cost,
-    idiosyncratic_normals,
+    idiosyncratic_signs,
     initial_atoms,
     simulate_forward,
     weak_order_check,
@@ -58,9 +57,9 @@ def zero_policy(c):
 
 def _recorded_draws(monkeypatch):
     """Record the draws simulate_forward makes: each batch's scaled idiosyncratic
-    increments (paths, fine steps) and the raw common-noise normals."""
+    increments (paths, fine steps) and the raw common-noise signs."""
     seen = {"idio": [], "common": []}
-    draw_steps, common_normals = sim_mod._draw_steps, sim_mod.common_normals
+    draw_steps, common_signs = sim_mod._draw_steps, sim_mod.common_signs
 
     def steps(seed, lo, hi, count, noise, uniform=False, scale=1.0):
         chunks = list(draw_steps(seed, lo, hi, count, noise, uniform, scale))
@@ -69,12 +68,12 @@ def _recorded_draws(monkeypatch):
         yield from chunks
 
     def common(*args):
-        out = common_normals(*args)
+        out = common_signs(*args)
         seen["common"].append(out.copy())
         return out
 
     monkeypatch.setattr(sim_mod, "_draw_steps", steps)
-    monkeypatch.setattr(sim_mod, "common_normals", common)
+    monkeypatch.setattr(sim_mod, "common_signs", common)
     return seen
 
 
@@ -126,6 +125,29 @@ def test_terminal_second_moment_matches_lyapunov_form():
     assert 0.5 * naive <= est.std_error <= 2.0 * naive
 
 
+def test_mean_cost_is_the_exact_euler_second_moment():
+    # dx = a x dt + s dW on five steps of h = 0.2 under +-sqrt(h) increments:
+    # E x_{j+1}^2 = (1 + a h)^2 E x_j^2 + s^2 h exactly, so the mean cost
+    # x_T^2 needs no allowance for Euler bias; the continuous value is far
+    # outside the band, so the band does resolve the scheme
+    a, s, T = -2.0, 1.0, 1.0
+    c = make_coefficients(1, 1, horizon=T, n_steps=1, A=a, D=s, R=1.0, QT=[[2.0]])
+    ens = simulate_forward(
+        zero_policy(c), c, c.grid(), 20_000, 13,
+        xi=[[1.0]], atom_probs=[1.0], dt_target=0.2,
+    )
+    n_fine = len(ens.times) - 1
+    assert n_fine == 5
+    h = T / n_fine
+    m = 1.0
+    for _ in range(n_fine):
+        m = (1.0 + a * h) ** 2 * m + s**2 * h
+    est = estimate_cost(ens)
+    assert abs(est.mean - m) <= 4.0 * est.std_error
+    continuous = math.exp(2 * a * T) + s**2 * (math.exp(2 * a * T) - 1.0) / (2 * a)
+    assert abs(est.mean - continuous) > 4.0 * est.std_error
+
+
 def test_seed_determinism_and_batch_independence(monkeypatch):
     c = make_coefficients(2, 1, horizon=0.5, n_steps=2, A=-0.3 * np.eye(2), B=[[1.0], [0.4]], D=[0.5, 0.2], D0=[0.3, 0.1], Q=np.eye(2), R=1.0)
     kw = dict(xi=[[0.5, -0.2]], atom_probs=[1.0], dt_target=0.01)
@@ -154,6 +176,7 @@ def test_increments_reproducible_from_substreams(monkeypatch):
     (dw,), (dw0,) = seen["idio"], seen["common"]
     n_fine = len(ens.times) - 1
     sq = math.sqrt(c.horizon / n_fine)
+    assert np.all(np.abs(dw) == sq) and np.all(np.abs(dw0) == 1.0)
     for i in (0, 17, RNG_BLOCK - 1, RNG_BLOCK, 2 * RNG_BLOCK - 1, 2 * RNG_BLOCK, 599):
         expect = path_draws(11, i, n_fine, NOISE_IDIO) * sq
         assert np.array_equal(dw[i], expect)
@@ -171,8 +194,8 @@ def test_increments_reproducible_from_substreams(monkeypatch):
 
 def test_draws_do_not_depend_on_how_batches_cross_block_edges():
     cuts = [(0, 100), (100, 300), (300, 600)]
-    whole = idiosyncratic_normals(5, 0, 600, 40)
-    assert np.array_equal(whole, np.vstack([idiosyncratic_normals(5, lo, hi, 40) for lo, hi in cuts]))
+    whole = idiosyncratic_signs(5, 0, 600, 40)
+    assert np.array_equal(whole, np.vstack([idiosyncratic_signs(5, lo, hi, 40) for lo, hi in cuts]))
     probs = np.array([0.2, 0.5, 0.3])
     whole = initial_atoms(5, 0, 600, probs)
     assert np.array_equal(whole, np.concatenate([initial_atoms(5, lo, hi, probs) for lo, hi in cuts]))
@@ -214,7 +237,7 @@ def test_step_chunks_change_no_draw(monkeypatch, chunk, batch):
     walk = np.concatenate(list(sim_mod._draw_steps(5, 100, 600, 40, NOISE_IDIO)))
     expect = np.stack([path_draws(5, i, 40, NOISE_IDIO) for i in range(100, 600)])
     assert np.array_equal(walk.T, expect)
-    assert np.array_equal(idiosyncratic_normals(5, 100, 600, 40), expect)
+    assert np.array_equal(idiosyncratic_signs(5, 100, 600, 40), expect)
 
 
 def test_increment_memory_does_not_grow_with_the_fine_steps():
@@ -239,10 +262,14 @@ def test_increment_memory_does_not_grow_with_the_fine_steps():
     assert high - low <= 0.25 * n_paths * fine * 8
 
 
-def test_one_block_of_draws_is_standard_normal_and_uncorrelated_across_the_edge():
+def test_one_block_of_draws_is_fair_signs_and_uncorrelated_across_the_edge():
     n = 2000
-    draws = idiosyncratic_normals(9, 0, 2 * RNG_BLOCK, n)
-    assert stats.kstest(draws[:RNG_BLOCK].ravel(), "norm").pvalue > 1e-3
+    draws = idiosyncratic_signs(9, 0, 2 * RNG_BLOCK, n)
+    assert np.all(np.abs(draws) == 1.0)
+    # the share of +1 in one block: binomial, 4 sigma
+    size = RNG_BLOCK * n
+    share = (draws[:RNG_BLOCK] > 0).mean()
+    assert abs(share - 0.5) <= 4.0 * 0.5 / math.sqrt(size)
     # lag-1 across the block edge: the last path of block 0 against the
     # first path of block 1
     lag1 = np.corrcoef(draws[RNG_BLOCK - 1], draws[RNG_BLOCK])[0, 1]
@@ -430,7 +457,7 @@ def test_centered_checks_skip_draws_for_zero_loading(monkeypatch):
     draw_steps = sim_mod._draw_steps
 
     def no_idiosyncratic_draws(seed, lo, hi, count, noise, *args, **kwargs):
-        assert noise != NOISE_IDIO, "idiosyncratic normals drawn for a zero loading"
+        assert noise != NOISE_IDIO, "idiosyncratic signs drawn for a zero loading"
         return draw_steps(seed, lo, hi, count, noise, *args, **kwargs)
 
     monkeypatch.setattr(sim_mod, "_draw_steps", no_idiosyncratic_draws)
