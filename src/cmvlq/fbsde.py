@@ -51,7 +51,14 @@ from .decomposition import (
 )
 from .errors import CmvlqError, ConvergenceError, DimensionError
 from .lattice import JointTree, TimeGrid, TreeProcess
-from .riccati import OdeBackwardQuadratic, TreeBackwardQuadratic, _coeff_tables, solve_l, solve_pi
+from .riccati import (
+    OdeBackwardQuadratic,
+    TreeBackwardQuadratic,
+    _coeff_tables,
+    _ode_sweep,
+    solve_l,
+    solve_pi,
+)
 
 
 class _RolledOut:
@@ -335,11 +342,14 @@ class OdePolicy:
 
 
 def build_ode_policy(c: CoefficientSet, *, dt_target: float | None = None) -> OdePolicy:
-    """Solve the continuous backward equations and tabulate the gains."""
+    """Solve the continuous backward equations and tabulate the gains.
+
+    One RK4 sweep integrates Pi and L together, each bit for bit the
+    ``solve_pi`` and ``solve_l`` ODE solution of its own problem.
+    """
     grid = c.grid()
     cb = bar_transform(c)
-    pi = solve_pi(c, backend="ode", dt_target=dt_target)
-    ll = solve_l(cb, backend="ode", dt_target=dt_target)
+    pi, ll = _ode_sweep([(breve_as_plain(c), "A"), (cb, "A+F")], dt_target)
     times = pi.times
     n_fine = len(times) - 1
     # the end of the horizon reads the last fine step's coefficients

@@ -53,6 +53,8 @@ kernels take, without a copy.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,10 +85,11 @@ class TimeGrid:
     horizon: float
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not isinstance(self.n_steps, numbers.Integral) or self.n_steps < 1:
+            raise DimensionError("n_steps",
+                                 f"must be an integer of at least 1, got {self.n_steps!r}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise DimensionError("horizon", f"must be finite and positive, got {self.horizon!r}")
 
     @property
     def dt(self) -> float:

@@ -20,11 +20,13 @@ discretized cost, not merely up to a discretization error, so downstream
 certification can use tight tolerances.  Its one recursion,
 ``_level_sweep``, runs on the W0 levels and is read per prefix through
 each prefix's level.  The ODE backend integrates the continuous equation
-with classical Runge-Kutta on a fine grid; it requires coefficients
-without a common-noise loading and is the route for Monte Carlo work
-where the tree would be unaffordable.  ``_interp_table`` reads its
-tables, and any other fine-grid table, between grid times;
-``_coeff_tables`` holds the coefficients per fine step.
+with classical Runge-Kutta on a fine grid, one sweep, ``_ode_sweep``,
+for a stack of plain sets (``fbsde.build_ode_policy`` sweeps Pi and L
+together); it requires coefficients without a common-noise loading and
+is the route for Monte Carlo work where the tree would be unaffordable.
+``_interp_table`` reads its tables, and any other fine-grid table,
+between grid times; ``_coeff_tables`` holds the coefficients per fine
+step.
 
 ``convexity_margins`` runs the same recursion for a stack of shifts of R
 and bisects for the largest shift at which every one-step control matrix
@@ -139,8 +141,7 @@ def _solve(p: CoefficientSet, backend: str, dt_target, drift: str, problem: str)
     convexity margin, then at most 0, over all of p's controls.
     """
     if backend == "ode":
-        _require_deterministic(p, drift)
-        return _ode_sweep(p, dt_target)
+        return _ode_sweep([(p, drift)], dt_target)[0]
     if backend != "tree":
         raise ValueError(f"unknown backend {backend!r}")
     grid = p.grid()
@@ -369,32 +370,42 @@ def _coeff_tables(c: CoefficientSet, n_fine: int):
     }
 
 
-def _ode_sweep(p: CoefficientSet, dt_target) -> OdeBackwardQuadratic:
-    """RK4 sweep of the Riccati equation in z = [x; 1]; p is deterministic.
+def _ode_sweep(problems, dt_target) -> list:
+    """One RK4 sweep of the Riccati equation in z = [x; 1] for a stack of plain sets.
 
+    problems holds (p, drift) pairs of sets on one grid and state size;
+    each p must be deterministic, and ``drift`` names p.A in the refusal.
     dP/dt = -(A'P + PA + Q + C'PC + C0'PC0 - W R^-1 W') with W = PB + S
     and the coefficients of ``_augmented``; C = D e' and C0 = D0 e' load
-    the constant coordinate e, so their terms sit in the corner.
+    the constant coordinate e, so their terms sit in the corner.  Every
+    product acts on each set's own matrices, so each table is bit for bit
+    the table of a sweep of its set alone.
     """
-    grid = p.grid()
+    for p, drift in problems:
+        _require_deterministic(p, drift)
+    sets = [p for p, _ in problems]
+    grid = sets[0].grid()
     n_sub = _fine_steps(grid, dt_target)
     h = grid.dt / n_sub
     times = np.linspace(0.0, grid.horizon, grid.n_steps * n_sub + 1)
-    table = np.empty((len(times), p.n + 1, p.n + 1))
-    P = table[-1] = np.pad(p.QT, (0, 1))
+    n = sets[0].n
+    table = np.empty((len(sets), len(times), n + 1, n + 1))
+    P = table[:, -1] = np.stack([np.pad(p.QT, (0, 1)) for p in sets])
     # an escaping solution overflows; the finiteness check below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in reversed(range(grid.n_steps)):
-            A, B, S, Q, R, D, D0 = _augmented(p, k)
-            if not _leading_pd(R[None, None]):
+            A, B, S, Q, R, D, D0 = (np.stack(co) for co in zip(*(_augmented(p, k) for p in sets)))
+            if not all(_leading_pd(r[None, None]) for r in R):
                 raise SingularSystemError(
                     f"control weight R is singular at step {k}; refusing to regularize "
                     "-- the control weight must be positive definite on every node")
+            # the corner terms as (D P) D row-column products, as for one set
+            Dr, Dc, D0r, D0c = D[:, None, :], D[:, :, None], D0[:, None, :], D0[:, :, None]
 
             def rhs(P):
                 W = P @ B + S
-                dP = A.T @ P + P @ A + Q - W @ np.linalg.solve(R, W.T)
-                dP[-1, -1] += D @ P @ D + D0 @ P @ D0
+                dP = _t(A) @ P + P @ A + Q - W @ np.linalg.solve(R, _t(W))
+                dP[:, -1, -1] += ((Dr @ P) @ Dc + (D0r @ P) @ D0c)[:, 0, 0]
                 return -dP
 
             for j in reversed(range(k * n_sub, (k + 1) * n_sub)):
@@ -403,13 +414,14 @@ def _ode_sweep(p: CoefficientSet, dt_target) -> OdeBackwardQuadratic:
                 k3 = rhs(P - 0.5 * h * k2)
                 k4 = rhs(P - h * k3)
                 P = P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                table[j] = P = 0.5 * (P + P.T)
-    finite = np.isfinite(table).all(axis=(1, 2))
-    if not finite.all():
-        # integration runs backward, so the first failure is the latest time
-        t_bad = times[np.flatnonzero(~finite)[-1]]
-        raise FiniteEscapeError(
-            f"Riccati solution blew up (finite escape): first non-finite value "
-            f"at t={t_bad:.6g} integrating backward from T={grid.horizon:.6g}"
-        )
-    return OdeBackwardQuadratic(grid=grid, times=times, table=table, n_sub=n_sub)
+                table[:, j] = P = 0.5 * (P + _t(P))
+    for t in table:
+        finite = np.isfinite(t).all(axis=(1, 2))
+        if not finite.all():
+            # integration runs backward, so the first failure is the latest time
+            t_bad = times[np.flatnonzero(~finite)[-1]]
+            raise FiniteEscapeError(
+                f"Riccati solution blew up (finite escape): first non-finite value "
+                f"at t={t_bad:.6g} integrating backward from T={grid.horizon:.6g}"
+            )
+    return [OdeBackwardQuadratic(grid=grid, times=times, table=t, n_sub=n_sub) for t in table]

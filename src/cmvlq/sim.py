@@ -19,17 +19,25 @@ index, step) regardless of batch size, chunk size or execution order;
 a batch that ends inside a block still draws that block's full array.
 
 Common-noise paths are shared across many idiosyncratic paths (default
-16 of them); each particle carries a companion conditional-mean path
-integrated from its own closed-loop dynamics under the same common
-increments, so conditional-expectation terms in the cost need no
-cross-path regression.
+16 of them).  A companion path per stream, the conditional-mean
+problem's own closed loop under the stream's common increments, supplies
+every conditional-expectation term of the particles' dynamics and cost,
+so none needs a cross-path regression.
 
-Every closed loop here (the companion paths, the particles, and the
-centered runs of the value, Bellman, dominance and weak-order checks)
-is advanced by one Euler kernel, ``_euler``, from per-fine-step
-tables that ``_closed_loop`` builds before the batches run.  It reads
+A particle of stream g is split as the paper splits the state, x =
+E[x|F0] + (x - E[x|F0]) = a_g + y.  The offset a_g is fixed once the
+common noise is known: ``_closed_loop`` runs the particles' own affine
+recursion once per stream, from E[xi].  The centered part y starts at
+xi - E[xi] and is driven by the idiosyncratic noise alone, so one
+group-free Euler kernel, ``_euler``, advances it for every path, as it
+advances the centered runs of the value, Bellman, dominance and
+weak-order checks.  A backward adjoint folds the cost's stream-dependent
+linear part into a start term and one loading per stream and increment,
+which the caller adds as the increments stream past.  The kernel reads
 the idiosyncratic increments in step-major chunks of STEP_CHUNK fine
 steps, drawn as it needs them: memory does not grow with the steps.
+The conditional-centering check tests y + (a_g - companion), so it sees
+any gap between the particles' conditional mean and the companion's.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import CoefficientSet
+from .coeffs import CoefficientSet, bar_transform
 from .decomposition import _check_centered_split
 from .errors import CmvlqError, DimensionError
 from .lattice import ATOM_SUM_TOL, TimeGrid
@@ -218,98 +226,177 @@ def _guard_finite(x: np.ndarray, j: int, lo: int, what: str):
 class _Loop:
     """Closed-loop tables of the Euler kernel; entry n_fine is the terminal cost.
 
-    With x a column state and g its path's group, step j maps x to
-    M_j x + m_{j,g} + D_j dW_j and costs x'P_j x + p_{j,g}'x + r_{j,g}.
+    A particle of stream g is x = a_{j,g} + y.  The offset a_{j,g} is
+    the stream's conditional mean, run by the particles' own affine
+    recursion a_{j+1,g} = M_j a_{j,g} + m_{j,g}; the centered part y
+    moves by y -> M_j y + D_j dW_j, driven by the idiosyncratic noise
+    alone.  Its running cost is y'X_j y plus a part linear in y, which
+    the backward adjoint lambda_{j,g} folds into the start and the
+    increments: a path's cost is sum_j y_j'X_j y_j + lambda_{0,g}'y_0 +
+    sum_j beta_{j,g} dW_j + const_g, with beta_{j,g} = lambda_{j+1,g}'D_j.
+    Without streams, x = y and the cost is the quadratic sum alone.
     """
 
-    W: np.ndarray          # (n_fine + 1, 2n, n): rows [M_j; P_j']
-    T: np.ndarray | None   # (n_fine + 1, 2n, groups): columns [m_{j,g}; p_{j,g}]
-    D: np.ndarray          # (n_fine, n, 1)
-    r_before: np.ndarray   # (n_fine + 2, groups): sum of r_{i,g} over i < j
+    W: np.ndarray               # (n_fine + 1, 2n, n + 1): rows [D_j, M_j; 0, X_j'] on [dW; y]
+    offset: np.ndarray | None   # (n_fine + 1, groups, n): a_{j,g}
+    beta: np.ndarray | None     # (n_fine, groups)
+    lam0: np.ndarray | None     # (groups, n)
+    const: np.ndarray | None    # (groups,)
 
 
-def _closed_loop(dt, tabs, A, gain, QT, *, v=None, h=None, m0=None) -> _Loop:
+def _mean_path(M, m, a0, what: str) -> np.ndarray:
+    """The affine recursion a_{j+1,g} = M_j a_{j,g} + m_{j,g} from a_{0,g} = a0.
+
+    Returns (n_fine + 1, groups, n); a non-finite entry is refused at its
+    first fine step, naming the stream as its path.
+    """
+    a = np.empty((len(M) + 1,) + m.shape[1:])
+    a[0] = a0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(len(M)):
+            np.matmul(a[j], _tr(M[j]), out=a[j + 1])
+            a[j + 1] += m[j]
+    ok = np.isfinite(a).all(axis=2)
+    if not ok.all():
+        j, g = np.argwhere(~ok)[0]
+        raise CmvlqError(f"non-finite {what} at fine step {j}, path {g}")
+    return a
+
+
+def _closed_loop(dt, tabs, A, gain, QT, *, v=None, h=None, m0=None, a0=None) -> _Loop:
     """Tables for the feedback u = gain_j x + v_{j,g} under drift A_j.
 
-    Per group g the state map adds dt B v + m0 (m0 carries every other
-    group term, common increment included) and the running cost is
-    0.5 dt (e'Q e + 2 e'S u + u'R u + 2 zeta'e + 2 varpi'u) with
-    e = x + h_{j,g}; the terminal cost is 0.5 e'QT e.  Without v the
-    loop has no group terms, and zeta, varpi and the offsets drop out.
+    Per stream g the state map adds m_{j,g} = dt B v + m0 (m0 carries
+    every other stream term, common increment included) and the running
+    cost is 0.5 dt (e'Q e + 2 e'S u + u'R u + 2 zeta'e + 2 varpi'u) with
+    e = x + h_{j,g}; the terminal cost is 0.5 e'QT e.  The offsets start
+    at a0.  Without v the loop has no stream terms, and zeta, varpi and
+    the offsets drop out.
     """
     n_fine, n = len(gain), A.shape[-1]
     B, Q, S, R = tabs["B"], tabs["Q"], tabs["S"], tabs["R"]
-    W = np.zeros((n_fine + 1, 2 * n, n))
-    W[:-1, :n] = np.eye(n) + dt * (A + B @ gain)
+    M = np.eye(n) + dt * (A + B @ gain)
+    W = np.zeros((n_fine + 1, 2 * n, n + 1))
+    W[:-1, :n, 0] = tabs["D"]
+    W[:-1, :n, 1:] = M
     w = 0.5 * dt
     SG = S @ gain
-    W[:-1, n:] = _tr(w * (Q + 2.0 * SG + _tr(gain) @ R @ gain))
-    W[-1, n:] = 0.5 * QT.T
-    D = tabs["D"][:, :, None]
+    W[:-1, n:, 1:] = _tr(w * (Q + 2.0 * SG + _tr(gain) @ R @ gain))
+    W[-1, n:, 1:] = 0.5 * QT.T
     if v is None:
-        return _Loop(W=W, T=None, D=D, r_before=np.zeros((n_fine + 2, 0)))
-    # per-group vectors are rows here: (steps, groups, n)
-    groups = v.shape[1]
-    T = np.zeros((n_fine + 1, groups, 2 * n))
-    T[:-1, :, :n] = dt * (v @ _tr(B)) + m0
-    r = np.zeros((n_fine + 1, groups))
+        return _Loop(W=W, offset=None, beta=None, lam0=None, const=None)
+    # per-stream vectors are rows here: (steps, groups, n)
+    a = _mean_path(M, dt * (v @ _tr(B)) + m0, a0, "conditional-mean state")
+    # x = a + y gives e = y + (a + h) and u = gain y + (gain a + v)
+    h = a + h
+    v = v + a[:-1] @ _tr(gain)
     hr, hT = h[:-1], h[-1]
     zeta, varpi = tabs["zeta"][:, None, :], tabs["varpi"][:, None, :]
-    T[:-1, :, n:] = w * (
-        hr @ (Q + _tr(Q)) + 2.0 * v @ _tr(S) + 2.0 * hr @ SG + v @ (R + _tr(R)) @ gain
-        + 2.0 * zeta + 2.0 * varpi @ gain
-    )
-    r[:-1] = w * (
+    # the linear costs, term by term in place: one (steps, groups, n) temporary at a time
+    lam = np.empty_like(a)
+    p = lam[:-1]
+    np.matmul(hr, Q + _tr(Q) + 2.0 * SG, out=p)
+    p += v @ (2.0 * _tr(S) + (R + _tr(R)) @ gain)
+    p += 2.0 * (zeta + varpi @ gain)
+    p *= w
+    lam[-1] = 0.5 * hT @ (QT + QT.T)
+    r = w * (
         np.einsum("jgi,jik,jgk->jg", hr, Q, hr) + 2.0 * np.einsum("jgi,jik,jgk->jg", hr, S, v)
         + np.einsum("jgi,jik,jgk->jg", v, R, v) + 2.0 * (hr * zeta).sum(-1)
         + 2.0 * (v * varpi).sum(-1)
-    )
-    T[-1, :, n:] = 0.5 * hT @ (QT + QT.T)
-    r[-1] = 0.5 * np.einsum("gi,ik,gk->g", hT, QT, hT)
-    r_before = np.concatenate([np.zeros((1, groups)), np.cumsum(r, axis=0)])
-    return _Loop(W=W, T=np.ascontiguousarray(_tr(T)), D=D, r_before=r_before)
+    ).sum(axis=0) + 0.5 * np.einsum("gi,ik,gk->g", hT, QT, hT)
+    # the adjoint, in place of the linear costs: lambda_j = p_j + M_j' lambda_{j+1}
+    for j in reversed(range(n_fine)):
+        lam[j] += lam[j + 1] @ M[j]
+    beta = np.einsum("jgi,ji->jg", lam[1:], tabs["D"])
+    return _Loop(W=W, offset=a, beta=beta, lam0=lam[0].copy(), const=r)
 
 
-def _euler(loop: _Loop, x0, dw, lo: int, what: str, group=None, record=()):
-    """The Monte Carlo Euler kernel: one batch of paths through every fine step.
+def _euler(loop: _Loop, y0, dw, lo: int, what: str, record=()):
+    """The Monte Carlo Euler kernel: one batch of centered paths through every fine step.
 
-    dw yields the scaled idiosyncratic increments as step-major (k,
-    n_paths) chunks, in step order (None when D is zero); the kernel
-    keeps only the current chunk.  group gives each path's column of the
-    group tables.  Returns the per-path costs, the states at the distinct fine
-    steps in record, and the cost accrued before each of those steps.
+    Group-free: it runs y -> M_j y + D_j dW_j and tallies y'X_j y, one
+    product per fine step; the stream terms are the caller's.  dw yields
+    the scaled idiosyncratic increments as step-major (k, n_paths)
+    chunks, in step order (None when D is zero); the kernel keeps only
+    the current chunk.  Finiteness is tested at each chunk's end (every
+    STEP_CHUNK steps without increments); a chunk that fails is replayed
+    from its start under a per-step test, which names the first
+    non-finite state.  Returns the per-path costs, the states at the
+    distinct fine steps in record, and the cost accrued before each.
     """
-    n_paths, n = x0.shape
-    n_fine = len(loop.D)
+    n_paths, n = y0.shape
+    n_fine = len(loop.W) - 1
     slot = {int(j): i for i, j in enumerate(record)}
     states = np.empty((n_paths, len(slot), n))
     before = np.empty((n_paths, len(slot)))
-    # one row per state component: every operation below runs along
-    # contiguous rows of n_paths entries
-    x = np.array(np.transpose(x0), dtype=float, order="C")
+    # rows [dW; y] with one row per component, then the product writes
+    # [next y; X'y] below the next step's increment row: every operation
+    # runs along contiguous rows of n_paths entries, and two buffers take turns
+    bufs = np.zeros((2, 2 * n + 1, n_paths))
+    bufs[0, 1 : n + 1] = np.transpose(y0)
+    saved = np.empty((n + 1, n_paths))  # a chunk's start: y, then run
+    state = [b[: n + 1] for b in bufs]
+    out = [b[1:] for b in bufs]
+    cost = [b[n + 1 :] for b in bufs]
     run = np.zeros(n_paths)
-    chunks, chunk, start = iter(() if dw is None else dw), (), 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_fine + 1):
+
+    def steps(j0, rows, cur, guard):
+        for j, row in zip(range(j0, j0 + len(rows)), rows):
+            s = state[cur]
+            s[0] = row
             if j in slot:
-                states[:, slot[j]] = x.T
+                states[:, slot[j]] = s[1:].T
                 before[:, slot[j]] = run
-            z = loop.W[j] @ x
-            if loop.T is not None:
-                z += loop.T[j].take(group, axis=1)
-            run += np.einsum("ib,ib->b", x, z[n:])
-            if j == n_fine:
-                break
-            x = z[:n]
-            if dw is not None:
-                if j - start == len(chunk):
-                    chunk, start = next(chunks), j
-                x += loop.D[j] * chunk[j - start]
-            _guard_finite(x.T, j + 1, lo, what)
-    if loop.T is not None:
-        run += loop.r_before[-1][group]
-        before += loop.r_before[list(slot)][:, group].T
+            cur = 1 - cur
+            np.matmul(loop.W[j], s, out=out[cur])
+            np.add(run, np.einsum("ib,ib->b", s[1:], cost[cur]), out=run)
+            if guard:
+                _guard_finite(out[cur][:n].T, j + 1, lo, what)
+        return cur
+
+    chunks = iter(() if dw is None else dw)
+    zeros = np.zeros((STEP_CHUNK, 1))
+    j, cur = 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j < n_fine:
+            rows = next(chunks) if dw is not None else zeros[: min(STEP_CHUNK, n_fine - j)]
+            saved[:n], saved[n] = bufs[cur, 1 : n + 1], run
+            end = steps(j, rows, cur, False)
+            if not np.isfinite(bufs[end, 1 : n + 1]).all():
+                bufs[cur, 1 : n + 1], run[:] = saved[:n], saved[n]
+                steps(j, rows, cur, True)
+            j, cur = j + len(rows), end
+        steps(n_fine, zeros[:1], cur, False)
     return run, states, before
+
+
+def _times_streams(chunk, beta, first: int):
+    """Multiply column c of chunk by beta[:, (first + c) % groups], in place.
+
+    Path lo + c runs on stream (lo + c) % groups: after a head that ends
+    a period, whole periods of the streams in order, then a tail.
+    """
+    k, m = chunk.shape
+    groups = beta.shape[1]
+    head = min(-first % groups, m)
+    body = (m - head) // groups * groups
+    chunk[:, :head] *= beta[:, first : first + head]
+    periods = chunk[:, head : head + body].reshape(k, -1, groups)
+    periods *= beta[:, None, :]
+    chunk[:, head + body :] *= beta[:, : m - head - body]
+
+
+def _stream_sums(rows, first: int, groups: int) -> np.ndarray:
+    """Per-stream sums of rows, row c on stream (first + c) % groups, each added in row order.
+
+    The rows go into whole periods of the streams, zeros padding the
+    first and the last, and the periods are summed one after another.
+    """
+    periods = -(-(first + len(rows)) // groups)
+    padded = np.zeros((periods * groups,) + rows.shape[1:])
+    padded[first : first + len(rows)] = rows
+    return padded.reshape((periods, groups) + rows.shape[1:]).sum(axis=0)
 
 
 def _check_initial(xi, atom_probs, n):
@@ -346,9 +433,11 @@ def simulate_forward(
     the loop is linear in its increments and its cost quadratic.
 
     The conditional-mean companion is integrated first, one path per
-    common-noise stream, from its own closed-loop dynamics; particles
-    then follow the full dynamics with the companion supplying every
-    conditional-expectation term.  Checkpoints sit on the coarse grid.
+    common-noise stream, from the conditional-mean problem's closed loop;
+    particles then follow the full dynamics with the companion supplying
+    every conditional-expectation term, each as its stream's offset plus
+    a centered part (see the module docstring).  Checkpoints sit on the
+    coarse grid.
     """
     xi, atom_probs = _check_initial(xi, atom_probs, c.n)
     if n_paths < 1 or n_common < 1:
@@ -362,48 +451,57 @@ def simulate_forward(
     sq = np.sqrt(dt)
 
     checkpoint_indices = np.arange(0, n_fine + 1, n_sub)
-    n_cp = len(checkpoint_indices)
 
     dw0 = common_signs(seed, n_common, n_fine)
     dw0 *= sq
     common = dw0.T[:, :, None] * tabs["D0"][:, None, :]  # (n_fine, n_common, n)
+    mean0 = atom_probs @ xi
 
-    # companion conditional-mean paths, one per common stream; the cost
-    # the kernel tallies for them is not used
-    companion = _closed_loop(
-        dt, tabs, tabs["A"] + tabs["F"], -Km, c.QT,
-        v=np.broadcast_to(-shift[:, None, :], (n_fine, n_common, c.d)),
-        h=np.zeros((n_fine + 1, n_common, c.n)), m0=dt * tabs["b"][:, None, :] + common,
-    )
-    _, xbar_path, _ = _euler(
-        companion, np.tile(atom_probs @ xi, (n_common, 1)), None, 0,
-        "conditional-mean state", np.arange(n_common), range(n_fine + 1),
-    )  # (n_common, n_fine + 1, n)
+    # the companion conditional-mean paths, one per common stream: the
+    # conditional-mean problem's closed loop under its own feedback
+    bar = _coeff_tables(bar_transform(c), n_fine)
+    xb = _mean_path(
+        np.eye(c.n) + dt * (bar["A"] - bar["B"] @ Km),
+        dt * (bar["b"][:, None, :] - shift[:, None, :] @ _tr(bar["B"])) + common,
+        mean0, "conditional-mean state",
+    )  # (n_fine + 1, n_common, n)
 
-    xb = xbar_path.transpose(1, 0, 2)
     particles = _closed_loop(
         dt, tabs, tabs["A"], -Kc, c.QT,
         v=xb[:-1] @ _tr(Kc - Km) - shift[:, None, :],
         h=-xb @ c.H.T,
         m0=dt * (xb[:-1] @ _tr(tabs["F"]) + tabs["b"][:, None, :]) + common,
+        a0=mean0,
     )
+    # x - E[x|F0] = y + (a - xbar) at the checkpoints
+    gap = (particles.offset[checkpoint_indices] - xb[checkpoint_indices]).transpose(1, 0, 2)
+    del xb, common
 
     def worker(lo, hi):
         gidx = np.arange(lo, hi) % n_common
-        sums = []
+        sums, loaded = [], np.zeros(hi - lo)
 
         def increments():
+            # once the kernel asks for the next chunk, this one's rows turn
+            # into the terms beta_{j,g} dW_j, added to loaded in step order
+            start = 0
             for chunk in _draw_steps(seed, lo, hi, n_fine, NOISE_IDIO, scale=sq):
                 sums.append(chunk.sum())
                 yield chunk
+                _times_streams(chunk, particles.beta[start : start + len(chunk)], lo % n_common)
+                chunk[0] += loaded
+                np.add.reduce(chunk, axis=0, out=loaded)
+                start += len(chunk)
 
-        x0 = xi[initial_atoms(seed, lo, hi, atom_probs)]
-        costs, x, _ = _euler(particles, x0, increments(), lo, "state", gidx, checkpoint_indices)
-        dev = x - xbar_path[:, checkpoint_indices][gidx]
-        dev_sums = np.zeros((2, n_common, n_cp, c.n))
-        np.add.at(dev_sums[0], gidx, dev)
-        np.add.at(dev_sums[1], gidx, dev * dev)
-        return costs, sum(sums), dev_sums
+        y0 = xi[initial_atoms(seed, lo, hi, atom_probs)] - mean0
+        dw = increments()
+        run, y, _ = _euler(particles, y0, dw, lo, "state", checkpoint_indices)
+        next(dw, None)  # the last chunk's terms
+        costs = run + (y0 * particles.lam0[gidx]).sum(axis=1) + loaded + particles.const[gidx]
+        y += gap[gidx]  # x - E[x|F0]
+        dev_sum = _stream_sums(y, lo % n_common, n_common)
+        dev_sq = _stream_sums(np.square(y, out=y), lo % n_common, n_common)
+        return costs, sum(sums), np.stack([dev_sum, dev_sq])
 
     costs, dw_sums, dev_sums = zip(*[worker(lo, hi) for lo, hi in _batches(n_paths)])
     common_index = np.arange(n_paths) % n_common
@@ -516,7 +614,7 @@ def _breve_run(c: CoefficientSet, pi: OdeBackwardQuadratic, grid: TimeGrid, xi_c
         raise DimensionError("h_index", f"must lie in [0, {n_fine}]")
     loop = _centered_loop(c, pi, grid, n_fine, 1.0 if plus_sign else -1.0)
     # a draw times a zero loading adds exactly zero: skip the draws
-    noisy = bool(np.any(loop.D))
+    noisy = bool(np.any(loop.W[:, : c.n, 0]))
     record = ()
     if h_index is not None:
         record = (h_index,)

@@ -510,6 +510,26 @@ def test_conditional_zero_band_catches_an_injected_bias(tmp_path, monkeypatch):
     assert not row.passed and result.status == 1
 
 
+def test_conditional_zero_row_sees_particles_that_lose_their_mean_field_term(tmp_path, monkeypatch):
+    # the particles run without F x_bar while the companion keeps it (the
+    # conditional-mean problem's own set carries F inside its drift A + F):
+    # the row fails only because each stream's offset is run from the
+    # particles' own tables, never copied from the companion path
+    cfg = parse_config(MC_SIMULATE.replace("out = ignored", f"out = {tmp_path}"))
+    row = {r.metric: r for r in run(cfg).rows}["mc_conditional_zero_z"]
+    assert row.passed
+    tables = cli.sim._coeff_tables
+
+    def without_f(c, n_fine):
+        tabs = tables(c, n_fine)
+        return {**tabs, "F": np.zeros_like(tabs["F"])}
+
+    monkeypatch.setattr(cli.sim, "_coeff_tables", without_f)
+    result = run(cfg)
+    row = {r.metric: r for r in result.rows}["mc_conditional_zero_z"]
+    assert row.value > row.tolerance and not row.passed and result.status == 1
+
+
 @pytest.mark.parametrize("paths, cause", [
     ("1", "error,CmvlqError,the Monte Carlo cost has zero standard error over 1 path(s)"),
     # two paths a stream: both paths of stream 0 start from the same atom, so

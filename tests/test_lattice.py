@@ -73,6 +73,26 @@ def test_grid_dt_consistency():
     assert len(g.times()) == 8
 
 
+def test_grid_refuses_a_fractional_step_count():
+    with pytest.raises(DimensionError, match=r"^n_steps: must be an integer of at least 1, got 2.5$"):
+        TimeGrid(2.5, 1.0)
+
+
+def test_grid_refuses_fewer_than_one_step():
+    with pytest.raises(DimensionError, match=r"^n_steps: must be an integer of at least 1, got 0$"):
+        TimeGrid(0, 1.0)
+
+
+def test_grid_refuses_an_infinite_horizon():
+    with pytest.raises(DimensionError, match=r"^horizon: must be finite and positive, got inf$"):
+        TimeGrid(3, float("inf"))
+
+
+def test_grid_refuses_a_non_positive_horizon():
+    with pytest.raises(DimensionError, match=r"^horizon: must be finite and positive, got -1.0$"):
+        TimeGrid(3, -1.0)
+
+
 def test_node_counts_and_probabilities(grid3):
     tree = build_joint_tree(grid3)
     for k in range(4):

@@ -21,6 +21,7 @@ from cmvlq.coeffs import as_coefficient, bar_transform, breve_as_plain, make_coe
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import eval_cost_mft, simulate_mft
 from cmvlq.errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
+from cmvlq.fbsde import build_ode_policy
 from cmvlq.instances import random_instance
 from cmvlq.lattice import (
     F_ADAPTED,
@@ -32,6 +33,7 @@ from cmvlq.lattice import (
 from cmvlq.riccati import (
     _level_coefficients,
     _level_sweep,
+    _ode_sweep,
     convexity_margins,
     solve_l,
     solve_pi,
@@ -335,6 +337,49 @@ def test_ode_finite_escape_warns_nothing():
         warnings.simplefilter("error")
         with pytest.raises(FiniteEscapeError, match="blew up"):
             solve_pi(c, backend="ode")
+
+
+def _step_varying():
+    # B and R move from step to step, so the sweep reads each step's own set
+    return make_coefficients(
+        2, 1, horizon=1.0, n_steps=3, A=[[-0.4, 0.2], [0.1, -0.6]], F=[[0.3, -0.1], [0.0, 0.2]],
+        B=np.array([[[1.0], [0.5]], [[0.7], [0.2]], [[0.3], [1.1]]]),
+        R=np.array([[[1.0]], [[2.0]], [[0.6]]]), D=[0.4, 0.3], D0=[0.3, -0.2], b=[0.2, -0.1],
+        S=[[0.1], [-0.2]], zeta=[0.1, 0.0], varpi=[0.05], Q=np.eye(2),
+    )
+
+
+@pytest.mark.parametrize("make", [lambda: _demo("mean_field.cfg", 3)[0], _step_varying],
+                         ids=["demo", "step_varying"])
+def test_stacked_ode_sweep_is_bit_identical_to_single_sweeps(make):
+    c = make()
+    pol = build_ode_policy(c, dt_target=0.002)
+    assert np.array_equal(pol.pi.table, solve_pi(c, backend="ode", dt_target=0.002).table)
+    assert np.array_equal(pol.l_solution.table, solve_l(c, backend="ode", dt_target=0.002).table)
+
+
+@pytest.mark.parametrize("bad_first", [False, True])
+def test_stacked_ode_sweep_names_the_failing_sets_step_and_time(bad_first):
+    good = breve_as_plain(_step_varying())
+    singular = make_coefficients(2, 1, horizon=1.0, n_steps=3, B=[[1.0], [0.5]], Q=np.eye(2),
+                                 R=np.array([[[1.0]], [[0.0]], [[1.0]]]))
+    # indefinite state weight over a long horizon: escapes in finite backward time
+    escaping = make_coefficients(2, 1, horizon=40.0, n_steps=3, A=0.2 * np.eye(2), B=[[1.0], [0.5]],
+                                 Q=-np.eye(2), R=1.0, QT=np.eye(2))
+    good_long = replace(good, horizon=40.0)
+
+    def stacked(bad, other):
+        pair = [(bad, "A"), (other, "A")]
+        return _ode_sweep(pair[::-1] if not bad_first else pair, 0.01)
+
+    with pytest.raises(SingularSystemError, match=r"control weight R is singular at step 1;"):
+        stacked(singular, good)
+    with np.errstate(all="ignore"), pytest.raises(FiniteEscapeError) as alone:
+        _ode_sweep([(escaping, "A")], 0.01)
+    with np.errstate(all="ignore"), pytest.raises(FiniteEscapeError) as err:
+        stacked(escaping, good_long)
+    assert str(err.value) == str(alone.value)
+    assert 0.0 < float(str(err.value).split("at t=")[1].split()[0]) < 40.0
 
 
 def test_unknown_backend_rejected():

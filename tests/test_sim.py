@@ -499,6 +499,26 @@ def test_non_finite_states_are_reported_with_location():
         )
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+def test_chunk_end_check_names_the_first_non_finite_step(monkeypatch, chunk):
+    # each Euler step multiplies a centered state by 1 + dt 1e100 = 5e98, so
+    # a state that starts at +-1 overflows at fine step 4, inside a chunk of
+    # 7 or 16 steps; E[xi] = 0 and no affine term, so the conditional mean
+    # stays exactly 0, and paths on the atom 0 stay at 0
+    monkeypatch.setattr(sim_mod, "STEP_CHUNK", chunk)
+    c = make_coefficients(1, 1, horizon=1.0, n_steps=1, A=1e100, R=1.0, Q=1.0)
+    xi, probs = [[0.0], [1.0], [-1.0]], [1 / 3, 1 / 3, 1 / 3]
+    first = int(np.flatnonzero(initial_atoms(3, 0, 40, np.array(probs)))[0])
+    assert first > 0
+    with pytest.raises(CmvlqError, match=rf"^non-finite state at fine step 4, path {first}$"):
+        simulate_forward(zero_policy(c), c, c.grid(), 40, 3, xi=xi, atom_probs=probs,
+                         dt_target=0.05)
+    pi = solve_pi(_tanh_instance(0.7), backend="ode")
+    with pytest.raises(CmvlqError, match=rf"^non-finite centered state at fine step 4, path {first}$"):
+        check_value_function(c, pi, c.grid(), 40, 3, xi_centered=xi, atom_probs=probs,
+                             dt_target=0.05)
+
+
 def test_random_coefficients_are_rejected():
     inst = random_instance(0, max_steps=3)
     with pytest.raises(NotDeterministicError):
