@@ -267,10 +267,15 @@ def validate_coefficients(c: CoefficientSet, grid: TimeGrid) -> ValidationReport
     return ValidationReport(delta_hat, schur_min, qt_min, passed, tuple(messages))
 
 
-def _check_symmetry(mat, name, step):
+def asymmetry(mat) -> str | None:
+    """Why a square matrix is not symmetric within SYM_TOL, or None if it is."""
     dev = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    if dev > SYM_TOL:
-        raise DimensionError(name, f"not symmetric (max deviation {dev:.3e})", step=step)
+    return f"not symmetric (max deviation {dev:.3e})" if dev > SYM_TOL else None
+
+
+def _check_symmetry(mat, name, step):
+    if problem := asymmetry(mat):
+        raise DimensionError(name, problem, step=step)
 
 
 def bar_transform(c: CoefficientSet) -> CoefficientSet:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coeffs import _COEFF_FIELDS, CoefficientSet, make_coefficients
+from .coeffs import _COEFF_FIELDS, CoefficientSet, asymmetry, make_coefficients
 from .errors import ConfigError
 from .lattice import ATOM_SUM_TOL, MAX_TREE_STEPS
 
@@ -235,6 +235,9 @@ def _coeff_value(name, text, n, d):
     got = (len(value), len(value[0]))
     if got != shape:
         raise ValueError(f"expected a {shape[0]}x{shape[1]} matrix, got {got[0]}x{got[1]}")
+    if name.removesuffix("_slope") in ("Q", "R", "QT"):
+        if problem := asymmetry(np.array(value)):
+            raise ValueError(problem)
     return value
 
 

@@ -13,14 +13,16 @@ and costs run through the full problem's code on the coefficient sets
 ``coeffs.bar_transform`` and ``coeffs.breve_as_plain``.  A term whose
 coefficient is deterministic and zero, as those sets' conditional-mean
 terms are, is skipped together with its conditioning fold.  The one
-roll-out (``_rollout``, under control rows or a feedback) and the one
-cost (``_cost_rows``) run on either tree: the joint one, or its W0-only
-form ``tree.common``.  The conditional-mean problem lives on
-``tree.common`` alone, its inputs and outputs one value per common-noise
-prefix, so its F0-adaptedness holds by construction; the centered one
-lives on the joint tree, and its solvers refuse an initial split whose
-mean over the atoms is not zero.  ``simulate_mft`` and ``eval_cost_mft``
-serve all three problems, given the set and the tree of each.
+roll-out (``_rollout``, under control rows or a feedback), the one cost
+(``_cost_rows``) and the one adjoint kernel for the cost's gradient
+(``_gradient_rows``, which the oracle and the coupled fixed point read)
+run on either tree: the joint one, or its W0-only form ``tree.common``.
+The conditional-mean problem lives on ``tree.common`` alone, its inputs
+and outputs one value per common-noise prefix, so its F0-adaptedness
+holds by construction; the centered one lives on the joint tree, and its
+solvers refuse an initial split whose mean over the atoms is not zero.
+``simulate_mft`` and ``eval_cost_mft`` serve all three problems, given
+the set and the tree of each.
 
 Coefficients reach the tree only through ``_Prefixed``, one table per
 coefficient set, tree and grid that each public entry builds and its
@@ -120,6 +122,40 @@ class _Prefixed:
         value = self(name, k)
         return value if getattr(self.c, name).deterministic else np.take(value, nodes, axis=-1)
 
+    def adjoint_step(self, k: int) -> tuple:
+        """The gradient kernel's step-k matrices (node, prefix, shift), built on first use.
+
+        node maps the node rows [x; u; E_k y] to [costate; gradient per unit
+        mass]: [[dt Q, dt S, (I + dt A)'], [S', R, B']].  prefix maps the
+        prefix means [xbar; ubar; ybar] to the terms constant on a prefix,
+        [[dt (Qbar - Q), -dt H'S, dt F'], [-S'H, 0, 0]] with Qbar = (I - H)'
+        Q (I - H), and shift adds [dt (I - H)' zeta; varpi].  Q and R are
+        symmetrised, as the cost's gradient needs them.  prefix is None for
+        a set without H and F (``_coupled``), shift where zeta and varpi
+        are zero.  Each is shared, or per prefix where a coefficient is.
+        """
+        if ("adjoint", k) not in self._memo:
+            c, dt, n, d = self.c, self.grid.dt, self.c.n, self.c.d
+            A, S, B = (self(name, k) for name in ("A", "S", "B"))
+            Q, R = _sym(self("Q", k)), _sym(self("R", k))
+            node = _stacked([[dt * Q, dt * S, np.swapaxes(_abar(A, dt), 0, 1)],
+                             [np.swapaxes(S, 0, 1), R, np.swapaxes(B, 0, 1)]])
+            ih = np.eye(n) - c.H
+            prefix = shift = None
+            if _coupled(c):
+                prefix = _stacked([
+                    [dt * (np.einsum("ji,jk...,kl->il...", ih, Q, ih) - Q),
+                     -dt * np.einsum("ji,jk...->ik...", c.H, S),
+                     dt * np.swapaxes(self("F", k), 0, 1)],
+                    [-np.einsum("ji...,jk->ik...", S, c.H), np.zeros((d, d)), np.zeros((d, n))],
+                ])
+            if not (c.zeta.zero_at[k] and c.varpi.zero_at[k]):
+                # the vectors as one-column blocks
+                shift = _stacked([[dt * (ih.T @ self("zeta", k))[:, None]],
+                                  [self("varpi", k)[:, None]]])[:, 0]
+            self._memo["adjoint", k] = node, prefix, shift
+        return self._memo["adjoint", k]
+
 
 def _rows_of(p: TreeProcess, steps=None) -> list:
     """A vector process's per-step arrays as (component, node) views."""
@@ -200,6 +236,27 @@ def _quad(rows_l: np.ndarray, mat: np.ndarray, rows_r: np.ndarray) -> np.ndarray
 def _abar(A: np.ndarray, dt: float) -> np.ndarray:
     """I + dt A, shared or per column."""
     return np.eye(A.shape[0]).reshape(A.shape[:2] + (1,) * (A.ndim - 2)) + dt * A
+
+
+def _coupled(c: CoefficientSet) -> bool:
+    """Whether the set has a conditional-mean term (H or F); the sub-problems' sets have none."""
+    return bool(c.H.any()) or not all(c.F.zero_at)
+
+
+def _sym(mat: np.ndarray) -> np.ndarray:
+    """The symmetric part of a shared (i, i) or per-prefix (i, i, P) matrix."""
+    return 0.5 * (mat + np.swapaxes(mat, 0, 1))
+
+
+def _stacked(rows: list) -> np.ndarray:
+    """Rows of shared (i, j) or (i, j, 1) and per-prefix (i, j, P) blocks as one matrix, per prefix if any."""
+    tail = np.broadcast_shapes(*(b.shape[2:] for row in rows for b in row))
+
+    def full(b):
+        return np.broadcast_to(b.reshape(b.shape + (1,) * (len(tail) + 2 - b.ndim)),
+                               b.shape[:2] + tail)
+
+    return np.concatenate([np.concatenate([full(b) for b in row], axis=1) for row in rows])
 
 
 def _plus_prefix(tree: JointTree, k: int, rows: np.ndarray, term: np.ndarray) -> np.ndarray:
@@ -314,6 +371,63 @@ def _cost_rows(table: _Prefixed, x: list, u: list, xbars=None) -> float:
         step = float(np.dot(tree.probs(k), integrand))
         total += grid.dt * step if k < N else step
     return 0.5 * total
+
+
+def _gradient_rows(table: _Prefixed, u: list, xi: np.ndarray, emit) -> tuple:
+    """The cost's gradient per unit mass at control rows u from initial atoms xi, step by step.
+
+    s_k = g_k / (m_k dt), where g_k is the cost's derivative in the step-k
+    control rows and m_k the node probabilities: s_k = R u_k + S'(x_k - H
+    xbar_k) + varpi + B' E_k[y_{k+1}], y the costate, the cost-to-go's
+    gradient in the state with the conditional-mean couplings folded back
+    per prefix.  One backward recursion, each step one stacked product
+    (``_Prefixed.adjoint_step``) on [x; u; E_k y] expanded block by block,
+    plus one expansion of the terms constant on a prefix.  The terminal
+    costate enters only through its child means, and the increments have
+    mean zero, so the roll-out stops at the pre-noise mean E_{N-1}[x_N]
+    and never forms the leaves.  The step matrices are constant on each
+    prefix, so the costate's prefix means follow from those of [x; u; E_k
+    y] on the prefixes alone: a step folds only the control's rows.
+
+    emit(k, s_k) receives each step's (d, n_nodes(k)) rows, last step
+    first, as a view valid during the call, to be used while in cache.
+    Returns the predicted costate E_k[y_{k+1}] per step, the roll-out's
+    states (the last the pre-noise mean) and their prefix means (None for
+    a set without H and F), all (component, node).
+    """
+    c, tree, N = table.c, table.tree, table.grid.n_steps
+    coupled = _coupled(c)
+    x, _, xbars = _rollout(table, u, xi, means=coupled, leaves=False)
+    QT = _sym(c.QT)
+    pred_y = QT @ x[N]
+    if coupled:
+        # the step-N prefix means fold back to E[x_N | F0] at step N-1
+        ih = np.eye(c.n) - c.H
+        mbar = tree.prefix_mean_rows(N - 1, x[N])
+        ybar = ih.T @ QT @ ih @ mbar
+        if c.H.any():
+            pred_y = _plus_prefix(tree, N - 1, pred_y, ybar - QT @ mbar)
+    pred = [None] * N
+    for k in reversed(range(N)):
+        if k < N - 1:
+            pred_y = tree.child_mean_rows(k, y)
+        pred[k] = pred_y
+        node, prefix, shift = table.adjoint_step(k)
+        term = shift
+        if coupled:
+            if k < N - 1:
+                ybar = tree.common.child_mean_rows(k, ybar)
+            means = np.concatenate([xbars[k], tree.prefix_mean_rows(k, u[k]), ybar])
+            term = _mv(prefix, means)
+            if shift is not None:
+                term += shift
+            ybar = _mv(node[:c.n], means) + term[:c.n]  # E[y_k | F0], node constant per prefix
+        out = _prefix_mv(tree, k, node, np.concatenate([x[k], u[k], pred_y]))
+        if term is not None:
+            out += term if term.shape[-1] == 1 else tree.expand_rows(k, term)
+        y = out[:c.n]
+        emit(k, out[c.n:])
+    return pred, x, xbars
 
 
 def simulate_mft(

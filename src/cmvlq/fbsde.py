@@ -23,18 +23,18 @@ control brings it onto the joint tree.
 
 A separate Picard iteration solves the coupled mean-field system in one
 piece, without decomposing first; agreement of the two routes is one of
-the strongest end-to-end checks in the test suite.  Its map (roll-out,
-backward adjoint, first-order condition) is affine, and the iterates are
-mixed by Anderson acceleration over the last five map evaluations,
-which on an affine map is GMRES in disguise; with no history the update
-is the plain damped one.  A map evaluation does only the work that
-changes from one evaluation to the next: the roll-out stops at the
-pre-noise mean of step N-1, which is all the terminal costate needs, the
-roll-out reads the solve's table, the backward steps' matrices are built
-from it once per solve, per prefix, and each backward step is one stacked
-product.  The leaves are formed once, for the returned iterate.  It stops
-at the first iterate whose undamped control residual is within tol in
-relative sup norm, and returns that iterate.
+the strongest end-to-end checks in the test suite.  Its map is the
+first-order condition solved for the control, G(u) = u - R^-1 s(u), where
+s is the cost's gradient per unit mass from the one adjoint kernel,
+``decomposition._gradient_rows``, which the oracle's gradient reads too.
+The kernel rolls out only to the pre-noise mean of step N-1, which is all
+the terminal costate needs, and its step matrices are built once per
+table; R^-1 is taken once per solve, per prefix.  The map is affine, and
+the iterates are mixed by Anderson acceleration over the last five map
+evaluations, which on an affine map is GMRES in disguise; with no history
+the update is the plain damped one.  The leaves are formed once, for the
+returned iterate.  It stops at the first iterate whose undamped control
+residual is within tol in relative sup norm, and returns that iterate.
 """
 
 from __future__ import annotations
@@ -46,8 +46,9 @@ import numpy as np
 
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _add_noise, _atom_values, _centered_atoms, _cost_rows, _mv, _plus_prefix, _Prefixed,
-    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, _step_views, simulate_mft,
+    _abar, _add_noise, _atom_values, _centered_atoms, _cost_rows, _gradient_rows, _plus_prefix,
+    _Prefixed, _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, _step_views, _sym,
+    simulate_mft,
 )
 from .errors import CmvlqError, ConvergenceError, DimensionError
 from .lattice import JointTree, TimeGrid, TreeProcess
@@ -395,26 +396,19 @@ def solve_coupled_mv_fbsde(
 ) -> CoupledSolution:
     """Anderson-accelerated Picard iteration on the coupled optimality system.
 
-    Each map evaluation (a sweep) simulates the state under the current
-    control up to step N-1, solves the composite adjoint recursion backward
-    (conditioning on the common noise where the interaction and mean terms
-    require it), and maps the predicted adjoint through the pointwise
-    first-order condition.  The terminal costate enters only through its
-    child means, and the increments have mean zero, so a sweep stops at the
-    pre-noise mean of step N-1 and never forms the leaves.  The roll-out's
-    coefficients and those of each backward step are built once per solve,
-    per prefix, R^-1 folded in, and a step computes the costate and the new
-    control together as one stacked product on [x; u; E_k y], its matrix
-    expanded block by block, plus one expansion of the per-prefix terms.
+    The map is G(u) = u - R^-1 s(u): s is the cost's gradient per unit
+    mass from the one adjoint kernel, ``decomposition._gradient_rows``,
+    which the oracle's gradient reads too, and R the symmetrised control
+    weight of its step matrices, inverted once per solve and per prefix.
+    G(u) solves the first-order condition for the control against the
+    predicted adjoint, so a fixed point is a stationary control.
 
-    The iterate is mixed by Anderson acceleration (type II) over the last
-    ``_ANDERSON_DEPTH`` map evaluations, with damping as the mixing
-    weight: the coefficients minimize the Euclidean norm of the combined
-    control residual, and the same combination updates the carried
-    E[u|F0], which stays the exact conditional mean because the mixing is
-    linear.  With no history the update is the damped one, u + damping
-    (G(u) - u).  The map is affine, so the mixing is GMRES on it in
-    disguise (Walker & Ni 2011, SINUM 49:1715).
+    The iterate is u alone, mixed by Anderson acceleration (type II) over
+    the last ``_ANDERSON_DEPTH`` map evaluations with damping as the
+    mixing weight: the coefficients minimize the Euclidean norm of the
+    combined residual G(u) - u.  With no history the update is the damped
+    one, u + damping (G(u) - u).  The map is affine, so the mixing is GMRES
+    on it in disguise (Walker & Ni 2011, SINUM 49:1715).
 
     Convergence is measured by the undamped fixed-point residual in the
     control, relative sup norm per step.  The iterate that meets tol is
@@ -428,25 +422,22 @@ def solve_coupled_mv_fbsde(
         raise ValueError("damping must lie in (0, 1]")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    cb = bar_transform(c)
     xi = _atom_values(xi, tree, "xi")
     N = grid.n_steps
-    table, bar = _Prefixed(c, tree, grid), _Prefixed(cb, tree, grid)
-    steps = _picard_steps(table, bar)
-    # the iterate z = (u, E[u|F0]) and the map's output as flat vectors,
-    # seen per step as (component, node) and (component, prefix) rows
-    cols = [tree.n_nodes(k) for k in range(N)] + [tree.n_prefixes(k) for k in range(N)]
+    table = _Prefixed(c, tree, grid)
+    weights = _weight_inverses(table)
+    # the iterate as a flat vector, seen per step as (component, node) rows
+    cols = [tree.n_nodes(k) for k in range(N)]
 
-    def sweep(z, out):
-        zv, ov = _step_views(z, c.d, cols), _step_views(out, c.d, cols)
-        return _picard_sweep(table, bar, xi, steps, zv[:N], zv[N:], ov[:N], ov[N:])
+    def residual(z, f):
+        return _control_residual(table, weights, xi, _step_views(z, c.d, cols),
+                                 _step_views(f, c.d, cols))
 
-    z, (x, m, xbar, pred), history = _anderson(
-        sweep, c.d * sum(cols), c.d * sum(cols[:N]), damping, max_iter, tol
-    )
-    x.append(_add_noise(table, N - 1, m))
-    xbar.append(tree.prefix_mean_rows(N, x[N]))
-    u = _step_views(z, c.d, cols[:N])
+    z, (x, xbar, pred), history = _anderson(residual, c.d * sum(cols), damping, max_iter, tol)
+    x[N] = _add_noise(table, N - 1, x[N])
+    if xbar is not None:
+        xbar.append(tree.prefix_mean_rows(N, x[N]))
+    u = _step_views(z, c.d, cols)
     return CoupledSolution(
         control=_process(tree, u),
         costate_pred=[p.T for p in pred],
@@ -458,16 +449,39 @@ def solve_coupled_mv_fbsde(
     )
 
 
-def _anderson(sweep, size: int, n_fit: int, damping: float, max_iter: int, tol: float):
+def _weight_inverses(table: _Prefixed) -> list:
+    """The inverse of the symmetrised control weight per step, shared or per prefix (axis last)."""
+    weights = (_sym(table("R", k)) for k in range(table.grid.n_steps))
+    return [np.linalg.inv(R) if R.ndim == 2 else
+            np.moveaxis(np.linalg.inv(np.moveaxis(R, -1, 0)), 0, -1) for R in weights]
+
+
+def _control_residual(table: _Prefixed, weights: list, xi: np.ndarray, u: list, f: list):
+    """The Picard map's residual G(u) - u = -R^-1 s(u) at control rows u, written into f.
+
+    Returns the kernel's by-products at u (states, prefix means, predicted
+    costate) and per step the relative change |G(u) - u| / (1 + |u|).
+    """
+    tree = table.tree
+    changes = np.empty(len(u))
+
+    def emit(k, s):
+        np.negative(_prefix_mv(tree, k, weights[k], s), out=f[k])
+        changes[k] = np.max(np.abs(f[k])) / (1.0 + np.max(np.abs(u[k])))
+
+    pred, x, xbar = _gradient_rows(table, u, xi, emit)
+    return (x, xbar, pred), changes
+
+
+def _anderson(residual, size: int, damping: float, max_iter: int, tol: float):
     """Anderson-mixed (type II) fixed-point iteration on a flat vector z.
 
-    sweep(z, out) writes the map's value at z into out and returns
-    (by-products, per-step changes).  The mixing coefficients are fitted
-    on the first n_fit entries of the residual f = G(z) - z and applied to
-    all of it.  Returns (z, by-products, residual history) at the first z
-    whose largest change is within tol; a non-finite change raises.
+    residual(z, f) writes the map's residual f = G(z) - z into f and
+    returns (by-products, per-step changes).  Returns (z, by-products,
+    residual history) at the first z whose largest change is within tol;
+    a non-finite change raises.
     """
-    z, g = np.zeros(size), np.empty(size)
+    z, f = np.zeros(size), np.empty(size)
     # slot j holds one pair of differences, dz = z_{i+1} - z_i in
     # hist[j, 0] and df = f_{i+1} - f_i in hist[j, 1]; f_i waits in the
     # df half of the slot its pair will take
@@ -475,7 +489,7 @@ def _anderson(sweep, size: int, n_fit: int, damping: float, max_iter: int, tol: 
     hist = np.empty((depth, 2, size))
     history = []
     for i in range(max_iter):
-        products, changes = sweep(z, g)
+        products, changes = residual(z, f)
         change = float(np.max(changes))
         if not np.isfinite(change):
             bad = int(np.argmin(np.isfinite(changes)))
@@ -486,21 +500,20 @@ def _anderson(sweep, size: int, n_fit: int, damping: float, max_iter: int, tol: 
         history.append(change)
         if change <= tol:
             return z, products, history
-        del products  # the next sweep replaces them
-        f = np.subtract(g, z, out=g)
+        del products  # the next evaluation replaces them
         if i:
             np.subtract(f, hist[(i - 1) % depth, 1], out=hist[(i - 1) % depth, 1])
         used = min(i, depth)
         mix = 0.0
         if used:
-            gamma = _mixing_coefficients(hist[:used, 1, :n_fit], f[:n_fit])
+            gamma = _mixing_coefficients(hist[:used, 1], f)
             # dz and df of a slot are adjacent rows: one product mixes both,
             # taken before the step is written into the slot it retires
             weights = np.outer(gamma, [1.0, damping]).ravel()
             mix = weights @ hist[:used].reshape(2 * used, size)
         step = np.multiply(f, damping, out=hist[i % depth, 0])
         step -= mix
-        del mix  # the next sweep should not hold it
+        del mix  # the next evaluation should not hold it
         hist[i % depth, 1] = f
         z += step
     raise ConvergenceError(
@@ -523,103 +536,3 @@ def _mixing_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     scaled = gram / np.outer(norms, norms) + _ANDERSON_SHIFT * np.eye(len(norms))
     return np.linalg.solve(scaled, (df @ f) / norms) / norms
-
-
-def _picard_steps(table: _Prefixed, bar: _Prefixed) -> list:
-    """The backward steps' coefficients, (node, prefix, shift) per step.
-
-    node maps the stacked node rows [x; u; E_k y] to [costate; R^-1 (S'x
-    + B' E_k y)], the block matrix [[dt Q, dt S, (I + dt A)'], [R^-1 S',
-    0, R^-1 B']].  prefix maps the stacked prefix means [xbar; ubar; ybar]
-    and shift adds a constant: the first n + d rows are the terms constant
-    on a prefix, dt (F' ybar + (cb.Q - Q) xbar - H'S ubar + cb.zeta) and
-    R^-1 (varpi - S'H xbar), which are expanded onto the node rows; the
-    last d are R^-1 (S'(I - H) xbar + B' ybar + varpi), the negative of
-    the new E[u|F0].  All three are shared at a step where every
-    coefficient is deterministic, and at step 0, which has one prefix;
-    otherwise they are per prefix, and node is expanded block by block
-    where it is applied.  The values come from the solve's tables, table
-    for the full set c and bar for its ``bar_transform``; the roll-outs of
-    the solve share table, so every coefficient is evaluated once per step.
-    """
-    c = table.c
-    n, d, dt = c.n, c.d, table.grid.dt
-    steps = []
-    for k in range(table.grid.n_steps):
-        A, F, Q, S, R, B, varpi = (_prefix_values(table, name, k)
-                                   for name in ("A", "F", "Q", "S", "R", "B", "varpi"))
-        Q_bar, zeta_bar = (_prefix_values(bar, name, k) for name in ("Q", "zeta"))
-        prefixes = max(len(v) for v in (A, F, Q, S, R, B, varpi, Q_bar, zeta_bar))
-        # one solve per prefix: R^-1 [S', B', varpi]
-        rhs = _blocks([[np.swapaxes(S, 1, 2), np.swapaxes(B, 1, 2), varpi[..., None]]], prefixes)
-        RiSt, RiBt, Rivarpi = np.split(np.linalg.solve(R, rhs), [n, 2 * n], axis=2)
-        RiStH = RiSt @ c.H
-        zero_dd, zero_dn = np.zeros((1, d, d)), np.zeros((1, d, n))
-        node = _blocks([[dt * Q, dt * S, np.swapaxes(np.eye(n) + dt * A, 1, 2)],
-                        [RiSt, zero_dd, RiBt]], prefixes)
-        prefix = _blocks([[dt * (Q_bar - Q), -dt * (c.H.T @ S), dt * np.swapaxes(F, 1, 2)],
-                          [-RiStH, zero_dd, zero_dn],
-                          [RiSt - RiStH, zero_dd, RiBt]], prefixes)
-        shift = _blocks([[dt * zeta_bar[..., None]], [Rivarpi], [Rivarpi]], prefixes)[..., 0]
-        if prefixes == 1:
-            node, prefix = node[0], prefix[0]
-        else:
-            node, prefix = np.ascontiguousarray(np.moveaxis(node, 0, -1)), np.moveaxis(prefix, 0, -1)
-        steps.append((node, prefix, shift.T))
-    return steps
-
-
-def _prefix_values(table: _Prefixed, name: str, k: int) -> np.ndarray:
-    """A coefficient at step k as (prefix, *shape), one prefix row if shared."""
-    coeff = getattr(table.c, name)
-    if coeff.deterministic:
-        return coeff.base[k][None]
-    return np.moveaxis(table(name, k), -1, 0)
-
-
-def _blocks(rows: list, prefixes: int) -> np.ndarray:
-    """A block matrix (prefixes, i, j) from rows of (1 or prefixes, i_b, j_b) blocks."""
-    return np.concatenate([
-        np.concatenate([np.broadcast_to(b, (prefixes,) + b.shape[1:]) for b in row], axis=2)
-        for row in rows
-    ], axis=1)
-
-
-def _picard_sweep(table: _Prefixed, bar: _Prefixed, xi, steps: list, u: list, ubar: list,
-                  new_u: list, new_ubar: list):
-    """One evaluation of the coupled fixed-point map at (u, E[u|F0]).
-
-    u and ubar are the control's (component, node) rows and their
-    per-prefix conditional means; table and bar are the solve's tables of
-    the full and the conditional-mean coefficient sets, and steps are
-    ``_picard_steps``'s.  The map's control and its conditional mean are
-    written into new_u and new_ubar.  Returns the state rows under u at
-    steps 0..N-1, the pre-noise mean E_{N-1}[x_N], the states' prefix
-    means at steps 0..N-1, the predicted costate rows, and per step the
-    relative sup-norm change of the control.
-    """
-    c, cb, tree = table.c, bar.c, table.tree
-    N = table.grid.n_steps
-    n, d = c.n, c.d
-    x, _, xbar = _rollout(table, u, xi, means=True, leaves=False)
-    m = x.pop()
-    # the terminal costate enters only through its child means: the
-    # increments have mean zero, so E_{N-1}[x_N] = m, and the step-N
-    # prefix means fold back to E[m | F0] at step N-1
-    yt = c.QT @ m + tree.expand_rows(N - 1, (cb.QT - c.QT) @ tree.prefix_mean_rows(N - 1, m))
-    pred = [None] * N
-    changes = np.empty(N)
-    for k in reversed(range(N)):
-        if k < N - 1:
-            yt = tree.child_mean_rows(k, cur)
-        pred[k] = yt
-        node, prefix, shift = steps[k]
-        means = _mv(prefix, np.concatenate([xbar[k], ubar[k], tree.prefix_mean_rows(k, yt)]))
-        means += shift
-        out = _prefix_mv(tree, k, node, np.concatenate([x[k], u[k], yt]))
-        out += tree.expand_rows(k, means[:n + d])
-        cur = out[:n]
-        np.negative(out[n:], out=new_u[k])
-        np.negative(means[n + d:], out=new_ubar[k])
-        changes[k] = np.max(np.abs(new_u[k] - u[k])) / (1.0 + np.max(np.abs(u[k])))
-    return (x, m, xbar, pred), changes

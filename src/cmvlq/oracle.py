@@ -2,9 +2,11 @@
 
 The cost is an exact quadratic in the stacked per-node controls, so the
 discretized problem can be solved without any control theory: compute
-the gradient by plain chain rule through the recursion (an adjoint sweep
-that knows nothing about Riccati equations) and minimize with matrix-free
-conjugate gradients, one gradient evaluation per Hessian-vector product.
+the gradient by plain chain rule through the recursion (the adjoint
+kernel ``decomposition._gradient_rows``, which knows nothing about
+Riccati equations and which the coupled fixed point reads too) and
+minimize with matrix-free conjugate gradients, one gradient evaluation
+per Hessian-vector product.
 Slow, but an independent certificate for the structured solvers.
 Restricted variants minimize over the conditional-mean and centered
 admissible classes: the conditional-mean one is the full problem on the
@@ -14,8 +16,9 @@ node of the joint tree and projects it onto the class, u - E[u|F0], the
 orthogonal projection in the metric below (Gould, Hribar & Nocedal 2001).
 A QP solve holds one ``decomposition._Prefixed`` table of its coefficient
 set for every gradient evaluation, the closing roll-out and the cost, so
-each node-dependent coefficient is evaluated once per step; the gradient
-multiplies its per-prefix matrices into the node rows block by block.
+each node-dependent coefficient is evaluated once per step and the
+kernel's step matrices are built once; the gradient multiplies its
+per-prefix matrices into the node rows block by block.
 
 The Hessian carries each node's probability, which falls by 4x per step,
 so plain conjugate gradients would need twice the iterations for every
@@ -37,8 +40,8 @@ import numpy as np
 
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _atom_values, _centered_atoms, _check_control, _cost_rows, _mtv, _plus_prefix, _Prefixed,
-    _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, _step_views,
+    _atom_values, _centered_atoms, _check_control, _cost_rows, _gradient_rows, _Prefixed, _process,
+    _rollout, _rows_of, _step_views,
 )
 from .errors import ConvergenceError
 from .lattice import JointTree, TimeGrid, TreeProcess
@@ -74,54 +77,15 @@ def cost_gradient(
 
 def _gradient(table: _Prefixed, u: list, xi: np.ndarray) -> list:
     """``cost_gradient`` as (component, node) rows at control rows u from initial
-    atoms xi; c, the tree and the grid are table's.
+    atoms xi: the kernel's rows per unit mass times each node's mass and dt.
     """
-    c, tree, grid = table.c, table.tree, table.grid
-    N = grid.n_steps
-    dt = grid.dt
-    # Terms with a zero H, F, zeta or varpi, as the coefficient sets of
-    # both sub-problems have them, would add exact zeros; they are skipped, and
-    # with H and F their conditioning folds.
-    H = c.H if c.H.any() else None
-    x, _, xbars = _rollout(table, u, xi, means=H is not None)
+    tree, dt = table.tree, table.grid.dt
+    out = [None] * len(u)
 
-    def deviation(k):
-        if H is None:
-            return x[k]
-        return x[k] - tree.expand_rows(k, H @ xbars[k])
+    def emit(k, s):
+        out[k] = s * (tree.probs(k) * dt)
 
-    def sym(mats):
-        return 0.5 * (mats + np.swapaxes(mats, 0, 1))
-
-    grad_x = sym(c.QT) @ deviation(N)
-    if H is not None:
-        grad_x = grad_x - tree.expand_rows(N, H.T @ tree.prefix_mean_rows(N, grad_x))
-    out = [None] * N
-    for k in reversed(range(N)):
-        nabla_hat = tree.child_mean_rows(k, grad_x)
-        F, zeta, varpi = (table.nonzero(name, k) for name in ("F", "zeta", "varpi"))
-        S = table("S", k)
-        xtk = deviation(k)
-
-        gk = _prefix_mv(tree, k, sym(table("R", k)), u[k]) + _prefix_mtv(tree, k, S, xtk)
-        if varpi is not None:
-            gk = _plus_prefix(tree, k, gk, varpi)
-        gk = gk + _prefix_mtv(tree, k, table("B", k), nabla_hat)
-        out[k] = gk * (tree.probs(k) * dt)
-
-        stage = _prefix_mv(tree, k, sym(table("Q", k)), xtk) + _prefix_mv(tree, k, S, u[k])
-        if zeta is not None:
-            stage = _plus_prefix(tree, k, stage, zeta)
-        # the conditional-mean terms are constant on each prefix: summed
-        # there and expanded once
-        per_prefix = np.zeros((c.n, 1))
-        if H is not None:
-            per_prefix = per_prefix - H.T @ tree.prefix_mean_rows(k, stage)
-        if F is not None:
-            per_prefix = per_prefix + _mtv(F, tree.prefix_mean_rows(k, nabla_hat))
-        grad_x = _prefix_mtv(tree, k, _abar(table("A", k), dt), nabla_hat) + dt * _plus_prefix(
-            tree, k, stage, per_prefix
-        )
+    _gradient_rows(table, u, xi, emit)
     return out
 
 

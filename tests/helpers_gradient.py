@@ -3,7 +3,8 @@
 ``oracle.cost_gradient`` skips the conditional-mean folds and linear
 terms whose coefficient is zero, as the coefficient sets of both sub-problems
 have them.  ``ref_cost_gradient`` is the sweep that computes every term,
-zero or not, so the two must agree exactly.
+zero or not, one term at a time; the library sums each step's terms in one
+stacked product, so the two agree up to rounding.
 """
 
 import numpy as np

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers_expanded import ref_cost_rows, ref_prefix_mv
+from helpers_slopes import with_control_slopes
 
 from cmvlq import decomposition, fbsde
 from cmvlq.coeffs import _COEFF_FIELDS, Coefficient, bar_transform, breve_as_plain
@@ -24,7 +25,7 @@ from cmvlq.decomposition import (
 from cmvlq.fbsde import assemble_optimal_control, solve_coupled_mv_fbsde
 from cmvlq.instances import random_control, random_instance
 from cmvlq.lattice import build_joint_tree
-from cmvlq.oracle import solve_qp_breve, solve_qp_exact
+from cmvlq.oracle import cost_gradient, solve_qp_breve, solve_qp_exact
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -94,8 +95,11 @@ def test_prefix_matrix_products_are_the_expanded_products_bit_for_bit(monkeypatc
                                           ref_prefix_mv(t, k, mat, rows, _mtv))
 
 
-def _solution_arrays(c, tree, grid, xi):
-    """Every array and number the decomposed and the coupled solves return."""
+def _solution_arrays(inst):
+    """Every array and number the decomposed and the coupled solves return,
+    and the cost gradient at a random control.
+    """
+    c, grid, tree, xi = inst.coeffs, inst.grid(), inst.tree(), inst.xi
     sol = assemble_optimal_control(c, tree, xi)
     coupled = solve_coupled_mv_fbsde(c, tree, grid, xi)
     processes = [sol.state, sol.control, coupled.state, coupled.control]
@@ -104,6 +108,7 @@ def _solution_arrays(c, tree, grid, xi):
     processes += [getattr(sol.bar, name) for name in
                   ("state", "control", "costate", "costate_pred", "noise_load_w0")]
     arrays = [v for p in processes for v in p.values] + coupled.costate_pred
+    arrays += cost_gradient(c, tree, grid, random_control(inst, tree, 5), xi)
     numbers = [sol.cost, sol.bar.cost, sol.breve.cost, sol.bar.backward_residual,
                sol.breve.backward_residual, coupled.cost, coupled.iterations]
     return arrays, numbers
@@ -111,24 +116,25 @@ def _solution_arrays(c, tree, grid, xi):
 
 @pytest.mark.parametrize("seed,node_dependent,two_atoms", CASES[::3])
 def test_solves_match_the_expanded_products_bit_for_bit(monkeypatch, seed, node_dependent, two_atoms):
-    # the roll-outs, the centered feedback and costate and the Picard node
-    # matrices, with every per-prefix matrix expanded onto the whole step
+    # the roll-outs, the centered feedback and costate, the gradient
+    # kernel's node matrices and the Picard map's R^-1, with every
+    # per-prefix matrix expanded onto the whole step
     inst = _instance(seed, node_dependent, two_atoms)
-    c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     with monkeypatch.context() as m:
         for module in (decomposition, fbsde):
             m.setattr(module, "_prefix_mv", ref_prefix_mv)
-        want = _solution_arrays(c, tree, grid, inst.xi)
+        want = _solution_arrays(inst)
     for block in BLOCKS:
         monkeypatch.setattr(decomposition, "NODE_BLOCK", block)
-        arrays, numbers = _solution_arrays(c, tree, grid, inst.xi)
+        arrays, numbers = _solution_arrays(inst)
         assert numbers == want[1]
         assert len(arrays) == len(want[0])
         assert all(np.array_equal(a, b) for a, b in zip(arrays, want[0]))
 
 
 def test_picard_evaluates_each_coefficient_once_per_step(monkeypatch):
-    inst = random_instance(0)
+    # R is read by the gradient kernel's step matrices and by the map's R^-1
+    inst = with_control_slopes(random_instance(0))
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     calls = Counter()
     at_w0 = Coefficient.at_w0
@@ -142,7 +148,7 @@ def test_picard_evaluates_each_coefficient_once_per_step(monkeypatch):
     assert coupled.iterations > 1
     assert max(calls.values()) == 1
     # every node-dependent coefficient the iteration reads, at every step
-    for name in ("A", "F", "B", "b", "D", "D0", "Q", "zeta", "varpi"):
+    for name in ("A", "F", "B", "b", "D", "D0", "Q", "zeta", "varpi", "R", "S"):
         assert not getattr(c, name).deterministic
         assert all(calls[id(getattr(c, name)), k] == 1 for k in range(grid.n_steps)), name
 

@@ -1,6 +1,7 @@
 """Configuration parsing, report emission, and command-line behavior."""
 
 import math
+import re
 import os
 import subprocess
 import sys
@@ -304,6 +305,38 @@ def test_config_errors_exit_2_with_machine_readable_lines(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("error,config,")
     assert "[coefficients].R" in out
+
+
+def test_non_symmetric_control_weight_exits_2_naming_it(tmp_path, capsys):
+    # d = 2 with an upper-triangular R: a bad input, named as such, not a
+    # solve whose stationarity and Picard rows fail
+    text = FULL_2X1.format(out=tmp_path / "o")
+    for old, new in (("N = 3", "N = 4"), ("d = 1", "d = 2"), ("B = 1.0 ; 0.5", "B = 1.0 0.0 ; 0.5 1.0"),
+                     ("S = 0.05 ; 0.02", "S = 0.05 0 ; 0.02 0"), ("varpi = 0.03", "varpi = 0.03 0.0"),
+                     ("R = 0.8", "R = 0.8 0.5 ; 0.0 0.8")):
+        assert old in text
+        text = text.replace(old, new)
+    assert main(["solve", "--config", _write(tmp_path, text)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error,config,line ")
+    assert "[coefficients].R: not symmetric (max deviation 5.000e-01)" in out
+
+
+@pytest.mark.parametrize("key,value", [("Q", "1.2 0.1 ; 0.2 0.9"), ("QT", "1.0 2e-12 ; 0.0 1.4"),
+                                       ("Q_slope", "0.2 0.0 ; 0.1 0.1"), ("R_slope", "0.1 0.2 ; 0.0 0.1")],
+                         ids=["Q", "QT", "Q_slope", "R_slope"])
+def test_parser_refuses_non_symmetric_weights(key, value):
+    text = FULL_2X1.format(out="o")
+    for old, new in (("d = 1", "d = 2"), ("B = 1.0 ; 0.5", "B = 1.0 0.0 ; 0.5 1.0"),
+                     ("S = 0.05 ; 0.02", "S = 0.05 0 ; 0.02 0"), ("varpi = 0.03", "varpi = 0.03 0.0"),
+                     ("R = 0.8", "R = 0.8 0.1 ; 0.1 0.8")):
+        text = text.replace(old, new)
+    parse_config(text)
+    text = re.sub(rf"^{key} = .*$", "", text, flags=re.M).replace("xi_atoms", f"{key} = {value}\nxi_atoms")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert len(err.value.errors) == 1
+    assert f"[coefficients].{key}: not symmetric" in err.value.errors[0]
 
 
 @pytest.mark.parametrize("mode", ["solve", "simulate"])

@@ -322,16 +322,19 @@ def test_coupled_iteration_reports_failure():
 
 
 def test_coupled_iteration_refuses_a_non_finite_change(monkeypatch):
-    # max() dropped the NaN change: the iteration "converged" after one sweep
+    # max() dropped the NaN change: the iteration "converged" after one map evaluation
     inst = random_instance(0, max_steps=3)
-    sweep = fbsde._picard_sweep
+    kernel = fbsde._gradient_rows
 
-    def nan_change(*args):
-        products, changes = sweep(*args)
-        changes[-1] = np.nan
-        return products, changes
+    def nan_gradient(table, u, xi, emit):
+        def poisoned(k, s):
+            if k == len(u) - 1:
+                s[0, 0] = np.nan
+            emit(k, s)
 
-    monkeypatch.setattr(fbsde, "_picard_sweep", nan_change)
+        return kernel(table, u, xi, poisoned)
+
+    monkeypatch.setattr(fbsde, "_gradient_rows", nan_gradient)
     last = inst.grid().n_steps - 1
     with pytest.raises(
         CmvlqError, match=rf"non-finite control change at step {last} in map evaluation 1$"

@@ -4,13 +4,14 @@ node-major reference.
 The tree kernels keep each state or control component in one contiguous
 row, node axis last.  Their properties are checked here against the
 definitions by index (``w0_of_node``, ``atom_of_node``, child slots
-4i..4i+3), and the roll-out, cost and Picard sweep built on them
-against the node-major reference in ``helpers_node_major``; the sweep's
-terminal prediction, read off the pre-noise mean, against the one built
-from the leaves.  The same kernels on the W0-only tree ``tree.common``
-are checked against the joint tree's on F0-adapted data, and the bar
-roll-out and cost there against the node ones.  The two sides sum in
-different orders, so agreement is to a relative 1e-14, not bitwise.
+4i..4i+3), and the roll-out, cost and Picard map built on them against
+the node-major reference in ``helpers_node_major``; the gradient
+kernel's terminal prediction, read off the pre-noise mean, against the
+one built from the leaves.  The same kernels on the W0-only tree
+``tree.common`` are checked against the joint tree's on F0-adapted data,
+and the bar roll-out and cost there against the node ones.  The two
+sides sum in different orders, so agreement is to a relative 1e-14, not
+bitwise.
 The centered closed loop through the generic roll-out is checked bit
 for bit against its dedicated loop in ``helpers_split``.  The
 accelerated coupled iteration is checked against the reference's damped
@@ -23,6 +24,7 @@ import dataclasses
 import helpers_node_major as ref
 import numpy as np
 import pytest
+from helpers_slopes import CONTROL_SLOPES, VARPI_SLOPE, sloped_instance
 from helpers_split import ref_breve_closed_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,7 @@ from hypothesis import strategies as st
 from cmvlq.coeffs import Coefficient, bar_transform
 from cmvlq.decomposition import (
     _cost_rows,
+    _gradient_rows,
     _Prefixed,
     _rollout,
     check_decomposition,
@@ -38,8 +41,8 @@ from cmvlq.decomposition import (
 )
 from cmvlq.errors import DimensionError
 from cmvlq.fbsde import (
-    _picard_steps,
-    _picard_sweep,
+    _control_residual,
+    _weight_inverses,
     assemble_optimal_control,
     solve_breve_fbsde,
     solve_coupled_mv_fbsde,
@@ -134,6 +137,13 @@ def test_no_kernel_builds_the_layout_views(seed):
 
 # seeds whose Picard iteration converges, with and without node-dependent coefficients
 CASES = [(seed, nd) for seed in (0, 1, 9, 12) for nd in (False, True)]
+# and one whose control and cross weights depend on W0 too, so the map's
+# R^-1 is taken per prefix, and one whose varpi does beside a deterministic zeta
+PICARD_CASES = CASES + [(9, CONTROL_SLOPES), (9, VARPI_SLOPE)]
+
+
+def _picard_instance(seed, node_dependent):
+    return sloped_instance(seed, node_dependent, max_steps=5)
 
 
 @pytest.mark.parametrize("seed,node_dependent", CASES)
@@ -222,26 +232,23 @@ def test_centered_closed_loop_matches_its_dedicated_loop(seed, node_dependent):
     assert all(np.array_equal(a.T, b) for a, b in zip(sol.control.values, controls, strict=True))
 
 
-@pytest.mark.parametrize("seed,node_dependent", CASES)
+@pytest.mark.parametrize("seed,node_dependent", PICARD_CASES)
 def test_picard_matches_node_major_reference(seed, node_dependent):
-    inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
+    inst = _picard_instance(seed, node_dependent)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
-    cb = bar_transform(c)
+    N = grid.n_steps
     u = random_control(inst, tree, seed=23).values
     rows = [v.T for v in u]
-    ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(rows)]
-    new_u, new_ubar = [np.empty_like(r) for r in rows], [np.empty_like(b) for b in ubar]
-    table, bar = _Prefixed(c, tree, grid), _Prefixed(cb, tree, grid)
-    (x, _, _, pred), changes = _picard_sweep(table, bar, inst.xi, _picard_steps(table, bar),
-                                             rows, ubar, new_u, new_ubar)
+    f = [np.empty_like(r) for r in rows]
+    table = _Prefixed(c, tree, grid)
+    (x, _, pred), changes = _control_residual(table, _weight_inverses(table), inst.xi, rows, f)
     want_x, want_pred, want_u, want_change = ref.sweep(c, tree, grid, inst.xi, u)
-    # the sweep's states stop at step N-1: it never forms the leaves
-    assert all(_close(a.T, b) for a, b in zip(x, want_x[:grid.n_steps], strict=True))
+    # the kernel's states stop at the pre-noise mean of step N-1: it never forms the leaves
+    assert all(_close(a.T, b) for a, b in zip(x[:N], want_x[:N], strict=True))
+    assert _close(x[N].T, ref.child_mean(tree, N - 1, want_x[N]))
     assert all(_close(a.T, b) for a, b in zip(pred, want_pred, strict=True))
-    assert all(_close(a.T, b) for a, b in zip(new_u, want_u, strict=True))
-    # the carried conditional mean is the fold of the new control
-    assert all(_close(a, tree.prefix_mean_rows(k, b.T))
-               for k, (a, b) in enumerate(zip(new_ubar, want_u, strict=True)))
+    # the map's value G(u) = u + (G(u) - u)
+    assert all(_close((r + g).T, b) for r, g, b in zip(rows, f, want_u, strict=True))
     assert _close(np.max(changes), want_change)
 
 
@@ -250,7 +257,7 @@ def test_picard_matches_node_major_reference(seed, node_dependent):
 @pytest.mark.parametrize("node_dependent", [False, True])
 @pytest.mark.parametrize("seed", [0, 9])
 def test_terminal_predicted_costate_needs_no_leaves(seed, node_dependent, n_atoms, loads):
-    # the sweep reads E_{N-1}[y_N] off the pre-noise mean; the leaves give it too
+    # the kernel reads E_{N-1}[y_N] off the pre-noise mean; the leaves give it too
     inst = random_instance(seed, node_dependent=node_dependent, max_steps=4)
     c, grid = inst.coeffs, inst.grid()
     zero = Coefficient(np.zeros_like(c.D.base))
@@ -262,11 +269,8 @@ def test_terminal_predicted_costate_needs_no_leaves(seed, node_dependent, n_atom
     xi = rng.uniform(-1.0, 1.0, (n_atoms, c.n))
     N = grid.n_steps
     rows = [rng.standard_normal((c.d, tree.n_nodes(k))) for k in range(N)]
-    ubar = [tree.prefix_mean_rows(k, r) for k, r in enumerate(rows)]
-    new_u, new_ubar = [np.empty_like(r) for r in rows], [np.empty_like(b) for b in ubar]
-    table, bar = _Prefixed(c, tree, grid), _Prefixed(cb, tree, grid)
-    (_, _, _, pred), _ = _picard_sweep(table, bar, xi, _picard_steps(table, bar),
-                                       rows, ubar, new_u, new_ubar)
+    table = _Prefixed(c, tree, grid)
+    pred, _, _ = _gradient_rows(table, rows, xi, lambda k, s: None)
     x, _, xbar = _rollout(table, rows, xi, means=True)
     term = (cb.QT - c.QT) @ xbar[N]
     want = c.QT @ tree.child_mean_rows(N - 1, x[N]) + tree.expand_rows(
@@ -274,9 +278,9 @@ def test_terminal_predicted_costate_needs_no_leaves(seed, node_dependent, n_atom
     assert _close(pred[N - 1], want)
 
 
-@pytest.mark.parametrize("seed,node_dependent", CASES)
+@pytest.mark.parametrize("seed,node_dependent", PICARD_CASES)
 def test_accelerated_fixed_point_matches_damped_reference(seed, node_dependent):
-    inst = random_instance(seed, node_dependent=node_dependent, max_steps=5)
+    inst = _picard_instance(seed, node_dependent)
     c, grid, tree = inst.coeffs, inst.grid(), inst.tree()
     got = solve_coupled_mv_fbsde(c, tree, grid, inst.xi)
     _, u, _, cost, history = ref.solve_coupled(c, tree, grid, inst.xi)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import cmvlq.cli as cli
-from cmvlq.coeffs import bar_transform, breve_as_plain
+from cmvlq.coeffs import _COEFF_FIELDS, Coefficient, bar_transform, breve_as_plain
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import eval_cost_mft, simulate_mft
 from cmvlq.errors import CmvlqError, ConstraintViolationError, ConvergenceError
@@ -30,6 +30,7 @@ from cmvlq.oracle import (
 )
 from helpers_dense_qp import dense_qp_exact
 from helpers_gradient import ref_cost_gradient
+from helpers_slopes import CONTROL_SLOPES, VARPI_SLOPE, sloped_instance
 from helpers_split import cond_mean, prefix_mean
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "mean_field.cfg"
@@ -204,12 +205,20 @@ def test_conjugate_gradients_refuse_negative_curvature():
     assert err.value.residual_history == pytest.approx([1.0])
 
 
+def _unskippable(c):
+    """c with every deterministic zero coefficient made W0-dependent with zero
+    slopes: the same problem, but no term of it is skipped.
+    """
+    return replace(c, **{name: Coefficient(getattr(c, name).base, np.zeros_like(getattr(c, name).base))
+                         for name in _COEFF_FIELDS if any(getattr(c, name).zero_at)})
+
+
 @pytest.mark.parametrize("seed", [0, 4, 11, 12])
-@pytest.mark.parametrize("node_dependent", [True, False])
+@pytest.mark.parametrize("node_dependent", [True, False, CONTROL_SLOPES, VARPI_SLOPE])
 def test_gradient_skips_only_exact_zeros(seed, node_dependent):
     # the sub-problems' sets have zero H, F and (centered) zeta and varpi, whose
     # terms the gradient skips; the full problem has none of them
-    inst = random_instance(seed, max_steps=5, node_dependent=node_dependent)
+    inst = sloped_instance(seed, node_dependent, max_steps=5)
     grid, tree = inst.grid(), inst.tree()
     u = random_control(inst, tree, seed=31)
     for c, xi in (
@@ -218,8 +227,13 @@ def test_gradient_skips_only_exact_zeros(seed, node_dependent):
         (breve_as_plain(inst.coeffs), inst.xi_centered()),
     ):
         got = cost_gradient(c, tree, grid, u, xi)
+        # the reference sums each step's terms one by one, the kernel in one
+        # stacked product: equal up to rounding
         want = ref_cost_gradient(c, tree, grid, u, xi)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)) for g, w in zip(got, want))
+        # the same kernel with nothing to skip gives the same bits
+        full = cost_gradient(_unskippable(c), tree, grid, u, xi)
+        assert all(np.array_equal(g, w) for g, w in zip(got, full))
 
 
 def _demo_at_depth(n_steps):
