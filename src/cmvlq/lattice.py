@@ -43,9 +43,9 @@ The kernels (``JointTree`` methods ending in ``_rows``) work in
 component is one long contiguous row.  Conditioning folds the b1 bits
 out of a row in node order, first step first, by adding slice pairs, then
 weights the atoms; per-prefix values go back onto the nodes by one
-``take`` on ``w0_of_node``; children are written one branch slot at a
-time.  Node-dependent coefficients are evaluated once per prefix and
-expanded the same way, one block of nodes at a time (``decomposition``);
+``take`` on ``w0_of_node``; children are written in one broadcast over
+the branch slots.  Node-dependent coefficients are evaluated once per
+prefix and expanded the same way, one block of nodes at a time (``decomposition``);
 deterministic ones are never copied onto the nodes.  ``TreeProcess.values``
 keep the (node, component) shape; ``values[k].T`` is the row view the
 kernels take, without a copy.
@@ -203,7 +203,7 @@ class JointTree:
         lead = v.shape[:-1]
         if v.shape[-1] != self.n_nodes(k):
             raise DimensionError("values", f"expected {self.n_nodes(k)} nodes, got {v.shape[-1]}", step=k)
-        outer = int(np.prod(lead, dtype=np.int64)) * self.n_atoms
+        outer = math.prod(lead) * self.n_atoms
         for j in range(self._fold_depth(k)):
             # axes (payload, atom and kept b0 bits before j, b0_j, b1_j, steps after j)
             v = v.reshape(outer * 2**j, 2, 2, 4 ** (k - 1 - j))
@@ -252,7 +252,8 @@ class JointTree:
         """States at the children of the step-k nodes: mean + D dW + D0 dW0.
 
         mean is (n, n_nodes(k)); each loading None, shared (n, 1) or per
-        node.  Child slot j of all nodes is written in one strided pass.
+        node.  All child slots are written in one broadcast, each slot's
+        value summed as mean + (D dW + D0 dW0).
         """
         m = np.asarray(mean)
         if k < 0 or k + 1 > self.grid.n_steps or m.shape[-1] != self.n_nodes(k):
@@ -264,9 +265,7 @@ class JointTree:
         loads = [(load, signs * self.grid.sqrt_dt) for load, signs in pairs if load is not None]
         if not loads:
             return np.repeat(m, slots, axis=-1)
-        out = np.empty(m.shape + (slots,))
-        for j in range(slots):
-            np.add(m, sum(load * dw[j] for load, dw in loads), out=out[..., j])
+        out = m[..., None] + sum(load[..., None] * dw for load, dw in loads)
         return out.reshape(m.shape[:-1] + (slots * m.shape[-1],))
 
     def _fold_depth(self, k: int) -> int:

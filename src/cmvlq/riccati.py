@@ -28,10 +28,18 @@ is the route for Monte Carlo work where the tree would be unaffordable.
 between grid times; ``_coeff_tables`` holds the coefficients per fine
 step.
 
-``convexity_margins`` runs the same recursion for a stack of shifts of R
-and bisects for the largest shift at which every one-step control matrix
-stays positive definite: the exact convexity margin of each sub-problem.
-A tree solve is the sweep at the single shift 0.
+``convexity_margins`` runs the same recursion for a stack of shifts of R:
+the largest shift at which every one-step control matrix stays positive
+definite is the exact convexity margin of each sub-problem.  For a set
+whose coefficients do not depend on W0, the sweep at shift lam is a
+block LDL' elimination of K - lam dt I, K the Hessian of the homogeneous
+cost over deterministic controls (the Riccati recursion as a block
+factorization; Rao, Wright & Rawlings, JOTA 99, 1998).  By Sylvester's
+law of inertia it passes exactly when K - lam dt I is positive definite,
+so the margin is lam_min(K) / dt: one small eigenproblem predicts it and
+one sweep at two shifts certifies it.  Node-dependent sets, and a
+prediction that fails its certificate, bisect for it with sweeps over
+many shifts.  A tree solve is the sweep at the single shift 0.
 """
 
 from __future__ import annotations
@@ -235,6 +243,17 @@ def convexity_margins(c: CoefficientSet, n_atoms: int) -> tuple[float, float]:
     0, so they vanish there: the centered search then skips step 0's
     matrix, and with one step there is no centered control and its
     margin is inf.
+
+    For coefficients that do not depend on W0 the margin is lam_min(K) /
+    dt, K the Hessian over deterministic controls of the steps searched
+    (``_predicted_margin``).  The sweep is K's block elimination, so it
+    passes exactly below that value.  Deterministic controls reach it:
+    a control v xi, with v deterministic and xi a scalar known where the
+    controls start, has the state x_v xi, so its form and its norm are
+    v's times E[xi^2].  The conditional-mean problem takes xi = 1.  The
+    centered one needs xi of conditional mean zero given the common
+    noise: a zero-mean function of the atom, or with one atom step 0's
+    idiosyncratic increment dW, known from step 1 on.
     """
     bar = _margin(homogeneous(bar_transform(c)))
     return bar, _margin(homogeneous(breve_as_plain(c)), first=int(n_atoms < 2))
@@ -243,22 +262,36 @@ def convexity_margins(c: CoefficientSet, n_atoms: int) -> tuple[float, float]:
 def _margin(p: CoefficientSet, first: int = 0) -> float:
     """Largest shift of R at which p's sweep goes through steps first..N-1; p is homogeneous.
 
-    The bracket starts at [0, eigmin(G_{N-1}(0)) / dt], whose top is exact
-    because P_N = QT does not move with the shift.  Each sweep tries
-    MARGIN_SHIFTS shifts spread evenly inside the bracket, and its bottom
-    too until a shift has passed.  A cost that is not convex fails at 0,
-    and the bracket then extends below 0, doubling, until a shift passes.
+    A deterministic p tries its predicted margin lam first
+    (``_predicted_margin``).  One sweep at lam - h and lam + h, with 2h
+    below the search's stopping width, certifies lam - h when exactly
+    the lower shift passes: the passing end of a bracket narrower than
+    MARGIN_REL relative, as the search returns.  A node-dependent p, a
+    non-finite prediction and a certificate that fails by rounding fall
+    back to the search.
+
+    The search's bracket starts at [0, eigmin(G_{N-1}(0)) / dt], whose
+    top is exact because P_N = QT does not move with the shift.  Each
+    sweep tries MARGIN_SHIFTS shifts spread evenly inside the bracket,
+    and its bottom too until a shift has passed.  A cost that is not
+    convex fails at 0, and the bracket then extends below 0, doubling,
+    until a shift passes.
     """
     grid = p.grid()
     if first >= grid.n_steps:
         return math.inf
     coefficients = _level_coefficients(p)
     terminal = np.pad(p.QT, (0, 1))
-    _, B, _, _, R, _, _ = coefficients[-1]
-    eig = np.linalg.eigvalsh(_control_matrix(grid.dt, B, R, terminal)) / grid.dt
-    hi = float(eig.min())
-    # below a few ulps of G's scale the Cholesky test cannot tell shifts apart
-    floor = 4.0 * np.finfo(float).eps * (float(np.abs(eig).max()) or 1.0)
+    hi, floor = _margin_scale(grid, coefficients, terminal)
+
+    if p.deterministic:
+        lam = _predicted_margin(grid, coefficients, terminal, first)
+        if math.isfinite(lam):
+            # [lam - h, lam + h] is half the stopping width wide, room for lam's rounding
+            h = 0.25 * max(MARGIN_REL * abs(lam), floor)
+            shifts = np.array([lam - h, lam + h])
+            if len(_level_sweep(grid, coefficients, terminal, shifts, first)[0][first]) == 1:
+                return float(shifts[0])
 
     lo, width, passed = min(0.0, hi), abs(hi) or 1.0, False
     while not passed or hi - lo > max(MARGIN_REL * max(abs(lo), abs(hi)), floor):
@@ -272,6 +305,45 @@ def _margin(p: CoefficientSet, first: int = 0) -> float:
         elif not passed:
             lo, width = lo - width, 2.0 * width
     return float(lo)
+
+
+def _margin_scale(grid: TimeGrid, coefficients: list, terminal) -> tuple[float, float]:
+    """The margin's upper bound eigmin(G_{N-1}(0)) / dt and the narrowest bracket worth searching."""
+    _, B, _, _, R, _, _ = coefficients[-1]
+    eig = np.linalg.eigvalsh(_control_matrix(grid.dt, B, R, terminal)) / grid.dt
+    # below a few ulps of G's scale the Cholesky test cannot tell shifts apart
+    return float(eig.min()), 4.0 * np.finfo(float).eps * (float(np.abs(eig).max()) or 1.0)
+
+
+def _predicted_margin(grid: TimeGrid, coefficients: list, terminal, first: int) -> float:
+    """lam_min(K) / dt, K the Hessian of the cost over deterministic controls of steps first..N-1.
+
+    coefficients are a homogeneous, deterministic set's
+    ``_level_coefficients``, on one level.  The state starts at 0 at step
+    first; resp holds its response to each control, so x_k = resp u and
+    the cost sum_k dt (x'Qx + 2x'Su + u'Ru)/2 + x_N' QT x_N / 2 has the
+    Hessian K term by term.  NaN where K is not finite.
+    """
+    dt, d = grid.dt, coefficients[0][1].shape[-1]
+    size = (grid.n_steps - first) * d
+    K = np.zeros((size, size))
+    resp = np.zeros((len(terminal), size))
+    # an overflowing K is refused below, as NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(first, grid.n_steps):
+            A, B, S, Q, R, _, _ = (a[0] for a in coefficients[k])
+            u = slice((k - first) * d, (k - first + 1) * d)
+            cross = _t(resp) @ (dt * S)
+            K += _t(resp) @ (dt * Q) @ resp
+            K[:, u] += cross
+            K[u, :] += _t(cross)
+            K[u, u] += dt * R
+            resp = (np.eye(len(A)) + dt * A) @ resp
+            resp[:, u] += dt * B
+        K += _t(resp) @ terminal @ resp
+    if not np.isfinite(K).all():
+        return math.nan
+    return float(np.linalg.eigvalsh(0.5 * (K + _t(K)))[0]) / dt
 
 
 def _level_coefficients(p: CoefficientSet) -> list:

@@ -395,3 +395,54 @@ def test_tree_process_node_count_validation(grid3):
     tree = build_joint_tree(grid3)
     with pytest.raises(DimensionError):
         TreeProcess(tree, [np.zeros(3)])
+
+
+# -- the row kernels, bit for bit ---------------------------------------------
+
+
+def _fold_per_pass(tree, k, rows):
+    """One pass per step, first step first, each adding its b1 = 0 and b1 = 1 halves by index."""
+    lead = rows.shape[:-1]
+    if not tree.idiosyncratic:
+        return rows.reshape(lead + (1, 2**k))
+    # axes: payload, atom, then (b0_j, b1_j) for j = 0..k-1
+    v = rows.reshape(lead + (tree.n_atoms,) + (2, 2) * k)
+    for j in range(k):
+        b1 = len(lead) + 1 + j + 1  # the b1 axes of steps before j are gone
+        v = np.take(v, 0, axis=b1) + np.take(v, 1, axis=b1)
+    return v.reshape(lead + (tree.n_atoms, 2**k))
+
+
+def _children_per_slot(tree, k, mean, D, D0):
+    """Child slot j of every node: mean + (D dW_j + D0 dW0_j), one slot at a time."""
+    out = np.empty(mean.shape[:-1] + (tree.n_nodes(k + 1),))
+    for j in range(tree.branches):
+        terms = [load * inc[k + 1][j] for load, inc in ((D, tree.last_dw), (D0, tree.last_dw0))
+                 if load is not None]
+        out[..., j::tree.branches] = mean + sum(terms) if terms else mean
+    return out
+
+
+@pytest.mark.parametrize("common", [False, True], ids=["joint", "common"])
+@pytest.mark.parametrize("n_steps", range(1, 7))
+def test_row_kernels_are_their_per_slot_and_per_pass_references_bit_for_bit(n_steps, common):
+    joint = build_joint_tree(TimeGrid(n_steps, 0.75), atom_probs=np.array([0.35, 0.65]))
+    tree = joint.common if common else joint
+    rng = np.random.default_rng(n_steps)
+    for k in range(n_steps + 1):
+        n = tree.n_nodes(k)
+        for rows in (rng.standard_normal(n), rng.standard_normal((2, 3, n))):
+            fold = _fold_per_pass(tree, k, rows)
+            assert np.array_equal(tree.fold_rows(k, rows), fold)
+            weights = tree.atom_probs / tree.atom_probs.sum() * 0.5 ** (0 if common else k)
+            assert np.array_equal(tree.prefix_mean_rows(k, rows), weights @ fold)
+        if k == n_steps:
+            continue
+        mean = rng.standard_normal((2, n))
+        shared, per_node = rng.standard_normal((2, 1)), rng.standard_normal((2, n))
+        loads = [(None, None), (None, shared), (None, per_node)]
+        if not common:
+            loads += [(shared, None), (per_node, None), (per_node, shared), (shared, per_node)]
+        for D, D0 in loads:
+            want = _children_per_slot(tree, k, mean, D, D0)
+            assert np.array_equal(tree.children_rows(k, mean, D, D0), want)

@@ -17,7 +17,8 @@ from helpers_split import (
     rel_gap,
 )
 
-from cmvlq.coeffs import as_coefficient, bar_transform, breve_as_plain, make_coefficients
+from cmvlq import riccati
+from cmvlq.coeffs import as_coefficient, bar_transform, breve_as_plain, homogeneous, make_coefficients
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import eval_cost_mft, simulate_mft
 from cmvlq.errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
@@ -31,9 +32,13 @@ from cmvlq.lattice import (
     w0_prefix_levels,
 )
 from cmvlq.riccati import (
+    MARGIN_REL,
     _level_coefficients,
     _level_sweep,
+    _margin,
+    _margin_scale,
     _ode_sweep,
+    _predicted_margin,
     convexity_margins,
     solve_l,
     solve_pi,
@@ -517,3 +522,94 @@ def test_margin_of_a_singular_control_weight_is_zero():
     c = make_coefficients(1, 1, horizon=1.0, n_steps=2)
     for margin in convexity_margins(c, 2):
         assert -1e-15 < margin <= 0.0
+
+
+# -- the predicted margin and its certificate ---------------------------------
+
+
+def _sub_problems(c, n_atoms):
+    """(homogeneous set, first step searched) of each margin, as ``convexity_margins`` takes them."""
+    return ((homogeneous(bar_transform(c)), 0), (homogeneous(breve_as_plain(c)), int(n_atoms < 2)))
+
+
+def _passes(p, shift, first):
+    swept = _level_sweep(p.grid(), _level_coefficients(p), np.pad(p.QT, (0, 1)), np.array([shift]), first)
+    return len(swept[0][first]) == 1
+
+
+def _stopping_width(p, margin):
+    _, floor = _margin_scale(p.grid(), _level_coefficients(p), np.pad(p.QT, (0, 1)))
+    return max(MARGIN_REL * abs(margin), floor)
+
+
+def _count_sweeps(monkeypatch):
+    calls = []
+    sweep = riccati._level_sweep
+    monkeypatch.setattr(riccati, "_level_sweep", lambda *args: calls.append(args) or sweep(*args))
+    return calls
+
+
+CERTIFICATE_CASES = (
+    [pytest.param(lambda n=n: _demo("mean_field.cfg", n)[0], id=f"demo-N{n}") for n in range(1, 11)]
+    + [pytest.param(lambda s=s: random_instance(s, node_dependent=False).coeffs, id=f"seed{s}")
+       for s in range(12)]
+)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2])
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_predicted_margin_passes_and_twice_the_stopping_width_above_fails(monkeypatch, case, n_atoms):
+    c = case()
+    for p, first in _sub_problems(c, n_atoms):
+        assert p.deterministic
+        calls = _count_sweeps(monkeypatch)
+        margin = _margin(p, first)
+        if first == c.n_steps:  # one step and one atom: no centered control
+            assert margin == math.inf and not calls
+            continue
+        assert len(calls) == 1  # the certificate held: no search
+        assert _passes(p, margin, first)
+        assert not _passes(p, margin + 2.0 * _stopping_width(p, margin), first)
+
+
+WRONG_PREDICTIONS = {
+    "high": lambda lam: lam * (1.0 + 1e-3),
+    "low": lambda lam: lam * (1.0 - 1e-3),
+    "nan": lambda lam: math.nan,
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_PREDICTIONS.values(), ids=WRONG_PREDICTIONS.keys())
+@pytest.mark.parametrize("n_steps", [3, 8])
+def test_a_wrong_prediction_falls_back_to_the_search(monkeypatch, n_steps, wrong):
+    c, tree = _demo("mean_field.cfg", n_steps)
+    want = convexity_margins(c, tree.n_atoms)
+    predicted = riccati._predicted_margin
+    monkeypatch.setattr(riccati, "_predicted_margin", lambda *args: wrong(predicted(*args)))
+    calls = _count_sweeps(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = convexity_margins(c, tree.n_atoms)
+    assert len(calls) > 2  # the search ran
+    for margin, margin_want, (p, first) in zip(got, want, _sub_problems(c, tree.n_atoms)):
+        assert margin == pytest.approx(margin_want, rel=MARGIN_REL, abs=0)
+        assert _passes(p, margin, first)
+
+
+def test_an_overflowing_hessian_predicts_nan_without_a_warning():
+    p = homogeneous(make_coefficients(1, 1, horizon=1.0, n_steps=3, A=1e200, B=1.0, R=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(_predicted_margin(p.grid(), _level_coefficients(p), np.pad(p.QT, (0, 1)), 0))
+
+
+@pytest.mark.parametrize("name, n_steps, sweeps", [
+    ("mean_field.cfg", 5, 2), ("mean_field.cfg", 6, 2), ("mean_field.cfg", 8, 2),
+    # W0-dependent coefficients: the search, 11 sweeps per margin
+    ("node_dependent.cfg", 5, 22),
+])
+def test_level_sweeps_per_margins_call(monkeypatch, name, n_steps, sweeps):
+    c, tree = _demo(name, n_steps)
+    calls = _count_sweeps(monkeypatch)
+    convexity_margins(c, tree.n_atoms)
+    assert len(calls) == sweeps
