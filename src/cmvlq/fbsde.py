@@ -3,30 +3,36 @@
 The forward-backward systems of both decomposed problems are solved on
 the tree by rolling the state forward under the dynamic-programming
 feedback and reading every adjoint quantity off as an honest conditional
-expectation over child nodes.  With the one-step-predicted adjoint in
-the first-order condition, stationarity holds at machine precision, so
-the checks here certify rather than approximate.  Both sub-problems are
-one solve, ``_solve_sub``, on their plain coefficient sets: it rolls out
-the value function's feedback u = -(K x + k), reads the costate as
-P x + g, per prefix (the centered problem's k and g are exact zeros and
-skipped), and one adjoint routine gives the predicted costate, the
-backward residual and the cost.  Its ``SubSolution`` stores what the
-pipeline reads (control, predicted costate, cost, residual), the plain
-set it was solved on, its initial atoms and its value function, which is
-all ``verify_stationarity`` needs.  On the lattice a state is the
-roll-out of its control, so it is rolled out again on every read rather
-than stored; the costate and its martingale loadings are formed on first
-read and cached.  The conditional-mean system lives on ``tree.common``,
-one node per common-noise prefix: it is rolled out, its adjoint read and
-its stationarity checked there, and only the assembled mean-field
-control brings it onto the joint tree.
+expectation over child nodes.  Both sub-problems are one solve,
+``_solve_sub``, on their plain coefficient sets: it rolls out the value
+function's feedback u = -(K x + k), reads the costate as P x + g, per
+prefix (the centered problem's k and g are exact zeros and skipped),
+takes its child means as the predicted costate, and then the cost.  Its
+``SubSolution`` stores what the pipeline reads (control, predicted
+costate, cost), the plain set it was solved on, its initial atoms and
+its value function.  On the lattice a state is the roll-out of its
+control, so it is rolled out again on every read rather than stored; the
+costate and its martingale loadings are formed on first read and cached.
+The conditional-mean system lives on ``tree.common``, one node per
+common-noise prefix, and only the assembled mean-field control brings it
+onto the joint tree.
+
+Every solution, a part, the assembled optimum or the coupled fixed
+point, carries its coefficient set, control and initial atoms, and
+``verify_stationarity`` checks it with one call of the adjoint kernel
+``decomposition._gradient_rows``: the cost's gradient per unit mass at
+the control, which the optimum zeroes at machine precision, so the check
+certifies rather than approximates.  On the assembled optimum it is the
+full mean-field first-order condition, so a fault in either part's
+coefficients shows even where each part is stationary for its own.
 
 A separate Picard iteration solves the coupled mean-field system in one
 piece, without decomposing first; agreement of the two routes is one of
 the strongest end-to-end checks in the test suite.  Its map is the
 first-order condition solved for the control, G(u) = u - R^-1 s(u), where
 s is the cost's gradient per unit mass from the one adjoint kernel,
-``decomposition._gradient_rows``, which the oracle's gradient reads too.
+``decomposition._gradient_rows``, which the oracle's gradient and the
+stationarity check read too.
 The kernel rolls out only to the pre-noise mean of step N-1, which is all
 the terminal costate needs, and its step matrices are built once per
 table; R^-1 is taken once per solve, per prefix.  The map is affine, and
@@ -46,9 +52,8 @@ import numpy as np
 
 from .coeffs import CoefficientSet, bar_transform, breve_as_plain
 from .decomposition import (
-    _abar, _add_noise, _atom_values, _centered_atoms, _cost_rows, _gradient_rows, _plus_prefix,
-    _Prefixed, _prefix_mtv, _prefix_mv, _process, _rollout, _rows_of, _step_views, _sym,
-    simulate_mft,
+    _add_noise, _atom_values, _centered_atoms, _cost_rows, _gradient_rows, _plus_prefix, _Prefixed,
+    _prefix_mv, _process, _rollout, _rows_of, _step_views, _sym, simulate_mft,
 )
 from .errors import CmvlqError, ConvergenceError, DimensionError
 from .lattice import JointTree, TimeGrid, TreeProcess
@@ -65,13 +70,13 @@ from .riccati import (
 class _RolledOut:
     """A solution whose state is the roll-out of its control.
 
-    coeffs is the plain coefficient set the solution was solved on and xi
-    its initial atoms.  ``state`` rolls the state out under the control on
-    every read (``simulate_mft`` on the control's tree and the set's own
-    grid), which reproduces the solver's roll-out bit for bit; it is not
-    cached, so a solution that outlives its checks holds no state.  A
-    ``dataclasses.replace`` of the control therefore reads the state under
-    the new control.
+    coeffs is the coefficient set the solution was solved on (a plain one
+    for a sub-problem) and xi its initial atoms.  ``state`` rolls the state
+    out under the control on every read (``simulate_mft`` on the control's
+    tree and the set's own grid), which reproduces the solver's roll-out
+    bit for bit; it is not cached, so a solution that outlives its checks
+    holds no state.  A ``dataclasses.replace`` of the control therefore
+    reads the state under the new control.
     """
 
     @property
@@ -99,7 +104,6 @@ class SubSolution(_RolledOut):
     control: TreeProcess
     costate_pred: TreeProcess
     cost: float
-    backward_residual: float
     value: TreeBackwardQuadratic
     coeffs: CoefficientSet
     xi: np.ndarray
@@ -164,34 +168,6 @@ class CoupledSolution(_RolledOut):
     xi: np.ndarray
 
 
-def _adjoint(table: _Prefixed, states, controls, costate) -> dict:
-    """The predicted costate, cost and backward residual of the plain problem in table.
-
-    states, controls and costate are (component, node) arrays per step;
-    costate[k] is the value gradient at the step-k state.  The residual
-    is the worst relative gap in the adjoint equation costate_k =
-    (I + dt A)' E_k[costate_{k+1}] + dt (Q x_k + S u_k + zeta).  Returns
-    the stored fields of a solution; the states and the costate are not kept.
-    """
-    dt, tree, n_steps = table.grid.dt, table.tree, table.grid.n_steps
-    pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(n_steps)]
-    gaps = []
-    for k in range(n_steps):
-        rhs = _prefix_mtv(tree, k, _abar(table("A", k), dt), pred[k]) + dt * _plus_prefix(
-            tree, k,
-            _prefix_mv(tree, k, table("Q", k), states[k])
-            + _prefix_mv(tree, k, table("S", k), controls[k]),
-            table("zeta", k),
-        )
-        gaps.append(np.max(np.abs(costate[k] - rhs)) / (1.0 + np.max(np.abs(costate[k]))))
-    return dict(
-        control=_process(tree, controls),
-        costate_pred=_process(tree, pred),
-        cost=_cost_rows(table, states, controls),
-        backward_residual=float(np.max(gaps)),  # np.max keeps a NaN, max() may drop it
-    )
-
-
 def _noise_load(costate: TreeProcess, which: str) -> TreeProcess:
     """The martingale loading E_k[costate_{k+1} dW]/dt of one noise, steps 0..N-1."""
     tree, rows = costate.tree, _rows_of(costate)
@@ -229,7 +205,9 @@ def _solve_sub(p: CoefficientSet, tree: JointTree, grid: TimeGrid, value: TreeBa
     gains, shifts = (_prefix_rows(f[: grid.n_steps]) for f in (value.gain_state, value.gain_const))
     states, controls, _ = _rollout(table, lambda k, x: -_affine(tree, k, gains[k], shifts[k], x), xi)
     costate = _value_gradient(tree, value, states)
-    return SubSolution(**_adjoint(table, states, controls, costate), value=value, coeffs=p, xi=xi)
+    pred = [tree.child_mean_rows(k, costate[k + 1]) for k in range(grid.n_steps)]
+    return SubSolution(control=_process(tree, controls), costate_pred=_process(tree, pred),
+                       cost=_cost_rows(table, states, controls), value=value, coeffs=p, xi=xi)
 
 
 def solve_breve_fbsde(c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi_breve,
@@ -260,36 +238,28 @@ def solve_bar_fbsde(c: CoefficientSet, tree: JointTree, grid: TimeGrid, xi_bar,
 def verify_stationarity(solution) -> StationarityReport:
     """First-order condition residual, per step and overall.
 
-    The residual R u + S' x + B' E_k[costate] + varpi uses the one-step-
-    predicted costate, under which the optimal control zeroes it exactly;
-    any perturbation of the control shows up at full size.  A sub-solution
-    is checked on the plain set it was solved on (``coeffs``), on its
-    control's tree and the set's grid: a conditional-mean one on
-    ``tree.common``, where it lives.  An assembled solution gives the
-    per-step maximum over its two parts; any other type raises TypeError.
+    The residual is the cost's gradient per unit mass at the solution's
+    control, s = R u + S'(x - H xbar) + varpi + B' E_k[costate], from the
+    one adjoint kernel ``decomposition._gradient_rows`` on the solution's
+    own coefficient set, control tree and initial atoms; per step it is
+    sup|s_k| / (1 + sup|u_k|), and a NaN is kept.  The optimal control
+    zeroes s exactly, and any perturbation of it shows up at full size.  A
+    sub-solution is checked on the plain set it was solved on, a
+    conditional-mean one on ``tree.common``; an assembled or coupled
+    solution on the full set, which checks the mean-field first-order
+    condition itself.  Any other type raises TypeError.
     """
-    if isinstance(solution, MftSolution):
-        rb, rv = verify_stationarity(solution.bar), verify_stationarity(solution.breve)
-        per = np.maximum(rb.per_step, rv.per_step).tolist()
-        return StationarityReport(float(np.max(per)), per)
-    if not isinstance(solution, SubSolution):
+    if not isinstance(solution, _RolledOut):
         raise TypeError(f"unsupported solution type {type(solution).__name__}")
-    p, tree = solution.coeffs, solution.control.tree
-    table = _Prefixed(p, tree, p.grid())
-    states, controls = _rows_of(solution.state), _rows_of(solution.control)
-    preds = _rows_of(solution.costate_pred)
-    per = []
-    for k in range(p.n_steps):
-        control = controls[k]
-        res = _plus_prefix(
-            tree, k,
-            _prefix_mv(tree, k, table("R", k), control)
-            + _prefix_mtv(tree, k, table("S", k), states[k])
-            + _prefix_mtv(tree, k, table("B", k), preds[k]),
-            table("varpi", k),
-        )
-        per.append(float(np.max(np.abs(res))) / (1.0 + float(np.max(np.abs(control)))))
-    return StationarityReport(float(np.max(per)), per)
+    c, control = solution.coeffs, solution.control
+    u = _rows_of(control)
+    per = [0.0] * c.n_steps
+
+    def emit(k, s):
+        per[k] = float(np.max(np.abs(s))) / (1.0 + float(np.max(np.abs(u[k]))))
+
+    _gradient_rows(_Prefixed(c, control.tree, c.grid()), u, solution.xi, emit)
+    return StationarityReport(float(np.max(per)), per)  # np.max keeps a NaN, max() may drop it
 
 
 def assemble_optimal_control(c: CoefficientSet, tree: JointTree, xi) -> MftSolution:

@@ -43,7 +43,7 @@ from .decomposition import (
     _atom_values, _centered_atoms, _check_control, _cost_rows, _gradient_rows, _Prefixed, _process,
     _rollout, _rows_of, _step_views,
 )
-from .errors import ConvergenceError
+from .errors import CmvlqError, ConvergenceError
 from .lattice import JointTree, TimeGrid, TreeProcess
 
 CG_TOL = 1e-12
@@ -97,8 +97,10 @@ def _solve_quadratic(grad_of, dim: int, *, label: str, metric=1.0):
     (positive, one entry per variable; the default is the identity).
     The raw residual is tested before each step, so a zero right-hand
     side returns the zero vector.  Returns the minimizer and the relative
-    residual ||r|| / ||b|| of every iterate; failures carry the same
-    history.
+    residual ||r|| / ||b|| of every iterate; a stall or lost curvature
+    raises ConvergenceError with the same history, and a non-finite
+    residual (a NaN or inf gradient) raises CmvlqError naming the
+    iteration, 0 for the right-hand side.
     """
     g0 = grad_of(np.zeros(dim))
     b = -g0
@@ -110,7 +112,11 @@ def _solve_quadratic(grad_of, dim: int, *, label: str, metric=1.0):
     rnorm = np.sqrt(float(r @ r))
     bnorm = float(np.linalg.norm(b)) or 1.0
     history = [rnorm / bnorm]
-    while rnorm > CG_TOL * bnorm:
+    while not rnorm <= CG_TOL * bnorm:  # a NaN residual enters the loop and is refused
+        if not np.isfinite(rnorm):
+            raise CmvlqError(
+                f"{label}: non-finite residual in conjugate-gradient iteration {len(history) - 1}"
+            )
         if len(history) > 10 * dim:
             raise ConvergenceError(
                 f"{label}: conjugate gradients stalled at dim {dim}", history

@@ -349,8 +349,9 @@ def _predicted_margin(grid: TimeGrid, coefficients: list, terminal, first: int) 
 def _level_coefficients(p: CoefficientSet) -> list:
     """Each step's ``_augmented`` coefficients per W0 level; one level if p is deterministic."""
     grid = p.grid()
-    return [_augmented(p, k, np.zeros(1) if p.deterministic else w0_levels(grid, k))
-            for k in range(grid.n_steps)]
+    if p.deterministic:
+        return [tuple(a[None] for a in _augmented(p, k)) for k in range(grid.n_steps)]
+    return [_augmented(p, k, w0_levels(grid, k)) for k in range(grid.n_steps)]
 
 
 def _level_sweep(grid: TimeGrid, coefficients: list, terminal, shifts, first: int = 0) -> tuple:

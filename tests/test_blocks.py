@@ -109,8 +109,7 @@ def _solution_arrays(inst):
                   ("state", "control", "costate", "costate_pred", "noise_load_w0")]
     arrays = [v for p in processes for v in p.values] + coupled.costate_pred
     arrays += cost_gradient(c, tree, grid, random_control(inst, tree, 5), xi)
-    numbers = [sol.cost, sol.bar.cost, sol.breve.cost, sol.bar.backward_residual,
-               sol.breve.backward_residual, coupled.cost, coupled.iterations]
+    numbers = [sol.cost, sol.bar.cost, sol.breve.cost, coupled.cost, coupled.iterations]
     return arrays, numbers
 
 

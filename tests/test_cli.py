@@ -13,8 +13,10 @@ import pytest
 from helpers_dense_qp import dense_margins
 
 import cmvlq.cli as cli
+import cmvlq.fbsde as fbsde
 import cmvlq.riccati as riccati
 from cmvlq.cli import main, report_csv, run
+from cmvlq.coeffs import Coefficient
 from cmvlq.config import (
     RunConfig,
     build_coefficients,
@@ -26,7 +28,8 @@ from cmvlq.config import (
 from cmvlq.errors import CmvlqError, ConfigError
 from cmvlq.lattice import F_ADAPTED, TreeProcess, build_joint_tree
 
-NODE_DEPENDENT_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "node_dependent.cfg"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+NODE_DEPENDENT_CONFIG = DEMOS / "node_dependent.cfg"
 
 
 MINIMAL = """
@@ -574,6 +577,28 @@ def test_zero_monte_carlo_spread_exits_2_naming_its_cause(tmp_path, capsys, path
     text = MC_SIMULATE.replace("out = ignored", f"out = {tmp_path / 'o'}")
     assert main(["simulate", "--config", _write(tmp_path, text), "--paths", paths]) == 2
     assert capsys.readouterr().out.startswith(cause)
+
+
+@pytest.mark.parametrize("name", ["mean_field", "node_dependent"])
+def test_stationarity_catches_a_wrong_conditional_mean_drift(tmp_path, monkeypatch, name):
+    # each part is stationary for its own coefficients, so a check of the
+    # parts alone passed this fault (1.2e-16 on mean_field, 1.7e-16 on
+    # node_dependent); the assembled control is checked on the full set
+    text = (DEMOS / f"{name}.cfg").read_text()
+    path = _write(tmp_path, re.sub(r"(?m)^N = \d+$", "N = 6", text))
+    transform = fbsde.bar_transform
+
+    def wrong_drift(c):
+        p = transform(c)
+        A = p.A
+        return replace(p, A=Coefficient(A.base * (1.0 + 1e-6),
+                                        None if A.slope is None else A.slope * (1.0 + 1e-6)))
+
+    monkeypatch.setattr(fbsde, "bar_transform", wrong_drift)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    rows = dict(line.split(",", 1) for line in
+                (tmp_path / "o" / "solve_report.csv").read_text().splitlines()[1:])
+    assert rows["stationarity_residual"].endswith(",false")
 
 
 def test_gates_catch_a_dropped_common_noise_covariance(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import cmvlq.cli as cli
+from cmvlq import oracle
 from cmvlq.coeffs import _COEFF_FIELDS, Coefficient, bar_transform, breve_as_plain
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import eval_cost_mft, simulate_mft
@@ -203,6 +204,36 @@ def test_conjugate_gradients_refuse_negative_curvature():
     with pytest.raises(ConvergenceError, match="curvature lost") as err:
         _solve_quadratic(lambda v: 1.0 - v, 3, label="concave")
     assert err.value.residual_history == pytest.approx([1.0])
+
+
+@pytest.mark.parametrize("bad_gradient", [1, 3])
+def test_conjugate_gradients_refuse_a_non_finite_residual(monkeypatch, bad_gradient):
+    # NaN > tol is False: a NaN at the first gradient returned the zero
+    # control with history [nan], one at the third a NaN cost
+    inst = random_instance(0, max_steps=3)
+    kernel = oracle._gradient_rows
+    calls = []
+
+    def nan_gradient(table, u, xi, emit):
+        calls.append(None)
+
+        def poisoned(k, s):
+            if len(calls) == bad_gradient and k == 0:
+                s[0, 0] = np.nan
+            emit(k, s)
+
+        return kernel(table, u, xi, poisoned)
+
+    monkeypatch.setattr(oracle, "_gradient_rows", nan_gradient)
+    # the gradient at 0 is the right-hand side, iteration 0
+    with pytest.raises(
+        CmvlqError,
+        match=rf"^full control space: non-finite residual in conjugate-gradient iteration "
+              rf"{bad_gradient - 1}$",
+    ) as err:
+        solve_qp_exact(inst.coeffs, inst.tree(), inst.grid(), inst.xi)
+    # a numerical failure, not a solver that ran out of iterations
+    assert not isinstance(err.value, ConvergenceError)
 
 
 def _unskippable(c):

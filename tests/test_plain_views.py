@@ -103,7 +103,7 @@ def test_bar_entry_points_take_the_full_set_or_its_transform(seed, node_dependen
             [ll.values, ll.offset, ll.constant, ll.gain_state, ll.gain_const],
             [getattr(sol, f).values for f in ("state", "control", "costate", "costate_pred",
                                               "noise_load_w0")],
-            [sol.cost, sol.backward_residual],
+            [sol.cost],
             verify_stationarity(sol).per_step,
             [qp.control.values, qp.cost, qp.gradient_sup],
         ]

@@ -18,7 +18,9 @@ from helpers_split import (
 )
 
 from cmvlq import riccati
-from cmvlq.coeffs import as_coefficient, bar_transform, breve_as_plain, homogeneous, make_coefficients
+from cmvlq.coeffs import (
+    Coefficient, as_coefficient, bar_transform, breve_as_plain, homogeneous, make_coefficients,
+)
 from cmvlq.config import build_coefficients, initial_condition, parse_config
 from cmvlq.decomposition import eval_cost_mft, simulate_mft
 from cmvlq.errors import FiniteEscapeError, NotDeterministicError, SingularSystemError
@@ -613,3 +615,21 @@ def test_level_sweeps_per_margins_call(monkeypatch, name, n_steps, sweeps):
     calls = _count_sweeps(monkeypatch)
     convexity_margins(c, tree.n_atoms)
     assert len(calls) == sweeps
+
+
+@pytest.mark.parametrize("name, at_w0_calls", [
+    ("mean_field.cfg", 0),
+    # W0-dependent coefficients are evaluated on the levels: 10 per step in
+    # each of the four level tables (two margins, Pi and L)
+    ("node_dependent.cfg", 320),
+])
+def test_level_tables_of_a_deterministic_set_read_the_steps(monkeypatch, name, at_w0_calls):
+    # a deterministic set's one level is its step values, not an evaluation at W0 = 0
+    c, tree = _demo(name, 8)
+    calls = []
+    at_w0 = Coefficient.at_w0
+    monkeypatch.setattr(Coefficient, "at_w0", lambda *args: calls.append(args) or at_w0(*args))
+    convexity_margins(c, tree.n_atoms)
+    solve_pi(c)
+    solve_l(c)
+    assert len(calls) == at_w0_calls
